@@ -41,6 +41,12 @@ passes, 1 when any check fails or errors, 2 on config problems.
 
 Truncation diagnostics (uncertified or shell-pinned kernel vectors) are
 reported as warnings; under ``--strict`` they fail the run.
+
+The checks of one run share a per-run memo: each sector's SectionSpace
+is built once, and so is the torus shift table.  The conformal check is
+pointwise in exact trigonometric fields and depends only on the CR
+dimension, not on the sector, so it is evaluated once and that one value
+is reported under every sector key.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -231,13 +238,35 @@ def _space_sectors(config) -> list:
     return config["model"].get("sectors", [None])
 
 
-def _check_identities(model, config) -> CheckResult:
+class _RunMemo:
+    """Objects several checks of one run share: sector spaces and the shift table.
+
+    Only successful builds are kept, so a build that raises fails every
+    check that asks for it, as an unshared build would.
+    """
+
+    def __init__(self, model, config):
+        self.model = model
+        self.config = config
+        self._spaces = {}
+
+    def space(self, sector) -> SectionSpace:
+        if sector not in self._spaces:
+            self._spaces[sector] = SectionSpace(self.model, sector=sector)
+        return self._spaces[sector]
+
+    @cached_property
+    def shift_table(self):
+        return shift_table(self.model, s_range=tuple(self.config["model"]["sectors"]))
+
+
+def _check_identities(model, config, memo: _RunMemo) -> CheckResult:
     tol = config["tolerances"]
     sectors = _space_sectors(config)
     rows = []
     per_sector = {}
     for sector in sectors:
-        space = SectionSpace(model, sector=sector)
+        space = memo.space(sector)
         dplus = assemble_dplus(space)
         dminus = assemble_dminus(space)
         residuals = {
@@ -278,7 +307,7 @@ def _check_identities(model, config) -> CheckResult:
     )
 
 
-def _check_spectrum(model, config) -> CheckResult:
+def _check_spectrum(model, config, memo: _RunMemo) -> CheckResult:
     tol = config["tolerances"]
     sectors = _space_sectors(config)
     warnings = []
@@ -286,7 +315,7 @@ def _check_spectrum(model, config) -> CheckResult:
     tables = {}
     min_eig = np.inf
     for sector in sectors:
-        space = SectionSpace(model, sector=sector)
+        space = memo.space(sector)
         dirac = assemble_kohn_dirac(space)
         square = gram(dirac)
         rows = []
@@ -300,7 +329,7 @@ def _check_spectrum(model, config) -> CheckResult:
             "rows": rows,
         }
         kernels = {}
-        for q, count in kernel_report(dirac, tol=tol["spectral"], shell_tol=tol["shell"]).items():
+        for q, count in kernel_report(square, tol=tol["spectral"], shell_tol=tol["shell"]).items():
             kernels[str(q)] = {
                 "dim": count.dim,
                 "certified": count.certified,
@@ -325,15 +354,15 @@ def _check_spectrum(model, config) -> CheckResult:
     )
 
 
-def _check_cohomology(model, config) -> CheckResult:
+def _check_cohomology(model, config, memo: _RunMemo) -> CheckResult:
     tol = config["tolerances"]
     sectors = _space_sectors(config)
     if model.kind == "torus_bundle":
-        table = shift_table(model, s_range=tuple(sectors))
+        table = memo.shift_table
     else:
         table = None
         for sector in sectors:
-            part = harmonic_spinor_table(SectionSpace(model, sector=sector), tol=tol["spectral"])
+            part = harmonic_spinor_table(memo.space(sector), tol=tol["spectral"])
             if table is None:
                 table = part
             else:
@@ -371,7 +400,7 @@ def _check_cohomology(model, config) -> CheckResult:
     )
 
 
-def _check_vanishing(model, config) -> CheckResult:
+def _check_vanishing(model, config, memo: _RunMemo) -> CheckResult:
     tol = config["tolerances"]
     warnings = []
     verdicts = vanishing_verdicts(model, model.ell)
@@ -379,14 +408,14 @@ def _check_vanishing(model, config) -> CheckResult:
     clashes = {}
     if model.has_section_space:
         for sector in _space_sectors(config):
-            space = SectionSpace(model, sector=sector)
+            space = memo.space(sector)
             for q, dim in spectral_consistency(verdicts, space, tol=tol["spectral"]).items():
                 clashes[f"sector={sector},q={q}"] = dim
     payload["spectral_clashes"] = clashes
 
     degree = qhat(model.m, model.ell)
     if model.kind == "torus_bundle" and abs(model.ell) < model.m + 2 and degree.denominator == 1:
-        table = shift_table(model, s_range=tuple(config["model"]["sectors"]))
+        table = memo.shift_table
         try:
             verdict = obstruction_check(model, model.ell, table)
             payload["obstruction"] = {
@@ -424,18 +453,15 @@ def _check_vanishing(model, config) -> CheckResult:
     )
 
 
-def _check_conformal(model, config) -> CheckResult:
+def _check_conformal(model, config, memo: _RunMemo) -> CheckResult:
     tol = config["tolerances"]
     sectors = _space_sectors(config)
-    rows = []
-    per_sector = {}
-    for sector in sectors:
-        space = SectionSpace(model, sector=sector)
-        scale = ConformalScale.cosine(space.m, axis=0, amplitude=0.3)
-        defect = float(conformal_check(space, model.ell, scale))
-        ok = defect <= tol["conformal"]
-        rows.append([sector, defect, tol["conformal"], ok])
-        per_sector[str(sector)] = defect
+    # sector independent (see the module docstring): one evaluation
+    space = memo.space(sectors[0])
+    defect = float(conformal_check(space, model.ell, ConformalScale.cosine(space.m, axis=0, amplitude=0.3)))
+    ok = defect <= tol["conformal"]
+    rows = [[sector, defect, tol["conformal"], ok] for sector in sectors]
+    per_sector = {str(sector): defect for sector in sectors}
     failed = [r for r in rows if not r[3]]
     detail = ""
     if failed:
@@ -462,9 +488,9 @@ _CHECK_RUNNERS = {
 }
 
 
-def _run_check(name, model, config, strict) -> CheckResult:
+def _run_check(name, model, config, strict, memo: _RunMemo) -> CheckResult:
     try:
-        result = _CHECK_RUNNERS[name](model, config)
+        result = _CHECK_RUNNERS[name](model, config, memo)
     except (ValueError, RuntimeError) as exc:
         return CheckResult(name=name, passed=False, error=str(exc))
     if strict and result.warnings and result.passed:
@@ -545,7 +571,8 @@ def run(config: dict, checks=None, strict=False, out_dir="crspin-artifacts", fmt
         if name not in seen:
             seen.append(name)
     model = build_model(config)
-    results = [_run_check(name, model, config, strict) for name in seen]
+    memo = _RunMemo(model, config)
+    results = [_run_check(name, model, config, strict, memo) for name in seen]
     written = _write_artifacts(results, model, out_dir, fmt)
     for result in results:
         if result.error is not None:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Dict, FrozenSet, Iterable, Tuple, Union
@@ -48,7 +49,6 @@ __all__ = [
     "grade_projector",
     "creation_matrix",
     "annihilation_matrix",
-    "number_matrix",
     "vector_matrix",
     "two_form_matrix",
     "dtheta_frame_matrix",
@@ -373,31 +373,39 @@ def generator_matrix(gen: CliffordGenerator, module: SpinorModule | None = None)
     return _matrix_from_action(module, lambda v: apply_generator(gen, v))
 
 
+@lru_cache(maxsize=None)
+def _jordan_wigner(m: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (creation, annihilation) matrices of slot ``alpha``.
+
+    Creation sends S (alpha not in S) to S | {alpha} with the sign of
+    ``_sign``; annihilation is its transpose.  ``generator_matrix`` builds
+    the same matrices from the exact action and is kept as the test oracle.
+    """
+    module = SpinorModule(m)
+    create = np.zeros((module.dim, module.dim), dtype=complex)
+    for col, subset in enumerate(module.subsets):
+        if alpha not in subset:
+            create[module.index_of(subset | {alpha}), col] = _sign(subset, alpha)
+    annihilate = create.T.copy()
+    create.flags.writeable = annihilate.flags.writeable = False
+    return create, annihilate
+
+
 def creation_matrix(m: int, alpha: int) -> np.ndarray:
-    """Signed wedge (creation) operator; equals the ``create`` generator."""
-    return generator_matrix(CliffordGenerator("create", alpha, m))
+    """Signed wedge (creation) operator; equals the ``create`` generator.  Read-only."""
+    CliffordGenerator("create", alpha, m)  # validates m and alpha
+    return _jordan_wigner(m, alpha)[0]
 
 
 def annihilation_matrix(m: int, alpha: int) -> np.ndarray:
-    """Signed contraction (annihilation) operator; minus the ``annihilate`` generator."""
-    return -generator_matrix(CliffordGenerator("annihilate", alpha, m))
+    """Signed contraction (annihilation) operator; minus the ``annihilate`` generator.  Read-only."""
+    CliffordGenerator("annihilate", alpha, m)
+    return _jordan_wigner(m, alpha)[1]
 
 
 def theta_matrix(m: int) -> np.ndarray:
     module = SpinorModule(m)
     return np.diag([float(m - 2 * len(s)) for s in module.subsets]).astype(complex)
-
-
-def number_matrix(m: int, alpha: int | None = None) -> np.ndarray:
-    """Occupation of slot ``alpha``, or the total grade operator if None."""
-    module = SpinorModule(m)
-    if alpha is None:
-        diag = [float(len(s)) for s in module.subsets]
-    else:
-        if not 1 <= alpha <= m:
-            raise ValueError(f"frame index must lie in 1..{m}, got {alpha}")
-        diag = [1.0 if alpha in s else 0.0 for s in module.subsets]
-    return np.diag(diag).astype(complex)
 
 
 def grade_projector(m: int, q: int) -> np.ndarray:
@@ -408,6 +416,12 @@ def grade_projector(m: int, q: int) -> np.ndarray:
     return np.diag(diag).astype(complex)
 
 
+def _real_frame_matrices(m: int) -> tuple[np.ndarray, ...]:
+    """c(real_a) = create - annihilate, then c(realJ_a) = i (create + annihilate)."""
+    pairs = [_jordan_wigner(m, a) for a in range(1, m + 1)]
+    return tuple([c - a for c, a in pairs] + [1j * (c + a) for c, a in pairs])
+
+
 def vector_matrix(m: int, coefficients: np.ndarray) -> np.ndarray:
     """Clifford action of a real frame vector with the given 2m components.
 
@@ -416,23 +430,11 @@ def vector_matrix(m: int, coefficients: np.ndarray) -> np.ndarray:
     coefficients = np.asarray(coefficients)
     if coefficients.shape != (2 * m,):
         raise ValueError(f"expected {2 * m} frame components, got shape {coefficients.shape}")
-    module = SpinorModule(m)
-    out = np.zeros((module.dim, module.dim), dtype=complex)
-    for a in range(1, m + 1):
-        if coefficients[a - 1]:
-            out += coefficients[a - 1] * generator_matrix(CliffordGenerator("real", a, m), module)
-        if coefficients[m + a - 1]:
-            out += coefficients[m + a - 1] * generator_matrix(CliffordGenerator("realJ", a, m), module)
+    out = np.zeros((SpinorModule(m).dim,) * 2, dtype=complex)
+    for coeff, mat in zip(coefficients, _real_frame_matrices(m)):
+        if coeff:
+            out += coeff * mat
     return out
-
-
-def _real_frame_matrices(m: int, module: SpinorModule) -> list:
-    mats = []
-    for a in range(1, m + 1):
-        mats.append(generator_matrix(CliffordGenerator("real", a, m), module))
-    for a in range(1, m + 1):
-        mats.append(generator_matrix(CliffordGenerator("realJ", a, m), module))
-    return mats
 
 
 def two_form_matrix(m: int, components: np.ndarray) -> np.ndarray:
@@ -447,9 +449,8 @@ def two_form_matrix(m: int, components: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a {2 * m} x {2 * m} component matrix, got {components.shape}")
     if not np.allclose(components, -components.T, atol=1e-12):
         raise ValueError("two-form components must be antisymmetric")
-    module = SpinorModule(m)
-    frame = _real_frame_matrices(m, module)
-    out = np.zeros((module.dim, module.dim), dtype=complex)
+    out = np.zeros((SpinorModule(m).dim,) * 2, dtype=complex)
+    frame = _real_frame_matrices(m)
     for i in range(2 * m):
         for j in range(i + 1, 2 * m):
             if components[i, j]:

@@ -38,7 +38,7 @@ import numpy as np
 
 from .clifford import creation_matrix
 from .models import PseudoHermitianModel, TorusBundleModel, TorusLattice
-from .operators import OperatorMatrix, kernel_report
+from .operators import OperatorMatrix, horizontal_laplacians, kernel_report
 from .sections import SectionSpace
 
 __all__ = [
@@ -63,10 +63,8 @@ MODEL_LEVEL_NOTE = (
 
 def assemble_dbar(space: SectionSpace) -> OperatorMatrix:
     """Tangential CR operator on bundle-valued (0,*)-forms."""
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
-    for a in range(1, space.m + 1):
-        wedge = space.lift_fiber(creation_matrix(space.m, a))
-        mat += np.sqrt(2.0) * wedge @ space.lift_base(space.nabla_ebar[a - 1])
+    mat = sum(space.mixed(np.sqrt(2.0) * creation_matrix(space.m, a), space.nabla_ebar[a - 1])
+              for a in range(1, space.m + 1))
     return OperatorMatrix(mat, space, name="dbar", mu_shift=-2)
 
 
@@ -85,10 +83,7 @@ def holomorphic_laplacian(space: SectionSpace) -> OperatorMatrix:
     underlying base bundle; on the weight-zero sector it coincides with
     the pulled-back base Dolbeault Laplacian.
     """
-    base = np.zeros((space.base_dim, space.base_dim), dtype=complex)
-    for a in range(space.m):
-        base -= 2.0 * space.nabla_ebar[a] @ space.nabla_e[a]
-    return OperatorMatrix(space.lift_base(base), space, name="box_bar", mu_shift=0)
+    return OperatorMatrix(space.lift_base(horizontal_laplacians(space)[0]), space, name="box_bar", mu_shift=0)
 
 
 def fiber_weight_operator(space: SectionSpace) -> OperatorMatrix:

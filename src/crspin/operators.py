@@ -2,8 +2,11 @@
 
 Everything here is assembled from two commuting layers: Clifford
 generator matrices acting on the spinor fiber (``clifford``) and
-derivative matrices acting on base coefficients (``sections``).  In the
-unitary frame the Kohn-Dirac operator splits as
+derivative matrices acting on base coefficients (``sections``).  Every
+operator is a sum of fiber (x) base Kronecker products, and each full-space
+term is formed directly by ``SectionSpace.mixed``; no two lifted
+full-space matrices are ever multiplied.  In the unitary frame the
+Kohn-Dirac operator splits as
 
     D = D_plus + D_minus,
     D_plus  = 2 sum_a c(E_a) nabla_{Ebar_a},
@@ -54,7 +57,6 @@ __all__ = [
     "nabla_T_defect",
     "assemble_twistor",
     "twistor_contraction",
-    "twistor_reconstruction_defect",
     "gram",
     "grading_defect",
     "cluster_eigenvalues",
@@ -95,29 +97,17 @@ class OperatorMatrix:
         return self.mat[self.space.grade_block(q_out), self.space.grade_block(q_in)]
 
 
-def _clifford_e(space: SectionSpace, a: int) -> np.ndarray:
-    """Full-space Clifford action of the frame vector E_a (degree raising)."""
-    return space.lift_fiber(creation_matrix(space.m, a))
-
-
-def _clifford_ebar(space: SectionSpace, a: int) -> np.ndarray:
-    """Full-space Clifford action of Ebar_a; minus the plain annihilation."""
-    return -space.lift_fiber(annihilation_matrix(space.m, a))
-
-
 def assemble_dplus(space: SectionSpace) -> OperatorMatrix:
     """Degree-raising half of the Kohn-Dirac operator."""
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
-    for a in range(1, space.m + 1):
-        mat += 2.0 * _clifford_e(space, a) @ space.lift_base(space.nabla_ebar[a - 1])
+    mat = sum(space.mixed(2.0 * creation_matrix(space.m, a), space.nabla_ebar[a - 1])
+              for a in range(1, space.m + 1))
     return OperatorMatrix(mat, space, name="D+", mu_shift=-2)
 
 
 def assemble_dminus(space: SectionSpace) -> OperatorMatrix:
-    """Degree-lowering half of the Kohn-Dirac operator; adjoint of D+."""
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
-    for a in range(1, space.m + 1):
-        mat += 2.0 * _clifford_ebar(space, a) @ space.lift_base(space.nabla_e[a - 1])
+    """Degree-lowering half of the Kohn-Dirac operator; adjoint of D+ (c(Ebar_a) = -annihilation)."""
+    mat = sum(space.mixed(-2.0 * annihilation_matrix(space.m, a), space.nabla_e[a - 1])
+              for a in range(1, space.m + 1))
     return OperatorMatrix(mat, space, name="D-", mu_shift=2)
 
 
@@ -197,21 +187,16 @@ def twistor_weights(m: int, q: int) -> tuple[float, float]:
     return 1.0 / (2.0 * (q + 1)), 1.0 / (2.0 * (m - q + 1))
 
 
-def _twistor_pieces(space: SectionSpace, q: int):
-    if not 0 <= q <= space.m:
-        raise ValueError(f"degree q out of range: {q}")
-    a_q, b_q = twistor_weights(space.m, q)
-    dplus = assemble_dplus(space).mat
-    dminus = assemble_dminus(space).mat
-    cols = space.grade_block(q)
-    grads, corrections = [], []
-    for a in range(1, space.m + 1):
-        grads.append(space.lift_base(space.nabla_e[a - 1])[:, cols])
-        corrections.append((b_q * _clifford_e(space, a) @ dminus)[:, cols])
-    for a in range(1, space.m + 1):
-        grads.append(space.lift_base(space.nabla_ebar[a - 1])[:, cols])
-        corrections.append((a_q * _clifford_ebar(space, a) @ dplus)[:, cols])
-    return np.vstack(grads), np.vstack(corrections)
+def _twistor_slots(space: SectionSpace, inject, weight, c_self, c_other, nabla) -> list:
+    """Slots nabla_a + weight c_self[a] (2 sum_b c_other[b] nabla_b) on the ``inject`` block.
+
+    The bracket is D+ or D- written out as its Kronecker terms.
+    """
+    return [
+        space.mixed(inject, nabla[a])
+        + sum(space.mixed(2.0 * weight * c_self[a] @ c_other[b] @ inject, nabla[b]) for b in range(space.m))
+        for a in range(space.m)
+    ]
 
 
 def assemble_twistor(space: SectionSpace, q: int) -> OperatorMatrix:
@@ -221,8 +206,16 @@ def assemble_twistor(space: SectionSpace, q: int) -> OperatorMatrix:
     followed by m slots for the Ebar_a directions; the image lies in the
     kernel of Clifford contraction.
     """
-    grad, corr = _twistor_pieces(space, q)
-    return OperatorMatrix(grad + corr, space, name=f"P({q})", mu_shift=None, domain_block=q)
+    if not 0 <= q <= space.m:
+        raise ValueError(f"degree q out of range: {q}")
+    m = space.m
+    a_q, b_q = twistor_weights(m, q)
+    inject = np.eye(space.fiber_dim)[:, space.module.grade_slice(q)]
+    c_e = [creation_matrix(m, a) for a in range(1, m + 1)]
+    c_ebar = [-annihilation_matrix(m, a) for a in range(1, m + 1)]
+    slots = _twistor_slots(space, inject, b_q, c_e, c_ebar, space.nabla_e)
+    slots += _twistor_slots(space, inject, a_q, c_ebar, c_e, space.nabla_ebar)
+    return OperatorMatrix(np.vstack(slots), space, name=f"P({q})", mu_shift=None, domain_block=q)
 
 
 def twistor_contraction(space: SectionSpace, q: int) -> np.ndarray:
@@ -234,19 +227,10 @@ def twistor_contraction(space: SectionSpace, q: int) -> np.ndarray:
     """
     if not 0 <= q <= space.m:
         raise ValueError(f"degree q out of range: {q}")
-    blocks = [2.0 * _clifford_ebar(space, a) for a in range(1, space.m + 1)]
-    blocks += [2.0 * _clifford_e(space, a) for a in range(1, space.m + 1)]
+    m = space.m
+    blocks = [space.lift_fiber(-2.0 * annihilation_matrix(m, a)) for a in range(1, m + 1)]
+    blocks += [space.lift_fiber(2.0 * creation_matrix(m, a)) for a in range(1, m + 1)]
     return np.hstack(blocks)
-
-
-def twistor_reconstruction_defect(space: SectionSpace, q: int) -> float:
-    """Residual of recovering the covariant derivative from the twistor output.
-
-    The stacked gradient must equal the twistor stack minus the weighted
-    Clifford corrections built from D+ and D-.
-    """
-    grad, corr = _twistor_pieces(space, q)
-    return np.abs(grad - ((grad + corr) - corr)).max()
 
 
 def gram(op: OperatorMatrix) -> OperatorMatrix:
@@ -321,11 +305,8 @@ def kernel_report(
     if tol <= 0:
         raise ValueError("kernel tolerance must be positive")
     space = op.space
-    if op.mu_shift == 0:
-        sq = op.mat
-        if op.hermitian_defect() > 1e-10 * (1.0 + np.abs(op.mat).max()):
-            sq = op.mat.conj().T @ op.mat
-    else:
+    sq = op.mat
+    if op.mu_shift != 0 or op.hermitian_defect() > 1e-10 * (1.0 + np.abs(op.mat).max()):
         sq = op.mat.conj().T @ op.mat
     shell = ~space.interior_mask()
     out: dict[int, KernelCount] = {}

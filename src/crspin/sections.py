@@ -30,7 +30,11 @@ dimension tables can be scaled without enlarging any matrix.
 
 The full section space is spanned by (fiber basis) x (base coefficient),
 fiber index major, so the fixed-degree blocks of the spinor fiber stay
-contiguous after taking Kronecker products.
+contiguous after taking Kronecker products.  Every full-space operator is
+a sum of such products, and ``SectionSpace.mixed`` is the one place that
+forms them: ``mixed(A, B)`` is kron(A, B), and the lifts of a pure fiber
+or pure base operator are ``mixed`` with an identity factor.  Callers
+never multiply two lifted matrices.
 """
 
 from __future__ import annotations
@@ -166,16 +170,17 @@ class SectionSpace:
 
     # -- lifting to the full space ---------------------------------------
 
+    def mixed(self, fiber_mat: np.ndarray, base_mat: np.ndarray) -> np.ndarray:
+        """Full-space matrix of the product operator fiber_mat (x) base_mat."""
+        return np.kron(np.asarray(fiber_mat, dtype=complex), np.asarray(base_mat, dtype=complex))
+
     def lift_fiber(self, mat: np.ndarray) -> np.ndarray:
         """Fiber operator acting as the identity on base coefficients."""
-        return np.kron(np.asarray(mat, dtype=complex), np.eye(self.base_dim))
+        return self.mixed(mat, np.eye(self.base_dim))
 
     def lift_base(self, mat: np.ndarray) -> np.ndarray:
         """Base operator acting as the identity on the spinor fiber."""
-        return np.kron(np.eye(self.fiber_dim), np.asarray(mat, dtype=complex))
-
-    def mixed(self, fiber_mat: np.ndarray, base_mat: np.ndarray) -> np.ndarray:
-        return np.kron(np.asarray(fiber_mat, dtype=complex), np.asarray(base_mat, dtype=complex))
+        return self.mixed(np.eye(self.fiber_dim), mat)
 
     def interior_mask(self) -> np.ndarray:
         """Interior flags expanded to the full fiber x base index set."""

@@ -17,7 +17,6 @@ are independent of the Fourier/ladder truncations used elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -78,11 +77,6 @@ class CurvatureTerm:
         return self.as_matrix.shape[0]
 
 
-def _grade_slice(m: int, q: int) -> slice:
-    start = sum(comb(m, j) for j in range(q))
-    return slice(start, start + comb(m, q))
-
-
 def curvature_term(model: PseudoHermitianModel, ell: int, q: int) -> CurvatureTerm:
     """Curvature term of the Kohn-Dirac square on the weight-q block.
 
@@ -94,14 +88,12 @@ def curvature_term(model: PseudoHermitianModel, ell: int, q: int) -> CurvatureTe
     restricted to the grade-q part of the fiber (mu = m - 2q).
     """
     m = model.m
-    if not 0 <= q <= m:
-        raise ValueError(f"grade q must lie in 0..{m}, got {q}")
+    block = SpinorModule(m).grade_slice(q)
     mu = m - 2 * q
     crho = two_form_matrix(m, rho_frame_components(model.rho))
     coeff = ell / (m + 2) + mu / m
     scalar = (1.0 + ell * mu / (m * (m + 2))) * model.scal_w / 4.0
     full = -0.5j * coeff * crho + scalar * np.eye(crho.shape[0])
-    block = _grade_slice(m, q)
     return CurvatureTerm(q=q, mu=mu, ell=ell, as_matrix=full[block, block])
 
 
@@ -140,10 +132,8 @@ def q_split(model: PseudoHermitianModel, ell: int, q: int) -> tuple[np.ndarray, 
     and K vanishes identically at ell = m + 2.
     """
     m = model.m
-    if not 0 <= q <= m:
-        raise ValueError(f"grade q must lie in 0..{m}, got {q}")
+    block = SpinorModule(m).grade_slice(q)
     mu = m - 2 * q
-    block = _grade_slice(m, q)
     r_star = ricci_spinor_action(model.rho)[block, block]
     trace_r = float(np.real(np.trace(model.rho)))
     ident = np.eye(r_star.shape[0])
@@ -157,16 +147,14 @@ def _lifted_identity_sides(space: SectionSpace) -> tuple[np.ndarray, np.ndarray]
     m = space.m
     dirac = assemble_kohn_dirac(space).mat
     lap10, lap01 = horizontal_laplacians(space)
-    l10 = space.lift_base(lap10)
-    l01 = space.lift_base(lap01)
-    theta = space.lift_fiber(theta_matrix(m))
-    crho = space.lift_fiber(two_form_matrix(m, rho_frame_components(model.rho)))
-    eye = np.eye(space.dim)
+    theta = theta_matrix(m)
+    crho = two_form_matrix(m, rho_frame_components(model.rho))
+    eye = np.eye(space.fiber_dim)
     ell = model.ell
-    rhs = (eye - theta / m) @ l10
-    rhs += (eye + theta / m) @ l01
-    rhs += -0.5j * ((ell / (m + 2)) * eye + theta / m) @ crho
-    rhs += (model.scal_w / 4.0) * (eye + (ell / (m * (m + 2))) * theta)
+    rhs = space.mixed(eye - theta / m, lap10)
+    rhs += space.mixed(eye + theta / m, lap01)
+    rhs += space.lift_fiber(-0.5j * ((ell / (m + 2)) * eye + theta / m) @ crho)
+    rhs += space.lift_fiber((model.scal_w / 4.0) * (eye + (ell / (m * (m + 2))) * theta))
     return dirac @ dirac, rhs
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from crspin import cli, sections
 from crspin.cli import main
 
 
@@ -218,3 +219,29 @@ def test_bad_truncation_rejected(tmp_path, capsys):
     )
     assert main(["run", "--config", cfg]) == 2
     assert "ladder_levels" in capsys.readouterr().err
+
+
+def test_run_builds_each_shared_object_once(tmp_path, monkeypatch):
+    # three section spaces for the checks plus three inside the one shift table
+    counts = {"spaces": 0, "conformal": 0, "shift": 0}
+    build = sections.SectionSpace.__init__
+
+    def counting_build(self, *args, **kwargs):
+        counts["spaces"] += 1
+        build(self, *args, **kwargs)
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sections.SectionSpace, "__init__", counting_build)
+    monkeypatch.setattr(cli, "conformal_check", counting("conformal", cli.conformal_check))
+    monkeypatch.setattr(cli, "shift_table", counting("shift", cli.shift_table))
+    config = dict(TORUS_ALL, model=dict(TORUS_ALL["model"], sectors=[-1, 0, 1]))
+    out = tmp_path / "art"
+    assert main(["run", "--config", write_config(tmp_path, config), "--out", str(out)]) == 0
+    assert counts == {"spaces": 6, "conformal": 1, "shift": 1}
+    defects = json.loads((out / "conformal_report.json").read_text())["results"]["sectors"]
+    assert sorted(defects) == ["-1", "0", "1"] and len(set(defects.values())) == 1

@@ -197,6 +197,31 @@ def test_wedge_contraction_formula_for_real_vectors(m):
         assert np.array_equal(realj, 1j * (wedge + contraction))
 
 
+@pytest.mark.parametrize("m", EXACT_DIMS)
+def test_jordan_wigner_matrices_equal_exact_generators(m):
+    module = SpinorModule(m)
+    for a in range(1, m + 1):
+        assert np.array_equal(creation_matrix(m, a), generator_matrix(gen("create", a, m), module))
+        assert np.array_equal(annihilation_matrix(m, a), -generator_matrix(gen("annihilate", a, m), module))
+        for offset, kind in ((0, "real"), (m, "realJ")):
+            unit = np.zeros(2 * m)
+            unit[offset + a - 1] = 1.0
+            assert np.array_equal(vector_matrix(m, unit), generator_matrix(gen(kind, a, m), module))
+
+
+def test_cached_clifford_matrices_are_read_only():
+    for mat in (creation_matrix(2, 1), annihilation_matrix(2, 2)):
+        with pytest.raises(ValueError):
+            mat[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            mat *= 2.0
+    assert creation_matrix(2, 1)[0, 0] == 0.0
+    with pytest.raises(ValueError):
+        creation_matrix(2, 3)
+    with pytest.raises(ValueError):
+        annihilation_matrix(0, 1)
+
+
 def test_generator_validation_errors():
     with pytest.raises(ValueError):
         CliffordGenerator("creator", 1, 2)

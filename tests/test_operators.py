@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from crspin import operators, weitzenboeck
+from crspin.clifford import annihilation_matrix, creation_matrix
+from crspin.cohomology import assemble_dbar
 from crspin.models import TruncationSpec, cr_alpha_bundle, heisenberg_model
 from crspin.operators import (
     OperatorMatrix,
@@ -18,7 +21,6 @@ from crspin.operators import (
     spectrum,
     theta_operator,
     twistor_contraction,
-    twistor_reconstruction_defect,
 )
 from crspin.sections import SectionSpace
 
@@ -43,6 +45,19 @@ def test_half_dirac_squares_vanish(space):
     dminus = assemble_dminus(space).mat
     assert np.abs(dplus @ dplus).max() <= 1e-12
     assert np.abs(dminus @ dminus).max() <= 1e-12
+
+
+@pytest.mark.parametrize("space", SPACES, ids=IDS)
+def test_kronecker_assembly_equals_lifted_products(space):
+    # the products of padded full-space lifts the assemblers used to form
+    m = space.m
+    c_e = [space.lift_fiber(creation_matrix(m, a)) for a in range(1, m + 1)]
+    c_ebar = [-space.lift_fiber(annihilation_matrix(m, a)) for a in range(1, m + 1)]
+    d_e = [space.lift_base(mat) for mat in space.nabla_e]
+    d_ebar = [space.lift_base(mat) for mat in space.nabla_ebar]
+    assert np.array_equal(assemble_dplus(space).mat, sum(2.0 * c @ d for c, d in zip(c_e, d_ebar)))
+    assert np.array_equal(assemble_dminus(space).mat, sum(2.0 * c @ d for c, d in zip(c_ebar, d_e)))
+    assert np.array_equal(assemble_dbar(space).mat, sum(np.sqrt(2.0) * c @ d for c, d in zip(c_e, d_ebar)))
 
 
 @pytest.mark.parametrize("space", SPACES, ids=IDS)
@@ -162,9 +177,48 @@ def test_twistor_image_in_kernel_of_contraction(space):
         twistor = assemble_twistor(space, q)
         contraction = twistor_contraction(space, q)
         assert np.abs(contraction @ twistor.mat).max() <= 1e-12
-        assert twistor_reconstruction_defect(space, q) <= 1e-12
     with pytest.raises(ValueError):
         assemble_twistor(space, space.m + 1)
+
+
+def _twistor_route_gap(m: int, q: int) -> float:
+    """Matrix twistor against the pointwise field twistor on one trig-polynomial spinor.
+
+    On the weight-zero sector of the unit lattice the base labels are
+    2 pi n, so TrigPoly frequency n is the Fourier coefficient with label
+    2 pi n and both routes act on the same coefficients.
+    """
+    space = SectionSpace(heisenberg_model(m, k=0))
+    freqs = np.rint(space.labels / (2.0 * np.pi)).astype(int)
+    assert np.allclose(2.0 * np.pi * freqs, space.labels)
+    row = {tuple(n): i for i, n in enumerate(freqs)}
+
+    def coefficients(field):
+        vec = np.zeros(space.dim, dtype=complex)
+        for fib, poly in enumerate(field):
+            for n, value in poly.coeffs.items():
+                vec[fib * space.base_dim + row[n]] += value
+        return vec
+
+    ctx = weitzenboeck._FiberContext(m)
+    field = weitzenboeck._test_spinor(ctx, q)
+    matrix_route = assemble_twistor(space, q).mat @ coefficients(field)[space.grade_block(q)]
+    slots = weitzenboeck._twistor10_slots(field, q, ctx) + weitzenboeck._twistor01_slots(field, q, ctx)
+    field_route = np.concatenate([coefficients(slot) for slot in slots])
+    assert np.abs(field_route).max() > 0.1
+    return float(np.abs(matrix_route - field_route).max())
+
+
+@pytest.mark.parametrize("m, q", [(m, q) for m in (1, 2) for q in range(m + 1)])
+def test_twistor_matrix_matches_pointwise_field_twistor(m, q):
+    assert _twistor_route_gap(m, q) <= 1e-12
+
+
+@pytest.mark.parametrize("m, q", [(1, 0), (1, 1), (2, 0), (2, 2)])  # a_q != b_q
+def test_twistor_cross_route_detects_swapped_weights(m, q, monkeypatch):
+    weights = operators.twistor_weights
+    monkeypatch.setattr(operators, "twistor_weights", lambda m, q: weights(m, q)[::-1])
+    assert _twistor_route_gap(m, q) > 1e-3
 
 
 def test_constant_spinor_is_twistor_null():
