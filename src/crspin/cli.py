@@ -43,7 +43,11 @@ Truncation diagnostics (uncertified or shell-pinned kernel vectors) are
 reported as warnings; under ``--strict`` they fail the run.
 
 The checks of one run share a per-run memo: each sector's SectionSpace
-is built once, and so is the torus shift table.  The conformal check is
+is built once, and so is the torus shift table (one Kohn Laplacian per
+sector).  Spectrum, cohomology and vanishing read one ``dirac_kernel``
+per sector (one eigensolve per degree, whose eigenvalues fill the
+spectrum tables); identities reads every Lichnerowicz residual off one
+D*D per sector.  No matrix outlives its check.  The conformal check is
 pointwise in exact trigonometric fields and depends only on the CR
 dimension, not on the sector, so it is evaluated once and that one value
 is reported under every sector key.
@@ -72,17 +76,15 @@ from .models import (
 from .operators import (
     assemble_dminus,
     assemble_dplus,
-    assemble_kohn_dirac,
     assemble_sub_laplacian,
     cluster_eigenvalues,
-    gram,
+    dirac_kernel,
     grading_defect,
-    kernel_report,
     nabla_T_defect,
 )
 from .sections import SectionSpace
 from .vanishing import obstruction_check, qhat, vanishing_verdicts, spectral_consistency
-from .weitzenboeck import ConformalScale, conformal_check, dl_residual, sl_residual
+from .weitzenboeck import ConformalScale, conformal_check, square_residuals
 
 __all__ = ["main", "run", "load_config", "ConfigError", "CHECK_NAMES"]
 
@@ -228,10 +230,6 @@ class CheckResult:
     detail: str = ""
 
 
-def _admissible_weights(m: int):
-    return range(-m, m + 1, 2)
-
-
 def _space_sectors(config) -> list:
     # models without sector lists (the sphere) fall through to the
     # SectionSpace constructor, which reports the missing section space
@@ -257,7 +255,9 @@ class _RunMemo:
 
     @cached_property
     def shift_table(self):
-        return shift_table(self.model, s_range=tuple(self.config["model"]["sectors"]))
+        tol = self.config["tolerances"]
+        return shift_table(self.model, s_range=tuple(self.config["model"]["sectors"]),
+                           tol=tol["spectral"], shell_tol=tol["shell"])
 
 
 def _check_identities(model, config, memo: _RunMemo) -> CheckResult:
@@ -279,10 +279,10 @@ def _check_identities(model, config, memo: _RunMemo) -> CheckResult:
             ),
             ("reeb_routes", "dual_assembly"): float(nabla_T_defect(space)),
             ("sector_identity", "dual_assembly"): max(sector_identity_residual(space).values()),
-            ("lichnerowicz_residual", "dual_assembly"): sl_residual(space),
         }
-        for ell in _admissible_weights(space.m):
-            residuals[(f"covariant_dirac_residual_ell={ell}", "dual_assembly")] = dl_residual(space, ell)
+        lichnerowicz, covariant = square_residuals(space)
+        residuals[("lichnerowicz_residual", "dual_assembly")] = lichnerowicz
+        residuals.update({(f"covariant_dirac_residual_ell={ell}", "dual_assembly"): v for ell, v in covariant.items()})
         sector_report = {}
         for (name, tol_key), value in residuals.items():
             value = float(value)
@@ -316,20 +316,13 @@ def _check_spectrum(model, config, memo: _RunMemo) -> CheckResult:
     min_eig = np.inf
     for sector in sectors:
         space = memo.space(sector)
-        dirac = assemble_kohn_dirac(space)
-        square = gram(dirac)
         rows = []
-        for q in range(space.m + 1):
-            evals = np.linalg.eigvalsh(square.block(q, q))
-            min_eig = min(min_eig, float(evals.min()) if evals.size else np.inf)
-            for value, count in cluster_eigenvalues(evals, tol=tol["spectral"]):
-                rows.append([q, value, count])
-        tables[f"spectrum_sector{sector}"] = {
-            "header": ["q", "eigenvalue", "multiplicity"],
-            "rows": rows,
-        }
         kernels = {}
-        for q, count in kernel_report(square, tol=tol["spectral"], shell_tol=tol["shell"]).items():
+        for q, count in dirac_kernel(space, tol=tol["spectral"], shell_tol=tol["shell"]).items():
+            evals = count.eigenvalues
+            min_eig = min(min_eig, float(evals.min()) if evals.size else np.inf)
+            for value, mult in cluster_eigenvalues(evals, tol=tol["spectral"]):
+                rows.append([q, value, mult])
             kernels[str(q)] = {
                 "dim": count.dim,
                 "certified": count.certified,
@@ -341,6 +334,7 @@ def _check_spectrum(model, config, memo: _RunMemo) -> CheckResult:
                     f"sector {sector} q={q}: truncation shell activity "
                     f"(certified={count.certified}, spurious={count.spurious})"
                 )
+        tables[f"spectrum_sector{sector}"] = {"header": ["q", "eigenvalue", "multiplicity"], "rows": rows}
         per_sector[str(sector)] = {"kernel": kernels}
     passed = min_eig >= -tol["spectral"]
     detail = "" if passed else f"Dirac square has eigenvalue {min_eig:.3e} below -{tol['spectral']:.1e}"
@@ -360,16 +354,11 @@ def _check_cohomology(model, config, memo: _RunMemo) -> CheckResult:
     if model.kind == "torus_bundle":
         table = memo.shift_table
     else:
-        table = None
-        for sector in sectors:
-            part = harmonic_spinor_table(memo.space(sector), tol=tol["spectral"])
-            if table is None:
-                table = part
-            else:
-                table.rows.extend(part.rows)
-                for note in part.notes:
-                    if note not in table.notes:
-                        table.notes.append(note)
+        # every sector's table carries the same notes, which depend only on m
+        parts = [harmonic_spinor_table(memo.space(sector), tol=tol["spectral"], shell_tol=tol["shell"])
+                 for sector in sectors]
+        table = parts[0]
+        table.rows.extend(row for part in parts[1:] for row in part.rows)
     analytic = table.dims(method="analytic")
     spectral = table.dims(method="spectral")
     mismatches = {

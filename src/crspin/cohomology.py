@@ -38,7 +38,7 @@ import numpy as np
 
 from .clifford import creation_matrix
 from .models import PseudoHermitianModel, TorusBundleModel, TorusLattice
-from .operators import OperatorMatrix, horizontal_laplacians, kernel_report
+from .operators import KernelCount, OperatorMatrix, dirac_kernel, horizontal_laplacians, kernel_report
 from .sections import SectionSpace
 
 __all__ = [
@@ -98,7 +98,10 @@ def fiber_weight_operator(space: SectionSpace) -> OperatorMatrix:
 
 def sector_identity_residual(space: SectionSpace) -> dict[int, float]:
     """Interior defect of box - box_bar = (m - q) N, per degree q."""
-    box = kohn_laplacian(space).mat
+    return _shift_defects(space, kohn_laplacian(space).mat)
+
+
+def _shift_defects(space: SectionSpace, box: np.ndarray) -> dict[int, float]:
     box_bar = holomorphic_laplacian(space).mat
     weight = -2.0 * space.t
     mask = space.interior_mask()
@@ -107,8 +110,7 @@ def sector_identity_residual(space: SectionSpace) -> dict[int, float]:
         rows = space.grade_block(q)
         diff = box[rows, rows] - box_bar[rows, rows]
         diff = diff - (space.m - q) * weight * np.eye(diff.shape[0])
-        sub_mask = mask[rows]
-        out[q] = float(np.abs(diff[np.ix_(sub_mask, sub_mask)]).max())
+        out[q] = float(np.abs(diff[np.ix_(mask[rows], mask[rows])]).max())
     return out
 
 
@@ -191,8 +193,7 @@ def _row_status(m: int, q: int) -> str:
     return "lower-bound" if q in (0, m) else "certified"
 
 
-def _spectral_rows(space: SectionSpace, tol: float) -> list[TableRow]:
-    report = kernel_report(kohn_laplacian(space), tol=tol)
+def _kernel_rows(space: SectionSpace, report: dict[int, KernelCount]) -> list[TableRow]:
     rows = []
     for q, count in sorted(report.items()):
         status = _row_status(space.m, q)
@@ -205,15 +206,15 @@ def _spectral_rows(space: SectionSpace, tol: float) -> list[TableRow]:
     return rows
 
 
-def shift_table(model: TorusBundleModel, q_range=None, s_range=(0,)) -> CohomologyTable:
+def shift_table(model: TorusBundleModel, q_range=None, s_range=(0,), tol=1e-8, shell_tol=1e-8) -> CohomologyTable:
     """Analytic and spectral Kohn-Rossi dimensions per fiber-weight sector.
 
     The analytic route identifies the weight-s sector with forms valued
     in the degree -(s c) power bundle on the base torus (the sign is the
     pinned sector convention: raising the fiber weight lowers the bundle
     degree).  The spectral route counts certified kernel vectors of the
-    assembled Kohn Laplacian.  The circle-bundle shift identity is
-    asserted sector by sector before any dimensions are reported.
+    assembled Kohn Laplacian, which first has to pass the circle-bundle
+    shift identity before any dimensions of its sector are reported.
     """
     if not isinstance(model, TorusBundleModel):
         raise ValueError("the shift isomorphism table needs a torus circle bundle")
@@ -223,13 +224,13 @@ def shift_table(model: TorusBundleModel, q_range=None, s_range=(0,)) -> Cohomolo
         table.notes.append(MODEL_LEVEL_NOTE)
     for s in s_range:
         space = SectionSpace(model, sector=int(s))
-        residuals = sector_identity_residual(space)
-        worst = max(residuals.values())
+        box = kohn_laplacian(space)
+        worst = max(_shift_defects(space, box.mat).values())
         if worst > 1e-10:
             raise RuntimeError(
                 f"shift identity fails on sector {s}: interior defect {worst:.2e}"
             )
-        spectral = {row.q: row for row in _spectral_rows(space, tol=1e-8)}
+        spectral = {row.q: row for row in _kernel_rows(space, kernel_report(box, tol=tol, shell_tol=shell_tol))}
         for q in qs:
             analytic = torus_line_bundle_cohomology(model.lattice, model.flux, -int(s), q)
             table.rows.append(TableRow(q, int(s), analytic, "analytic", _row_status(model.m, q)))
@@ -237,28 +238,17 @@ def shift_table(model: TorusBundleModel, q_range=None, s_range=(0,)) -> Cohomolo
     return table
 
 
-def harmonic_spinor_table(space: SectionSpace, tol: float = 1e-8) -> CohomologyTable:
+def harmonic_spinor_table(space: SectionSpace, tol: float = 1e-8, shell_tol: float = 1e-8) -> CohomologyTable:
     """Kernel dimensions of the Kohn-Dirac operator, reported per degree.
 
-    Computed on the spinor side (kernel of D per grading block) and
+    Computed on the spinor side (``dirac_kernel`` per grading block) and
     required by the tests to match the form-side table entry for entry;
     the two sides share their basis through ``spinor_form_basis_map``.
     """
-    from .operators import assemble_kohn_dirac
-
-    report = kernel_report(assemble_kohn_dirac(space), tol=tol)
-    table = CohomologyTable(model_name=space.model.describe())
+    report = dirac_kernel(space, tol=tol, shell_tol=shell_tol)
+    table = CohomologyTable(model_name=space.model.describe(), rows=_kernel_rows(space, report))
     if space.m == 1:
         table.notes.append(MODEL_LEVEL_NOTE)
-    for q, count in sorted(report.items()):
-        status = _row_status(space.m, q)
-        if status == "certified" and not count.certified:
-            raise RuntimeError(
-                f"uncertified interior kernel at q={q}: enlarge the truncation"
-            )
-        table.rows.append(
-            TableRow(q, space.sector, count.dim * space.multiplicity, "spectral", status)
-        )
     return table
 
 

@@ -34,7 +34,8 @@ a_q = 1/(2(q+1)) and b_q = 1/(2(m-q+1)).  Their output is stacked over
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,6 +64,7 @@ __all__ = [
     "spectrum",
     "kernel_dim",
     "kernel_report",
+    "dirac_kernel",
     "KernelCount",
 ]
 
@@ -281,7 +283,7 @@ def spectrum(op: OperatorMatrix, count: int | None = None, tol: float = 1e-8):
     return clusters
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelCount:
     """Kernel dimension of one grading block, with truncation diagnostics.
 
@@ -289,13 +291,15 @@ class KernelCount:
     coefficients; ``spurious`` counts null vectors rejected because they
     concentrate on the truncation shell (ladder top rungs), which is the
     signature of a cutoff artifact; ``certified`` is False when any
-    retained vector leaks more than the shell tolerance.
+    retained vector leaks more than the shell tolerance.  ``eigenvalues``
+    is the block's full ascending spectrum, read-only.
     """
 
     dim: int
     certified: bool
     spurious: int
     max_shell_amplitude: float
+    eigenvalues: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def kernel_report(
@@ -314,14 +318,12 @@ def kernel_report(
         rows = space.grade_block(q)
         block = sq[rows, rows]
         evals, vecs = np.linalg.eigh(block)
+        evals.flags.writeable = False
         null = np.nonzero(np.abs(evals) <= tol)[0]
         basis = vecs[:, null]
         block_shell = shell[rows]
-        if basis.shape[1] == 0:
-            out[q] = KernelCount(0, True, 0, 0.0)
-            continue
-        if not block_shell.any():
-            out[q] = KernelCount(basis.shape[1], True, 0, 0.0)
+        if basis.shape[1] == 0 or not block_shell.any():
+            out[q] = KernelCount(basis.shape[1], True, 0, 0.0, evals)
             continue
         # Shell leakage per null direction, measured rotation-invariantly:
         # singular values of the shell restriction of an orthonormal null
@@ -333,8 +335,22 @@ def kernel_report(
         kept = leaks[leaks <= 0.5]
         dim = int(len(kept))
         worst = float(kept.max()) if dim else 0.0
-        out[q] = KernelCount(dim, worst <= shell_tol, spurious, worst)
+        out[q] = KernelCount(dim, worst <= shell_tol, spurious, worst, evals)
     return out
+
+
+_DIRAC_KERNELS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def dirac_kernel(space: SectionSpace, tol: float = 1e-8, shell_tol: float = 1e-8) -> dict[int, KernelCount]:
+    """``kernel_report`` of the Kohn-Dirac operator, run at most once per space and tolerances.
+
+    Only the counts and read-only eigenvalues are kept, and only while the space lives.
+    """
+    reports = _DIRAC_KERNELS.setdefault(space, {})
+    if (tol, shell_tol) not in reports:
+        reports[tol, shell_tol] = kernel_report(assemble_kohn_dirac(space), tol=tol, shell_tol=shell_tol)
+    return dict(reports[tol, shell_tol])
 
 
 def kernel_dim(op: OperatorMatrix, tol: float = 1e-8) -> dict[int, int]:

@@ -171,8 +171,9 @@ class SectionSpace:
     # -- lifting to the full space ---------------------------------------
 
     def mixed(self, fiber_mat: np.ndarray, base_mat: np.ndarray) -> np.ndarray:
-        """Full-space matrix of the product operator fiber_mat (x) base_mat."""
-        return np.kron(np.asarray(fiber_mat, dtype=complex), np.asarray(base_mat, dtype=complex))
+        """Full-space matrix of the product operator fiber_mat (x) base_mat, from C-ordered
+        factors: np.kron copies its product once more for a transposed one (half the ladder operators)."""
+        return np.kron(*(np.ascontiguousarray(f, dtype=complex) for f in (fiber_mat, base_mat)))
 
     def lift_fiber(self, mat: np.ndarray) -> np.ndarray:
         """Fiber operator acting as the identity on base coefficients."""

@@ -37,6 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from .models import PseudoHermitianModel
+from .operators import dirac_kernel
 from .weitzenboeck import curvature_term
 
 __all__ = [
@@ -332,11 +333,9 @@ def obstruction_check(model: PseudoHermitianModel, ell: int, hq_table) -> Obstru
 
 def spectral_consistency(report: VanishingReport, space, tol: float = 1e-8) -> dict:
     """Kernel dimensions contradicting forced_zero verdicts; empty means consistent."""
-    from .operators import assemble_kohn_dirac, kernel_report
-
     if space.m != report.m:
         raise ValueError("section space and vanishing report have different CR dimension")
-    counts = kernel_report(assemble_kohn_dirac(space), tol=tol)
+    counts = dirac_kernel(space, tol=tol)
     clashes = {}
     for verdict in report.verdicts:
         if verdict.status == "forced_zero" and counts[verdict.q].dim > 0:

@@ -52,6 +52,7 @@ __all__ = [
     "q_split",
     "sl_residual",
     "dl_residual",
+    "square_residuals",
     "ConformalScale",
     "conformal_check",
     "exponent_scan",
@@ -141,21 +142,36 @@ def q_split(model: PseudoHermitianModel, ell: int, q: int) -> tuple[np.ndarray, 
     return r_star, k
 
 
-def _lifted_identity_sides(space: SectionSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Full-space matrices of D^2 and its Schroedinger-Lichnerowicz form."""
-    model = space.model
-    m = space.m
-    dirac = assemble_kohn_dirac(space).mat
+def _interior_max(space: SectionSpace, diff: np.ndarray, block=slice(None)) -> float:
+    mask = space.interior_mask()[block]
+    diff = diff[np.ix_(mask, mask)]
+    return float(np.abs(diff).max()) if diff.size else 0.0
+
+
+def _residuals(space: SectionSpace, lichnerowicz: bool, weights) -> tuple[float | None, dict[int, float]]:
+    """Interior residuals of the identities below, all read off one D^2."""
+    model, m = space.model, space.m
+    square = assemble_kohn_dirac(space).mat
+    square = square @ square  # rebinding frees D before the right-hand sides are built
     lap10, lap01 = horizontal_laplacians(space)
-    theta = theta_matrix(m)
     crho = two_form_matrix(m, rho_frame_components(model.rho))
-    eye = np.eye(space.fiber_dim)
-    ell = model.ell
-    rhs = space.mixed(eye - theta / m, lap10)
-    rhs += space.mixed(eye + theta / m, lap01)
-    rhs += space.lift_fiber(-0.5j * ((ell / (m + 2)) * eye + theta / m) @ crho)
-    rhs += space.lift_fiber((model.scal_w / 4.0) * (eye + (ell / (m * (m + 2))) * theta))
-    return dirac @ dirac, rhs
+    sl = None
+    if lichnerowicz:
+        theta = theta_matrix(m)
+        eye = np.eye(space.fiber_dim)
+        rhs = space.mixed(eye - theta / m, lap10)
+        rhs += space.mixed(eye + theta / m, lap01)
+        rhs += space.lift_fiber(-0.5j * ((model.ell / (m + 2)) * eye + theta / m) @ crho)
+        rhs += space.lift_fiber((model.scal_w / 4.0) * (eye + (model.ell / (m * (m + 2))) * theta))
+        sl = _interior_max(space, square - rhs)
+    dl = {}
+    for ell in weights:
+        block = space.grade_block((m + ell) // 2)
+        rhs = space.lift_base(((m + ell) / m) * lap10 + ((m - ell) / m) * lap01)[block, block]
+        rhs = rhs + (1j * ell / (m * (m + 2))) * space.lift_fiber(crho)[block, block]
+        rhs = rhs + (1.0 - ell**2 / (m * (m + 2))) * (model.scal_w / 4.0) * np.eye(rhs.shape[0])
+        dl[ell] = _interior_max(space, square[block, block] - rhs, block)
+    return sl, dl
 
 
 def sl_residual(space: SectionSpace) -> float:
@@ -166,10 +182,7 @@ def sl_residual(space: SectionSpace) -> float:
     coefficients of the section space (ladder truncations distort only
     the top-rung shell).
     """
-    lhs, rhs = _lifted_identity_sides(space)
-    mask = space.interior_mask()
-    diff = (lhs - rhs)[np.ix_(mask, mask)]
-    return float(np.abs(diff).max()) if diff.size else 0.0
+    return _residuals(space, True, ())[0]
 
 
 def dl_residual(space: SectionSpace, ell: int) -> float:
@@ -191,22 +204,12 @@ def dl_residual(space: SectionSpace, ell: int) -> float:
         raise ValueError(
             f"no weight block mu = {-ell} for m = {m}; ell must lie in {{-m, -m+2, ..., m}}"
         )
-    q = (m + ell) // 2
-    model = space.model
-    dirac = assemble_kohn_dirac(space).mat
-    block = space.grade_block(q)
-    lhs = (dirac @ dirac)[block, block]
+    return _residuals(space, False, (ell,))[1][ell]
 
-    lap10, lap01 = horizontal_laplacians(space)
-    base = ((m + ell) / m) * lap10 + ((m - ell) / m) * lap01
-    rhs = space.lift_base(base)[block, block]
-    crho = space.lift_fiber(two_form_matrix(m, rho_frame_components(model.rho)))
-    rhs = rhs + (1j * ell / (m * (m + 2))) * crho[block, block]
-    rhs = rhs + (1.0 - ell**2 / (m * (m + 2))) * (model.scal_w / 4.0) * np.eye(rhs.shape[0])
 
-    mask = space.interior_mask()[block]
-    diff = (lhs - rhs)[np.ix_(mask, mask)]
-    return float(np.abs(diff).max()) if diff.size else 0.0
+def square_residuals(space: SectionSpace) -> tuple[float, dict[int, float]]:
+    """(``sl_residual``, {ell: ``dl_residual``} at every admissible ell), bit for bit, off one D^2."""
+    return _residuals(space, True, range(-space.m, space.m + 1, 2))
 
 
 # ---------------------------------------------------------------------------

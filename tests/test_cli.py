@@ -1,10 +1,12 @@
 import json
 import re
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from crspin import cli, sections
+from crspin import cli, cohomology, operators, sections
 from crspin.cli import main
 
 
@@ -245,3 +247,56 @@ def test_run_builds_each_shared_object_once(tmp_path, monkeypatch):
     assert counts == {"spaces": 6, "conformal": 1, "shift": 1}
     defects = json.loads((out / "conformal_report.json").read_text())["results"]["sectors"]
     assert sorted(defects) == ["-1", "0", "1"] and len(set(defects.values())) == 1
+
+
+def count_calls(monkeypatch, counts, name, fn):
+    """Count calls of ``fn`` through every crspin module that holds it as ``name``."""
+    counts[name] = 0
+
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.startswith("crspin") and getattr(module, name, None) is fn:
+            monkeypatch.setattr(module, name, wrapper)
+
+
+@pytest.mark.parametrize("kind, expected", [
+    # per sector: one D in identities, one in the shared Dirac kernel; D+ once
+    # more in identities; one box in identities and one in the shift table
+    ("torus_bundle", {"assemble_kohn_dirac": 6, "assemble_dplus": 9, "kohn_laplacian": 6, "kernel_report": 6}),
+    # spectrum, cohomology and vanishing all read the one Dirac kernel
+    ("heisenberg", {"assemble_kohn_dirac": 6, "assemble_dplus": 9, "kohn_laplacian": 3, "kernel_report": 3}),
+])
+def test_run_forms_one_dirac_square_per_check_family(tmp_path, monkeypatch, kind, expected):
+    counts = {}
+    for name in ("assemble_kohn_dirac", "assemble_dplus", "kernel_report"):
+        count_calls(monkeypatch, counts, name, getattr(operators, name))
+    count_calls(monkeypatch, counts, "kohn_laplacian", cohomology.kohn_laplacian)
+    eigvalsh = np.linalg.eigvalsh
+    sizes = []
+
+    def recording_eigvalsh(mat, *args, **kwargs):
+        sizes.append(np.shape(mat)[0])
+        return eigvalsh(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    model = {"kind": kind, "m": 2, "ell": 0, "sectors": [-1, 0, 1]}
+    config = dict(TORUS_ALL, model=dict(model, flux=1) if kind == "torus_bundle" else model)
+    main(["run", "--config", write_config(tmp_path, config), "--out", str(tmp_path / "art")])
+    assert counts == expected
+    # only fiber-sized curvature matrices; Dirac-square blocks come from kernel_report
+    assert sizes and max(sizes) <= 2 ** 2
+
+
+def test_config_tolerances_reach_torus_cohomology(tmp_path, capsys):
+    # a kernel tolerance of 1000 counts every vector of a sector as kernel,
+    # so the spectral dimensions can no longer match the analytic ones
+    cfg = write_config(
+        tmp_path,
+        {"model": {"kind": "torus_bundle", "m": 1, "sectors": [-1, 0, 1]},
+         "checks": ["cohomology"], "tolerances": {"spectral": 1000.0}},
+    )
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "art")]) == 1
+    assert "check cohomology: FAIL (" in capsys.readouterr().out

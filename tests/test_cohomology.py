@@ -16,8 +16,9 @@ from crspin.cohomology import (
     spinor_form_basis_map,
     torus_line_bundle_cohomology,
 )
+from crspin import cohomology, operators
 from crspin.models import TorusLattice, cr_alpha_bundle, heisenberg_model
-from crspin.operators import assemble_dplus, assemble_kohn_dirac, kernel_report
+from crspin.operators import KernelCount, assemble_dplus, assemble_kohn_dirac, kernel_report
 from crspin.sections import SectionSpace
 
 
@@ -234,6 +235,41 @@ def test_spinor_table_matches_form_table():
             assert row.dim == box_report[row.q].dim * space.multiplicity
     table = harmonic_spinor_table(SectionSpace(cr_alpha_bundle(2, c=1, s=1)))
     assert table.dims()[(1, 1)] == 0
+
+
+def test_uncertified_kernel_names_its_location_on_both_routes(monkeypatch):
+    def uncertified_report(op, tol=1e-8, shell_tol=1e-8):
+        return {q: KernelCount(1, False, 0, 0.25) for q in range(op.space.m + 1)}
+
+    monkeypatch.setattr(operators, "kernel_report", uncertified_report)
+    monkeypatch.setattr(cohomology, "kernel_report", uncertified_report)
+    routes = [
+        lambda: shift_table(cr_alpha_bundle(2, c=1), s_range=[1]),
+        lambda: harmonic_spinor_table(SectionSpace(heisenberg_model(2, k=1))),
+    ]
+    for route in routes:
+        # q = 1 is the only interior degree at m = 2
+        with pytest.raises(RuntimeError, match=r"at q=1, sector 1: shell amplitude 2\.50e-01"):
+            route()
+
+
+def test_shift_table_passes_tolerances_to_kernel_counts(monkeypatch):
+    model = cr_alpha_bundle(1, c=1)
+    everything = shift_table(model, s_range=[0], tol=1000.0)
+    space = SectionSpace(model, sector=0)
+    assert everything.dims(method="spectral") == {(0, 0): space.base_dim, (1, 0): space.base_dim}
+    assert shift_table(model, s_range=[0]).dims(method="spectral") == {(0, 0): 1, (1, 0): 1}
+    # the Kohn Laplacian's eigenvectors are basis vectors here, so shell
+    # amplitudes are exactly 0 or 1; check the shell tolerance arrives
+    seen = []
+
+    def recording_report(op, tol=1e-8, shell_tol=1e-8):
+        seen.append((tol, shell_tol))
+        return kernel_report(op, tol=tol, shell_tol=shell_tol)
+
+    monkeypatch.setattr(cohomology, "kernel_report", recording_report)
+    shift_table(model, s_range=[-1, 1], tol=1e-6, shell_tol=1e-3)
+    assert seen == [(1e-6, 1e-3)] * 2
 
 
 def test_basis_map_is_subset_identity():

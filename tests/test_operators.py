@@ -1,3 +1,7 @@
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -13,6 +17,7 @@ from crspin.operators import (
     assemble_nabla_T,
     assemble_sub_laplacian,
     assemble_twistor,
+    dirac_kernel,
     grading_defect,
     gram,
     kernel_dim,
@@ -256,6 +261,48 @@ def test_kernel_report_flags_top_rung_artifacts():
     assert report[0].dim == 1 and report[0].certified
     assert report[1].dim == 0
     assert report[1].spurious >= 1
+
+
+def test_dirac_kernel_runs_once_per_space_and_tolerances(monkeypatch):
+    calls = []
+
+    def counting_report(op, tol=1e-8, shell_tol=1e-8):
+        calls.append((op.name, tol, shell_tol))
+        return kernel_report(op, tol=tol, shell_tol=shell_tol)
+
+    monkeypatch.setattr(operators, "kernel_report", counting_report)
+    space = SectionSpace(heisenberg_model(2, k=1))
+    first = dirac_kernel(space)
+    assert dirac_kernel(space, 1e-8, 1e-8) == first
+    assert calls == [("D", 1e-8, 1e-8)]
+    dirac_kernel(space, shell_tol=1e-6)
+    dirac_kernel(SectionSpace(heisenberg_model(2, k=1)))
+    assert len(calls) == 3
+    # callers get their own dict of frozen counts
+    first.clear()
+    assert len(dirac_kernel(space)) == 3 and len(calls) == 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dirac_kernel(space)[0].dim = 7
+
+
+def test_dirac_kernel_does_not_keep_its_space_alive():
+    space = SectionSpace(cr_alpha_bundle(2, c=1, s=1))
+    dirac_kernel(space)
+    ref = weakref.ref(space)
+    del space
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize("space", SPACES, ids=IDS)
+def test_dirac_kernel_eigenvalues_are_the_block_spectra(space):
+    square = gram(assemble_kohn_dirac(space))
+    report = dirac_kernel(space)
+    assert sorted(report) == list(range(space.m + 1))
+    assert report == kernel_report(assemble_kohn_dirac(space))
+    for q, count in report.items():
+        assert not count.eigenvalues.flags.writeable
+        np.testing.assert_allclose(count.eigenvalues, np.linalg.eigvalsh(square.block(q, q)), rtol=0, atol=1e-10)
 
 
 def test_kernel_of_identity_is_empty():

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from crspin.clifford import creation_matrix
 from crspin.models import (
     TorusLattice,
     TruncationSpec,
@@ -162,3 +165,22 @@ def test_nabla_real_combinations():
         assert np.allclose(je, 1j * (space.nabla_e[a] - space.nabla_ebar[a]))
     with pytest.raises(ValueError):
         space.nabla_real(4)
+
+
+@pytest.mark.parametrize("k", [-1, 1])
+def test_mixed_allocates_one_full_space_matrix(k):
+    # half the ladder operators are transposed views (F-ordered); np.kron of
+    # such a factor copies its full-size product once more, which made peak
+    # memory depend on the sign of the sector.  The margin covers the
+    # ufunc's fixed-size broadcast buffer (about 160 kB).
+    space = SectionSpace(heisenberg_model(2, k=k, truncation=TruncationSpec(fourier_radius=1, ladder_levels=8)))
+    fiber = creation_matrix(space.m, 1)
+    for base in space.nabla_e + space.nabla_ebar:
+        tracemalloc.start()
+        try:
+            mat = space.mixed(fiber, base)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(mat, np.kron(fiber, base))
+        assert peak < 1.5 * mat.nbytes

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from crspin import weitzenboeck
 from crspin.clifford import theta_matrix, two_form_matrix
 from crspin.fields import TrigPoly
 from crspin.models import (
@@ -26,6 +27,7 @@ from crspin.weitzenboeck import (
     q_split,
     ricci_spinor_action,
     sl_residual,
+    square_residuals,
 )
 
 
@@ -209,6 +211,24 @@ def test_dl_residual_all_admissible_weights(model):
     space = SectionSpace(model)
     for ell in range(-model.m, model.m + 1, 2):
         assert dl_residual(space, ell) <= 1e-10
+
+
+@pytest.mark.parametrize("model", [heisenberg_model(1, k=1), heisenberg_model(2, k=0),
+                                   cr_alpha_bundle(2, c=1, s=-1), cr_alpha_bundle(2, c=2, s=1, ell=2)],
+                         ids=lambda mdl: mdl.describe() + str(getattr(mdl, "k", getattr(mdl, "s", ""))))
+def test_square_residuals_equal_single_identity_residuals(model, monkeypatch):
+    space = SectionSpace(model)
+    weights = range(-model.m, model.m + 1, 2)
+    single = (sl_residual(space), {ell: dl_residual(space, ell) for ell in weights})
+    squares = []
+
+    def counting_dirac(sp):
+        squares.append(sp)
+        return assemble_kohn_dirac(sp)
+
+    monkeypatch.setattr(weitzenboeck, "assemble_kohn_dirac", counting_dirac)
+    assert square_residuals(space) == single
+    assert squares == [space]
 
 
 def test_dl_zero_weight_is_sub_laplacian():

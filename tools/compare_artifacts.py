@@ -1,0 +1,106 @@
+"""Compare the artifacts two crspin source trees write for the same configs.
+
+Usage (from the root of a checkout)::
+
+    python3 tools/compare_artifacts.py PARENT_SRC CHANGE_SRC [--work DIR]
+
+PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts
+(each goes on PYTHONPATH in turn).  Every config of
+``perfbench.workloads.config_space()`` runs under both trees with CSV
+tables, and the example config of README.md runs with CSV and with JSON
+tables.  One process per config and tree, one BLAS thread each, so dense
+rounding does not depend on thread scheduling.
+
+Prints every config whose exit codes differ and every artifact file that
+exists under one tree only or differs in bytes, then one summary line.
+Exits 0 when both trees wrote the same files with the same bytes and
+exit codes, 1 otherwise.  ``perfbench/`` is read, never written.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
+
+
+def readme_config() -> dict:
+    """The JSON config shown under "Config schema" in README.md."""
+    text = (ROOT / "README.md").read_text()
+    match = re.search(r"### Config schema.*?```json\n(.*?)```", text, re.S)
+    if match is None:
+        raise SystemExit("README.md has no ```json block under 'Config schema'")
+    return json.loads(match.group(1))
+
+
+def cases() -> list[tuple[str, dict, str]]:
+    """(name, config, table format) of every comparison run."""
+    out = [(f"config{i:02d}", config, "csv") for i, config in enumerate(workloads.config_space())]
+    readme = readme_config()
+    out += [("readme-csv", readme, "csv"), ("readme-json", readme, "json")]
+    return out
+
+
+def run_tree(src: Path, config_path: Path, out: Path, fmt: str) -> int:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    cmd = [sys.executable, "-m", "crspin", "run", "--config", str(config_path),
+           "--out", str(out), "--format", fmt]
+    return subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def compare(trees: dict[str, Path], work: Path) -> int:
+    files = differing = code_clashes = 0
+    for name, config, fmt in cases():
+        config_path = work / f"{name}.json"
+        config_path.write_text(json.dumps(config))
+        outs = {label: work / label / name for label in trees}
+        codes = {label: run_tree(src, config_path, outs[label], fmt) for label, src in trees.items()}
+        if len(set(codes.values())) > 1:
+            code_clashes += 1
+            print(f"{name}: exit codes {codes}")
+        listings = {label: {p.name for p in out.iterdir()} if out.is_dir() else set()
+                    for label, out in outs.items()}
+        parent, change = outs.values()
+        for file in sorted(set().union(*listings.values())):
+            files += 1
+            missing = [label for label, names in listings.items() if file not in names]
+            if missing:
+                differing += 1
+                print(f"{name}/{file}: missing under {', '.join(missing)}")
+            elif (parent / file).read_bytes() != (change / file).read_bytes():
+                differing += 1
+                print(f"{name}/{file}: bytes differ")
+    print(f"{len(cases())} configs, {files} files, {differing} differing, "
+          f"{code_clashes} exit-code mismatches")
+    return 0 if differing == 0 and code_clashes == 0 else 1
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent_src", type=Path)
+    parser.add_argument("change_src", type=Path)
+    parser.add_argument("--work", type=Path, default=None,
+                        help="an empty directory that keeps configs and artifacts (default: a temporary one)")
+    args = parser.parse_args(argv)
+    trees = {"parent": args.parent_src.resolve(), "change": args.change_src.resolve()}
+    if args.work is not None:
+        args.work.mkdir(parents=True, exist_ok=True)
+        return compare(trees, args.work)
+    with tempfile.TemporaryDirectory(prefix="crspin-compare-") as work:
+        return compare(trees, Path(work))
+
+
+if __name__ == "__main__":
+    sys.exit(main())
