@@ -46,11 +46,13 @@ The checks of one run share a per-run memo: each sector's SectionSpace
 is built once, and so is the torus shift table (one Kohn Laplacian per
 sector).  Spectrum, cohomology and vanishing read one ``dirac_kernel``
 per sector (one eigensolve per degree, whose eigenvalues fill the
-spectrum tables); identities reads every Lichnerowicz residual off one
-D*D per sector.  No matrix outlives its check.  The conformal check is
-pointwise in exact trigonometric fields and depends only on the CR
-dimension, not on the sector, so it is evaluated once and that one value
-is reported under every sector key.
+spectrum tables).  Identities assembles D+ and D- once per sector: its
+algebraic rows read them, and every Lichnerowicz residual is read off
+the square of their sum D, formed after the halves are dropped.  No
+matrix outlives its check.  The conformal check is pointwise in exact
+trigonometric fields and depends only on the CR dimension, not on the
+sector, so it is evaluated once and that one value is reported under
+every sector key.
 """
 
 from __future__ import annotations
@@ -267,21 +269,26 @@ def _check_identities(model, config, memo: _RunMemo) -> CheckResult:
     per_sector = {}
     for sector in sectors:
         space = memo.space(sector)
-        dplus = assemble_dplus(space)
-        dminus = assemble_dminus(space)
+        dplus, dminus = assemble_dplus(space), assemble_dminus(space)
         residuals = {
             ("dirac_plus_squared", "algebraic"): float(np.abs(dplus.mat @ dplus.mat).max()),
             ("dirac_minus_squared", "algebraic"): float(np.abs(dminus.mat @ dminus.mat).max()),
             ("adjoint_defect", "algebraic"): float(np.abs(dminus.mat - dplus.mat.conj().T).max()),
             ("grading_defect", "algebraic"): max(grading_defect(dplus), grading_defect(dminus)),
+        }
+        square = dplus.mat + dminus.mat  # D, bitwise assemble_kohn_dirac(space).mat
+        del dplus, dminus  # no half lives beside the square
+        square = square @ square  # rebinding frees D
+        lichnerowicz, covariant = square_residuals(space, square)
+        del square
+        residuals.update({
             ("sub_laplacian_routes", "dual_assembly"): float(
                 np.abs(assemble_sub_laplacian(space, route="complex").mat - assemble_sub_laplacian(space, route="real").mat).max()
             ),
             ("reeb_routes", "dual_assembly"): float(nabla_T_defect(space)),
             ("sector_identity", "dual_assembly"): max(sector_identity_residual(space).values()),
-        }
-        lichnerowicz, covariant = square_residuals(space)
-        residuals[("lichnerowicz_residual", "dual_assembly")] = lichnerowicz
+            ("lichnerowicz_residual", "dual_assembly"): lichnerowicz,
+        })
         residuals.update({(f"covariant_dirac_residual_ell={ell}", "dual_assembly"): v for ell, v in covariant.items()})
         sector_report = {}
         for (name, tol_key), value in residuals.items():
@@ -398,7 +405,7 @@ def _check_vanishing(model, config, memo: _RunMemo) -> CheckResult:
     if model.has_section_space:
         for sector in _space_sectors(config):
             space = memo.space(sector)
-            for q, dim in spectral_consistency(verdicts, space, tol=tol["spectral"]).items():
+            for q, dim in spectral_consistency(verdicts, space, tol["spectral"], tol["shell"]).items():
                 clashes[f"sector={sector},q={q}"] = dim
     payload["spectral_clashes"] = clashes
 

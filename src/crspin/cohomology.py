@@ -6,12 +6,16 @@ fiber, so the tangential Cauchy-Riemann complex reuses the fiber
 creation/annihilation matrices:
 
     dbar  = sqrt(2) sum_a w_a (x) nabla_{Ebar_a},
-    dbar* = honest matrix adjoint,
+    dbar* = honest matrix adjoint, taken factor by factor,
+    box   = 2 sum_{a,b} (w_a^H w_b (x) nabla_{Ebar_a}^H nabla_{Ebar_b}
+                         + w_a w_b^H (x) nabla_{Ebar_a} nabla_{Ebar_b}^H),
 
-where w_a wedges the a-th antiholomorphic coframe element.  In this
-orthonormal form basis the degree-raising half of the Kohn-Dirac
-operator is exactly sqrt(2) dbar, so the Dirac square equals twice the
-Kohn Laplacian matrix for matrix.
+where w_a wedges the a-th antiholomorphic coframe element.  box is
+multiplied out term by term from dbar's own Kronecker factors, so no
+full-space matrix is multiplied.  It reads nabla_{Ebar} only, while the
+degree-lowering Dirac half D- reads nabla_E: D^2 = 2 box on the degree
+blocks compares D+ D- + D- D+ with D+^H D+ + D+ D+^H (D+ = sqrt(2) dbar),
+two routes that part when D- is not the adjoint of D+.
 
 On a weight sector with commutator scalar t the Kohn Laplacian differs
 from the holomorphic connection Laplacian by a multiple of the fiber
@@ -44,7 +48,6 @@ from .sections import SectionSpace
 __all__ = [
     "CohomologyTable",
     "TableRow",
-    "assemble_dbar",
     "kohn_laplacian",
     "holomorphic_laplacian",
     "fiber_weight_operator",
@@ -61,18 +64,14 @@ MODEL_LEVEL_NOTE = (
 )
 
 
-def assemble_dbar(space: SectionSpace) -> OperatorMatrix:
-    """Tangential CR operator on bundle-valued (0,*)-forms."""
-    mat = sum(space.mixed(np.sqrt(2.0) * creation_matrix(space.m, a), space.nabla_ebar[a - 1])
-              for a in range(1, space.m + 1))
-    return OperatorMatrix(mat, space, name="dbar", mu_shift=-2)
-
-
 def kohn_laplacian(space: SectionSpace) -> OperatorMatrix:
-    """dbar* dbar + dbar dbar*; Hermitian, PSD, degree preserving."""
-    dbar = assemble_dbar(space).mat
-    dbar_star = dbar.conj().T
-    mat = dbar_star @ dbar + dbar @ dbar_star
+    """dbar* dbar + dbar dbar* from its 2 m^2 Kronecker terms (module docstring), summed in place."""
+    wedges = [creation_matrix(space.m, a) for a in range(1, space.m + 1)]
+    mat = np.zeros((space.dim, space.dim), dtype=complex)
+    for w_a, d_a in zip(wedges, space.nabla_ebar):
+        for w_b, d_b in zip(wedges, space.nabla_ebar):
+            mat += space.mixed(2.0 * w_a.conj().T @ w_b, d_a.conj().T @ d_b)
+            mat += space.mixed(2.0 * w_a @ w_b.conj().T, d_a @ d_b.conj().T)
     return OperatorMatrix(mat, space, name="box", mu_shift=0)
 
 
@@ -104,13 +103,11 @@ def sector_identity_residual(space: SectionSpace) -> dict[int, float]:
 def _shift_defects(space: SectionSpace, box: np.ndarray) -> dict[int, float]:
     box_bar = holomorphic_laplacian(space).mat
     weight = -2.0 * space.t
-    mask = space.interior_mask()
     out: dict[int, float] = {}
     for q in range(space.m + 1):
         rows = space.grade_block(q)
-        diff = box[rows, rows] - box_bar[rows, rows]
-        diff = diff - (space.m - q) * weight * np.eye(diff.shape[0])
-        out[q] = float(np.abs(diff[np.ix_(mask[rows], mask[rows])]).max())
+        diff = box[rows, rows] - box_bar[rows, rows] - (space.m - q) * weight * np.eye(rows.stop - rows.start)
+        out[q] = space.interior_max(diff, rows)
     return out
 
 

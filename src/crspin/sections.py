@@ -187,6 +187,12 @@ class SectionSpace:
         """Interior flags expanded to the full fiber x base index set."""
         return np.tile(self.interior, self.fiber_dim)
 
+    def interior_max(self, diff: np.ndarray, block: slice = slice(None)) -> float:
+        """Largest |entry| of ``diff`` (a matrix on the index slice ``block``) between interior coefficients."""
+        mask = self.interior_mask()[block]
+        diff = diff[np.ix_(mask, mask)]
+        return float(np.abs(diff).max()) if diff.size else 0.0
+
     def grade_block(self, q: int) -> slice:
         """Index slice of the degree-q spinor block in the full space."""
         fib = self.module.grade_slice(q)

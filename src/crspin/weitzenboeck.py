@@ -142,17 +142,9 @@ def q_split(model: PseudoHermitianModel, ell: int, q: int) -> tuple[np.ndarray, 
     return r_star, k
 
 
-def _interior_max(space: SectionSpace, diff: np.ndarray, block=slice(None)) -> float:
-    mask = space.interior_mask()[block]
-    diff = diff[np.ix_(mask, mask)]
-    return float(np.abs(diff).max()) if diff.size else 0.0
-
-
-def _residuals(space: SectionSpace, lichnerowicz: bool, weights) -> tuple[float | None, dict[int, float]]:
+def _residuals(space: SectionSpace, square, lichnerowicz: bool, weights) -> tuple[float | None, dict[int, float]]:
     """Interior residuals of the identities below, all read off one D^2."""
     model, m = space.model, space.m
-    square = assemble_kohn_dirac(space).mat
-    square = square @ square  # rebinding frees D before the right-hand sides are built
     lap10, lap01 = horizontal_laplacians(space)
     crho = two_form_matrix(m, rho_frame_components(model.rho))
     sl = None
@@ -163,14 +155,14 @@ def _residuals(space: SectionSpace, lichnerowicz: bool, weights) -> tuple[float 
         rhs += space.mixed(eye + theta / m, lap01)
         rhs += space.lift_fiber(-0.5j * ((model.ell / (m + 2)) * eye + theta / m) @ crho)
         rhs += space.lift_fiber((model.scal_w / 4.0) * (eye + (model.ell / (m * (m + 2))) * theta))
-        sl = _interior_max(space, square - rhs)
+        sl = space.interior_max(square - rhs)
     dl = {}
     for ell in weights:
         block = space.grade_block((m + ell) // 2)
         rhs = space.lift_base(((m + ell) / m) * lap10 + ((m - ell) / m) * lap01)[block, block]
         rhs = rhs + (1j * ell / (m * (m + 2))) * space.lift_fiber(crho)[block, block]
         rhs = rhs + (1.0 - ell**2 / (m * (m + 2))) * (model.scal_w / 4.0) * np.eye(rhs.shape[0])
-        dl[ell] = _interior_max(space, square[block, block] - rhs, block)
+        dl[ell] = space.interior_max(square[block, block] - rhs, block)
     return sl, dl
 
 
@@ -182,7 +174,7 @@ def sl_residual(space: SectionSpace) -> float:
     coefficients of the section space (ladder truncations distort only
     the top-rung shell).
     """
-    return _residuals(space, True, ())[0]
+    return _residuals(space, np.linalg.matrix_power(assemble_kohn_dirac(space).mat, 2), True, ())[0]
 
 
 def dl_residual(space: SectionSpace, ell: int) -> float:
@@ -204,12 +196,12 @@ def dl_residual(space: SectionSpace, ell: int) -> float:
         raise ValueError(
             f"no weight block mu = {-ell} for m = {m}; ell must lie in {{-m, -m+2, ..., m}}"
         )
-    return _residuals(space, False, (ell,))[1][ell]
+    return _residuals(space, np.linalg.matrix_power(assemble_kohn_dirac(space).mat, 2), False, (ell,))[1][ell]
 
 
-def square_residuals(space: SectionSpace) -> tuple[float, dict[int, float]]:
-    """(``sl_residual``, {ell: ``dl_residual``} at every admissible ell), bit for bit, off one D^2."""
-    return _residuals(space, True, range(-space.m, space.m + 1, 2))
+def square_residuals(space: SectionSpace, square: np.ndarray) -> tuple[float, dict[int, float]]:
+    """(``sl_residual``, {ell: ``dl_residual``} at every admissible ell), bit for bit, off the Dirac ``square`` D @ D."""
+    return _residuals(space, square, True, range(-space.m, space.m + 1, 2))
 
 
 # ---------------------------------------------------------------------------

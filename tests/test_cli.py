@@ -263,11 +263,11 @@ def count_calls(monkeypatch, counts, name, fn):
 
 
 @pytest.mark.parametrize("kind, expected", [
-    # per sector: one D in identities, one in the shared Dirac kernel; D+ once
-    # more in identities; one box in identities and one in the shift table
-    ("torus_bundle", {"assemble_kohn_dirac": 6, "assemble_dplus": 9, "kohn_laplacian": 6, "kernel_report": 6}),
+    # per sector: one D in the shared Dirac kernel; identities sums its own D+
+    # and D- for the square; one box in identities and one in the shift table
+    ("torus_bundle", {"assemble_kohn_dirac": 3, "assemble_dplus": 6, "kohn_laplacian": 6, "kernel_report": 6}),
     # spectrum, cohomology and vanishing all read the one Dirac kernel
-    ("heisenberg", {"assemble_kohn_dirac": 6, "assemble_dplus": 9, "kohn_laplacian": 3, "kernel_report": 3}),
+    ("heisenberg", {"assemble_kohn_dirac": 3, "assemble_dplus": 6, "kohn_laplacian": 3, "kernel_report": 3}),
 ])
 def test_run_forms_one_dirac_square_per_check_family(tmp_path, monkeypatch, kind, expected):
     counts = {}
@@ -288,6 +288,16 @@ def test_run_forms_one_dirac_square_per_check_family(tmp_path, monkeypatch, kind
     assert counts == expected
     # only fiber-sized curvature matrices; Dirac-square blocks come from kernel_report
     assert sizes and max(sizes) <= 2 ** 2
+
+
+def test_shell_tolerance_reaches_the_vanishing_cross_check(tmp_path, monkeypatch):
+    # spectrum and vanishing ask for the same (spectral, shell) Dirac kernel
+    counts = {}
+    count_calls(monkeypatch, counts, "kernel_report", operators.kernel_report)
+    config = {"model": {"kind": "heisenberg", "m": 2, "sectors": [1]},
+              "checks": ["spectrum", "vanishing"], "tolerances": {"shell": 1e-6}}
+    main(["run", "--config", write_config(tmp_path, config), "--out", str(tmp_path / "art")])
+    assert counts == {"kernel_report": 1}
 
 
 def test_config_tolerances_reach_torus_cohomology(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import copy
 import json
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -6,7 +8,6 @@ import pytest
 
 from crspin.cohomology import (
     CohomologyTable,
-    assemble_dbar,
     fiber_weight_operator,
     harmonic_spinor_table,
     holomorphic_laplacian,
@@ -17,7 +18,7 @@ from crspin.cohomology import (
     torus_line_bundle_cohomology,
 )
 from crspin import cohomology, operators
-from crspin.models import TorusLattice, cr_alpha_bundle, heisenberg_model
+from crspin.models import TorusLattice, TruncationSpec, cr_alpha_bundle, heisenberg_model
 from crspin.operators import KernelCount, assemble_dplus, assemble_kohn_dirac, kernel_report
 from crspin.sections import SectionSpace
 
@@ -117,11 +118,33 @@ def test_dirac_square_is_twice_kohn_laplacian(space):
     assert np.linalg.eigvalsh(box).min() >= -1e-10
 
 
-@pytest.mark.parametrize("space", SPACES, ids=lambda sp: sp.describe())
-def test_degree_raising_half_is_sqrt2_dbar(space):
-    dplus = assemble_dplus(space).mat
-    dbar = assemble_dbar(space).mat
-    assert np.abs(dplus - np.sqrt(2.0) * dbar).max() <= 1e-12
+@pytest.mark.parametrize("scale", [-1.0, 1.01])
+@pytest.mark.parametrize("space", [SPACES[1], SPACES[3], SectionSpace(heisenberg_model(2, k=0))],
+                         ids=lambda sp: sp.describe())
+def test_kohn_laplacian_is_a_second_route_to_the_dirac_square(space, scale):
+    # box reads nabla_Ebar only and D- reads nabla_E: on a space whose nabla_E
+    # is no longer minus the adjoint of nabla_Ebar, D^2 = 2 box must part on
+    # the diagonal blocks, where D^2 = D+ D- + D- D+
+    broken = copy.copy(space)
+    broken.nabla_e = [scale * d for d in space.nabla_e]
+    dirac = assemble_kohn_dirac(broken).mat
+    diff = dirac @ dirac - 2.0 * kohn_laplacian(broken).mat
+    gap = max(np.abs(diff[rows, rows]).max() for rows in map(space.grade_block, range(space.m + 1)))
+    assert gap > 1e-3
+
+
+@pytest.mark.parametrize("k", [-1, 0, 1])
+def test_kohn_laplacian_allocates_no_full_space_product(k):
+    # one accumulator plus one Kronecker term at a time; two dense products of
+    # full-space matrices would peak at about four outputs
+    space = SectionSpace(heisenberg_model(2, k=k, truncation=TruncationSpec(fourier_radius=1, ladder_levels=8)))
+    tracemalloc.start()
+    try:
+        box = kohn_laplacian(space).mat
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * box.nbytes
 
 
 def test_flat_kernel_dimensions_are_binomials():
@@ -147,8 +170,8 @@ def test_flat_harmonic_forms_are_projectable():
 def test_harmonic_iff_closed_and_coclosed():
     space = SectionSpace(cr_alpha_bundle(1, c=1, s=-1))
     box = kohn_laplacian(space).mat
-    dbar = assemble_dbar(space).mat
-    stacked = np.vstack([dbar, dbar.conj().T])
+    dplus = assemble_dplus(space).mat
+    stacked = np.vstack([dplus, dplus.conj().T])
     for q in range(space.m + 1):
         block = space.grade_block(q)
         box_null = np.count_nonzero(np.abs(np.linalg.eigvalsh(box[block, block])) <= 1e-8)

@@ -7,7 +7,6 @@ import pytest
 
 from crspin import operators, weitzenboeck
 from crspin.clifford import annihilation_matrix, creation_matrix
-from crspin.cohomology import assemble_dbar
 from crspin.models import TruncationSpec, cr_alpha_bundle, heisenberg_model
 from crspin.operators import (
     OperatorMatrix,
@@ -62,7 +61,6 @@ def test_kronecker_assembly_equals_lifted_products(space):
     d_ebar = [space.lift_base(mat) for mat in space.nabla_ebar]
     assert np.array_equal(assemble_dplus(space).mat, sum(2.0 * c @ d for c, d in zip(c_e, d_ebar)))
     assert np.array_equal(assemble_dminus(space).mat, sum(2.0 * c @ d for c, d in zip(c_ebar, d_e)))
-    assert np.array_equal(assemble_dbar(space).mat, sum(np.sqrt(2.0) * c @ d for c, d in zip(c_e, d_ebar)))
 
 
 @pytest.mark.parametrize("space", SPACES, ids=IDS)

@@ -184,3 +184,17 @@ def test_mixed_allocates_one_full_space_matrix(k):
             tracemalloc.stop()
         assert np.array_equal(mat, np.kron(fiber, base))
         assert peak < 1.5 * mat.nbytes
+
+
+def test_interior_max_ignores_shell_entries():
+    space = SectionSpace(heisenberg_model(2, k=1))
+    shell = ~space.interior_mask()
+    diff = np.full((space.dim, space.dim), 0.5)
+    diff[shell, :] = -1e6
+    diff[:, shell] = 1e6
+    rows = space.grade_block(1)
+    inner = rows.start + int(np.argmin(shell[rows]))
+    diff[inner, inner] = -3.0
+    assert space.interior_max(diff) == 3.0
+    assert space.interior_max(diff[rows, rows], rows) == 3.0
+    assert space.interior_max(diff[space.grade_block(0), space.grade_block(0)], space.grade_block(0)) == 0.5

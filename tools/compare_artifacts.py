@@ -13,6 +13,8 @@ rounding does not depend on thread scheduling.
 
 Prints every config whose exit codes differ and every artifact file that
 exists under one tree only or differs in bytes, then one summary line.
+Under each file that differs in bytes it prints the first differing line:
+its number, the parent text and the change text.
 Exits 0 when both trees wrote the same files with the same bytes and
 exit codes, 1 otherwise.  ``perfbench/`` is read, never written.
 """
@@ -60,6 +62,17 @@ def run_tree(src: Path, config_path: Path, out: Path, fmt: str) -> int:
     return subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
 
 
+def first_difference(parent: Path, change: Path) -> str:
+    """Number and both texts of the first line where two artifact files differ."""
+    old, new = (path.read_text().splitlines() for path in (parent, change))
+    n = next((i for i, (a, b) in enumerate(zip(old, new)) if a != b), min(len(old), len(new)))
+
+    def text(lines: list[str]) -> str:
+        return repr(lines[n]) if n < len(lines) else "<end of file>"
+
+    return f"  line {n + 1}: parent {text(old)}\n  line {n + 1}: change {text(new)}"
+
+
 def compare(trees: dict[str, Path], work: Path) -> int:
     files = differing = code_clashes = 0
     for name, config, fmt in cases():
@@ -82,6 +95,7 @@ def compare(trees: dict[str, Path], work: Path) -> int:
             elif (parent / file).read_bytes() != (change / file).read_bytes():
                 differing += 1
                 print(f"{name}/{file}: bytes differ")
+                print(first_difference(parent / file, change / file))
     print(f"{len(cases())} configs, {files} files, {differing} differing, "
           f"{code_clashes} exit-code mismatches")
     return 0 if differing == 0 and code_clashes == 0 else 1
