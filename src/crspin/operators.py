@@ -56,6 +56,7 @@ __all__ = [
     "assemble_sub_laplacian",
     "assemble_nabla_T",
     "nabla_T_defect",
+    "sub_laplacian_defect",
     "assemble_twistor",
     "twistor_contraction",
     "gram",
@@ -128,6 +129,20 @@ def horizontal_laplacians(space: SectionSpace) -> tuple[np.ndarray, np.ndarray]:
     return lap10, lap01
 
 
+def _sub_laplacian_base(space: SectionSpace, route: str) -> np.ndarray:
+    """Base-space matrix of the sub-Laplacian by one of its two routes (see ``assemble_sub_laplacian``)."""
+    if route == "complex":
+        lap10, lap01 = horizontal_laplacians(space)
+        return lap10 + lap01
+    if route == "real":
+        base = np.zeros((space.base_dim, space.base_dim), dtype=complex)
+        for i in range(2 * space.m):
+            d = space.nabla_real(i)
+            base -= d @ d
+        return base
+    raise ValueError(f"unknown sub-Laplacian route {route!r}")
+
+
 def assemble_sub_laplacian(space: SectionSpace, route: str = "complex") -> OperatorMatrix:
     """Spinor sub-Laplacian, by either of two independent assemblies.
 
@@ -135,17 +150,13 @@ def assemble_sub_laplacian(space: SectionSpace, route: str = "complex") -> Opera
     unitary frame; ``route="real"`` sums minus the squares of the 2m
     real-frame derivatives.  The two agree identically.
     """
-    if route == "complex":
-        lap10, lap01 = horizontal_laplacians(space)
-        base = lap10 + lap01
-    elif route == "real":
-        base = np.zeros((space.base_dim, space.base_dim), dtype=complex)
-        for i in range(2 * space.m):
-            d = space.nabla_real(i)
-            base -= d @ d
-    else:
-        raise ValueError(f"unknown sub-Laplacian route {route!r}")
-    return OperatorMatrix(space.lift_base(base), space, name="Delta_tr", mu_shift=0)
+    return OperatorMatrix(space.lift_base(_sub_laplacian_base(space, route)), space, name="Delta_tr", mu_shift=0)
+
+
+def sub_laplacian_defect(space: SectionSpace) -> float:
+    """Largest matrix element separating the two sub-Laplacian routes, compared on
+    their base factors: both act as the identity on the fiber."""
+    return float(np.abs(_sub_laplacian_base(space, "complex") - _sub_laplacian_base(space, "real")).max())
 
 
 def assemble_nabla_T(space: SectionSpace, route: str = "direct") -> OperatorMatrix:

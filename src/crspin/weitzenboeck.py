@@ -1,22 +1,29 @@
-"""Curvature terms of the square of the Kohn-Dirac operator.
+"""Curvature terms and identities of the square of the Kohn-Dirac operator.
 
-The square of the Kohn-Dirac operator differs from a weighted sum of the
-two horizontal connection Laplacians by a zeroth-order curvature term on
-each spinor weight block.  This module assembles those curvature terms
-from the model's Webster Ricci data, splits them into a Ricci derivation
-part and a trace-free remainder, and measures the residuals of the full
-operator identities on concrete section spaces.
+On the spinor weight block mu = m - 2q the square formula at twist ell is
+
+    D^2 = ((m - mu)/m) nabla_10* nabla_10 + ((m + mu)/m) nabla_01* nabla_01
+          + curvature_term(model, ell, q).
+
+This module assembles the curvature terms from the model's Webster Ricci
+data, splits them into a Ricci derivation part and a trace-free
+remainder, and measures residuals of the formula on section spaces: the
+Lichnerowicz identity is the formula on every block at the model's
+twist, and the fixed-weight identity is its twist-ell case on the block
+mu = -ell.  Both build their right-hand sides with ``_rhs_block``.
 
 It also hosts the conformal covariance checks: under a rescaling of the
 contact form by exp(2 f), suitably weighted powers of exp(-f) intertwine
-the Dirac and twistor components on the flat models.  Those checks are
-pointwise in f with exact trigonometric-polynomial derivatives, so they
-are independent of the Fourier/ladder truncations used elsewhere.
+the Dirac and twistor halves on the flat models; each half is written
+once, for a (1,0) or (0,1) half description.  The checks are pointwise
+in f with exact trigonometric-polynomial derivatives, so they are
+independent of the Fourier/ladder truncations used elsewhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -101,10 +108,10 @@ def curvature_term(model: PseudoHermitianModel, ell: int, q: int) -> CurvatureTe
 def ricci_spinor_action(rho: np.ndarray) -> np.ndarray:
     """Derivation action of the Webster Ricci endomorphism on the fiber.
 
-    Sends e_S to 2 sum_{a in S} (R e)_... concretely it is
-    2 sum_{ab} R_ab w_a a_b in terms of signed creation/annihilation,
-    so a diagonalized Ricci matrix with eigenvalues r_a acts on a basis
-    subset S by 2 sum_{a in S} r_a.  The Clifford action of the Ricci
+    The matrix is 2 sum_{ab} rho_ab w_b a_a, with w_b the creation and
+    a_a the annihilation matrix of the signed fiber basis, so a diagonal
+    Ricci matrix with eigenvalues r_a acts on the basis spinor e_S by
+    2 sum_{a in S} r_a.  The Clifford action of the Ricci
     two-form is recovered through
 
         -(i/2) c(rho) = ricci_spinor_action(rho) - trace(rho) Id.
@@ -142,28 +149,34 @@ def q_split(model: PseudoHermitianModel, ell: int, q: int) -> tuple[np.ndarray, 
     return r_star, k
 
 
-def _residuals(space: SectionSpace, square, lichnerowicz: bool, weights) -> tuple[float | None, dict[int, float]]:
-    """Interior residuals of the identities below, all read off one D^2."""
-    model, m = space.model, space.m
-    lap10, lap01 = horizontal_laplacians(space)
-    crho = two_form_matrix(m, rho_frame_components(model.rho))
-    sl = None
-    if lichnerowicz:
-        theta = theta_matrix(m)
-        eye = np.eye(space.fiber_dim)
-        rhs = space.mixed(eye - theta / m, lap10)
-        rhs += space.mixed(eye + theta / m, lap01)
-        rhs += space.lift_fiber(-0.5j * ((model.ell / (m + 2)) * eye + theta / m) @ crho)
-        rhs += space.lift_fiber((model.scal_w / 4.0) * (eye + (model.ell / (m * (m + 2))) * theta))
-        sl = space.interior_max(square - rhs)
-    dl = {}
-    for ell in weights:
-        block = space.grade_block((m + ell) // 2)
-        rhs = space.lift_base(((m + ell) / m) * lap10 + ((m - ell) / m) * lap01)[block, block]
-        rhs = rhs + (1j * ell / (m * (m + 2))) * space.lift_fiber(crho)[block, block]
-        rhs = rhs + (1.0 - ell**2 / (m * (m + 2))) * (model.scal_w / 4.0) * np.eye(rhs.shape[0])
-        dl[ell] = space.interior_max(square[block, block] - rhs, block)
-    return sl, dl
+def _rhs_block(space: SectionSpace, laps, twist: int, q: int) -> np.ndarray:
+    """Right-hand side of the square formula on the weight-q block, at block size.
+
+    ((m - mu)/m) laps[0] + ((m + mu)/m) laps[1] + curvature_term(model, twist, q),
+    with mu = m - 2q and laps = ``horizontal_laplacians(space)``.
+    """
+    m, mu = space.m, space.m - 2 * q
+    eye = np.eye(space.module.grade_dim(q))
+    rhs = space.mixed((1.0 - mu / m) * eye, laps[0])
+    rhs += space.mixed((1.0 + mu / m) * eye, laps[1])
+    rhs += space.mixed(curvature_term(space.model, twist, q).as_matrix, np.eye(space.base_dim))
+    return rhs
+
+
+def _lichnerowicz_residual(space: SectionSpace, square: np.ndarray, laps) -> float:
+    """Interior residual of D^2 against the square formula at the model's twist, over the whole matrix."""
+    rhs = np.zeros_like(square)
+    for q in range(space.m + 1):
+        block = space.grade_block(q)
+        rhs[block, block] = _rhs_block(space, laps, space.model.ell, q)
+    return space.interior_max(square - rhs)
+
+
+def _fixed_weight_residual(space: SectionSpace, square: np.ndarray, laps, ell: int) -> float:
+    """Interior residual of D^2 against the square formula at twist ell on its block mu = -ell."""
+    q = (space.m + ell) // 2
+    block = space.grade_block(q)
+    return space.interior_max(square[block, block] - _rhs_block(space, laps, ell, q), block)
 
 
 def sl_residual(space: SectionSpace) -> float:
@@ -174,7 +187,8 @@ def sl_residual(space: SectionSpace) -> float:
     coefficients of the section space (ladder truncations distort only
     the top-rung shell).
     """
-    return _residuals(space, np.linalg.matrix_power(assemble_kohn_dirac(space).mat, 2), True, ())[0]
+    square = np.linalg.matrix_power(assemble_kohn_dirac(space).mat, 2)
+    return _lichnerowicz_residual(space, square, horizontal_laplacians(space))
 
 
 def dl_residual(space: SectionSpace, ell: int) -> float:
@@ -196,12 +210,16 @@ def dl_residual(space: SectionSpace, ell: int) -> float:
         raise ValueError(
             f"no weight block mu = {-ell} for m = {m}; ell must lie in {{-m, -m+2, ..., m}}"
         )
-    return _residuals(space, np.linalg.matrix_power(assemble_kohn_dirac(space).mat, 2), False, (ell,))[1][ell]
+    square = np.linalg.matrix_power(assemble_kohn_dirac(space).mat, 2)
+    return _fixed_weight_residual(space, square, horizontal_laplacians(space), ell)
 
 
 def square_residuals(space: SectionSpace, square: np.ndarray) -> tuple[float, dict[int, float]]:
     """(``sl_residual``, {ell: ``dl_residual``} at every admissible ell), bit for bit, off the Dirac ``square`` D @ D."""
-    return _residuals(space, square, True, range(-space.m, space.m + 1, 2))
+    laps = horizontal_laplacians(space)
+    weights = range(-space.m, space.m + 1, 2)
+    return (_lichnerowicz_residual(space, square, laps),
+            {ell: _fixed_weight_residual(space, square, laps, ell) for ell in weights})
 
 
 # ---------------------------------------------------------------------------
@@ -249,146 +267,73 @@ class ConformalScale:
         return float(np.real(self.poly(point)))
 
 
+@dataclass(frozen=True)
+class _Half:
+    """The (1,0) half (frame E_a, twist sign +1) or the (0,1) half (frame Ebar_a, sign -1).
+
+    ``df(f, a)`` is f's derivative along frame vector a, whose Clifford
+    action is ``c_self[a - 1]``; ``c_other`` is the conjugate frame's.
+    """
+
+    direction: str
+    df: Callable
+    c_self: list
+    c_other: list
+    sign: int
+
+
 class _FiberContext:
     def __init__(self, m: int):
         self.m = m
         self.module = SpinorModule(m)
-        self.c_e = [creation_matrix(m, a) for a in range(1, m + 1)]
-        self.c_ebar = [-annihilation_matrix(m, a) for a in range(1, m + 1)]
         self.theta = theta_matrix(m)
+        c_e = [creation_matrix(m, a) for a in range(1, m + 1)]
+        c_ebar = [-annihilation_matrix(m, a) for a in range(1, m + 1)]
+        self.half10 = _Half("e", ConformalScale.deriv_e, c_e, c_ebar, 1)
+        self.half01 = _Half("ebar", ConformalScale.deriv_ebar, c_ebar, c_e, -1)
 
 
-def _zero_field(ctx: _FiberContext) -> np.ndarray:
-    return spinor_field(ctx.module)
+def _flat_inners(field, half: _Half, ctx: _FiberContext) -> list:
+    """Flat frame derivatives nabla_a phi along the half's frame."""
+    return [field_derivative(field, half.direction, a, ctx.m) for a in range(1, ctx.m + 1)]
 
 
-def _grad10_clifford(field, f: ConformalScale, ctx: _FiberContext) -> np.ndarray:
-    """c(grad_10 f) phi = 2 sum_b Ebar_b(f) c(E_b) phi."""
-    out = _zero_field(ctx)
-    for b in range(1, ctx.m + 1):
-        out = field_add(out, scalar_multiply(2.0 * f.deriv_ebar(b), apply_fiber(ctx.c_e[b - 1], field)))
-    return out
+def _nabla_tilde(field, half: _Half, f: ConformalScale, ell: int, weight: float, ctx: _FiberContext) -> list:
+    """exp(weight f) nabla~_a (exp(-weight f) phi) along the half's frame, componentwise.
 
-
-def _grad01_clifford(field, f: ConformalScale, ctx: _FiberContext) -> np.ndarray:
-    """c(grad_01 f) phi = 2 sum_b E_b(f) c(Ebar_b) phi."""
-    out = _zero_field(ctx)
-    for b in range(1, ctx.m + 1):
-        out = field_add(out, scalar_multiply(2.0 * f.deriv_e(b), apply_fiber(ctx.c_ebar[b - 1], field)))
-    return out
-
-
-def _nabla_tilde(field, direction: str, a: int, f: ConformalScale, ell: int, ctx: _FiberContext):
-    """Rescaled-connection derivative of a spinor field, componentwise.
-
-    Encodes the transformation of the pseudo-Hermitian spin connection
-    under theta -> exp(2f) theta, including the twist-line shift.
+    nabla~ is the spin connection of exp(2f) theta with its twist-line shift:
+    nabla_a - c_self[a] c(grad f) + ((sign ell - 2)/2 - (sign/2) Theta) df(f, a),
+    where c(grad f) = 2 sum_b df(f, b) c_other[b].
     """
-    m = ctx.m
-    out = field_derivative(field, direction, a, m)
+    grad = spinor_field(ctx.module)
+    for b in range(1, ctx.m + 1):
+        grad = field_add(grad, scalar_multiply(2.0 * half.df(f, b), apply_fiber(half.c_other[b - 1], field)))
     theta_field = apply_fiber(ctx.theta, field)
-    if direction == "e":
-        out = field_add(out, field_scale(-1.0, apply_fiber(ctx.c_e[a - 1], _grad01_clifford(field, f, ctx))))
-        df = f.deriv_e(a)
-        out = field_add(out, scalar_multiply(((ell - 2) / 2.0) * df, field))
-        out = field_add(out, scalar_multiply(-0.5 * df, theta_field))
-    else:
-        out = field_add(out, field_scale(-1.0, apply_fiber(ctx.c_ebar[a - 1], _grad10_clifford(field, f, ctx))))
-        df = f.deriv_ebar(a)
-        out = field_add(out, scalar_multiply((-(ell + 2) / 2.0) * df, field))
-        out = field_add(out, scalar_multiply(0.5 * df, theta_field))
+    inners = []
+    for a in range(1, ctx.m + 1):
+        df = half.df(f, a)
+        out = field_derivative(field, half.direction, a, ctx.m)
+        out = field_add(out, field_scale(-1.0, apply_fiber(half.c_self[a - 1], grad)))
+        out = field_add(out, scalar_multiply(((half.sign * ell - 2) / 2.0) * df, field))
+        out = field_add(out, scalar_multiply((-0.5 * half.sign) * df, theta_field))
+        inners.append(field_add(scalar_multiply(-weight * df, field), out))
+    return inners
+
+
+def _dirac(inners: list, half: _Half, ctx: _FiberContext):
+    """The half's Dirac operator 2 sum_a c_other[a] inner_a: D- on (1,0), D+ on (0,1)."""
+    out = spinor_field(ctx.module)
+    for a, inner in enumerate(inners):
+        out = field_add(out, apply_fiber(2.0 * half.c_other[a], inner))
     return out
 
 
-def _dirac_plus_field(field, ctx: _FiberContext):
-    out = _zero_field(ctx)
-    for a in range(1, ctx.m + 1):
-        out = field_add(out, apply_fiber(2.0 * ctx.c_e[a - 1], field_derivative(field, "ebar", a, ctx.m)))
-    return out
-
-
-def _dirac_minus_field(field, ctx: _FiberContext):
-    out = _zero_field(ctx)
-    for a in range(1, ctx.m + 1):
-        out = field_add(out, apply_fiber(2.0 * ctx.c_ebar[a - 1], field_derivative(field, "e", a, ctx.m)))
-    return out
-
-
-def _dirac_plus_tilde(field, f: ConformalScale, ell: int, weight: float, ctx: _FiberContext):
-    """exp((weight+1) f) D~_+ (exp(-weight f) phi), a trig-polynomial field."""
-    out = _zero_field(ctx)
-    for a in range(1, ctx.m + 1):
-        inner = field_add(
-            scalar_multiply(-weight * f.deriv_ebar(a), field),
-            _nabla_tilde(field, "ebar", a, f, ell, ctx),
-        )
-        out = field_add(out, apply_fiber(2.0 * ctx.c_e[a - 1], inner))
-    return out
-
-
-def _dirac_minus_tilde(field, f: ConformalScale, ell: int, weight: float, ctx: _FiberContext):
-    out = _zero_field(ctx)
-    for a in range(1, ctx.m + 1):
-        inner = field_add(
-            scalar_multiply(-weight * f.deriv_e(a), field),
-            _nabla_tilde(field, "e", a, f, ell, ctx),
-        )
-        out = field_add(out, apply_fiber(2.0 * ctx.c_ebar[a - 1], inner))
-    return out
-
-
-def _twistor01_slots(field, q: int, ctx: _FiberContext):
-    a_q, _ = twistor_weights(ctx.m, q)
-    dplus = _dirac_plus_field(field, ctx)
-    slots = []
-    for a in range(1, ctx.m + 1):
-        slot = field_add(
-            field_derivative(field, "ebar", a, ctx.m),
-            apply_fiber(a_q * ctx.c_ebar[a - 1], dplus),
-        )
-        slots.append(slot)
-    return slots
-
-
-def _twistor10_slots(field, q: int, ctx: _FiberContext):
-    _, b_q = twistor_weights(ctx.m, q)
-    dminus = _dirac_minus_field(field, ctx)
-    slots = []
-    for a in range(1, ctx.m + 1):
-        slot = field_add(
-            field_derivative(field, "e", a, ctx.m),
-            apply_fiber(b_q * ctx.c_e[a - 1], dminus),
-        )
-        slots.append(slot)
-    return slots
-
-
-def _twistor01_tilde_slots(field, f, ell, weight, q, ctx: _FiberContext):
-    a_q, _ = twistor_weights(ctx.m, q)
-    dplus = _dirac_plus_tilde(field, f, ell, weight, ctx)
-    slots = []
-    for a in range(1, ctx.m + 1):
-        slot = field_add(
-            scalar_multiply(-weight * f.deriv_ebar(a), field),
-            _nabla_tilde(field, "ebar", a, f, ell, ctx),
-        )
-        slot = field_add(slot, apply_fiber(a_q * ctx.c_ebar[a - 1], dplus))
-        slots.append(slot)
-    return slots
-
-
-def _twistor10_tilde_slots(field, f, ell, weight, q, ctx: _FiberContext):
-    _, b_q = twistor_weights(ctx.m, q)
-    dminus = _dirac_minus_tilde(field, f, ell, weight, ctx)
-    slots = []
-    for a in range(1, ctx.m + 1):
-        slot = field_add(
-            scalar_multiply(-weight * f.deriv_e(a), field),
-            _nabla_tilde(field, "e", a, f, ell, ctx),
-        )
-        slot = field_add(slot, apply_fiber(b_q * ctx.c_e[a - 1], dminus))
-        slots.append(slot)
-    return slots
+def _twistor(inners: list, half: _Half, q: int, ctx: _FiberContext) -> list:
+    """The half's twistor slots inner_a + w_q c_self[a] (its Dirac operator), w_q = b_q on (1,0), a_q on (0,1)."""
+    a_q, b_q = twistor_weights(ctx.m, q)
+    w_q = b_q if half is ctx.half10 else a_q
+    dirac = _dirac(inners, half, ctx)
+    return [field_add(inner, apply_fiber(w_q * half.c_self[a], dirac)) for a, inner in enumerate(inners)]
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -434,6 +379,21 @@ def _pointwise_defect(lhs_fields, rhs_fields, weight_exponent, f: ConformalScale
     return worst
 
 
+def _conformal_inputs(space: SectionSpace, f: ConformalScale, sample_points) -> tuple[_FiberContext, np.ndarray]:
+    """Fiber context and sample points of a conformal check, after checking f and the points against the space."""
+    if not isinstance(f, ConformalScale):
+        raise TypeError(f"conformal factor must be a ConformalScale, got {type(f).__name__}")
+    m = space.m
+    if f.m != m:
+        raise ValueError(f"conformal factor has m = {f.m}, section space has m = {m}")
+    if sample_points is None:
+        sample_points = default_sample_points(2 * m)
+    points = np.atleast_2d(np.asarray(sample_points, dtype=float))
+    if points.shape[1] != 2 * m:
+        raise ValueError(f"sample points need {2 * m} coordinates, got {points.shape[1]}")
+    return _FiberContext(m), points
+
+
 def _covariance_defects(ctx, ell, q, f, points, offsets=(0,)):
     """Pointwise covariance defects of the four graded operators at grade q.
 
@@ -442,30 +402,27 @@ def _covariance_defects(ctx, ell, q, f, points, offsets=(0,)):
     """
     mu = ctx.m - 2 * q
     field = _test_spinor(ctx, q)
-    v_plus = ctx.m + 1 - (mu + ell) / 2.0
-    v_minus = ctx.m + 1 + (mu + ell) / 2.0
-    w_plus = (mu - ell) / 2.0 - 1.0
-    w_minus = (ell - mu) / 2.0 - 1.0
 
-    dplus_ref = [_dirac_plus_field(field, ctx)]
-    dminus_ref = [_dirac_minus_field(field, ctx)]
-    t01_ref = _twistor01_slots(field, q, ctx)
-    t10_ref = _twistor10_slots(field, q, ctx)
+    def dirac(inners, half):
+        return [_dirac(inners, half, ctx)]
 
-    out = {"dirac_plus": {}, "dirac_minus": {}, "twistor_01": {}, "twistor_10": {}}
-    for off in offsets:
-        out["dirac_plus"][off] = _pointwise_defect(
-            [_dirac_plus_tilde(field, f, ell, v_plus + off, ctx)], dplus_ref, v_plus + off + 1.0, f, points
-        )
-        out["dirac_minus"][off] = _pointwise_defect(
-            [_dirac_minus_tilde(field, f, ell, v_minus + off, ctx)], dminus_ref, v_minus + off + 1.0, f, points
-        )
-        out["twistor_01"][off] = _pointwise_defect(
-            _twistor01_tilde_slots(field, f, ell, w_plus + off, q, ctx), t01_ref, w_plus + off + 1.0, f, points
-        )
-        out["twistor_10"][off] = _pointwise_defect(
-            _twistor10_tilde_slots(field, f, ell, w_minus + off, q, ctx), t10_ref, w_minus + off + 1.0, f, points
-        )
+    def twistor(inners, half):
+        return _twistor(inners, half, q, ctx)
+
+    entries = {
+        "dirac_plus": (dirac, ctx.half01, ctx.m + 1 - (mu + ell) / 2.0),
+        "dirac_minus": (dirac, ctx.half10, ctx.m + 1 + (mu + ell) / 2.0),
+        "twistor_01": (twistor, ctx.half01, (mu - ell) / 2.0 - 1.0),
+        "twistor_10": (twistor, ctx.half10, (ell - mu) / 2.0 - 1.0),
+    }
+    out = {}
+    for name, (operator, half, weight) in entries.items():
+        reference = operator(_flat_inners(field, half, ctx), half)
+        out[name] = {
+            off: _pointwise_defect(operator(_nabla_tilde(field, half, f, ell, weight + off, ctx), half),
+                                   reference, weight + off + 1.0, f, points)
+            for off in offsets
+        }
     return out
 
 
@@ -481,32 +438,21 @@ def conformal_check(space: SectionSpace, ell: int, f: ConformalScale, sample_poi
     derivatives of the trigonometric factor, so the result is
     truncation-independent.
     """
-    if not isinstance(f, ConformalScale):
-        raise TypeError(f"conformal factor must be a ConformalScale, got {type(f).__name__}")
+    ctx, points = _conformal_inputs(space, f, sample_points)
     m = space.m
-    if f.m != m:
-        raise ValueError(f"conformal factor has m = {f.m}, section space has m = {m}")
-    ctx = _FiberContext(m)
-    if sample_points is None:
-        sample_points = default_sample_points(2 * m)
-    points = np.atleast_2d(np.asarray(sample_points, dtype=float))
-    if points.shape[1] != 2 * m:
-        raise ValueError(f"sample points need {2 * m} coordinates, got {points.shape[1]}")
-
     worst = 0.0
     for q in range(m + 1):
         defects = _covariance_defects(ctx, ell, q, f, points)
         worst = max(worst, *(d[0] for d in defects.values()))
 
     if (m + ell) % 2 == 0 and abs(ell) <= m:
-        q = (m + ell) // 2
-        field = _test_spinor(ctx, q)
+        field = _test_spinor(ctx, (m + ell) // 2)
         weight = float(m + 1)
-        lhs = field_add(
-            _dirac_plus_tilde(field, f, ell, weight, ctx),
-            _dirac_minus_tilde(field, f, ell, weight, ctx),
-        )
-        rhs = field_add(_dirac_plus_field(field, ctx), _dirac_minus_field(field, ctx))
+        plus, minus = ctx.half01, ctx.half10
+        lhs = field_add(_dirac(_nabla_tilde(field, plus, f, ell, weight, ctx), plus, ctx),
+                        _dirac(_nabla_tilde(field, minus, f, ell, weight, ctx), minus, ctx))
+        rhs = field_add(_dirac(_flat_inners(field, plus, ctx), plus, ctx),
+                        _dirac(_flat_inners(field, minus, ctx), minus, ctx))
         worst = max(worst, _pointwise_defect([lhs], [rhs], weight + 1.0, f, points))
     return worst
 
@@ -528,13 +474,7 @@ def exponent_scan(
     also one twistor projection on each), where the scan is flat and
     carries no information.
     """
-    if not isinstance(f, ConformalScale):
-        raise TypeError(f"conformal factor must be a ConformalScale, got {type(f).__name__}")
-    m = space.m
-    if not 0 <= q <= m:
-        raise ValueError(f"grade q must lie in 0..{m}, got {q}")
-    ctx = _FiberContext(m)
-    if sample_points is None:
-        sample_points = default_sample_points(2 * m)
-    points = np.atleast_2d(np.asarray(sample_points, dtype=float))
+    ctx, points = _conformal_inputs(space, f, sample_points)
+    if not 0 <= q <= space.m:
+        raise ValueError(f"grade q must lie in 0..{space.m}, got {q}")
     return _covariance_defects(ctx, ell, q, f, points, offsets=tuple(offsets))

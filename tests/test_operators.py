@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -23,6 +24,7 @@ from crspin.operators import (
     kernel_report,
     nabla_T_defect,
     spectrum,
+    sub_laplacian_defect,
     theta_operator,
     twistor_contraction,
 )
@@ -143,6 +145,24 @@ def test_sub_laplacian_routes_agree_and_psd():
         assemble_sub_laplacian(SPACES[0], "sideways")
 
 
+@pytest.mark.parametrize("space", SPACES, ids=IDS)
+def test_sub_laplacian_defect_is_the_full_lift_maximum(space):
+    full = np.abs(assemble_sub_laplacian(space, "complex").mat - assemble_sub_laplacian(space, "real").mat).max()
+    assert sub_laplacian_defect(space) == full
+
+
+def test_sub_laplacian_defect_allocates_no_full_space_matrix():
+    space = SectionSpace(heisenberg_model(3, k=1, truncation=TruncationSpec(fourier_radius=1, ladder_levels=5)))
+    assert space.dim == 1000
+    tracemalloc.start()
+    try:
+        sub_laplacian_defect(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * space.dim**2 * np.dtype(complex).itemsize
+
+
 def test_sub_laplacian_annihilates_constants():
     space = SectionSpace(heisenberg_model(2, k=0))
     lap = assemble_sub_laplacian(space)
@@ -206,7 +226,8 @@ def _twistor_route_gap(m: int, q: int) -> float:
     ctx = weitzenboeck._FiberContext(m)
     field = weitzenboeck._test_spinor(ctx, q)
     matrix_route = assemble_twistor(space, q).mat @ coefficients(field)[space.grade_block(q)]
-    slots = weitzenboeck._twistor10_slots(field, q, ctx) + weitzenboeck._twistor01_slots(field, q, ctx)
+    slots = [slot for half in (ctx.half10, ctx.half01)
+             for slot in weitzenboeck._twistor(weitzenboeck._flat_inners(field, half, ctx), half, q, ctx)]
     field_route = np.concatenate([coefficients(slot) for slot in slots])
     assert np.abs(field_route).max() > 0.1
     return float(np.abs(matrix_route - field_route).max())

@@ -1,10 +1,13 @@
 """Tests of the curvature terms and conformal covariance checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from crspin import weitzenboeck
 from crspin.clifford import theta_matrix, two_form_matrix
 from crspin.fields import TrigPoly
 from crspin.models import (
@@ -223,6 +226,25 @@ def test_square_residuals_equal_single_identity_residuals(model):
     assert square_residuals(space, dirac @ dirac) == single
 
 
+@pytest.mark.parametrize("model", [heisenberg_model(2, k=1), heisenberg_model(2, k=0)], ids=["ladder", "fourier"])
+def test_square_identities_read_curvature_term(model, monkeypatch):
+    # On a flat model the curvature term is zero, so shifting it by c I
+    # must move every residual to c: both identities take it from
+    # curvature_term, not from a copy of its formula.
+    shift = 0.37
+    term = weitzenboeck.curvature_term
+
+    def shifted(model, ell, q):
+        out = term(model, ell, q)
+        return dataclasses.replace(out, as_matrix=out.as_matrix + shift * np.eye(out.dim))
+
+    monkeypatch.setattr(weitzenboeck, "curvature_term", shifted)
+    space = SectionSpace(model)
+    assert abs(sl_residual(space) - shift) <= 1e-10
+    for ell in range(-model.m, model.m + 1, 2):
+        assert abs(dl_residual(space, ell) - shift) <= 1e-10
+
+
 def test_dl_zero_weight_is_sub_laplacian():
     # At weight zero on the middle block the square of the Kohn-Dirac
     # operator is the sub-Laplacian plus scal / 4 (zero here).
@@ -361,6 +383,30 @@ def test_conformal_rejects_bad_input():
         conformal_check(space, -1, f1, sample_points=np.zeros((5, 3)))
     with pytest.raises(ValueError):
         exponent_scan(space, -1, 5, f1)
+
+
+@pytest.mark.parametrize("check", [lambda space, f, **kw: conformal_check(space, -1, f, **kw),
+                                   lambda space, f, **kw: exponent_scan(space, -1, 0, f, **kw)],
+                         ids=["conformal_check", "exponent_scan"])
+def test_conformal_entry_points_check_their_inputs(check):
+    space = flat_space(1)
+    with pytest.raises(TypeError, match="must be a ConformalScale"):
+        check(space, 0.3)
+    with pytest.raises(ValueError, match="conformal factor has m = 2, section space has m = 1"):
+        check(space, ConformalScale.cosine(2, amplitude=0.1))
+    with pytest.raises(ValueError, match="sample points need 2 coordinates, got 3"):
+        check(space, ConformalScale.cosine(1, amplitude=0.1), sample_points=np.zeros((5, 3)))
+
+
+@pytest.mark.parametrize("mutate", [lambda direction, df, c_self, c_other, sign: (direction, df, c_other, c_self, sign),
+                                    lambda direction, df, c_self, c_other, sign: (direction, df, c_self, c_other, -sign)],
+                         ids=["swapped_clifford_roles", "flipped_twist_sign"])
+@pytest.mark.parametrize("m, ell", [(1, -1), (2, 0)])
+def test_conformal_check_detects_a_broken_half(mutate, m, ell, monkeypatch):
+    # every Dirac and twistor half, flat and rescaled, reads one half description
+    half = weitzenboeck._Half
+    monkeypatch.setattr(weitzenboeck, "_Half", lambda *fields: half(*mutate(*fields)))
+    assert conformal_check(flat_space(m), ell, ConformalScale.cosine(m, amplitude=0.3)) > 1e-3
 
 
 def test_default_sample_points_shape_and_determinism():
