@@ -43,10 +43,12 @@ Truncation diagnostics (uncertified or shell-pinned kernel vectors) are
 reported as warnings; under ``--strict`` they fail the run.
 
 The checks of one run share a per-run memo: each sector's SectionSpace
-is built once, and so is the torus shift table (one Kohn Laplacian per
-sector).  Spectrum, cohomology and vanishing read one ``dirac_kernel``
-per sector (one eigensolve per degree, whose eigenvalues fill the
-spectrum tables).  Identities assembles D+ and D- once per sector: its
+is built once, and so is the torus shift table (one stacked Kohn
+Laplacian per sector).  Spectrum, cohomology and vanishing read one
+``dirac_kernel`` per sector, counted from the per-slot blocks of D with
+batched 2^m x 2^m eigensolves, whose eigenvalues fill the spectrum
+tables; these three checks form no full-space matrix.  Identities
+assembles D+ and D- once per sector: its
 algebraic rows read them, and every Lichnerowicz residual is read off
 the square of their sum D, formed after the halves are dropped.  No
 matrix outlives its check.  The conformal check is pointwise in exact

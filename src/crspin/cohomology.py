@@ -11,8 +11,11 @@ creation/annihilation matrices:
                          + w_a w_b^H (x) nabla_{Ebar_a} nabla_{Ebar_b}^H),
 
 where w_a wedges the a-th antiholomorphic coframe element.  box is
-multiplied out term by term from dbar's own Kronecker factors, so no
-full-space matrix is multiplied.  It reads nabla_{Ebar} only, while the
+multiplied out term by term from dbar's own Kronecker factors
+(``kohn_laplacian_terms``), so no full-space matrix is multiplied; the
+shift table and the sector identity read its per-slot blocks
+(``SectionSpace.stack``), and ``kohn_laplacian`` sums the same terms into
+the full-space matrix.  It reads nabla_{Ebar} only, while the
 degree-lowering Dirac half D- reads nabla_E: D^2 = 2 box on the degree
 blocks compares D+ D- + D- D+ with D+^H D+ + D+ D+^H (D+ = sqrt(2) dbar),
 two routes that part when D- is not the adjoint of D+.
@@ -42,13 +45,14 @@ import numpy as np
 
 from .clifford import creation_matrix
 from .models import PseudoHermitianModel, TorusBundleModel, TorusLattice
-from .operators import KernelCount, OperatorMatrix, dirac_kernel, horizontal_laplacians, kernel_report
+from .operators import KernelCount, OperatorMatrix, block_kernel_report, dirac_kernel, horizontal_laplacians
 from .sections import SectionSpace
 
 __all__ = [
     "CohomologyTable",
     "TableRow",
     "kohn_laplacian",
+    "kohn_laplacian_terms",
     "holomorphic_laplacian",
     "fiber_weight_operator",
     "sector_identity_residual",
@@ -64,15 +68,18 @@ MODEL_LEVEL_NOTE = (
 )
 
 
-def kohn_laplacian(space: SectionSpace) -> OperatorMatrix:
-    """dbar* dbar + dbar dbar* from its 2 m^2 Kronecker terms (module docstring), summed in place."""
+def kohn_laplacian_terms(space: SectionSpace):
+    """The 2 m^2 (fiber, base) Kronecker terms of dbar* dbar + dbar dbar* (module docstring), one at a time."""
     wedges = [creation_matrix(space.m, a) for a in range(1, space.m + 1)]
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
     for w_a, d_a in zip(wedges, space.nabla_ebar):
         for w_b, d_b in zip(wedges, space.nabla_ebar):
-            mat += space.mixed(2.0 * w_a.conj().T @ w_b, d_a.conj().T @ d_b)
-            mat += space.mixed(2.0 * w_a @ w_b.conj().T, d_a @ d_b.conj().T)
-    return OperatorMatrix(mat, space, name="box", mu_shift=0)
+            yield 2.0 * w_a.conj().T @ w_b, d_a.conj().T @ d_b
+            yield 2.0 * w_a @ w_b.conj().T, d_a @ d_b.conj().T
+
+
+def kohn_laplacian(space: SectionSpace) -> OperatorMatrix:
+    """dbar* dbar + dbar dbar* as a full-space matrix, summed in place from its Kronecker terms."""
+    return OperatorMatrix(space.dense(kohn_laplacian_terms(space)), space, name="box", mu_shift=0)
 
 
 def holomorphic_laplacian(space: SectionSpace) -> OperatorMatrix:
@@ -96,18 +103,25 @@ def fiber_weight_operator(space: SectionSpace) -> OperatorMatrix:
 
 
 def sector_identity_residual(space: SectionSpace) -> dict[int, float]:
-    """Interior defect of box - box_bar = (m - q) N, per degree q."""
-    return _shift_defects(space, kohn_laplacian(space).mat)
+    """Interior defect of box - box_bar = (m - q) N, per degree q, read off the per-slot blocks."""
+    return _shift_defects(space, space.stack(kohn_laplacian_terms(space)))
 
 
 def _shift_defects(space: SectionSpace, box: np.ndarray) -> dict[int, float]:
-    box_bar = holomorphic_laplacian(space).mat
+    """Interior defect per degree of the stacked Kohn Laplacian ``box`` against box_bar + (m - q) N.
+
+    Both sides are zero between blocks, so the blocks carry every
+    nonzero entry of the full-space difference.
+    """
+    box_bar = space.stack([(np.eye(space.fiber_dim), horizontal_laplacians(space)[0])])
     weight = -2.0 * space.t
+    interior = space.block_interior()
     out: dict[int, float] = {}
     for q in range(space.m + 1):
-        rows = space.grade_block(q)
-        diff = box[rows, rows] - box_bar[rows, rows] - (space.m - q) * weight * np.eye(rows.stop - rows.start)
-        out[q] = space.interior_max(diff, rows)
+        fib = space.module.grade_slice(q)
+        diff = box[:, fib, fib] - box_bar[:, fib, fib] - (space.m - q) * weight * np.eye(fib.stop - fib.start)
+        diff = diff[interior[:, fib, None] & interior[:, None, fib]]
+        out[q] = float(np.abs(diff).max()) if diff.size else 0.0
     return out
 
 
@@ -221,13 +235,14 @@ def shift_table(model: TorusBundleModel, q_range=None, s_range=(0,), tol=1e-8, s
         table.notes.append(MODEL_LEVEL_NOTE)
     for s in s_range:
         space = SectionSpace(model, sector=int(s))
-        box = kohn_laplacian(space)
-        worst = max(_shift_defects(space, box.mat).values())
+        box = space.stack(kohn_laplacian_terms(space))
+        worst = max(_shift_defects(space, box).values())
         if worst > 1e-10:
             raise RuntimeError(
                 f"shift identity fails on sector {s}: interior defect {worst:.2e}"
             )
-        spectral = {row.q: row for row in _kernel_rows(space, kernel_report(box, tol=tol, shell_tol=shell_tol))}
+        report = block_kernel_report(space, box, tol=tol, shell_tol=shell_tol, gram=False)
+        spectral = {row.q: row for row in _kernel_rows(space, report)}
         for q in qs:
             analytic = torus_line_bundle_cohomology(model.lattice, model.flux, -int(s), q)
             table.rows.append(TableRow(q, int(s), analytic, "analytic", _row_status(model.m, q)))

@@ -5,8 +5,11 @@ generator matrices acting on the spinor fiber (``clifford``) and
 derivative matrices acting on base coefficients (``sections``).  Every
 operator is a sum of fiber (x) base Kronecker products, and each full-space
 term is formed directly by ``SectionSpace.mixed``; no two lifted
-full-space matrices are ever multiplied.  In the unitary frame the
-Kohn-Dirac operator splits as
+full-space matrices are ever multiplied.  D+ and D- are written once, as
+lists of (fiber, base) terms (``dplus_terms``, ``dminus_terms``):
+``SectionSpace.dense`` sums a list into the full-space matrix and
+``SectionSpace.stack`` into its per-slot blocks of at most 2^m rows.
+In the unitary frame the Kohn-Dirac operator splits as
 
     D = D_plus + D_minus,
     D_plus  = 2 sum_a c(E_a) nabla_{Ebar_a},
@@ -30,6 +33,16 @@ Twistor operators project the full covariant derivative onto the kernel
 of Clifford contraction, with the degree-dependent weights
 a_q = 1/(2(q+1)) and b_q = 1/(2(m-q+1)).  Their output is stacked over
 2m coframe slots (the E_a slots first, then the Ebar_a slots).
+
+Kernel counts have two routes that apply one rule (null eigenvalues,
+shell leakage, the 0.5 cut and certification; ``_kernel_count``).
+``kernel_report`` eigensolves the full-space degree blocks of a dense
+operator and stays the reference.  ``block_kernel_report`` reads the
+per-slot blocks: per degree it takes the Gram matrix (or, for a Hermitian
+degree-preserving operator, the diagonal block) of the fixed fiber slice
+and makes one batched eigensolve per pattern of kept and shell states.
+``dirac_kernel``, which the spectral checks read, takes the block route,
+so they form no full-space matrix.
 """
 
 from __future__ import annotations
@@ -50,6 +63,8 @@ from .sections import SectionSpace
 
 __all__ = [
     "OperatorMatrix",
+    "dplus_terms",
+    "dminus_terms",
     "assemble_dplus",
     "assemble_dminus",
     "assemble_kohn_dirac",
@@ -65,6 +80,7 @@ __all__ = [
     "spectrum",
     "kernel_dim",
     "kernel_report",
+    "block_kernel_report",
     "dirac_kernel",
     "KernelCount",
 ]
@@ -100,18 +116,24 @@ class OperatorMatrix:
         return self.mat[self.space.grade_block(q_out), self.space.grade_block(q_in)]
 
 
+def dplus_terms(space: SectionSpace) -> list:
+    """(fiber, base) Kronecker terms of D+ = 2 sum_a c(E_a) nabla_{Ebar_a}."""
+    return [(2.0 * creation_matrix(space.m, a), space.nabla_ebar[a - 1]) for a in range(1, space.m + 1)]
+
+
+def dminus_terms(space: SectionSpace) -> list:
+    """(fiber, base) Kronecker terms of D- = 2 sum_a c(Ebar_a) nabla_{E_a}, c(Ebar_a) = -annihilation."""
+    return [(-2.0 * annihilation_matrix(space.m, a), space.nabla_e[a - 1]) for a in range(1, space.m + 1)]
+
+
 def assemble_dplus(space: SectionSpace) -> OperatorMatrix:
     """Degree-raising half of the Kohn-Dirac operator."""
-    mat = sum(space.mixed(2.0 * creation_matrix(space.m, a), space.nabla_ebar[a - 1])
-              for a in range(1, space.m + 1))
-    return OperatorMatrix(mat, space, name="D+", mu_shift=-2)
+    return OperatorMatrix(space.dense(dplus_terms(space)), space, name="D+", mu_shift=-2)
 
 
 def assemble_dminus(space: SectionSpace) -> OperatorMatrix:
-    """Degree-lowering half of the Kohn-Dirac operator; adjoint of D+ (c(Ebar_a) = -annihilation)."""
-    mat = sum(space.mixed(-2.0 * annihilation_matrix(space.m, a), space.nabla_e[a - 1])
-              for a in range(1, space.m + 1))
-    return OperatorMatrix(mat, space, name="D-", mu_shift=2)
+    """Degree-lowering half of the Kohn-Dirac operator; adjoint of D+."""
+    return OperatorMatrix(space.dense(dminus_terms(space)), space, name="D-", mu_shift=2)
 
 
 def assemble_kohn_dirac(space: SectionSpace) -> OperatorMatrix:
@@ -189,8 +211,30 @@ def assemble_nabla_T(space: SectionSpace, route: str = "direct") -> OperatorMatr
 
 
 def nabla_T_defect(space: SectionSpace) -> float:
-    """Largest interior matrix element separating the two nabla_T routes."""
-    return space.interior_max(assemble_nabla_T(space, "formula").mat - assemble_nabla_T(space, "direct").mat)
+    """Largest interior matrix element separating the two nabla_T routes.
+
+    Both routes are (fiber, base) Kronecker sums, so their difference is
+    read off the factors, one class of full-space entries at a time, with
+    the float operations of the full-space subtraction:
+
+    * diagonal: scale (base[n, n] + i c(rho)[s, s] - shift) - i t,
+    * same fiber state, n != n': scale base[n, n'],
+    * same base coefficient, s != s': scale i c(rho)[s, s'],
+
+    where scale = i/(4m), base = 2 lap10 - 2 lap01, and all other entries
+    are zero in both routes.
+    """
+    m, model = space.m, space.model
+    scale = 1j / (4.0 * m)
+    lap10, lap01 = horizontal_laplacians(space)
+    base = (2.0 * lap10 - 2.0 * lap01)[np.ix_(space.interior, space.interior)]
+    fiber = 1j * two_form_matrix(m, rho_frame_components(model.rho))
+    shift = model.ell * model.scal_w / (2.0 * (m + 2))
+    diagonal = scale * (np.diag(base)[None, :] + np.diag(fiber)[:, None] - shift) - 1j * space.t
+    classes = [diagonal, scale * base[~np.eye(len(base), dtype=bool)]]
+    if len(base):
+        classes.append(scale * fiber[~np.eye(space.fiber_dim, dtype=bool)])
+    return max((float(np.abs(entries).max()) for entries in classes if entries.size), default=0.0)
 
 
 def twistor_weights(m: int, q: int) -> tuple[float, float]:
@@ -301,7 +345,8 @@ class KernelCount:
     concentrate on the truncation shell (ladder top rungs), which is the
     signature of a cutoff artifact; ``certified`` is False when any
     retained vector leaks more than the shell tolerance.  ``eigenvalues``
-    is the block's full ascending spectrum, read-only.
+    is the degree's full ascending spectrum (on the block route the sorted
+    union of the per-slot block spectra), read-only.
     """
 
     dim: int
@@ -309,6 +354,45 @@ class KernelCount:
     spurious: int
     max_shell_amplitude: float
     eigenvalues: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+
+def _kernel_count(groups, tol: float, shell_tol: float) -> KernelCount:
+    """The null, shell-leak and certification rule on eigendecomposed Hermitian blocks.
+
+    ``groups`` holds (evals, vecs, shell) triples: a stack of blocks'
+    ascending eigenvalues (n, k) and eigenvectors (n, k, k), and the k-row
+    mask of truncation-shell coefficients the stack shares.  Null
+    directions (|eigenvalue| <= tol) are split by their shell leakage,
+    measured rotation-invariantly as the singular values of the shell
+    restriction of an orthonormal null basis: values near 1 are cutoff
+    artifacts pinned to the top rungs (``spurious``), values near 0 are
+    honest interior kernel vectors.  The counts sum over all blocks, and
+    ``eigenvalues`` is the sorted union of the block spectra, read-only.
+    """
+    dim = spurious = 0
+    worst, measured = 0.0, False
+    for evals, vecs, shell in groups:
+        null = np.abs(evals) <= tol
+        sizes = null.sum(axis=1)
+        if not shell.any():
+            dim += int(sizes.sum())
+            continue
+        for size in np.unique(sizes[sizes > 0]):
+            pick = sizes == size
+            # each block's null eigenvectors, in eigenvalue order
+            order = np.argsort(~null[pick], axis=1, kind="stable")[:, None, :size]
+            basis = np.take_along_axis(vecs[pick], order, axis=2)[:, shell, :]
+            # a block with fewer shell rows than null vectors has that many zero leaks more
+            leaks = np.linalg.svd(basis, compute_uv=False)
+            cut = leaks > 0.5
+            spurious += int(cut.sum())
+            dim += int(pick.sum()) * int(size) - int(cut.sum())
+            if not cut.all():
+                worst = max(worst, float(leaks[~cut].max()))
+            measured = True
+    eigenvalues = np.sort(np.concatenate([evals.ravel() for evals, _, _ in groups]))
+    eigenvalues.flags.writeable = False
+    return KernelCount(dim, worst <= shell_tol or not measured, spurious, worst, eigenvalues)
 
 
 def kernel_report(
@@ -325,26 +409,45 @@ def kernel_report(
     out: dict[int, KernelCount] = {}
     for q in range(space.m + 1):
         rows = space.grade_block(q)
-        block = sq[rows, rows]
-        evals, vecs = np.linalg.eigh(block)
-        evals.flags.writeable = False
-        null = np.nonzero(np.abs(evals) <= tol)[0]
-        basis = vecs[:, null]
-        block_shell = shell[rows]
-        if basis.shape[1] == 0 or not block_shell.any():
-            out[q] = KernelCount(basis.shape[1], True, 0, 0.0, evals)
-            continue
-        # Shell leakage per null direction, measured rotation-invariantly:
-        # singular values of the shell restriction of an orthonormal null
-        # basis.  Values near 1 are cutoff artifacts pinned to the top
-        # rungs, values near 0 are honest interior kernel vectors.
-        leaks = np.linalg.svd(basis[block_shell, :], compute_uv=False)
-        leaks = np.concatenate([leaks, np.zeros(basis.shape[1] - len(leaks))])
-        spurious = int(np.count_nonzero(leaks > 0.5))
-        kept = leaks[leaks <= 0.5]
-        dim = int(len(kept))
-        worst = float(kept.max()) if dim else 0.0
-        out[q] = KernelCount(dim, worst <= shell_tol, spurious, worst, evals)
+        evals, vecs = np.linalg.eigh(sq[rows, rows])
+        out[q] = _kernel_count([(evals[None], vecs[None], shell[rows])], tol, shell_tol)
+    return out
+
+
+def block_kernel_report(
+    space: SectionSpace, stack: np.ndarray, tol: float = 1e-8, shell_tol: float = 1e-8, gram: bool = True
+) -> dict[int, KernelCount]:
+    """``kernel_report`` of the operator whose per-slot blocks are ``stack`` (``SectionSpace.stack``).
+
+    Degree q is eigensolved through the Gram matrix of the fixed fiber
+    slice ``grade_slice(q)`` of every block, or, with ``gram=False`` (a
+    Hermitian operator that keeps the degree), through the slice's
+    diagonal blocks.  Blocks that keep the same states of that slice
+    (and put the same ones on the shell) share one batched ``eigh``.
+    """
+    if tol <= 0:
+        raise ValueError("kernel tolerance must be positive")
+    present = space.blocks() >= 0
+    shell = present & ~space.block_interior()
+    out: dict[int, KernelCount] = {}
+    for q in range(space.m + 1):
+        fib = space.module.grade_slice(q)
+        if gram:
+            cols = stack[:, :, fib]
+            mats = np.einsum("bki,bkj->bij", cols.conj(), cols)
+        else:
+            mats = stack[:, fib, fib]
+        keep, edge = present[:, fib], shell[:, fib]
+        patterns = np.ascontiguousarray(np.hstack([keep, edge]))
+        _, first, which = np.unique(patterns.view(np.dtype((np.void, patterns.shape[1]))).ravel(),
+                                    return_index=True, return_inverse=True)
+        groups = []
+        for i, j in enumerate(first):
+            states = np.flatnonzero(keep[j])
+            if states.size:
+                evals, vecs = np.linalg.eigh(mats[np.ix_(which == i, states, states)])
+                groups.append((evals, vecs, edge[j, states]))
+        out[q] = _kernel_count(groups, tol, shell_tol)
     return out
 
 
@@ -352,13 +455,16 @@ _DIRAC_KERNELS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def dirac_kernel(space: SectionSpace, tol: float = 1e-8, shell_tol: float = 1e-8) -> dict[int, KernelCount]:
-    """``kernel_report`` of the Kohn-Dirac operator, run at most once per space and tolerances.
+    """Kernel counts of the Kohn-Dirac operator from its per-slot blocks, at most once per space and tolerances.
 
-    Only the counts and read-only eigenvalues are kept, and only while the space lives.
+    The counts equal ``kernel_report(assemble_kohn_dirac(space))``; no
+    full-space matrix is formed.  Only the counts and read-only
+    eigenvalues are kept, and only while the space lives.
     """
     reports = _DIRAC_KERNELS.setdefault(space, {})
     if (tol, shell_tol) not in reports:
-        reports[tol, shell_tol] = kernel_report(assemble_kohn_dirac(space), tol=tol, shell_tol=shell_tol)
+        stack = space.stack(dplus_terms(space) + dminus_terms(space))
+        reports[tol, shell_tol] = block_kernel_report(space, stack, tol=tol, shell_tol=shell_tol)
     return dict(reports[tol, shell_tol])
 
 

@@ -32,9 +32,20 @@ The full section space is spanned by (fiber basis) x (base coefficient),
 fiber index major, so the fixed-degree blocks of the spinor fiber stay
 contiguous after taking Kronecker products.  Every full-space operator is
 a sum of such products, and ``SectionSpace.mixed`` is the one place that
-forms them: ``mixed(A, B)`` is kron(A, B), and the lifts of a pure fiber
-or pure base operator are ``mixed`` with an identity factor.  Callers
-never multiply two lifted matrices.
+forms them: ``mixed(A, B)`` is kron(A, B), the lifts of a pure fiber
+or pure base operator are ``mixed`` with an identity factor, and
+``dense(terms)`` sums a list of (fiber, base) terms.  Callers never
+multiply two lifted matrices.
+
+The operators the spectral checks need also conserve one label per slot
+a, so they split into blocks of at most 2^m rows.  On ladder sectors the
+label is J_a = bit_a + n_a for t > 0 and J_a = bit_a - n_a for t < 0
+(bit_a is the a-th fiber occupation, n_a the a-th ladder occupation); on
+Fourier sectors it is the frequency.  ``blocks()`` is the partner table:
+row j lists, for every fiber state, the base index that completes it to
+label j, or -1 where the cutoff removed that state.  ``stack(terms)``
+forms the blocks of a sum of (fiber, base) Kronecker terms, entry for
+entry the same products ``mixed`` forms, without the dim x dim matrix.
 """
 
 from __future__ import annotations
@@ -93,6 +104,8 @@ class SectionSpace:
         Base-space matrices of the derivatives along E_a and Ebar_a.
     interior : ndarray of bool
         Base coefficients whose quadratic matrix elements are exact.
+    ladder_levels : int
+        States kept per slot on ladder sectors (the truncation's value).
     labels : ndarray
         One row per base coefficient: dual frequencies (Fourier) or
         ladder occupation numbers.
@@ -106,6 +119,7 @@ class SectionSpace:
         self.module = SpinorModule(model.m)
         self.fiber_dim = self.module.dim
         trunc = model.truncation or default_truncation(model.m)
+        self.ladder_levels = trunc.ladder_levels
 
         if isinstance(model, HeisenbergModel):
             self.sector = model.k if sector is None else int(sector)
@@ -123,10 +137,11 @@ class SectionSpace:
             self._build_fourier(lattice, trunc.fourier_radius)
         else:
             self.kind = "ladder"
-            self._build_ladder(trunc.ladder_levels)
+            self._build_ladder(self.ladder_levels)
 
         self.base_dim = self.nabla_e[0].shape[0]
         self.dim = self.fiber_dim * self.base_dim
+        self._partners = None
 
     def _build_fourier(self, lattice: TorusLattice, radius: int):
         freqs = lattice.dual_frequencies(radius)
@@ -182,6 +197,62 @@ class SectionSpace:
     def lift_base(self, mat: np.ndarray) -> np.ndarray:
         """Base operator acting as the identity on the spinor fiber."""
         return self.mixed(np.eye(self.fiber_dim), mat)
+
+    # -- per-slot blocks --------------------------------------------------
+
+    def blocks(self) -> np.ndarray:
+        """Partner table of the per-slot blocks, shape (n_blocks, fiber_dim), read-only.
+
+        Entry [j, s] is the base index n that puts fiber state s in block j,
+        or -1 where n falls outside the truncation.  Ladder blocks are the
+        labels J in [0, L]^m (t > 0, n = J - bits) or [1 - L, 1]^m (t < 0,
+        n = bits - J) in lexicographic order; Fourier blocks are the
+        frequencies, with every fiber state present.
+        """
+        if self._partners is None:
+            if self.kind == "fourier":
+                partners = np.repeat(np.arange(self.base_dim)[:, None], self.fiber_dim, axis=1)
+            else:
+                levels = self.ladder_levels
+                bits = np.array([[a in s for a in range(1, self.m + 1)] for s in self.module.subsets], dtype=int)
+                span = range(levels + 1) if self.t > 0 else range(1 - levels, 2)
+                labels = np.array(list(itertools.product(span, repeat=self.m)), dtype=int)
+                occ = labels[:, None, :] - bits if self.t > 0 else bits - labels[:, None, :]
+                valid = np.all((occ >= 0) & (occ < levels), axis=2)
+                # base index of an occupation tuple, slot 0 most significant (``labels`` order)
+                partners = np.where(valid, occ @ levels ** np.arange(self.m - 1, -1, -1), -1)
+            partners.flags.writeable = False
+            self._partners = partners
+        return self._partners
+
+    def dense(self, terms) -> np.ndarray:
+        """Full-space matrix of sum(mixed(F, B) for F, B in terms), summed in place."""
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for fiber_mat, base_mat in terms:
+            out += self.mixed(fiber_mat, base_mat)
+        return out
+
+    def stack(self, terms) -> np.ndarray:
+        """Blocks of ``dense(terms)``, shape (n_blocks, fiber_dim, fiber_dim).
+
+        Entry [j, s, s'] is the full-space entry between the block-j states
+        of fiber states s and s', formed by the same products and sums as
+        the full-space matrix; entries of states the cutoff removed are 0.
+        """
+        partners = self.blocks()
+        present = partners >= 0
+        base = np.where(present, partners, 0)
+        rows, cols = base[:, :, None], base[:, None, :]
+        out = np.zeros((len(partners), self.fiber_dim, self.fiber_dim), dtype=complex)
+        for fiber_mat, base_mat in terms:
+            out += np.asarray(fiber_mat, dtype=complex)[None] * np.asarray(base_mat, dtype=complex)[rows, cols]
+        out[~(present[:, :, None] & present[:, None, :])] = 0.0
+        return out
+
+    def block_interior(self) -> np.ndarray:
+        """Interior flags of the block states, shaped like ``blocks()``; False where the cutoff removed a state."""
+        partners = self.blocks()
+        return (partners >= 0) & self.interior[np.maximum(partners, 0)]
 
     def interior_mask(self) -> np.ndarray:
         """Interior flags expanded to the full fiber x base index set."""

@@ -1,0 +1,149 @@
+"""The per-slot block layer: partner tables, stacked operators and the spectral checks read off them."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from crspin.cohomology import (
+    holomorphic_laplacian,
+    kohn_laplacian,
+    kohn_laplacian_terms,
+    sector_identity_residual,
+    shift_table,
+)
+from crspin.models import TruncationSpec, cr_alpha_bundle, heisenberg_model
+from crspin.operators import (
+    assemble_kohn_dirac,
+    dirac_kernel,
+    dminus_terms,
+    dplus_terms,
+    kernel_report,
+)
+from crspin.sections import SectionSpace
+
+LADDER3 = TruncationSpec(fourier_radius=1, ladder_levels=5)
+
+
+def block_spaces():
+    out = []
+    for m in (1, 2):
+        for k in (0, 1, 2):
+            out.append(SectionSpace(heisenberg_model(m, k=k)))
+        for s in (-2, -1, 0, 1, 2):
+            out.append(SectionSpace(cr_alpha_bundle(m, c=1, s=s)))
+    out += [SectionSpace(heisenberg_model(3, k=k, truncation=LADDER3)) for k in (-1, 1)]
+    return out
+
+
+SPACES = block_spaces()
+IDS = [sp.describe() for sp in SPACES]
+
+
+def full_indices(space):
+    """Full-space index of every block state, -1 where the cutoff removed it."""
+    partners = space.blocks()
+    return np.where(partners >= 0, np.arange(space.fiber_dim) * space.base_dim + partners, -1)
+
+
+@pytest.mark.parametrize("space", SPACES, ids=IDS)
+def test_blocks_cover_every_index_once(space):
+    partners = space.blocks()
+    assert partners.shape[1] == space.fiber_dim and not partners.flags.writeable
+    assert space.blocks() is partners
+    index = full_indices(space)
+    assert np.array_equal(np.sort(index[index >= 0]), np.arange(space.dim))
+    if space.kind == "ladder":
+        assert len(partners) == (space.ladder_levels + 1) ** space.m
+        assert (partners >= 0).any(axis=1).all()
+
+
+@pytest.mark.parametrize("space", SPACES, ids=IDS)
+@pytest.mark.parametrize("operator", ["D", "box"])
+def test_stack_is_the_dense_assembly_on_blocks(space, operator):
+    if operator == "D":
+        terms, dense = dplus_terms(space) + dminus_terms(space), assemble_kohn_dirac(space).mat
+    else:
+        terms, dense = list(kohn_laplacian_terms(space)), kohn_laplacian(space).mat
+    stack = space.stack(terms)
+    index = full_indices(space)
+    on_block = np.zeros_like(dense, dtype=bool)
+    for j, block in enumerate(stack):
+        present = index[j] >= 0
+        rows = index[j][present]
+        assert np.array_equal(block[np.ix_(present, present)], dense[np.ix_(rows, rows)])
+        assert not block[~present].any() and not block[:, ~present].any()
+        on_block[np.ix_(rows, rows)] = True
+    assert not dense[~on_block].any()
+
+
+def dense_shift_defects(space):
+    """The shift identity box - box_bar = (m - q) N on full-space matrices, per degree."""
+    box, box_bar = kohn_laplacian(space).mat, holomorphic_laplacian(space).mat
+    out = {}
+    for q in range(space.m + 1):
+        rows = space.grade_block(q)
+        eye = np.eye(rows.stop - rows.start)
+        out[q] = space.interior_max(box[rows, rows] - box_bar[rows, rows] - (space.m - q) * (-2.0 * space.t) * eye, rows)
+    return out
+
+
+@pytest.mark.parametrize("space", SPACES[:-2], ids=IDS[:-2])
+def test_sector_identity_residual_is_the_dense_formula(space):
+    assert sector_identity_residual(space) == dense_shift_defects(space)
+
+
+@pytest.mark.parametrize("m, flux", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_shift_table_counts_are_the_dense_kohn_laplacian_kernels(m, flux):
+    model = cr_alpha_bundle(m, c=flux)
+    sectors = (-2, -1, 0, 1, 2)
+    spectral = shift_table(model, s_range=sectors).dims(method="spectral")
+    for s in sectors:
+        space = SectionSpace(model, sector=s)
+        for q, count in kernel_report(kohn_laplacian(space)).items():
+            assert spectral[q, s] == count.dim * space.multiplicity
+
+
+@pytest.mark.parametrize("space", SPACES[-2:], ids=IDS[-2:])
+def test_dirac_kernel_counts_are_the_dense_counts(space):
+    # m <= 2: test_operators.py::test_dirac_kernel_eigenvalues_are_the_block_spectra;
+    # KernelCount equality leaves out the eigenvalues, which may round differently
+    dense = kernel_report(assemble_kohn_dirac(space))
+    blocks = dirac_kernel(space)
+    assert blocks == dense
+    for q in dense:
+        np.testing.assert_allclose(blocks[q].eigenvalues, dense[q].eigenvalues, rtol=0, atol=1e-10)
+
+
+def test_dirac_kernel_allocates_no_full_space_matrix():
+    space = SectionSpace(heisenberg_model(3, k=1, truncation=LADDER3))
+    assert space.dim == 1000
+    tracemalloc.start()
+    try:
+        dirac_kernel(space, tol=1e-8, shell_tol=3e-8)  # tolerances no other test caches
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * space.dim**2 * np.dtype(complex).itemsize
+
+
+def test_dirac_kernel_reaches_the_fourier_sector_of_m3_without_full_space_terms(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("full-space Kronecker term formed")
+
+    space = SectionSpace(heisenberg_model(3, k=0, truncation=TruncationSpec(fourier_radius=1, ladder_levels=6)))
+    assert space.dim == 5832
+    monkeypatch.setattr(SectionSpace, "mixed", refuse)
+    counts = dirac_kernel(space)
+    assert {q: count.dim for q, count in counts.items()} == {0: 1, 1: 3, 2: 3, 3: 1}
+    assert all(count.certified and count.spurious == 0 for count in counts.values())
+    assert sum(count.eigenvalues.size for count in counts.values()) == space.dim
+
+
+def test_block_kernels_reject_nonpositive_tolerances():
+    space = SectionSpace(heisenberg_model(1, k=1))
+    for tol in (0.0, -1e-8):
+        with pytest.raises(ValueError, match="kernel tolerance must be positive"):
+            dirac_kernel(space, tol=tol)
+        with pytest.raises(ValueError, match="kernel tolerance must be positive"):
+            shift_table(cr_alpha_bundle(1, c=1), s_range=[1], tol=tol)

@@ -263,41 +263,60 @@ def count_calls(monkeypatch, counts, name, fn):
 
 
 @pytest.mark.parametrize("kind, expected", [
-    # per sector: one D in the shared Dirac kernel; identities sums its own D+
-    # and D- for the square; one box in identities and one in the shift table
-    ("torus_bundle", {"assemble_kohn_dirac": 3, "assemble_dplus": 6, "kohn_laplacian": 6, "kernel_report": 6}),
+    # per sector: one Dirac kernel from blocks, shared by spectrum, cohomology and
+    # vanishing; identities sums its own D+ and D- for the square; one box stack
+    # in identities and one in the shift table, each counted from blocks
+    ("torus_bundle", {"assemble_kohn_dirac": 0, "assemble_dplus": 3, "kohn_laplacian": 0,
+                      "kohn_laplacian_terms": 6, "kernel_report": 0, "block_kernel_report": 6}),
     # spectrum, cohomology and vanishing all read the one Dirac kernel
-    ("heisenberg", {"assemble_kohn_dirac": 3, "assemble_dplus": 6, "kohn_laplacian": 3, "kernel_report": 3}),
+    ("heisenberg", {"assemble_kohn_dirac": 0, "assemble_dplus": 3, "kohn_laplacian": 0,
+                    "kohn_laplacian_terms": 3, "kernel_report": 0, "block_kernel_report": 3}),
 ])
 def test_run_forms_one_dirac_square_per_check_family(tmp_path, monkeypatch, kind, expected):
     counts = {}
-    for name in ("assemble_kohn_dirac", "assemble_dplus", "kernel_report"):
+    for name in ("assemble_kohn_dirac", "assemble_dplus", "kernel_report", "block_kernel_report"):
         count_calls(monkeypatch, counts, name, getattr(operators, name))
-    count_calls(monkeypatch, counts, "kohn_laplacian", cohomology.kohn_laplacian)
-    eigvalsh = np.linalg.eigvalsh
+    for name in ("kohn_laplacian", "kohn_laplacian_terms"):
+        count_calls(monkeypatch, counts, name, getattr(cohomology, name))
     sizes = []
 
-    def recording_eigvalsh(mat, *args, **kwargs):
-        sizes.append(np.shape(mat)[0])
-        return eigvalsh(mat, *args, **kwargs)
+    def recording(solver):
+        def solve(mat, *args, **kwargs):
+            sizes.append(np.shape(mat)[-1])
+            return solver(mat, *args, **kwargs)
+        return solve
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
     model = {"kind": kind, "m": 2, "ell": 0, "sectors": [-1, 0, 1]}
     config = dict(TORUS_ALL, model=dict(model, flux=1) if kind == "torus_bundle" else model)
     main(["run", "--config", write_config(tmp_path, config), "--out", str(tmp_path / "art")])
     assert counts == expected
-    # only fiber-sized curvature matrices; Dirac-square blocks come from kernel_report
+    # every eigensolve is fiber-sized: per-slot blocks and curvature matrices
     assert sizes and max(sizes) <= 2 ** 2
+
+
+@pytest.mark.parametrize("kind", ["torus_bundle", "heisenberg"])
+def test_spectral_checks_form_no_full_space_kronecker_term(tmp_path, monkeypatch, kind):
+    def refuse(*args, **kwargs):
+        raise AssertionError("full-space Kronecker term formed")
+
+    monkeypatch.setattr(sections.SectionSpace, "mixed", refuse)
+    model = {"kind": kind, "m": 2, "ell": 0, "sectors": [-1, 0, 1]}
+    config = {"model": dict(model, flux=1) if kind == "torus_bundle" else model,
+              "checks": ["spectrum", "cohomology", "vanishing"]}
+    assert main(["run", "--config", write_config(tmp_path, config), "--out", str(tmp_path / "art")]) == 0
 
 
 def test_shell_tolerance_reaches_the_vanishing_cross_check(tmp_path, monkeypatch):
     # spectrum and vanishing ask for the same (spectral, shell) Dirac kernel
     counts = {}
-    count_calls(monkeypatch, counts, "kernel_report", operators.kernel_report)
+    for name in ("kernel_report", "block_kernel_report"):
+        count_calls(monkeypatch, counts, name, getattr(operators, name))
     config = {"model": {"kind": "heisenberg", "m": 2, "sectors": [1]},
               "checks": ["spectrum", "vanishing"], "tolerances": {"shell": 1e-6}}
     main(["run", "--config", write_config(tmp_path, config), "--out", str(tmp_path / "art")])
-    assert counts == {"kernel_report": 1}
+    assert counts == {"kernel_report": 0, "block_kernel_report": 1}
 
 
 def test_config_tolerances_reach_torus_cohomology(tmp_path, capsys):

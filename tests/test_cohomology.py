@@ -19,7 +19,7 @@ from crspin.cohomology import (
 )
 from crspin import cohomology, operators
 from crspin.models import TorusLattice, TruncationSpec, cr_alpha_bundle, heisenberg_model
-from crspin.operators import KernelCount, assemble_dplus, assemble_kohn_dirac, kernel_report
+from crspin.operators import KernelCount, assemble_dplus, assemble_kohn_dirac, block_kernel_report, kernel_report
 from crspin.sections import SectionSpace
 
 
@@ -261,11 +261,11 @@ def test_spinor_table_matches_form_table():
 
 
 def test_uncertified_kernel_names_its_location_on_both_routes(monkeypatch):
-    def uncertified_report(op, tol=1e-8, shell_tol=1e-8):
-        return {q: KernelCount(1, False, 0, 0.25) for q in range(op.space.m + 1)}
+    def uncertified_report(space, stack, tol=1e-8, shell_tol=1e-8, gram=True):
+        return {q: KernelCount(1, False, 0, 0.25) for q in range(space.m + 1)}
 
-    monkeypatch.setattr(operators, "kernel_report", uncertified_report)
-    monkeypatch.setattr(cohomology, "kernel_report", uncertified_report)
+    monkeypatch.setattr(operators, "block_kernel_report", uncertified_report)
+    monkeypatch.setattr(cohomology, "block_kernel_report", uncertified_report)
     routes = [
         lambda: shift_table(cr_alpha_bundle(2, c=1), s_range=[1]),
         lambda: harmonic_spinor_table(SectionSpace(heisenberg_model(2, k=1))),
@@ -286,13 +286,14 @@ def test_shift_table_passes_tolerances_to_kernel_counts(monkeypatch):
     # amplitudes are exactly 0 or 1; check the shell tolerance arrives
     seen = []
 
-    def recording_report(op, tol=1e-8, shell_tol=1e-8):
-        seen.append((tol, shell_tol))
-        return kernel_report(op, tol=tol, shell_tol=shell_tol)
+    def recording_report(space, stack, tol=1e-8, shell_tol=1e-8, gram=True):
+        seen.append((tol, shell_tol, gram))
+        return block_kernel_report(space, stack, tol=tol, shell_tol=shell_tol, gram=gram)
 
-    monkeypatch.setattr(cohomology, "kernel_report", recording_report)
+    monkeypatch.setattr(cohomology, "block_kernel_report", recording_report)
     shift_table(model, s_range=[-1, 1], tol=1e-6, shell_tol=1e-3)
-    assert seen == [(1e-6, 1e-3)] * 2
+    # box is Hermitian and keeps the degree: its blocks are eigensolved directly
+    assert seen == [(1e-6, 1e-3, False)] * 2
 
 
 def test_basis_map_is_subset_identity():

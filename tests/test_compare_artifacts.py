@@ -34,6 +34,45 @@ def test_first_difference_reports_the_end_of_a_shorter_file(tool, tmp_path):
     )
 
 
+def test_numeric_delta_is_the_largest_token_difference(tool, tmp_path):
+    parent, change = tmp_path / "parent.csv", tmp_path / "change.csv"
+    parent.write_text("q,value\n1,2.5e-15\n-1,4.0000000000000000e+00\n")
+    change.write_text("q,value\n1,7.5e-15\n-1,4.0000000000000009e+00\n")
+    assert tool.numeric_delta(parent, change) == pytest.approx(8.9e-16, rel=1e-2)
+    change.write_text("q,value\n1,2.5e-15\n-1,4.0000000000000000e+00\n")
+    assert tool.numeric_delta(parent, change) == 0.0
+
+
+def test_numeric_delta_needs_the_same_text_between_numbers(tool, tmp_path):
+    parent, change = tmp_path / "parent.json", tmp_path / "change.json"
+    parent.write_text('{"passed": true, "value": 1.5}\n')
+    change.write_text('{"passed": false, "value": 1.5}\n')
+    assert tool.numeric_delta(parent, change) is None
+    change.write_text('{"passed": true, "value": 1.5, "extra": 2}\n')
+    assert tool.numeric_delta(parent, change) is None
+
+
+def test_compare_prints_the_numeric_delta_under_each_differing_file(tool, tmp_path, monkeypatch, capsys):
+    tables = {"parent": {"a.csv": "x,1.0\n", "b.json": '{"ok": true}\n'},
+              "change": {"a.csv": "x,1.5\n", "b.json": '{"ok": false}\n'}}
+
+    def fake_run(src, config_path, out, fmt):
+        out.mkdir(parents=True)
+        for name, text in tables[src.name].items():
+            (out / name).write_text(text)
+        return 0
+
+    monkeypatch.setattr(tool, "run_tree", fake_run)
+    monkeypatch.setattr(tool, "cases", lambda: [("case", {}, "csv")])
+    trees = {label: tmp_path / label for label in ("parent", "change")}
+    (tmp_path / "work").mkdir()
+    assert tool.compare(trees, tmp_path / "work") == 1
+    out = capsys.readouterr().out
+    assert "case/a.csv: bytes differ\n" in out and "  max |delta| over numeric tokens: 5.000e-01\n" in out
+    assert out.count("max |delta|") == 1  # b.json differs in its text
+    assert out.endswith("1 configs, 2 files, 2 differing, 0 exit-code mismatches\n")
+
+
 def test_readme_config_block_parses(tool):
     config = tool.readme_config()
     assert set(config) >= {"model", "checks"}

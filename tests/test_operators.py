@@ -17,6 +17,7 @@ from crspin.operators import (
     assemble_nabla_T,
     assemble_sub_laplacian,
     assemble_twistor,
+    block_kernel_report,
     dirac_kernel,
     grading_defect,
     gram,
@@ -163,6 +164,27 @@ def test_sub_laplacian_defect_allocates_no_full_space_matrix():
     assert peak < 0.25 * space.dim**2 * np.dtype(complex).itemsize
 
 
+LADDER3 = [SectionSpace(heisenberg_model(3, k=k, truncation=TruncationSpec(fourier_radius=1, ladder_levels=5)))
+           for k in (-1, 1)]
+
+
+@pytest.mark.parametrize("space", SPACES + LADDER3, ids=IDS + [sp.describe() for sp in LADDER3])
+def test_nabla_T_defect_is_the_full_space_maximum(space):
+    full = space.interior_max(assemble_nabla_T(space, "formula").mat - assemble_nabla_T(space, "direct").mat)
+    assert nabla_T_defect(space) == full
+
+
+def test_nabla_T_defect_allocates_no_full_space_matrix():
+    space = LADDER3[1]
+    tracemalloc.start()
+    try:
+        nabla_T_defect(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * space.dim**2 * np.dtype(complex).itemsize
+
+
 def test_sub_laplacian_annihilates_constants():
     space = SectionSpace(heisenberg_model(2, k=0))
     lap = assemble_sub_laplacian(space)
@@ -285,15 +307,16 @@ def test_kernel_report_flags_top_rung_artifacts():
 def test_dirac_kernel_runs_once_per_space_and_tolerances(monkeypatch):
     calls = []
 
-    def counting_report(op, tol=1e-8, shell_tol=1e-8):
-        calls.append((op.name, tol, shell_tol))
-        return kernel_report(op, tol=tol, shell_tol=shell_tol)
+    def counting_report(space, stack, tol=1e-8, shell_tol=1e-8, gram=True):
+        calls.append((stack.shape, tol, shell_tol, gram))
+        return block_kernel_report(space, stack, tol=tol, shell_tol=shell_tol, gram=gram)
 
-    monkeypatch.setattr(operators, "kernel_report", counting_report)
+    monkeypatch.setattr(operators, "block_kernel_report", counting_report)
+    monkeypatch.setattr(operators, "kernel_report", None)  # no full-space route
     space = SectionSpace(heisenberg_model(2, k=1))
     first = dirac_kernel(space)
     assert dirac_kernel(space, 1e-8, 1e-8) == first
-    assert calls == [("D", 1e-8, 1e-8)]
+    assert calls == [((len(space.blocks()), 4, 4), 1e-8, 1e-8, True)]
     dirac_kernel(space, shell_tol=1e-6)
     dirac_kernel(SectionSpace(heisenberg_model(2, k=1)))
     assert len(calls) == 3

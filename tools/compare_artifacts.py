@@ -14,7 +14,9 @@ rounding does not depend on thread scheduling.
 Prints every config whose exit codes differ and every artifact file that
 exists under one tree only or differs in bytes, then one summary line.
 Under each file that differs in bytes it prints the first differing line:
-its number, the parent text and the change text.
+its number, the parent text and the change text.  When the two files
+differ only in their numbers (the text between numeric tokens is the
+same), it also prints the largest |parent - change| over those tokens.
 Exits 0 when both trees wrote the same files with the same bytes and
 exit codes, 1 otherwise.  ``perfbench/`` is read, never written.
 """
@@ -73,6 +75,18 @@ def first_difference(parent: Path, change: Path) -> str:
     return f"  line {n + 1}: parent {text(old)}\n  line {n + 1}: change {text(new)}"
 
 
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def numeric_delta(parent: Path, change: Path) -> float | None:
+    """Largest |parent - change| over the numeric tokens of two files, or None
+    when their text between the numbers differs."""
+    old, new = (path.read_text() for path in (parent, change))
+    if _NUMBER.split(old) != _NUMBER.split(new):
+        return None
+    return max((abs(float(a) - float(b)) for a, b in zip(_NUMBER.findall(old), _NUMBER.findall(new))), default=0.0)
+
+
 def compare(trees: dict[str, Path], work: Path) -> int:
     files = differing = code_clashes = 0
     for name, config, fmt in cases():
@@ -96,6 +110,9 @@ def compare(trees: dict[str, Path], work: Path) -> int:
                 differing += 1
                 print(f"{name}/{file}: bytes differ")
                 print(first_difference(parent / file, change / file))
+                delta = numeric_delta(parent / file, change / file)
+                if delta is not None:
+                    print(f"  max |delta| over numeric tokens: {delta:.3e}")
     print(f"{len(cases())} configs, {files} files, {differing} differing, "
           f"{code_clashes} exit-code mismatches")
     return 0 if differing == 0 and code_clashes == 0 else 1
