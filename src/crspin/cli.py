@@ -47,11 +47,11 @@ is built once, and so is the torus shift table (one stacked Kohn
 Laplacian per sector).  Spectrum, cohomology and vanishing read one
 ``dirac_kernel`` per sector, counted from the per-slot blocks of D with
 batched 2^m x 2^m eigensolves, whose eigenvalues fill the spectrum
-tables; these three checks form no full-space matrix.  Identities
-assembles D+ and D- once per sector: its
-algebraic rows read them, and every Lichnerowicz residual is read off
-the square of their sum D, formed after the halves are dropped.  No
-matrix outlives its check.  The conformal check is pointwise in exact
+tables.  Identities stacks the per-slot blocks of D+ and D- once per
+sector: its algebraic rows read them, and every Lichnerowicz residual
+is read off the blockwise square of their sum D, formed after the
+halves are dropped.  No check forms a full-space matrix, and no matrix
+outlives its check.  The conformal check is pointwise in exact
 trigonometric fields and depends only on the CR dimension, not on the
 sector, so it is evaluated once and that one value is reported under
 every sector key.
@@ -78,11 +78,12 @@ from .models import (
     sphere_model,
 )
 from .operators import (
-    assemble_dminus,
-    assemble_dplus,
+    block_grading_defect,
+    block_square,
     cluster_eigenvalues,
     dirac_kernel,
-    grading_defect,
+    dminus_terms,
+    dplus_terms,
     nabla_T_defect,
     sub_laplacian_defect,
 )
@@ -271,18 +272,17 @@ def _check_identities(model, config, memo: _RunMemo) -> CheckResult:
     per_sector = {}
     for sector in sectors:
         space = memo.space(sector)
-        dplus, dminus = assemble_dplus(space), assemble_dminus(space)
+        plus, minus = space.stack(dplus_terms(space)), space.stack(dminus_terms(space))
         residuals = {
-            ("dirac_plus_squared", "algebraic"): float(np.abs(dplus.mat @ dplus.mat).max()),
-            ("dirac_minus_squared", "algebraic"): float(np.abs(dminus.mat @ dminus.mat).max()),
-            ("adjoint_defect", "algebraic"): float(np.abs(dminus.mat - dplus.mat.conj().T).max()),
-            ("grading_defect", "algebraic"): max(grading_defect(dplus), grading_defect(dminus)),
+            ("dirac_plus_squared", "algebraic"): float(np.abs(block_square(plus)).max()),
+            ("dirac_minus_squared", "algebraic"): float(np.abs(block_square(minus)).max()),
+            ("adjoint_defect", "algebraic"): float(np.abs(minus - plus.conj().transpose(0, 2, 1)).max()),
+            ("grading_defect", "algebraic"): max(block_grading_defect(space, plus, 1),
+                                                 block_grading_defect(space, minus, -1)),
         }
-        square = dplus.mat + dminus.mat  # D, bitwise assemble_kohn_dirac(space).mat
-        del dplus, dminus  # no half lives beside the square
-        square = square @ square  # rebinding frees D
-        lichnerowicz, covariant = square_residuals(space, square)
-        del square
+        dirac = plus + minus  # blocks of D, bitwise space.stack(dplus_terms + dminus_terms)
+        del plus, minus  # no half lives beside D and its square
+        lichnerowicz, covariant = square_residuals(space, block_square(dirac))
         residuals.update({
             ("sub_laplacian_routes", "dual_assembly"): sub_laplacian_defect(space),
             ("reeb_routes", "dual_assembly"): float(nabla_T_defect(space)),

@@ -115,13 +115,11 @@ def _shift_defects(space: SectionSpace, box: np.ndarray) -> dict[int, float]:
     """
     box_bar = space.stack([(np.eye(space.fiber_dim), horizontal_laplacians(space)[0])])
     weight = -2.0 * space.t
-    interior = space.block_interior()
     out: dict[int, float] = {}
     for q in range(space.m + 1):
         fib = space.module.grade_slice(q)
         diff = box[:, fib, fib] - box_bar[:, fib, fib] - (space.m - q) * weight * np.eye(fib.stop - fib.start)
-        diff = diff[interior[:, fib, None] & interior[:, None, fib]]
-        out[q] = float(np.abs(diff).max()) if diff.size else 0.0
+        out[q] = space.block_interior_max(diff, fib)
     return out
 
 

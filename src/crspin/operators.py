@@ -8,7 +8,9 @@ term is formed directly by ``SectionSpace.mixed``; no two lifted
 full-space matrices are ever multiplied.  D+ and D- are written once, as
 lists of (fiber, base) terms (``dplus_terms``, ``dminus_terms``):
 ``SectionSpace.dense`` sums a list into the full-space matrix and
-``SectionSpace.stack`` into its per-slot blocks of at most 2^m rows.
+``SectionSpace.stack`` into its per-slot blocks of at most 2^m rows;
+``block_square`` and ``block_grading_defect`` read squares and grading
+off those blocks.
 In the unitary frame the Kohn-Dirac operator splits as
 
     D = D_plus + D_minus,
@@ -76,6 +78,8 @@ __all__ = [
     "twistor_contraction",
     "gram",
     "grading_defect",
+    "block_square",
+    "block_grading_defect",
     "cluster_eigenvalues",
     "spectrum",
     "kernel_dim",
@@ -307,6 +311,25 @@ def grading_defect(op: OperatorMatrix) -> float:
             if sub.size:
                 worst = max(worst, np.abs(sub).max())
     return worst
+
+
+def block_square(stack: np.ndarray) -> np.ndarray:
+    """A @ A block by block, for the per-slot blocks ``stack`` of an operator A (``SectionSpace.stack``).
+
+    The blocks carry every nonzero entry of A, so these are the blocks of
+    the full-space square.  ``np.einsum`` sums each entry in an order that
+    rounds like the dense ``zgemm`` on most spaces; a batched ``@`` rounds
+    differently more often.
+    """
+    return np.einsum("bij,bjk->bik", stack, stack)
+
+
+def block_grading_defect(space: SectionSpace, stack: np.ndarray, degree_shift: int) -> float:
+    """``grading_defect`` read off per-slot blocks: the largest |entry| between fiber
+    states whose degrees differ (output minus input) by other than ``degree_shift``."""
+    degree = np.array([len(s) for s in space.module.subsets])
+    entries = stack[:, degree[:, None] - degree[None, :] != degree_shift]
+    return float(np.abs(entries).max()) if entries.size else 0.0
 
 
 def cluster_eigenvalues(evals, tol: float = 1e-8) -> list[tuple[float, int]]:

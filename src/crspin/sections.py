@@ -46,6 +46,8 @@ row j lists, for every fiber state, the base index that completes it to
 label j, or -1 where the cutoff removed that state.  ``stack(terms)``
 forms the blocks of a sum of (fiber, base) Kronecker terms, entry for
 entry the same products ``mixed`` forms, without the dim x dim matrix.
+It checks every term against the labels first and raises on one that
+would move a state between blocks, since the blocks cannot hold it.
 """
 
 from __future__ import annotations
@@ -141,6 +143,8 @@ class SectionSpace:
 
         self.base_dim = self.nabla_e[0].shape[0]
         self.dim = self.fiber_dim * self.base_dim
+        # fiber occupations, one row per fiber state: bit a is set when slot a+1 is in the subset
+        self._bits = np.array([[a in s for a in range(1, self.m + 1)] for s in self.module.subsets], dtype=int)
         self._partners = None
 
     def _build_fourier(self, lattice: TorusLattice, radius: int):
@@ -213,8 +217,7 @@ class SectionSpace:
             if self.kind == "fourier":
                 partners = np.repeat(np.arange(self.base_dim)[:, None], self.fiber_dim, axis=1)
             else:
-                levels = self.ladder_levels
-                bits = np.array([[a in s for a in range(1, self.m + 1)] for s in self.module.subsets], dtype=int)
+                levels, bits = self.ladder_levels, self._bits
                 span = range(levels + 1) if self.t > 0 else range(1 - levels, 2)
                 labels = np.array(list(itertools.product(span, repeat=self.m)), dtype=int)
                 occ = labels[:, None, :] - bits if self.t > 0 else bits - labels[:, None, :]
@@ -232,27 +235,71 @@ class SectionSpace:
             out += self.mixed(fiber_mat, base_mat)
         return out
 
-    def stack(self, terms) -> np.ndarray:
-        """Blocks of ``dense(terms)``, shape (n_blocks, fiber_dim, fiber_dim).
+    def stack(self, terms, states: slice = slice(None)) -> np.ndarray:
+        """Blocks of ``dense(terms)``, shape (n_blocks, k, k) for the k fiber states ``states``.
 
         Entry [j, s, s'] is the full-space entry between the block-j states
         of fiber states s and s', formed by the same products and sums as
         the full-space matrix; entries of states the cutoff removed are 0.
+        The fiber factors are k x k matrices on ``states`` (by default all
+        fiber states).  Blocks hold only in-block entries, so a term that
+        moves a state between blocks raises ``ValueError`` instead of being
+        dropped (``_check_term``).  ``terms`` is iterated once.
         """
-        partners = self.blocks()
+        partners = self.blocks()[:, states]
         present = partners >= 0
         base = np.where(present, partners, 0)
         rows, cols = base[:, :, None], base[:, None, :]
-        out = np.zeros((len(partners), self.fiber_dim, self.fiber_dim), dtype=complex)
-        for fiber_mat, base_mat in terms:
-            out += np.asarray(fiber_mat, dtype=complex)[None] * np.asarray(base_mat, dtype=complex)[rows, cols]
+        out = np.zeros((len(partners), partners.shape[1], partners.shape[1]), dtype=complex)
+        for index, (fiber_mat, base_mat) in enumerate(terms):
+            fiber_mat, base_mat = np.asarray(fiber_mat, dtype=complex), np.asarray(base_mat, dtype=complex)
+            self._check_term(index, fiber_mat, base_mat, states)
+            out += fiber_mat[None] * base_mat[rows, cols]
         out[~(present[:, :, None] & present[:, None, :])] = 0.0
         return out
+
+    def _check_term(self, index: int, fiber_mat: np.ndarray, base_mat: np.ndarray, states: slice):
+        """Raise ``ValueError`` unless the term fiber_mat (x) base_mat keeps every per-slot label.
+
+        Read off the factors' nonzero entries: on Fourier sectors the base
+        factor must be diagonal; on ladder sectors every fiber shift of the
+        occupation bits plus (t > 0) or minus (t < 0) every base shift of
+        the ladder occupations must vanish.
+        """
+        base_rows, base_cols = np.nonzero(base_mat)
+        base_shifts = self.labels[base_rows] - self.labels[base_cols]
+        if self.kind == "fourier":
+            moved = np.flatnonzero(base_rows != base_cols)
+            if moved.size:
+                raise ValueError(f"{self.model.kind} sector {self.sector}: term {index} moves states between "
+                                 f"per-slot blocks (base factor not diagonal, frequency shift "
+                                 f"{tuple(base_shifts[moved[0]].tolist())})")
+            return
+        bits = self._bits[states]
+        fiber_rows, fiber_cols = np.nonzero(fiber_mat)
+        fiber_shifts = bits[fiber_rows] - bits[fiber_cols]
+        if not (fiber_shifts.size and base_shifts.size):
+            return
+        sign = 1 if self.t > 0 else -1
+        # every pair sums to zero iff every shift pairs to zero with the other factor's first one
+        pairs = [(i, 0) for i in np.flatnonzero((fiber_shifts + sign * base_shifts[0]).any(axis=1))]
+        pairs += [(0, j) for j in np.flatnonzero((fiber_shifts[0] + sign * base_shifts).any(axis=1))]
+        if pairs:
+            i, j = pairs[0]
+            raise ValueError(f"{self.model.kind} sector {self.sector}: term {index} moves states between "
+                             f"per-slot blocks (fiber shift {tuple(fiber_shifts[i].tolist())}, "
+                             f"base shift {tuple(base_shifts[j].tolist())})")
 
     def block_interior(self) -> np.ndarray:
         """Interior flags of the block states, shaped like ``blocks()``; False where the cutoff removed a state."""
         partners = self.blocks()
         return (partners >= 0) & self.interior[np.maximum(partners, 0)]
+
+    def block_interior_max(self, stack: np.ndarray, states: slice = slice(None)) -> float:
+        """Largest |entry| of ``stack`` (per-slot blocks on the fiber states ``states``) between interior states."""
+        inside = self.block_interior()[:, states]
+        entries = stack[inside[:, :, None] & inside[:, None, :]]
+        return float(np.abs(entries).max()) if entries.size else 0.0
 
     def interior_mask(self) -> np.ndarray:
         """Interior flags expanded to the full fiber x base index set."""

@@ -10,7 +10,9 @@ data, splits them into a Ricci derivation part and a trace-free
 remainder, and measures residuals of the formula on section spaces: the
 Lichnerowicz identity is the formula on every block at the model's
 twist, and the fixed-weight identity is its twist-ell case on the block
-mu = -ell.  Both build their right-hand sides with ``_rhs_block``.
+mu = -ell.  Both read D^2 as per-slot blocks (``SectionSpace.stack``,
+``block_square``) and build their right-hand sides with ``_rhs_block``
+on the same blocks, so no full-space matrix is formed.
 
 It also hosts the conformal covariance checks: under a rescaling of the
 contact form by exp(2 f), suitably weighted powers of exp(-f) intertwine
@@ -46,7 +48,9 @@ from .fields import (
 )
 from .models import PseudoHermitianModel, rho_frame_components
 from .operators import (
-    assemble_kohn_dirac,
+    block_square,
+    dminus_terms,
+    dplus_terms,
     horizontal_laplacians,
     twistor_weights,
 )
@@ -150,45 +154,54 @@ def q_split(model: PseudoHermitianModel, ell: int, q: int) -> tuple[np.ndarray, 
 
 
 def _rhs_block(space: SectionSpace, laps, twist: int, q: int) -> np.ndarray:
-    """Right-hand side of the square formula on the weight-q block, at block size.
+    """Right-hand side of the square formula on the weight-q block, as per-slot blocks of its fiber slice.
 
     ((m - mu)/m) laps[0] + ((m + mu)/m) laps[1] + curvature_term(model, twist, q),
-    with mu = m - 2q and laps = ``horizontal_laplacians(space)``.
+    with mu = m - 2q and laps = ``horizontal_laplacians(space)``, stacked on
+    ``grade_slice(q)``: shape (n_blocks, C(m, q), C(m, q)).
     """
     m, mu = space.m, space.m - 2 * q
     eye = np.eye(space.module.grade_dim(q))
-    rhs = space.mixed((1.0 - mu / m) * eye, laps[0])
-    rhs += space.mixed((1.0 + mu / m) * eye, laps[1])
-    rhs += space.mixed(curvature_term(space.model, twist, q).as_matrix, np.eye(space.base_dim))
-    return rhs
+    terms = [((1.0 - mu / m) * eye, laps[0]),
+             ((1.0 + mu / m) * eye, laps[1]),
+             (curvature_term(space.model, twist, q).as_matrix, np.eye(space.base_dim))]
+    return space.stack(terms, states=space.module.grade_slice(q))
 
 
 def _lichnerowicz_residual(space: SectionSpace, square: np.ndarray, laps) -> float:
-    """Interior residual of D^2 against the square formula at the model's twist, over the whole matrix."""
-    rhs = np.zeros_like(square)
+    """Interior residual of D^2 against the square formula at the model's twist, over the whole matrix.
+
+    The formula keeps the degree, so between two degrees the residual is
+    D^2's own entry.
+    """
+    diff = square.copy()
     for q in range(space.m + 1):
-        block = space.grade_block(q)
-        rhs[block, block] = _rhs_block(space, laps, space.model.ell, q)
-    return space.interior_max(square - rhs)
+        fib = space.module.grade_slice(q)
+        diff[:, fib, fib] -= _rhs_block(space, laps, space.model.ell, q)
+    return space.block_interior_max(diff)
 
 
 def _fixed_weight_residual(space: SectionSpace, square: np.ndarray, laps, ell: int) -> float:
     """Interior residual of D^2 against the square formula at twist ell on its block mu = -ell."""
     q = (space.m + ell) // 2
-    block = space.grade_block(q)
-    return space.interior_max(square[block, block] - _rhs_block(space, laps, ell, q), block)
+    fib = space.module.grade_slice(q)
+    return space.block_interior_max(square[:, fib, fib] - _rhs_block(space, laps, ell, q), fib)
+
+
+def _dirac_square(space: SectionSpace) -> np.ndarray:
+    """Per-slot blocks of D^2, D = D+ + D-."""
+    return block_square(space.stack(dplus_terms(space) + dminus_terms(space)))
 
 
 def sl_residual(space: SectionSpace) -> float:
     """Interior residual of the Schroedinger-Lichnerowicz identity.
 
     Compares D^2 against the weighted sum of horizontal Laplacians plus
-    the curvature term, all as assembled matrices, on the interior
-    coefficients of the section space (ladder truncations distort only
-    the top-rung shell).
+    the curvature term, on the interior coefficients of the section
+    space (ladder truncations distort only the top-rung shell).  Both
+    sides are read off per-slot blocks.
     """
-    square = np.linalg.matrix_power(assemble_kohn_dirac(space).mat, 2)
-    return _lichnerowicz_residual(space, square, horizontal_laplacians(space))
+    return _lichnerowicz_residual(space, _dirac_square(space), horizontal_laplacians(space))
 
 
 def dl_residual(space: SectionSpace, ell: int) -> float:
@@ -210,12 +223,15 @@ def dl_residual(space: SectionSpace, ell: int) -> float:
         raise ValueError(
             f"no weight block mu = {-ell} for m = {m}; ell must lie in {{-m, -m+2, ..., m}}"
         )
-    square = np.linalg.matrix_power(assemble_kohn_dirac(space).mat, 2)
-    return _fixed_weight_residual(space, square, horizontal_laplacians(space), ell)
+    return _fixed_weight_residual(space, _dirac_square(space), horizontal_laplacians(space), ell)
 
 
 def square_residuals(space: SectionSpace, square: np.ndarray) -> tuple[float, dict[int, float]]:
-    """(``sl_residual``, {ell: ``dl_residual``} at every admissible ell), bit for bit, off the Dirac ``square`` D @ D."""
+    """(``sl_residual``, {ell: ``dl_residual``} at every admissible ell), bit for bit, off ``square``.
+
+    ``square`` holds the per-slot blocks of D^2, shape (n_blocks, 2^m, 2^m),
+    as ``block_square`` forms them from the blocks of D.
+    """
     laps = horizontal_laplacians(space)
     weights = range(-space.m, space.m + 1, 2)
     return (_lichnerowicz_residual(space, square, laps),

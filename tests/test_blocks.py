@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from crspin import cli
 from crspin.cohomology import (
     holomorphic_laplacian,
     kohn_laplacian,
@@ -14,13 +15,20 @@ from crspin.cohomology import (
 )
 from crspin.models import TruncationSpec, cr_alpha_bundle, heisenberg_model
 from crspin.operators import (
+    assemble_dminus,
+    assemble_dplus,
     assemble_kohn_dirac,
+    assemble_nabla_T,
+    assemble_sub_laplacian,
     dirac_kernel,
     dminus_terms,
     dplus_terms,
+    grading_defect,
+    horizontal_laplacians,
     kernel_report,
 )
 from crspin.sections import SectionSpace
+from crspin.weitzenboeck import curvature_term
 
 LADDER3 = TruncationSpec(fourier_radius=1, ladder_levels=5)
 
@@ -147,3 +155,89 @@ def test_block_kernels_reject_nonpositive_tolerances():
             dirac_kernel(space, tol=tol)
         with pytest.raises(ValueError, match="kernel tolerance must be positive"):
             shift_table(cr_alpha_bundle(1, c=1), s_range=[1], tol=tol)
+
+
+def dense_rhs(space, laps, twist, q):
+    """Full-space degree-q block of the square formula's right-hand side, summed term by term."""
+    m, mu = space.m, space.m - 2 * q
+    eye = np.eye(space.module.grade_dim(q))
+    rhs = space.mixed((1.0 - mu / m) * eye, laps[0])
+    rhs += space.mixed((1.0 + mu / m) * eye, laps[1])
+    rhs += space.mixed(curvature_term(space.model, twist, q).as_matrix, np.eye(space.base_dim))
+    return rhs
+
+
+def dense_identity_rows(space):
+    """Every row of the identities check, from full-space matrices."""
+    dplus, dminus = assemble_dplus(space), assemble_dminus(space)
+    rows = {
+        "dirac_plus_squared": float(np.abs(dplus.mat @ dplus.mat).max()),
+        "dirac_minus_squared": float(np.abs(dminus.mat @ dminus.mat).max()),
+        "adjoint_defect": float(np.abs(dminus.mat - dplus.mat.conj().T).max()),
+        "grading_defect": float(max(grading_defect(dplus), grading_defect(dminus))),
+        "sub_laplacian_routes": float(np.abs(assemble_sub_laplacian(space, "complex").mat
+                                             - assemble_sub_laplacian(space, "real").mat).max()),
+        "reeb_routes": space.interior_max(assemble_nabla_T(space, "formula").mat - assemble_nabla_T(space, "direct").mat),
+        "sector_identity": max(dense_shift_defects(space).values()),
+    }
+    dirac = assemble_kohn_dirac(space).mat
+    square = dirac @ dirac
+    laps = horizontal_laplacians(space)
+    rhs = np.zeros_like(square)
+    for q in range(space.m + 1):
+        block = space.grade_block(q)
+        rhs[block, block] = dense_rhs(space, laps, space.model.ell, q)
+    rows["lichnerowicz_residual"] = space.interior_max(square - rhs)
+    for ell in range(-space.m, space.m + 1, 2):
+        q = (space.m + ell) // 2
+        block = space.grade_block(q)
+        rows[f"covariant_dirac_residual_ell={ell}"] = space.interior_max(
+            square[block, block] - dense_rhs(space, laps, ell, q), block)
+    return rows
+
+
+def identity_rows(space):
+    """The identities check's report on one sector of ``space.model``."""
+    config = {"model": {"sectors": [space.sector]}, "tolerances": dict(cli.TOLERANCE_DEFAULTS)}
+    result = cli._check_identities(space.model, config, cli._RunMemo(space.model, config))
+    return result.report["sectors"][str(space.sector)]
+
+
+@pytest.mark.parametrize("space", SPACES, ids=IDS)
+def test_identities_rows_are_the_dense_rows(space):
+    # exact where the block route reads the same floats; the D·D products
+    # sum in another order, so the square rows may round differently
+    blocks, dense = identity_rows(space), dense_identity_rows(space)
+    assert blocks.keys() == dense.keys()
+    for name in ("adjoint_defect", "grading_defect"):
+        assert blocks[name] == dense[name]
+    for name in blocks:
+        assert abs(blocks[name] - dense[name]) <= 1e-13, name
+
+
+def test_identities_check_allocates_no_full_space_matrix():
+    model = heisenberg_model(3, k=1, truncation=LADDER3)
+    config = {"model": {"sectors": [1]}, "tolerances": dict(cli.TOLERANCE_DEFAULTS)}
+    memo = cli._RunMemo(model, config)
+    space = memo.space(1)
+    assert space.dim == 1000
+    tracemalloc.start()
+    try:
+        assert cli._check_identities(model, config, memo).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * space.dim**2 * np.dtype(complex).itemsize
+
+
+@pytest.mark.parametrize("model", [heisenberg_model(2, k=1), heisenberg_model(2, k=-1), heisenberg_model(2, k=0)],
+                         ids=["t>0", "t<0", "fourier"])
+def test_stack_refuses_a_term_that_leaves_its_block(model):
+    space = SectionSpace(model)
+    # one entry off the pattern of the D- term of slot 1, term 2 of D's list
+    space.nabla_e[0][0, 1 if space.kind == "fourier" else 0] += 1e-3
+    shift = "frequency shift" if space.kind == "fourier" else r"fiber shift \(-1, 0\), base shift \(0, 0\)"
+    with pytest.raises(ValueError, match=rf"heisenberg sector {space.sector}: term 2 .*{shift}"):
+        dirac_kernel(space)
+    # the rest of D keeps its blocks
+    assert space.stack(dplus_terms(space)).shape == (len(space.blocks()), 4, 4)

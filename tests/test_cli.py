@@ -264,12 +264,12 @@ def count_calls(monkeypatch, counts, name, fn):
 
 @pytest.mark.parametrize("kind, expected", [
     # per sector: one Dirac kernel from blocks, shared by spectrum, cohomology and
-    # vanishing; identities sums its own D+ and D- for the square; one box stack
-    # in identities and one in the shift table, each counted from blocks
-    ("torus_bundle", {"assemble_kohn_dirac": 0, "assemble_dplus": 3, "kohn_laplacian": 0,
+    # vanishing; identities stacks its own D+ and D- blocks for the square; one box
+    # stack in identities and one in the shift table, each counted from blocks
+    ("torus_bundle", {"assemble_kohn_dirac": 0, "assemble_dplus": 0, "kohn_laplacian": 0,
                       "kohn_laplacian_terms": 6, "kernel_report": 0, "block_kernel_report": 6}),
     # spectrum, cohomology and vanishing all read the one Dirac kernel
-    ("heisenberg", {"assemble_kohn_dirac": 0, "assemble_dplus": 3, "kohn_laplacian": 0,
+    ("heisenberg", {"assemble_kohn_dirac": 0, "assemble_dplus": 0, "kohn_laplacian": 0,
                     "kohn_laplacian_terms": 3, "kernel_report": 0, "block_kernel_report": 3}),
 ])
 def test_run_forms_one_dirac_square_per_check_family(tmp_path, monkeypatch, kind, expected):
@@ -329,3 +329,32 @@ def test_config_tolerances_reach_torus_cohomology(tmp_path, capsys):
     )
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "art")]) == 1
     assert "check cohomology: FAIL (" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind", ["torus_bundle", "heisenberg"])
+def test_no_check_forms_a_full_space_matrix(tmp_path, monkeypatch, kind):
+    def refuse(*args, **kwargs):
+        raise AssertionError("full-space matrix formed")
+
+    for name in ("mixed", "dense"):
+        monkeypatch.setattr(sections.SectionSpace, name, refuse)
+    model = {"kind": kind, "m": 2, "ell": 0, "sectors": [-1, 0, 1]}
+    config = {"model": dict(model, flux=1) if kind == "torus_bundle" else model, "checks": list(cli.CHECK_NAMES)}
+    assert main(["run", "--config", write_config(tmp_path, config), "--out", str(tmp_path / "art")]) == 0
+
+
+def test_identities_fail_on_a_term_that_leaves_its_block(tmp_path, monkeypatch, capsys):
+    # D- of slot 1 gains one entry off its ladder pattern: the dense D+·D+ row would
+    # see it, so the block rows must refuse it rather than drop it
+    build = sections.SectionSpace.__init__
+
+    def perturbed(self, *args, **kwargs):
+        build(self, *args, **kwargs)
+        self.nabla_e[0][0, 0] += 1e-3
+
+    monkeypatch.setattr(sections.SectionSpace, "__init__", perturbed)
+    cfg = write_config(tmp_path, {"model": {"kind": "heisenberg", "m": 2, "sectors": [1]}, "checks": ["identities"]})
+    out = tmp_path / "art"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    assert "check identities: ERROR (heisenberg sector 1: term 0 moves states between per-slot blocks" in capsys.readouterr().out
+    assert json.loads((out / "identities_report.json").read_text())["passed"] is False

@@ -17,7 +17,7 @@ from crspin.models import (
     rho_frame_components,
     sphere_model,
 )
-from crspin.operators import assemble_kohn_dirac, assemble_sub_laplacian
+from crspin.operators import assemble_kohn_dirac, assemble_sub_laplacian, block_square, dminus_terms, dplus_terms
 from crspin.sections import SectionSpace
 from crspin.weitzenboeck import (
     ConformalScale,
@@ -222,8 +222,22 @@ def test_square_residuals_equal_single_identity_residuals(model):
     space = SectionSpace(model)
     weights = range(-model.m, model.m + 1, 2)
     single = (sl_residual(space), {ell: dl_residual(space, ell) for ell in weights})
-    dirac = assemble_kohn_dirac(space).mat
-    assert square_residuals(space, dirac @ dirac) == single
+    dirac = space.stack(dplus_terms(space) + dminus_terms(space))
+    assert square_residuals(space, block_square(dirac)) == single
+
+
+def test_lichnerowicz_residual_reads_off_degree_entries():
+    # the formula keeps the degree, so an entry of D^2 between degrees is all residual;
+    # the fixed-weight rows read only their own degree block
+    space = SectionSpace(heisenberg_model(2, k=1))
+    square = block_square(space.stack(dplus_terms(space) + dminus_terms(space)))
+    lichnerowicz, covariant = square_residuals(space, square)
+    # fiber states 0 and 3 have degrees 0 and 2; take a block where both are interior
+    j = np.flatnonzero(space.block_interior()[:, [0, 3]].all(axis=1))[0]
+    square[j, 3, 0] += 0.5
+    shifted, same = square_residuals(space, square)
+    assert lichnerowicz <= 1e-10 and abs(shifted - 0.5) <= 1e-10
+    assert same == covariant
 
 
 @pytest.mark.parametrize("model", [heisenberg_model(2, k=1), heisenberg_model(2, k=0)], ids=["ladder", "fourier"])
