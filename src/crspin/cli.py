@@ -27,7 +27,6 @@ Config schema (JSON object; unknown keys are rejected with their path):
         "algebraic": 1e-12,      exact operator identities
         "dual_assembly": 1e-10,  independent assembly routes, Weitzenboeck residuals
         "spectral": 1e-8,        kernel and eigenvalue thresholds
-        "shell": 1e-8,           truncation-shell certification
         "conformal": 1e-9        covariance defects
       }
     }
@@ -39,8 +38,9 @@ CSV floats in full-precision scientific notation, so reruns of the same
 config are byte-identical.  Exit status: 0 when every requested check
 passes, 1 when any check fails or errors, 2 on config problems.
 
-Truncation diagnostics (uncertified or shell-pinned kernel vectors) are
-reported as warnings; under ``--strict`` they fail the run.
+Truncation diagnostics (null vectors in per-slot blocks the top cutoff
+cut into, counted as ``spurious``) are reported as warnings; under
+``--strict`` they fail the run.
 
 The checks of one run share a per-run memo: each sector's SectionSpace
 is built once, and so is the torus shift table (one stacked Kohn
@@ -99,7 +99,6 @@ TOLERANCE_DEFAULTS = {
     "algebraic": 1e-12,
     "dual_assembly": 1e-10,
     "spectral": 1e-8,
-    "shell": 1e-8,
     "conformal": 1e-9,
 }
 
@@ -260,9 +259,8 @@ class _RunMemo:
 
     @cached_property
     def shift_table(self):
-        tol = self.config["tolerances"]
         return shift_table(self.model, s_range=tuple(self.config["model"]["sectors"]),
-                           tol=tol["spectral"], shell_tol=tol["shell"])
+                           tol=self.config["tolerances"]["spectral"])
 
 
 def _check_identities(model, config, memo: _RunMemo) -> CheckResult:
@@ -325,22 +323,14 @@ def _check_spectrum(model, config, memo: _RunMemo) -> CheckResult:
         space = memo.space(sector)
         rows = []
         kernels = {}
-        for q, count in dirac_kernel(space, tol=tol["spectral"], shell_tol=tol["shell"]).items():
+        for q, count in dirac_kernel(space, tol=tol["spectral"]).items():
             evals = count.eigenvalues
             min_eig = min(min_eig, float(evals.min()) if evals.size else np.inf)
             for value, mult in cluster_eigenvalues(evals, tol=tol["spectral"]):
                 rows.append([q, value, mult])
-            kernels[str(q)] = {
-                "dim": count.dim,
-                "certified": count.certified,
-                "spurious": count.spurious,
-                "max_shell_amplitude": count.max_shell_amplitude,
-            }
-            if 0 < q < space.m and (not count.certified or count.spurious):
-                warnings.append(
-                    f"sector {sector} q={q}: truncation shell activity "
-                    f"(certified={count.certified}, spurious={count.spurious})"
-                )
+            kernels[str(q)] = {"dim": count.dim, "spurious": count.spurious}
+            if 0 < q < space.m and count.spurious:
+                warnings.append(f"sector {sector} q={q}: truncation shell activity (spurious={count.spurious})")
         tables[f"spectrum_sector{sector}"] = {"header": ["q", "eigenvalue", "multiplicity"], "rows": rows}
         per_sector[str(sector)] = {"kernel": kernels}
     passed = min_eig >= -tol["spectral"]
@@ -362,8 +352,7 @@ def _check_cohomology(model, config, memo: _RunMemo) -> CheckResult:
         table = memo.shift_table
     else:
         # every sector's table carries the same notes, which depend only on m
-        parts = [harmonic_spinor_table(memo.space(sector), tol=tol["spectral"], shell_tol=tol["shell"])
-                 for sector in sectors]
+        parts = [harmonic_spinor_table(memo.space(sector), tol=tol["spectral"]) for sector in sectors]
         table = parts[0]
         table.rows.extend(row for part in parts[1:] for row in part.rows)
     analytic = table.dims(method="analytic")
@@ -405,7 +394,7 @@ def _check_vanishing(model, config, memo: _RunMemo) -> CheckResult:
     if model.has_section_space:
         for sector in _space_sectors(config):
             space = memo.space(sector)
-            for q, dim in spectral_consistency(verdicts, space, tol["spectral"], tol["shell"]).items():
+            for q, dim in spectral_consistency(verdicts, space, tol["spectral"]).items():
                 clashes[f"sector={sector},q={q}"] = dim
     payload["spectral_clashes"] = clashes
 

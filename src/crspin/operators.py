@@ -36,15 +36,17 @@ of Clifford contraction, with the degree-dependent weights
 a_q = 1/(2(q+1)) and b_q = 1/(2(m-q+1)).  Their output is stacked over
 2m coframe slots (the E_a slots first, then the Ebar_a slots).
 
-Kernel counts have two routes that apply one rule (null eigenvalues,
-shell leakage, the 0.5 cut and certification; ``_kernel_count``).
-``kernel_report`` eigensolves the full-space degree blocks of a dense
-operator and stays the reference.  ``block_kernel_report`` reads the
-per-slot blocks: per degree it takes the Gram matrix (or, for a Hermitian
-degree-preserving operator, the diagonal block) of the fixed fiber slice
-and makes one batched eigensolve per pattern of kept and shell states.
-``dirac_kernel``, which the spectral checks read, takes the block route,
-so they form no full-space matrix.
+Kernel counts rest on structure: a null vector in a complete per-slot
+block (``SectionSpace.block_complete``, no state lost to the top cutoff)
+is kernel, and one in any other block is a cutoff artifact.  Two routes
+apply this rule.  ``kernel_report`` eigensolves the full-space degree
+blocks of a dense operator and stays the reference.
+``block_kernel_report`` reads the per-slot blocks: per degree it takes
+the Gram matrix (or, for a Hermitian degree-preserving operator, the
+diagonal block) of the fixed fiber slice and makes one batched
+eigensolve per pattern of kept states.  ``dirac_kernel``, which the
+spectral checks read, takes the block route, so they form no full-space
+matrix.
 """
 
 from __future__ import annotations
@@ -361,97 +363,72 @@ def spectrum(op: OperatorMatrix, count: int | None = None, tol: float = 1e-8):
 
 @dataclass(frozen=True)
 class KernelCount:
-    """Kernel dimension of one grading block, with truncation diagnostics.
+    """Kernel dimension of one grading block, split by per-slot block completeness.
 
-    ``dim`` counts null vectors essentially supported on interior
-    coefficients; ``spurious`` counts null vectors rejected because they
-    concentrate on the truncation shell (ladder top rungs), which is the
-    signature of a cutoff artifact; ``certified`` is False when any
-    retained vector leaks more than the shell tolerance.  ``eigenvalues``
-    is the degree's full ascending spectrum (on the block route the sorted
-    union of the per-slot block spectra), read-only.
+    ``dim`` counts null vectors in complete blocks
+    (``SectionSpace.block_complete``), where the truncated operator acts
+    as the untruncated one, so they are kernel; ``spurious`` counts null
+    vectors in blocks the top cutoff cut into, which are cutoff artifacts.
+    ``eigenvalues`` is the degree's full ascending spectrum (on the block
+    route the sorted union of the per-slot block spectra), read-only.
     """
 
     dim: int
-    certified: bool
     spurious: int
-    max_shell_amplitude: float
     eigenvalues: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
-def _kernel_count(groups, tol: float, shell_tol: float) -> KernelCount:
-    """The null, shell-leak and certification rule on eigendecomposed Hermitian blocks.
-
-    ``groups`` holds (evals, vecs, shell) triples: a stack of blocks'
-    ascending eigenvalues (n, k) and eigenvectors (n, k, k), and the k-row
-    mask of truncation-shell coefficients the stack shares.  Null
-    directions (|eigenvalue| <= tol) are split by their shell leakage,
-    measured rotation-invariantly as the singular values of the shell
-    restriction of an orthonormal null basis: values near 1 are cutoff
-    artifacts pinned to the top rungs (``spurious``), values near 0 are
-    honest interior kernel vectors.  The counts sum over all blocks, and
-    ``eigenvalues`` is the sorted union of the block spectra, read-only.
-    """
-    dim = spurious = 0
-    worst, measured = 0.0, False
-    for evals, vecs, shell in groups:
-        null = np.abs(evals) <= tol
-        sizes = null.sum(axis=1)
-        if not shell.any():
-            dim += int(sizes.sum())
-            continue
-        for size in np.unique(sizes[sizes > 0]):
-            pick = sizes == size
-            # each block's null eigenvectors, in eigenvalue order
-            order = np.argsort(~null[pick], axis=1, kind="stable")[:, None, :size]
-            basis = np.take_along_axis(vecs[pick], order, axis=2)[:, shell, :]
-            # a block with fewer shell rows than null vectors has that many zero leaks more
-            leaks = np.linalg.svd(basis, compute_uv=False)
-            cut = leaks > 0.5
-            spurious += int(cut.sum())
-            dim += int(pick.sum()) * int(size) - int(cut.sum())
-            if not cut.all():
-                worst = max(worst, float(leaks[~cut].max()))
-            measured = True
-    eigenvalues = np.sort(np.concatenate([evals.ravel() for evals, _, _ in groups]))
+def _kernel_count(dim: int, spurious: int, spectra: list) -> KernelCount:
+    """KernelCount whose eigenvalues are the sorted, read-only union of ``spectra``."""
+    eigenvalues = np.sort(np.concatenate(spectra))
     eigenvalues.flags.writeable = False
-    return KernelCount(dim, worst <= shell_tol or not measured, spurious, worst, eigenvalues)
+    return KernelCount(dim, spurious, eigenvalues)
 
 
-def kernel_report(
-    op: OperatorMatrix, tol: float = 1e-8, shell_tol: float = 1e-8
-) -> dict[int, KernelCount]:
-    """Per-degree kernel counts of an operator, via its square when needed."""
+def kernel_report(op: OperatorMatrix, tol: float = 1e-8) -> dict[int, KernelCount]:
+    """Per-degree kernel counts of a dense operator, via its square when needed; the test reference.
+
+    The null count of each degree block comes from one eigensolve.  The
+    states of complete blocks span an invariant subspace, so ``dim`` is
+    the null count of the principal submatrix on them and ``spurious``
+    the rest.
+    """
     if tol <= 0:
         raise ValueError("kernel tolerance must be positive")
     space = op.space
     sq = op.mat
     if op.mu_shift != 0 or op.hermitian_defect() > 1e-10 * (1.0 + np.abs(op.mat).max()):
         sq = op.mat.conj().T @ op.mat
-    shell = ~space.interior_mask()
+    partners = space.blocks()
+    block, state = np.nonzero(partners >= 0)
+    complete = np.zeros(space.dim, dtype=bool)  # fiber-major full-space index of every block state
+    complete[state * space.base_dim + partners[block, state]] = space.block_complete()[block]
     out: dict[int, KernelCount] = {}
     for q in range(space.m + 1):
         rows = space.grade_block(q)
-        evals, vecs = np.linalg.eigh(sq[rows, rows])
-        out[q] = _kernel_count([(evals[None], vecs[None], shell[rows])], tol, shell_tol)
+        sub, keep = sq[rows, rows], complete[rows]
+        evals = np.linalg.eigvalsh(sub)
+        dim = int((np.abs(np.linalg.eigvalsh(sub[np.ix_(keep, keep)])) <= tol).sum())
+        out[q] = _kernel_count(dim, int((np.abs(evals) <= tol).sum()) - dim, [evals])
     return out
 
 
 def block_kernel_report(
-    space: SectionSpace, stack: np.ndarray, tol: float = 1e-8, shell_tol: float = 1e-8, gram: bool = True
+    space: SectionSpace, stack: np.ndarray, tol: float = 1e-8, gram: bool = True
 ) -> dict[int, KernelCount]:
     """``kernel_report`` of the operator whose per-slot blocks are ``stack`` (``SectionSpace.stack``).
 
     Degree q is eigensolved through the Gram matrix of the fixed fiber
     slice ``grade_slice(q)`` of every block, or, with ``gram=False`` (a
     Hermitian operator that keeps the degree), through the slice's
-    diagonal blocks.  Blocks that keep the same states of that slice
-    (and put the same ones on the shell) share one batched ``eigh``.
+    diagonal blocks.  Blocks that keep the same states of that slice share
+    one batched ``eigvalsh``.  Each block's null count goes to ``dim`` if
+    the block is complete and to ``spurious`` if not.
     """
     if tol <= 0:
         raise ValueError("kernel tolerance must be positive")
     present = space.blocks() >= 0
-    shell = present & ~space.block_interior()
+    complete = space.block_complete()
     out: dict[int, KernelCount] = {}
     for q in range(space.m + 1):
         fib = space.module.grade_slice(q)
@@ -460,35 +437,39 @@ def block_kernel_report(
             mats = np.einsum("bki,bkj->bij", cols.conj(), cols)
         else:
             mats = stack[:, fib, fib]
-        keep, edge = present[:, fib], shell[:, fib]
-        patterns = np.ascontiguousarray(np.hstack([keep, edge]))
-        _, first, which = np.unique(patterns.view(np.dtype((np.void, patterns.shape[1]))).ravel(),
+        keep = np.ascontiguousarray(present[:, fib])
+        _, first, which = np.unique(keep.view(np.dtype((np.void, keep.shape[1]))).ravel(),
                                     return_index=True, return_inverse=True)
-        groups = []
+        dim = spurious = 0
+        spectra = []
         for i, j in enumerate(first):
             states = np.flatnonzero(keep[j])
             if states.size:
-                evals, vecs = np.linalg.eigh(mats[np.ix_(which == i, states, states)])
-                groups.append((evals, vecs, edge[j, states]))
-        out[q] = _kernel_count(groups, tol, shell_tol)
+                pick = which == i
+                evals = np.linalg.eigvalsh(mats[np.ix_(pick, states, states)])
+                null, whole = (np.abs(evals) <= tol).sum(axis=1), complete[pick]
+                dim += int(null[whole].sum())
+                spurious += int(null[~whole].sum())
+                spectra.append(evals.ravel())
+        out[q] = _kernel_count(dim, spurious, spectra)
     return out
 
 
 _DIRAC_KERNELS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def dirac_kernel(space: SectionSpace, tol: float = 1e-8, shell_tol: float = 1e-8) -> dict[int, KernelCount]:
-    """Kernel counts of the Kohn-Dirac operator from its per-slot blocks, at most once per space and tolerances.
+def dirac_kernel(space: SectionSpace, tol: float = 1e-8) -> dict[int, KernelCount]:
+    """Kernel counts of the Kohn-Dirac operator from its per-slot blocks, at most once per space and tolerance.
 
     The counts equal ``kernel_report(assemble_kohn_dirac(space))``; no
     full-space matrix is formed.  Only the counts and read-only
     eigenvalues are kept, and only while the space lives.
     """
     reports = _DIRAC_KERNELS.setdefault(space, {})
-    if (tol, shell_tol) not in reports:
+    if tol not in reports:
         stack = space.stack(dplus_terms(space) + dminus_terms(space))
-        reports[tol, shell_tol] = block_kernel_report(space, stack, tol=tol, shell_tol=shell_tol)
-    return dict(reports[tol, shell_tol])
+        reports[tol] = block_kernel_report(space, stack, tol=tol)
+    return dict(reports[tol])
 
 
 def kernel_dim(op: OperatorMatrix, tol: float = 1e-8) -> dict[int, int]:

@@ -43,7 +43,8 @@ label is J_a = bit_a + n_a for t > 0 and J_a = bit_a - n_a for t < 0
 (bit_a is the a-th fiber occupation, n_a the a-th ladder occupation); on
 Fourier sectors it is the frequency.  ``blocks()`` is the partner table:
 row j lists, for every fiber state, the base index that completes it to
-label j, or -1 where the cutoff removed that state.  ``stack(terms)``
+label j, or -1 where the cutoff removed that state; ``block_complete()``
+flags the blocks the top cutoff removed no state of.  ``stack(terms)``
 forms the blocks of a sum of (fiber, base) Kronecker terms, entry for
 entry the same products ``mixed`` forms, without the dim x dim matrix.
 It checks every term against the labels first and raises on one that
@@ -216,6 +217,7 @@ class SectionSpace:
         if self._partners is None:
             if self.kind == "fourier":
                 partners = np.repeat(np.arange(self.base_dim)[:, None], self.fiber_dim, axis=1)
+                complete = np.ones(self.base_dim, dtype=bool)
             else:
                 levels, bits = self.ladder_levels, self._bits
                 span = range(levels + 1) if self.t > 0 else range(1 - levels, 2)
@@ -224,9 +226,23 @@ class SectionSpace:
                 valid = np.all((occ >= 0) & (occ < levels), axis=2)
                 # base index of an occupation tuple, slot 0 most significant (``labels`` order)
                 partners = np.where(valid, occ @ levels ** np.arange(self.m - 1, -1, -1), -1)
-            partners.flags.writeable = False
-            self._partners = partners
+                complete = ~np.any(occ >= levels, axis=(1, 2))
+            partners.flags.writeable = complete.flags.writeable = False
+            self._partners, self._complete = partners, complete
         return self._partners
+
+    def block_complete(self) -> np.ndarray:
+        """Completeness flag of each per-slot block (``blocks()`` order), read-only.
+
+        A block is complete when the top cutoff removed none of its states:
+        on ladder sectors no partner has an occupation >= ``ladder_levels``
+        (all J_a <= L - 1 for t > 0, all J_a >= 2 - L for t < 0); every
+        Fourier block is complete.  D and box act on a complete block
+        exactly as the untruncated operators do, so its null vectors are
+        kernel, and null vectors of any other block are cutoff artifacts.
+        """
+        self.blocks()
+        return self._complete
 
     def dense(self, terms) -> np.ndarray:
         """Full-space matrix of sum(mixed(F, B) for F, B in terms), summed in place."""
@@ -301,13 +317,9 @@ class SectionSpace:
         entries = stack[inside[:, :, None] & inside[:, None, :]]
         return float(np.abs(entries).max()) if entries.size else 0.0
 
-    def interior_mask(self) -> np.ndarray:
-        """Interior flags expanded to the full fiber x base index set."""
-        return np.tile(self.interior, self.fiber_dim)
-
     def interior_max(self, diff: np.ndarray, block: slice = slice(None)) -> float:
         """Largest |entry| of ``diff`` (a matrix on the index slice ``block``) between interior coefficients."""
-        mask = self.interior_mask()[block]
+        mask = np.tile(self.interior, self.fiber_dim)[block]
         diff = diff[np.ix_(mask, mask)]
         return float(np.abs(diff).max()) if diff.size else 0.0
 

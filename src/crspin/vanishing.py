@@ -331,11 +331,11 @@ def obstruction_check(model: PseudoHermitianModel, ell: int, hq_table) -> Obstru
     )
 
 
-def spectral_consistency(report: VanishingReport, space, tol: float = 1e-8, shell_tol: float = 1e-8) -> dict:
+def spectral_consistency(report: VanishingReport, space, tol: float = 1e-8) -> dict:
     """Kernel dimensions contradicting forced_zero verdicts; empty means consistent."""
     if space.m != report.m:
         raise ValueError("section space and vanishing report have different CR dimension")
-    counts = dirac_kernel(space, tol=tol, shell_tol=shell_tol)
+    counts = dirac_kernel(space, tol=tol)
     clashes = {}
     for verdict in report.verdicts:
         if verdict.status == "forced_zero" and counts[verdict.q].dim > 0:

@@ -61,9 +61,14 @@ def test_blocks_cover_every_index_once(space):
     assert space.blocks() is partners
     index = full_indices(space)
     assert np.array_equal(np.sort(index[index >= 0]), np.arange(space.dim))
+    complete = space.block_complete()
+    assert complete.shape == (len(partners),) and not complete.flags.writeable
     if space.kind == "ladder":
         assert len(partners) == (space.ladder_levels + 1) ** space.m
         assert (partners >= 0).any(axis=1).all()
+        assert complete.any() and not complete.all()
+    else:
+        assert complete.all()
 
 
 @pytest.mark.parametrize("space", SPACES, ids=IDS)
@@ -83,6 +88,44 @@ def test_stack_is_the_dense_assembly_on_blocks(space, operator):
         assert not block[~present].any() and not block[:, ~present].any()
         on_block[np.ix_(rows, rows)] = True
     assert not dense[~on_block].any()
+
+
+def block_labels(space):
+    """Per-slot label J of every block, read off its first kept state: bits + n (t > 0) or bits - n (t < 0)."""
+    partners = space.blocks()
+    bits = np.array([[a in s for a in range(1, space.m + 1)] for s in space.module.subsets], dtype=int)
+    state = np.argmax(partners >= 0, axis=1)
+    occ = space.labels[partners[np.arange(len(partners)), state]]
+    return [tuple(label) for label in (bits[state] + occ if space.t > 0 else bits[state] - occ).tolist()]
+
+
+def ladder_model(kind, m, sector, levels):
+    trunc = TruncationSpec(fourier_radius=1, ladder_levels=levels)
+    if kind == "heisenberg":
+        return heisenberg_model(m, k=sector, truncation=trunc)
+    return cr_alpha_bundle(m, c=1, s=sector, truncation=trunc)
+
+
+EXACTNESS = [(kind, 2, sector, levels) for kind in ("heisenberg", "torus_bundle")
+             for sector in (-2, -1, 1, 2) for levels in (3, 5)]
+EXACTNESS += [("heisenberg", 3, sector, 5) for sector in (-1, 1)]
+
+
+@pytest.mark.parametrize("kind, m, sector, levels", EXACTNESS)
+@pytest.mark.parametrize("operator", ["D", "box"])
+def test_complete_blocks_are_exact_and_cut_blocks_are_not(kind, m, sector, levels, operator):
+    # a complete block is the untruncated operator's block, so two more ladder
+    # levels leave it bitwise unchanged; a block the cutoff cut into changes
+    spaces = [SectionSpace(ladder_model(kind, m, sector, L)) for L in (levels, levels + 2)]
+    if operator == "D":
+        stacks = [space.stack(dplus_terms(space) + dminus_terms(space)) for space in spaces]
+    else:
+        stacks = [space.stack(kohn_laplacian_terms(space)) for space in spaces]
+    wider = dict(zip(block_labels(spaces[1]), stacks[1]))
+    complete = spaces[0].block_complete()
+    assert complete.any() and not complete.all()
+    for label, block, whole in zip(block_labels(spaces[0]), stacks[0], complete):
+        assert np.array_equal(block, wider[label]) == whole, label
 
 
 def dense_shift_defects(space):
@@ -128,7 +171,7 @@ def test_dirac_kernel_allocates_no_full_space_matrix():
     assert space.dim == 1000
     tracemalloc.start()
     try:
-        dirac_kernel(space, tol=1e-8, shell_tol=3e-8)  # tolerances no other test caches
+        dirac_kernel(space, tol=3e-8)  # a tolerance no other test caches
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -144,7 +187,7 @@ def test_dirac_kernel_reaches_the_fourier_sector_of_m3_without_full_space_terms(
     monkeypatch.setattr(SectionSpace, "mixed", refuse)
     counts = dirac_kernel(space)
     assert {q: count.dim for q, count in counts.items()} == {0: 1, 1: 3, 2: 3, 3: 1}
-    assert all(count.certified and count.spurious == 0 for count in counts.values())
+    assert all(count.spurious == 0 for count in counts.values())
     assert sum(count.eigenvalues.size for count in counts.values()) == space.dim
 
 

@@ -67,6 +67,12 @@ def test_unknown_key_rejected_with_path(tmp_path, capsys):
     assert "model.fluxx: unknown key" in capsys.readouterr().err
 
 
+def test_retired_shell_tolerance_is_an_unknown_key(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"model": {"kind": "heisenberg", "m": 1}, "tolerances": {"shell": 1e-8}})
+    assert main(["run", "--config", cfg]) == 2
+    assert "at tolerances.shell: unknown key" in capsys.readouterr().err
+
+
 def test_parse_error_includes_line(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"model": {,}')
@@ -308,15 +314,29 @@ def test_spectral_checks_form_no_full_space_kronecker_term(tmp_path, monkeypatch
     assert main(["run", "--config", write_config(tmp_path, config), "--out", str(tmp_path / "art")]) == 0
 
 
-def test_shell_tolerance_reaches_the_vanishing_cross_check(tmp_path, monkeypatch):
-    # spectrum and vanishing ask for the same (spectral, shell) Dirac kernel
+def test_spectrum_and_vanishing_share_one_dirac_kernel(tmp_path, monkeypatch):
+    # spectrum and vanishing ask for the Dirac kernel at the same spectral tolerance
     counts = {}
     for name in ("kernel_report", "block_kernel_report"):
         count_calls(monkeypatch, counts, name, getattr(operators, name))
     config = {"model": {"kind": "heisenberg", "m": 2, "sectors": [1]},
-              "checks": ["spectrum", "vanishing"], "tolerances": {"shell": 1e-6}}
+              "checks": ["spectrum", "vanishing"], "tolerances": {"spectral": 1e-6}}
     main(["run", "--config", write_config(tmp_path, config), "--out", str(tmp_path / "art")])
     assert counts == {"kernel_report": 0, "block_kernel_report": 1}
+
+
+def test_cohomology_fails_when_cut_blocks_count_as_kernel(tmp_path, monkeypatch, capsys):
+    # the README example config: sector 1 is a ladder whose cut blocks hold null
+    # vectors of box, so counting every block as complete breaks the analytic match
+    config = {"model": {"kind": "torus_bundle", "m": 2, "ell": 0, "flux": 1, "sectors": [0, 1],
+                        "truncation": {"fourier_radius": 1, "ladder_levels": 6}},
+              "checks": ["spectrum", "cohomology"]}
+    cfg = write_config(tmp_path, config)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "art")]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(sections.SectionSpace, "block_complete", lambda self: np.ones(len(self.blocks()), dtype=bool))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "mutant")]) == 1
+    assert "check cohomology: FAIL ((q, s)=(0, 1): analytic 0 != spectral 1)" in capsys.readouterr().out
 
 
 def test_config_tolerances_reach_torus_cohomology(tmp_path, capsys):

@@ -17,9 +17,9 @@ from crspin.cohomology import (
     spinor_form_basis_map,
     torus_line_bundle_cohomology,
 )
-from crspin import cohomology, operators
+from crspin import cohomology
 from crspin.models import TorusLattice, TruncationSpec, cr_alpha_bundle, heisenberg_model
-from crspin.operators import KernelCount, assemble_dplus, assemble_kohn_dirac, block_kernel_report, kernel_report
+from crspin.operators import assemble_dplus, assemble_kohn_dirac, block_kernel_report, kernel_report
 from crspin.sections import SectionSpace
 
 
@@ -260,40 +260,22 @@ def test_spinor_table_matches_form_table():
     assert table.dims()[(1, 1)] == 0
 
 
-def test_uncertified_kernel_names_its_location_on_both_routes(monkeypatch):
-    def uncertified_report(space, stack, tol=1e-8, shell_tol=1e-8, gram=True):
-        return {q: KernelCount(1, False, 0, 0.25) for q in range(space.m + 1)}
-
-    monkeypatch.setattr(operators, "block_kernel_report", uncertified_report)
-    monkeypatch.setattr(cohomology, "block_kernel_report", uncertified_report)
-    routes = [
-        lambda: shift_table(cr_alpha_bundle(2, c=1), s_range=[1]),
-        lambda: harmonic_spinor_table(SectionSpace(heisenberg_model(2, k=1))),
-    ]
-    for route in routes:
-        # q = 1 is the only interior degree at m = 2
-        with pytest.raises(RuntimeError, match=r"at q=1, sector 1: shell amplitude 2\.50e-01"):
-            route()
-
-
 def test_shift_table_passes_tolerances_to_kernel_counts(monkeypatch):
     model = cr_alpha_bundle(1, c=1)
     everything = shift_table(model, s_range=[0], tol=1000.0)
     space = SectionSpace(model, sector=0)
     assert everything.dims(method="spectral") == {(0, 0): space.base_dim, (1, 0): space.base_dim}
     assert shift_table(model, s_range=[0]).dims(method="spectral") == {(0, 0): 1, (1, 0): 1}
-    # the Kohn Laplacian's eigenvectors are basis vectors here, so shell
-    # amplitudes are exactly 0 or 1; check the shell tolerance arrives
     seen = []
 
-    def recording_report(space, stack, tol=1e-8, shell_tol=1e-8, gram=True):
-        seen.append((tol, shell_tol, gram))
-        return block_kernel_report(space, stack, tol=tol, shell_tol=shell_tol, gram=gram)
+    def recording_report(space, stack, tol=1e-8, gram=True):
+        seen.append((tol, gram))
+        return block_kernel_report(space, stack, tol=tol, gram=gram)
 
     monkeypatch.setattr(cohomology, "block_kernel_report", recording_report)
-    shift_table(model, s_range=[-1, 1], tol=1e-6, shell_tol=1e-3)
+    shift_table(model, s_range=[-1, 1], tol=1e-6)
     # box is Hermitian and keeps the degree: its blocks are eigensolved directly
-    assert seen == [(1e-6, 1e-3, False)] * 2
+    assert seen == [(1e-6, False)] * 2
 
 
 def test_basis_map_is_subset_identity():

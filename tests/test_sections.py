@@ -137,7 +137,8 @@ def test_interior_mask_counts():
     model = heisenberg_model(2, k=1, truncation=TruncationSpec(fourier_radius=1, ladder_levels=5))
     space = SectionSpace(model)
     assert int(space.interior.sum()) == 16
-    assert int(space.interior_mask().sum()) == 16 * space.fiber_dim
+    # the per-slot blocks hold every full-space state once
+    assert int(space.block_interior().sum()) == 16 * space.fiber_dim
 
 
 def test_kron_ordering_is_fiber_major():
@@ -188,7 +189,7 @@ def test_mixed_allocates_one_full_space_matrix(k):
 
 def test_interior_max_ignores_shell_entries():
     space = SectionSpace(heisenberg_model(2, k=1))
-    shell = ~space.interior_mask()
+    shell = ~np.tile(space.interior, space.fiber_dim)
     diff = np.full((space.dim, space.dim), 0.5)
     diff[shell, :] = -1e6
     diff[:, shell] = 1e6
