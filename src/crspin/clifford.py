@@ -36,7 +36,6 @@ import numpy as np
 
 __all__ = [
     "GaussianFraction",
-    "SpinorIndex",
     "SpinorModule",
     "SpinorVector",
     "CliffordGenerator",
@@ -133,21 +132,6 @@ GaussianFraction.ONE = GaussianFraction(1)
 GaussianFraction.I = GaussianFraction(0, 1)
 
 Subset = FrozenSet[int]
-
-
-@dataclass(frozen=True)
-class SpinorIndex:
-    """Basis spinor label: a subset of {1, ..., m}."""
-
-    subset: Subset
-
-    @property
-    def q(self) -> int:
-        return len(self.subset)
-
-    def mu(self, m: int) -> int:
-        """Grading eigenvalue m - 2q of this basis spinor."""
-        return m - 2 * len(self.subset)
 
 
 def _normalize_subset(subset: Iterable[int]) -> Subset:

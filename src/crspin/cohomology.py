@@ -45,7 +45,7 @@ import numpy as np
 
 from .clifford import creation_matrix
 from .models import PseudoHermitianModel, TorusBundleModel, TorusLattice
-from .operators import KernelCount, OperatorMatrix, block_kernel_report, dirac_kernel, horizontal_laplacians
+from .operators import KernelCount, OperatorMatrix, block_kernel_report, dirac_kernel
 from .sections import SectionSpace
 
 __all__ = [
@@ -89,7 +89,7 @@ def holomorphic_laplacian(space: SectionSpace) -> OperatorMatrix:
     underlying base bundle; on the weight-zero sector it coincides with
     the pulled-back base Dolbeault Laplacian.
     """
-    return OperatorMatrix(space.lift_base(horizontal_laplacians(space)[0]), space, name="box_bar", mu_shift=0)
+    return OperatorMatrix(space.lift_base(space.horizontal_laplacians()[0]), space, name="box_bar", mu_shift=0)
 
 
 def fiber_weight_operator(space: SectionSpace) -> OperatorMatrix:
@@ -113,7 +113,7 @@ def _shift_defects(space: SectionSpace, box: np.ndarray) -> dict[int, float]:
     Both sides are zero between blocks, so the blocks carry every
     nonzero entry of the full-space difference.
     """
-    box_bar = space.stack([(np.eye(space.fiber_dim), horizontal_laplacians(space)[0])])
+    box_bar = space.stack([(np.eye(space.fiber_dim), space.horizontal_laplacians()[0])])
     weight = -2.0 * space.t
     out: dict[int, float] = {}
     for q in range(space.m + 1):

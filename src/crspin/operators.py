@@ -10,7 +10,9 @@ lists of (fiber, base) terms (``dplus_terms``, ``dminus_terms``):
 ``SectionSpace.dense`` sums a list into the full-space matrix and
 ``SectionSpace.stack`` into its per-slot blocks of at most 2^m rows;
 ``block_square`` and ``block_grading_defect`` read squares and grading
-off those blocks.
+off those blocks.  The Reeb formula is one such list too
+(``nabla_T_terms``): ``assemble_nabla_T`` sums it into the full-space
+matrix, and ``nabla_T_defect`` compares its blocks with i t.
 In the unitary frame the Kohn-Dirac operator splits as
 
     D = D_plus + D_minus,
@@ -73,6 +75,7 @@ __all__ = [
     "assemble_dminus",
     "assemble_kohn_dirac",
     "assemble_sub_laplacian",
+    "nabla_T_terms",
     "assemble_nabla_T",
     "nabla_T_defect",
     "sub_laplacian_defect",
@@ -106,7 +109,6 @@ class OperatorMatrix:
     space: SectionSpace
     name: str = ""
     mu_shift: int | None = None
-    domain_block: int | None = None
 
     @property
     def dim(self) -> int:
@@ -147,20 +149,10 @@ def assemble_kohn_dirac(space: SectionSpace) -> OperatorMatrix:
     return OperatorMatrix(mat, space, name="D", mu_shift=None)
 
 
-def horizontal_laplacians(space: SectionSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Base-space matrices of nabla_10* nabla_10 and nabla_01* nabla_01."""
-    lap10 = np.zeros((space.base_dim, space.base_dim), dtype=complex)
-    lap01 = np.zeros_like(lap10)
-    for a in range(space.m):
-        lap10 -= 2.0 * space.nabla_ebar[a] @ space.nabla_e[a]
-        lap01 -= 2.0 * space.nabla_e[a] @ space.nabla_ebar[a]
-    return lap10, lap01
-
-
 def _sub_laplacian_base(space: SectionSpace, route: str) -> np.ndarray:
     """Base-space matrix of the sub-Laplacian by one of its two routes (see ``assemble_sub_laplacian``)."""
     if route == "complex":
-        lap10, lap01 = horizontal_laplacians(space)
+        lap10, lap01 = space.horizontal_laplacians()
         return lap10 + lap01
     if route == "real":
         base = np.zeros((space.base_dim, space.base_dim), dtype=complex)
@@ -187,12 +179,25 @@ def sub_laplacian_defect(space: SectionSpace) -> float:
     return float(np.abs(_sub_laplacian_base(space, "complex") - _sub_laplacian_base(space, "real")).max())
 
 
+def nabla_T_terms(space: SectionSpace) -> list:
+    """(fiber, base) Kronecker terms of the Reeb formula's bracket (``assemble_nabla_T``),
+
+        2 nabla_10*nabla_10 - 2 nabla_01*nabla_01 + i c(rho) - ell scal / (2(m+2)).
+    """
+    m, model = space.m, space.model
+    lap10, lap01 = space.horizontal_laplacians()
+    eye_fiber, eye_base = np.eye(space.fiber_dim), np.eye(space.base_dim)
+    return [(eye_fiber, 2.0 * lap10 - 2.0 * lap01),
+            (1j * two_form_matrix(m, rho_frame_components(model.rho)), eye_base),
+            (-(model.ell * model.scal_w / (2.0 * (m + 2))) * eye_fiber, eye_base)]
+
+
 def assemble_nabla_T(space: SectionSpace, route: str = "direct") -> OperatorMatrix:
     """Covariant derivative along the Reeb vector field.
 
     ``route="direct"`` uses the sector weight (multiplication by i t).
     ``route="formula"`` assembles the same operator from horizontal
-    Laplacians plus curvature terms,
+    Laplacians plus curvature terms (``nabla_T_terms``),
 
         (i/4m) (2 nabla_10*nabla_10 - 2 nabla_01*nabla_01
                 + i c(rho) - ell scal / (2(m+2))),
@@ -203,44 +208,21 @@ def assemble_nabla_T(space: SectionSpace, route: str = "direct") -> OperatorMatr
     if route == "direct":
         mat = 1j * space.t * np.eye(space.dim, dtype=complex)
     elif route == "formula":
-        m = space.m
-        model = space.model
-        lap10, lap01 = horizontal_laplacians(space)
-        mat = space.lift_base(2.0 * lap10 - 2.0 * lap01)
-        crho = two_form_matrix(m, rho_frame_components(model.rho))
-        mat = mat + 1j * space.lift_fiber(crho)
-        mat = mat - (model.ell * model.scal_w / (2.0 * (m + 2))) * np.eye(space.dim)
-        mat = (1j / (4.0 * m)) * mat
+        mat = (1j / (4.0 * space.m)) * space.dense(nabla_T_terms(space))
     else:
         raise ValueError(f"unknown nabla_T route {route!r}")
     return OperatorMatrix(mat, space, name="nabla_T", mu_shift=0)
 
 
 def nabla_T_defect(space: SectionSpace) -> float:
-    """Largest interior matrix element separating the two nabla_T routes.
+    """Largest interior matrix element separating the two nabla_T routes, read off per-slot blocks.
 
-    Both routes are (fiber, base) Kronecker sums, so their difference is
-    read off the factors, one class of full-space entries at a time, with
-    the float operations of the full-space subtraction:
-
-    * diagonal: scale (base[n, n] + i c(rho)[s, s] - shift) - i t,
-    * same fiber state, n != n': scale base[n, n'],
-    * same base coefficient, s != s': scale i c(rho)[s, s'],
-
-    where scale = i/(4m), base = 2 lap10 - 2 lap01, and all other entries
-    are zero in both routes.
+    The formula's terms keep the per-slot blocks (``stack`` refuses any
+    that would not) and the direct route is i t times the identity, so
+    the blocks carry every nonzero entry of the full-space difference.
     """
-    m, model = space.m, space.model
-    scale = 1j / (4.0 * m)
-    lap10, lap01 = horizontal_laplacians(space)
-    base = (2.0 * lap10 - 2.0 * lap01)[np.ix_(space.interior, space.interior)]
-    fiber = 1j * two_form_matrix(m, rho_frame_components(model.rho))
-    shift = model.ell * model.scal_w / (2.0 * (m + 2))
-    diagonal = scale * (np.diag(base)[None, :] + np.diag(fiber)[:, None] - shift) - 1j * space.t
-    classes = [diagonal, scale * base[~np.eye(len(base), dtype=bool)]]
-    if len(base):
-        classes.append(scale * fiber[~np.eye(space.fiber_dim, dtype=bool)])
-    return max((float(np.abs(entries).max()) for entries in classes if entries.size), default=0.0)
+    formula = (1j / (4.0 * space.m)) * space.stack(nabla_T_terms(space))
+    return space.block_interior_max(formula - 1j * space.t * np.eye(space.fiber_dim))
 
 
 def twistor_weights(m: int, q: int) -> tuple[float, float]:
@@ -276,7 +258,7 @@ def assemble_twistor(space: SectionSpace, q: int) -> OperatorMatrix:
     c_ebar = [-annihilation_matrix(m, a) for a in range(1, m + 1)]
     slots = _twistor_slots(space, inject, b_q, c_e, c_ebar, space.nabla_e)
     slots += _twistor_slots(space, inject, a_q, c_ebar, c_e, space.nabla_ebar)
-    return OperatorMatrix(np.vstack(slots), space, name=f"P({q})", mu_shift=None, domain_block=q)
+    return OperatorMatrix(np.vstack(slots), space, name=f"P({q})", mu_shift=None)
 
 
 def twistor_contraction(space: SectionSpace, q: int) -> np.ndarray:

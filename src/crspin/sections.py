@@ -47,8 +47,14 @@ label j, or -1 where the cutoff removed that state; ``block_complete()``
 flags the blocks the top cutoff removed no state of.  ``stack(terms)``
 forms the blocks of a sum of (fiber, base) Kronecker terms, entry for
 entry the same products ``mixed`` forms, without the dim x dim matrix.
-It checks every term against the labels first and raises on one that
-would move a state between blocks, since the blocks cannot hold it.
+It checks each term against the partner table it gathers with: every
+full-space state sits in exactly one block, so a term keeps its blocks
+exactly when its in-block entries are as many as the nonzeros of its
+Kronecker product.  It raises on a term with fewer, naming the first
+entry that leaves its block, since the blocks cannot hold it.
+
+``horizontal_laplacians()`` holds the base matrices of nabla_10*
+nabla_10 and nabla_01* nabla_01, formed once per space.
 """
 
 from __future__ import annotations
@@ -117,6 +123,8 @@ class SectionSpace:
     def __init__(self, model: PseudoHermitianModel, sector: int | None = None):
         if not isinstance(model, (HeisenbergModel, TorusBundleModel)):
             raise ValueError(f"{model.kind} model has no section space")
+        if sector is not None and (isinstance(sector, bool) or not isinstance(sector, int)):
+            raise ValueError(f"sector must be an integer, got {sector!r}")
         self.model = model
         self.m = model.m
         self.module = SpinorModule(model.m)
@@ -125,12 +133,12 @@ class SectionSpace:
         self.ladder_levels = trunc.ladder_levels
 
         if isinstance(model, HeisenbergModel):
-            self.sector = model.k if sector is None else int(sector)
+            self.sector = model.k if sector is None else sector
             self.t = float(self.sector)
             self.multiplicity = abs(self.sector) ** self.m if self.sector else 1
             lattice = TorusLattice(self.m)
         else:
-            self.sector = model.s if sector is None else int(sector)
+            self.sector = model.s if sector is None else sector
             self.t = -self.sector / 2.0
             self.multiplicity = abs(self.sector * model.flux) ** self.m if self.sector else 1
             lattice = model.lattice
@@ -146,7 +154,7 @@ class SectionSpace:
         self.dim = self.fiber_dim * self.base_dim
         # fiber occupations, one row per fiber state: bit a is set when slot a+1 is in the subset
         self._bits = np.array([[a in s for a in range(1, self.m + 1)] for s in self.module.subsets], dtype=int)
-        self._partners = None
+        self._partners = self._laplacians = None
 
     def _build_fourier(self, lattice: TorusLattice, radius: int):
         freqs = lattice.dual_frequencies(radius)
@@ -187,6 +195,22 @@ class SectionSpace:
             return self.nabla_e[i] + self.nabla_ebar[i]
         a = i - self.m
         return 1j * (self.nabla_e[a] - self.nabla_ebar[a])
+
+    def horizontal_laplacians(self) -> tuple[np.ndarray, np.ndarray]:
+        """Base-space matrices of nabla_10* nabla_10 and nabla_01* nabla_01, formed once, read-only.
+
+        nabla_10* nabla_10 = -2 sum_a nabla_{Ebar_a} nabla_{E_a} and
+        nabla_01* nabla_01 = -2 sum_a nabla_{E_a} nabla_{Ebar_a}.
+        """
+        if self._laplacians is None:
+            lap10 = np.zeros((self.base_dim, self.base_dim), dtype=complex)
+            lap01 = np.zeros_like(lap10)
+            for a in range(self.m):
+                lap10 -= 2.0 * self.nabla_ebar[a] @ self.nabla_e[a]
+                lap01 -= 2.0 * self.nabla_e[a] @ self.nabla_ebar[a]
+            lap10.flags.writeable = lap01.flags.writeable = False
+            self._laplacians = lap10, lap01
+        return self._laplacians
 
     # -- lifting to the full space ---------------------------------------
 
@@ -251,60 +275,51 @@ class SectionSpace:
             out += self.mixed(fiber_mat, base_mat)
         return out
 
-    def stack(self, terms, states: slice = slice(None)) -> np.ndarray:
-        """Blocks of ``dense(terms)``, shape (n_blocks, k, k) for the k fiber states ``states``.
+    def stack(self, terms) -> np.ndarray:
+        """Blocks of ``dense(terms)``, shape (n_blocks, fiber_dim, fiber_dim).
 
         Entry [j, s, s'] is the full-space entry between the block-j states
         of fiber states s and s', formed by the same products and sums as
         the full-space matrix; entries of states the cutoff removed are 0.
-        The fiber factors are k x k matrices on ``states`` (by default all
-        fiber states).  Blocks hold only in-block entries, so a term that
-        moves a state between blocks raises ``ValueError`` instead of being
-        dropped (``_check_term``).  ``terms`` is iterated once.
+        Every full-space state sits in exactly one block, so a term keeps
+        its blocks exactly when its gathered in-block entries number
+        nnz(fiber) * nnz(base), the nonzeros of its Kronecker product; a
+        term with fewer raises ``ValueError`` instead of being dropped
+        (``_refuse``).  ``terms`` is iterated once.
         """
-        partners = self.blocks()[:, states]
+        partners = self.blocks()
         present = partners >= 0
         base = np.where(present, partners, 0)
         rows, cols = base[:, :, None], base[:, None, :]
-        out = np.zeros((len(partners), partners.shape[1], partners.shape[1]), dtype=complex)
+        cut = ~(present[:, :, None] & present[:, None, :])
+        out = np.zeros(cut.shape, dtype=complex)
         for index, (fiber_mat, base_mat) in enumerate(terms):
             fiber_mat, base_mat = np.asarray(fiber_mat, dtype=complex), np.asarray(base_mat, dtype=complex)
-            self._check_term(index, fiber_mat, base_mat, states)
-            out += fiber_mat[None] * base_mat[rows, cols]
-        out[~(present[:, :, None] & present[:, None, :])] = 0.0
+            entries = fiber_mat[None] * base_mat[rows, cols]
+            entries[cut] = 0.0
+            if np.count_nonzero(entries) != np.count_nonzero(fiber_mat) * np.count_nonzero(base_mat):
+                self._refuse(index, fiber_mat, base_mat)
+            out += entries
         return out
 
-    def _check_term(self, index: int, fiber_mat: np.ndarray, base_mat: np.ndarray, states: slice):
-        """Raise ``ValueError`` unless the term fiber_mat (x) base_mat keeps every per-slot label.
+    def _refuse(self, index: int, fiber_mat: np.ndarray, base_mat: np.ndarray):
+        """Raise ``ValueError`` naming the first nonzero entry of fiber_mat (x) base_mat that leaves its block.
 
-        Read off the factors' nonzero entries: on Fourier sectors the base
-        factor must be diagonal; on ladder sectors every fiber shift of the
-        occupation bits plus (t > 0) or minus (t < 0) every base shift of
-        the ladder occupations must vanish.
+        Entries run fiber entry major, each factor's nonzeros in row-major
+        order; the state-to-block map is built only here.
         """
-        base_rows, base_cols = np.nonzero(base_mat)
-        base_shifts = self.labels[base_rows] - self.labels[base_cols]
-        if self.kind == "fourier":
-            moved = np.flatnonzero(base_rows != base_cols)
-            if moved.size:
-                raise ValueError(f"{self.model.kind} sector {self.sector}: term {index} moves states between "
-                                 f"per-slot blocks (base factor not diagonal, frequency shift "
-                                 f"{tuple(base_shifts[moved[0]].tolist())})")
-            return
-        bits = self._bits[states]
+        partners = self.blocks()
+        block, state = np.nonzero(partners >= 0)
+        block_of = np.empty((self.fiber_dim, self.base_dim), dtype=int)
+        block_of[state, partners[block, state]] = block
         fiber_rows, fiber_cols = np.nonzero(fiber_mat)
-        fiber_shifts = bits[fiber_rows] - bits[fiber_cols]
-        if not (fiber_shifts.size and base_shifts.size):
-            return
-        sign = 1 if self.t > 0 else -1
-        # every pair sums to zero iff every shift pairs to zero with the other factor's first one
-        pairs = [(i, 0) for i in np.flatnonzero((fiber_shifts + sign * base_shifts[0]).any(axis=1))]
-        pairs += [(0, j) for j in np.flatnonzero((fiber_shifts[0] + sign * base_shifts).any(axis=1))]
-        if pairs:
-            i, j = pairs[0]
-            raise ValueError(f"{self.model.kind} sector {self.sector}: term {index} moves states between "
-                             f"per-slot blocks (fiber shift {tuple(fiber_shifts[i].tolist())}, "
-                             f"base shift {tuple(base_shifts[j].tolist())})")
+        base_rows, base_cols = np.nonzero(base_mat)
+        leaves = (block_of[fiber_rows[:, None], base_rows[None, :]]
+                  != block_of[fiber_cols[:, None], base_cols[None, :]])
+        i, j = np.argwhere(leaves)[0]
+        raise ValueError(f"{self.model.kind} sector {self.sector}: term {index} moves states between "
+                         f"per-slot blocks (fiber entry ({fiber_rows[i]}, {fiber_cols[i]}), "
+                         f"base entry ({base_rows[j]}, {base_cols[j]}))")
 
     def block_interior(self) -> np.ndarray:
         """Interior flags of the block states, shaped like ``blocks()``; False where the cutoff removed a state."""

@@ -11,8 +11,11 @@ remainder, and measures residuals of the formula on section spaces: the
 Lichnerowicz identity is the formula on every block at the model's
 twist, and the fixed-weight identity is its twist-ell case on the block
 mu = -ell.  Both read D^2 as per-slot blocks (``SectionSpace.stack``,
-``block_square``) and build their right-hand sides with ``_rhs_block``
-on the same blocks, so no full-space matrix is formed.
+``block_square``).  The right-hand side at a twist is one list of
+(fiber, base) terms on the whole fiber (``_rhs_terms``), stacked on the
+same blocks from the space's horizontal Laplacians, so no full-space
+matrix is formed: the Lichnerowicz residual subtracts it from D^2, and
+the fixed-weight residual reads its degree-q slice.
 
 It also hosts the conformal covariance checks: under a rescaling of the
 contact form by exp(2 f), suitably weighted powers of exp(-f) intertwine
@@ -51,7 +54,6 @@ from .operators import (
     block_square,
     dminus_terms,
     dplus_terms,
-    horizontal_laplacians,
     twistor_weights,
 )
 from .sections import SectionSpace
@@ -153,39 +155,39 @@ def q_split(model: PseudoHermitianModel, ell: int, q: int) -> tuple[np.ndarray, 
     return r_star, k
 
 
-def _rhs_block(space: SectionSpace, laps, twist: int, q: int) -> np.ndarray:
-    """Right-hand side of the square formula on the weight-q block, as per-slot blocks of its fiber slice.
+def _rhs_terms(space: SectionSpace, twist: int) -> list:
+    """(fiber, base) Kronecker terms of the square formula's right-hand side at ``twist``, on the whole fiber.
 
-    ((m - mu)/m) laps[0] + ((m + mu)/m) laps[1] + curvature_term(model, twist, q),
-    with mu = m - 2q and laps = ``horizontal_laplacians(space)``, stacked on
-    ``grade_slice(q)``: shape (n_blocks, C(m, q), C(m, q)).
+    On each weight block mu = m - 2q the sum is
+    ((m - mu)/m) nabla_10* nabla_10 + ((m + mu)/m) nabla_01* nabla_01
+    + curvature_term(model, twist, q), so the fiber factors are
+    diag(1 - mu_s/m) and diag(1 + mu_s/m) over the two horizontal
+    Laplacians and the block-diagonal curvature term over the base identity.
     """
-    m, mu = space.m, space.m - 2 * q
-    eye = np.eye(space.module.grade_dim(q))
-    terms = [((1.0 - mu / m) * eye, laps[0]),
-             ((1.0 + mu / m) * eye, laps[1]),
-             (curvature_term(space.model, twist, q).as_matrix, np.eye(space.base_dim))]
-    return space.stack(terms, states=space.module.grade_slice(q))
+    m = space.m
+    mu = np.array([m - 2 * len(s) for s in space.module.subsets])
+    curvature = np.zeros((space.fiber_dim, space.fiber_dim), dtype=complex)
+    for q in range(m + 1):
+        fib = space.module.grade_slice(q)
+        curvature[fib, fib] = curvature_term(space.model, twist, q).as_matrix
+    lap10, lap01 = space.horizontal_laplacians()
+    return [(np.diag(1.0 - mu / m), lap10), (np.diag(1.0 + mu / m), lap01), (curvature, np.eye(space.base_dim))]
 
 
-def _lichnerowicz_residual(space: SectionSpace, square: np.ndarray, laps) -> float:
+def _lichnerowicz_residual(space: SectionSpace, square: np.ndarray) -> float:
     """Interior residual of D^2 against the square formula at the model's twist, over the whole matrix.
 
     The formula keeps the degree, so between two degrees the residual is
     D^2's own entry.
     """
-    diff = square.copy()
-    for q in range(space.m + 1):
-        fib = space.module.grade_slice(q)
-        diff[:, fib, fib] -= _rhs_block(space, laps, space.model.ell, q)
-    return space.block_interior_max(diff)
+    return space.block_interior_max(square - space.stack(_rhs_terms(space, space.model.ell)))
 
 
-def _fixed_weight_residual(space: SectionSpace, square: np.ndarray, laps, ell: int) -> float:
+def _fixed_weight_residual(space: SectionSpace, square: np.ndarray, ell: int) -> float:
     """Interior residual of D^2 against the square formula at twist ell on its block mu = -ell."""
-    q = (space.m + ell) // 2
-    fib = space.module.grade_slice(q)
-    return space.block_interior_max(square[:, fib, fib] - _rhs_block(space, laps, ell, q), fib)
+    fib = space.module.grade_slice((space.m + ell) // 2)
+    rhs = space.stack(_rhs_terms(space, ell))
+    return space.block_interior_max(square[:, fib, fib] - rhs[:, fib, fib], fib)
 
 
 def _dirac_square(space: SectionSpace) -> np.ndarray:
@@ -201,7 +203,7 @@ def sl_residual(space: SectionSpace) -> float:
     space (ladder truncations distort only the top-rung shell).  Both
     sides are read off per-slot blocks.
     """
-    return _lichnerowicz_residual(space, _dirac_square(space), horizontal_laplacians(space))
+    return _lichnerowicz_residual(space, _dirac_square(space))
 
 
 def dl_residual(space: SectionSpace, ell: int) -> float:
@@ -223,7 +225,7 @@ def dl_residual(space: SectionSpace, ell: int) -> float:
         raise ValueError(
             f"no weight block mu = {-ell} for m = {m}; ell must lie in {{-m, -m+2, ..., m}}"
         )
-    return _fixed_weight_residual(space, _dirac_square(space), horizontal_laplacians(space), ell)
+    return _fixed_weight_residual(space, _dirac_square(space), ell)
 
 
 def square_residuals(space: SectionSpace, square: np.ndarray) -> tuple[float, dict[int, float]]:
@@ -232,10 +234,9 @@ def square_residuals(space: SectionSpace, square: np.ndarray) -> tuple[float, di
     ``square`` holds the per-slot blocks of D^2, shape (n_blocks, 2^m, 2^m),
     as ``block_square`` forms them from the blocks of D.
     """
-    laps = horizontal_laplacians(space)
     weights = range(-space.m, space.m + 1, 2)
-    return (_lichnerowicz_residual(space, square, laps),
-            {ell: _fixed_weight_residual(space, square, laps, ell) for ell in weights})
+    return (_lichnerowicz_residual(space, square),
+            {ell: _fixed_weight_residual(space, square, ell) for ell in weights})
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +492,6 @@ def exponent_scan(
     carries no information.
     """
     ctx, points = _conformal_inputs(space, f, sample_points)
-    if not 0 <= q <= space.m:
+    if isinstance(q, bool) or not isinstance(q, int) or not 0 <= q <= space.m:
         raise ValueError(f"grade q must lie in 0..{space.m}, got {q}")
     return _covariance_defects(ctx, ell, q, f, points, offsets=tuple(offsets))

@@ -24,7 +24,6 @@ from crspin.operators import (
     dminus_terms,
     dplus_terms,
     grading_defect,
-    horizontal_laplacians,
     kernel_report,
 )
 from crspin.sections import SectionSpace
@@ -225,7 +224,7 @@ def dense_identity_rows(space):
     }
     dirac = assemble_kohn_dirac(space).mat
     square = dirac @ dirac
-    laps = horizontal_laplacians(space)
+    laps = space.horizontal_laplacians()
     rhs = np.zeros_like(square)
     for q in range(space.m + 1):
         block = space.grade_block(q)
@@ -279,8 +278,46 @@ def test_stack_refuses_a_term_that_leaves_its_block(model):
     space = SectionSpace(model)
     # one entry off the pattern of the D- term of slot 1, term 2 of D's list
     space.nabla_e[0][0, 1 if space.kind == "fourier" else 0] += 1e-3
-    shift = "frequency shift" if space.kind == "fourier" else r"fiber shift \(-1, 0\), base shift \(0, 0\)"
-    with pytest.raises(ValueError, match=rf"heisenberg sector {space.sector}: term 2 .*{shift}"):
+    base = r"\(0, 1\)" if space.kind == "fourier" else r"\(0, 0\)"
+    with pytest.raises(ValueError, match=rf"heisenberg sector {space.sector}: term 2 .*fiber entry \(0, 1\), base entry {base}"):
         dirac_kernel(space)
     # the rest of D keeps its blocks
     assert space.stack(dplus_terms(space)).shape == (len(space.blocks()), 4, 4)
+
+
+def test_stack_refuses_a_corrupted_partner_table(monkeypatch):
+    # fiber state 0 trades partners between the first two blocks that hold it; the
+    # factors of D still keep every label, so only the gathered entries can show it
+    space = SectionSpace(heisenberg_model(2, k=1))
+    partners = space.blocks().copy()
+    j, k = np.flatnonzero(partners[:, 0] >= 0)[:2]
+    partners[[j, k], 0] = partners[[k, j], 0]
+    monkeypatch.setattr(space, "blocks", lambda: partners)
+    with pytest.raises(ValueError, match=r"heisenberg sector 1: term 1 moves states between per-slot blocks "
+                                         r"\(fiber entry \(2, 0\), base entry \(0, 1\)\)"):
+        dirac_kernel(space)
+    counts = dirac_kernel(SectionSpace(heisenberg_model(2, k=1)))
+    assert {q: (count.dim, count.spurious) for q, count in counts.items()} == {0: (1, 0), 1: (0, 2), 2: (0, 1)}
+
+
+def test_identities_check_forms_the_laplacian_pair_once_per_space(monkeypatch):
+    # four rows read the pair: sub-Laplacian routes, Reeb routes, sector identity and square residuals
+    calls = []
+    build = SectionSpace.horizontal_laplacians
+
+    def spy(self):
+        pair = build(self)
+        calls.append((self, pair))
+        return pair
+
+    monkeypatch.setattr(SectionSpace, "horizontal_laplacians", spy)
+    model = heisenberg_model(2, k=1)
+    config = {"model": {"sectors": [-1, 0, 1]}, "tolerances": dict(cli.TOLERANCE_DEFAULTS)}
+    memo = cli._RunMemo(model, config)
+    assert cli._check_identities(model, config, memo).passed
+    for sector in (-1, 0, 1):
+        space = memo.space(sector)
+        pairs = [pair for owner, pair in calls if owner is space]
+        assert len(pairs) >= 4
+        assert all(pair[0] is pairs[0][0] and pair[1] is pairs[0][1] for pair in pairs)
+        assert not pairs[0][0].flags.writeable and not pairs[0][1].flags.writeable

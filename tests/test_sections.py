@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -38,6 +39,14 @@ def interior_residual(space, mat):
 def test_sector_parameter(model, sector, expected_t):
     space = SectionSpace(model, sector=sector)
     assert space.t == expected_t
+
+
+@pytest.mark.parametrize("model", [heisenberg_model(2), cr_alpha_bundle(2, c=1)], ids=["heisenberg", "torus"])
+@pytest.mark.parametrize("sector", [0.7, 1.0, True, "1"])
+def test_sector_must_be_an_integer(model, sector):
+    # int(0.7) would build the Fourier sector 0
+    with pytest.raises(ValueError, match=rf"sector must be an integer, got {re.escape(repr(sector))}$"):
+        SectionSpace(model, sector=sector)
 
 
 def test_commutation_relations_fourier():

@@ -399,6 +399,13 @@ def test_conformal_rejects_bad_input():
         exponent_scan(space, -1, 5, f1)
 
 
+@pytest.mark.parametrize("q", [5, -1, 1.5, True])
+def test_exponent_scan_refuses_a_grade_no_spinor_has(q):
+    # no spinor has grade 5, -1 or 1.5, so a scan there would check nothing; a bool is no grade either
+    with pytest.raises(ValueError, match=rf"grade q must lie in 0\.\.2, got {q}$"):
+        exponent_scan(flat_space(2), 0, q, ConformalScale.cosine(2, amplitude=0.1))
+
+
 @pytest.mark.parametrize("check", [lambda space, f, **kw: conformal_check(space, -1, f, **kw),
                                    lambda space, f, **kw: exponent_scan(space, -1, 0, f, **kw)],
                          ids=["conformal_check", "exponent_scan"])
