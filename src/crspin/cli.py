@@ -51,10 +51,10 @@ tables.  Identities stacks the per-slot blocks of D+ and D- once per
 sector: its algebraic rows read them, and every Lichnerowicz residual
 is read off the blockwise square of their sum D, formed after the
 halves are dropped.  No check forms a full-space matrix, and no matrix
-outlives its check.  The conformal check is pointwise in exact
-trigonometric fields and depends only on the CR dimension, not on the
-sector, so it is evaluated once and that one value is reported under
-every sector key.
+outlives its check.  The conformal check evaluates exact trigonometric
+polynomials and their frame derivatives at fixed sample points and
+depends only on the CR dimension, not on the sector, so it is evaluated
+once and that one value is reported under every sector key.
 """
 
 from __future__ import annotations

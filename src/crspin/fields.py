@@ -1,27 +1,25 @@
-"""Exact trigonometric-polynomial fields on the flat model base.
+"""Exact trigonometric polynomials on the flat model base.
 
 Conformal covariance is checked pointwise, so every derivative that
-enters must be exact: conformal factors and test spinors are finite
-Fourier sums over the unit base torus, closed under products and
-derivatives.  A frequency vector n (length 2m, integer) stands for the
-character exp(2 pi i n . x) in the real base coordinates
-(x_1..x_m, y_1..y_m); derivatives along the unitary frame vectors are
-the usual combinations
+enters must be exact: conformal factors and test spinor components are
+finite Fourier sums over the unit base torus.  A frequency vector n
+(length 2m, integer) stands for the character exp(2 pi i n . x) in the
+real base coordinates (x_1..x_m, y_1..y_m); derivatives along the
+unitary frame vectors are the usual combinations
 
-    E_a = (d/dx_a - i d/dy_a) / 2,      Ebar_a = (d/dx_a + i d/dy_a) / 2.
+    E_a = (d/dx_a - i d/dy_a) / 2,      Ebar_a = (d/dx_a + i d/dy_a) / 2,
 
-Spinor fields are plain object arrays of trig polynomials indexed by the
-fiber basis of ``SpinorModule``; helpers apply constant fiber matrices
-and scalar trig polynomials componentwise.
+which ``TrigPoly.frame_derivative`` forms in coefficient space.  A
+polynomial evaluates at one point or at an array of points; the
+conformal checks evaluate every input once at their sample points and
+do the rest of the algebra on those arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .clifford import SpinorModule
-
-__all__ = ["TrigPoly", "spinor_field", "apply_fiber", "scalar_multiply", "field_derivative"]
+__all__ = ["TrigPoly"]
 
 
 class TrigPoly:
@@ -41,6 +39,8 @@ class TrigPoly:
                 key = tuple(int(f) for f in freq)
                 if len(key) != self.dim:
                     raise ValueError(f"frequency {key} has wrong length for dimension {self.dim}")
+                if any(k != f for k, f in zip(key, freq)):
+                    raise ValueError(f"frequency {tuple(freq)} must have integer coordinates")
                 val = complex(val)
                 if val != 0:
                     self.coeffs[key] = self.coeffs.get(key, 0j) + val
@@ -50,31 +50,27 @@ class TrigPoly:
         self.coeffs = {k: v for k, v in self.coeffs.items() if v != 0}
 
     @classmethod
-    def zero(cls, dim: int) -> "TrigPoly":
-        return cls(dim)
-
-    @classmethod
     def constant(cls, dim: int, value: complex) -> "TrigPoly":
         return cls(dim, {(0,) * dim: value})
 
     @classmethod
+    def _wave(cls, dim: int, axis: int, frequency: int, plus: complex, minus: complex) -> "TrigPoly":
+        """plus * exp(2 pi i frequency x_axis) + minus * exp(-2 pi i frequency x_axis)."""
+        if not 0 <= axis < dim:
+            raise ValueError(f"axis out of range: {axis}")
+        freq = [0] * dim
+        freq[axis] = frequency
+        return cls(dim, {tuple(freq): plus}) + cls(dim, {tuple(-f for f in freq): minus})
+
+    @classmethod
     def cosine(cls, dim: int, axis: int, amplitude: float = 1.0, frequency: int = 1) -> "TrigPoly":
         """amplitude * cos(2 pi frequency x_axis)."""
-        plus = [0] * dim
-        plus[axis] = frequency
-        minus = [0] * dim
-        minus[axis] = -frequency
-        half = 0.5 * amplitude
-        return cls(dim, {tuple(plus): half, tuple(minus): half})
+        return cls._wave(dim, axis, frequency, 0.5 * amplitude, 0.5 * amplitude)
 
     @classmethod
     def sine(cls, dim: int, axis: int, amplitude: float = 1.0, frequency: int = 1) -> "TrigPoly":
-        plus = [0] * dim
-        plus[axis] = frequency
-        minus = [0] * dim
-        minus[axis] = -frequency
-        half = -0.5j * amplitude
-        return cls(dim, {tuple(plus): half, tuple(minus): -half})
+        """amplitude * sin(2 pi frequency x_axis)."""
+        return cls._wave(dim, axis, frequency, -0.5j * amplitude, 0.5j * amplitude)
 
     def __add__(self, other):
         if not isinstance(other, TrigPoly):
@@ -87,9 +83,6 @@ class TrigPoly:
             out.coeffs[freq] = out.coeffs.get(freq, 0j) + val
         out._prune()
         return out
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
 
     def __rmul__(self, scalar):
         out = TrigPoly(self.dim)
@@ -121,85 +114,36 @@ class TrigPoly:
                 out.coeffs[freq] = scaled
         return out
 
-    def __call__(self, point) -> complex:
-        x = np.asarray(point, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"point must have {self.dim} coordinates")
-        total = 0j
+    def frame_derivative(self, direction: str, a: int) -> "TrigPoly":
+        """Exact derivative along E_a ('e') or Ebar_a ('ebar'), 1-based a, on 2m base coordinates.
+
+        E_a multiplies exp(2 pi i n . x) by pi i (n_{x_a} - i n_{y_a}), Ebar_a by
+        pi i (n_{x_a} + i n_{y_a}).
+        """
+        if direction not in ("e", "ebar"):
+            raise ValueError(f"unknown direction {direction!r}")
+        m = self.dim // 2
+        if self.dim % 2 or not 1 <= a <= m:
+            raise ValueError(f"no frame vector {a} on {self.dim} base coordinates")
+        conj = -1j if direction == "e" else 1j
+        out = TrigPoly(self.dim)
         for freq, val in self.coeffs.items():
-            total += val * np.exp(2j * np.pi * np.dot(freq, x))
-        return total
+            scaled = 1j * np.pi * (freq[a - 1] + conj * freq[m + a - 1]) * val
+            if scaled != 0:
+                out.coeffs[freq] = scaled
+        return out
+
+    def __call__(self, points):
+        """Value at one point (shape (dim,)) or at each row of an array of points (shape (P, dim))."""
+        x = np.asarray(points, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
+            raise ValueError(f"point must have {self.dim} coordinates")
+        freqs = np.array(list(self.coeffs), dtype=float).reshape(-1, self.dim)
+        values = np.array(list(self.coeffs.values()), dtype=complex)
+        return np.exp(2j * np.pi * (x @ freqs.T)) @ values
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def __repr__(self):
         return f"TrigPoly(dim={self.dim}, terms={len(self.coeffs)})"
-
-
-def spinor_field(module: SpinorModule, components: dict | None = None) -> np.ndarray:
-    """Object array of trig polynomials indexed by the spinor fiber basis.
-
-    ``components`` maps fiber subsets (frozensets) to TrigPoly values;
-    missing entries are zero.
-    """
-    dim = 2 * module.m
-    field = np.empty(module.dim, dtype=object)
-    for i in range(module.dim):
-        field[i] = TrigPoly.zero(dim)
-    if components:
-        for subset, poly in components.items():
-            field[module.index_of(frozenset(subset))] = poly
-    return field
-
-
-def apply_fiber(mat: np.ndarray, field: np.ndarray) -> np.ndarray:
-    """Constant fiber matrix acting componentwise on a spinor field."""
-    n = len(field)
-    out = np.empty(n, dtype=object)
-    for i in range(n):
-        acc = TrigPoly.zero(field[0].dim)
-        for j in range(n):
-            coeff = complex(mat[i, j])
-            if coeff != 0 and not field[j].is_zero():
-                acc = acc + coeff * field[j]
-        out[i] = acc
-    return out
-
-
-def scalar_multiply(poly: TrigPoly, field: np.ndarray) -> np.ndarray:
-    out = np.empty(len(field), dtype=object)
-    for i in range(len(field)):
-        out[i] = poly * field[i]
-    return out
-
-
-def field_derivative(field: np.ndarray, direction: str, a: int, m: int) -> np.ndarray:
-    """Componentwise derivative along E_a ('e') or Ebar_a ('ebar'), 1-based a."""
-    if direction not in ("e", "ebar"):
-        raise ValueError(f"unknown direction {direction!r}")
-    sign = -1j if direction == "e" else 1j
-    out = np.empty(len(field), dtype=object)
-    for i in range(len(field)):
-        dx = field[i].derivative(a - 1)
-        dy = field[i].derivative(m + a - 1)
-        out[i] = 0.5 * dx + (0.5 * sign) * dy
-    return out
-
-
-def field_add(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    out = np.empty(len(left), dtype=object)
-    for i in range(len(left)):
-        out[i] = left[i] + right[i]
-    return out
-
-
-def field_scale(scalar: complex, field: np.ndarray) -> np.ndarray:
-    out = np.empty(len(field), dtype=object)
-    for i in range(len(field)):
-        out[i] = scalar * field[i]
-    return out
-
-
-def evaluate_field(field: np.ndarray, point) -> np.ndarray:
-    return np.array([comp(point) for comp in field], dtype=complex)

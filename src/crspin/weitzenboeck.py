@@ -20,15 +20,19 @@ the fixed-weight residual reads its degree-q slice.
 It also hosts the conformal covariance checks: under a rescaling of the
 contact form by exp(2 f), suitably weighted powers of exp(-f) intertwine
 the Dirac and twistor halves on the flat models; each half is written
-once, for a (1,0) or (0,1) half description.  The checks are pointwise
-in f with exact trigonometric-polynomial derivatives, so they are
-independent of the Fourier/ladder truncations used elsewhere.
+once, for a (1,0) or (0,1) half description.  Each law is a pointwise
+identity in f, df, phi and dphi, so a check evaluates f and its test
+spinors, with their exact trigonometric-polynomial frame derivatives,
+once at its sample points (``_jet``) and forms both sides as arrays
+there: fiber matrices act by ``@`` and scalar factors broadcast.  The
+derivatives are exact, so the checks are independent of the
+Fourier/ladder truncations used elsewhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,16 +43,7 @@ from .clifford import (
     theta_matrix,
     two_form_matrix,
 )
-from .fields import (
-    TrigPoly,
-    apply_fiber,
-    evaluate_field,
-    field_add,
-    field_derivative,
-    field_scale,
-    scalar_multiply,
-    spinor_field,
-)
+from .fields import TrigPoly
 from .models import PseudoHermitianModel, rho_frame_components
 from .operators import (
     block_square,
@@ -247,8 +242,8 @@ def square_residuals(space: SectionSpace, square: np.ndarray) -> tuple[float, di
 class ConformalScale:
     """Real trigonometric-polynomial log-factor of a conformal rescaling.
 
-    Wraps a TrigPoly on the 2m base coordinates and exposes exact frame
-    derivatives; the contact form rescales by exp(2 f).
+    Wraps a TrigPoly on the 2m base coordinates; the contact form
+    rescales by exp(2 f).
     """
 
     def __init__(self, m: int, poly: TrigPoly):
@@ -270,32 +265,36 @@ class ConformalScale:
     def cosine(cls, m: int, axis: int = 0, amplitude: float = 0.3, frequency: int = 1):
         return cls(m, TrigPoly.cosine(2 * m, axis, amplitude, frequency))
 
-    def deriv_e(self, a: int) -> TrigPoly:
-        dx = self.poly.derivative(a - 1)
-        dy = self.poly.derivative(self.m + a - 1)
-        return 0.5 * dx + (-0.5j) * dy
 
-    def deriv_ebar(self, a: int) -> TrigPoly:
-        dx = self.poly.derivative(a - 1)
-        dy = self.poly.derivative(self.m + a - 1)
-        return 0.5 * dx + 0.5j * dy
+class _Jet(NamedTuple):
+    """Trig polynomials at the sample points: ``value`` (k, P) and ``d[direction]`` (m, k, P).
 
-    def value(self, point) -> float:
-        return float(np.real(self.poly(point)))
+    ``d["e"][a - 1]`` holds the exact E_a derivatives, ``d["ebar"][a - 1]`` the Ebar_a ones.
+    """
+
+    value: np.ndarray
+    d: dict
+
+
+def _jet(polys, points: np.ndarray, m: int) -> _Jet:
+    """Values and exact frame derivatives of the trig polynomials ``polys`` at ``points``."""
+    return _Jet(np.array([p(points) for p in polys]),
+                {direction: np.array([[p.frame_derivative(direction, a)(points) for p in polys]
+                                      for a in range(1, m + 1)])
+                 for direction in ("e", "ebar")})
 
 
 @dataclass(frozen=True)
 class _Half:
     """The (1,0) half (frame E_a, twist sign +1) or the (0,1) half (frame Ebar_a, sign -1).
 
-    ``df(f, a)`` is f's derivative along frame vector a, whose Clifford
-    action is ``c_self[a - 1]``; ``c_other`` is the conjugate frame's.
+    Frame vector a acts by Clifford multiplication ``c_self[a - 1]``;
+    ``c_other`` stacks the conjugate frame's.  Both have shape (m, 2^m, 2^m).
     """
 
     direction: str
-    df: Callable
-    c_self: list
-    c_other: list
+    c_self: np.ndarray
+    c_other: np.ndarray
     sign: int
 
 
@@ -304,53 +303,37 @@ class _FiberContext:
         self.m = m
         self.module = SpinorModule(m)
         self.theta = theta_matrix(m)
-        c_e = [creation_matrix(m, a) for a in range(1, m + 1)]
-        c_ebar = [-annihilation_matrix(m, a) for a in range(1, m + 1)]
-        self.half10 = _Half("e", ConformalScale.deriv_e, c_e, c_ebar, 1)
-        self.half01 = _Half("ebar", ConformalScale.deriv_ebar, c_ebar, c_e, -1)
+        c_e = np.array([creation_matrix(m, a) for a in range(1, m + 1)])
+        c_ebar = np.array([-annihilation_matrix(m, a) for a in range(1, m + 1)])
+        self.half10 = _Half("e", c_e, c_ebar, 1)
+        self.half01 = _Half("ebar", c_ebar, c_e, -1)
 
 
-def _flat_inners(field, half: _Half, ctx: _FiberContext) -> list:
-    """Flat frame derivatives nabla_a phi along the half's frame."""
-    return [field_derivative(field, half.direction, a, ctx.m) for a in range(1, ctx.m + 1)]
-
-
-def _nabla_tilde(field, half: _Half, f: ConformalScale, ell: int, weight: float, ctx: _FiberContext) -> list:
-    """exp(weight f) nabla~_a (exp(-weight f) phi) along the half's frame, componentwise.
+def _nabla_tilde(phi: _Jet, f: _Jet, half: _Half, ell: int, weight: float, ctx: _FiberContext) -> np.ndarray:
+    """exp(weight f) nabla~_a (exp(-weight f) phi) along the half's frame, shape (m, 2^m, P).
 
     nabla~ is the spin connection of exp(2f) theta with its twist-line shift:
-    nabla_a - c_self[a] c(grad f) + ((sign ell - 2)/2 - (sign/2) Theta) df(f, a),
-    where c(grad f) = 2 sum_b df(f, b) c_other[b].
+    nabla_a - c_self[a] c(grad f) + ((sign ell - 2)/2 - (sign/2) Theta) df_a,
+    where c(grad f) = 2 sum_b df_b c_other[b] and df_a is f's derivative along the frame.
     """
-    grad = spinor_field(ctx.module)
-    for b in range(1, ctx.m + 1):
-        grad = field_add(grad, scalar_multiply(2.0 * half.df(f, b), apply_fiber(half.c_other[b - 1], field)))
-    theta_field = apply_fiber(ctx.theta, field)
-    inners = []
-    for a in range(1, ctx.m + 1):
-        df = half.df(f, a)
-        out = field_derivative(field, half.direction, a, ctx.m)
-        out = field_add(out, field_scale(-1.0, apply_fiber(half.c_self[a - 1], grad)))
-        out = field_add(out, scalar_multiply(((half.sign * ell - 2) / 2.0) * df, field))
-        out = field_add(out, scalar_multiply((-0.5 * half.sign) * df, theta_field))
-        inners.append(field_add(scalar_multiply(-weight * df, field), out))
-    return inners
+    df = f.d[half.direction]
+    df_phi = df * phi.value
+    grad = 2.0 * (half.c_other @ df_phi).sum(axis=0)
+    return (phi.d[half.direction] - half.c_self @ grad
+            + ((half.sign * ell - 2) / 2.0 - weight) * df_phi
+            - (0.5 * half.sign) * df * (ctx.theta @ phi.value))
 
 
-def _dirac(inners: list, half: _Half, ctx: _FiberContext):
+def _dirac(inners: np.ndarray, half: _Half) -> np.ndarray:
     """The half's Dirac operator 2 sum_a c_other[a] inner_a: D- on (1,0), D+ on (0,1)."""
-    out = spinor_field(ctx.module)
-    for a, inner in enumerate(inners):
-        out = field_add(out, apply_fiber(2.0 * half.c_other[a], inner))
-    return out
+    return 2.0 * (half.c_other @ inners).sum(axis=0)
 
 
-def _twistor(inners: list, half: _Half, q: int, ctx: _FiberContext) -> list:
+def _twistor(inners: np.ndarray, half: _Half, q: int, ctx: _FiberContext) -> np.ndarray:
     """The half's twistor slots inner_a + w_q c_self[a] (its Dirac operator), w_q = b_q on (1,0), a_q on (0,1)."""
     a_q, b_q = twistor_weights(ctx.m, q)
     w_q = b_q if half is ctx.half10 else a_q
-    dirac = _dirac(inners, half, ctx)
-    return [field_add(inner, apply_fiber(w_q * half.c_self[a], dirac)) for a, inner in enumerate(inners)]
+    return inners + w_q * (half.c_self @ _dirac(inners, half))
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -365,13 +348,14 @@ def default_sample_points(dim: int, count: int = 24) -> np.ndarray:
     return (steps * alphas + 0.05) % 1.0
 
 
-def _test_spinor(ctx: _FiberContext, q: int) -> np.ndarray:
-    """Deterministic grade-q spinor field with generic trig components."""
+def _test_spinor(ctx: _FiberContext, q: int) -> list[TrigPoly]:
+    """Deterministic grade-q spinor field with generic trig components, one TrigPoly per fiber state."""
     dim = 2 * ctx.m
-    comps = {}
+    components = []
     idx = 0
     for subset in ctx.module.subsets:
         if len(subset) != q:
+            components.append(TrigPoly(dim))
             continue
         coeffs = {(0,) * dim: 0.35 + 0.15j * (idx + 1)}
         n1 = [0] * dim
@@ -381,23 +365,20 @@ def _test_spinor(ctx: _FiberContext, q: int) -> np.ndarray:
         n2[(idx + 1) % dim] = -1
         n2[idx % dim] += 1
         coeffs[tuple(n2)] = 0.07 + 0.11j
-        comps[subset] = TrigPoly(dim, coeffs)
+        components.append(TrigPoly(dim, coeffs))
         idx += 1
-    return spinor_field(ctx.module, comps)
+    return components
 
 
-def _pointwise_defect(lhs_fields, rhs_fields, weight_exponent, f: ConformalScale, points) -> float:
-    worst = 0.0
-    for point in points:
-        scale = np.exp(-weight_exponent * f.value(point))
-        for lhs, rhs in zip(lhs_fields, rhs_fields):
-            diff = evaluate_field(lhs, point) - evaluate_field(rhs, point)
-            worst = max(worst, scale * float(np.abs(diff).max()))
-    return worst
+def _pointwise_defect(lhs: np.ndarray, rhs: np.ndarray, weight_exponent: float, f: _Jet) -> float:
+    """max over sample points of exp(-weight_exponent f) |lhs - rhs|; the last axis runs over the points."""
+    return float(np.max(np.exp(-weight_exponent * f.value.real) * np.abs(lhs - rhs)))
 
 
-def _conformal_inputs(space: SectionSpace, f: ConformalScale, sample_points) -> tuple[_FiberContext, np.ndarray]:
-    """Fiber context and sample points of a conformal check, after checking f and the points against the space."""
+def _conformal_inputs(space: SectionSpace, ell: int, f: ConformalScale, sample_points) -> tuple[_FiberContext, np.ndarray, _Jet]:
+    """Fiber context, sample points and f's jet there, after checking ell, f and the points against the space."""
+    if isinstance(ell, bool) or not isinstance(ell, int):
+        raise ValueError(f"weight must be an integer, got {ell!r}")
     if not isinstance(f, ConformalScale):
         raise TypeError(f"conformal factor must be a ConformalScale, got {type(f).__name__}")
     m = space.m
@@ -408,36 +389,33 @@ def _conformal_inputs(space: SectionSpace, f: ConformalScale, sample_points) -> 
     points = np.atleast_2d(np.asarray(sample_points, dtype=float))
     if points.shape[1] != 2 * m:
         raise ValueError(f"sample points need {2 * m} coordinates, got {points.shape[1]}")
-    return _FiberContext(m), points
+    return _FiberContext(m), points, _jet([f.poly], points, m)
 
 
-def _covariance_defects(ctx, ell, q, f, points, offsets=(0,)):
+def _covariance_defects(ctx, ell, q, f: _Jet, points, offsets=(0,)):
     """Pointwise covariance defects of the four graded operators at grade q.
 
     Returns {name: {offset: defect}} where offset perturbs the canonical
     exp(-v f) weight by an integer.
     """
     mu = ctx.m - 2 * q
-    field = _test_spinor(ctx, q)
-
-    def dirac(inners, half):
-        return [_dirac(inners, half, ctx)]
+    phi = _jet(_test_spinor(ctx, q), points, ctx.m)
 
     def twistor(inners, half):
         return _twistor(inners, half, q, ctx)
 
     entries = {
-        "dirac_plus": (dirac, ctx.half01, ctx.m + 1 - (mu + ell) / 2.0),
-        "dirac_minus": (dirac, ctx.half10, ctx.m + 1 + (mu + ell) / 2.0),
+        "dirac_plus": (_dirac, ctx.half01, ctx.m + 1 - (mu + ell) / 2.0),
+        "dirac_minus": (_dirac, ctx.half10, ctx.m + 1 + (mu + ell) / 2.0),
         "twistor_01": (twistor, ctx.half01, (mu - ell) / 2.0 - 1.0),
         "twistor_10": (twistor, ctx.half10, (ell - mu) / 2.0 - 1.0),
     }
     out = {}
     for name, (operator, half, weight) in entries.items():
-        reference = operator(_flat_inners(field, half, ctx), half)
+        reference = operator(phi.d[half.direction], half)
         out[name] = {
-            off: _pointwise_defect(operator(_nabla_tilde(field, half, f, ell, weight + off, ctx), half),
-                                   reference, weight + off + 1.0, f, points)
+            off: _pointwise_defect(operator(_nabla_tilde(phi, f, half, ell, weight + off, ctx), half),
+                                   reference, weight + off + 1.0, f)
             for off in offsets
         }
     return out
@@ -455,22 +433,20 @@ def conformal_check(space: SectionSpace, ell: int, f: ConformalScale, sample_poi
     derivatives of the trigonometric factor, so the result is
     truncation-independent.
     """
-    ctx, points = _conformal_inputs(space, f, sample_points)
+    ctx, points, fjet = _conformal_inputs(space, ell, f, sample_points)
     m = space.m
     worst = 0.0
     for q in range(m + 1):
-        defects = _covariance_defects(ctx, ell, q, f, points)
+        defects = _covariance_defects(ctx, ell, q, fjet, points)
         worst = max(worst, *(d[0] for d in defects.values()))
 
     if (m + ell) % 2 == 0 and abs(ell) <= m:
-        field = _test_spinor(ctx, (m + ell) // 2)
+        phi = _jet(_test_spinor(ctx, (m + ell) // 2), points, m)
         weight = float(m + 1)
-        plus, minus = ctx.half01, ctx.half10
-        lhs = field_add(_dirac(_nabla_tilde(field, plus, f, ell, weight, ctx), plus, ctx),
-                        _dirac(_nabla_tilde(field, minus, f, ell, weight, ctx), minus, ctx))
-        rhs = field_add(_dirac(_flat_inners(field, plus, ctx), plus, ctx),
-                        _dirac(_flat_inners(field, minus, ctx), minus, ctx))
-        worst = max(worst, _pointwise_defect([lhs], [rhs], weight + 1.0, f, points))
+        halves = (ctx.half01, ctx.half10)
+        lhs = sum(_dirac(_nabla_tilde(phi, fjet, half, ell, weight, ctx), half) for half in halves)
+        rhs = sum(_dirac(phi.d[half.direction], half) for half in halves)
+        worst = max(worst, _pointwise_defect(lhs, rhs, weight + 1.0, fjet))
     return worst
 
 
@@ -491,7 +467,7 @@ def exponent_scan(
     also one twistor projection on each), where the scan is flat and
     carries no information.
     """
-    ctx, points = _conformal_inputs(space, f, sample_points)
+    ctx, points, fjet = _conformal_inputs(space, ell, f, sample_points)
     if isinstance(q, bool) or not isinstance(q, int) or not 0 <= q <= space.m:
         raise ValueError(f"grade q must lie in 0..{space.m}, got {q}")
-    return _covariance_defects(ctx, ell, q, f, points, offsets=tuple(offsets))
+    return _covariance_defects(ctx, ell, q, fjet, points, offsets=tuple(offsets))

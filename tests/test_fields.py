@@ -3,17 +3,7 @@
 import numpy as np
 import pytest
 
-from crspin.clifford import SpinorModule, creation_matrix
-from crspin.fields import (
-    TrigPoly,
-    apply_fiber,
-    evaluate_field,
-    field_add,
-    field_derivative,
-    field_scale,
-    scalar_multiply,
-    spinor_field,
-)
+from crspin.fields import TrigPoly
 
 
 def test_cosine_square_is_half_plus_double_frequency():
@@ -75,50 +65,13 @@ def test_frame_derivative_eigenvalue():
     # E_1 = (d/dx_1 - i d/dy_1)/2 multiplies exp(2 pi i (n_x x + n_y y))
     # by pi i (n_x - i n_y); Ebar_1 by pi i (n_x + i n_y).
     m = 2
-    module = SpinorModule(m)
     n_x, n_y = 3, -2
     freq = (n_x, 0, n_y, 0)
-    phi = spinor_field(module, {frozenset(): TrigPoly(2 * m, {freq: 1.0})})
-    de = field_derivative(phi, "e", 1, m)
-    debar = field_derivative(phi, "ebar", 1, m)
-    idx = module.index_of(frozenset())
-    assert de[idx].coeffs[freq] == pytest.approx(1j * np.pi * (n_x - 1j * n_y), abs=1e-14)
-    assert debar[idx].coeffs[freq] == pytest.approx(1j * np.pi * (n_x + 1j * n_y), abs=1e-14)
-
-
-def test_apply_fiber_commutes_with_evaluation():
-    m = 2
-    module = SpinorModule(m)
-    comps = {}
-    for i, subset in enumerate(module.subsets):
-        comps[subset] = TrigPoly(2 * m, {(i, 0, 1, 0): 0.3 + 0.1j * i, (0,) * (2 * m): 0.2})
-    phi = spinor_field(module, comps)
-    mat = creation_matrix(m, 1) + 0.5j * creation_matrix(m, 2)
-    point = (0.11, 0.37, 0.59, 0.83)
-    lhs = evaluate_field(apply_fiber(mat, phi), point)
-    rhs = mat @ evaluate_field(phi, point)
-    assert np.abs(lhs - rhs).max() < 1e-13
-
-
-def test_field_add_and_scale():
-    m = 1
-    module = SpinorModule(m)
-    phi = spinor_field(module, {frozenset(): TrigPoly.cosine(2, 0)})
-    psi = spinor_field(module, {frozenset([1]): TrigPoly.sine(2, 1)})
-    total = field_add(phi, field_scale(2.0, psi))
-    point = (0.3, 0.7)
-    expected = evaluate_field(phi, point) + 2.0 * evaluate_field(psi, point)
-    assert np.abs(evaluate_field(total, point) - expected).max() < 1e-14
-
-
-def test_scalar_multiply_is_pointwise():
-    m = 1
-    module = SpinorModule(m)
-    phi = spinor_field(module, {frozenset([1]): TrigPoly.cosine(2, 1, amplitude=0.8)})
-    g = TrigPoly.sine(2, 0, amplitude=1.2)
-    out = scalar_multiply(g, phi)
-    point = (0.19, 0.44)
-    assert np.abs(evaluate_field(out, point) - g(point) * evaluate_field(phi, point)).max() < 1e-14
+    phi = TrigPoly(2 * m, {freq: 1.0})
+    de = phi.frame_derivative("e", 1)
+    debar = phi.frame_derivative("ebar", 1)
+    assert de.coeffs[freq] == pytest.approx(1j * np.pi * (n_x - 1j * n_y), abs=1e-14)
+    assert debar.coeffs[freq] == pytest.approx(1j * np.pi * (n_x + 1j * n_y), abs=1e-14)
 
 
 def test_dimension_and_axis_errors():
@@ -140,3 +93,44 @@ def test_derivative_kills_constants():
     p = TrigPoly.constant(3, 2.5)
     for axis in range(3):
         assert p.derivative(axis).is_zero()
+
+
+def test_bad_frequencies_and_axes_are_refused():
+    # int() used to truncate a frequency coordinate and a negative axis indexed from the end
+    with pytest.raises(ValueError, match=r"frequency \(1\.5, 0\) must have integer coordinates"):
+        TrigPoly.cosine(2, 0, frequency=1.5)
+    with pytest.raises(ValueError, match=r"frequency \(0\.7, 0\) must have integer coordinates"):
+        TrigPoly(2, {(0.7, 0): 1.0})
+    for axis in (-1, 2, 5):
+        with pytest.raises(ValueError, match=rf"axis out of range: {axis}$"):
+            TrigPoly.cosine(2, axis)
+        with pytest.raises(ValueError, match=rf"axis out of range: {axis}$"):
+            TrigPoly.sine(2, axis)
+    assert TrigPoly(2, {(2.0, -1): 1.0}).coeffs == {(2, -1): 1.0 + 0j}
+
+
+def test_zero_frequency_waves_are_constants():
+    x = (0.21, 0.83)
+    assert TrigPoly.cosine(2, 0, amplitude=0.4, frequency=0)(x) == pytest.approx(0.4, abs=1e-15)
+    assert TrigPoly.sine(2, 1, amplitude=0.4, frequency=0).is_zero()
+
+
+def test_evaluation_at_an_array_of_points_matches_single_points():
+    p = TrigPoly(3, {(1, 0, -2): 0.4 + 0.2j, (0, 1, 0): -1.1, (0, 0, 0): 0.3})
+    points = np.array([[0.1, 0.2, 0.3], [0.55, 0.05, 0.91], [0.0, 0.0, 0.0]])
+    values = p(points)
+    assert values.shape == (3,)
+    for point, value in zip(points, values):
+        assert value == pytest.approx(p(point), abs=1e-14)
+    assert np.all(TrigPoly(3)(points) == 0)
+    with pytest.raises(ValueError):
+        p(np.zeros((2, 2)))
+
+
+def test_frame_derivative_refuses_a_frame_vector_it_lacks():
+    p = TrigPoly.cosine(4, 0)
+    for direction, a in (("e", 0), ("ebar", 3), ("x", 1)):
+        with pytest.raises(ValueError):
+            p.frame_derivative(direction, a)
+    with pytest.raises(ValueError, match="no frame vector 1 on 3 base coordinates"):
+        TrigPoly.constant(3, 1.0).frame_derivative("e", 1)

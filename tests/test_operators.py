@@ -231,26 +231,28 @@ def _twistor_route_gap(m: int, q: int) -> float:
 
     On the weight-zero sector of the unit lattice the base labels are
     2 pi n, so TrigPoly frequency n is the Fourier coefficient with label
-    2 pi n and both routes act on the same coefficients.
+    2 pi n: the matrix route acts on the spinor's coefficients, and its
+    output coefficients are summed into values at the sample points,
+    where the field route evaluates the twistor slots.
     """
     space = SectionSpace(heisenberg_model(m, k=0))
     freqs = np.rint(space.labels / (2.0 * np.pi)).astype(int)
     assert np.allclose(2.0 * np.pi * freqs, space.labels)
     row = {tuple(n): i for i, n in enumerate(freqs)}
 
-    def coefficients(field):
-        vec = np.zeros(space.dim, dtype=complex)
-        for fib, poly in enumerate(field):
-            for n, value in poly.coeffs.items():
-                vec[fib * space.base_dim + row[n]] += value
-        return vec
-
     ctx = weitzenboeck._FiberContext(m)
     field = weitzenboeck._test_spinor(ctx, q)
-    matrix_route = assemble_twistor(space, q).mat @ coefficients(field)[space.grade_block(q)]
-    slots = [slot for half in (ctx.half10, ctx.half01)
-             for slot in weitzenboeck._twistor(weitzenboeck._flat_inners(field, half, ctx), half, q, ctx)]
-    field_route = np.concatenate([coefficients(slot) for slot in slots])
+    vec = np.zeros(space.dim, dtype=complex)
+    for fib, poly in enumerate(field):
+        for n, value in poly.coeffs.items():
+            vec[fib * space.base_dim + row[n]] += value
+    points = weitzenboeck.default_sample_points(2 * m)
+    waves = np.exp(2j * np.pi * (freqs @ points.T))
+    slot_coefficients = assemble_twistor(space, q).mat @ vec[space.grade_block(q)]
+    matrix_route = slot_coefficients.reshape(2 * m, space.module.dim, space.base_dim) @ waves
+    phi = weitzenboeck._jet(field, points, m)
+    field_route = np.concatenate([weitzenboeck._twistor(phi.d[half.direction], half, q, ctx)
+                                  for half in (ctx.half10, ctx.half01)])
     assert np.abs(field_route).max() > 0.1
     return float(np.abs(matrix_route - field_route).max())
 

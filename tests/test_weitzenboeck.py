@@ -419,8 +419,8 @@ def test_conformal_entry_points_check_their_inputs(check):
         check(space, ConformalScale.cosine(1, amplitude=0.1), sample_points=np.zeros((5, 3)))
 
 
-@pytest.mark.parametrize("mutate", [lambda direction, df, c_self, c_other, sign: (direction, df, c_other, c_self, sign),
-                                    lambda direction, df, c_self, c_other, sign: (direction, df, c_self, c_other, -sign)],
+@pytest.mark.parametrize("mutate", [lambda direction, c_self, c_other, sign: (direction, c_other, c_self, sign),
+                                    lambda direction, c_self, c_other, sign: (direction, c_self, c_other, -sign)],
                          ids=["swapped_clifford_roles", "flipped_twist_sign"])
 @pytest.mark.parametrize("m, ell", [(1, -1), (2, 0)])
 def test_conformal_check_detects_a_broken_half(mutate, m, ell, monkeypatch):
@@ -447,3 +447,33 @@ def test_conformal_theta_weighted_terms_matter():
     f = ConformalScale.cosine(1, amplitude=0.3)
     scan = exponent_scan(space, -1, 0, f, offsets=(1,))
     assert scan["dirac_plus"][1] > 0.05
+
+
+@pytest.mark.parametrize("ell", [0.5, 1.0, True])
+@pytest.mark.parametrize("check", [lambda space, ell, f: conformal_check(space, ell, f),
+                                   lambda space, ell, f: exponent_scan(space, ell, 0, f)],
+                         ids=["conformal_check", "exponent_scan"])
+def test_conformal_entry_points_refuse_a_weight_that_is_no_integer(check, ell):
+    # a twist weight 0.5 has no line bundle, and True is no weight; both used to read as a pass
+    with pytest.raises(ValueError, match=rf"weight must be an integer, got {ell!r}$"):
+        check(flat_space(2), ell, ConformalScale.cosine(2))
+
+
+def _conformal_scales(m):
+    return [ConformalScale.cosine(m, axis=1, amplitude=0.25),
+            ConformalScale(m, TrigPoly.cosine(2 * m, 0, 0.15) + TrigPoly.sine(2 * m, 2 * m - 1, 0.2))]
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_conformal_laws_in_higher_dimensions(m):
+    space = flat_space(m)  # the m = 4 space is the slow part, so both checks share it
+    for f in _conformal_scales(m):
+        for ell in range(-m - 2, m + 3):
+            assert conformal_check(space, ell, f) <= 1e-9, (ell, f.poly)
+        # on an interior grade every operator has content, so only the canonical weight is covariant
+        for q in range(1, m):
+            scan = exponent_scan(space, m - 2 * q, q, f)
+            for name, per_offset in scan.items():
+                assert per_offset[0] <= 1e-9, (q, name)
+                for off in (-2, -1, 1, 2):
+                    assert per_offset[off] > 1e-4, (q, name, off)
