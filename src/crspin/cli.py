@@ -13,17 +13,17 @@ Config schema (JSON object; unknown keys are rejected with their path):
         "kind": "heisenberg" | "torus_bundle" | "sphere",   required
         "m": <int >= 1>,                                    required
         "ell": <int>,                                       default 0
-        "sectors": [<int>, ...],                            default [0]
+        "sectors": [<distinct int>, ...],                   default [0]
             weight sectors to realize: k for the Heisenberg quotient,
             s for the torus bundle (not accepted for the sphere)
         "flux": <nonzero int>,                              torus_bundle only, default 1
-        "scal_w": <positive number>,                        sphere only, default 1.0
+        "scal_w": <positive finite number>,                 sphere only, default 1.0
         "truncation": {"fourier_radius": <int >= 1>,
                        "ladder_levels": <int >= 2>}         optional
       },
       "checks": ["identities", "spectrum", "cohomology",
                  "vanishing", "conformal"],                 optional; --check overrides
-      "tolerances": {                                       optional, all positive
+      "tolerances": {                                       optional, all positive, finite
         "algebraic": 1e-12,      exact operator identities
         "dual_assembly": 1e-10,  independent assembly routes, Weitzenboeck residuals
         "spectral": 1e-8,        kernel and eigenvalue thresholds
@@ -43,18 +43,20 @@ cut into, counted as ``spurious``) are reported as warnings; under
 ``--strict`` they fail the run.
 
 The checks of one run share a per-run memo: each sector's SectionSpace
-is built once, and so is the torus shift table (one stacked Kohn
-Laplacian per sector).  Spectrum, cohomology and vanishing read one
-``dirac_kernel`` per sector, counted from the per-slot blocks of D with
-batched 2^m x 2^m eigensolves, whose eigenvalues fill the spectrum
-tables.  Identities stacks the per-slot blocks of D+ and D- once per
-sector: its algebraic rows read them, and every Lichnerowicz residual
-is read off the blockwise square of their sum D, formed after the
-halves are dropped.  No check forms a full-space matrix, and no matrix
-outlives its check.  The conformal check evaluates exact trigonometric
-polynomials and their frame derivatives at fixed sample points and
-depends only on the CR dimension, not on the sector, so it is evaluated
-once and that one value is reported under every sector key.
+is built once, and so are its Kohn Laplacian blocks and shift defects,
+which identities and the torus shift table read.  Spectrum, cohomology
+and vanishing read one ``dirac_kernel`` per sector, counted from the
+per-slot blocks of D with batched 2^m x 2^m eigensolves, whose
+eigenvalues fill the spectrum tables.  Identities stacks the per-slot
+blocks of D+ and D- once per sector: its algebraic rows read them, and
+every Lichnerowicz residual is read off the blockwise square of their
+sum D, formed after the halves are dropped.  No check forms a full-space
+matrix or a base_dim x base_dim one, and no matrix outlives its check
+except the Kohn Laplacian blocks a torus shift table reads.  The
+conformal check evaluates exact trigonometric polynomials and their
+frame derivatives at fixed sample points and depends only on the CR
+dimension, not on the sector, so it is evaluated once and that one value
+is reported under every sector key.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -70,7 +73,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cohomology import sector_identity_residual, shift_table, harmonic_spinor_table
+from .cohomology import ShiftSector, harmonic_spinor_table, shift_sector, shift_table
 from .models import (
     TruncationSpec,
     cr_alpha_bundle,
@@ -124,6 +127,13 @@ def _expect_int(obj, path):
     return obj
 
 
+def _expect_positive(obj, path):
+    # json reads NaN and Infinity, which pass a plain comparison with 0
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)) or not 0 < obj < math.inf:
+        raise ConfigError(f"at {path}: must be a positive finite number, got {obj!r}")
+    return float(obj)
+
+
 def _reject_unknown(obj, allowed, path):
     for key in sorted(set(obj) - set(allowed)):
         raise ConfigError(f"at {path}.{key}: unknown key")
@@ -161,17 +171,15 @@ def load_config(path: str) -> dict:
 
     model = {"kind": kind, "m": m, "ell": ell}
     if kind == "sphere":
-        scal_w = model_raw.get("scal_w", 1.0)
-        if isinstance(scal_w, bool) or not isinstance(scal_w, (int, float)) or scal_w <= 0:
-            raise ConfigError(f"at model.scal_w: must be a positive number, got {scal_w!r}")
-        model["scal_w"] = float(scal_w)
+        model["scal_w"] = _expect_positive(model_raw.get("scal_w", 1.0), "model.scal_w")
     else:
         sectors = model_raw.get("sectors", [0])
         if not isinstance(sectors, list) or not sectors:
             raise ConfigError(f"at model.sectors: expected a nonempty list, got {sectors!r}")
-        model["sectors"] = [
-            _expect_int(s, f"model.sectors[{i}]") for i, s in enumerate(sectors)
-        ]
+        model["sectors"] = [_expect_int(s, f"model.sectors[{i}]") for i, s in enumerate(sectors)]
+        for i, s in enumerate(model["sectors"]):
+            if s in model["sectors"][:i]:
+                raise ConfigError(f"at model.sectors[{i}]: duplicate sector {s}")
         if kind == "torus_bundle":
             flux = _expect_int(model_raw.get("flux", 1), "model.flux")
             if flux == 0:
@@ -201,9 +209,7 @@ def load_config(path: str) -> dict:
     _expect_mapping(tol_raw, "tolerances")
     _reject_unknown(tol_raw, TOLERANCE_DEFAULTS, "tolerances")
     for key, value in tol_raw.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
-            raise ConfigError(f"at tolerances.{key}: must be positive, got {value!r}")
-        tolerances[key] = float(value)
+        tolerances[key] = _expect_positive(value, f"tolerances.{key}")
 
     return {"model": model, "checks": list(checks), "tolerances": tolerances}
 
@@ -241,7 +247,7 @@ def _space_sectors(config) -> list:
 
 
 class _RunMemo:
-    """Objects several checks of one run share: sector spaces and the shift table.
+    """Objects several checks of one run share: sector spaces, their shift sectors and the shift table.
 
     Only successful builds are kept, so a build that raises fails every
     check that asks for it, as an unshared build would.
@@ -251,16 +257,24 @@ class _RunMemo:
         self.model = model
         self.config = config
         self._spaces = {}
+        self._shift = {}
 
     def space(self, sector) -> SectionSpace:
         if sector not in self._spaces:
             self._spaces[sector] = SectionSpace(self.model, sector=sector)
         return self._spaces[sector]
 
+    def shift_sector(self, sector) -> ShiftSector:
+        """The sector's Kohn Laplacian blocks and shift defects, formed once; kept only for a torus shift table."""
+        found = self._shift.get(sector) or shift_sector(self.space(sector))
+        if self.model.kind == "torus_bundle":
+            self._shift[sector] = found
+        return found
+
     @cached_property
     def shift_table(self):
         return shift_table(self.model, s_range=tuple(self.config["model"]["sectors"]),
-                           tol=self.config["tolerances"]["spectral"])
+                           tol=self.config["tolerances"]["spectral"], sector=self.shift_sector)
 
 
 def _check_identities(model, config, memo: _RunMemo) -> CheckResult:
@@ -284,7 +298,7 @@ def _check_identities(model, config, memo: _RunMemo) -> CheckResult:
         residuals.update({
             ("sub_laplacian_routes", "dual_assembly"): sub_laplacian_defect(space),
             ("reeb_routes", "dual_assembly"): float(nabla_T_defect(space)),
-            ("sector_identity", "dual_assembly"): max(sector_identity_residual(space).values()),
+            ("sector_identity", "dual_assembly"): max(memo.shift_sector(sector).defects.values()),
             ("lichnerowicz_residual", "dual_assembly"): lichnerowicz,
         })
         residuals.update({(f"covariant_dirac_residual_ell={ell}", "dual_assembly"): v for ell, v in covariant.items()})

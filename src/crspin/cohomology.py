@@ -6,19 +6,17 @@ fiber, so the tangential Cauchy-Riemann complex reuses the fiber
 creation/annihilation matrices:
 
     dbar  = sqrt(2) sum_a w_a (x) nabla_{Ebar_a},
-    dbar* = honest matrix adjoint, taken factor by factor,
-    box   = 2 sum_{a,b} (w_a^H w_b (x) nabla_{Ebar_a}^H nabla_{Ebar_b}
-                         + w_a w_b^H (x) nabla_{Ebar_a} nabla_{Ebar_b}^H),
+    dbar* = honest matrix adjoint,
+    box   = dbar* dbar + dbar dbar* = (P^H P + P P^H) / 2,   P = D+ = sqrt(2) dbar,
 
-where w_a wedges the a-th antiholomorphic coframe element.  box is
-multiplied out term by term from dbar's own Kronecker factors
-(``kohn_laplacian_terms``), so no full-space matrix is multiplied; the
-shift table and the sector identity read its per-slot blocks
-(``SectionSpace.stack``), and ``kohn_laplacian`` sums the same terms into
-the full-space matrix.  It reads nabla_{Ebar} only, while the
-degree-lowering Dirac half D- reads nabla_E: D^2 = 2 box on the degree
-blocks compares D+ D- + D- D+ with D+^H D+ + D+ D+^H (D+ = sqrt(2) dbar),
-two routes that part when D- is not the adjoint of D+.
+where w_a wedges the a-th antiholomorphic coframe element.  D+ keeps the
+per-slot blocks, so box's blocks are the batched products of D+'s stacked
+blocks (``kohn_laplacian_blocks``); the shift table and the sector
+identity read them, and ``kohn_laplacian`` forms the same products of the
+dense D+ degree block by degree block.  Both read nabla_{Ebar} only,
+while the degree-lowering Dirac half D- reads nabla_E: D^2 = 2 box on the
+degree blocks compares D+ D- + D- D+ with D+^H D+ + D+ D+^H, two routes
+that part when D- is not the adjoint of D+.
 
 On a weight sector with commutator scalar t the Kohn Laplacian differs
 from the holomorphic connection Laplacian by a multiple of the fiber
@@ -40,19 +38,21 @@ import io
 import json
 from dataclasses import dataclass, field
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
-from .clifford import creation_matrix
 from .models import PseudoHermitianModel, TorusBundleModel, TorusLattice
-from .operators import KernelCount, OperatorMatrix, block_kernel_report, dirac_kernel
+from .operators import KernelCount, OperatorMatrix, assemble_dplus, block_kernel_report, dirac_kernel, dplus_terms
 from .sections import SectionSpace
 
 __all__ = [
     "CohomologyTable",
     "TableRow",
     "kohn_laplacian",
-    "kohn_laplacian_terms",
+    "kohn_laplacian_blocks",
+    "ShiftSector",
+    "shift_sector",
     "holomorphic_laplacian",
     "fiber_weight_operator",
     "sector_identity_residual",
@@ -68,18 +68,26 @@ MODEL_LEVEL_NOTE = (
 )
 
 
-def kohn_laplacian_terms(space: SectionSpace):
-    """The 2 m^2 (fiber, base) Kronecker terms of dbar* dbar + dbar dbar* (module docstring), one at a time."""
-    wedges = [creation_matrix(space.m, a) for a in range(1, space.m + 1)]
-    for w_a, d_a in zip(wedges, space.nabla_ebar):
-        for w_b, d_b in zip(wedges, space.nabla_ebar):
-            yield 2.0 * w_a.conj().T @ w_b, d_a.conj().T @ d_b
-            yield 2.0 * w_a @ w_b.conj().T, d_a @ d_b.conj().T
+def kohn_laplacian_blocks(space: SectionSpace) -> np.ndarray:
+    """Per-slot blocks of box, (P^H P + P P^H) / 2 for the stacked blocks P of D+, block by block."""
+    plus = space.stack(dplus_terms(space))
+    box = np.einsum("bki,bkj->bij", plus.conj(), plus)
+    box += np.einsum("bik,bjk->bij", plus, plus.conj())
+    box *= 0.5
+    return box
 
 
 def kohn_laplacian(space: SectionSpace) -> OperatorMatrix:
-    """dbar* dbar + dbar dbar* as a full-space matrix, summed in place from its Kronecker terms."""
-    return OperatorMatrix(space.dense(kohn_laplacian_terms(space)), space, name="box", mu_shift=0)
+    """dbar* dbar + dbar dbar* as a full-space matrix, (P^H P + P P^H) / 2 of the dense D+ by degree blocks."""
+    plus = assemble_dplus(space).mat
+    box = np.zeros_like(plus)
+    grades = [space.grade_block(q) for q in range(space.m + 1)]
+    for low, high in zip(grades, grades[1:]):
+        step = plus[high, low]
+        box[low, low] += step.conj().T @ step
+        box[high, high] += step @ step.conj().T
+    box *= 0.5
+    return OperatorMatrix(box, space, name="box", mu_shift=0)
 
 
 def holomorphic_laplacian(space: SectionSpace) -> OperatorMatrix:
@@ -102,9 +110,23 @@ def fiber_weight_operator(space: SectionSpace) -> OperatorMatrix:
     return OperatorMatrix(mat, space, name="N", mu_shift=0)
 
 
+class ShiftSector(NamedTuple):
+    """One weight sector: its space, the per-slot blocks of its Kohn Laplacian and their shift defects per degree."""
+
+    space: SectionSpace
+    box: np.ndarray
+    defects: dict[int, float]
+
+
+def shift_sector(space: SectionSpace) -> ShiftSector:
+    """The box blocks of ``space`` and their defects against the shift identity (``sector_identity_residual``)."""
+    box = kohn_laplacian_blocks(space)
+    return ShiftSector(space, box, _shift_defects(space, box))
+
+
 def sector_identity_residual(space: SectionSpace) -> dict[int, float]:
     """Interior defect of box - box_bar = (m - q) N, per degree q, read off the per-slot blocks."""
-    return _shift_defects(space, space.stack(kohn_laplacian_terms(space)))
+    return shift_sector(space).defects
 
 
 def _shift_defects(space: SectionSpace, box: np.ndarray) -> dict[int, float]:
@@ -207,7 +229,7 @@ def _kernel_rows(space: SectionSpace, report: dict[int, KernelCount]) -> list[Ta
             for q, count in sorted(report.items())]
 
 
-def shift_table(model: TorusBundleModel, q_range=None, s_range=(0,), tol=1e-8) -> CohomologyTable:
+def shift_table(model: TorusBundleModel, q_range=None, s_range=(0,), tol=1e-8, sector=None) -> CohomologyTable:
     """Analytic and spectral Kohn-Rossi dimensions per fiber-weight sector.
 
     The analytic route identifies the weight-s sector with forms valued
@@ -217,21 +239,19 @@ def shift_table(model: TorusBundleModel, q_range=None, s_range=(0,), tol=1e-8) -
     Laplacian in complete per-slot blocks (``block_kernel_report``), once
     its blocks pass the circle-bundle shift identity; null vectors of
     blocks the cutoff cut into are artifacts and are not counted.
+    ``sector(s)`` gives the weight-s ``ShiftSector`` (default: formed here on a new space).
     """
     if not isinstance(model, TorusBundleModel):
         raise ValueError("the shift isomorphism table needs a torus circle bundle")
+    sector = sector or (lambda s: shift_sector(SectionSpace(model, sector=int(s))))
     qs = list(q_range) if q_range is not None else list(range(model.m + 1))
     table = CohomologyTable(model_name=model.describe())
     if model.m == 1:
         table.notes.append(MODEL_LEVEL_NOTE)
     for s in s_range:
-        space = SectionSpace(model, sector=int(s))
-        box = space.stack(kohn_laplacian_terms(space))
-        worst = max(_shift_defects(space, box).values())
-        if worst > 1e-10:
-            raise RuntimeError(
-                f"shift identity fails on sector {s}: interior defect {worst:.2e}"
-            )
+        space, box, defects = sector(s)
+        if (worst := max(defects.values())) > 1e-10:
+            raise RuntimeError(f"shift identity fails on sector {s}: interior defect {worst:.2e}")
         report = block_kernel_report(space, box, tol=tol, gram=False)
         spectral = {row.q: row for row in _kernel_rows(space, report)}
         for q in qs:

@@ -1,16 +1,14 @@
 """Dirac-type operators on truncated section spaces.
 
 Everything here is assembled from two commuting layers: Clifford
-generator matrices acting on the spinor fiber (``clifford``) and
-derivative matrices acting on base coefficients (``sections``).  Every
-operator is a sum of fiber (x) base Kronecker products, and each full-space
-term is formed directly by ``SectionSpace.mixed``; no two lifted
-full-space matrices are ever multiplied.  D+ and D- are written once, as
-lists of (fiber, base) terms (``dplus_terms``, ``dminus_terms``):
-``SectionSpace.dense`` sums a list into the full-space matrix and
-``SectionSpace.stack`` into its per-slot blocks of at most 2^m rows;
-``block_square`` and ``block_grading_defect`` read squares and grading
-off those blocks.  The Reeb formula is one such list too
+generator matrices acting on the spinor fiber (``clifford``) and base
+factors acting on base coefficients (``sections``).  Every operator is a
+list of (fiber matrix, base factor) Kronecker terms, D+ and D- written
+once (``dplus_terms``, ``dminus_terms``): ``SectionSpace.stack`` gathers
+a list into the per-slot blocks every check reads, where
+``block_square`` and ``block_grading_defect`` read squares and grading,
+and ``SectionSpace.dense`` sums it into the full-space matrix that the
+``assemble_*`` oracles return.  The Reeb formula is one such list too
 (``nabla_T_terms``): ``assemble_nabla_T`` sums it into the full-space
 matrix, and ``nabla_T_defect`` compares its blocks with i t.
 In the unitary frame the Kohn-Dirac operator splits as
@@ -149,17 +147,13 @@ def assemble_kohn_dirac(space: SectionSpace) -> OperatorMatrix:
     return OperatorMatrix(mat, space, name="D", mu_shift=None)
 
 
-def _sub_laplacian_base(space: SectionSpace, route: str) -> np.ndarray:
-    """Base-space matrix of the sub-Laplacian by one of its two routes (see ``assemble_sub_laplacian``)."""
+def _sub_laplacian_base(space: SectionSpace, route: str) -> list:
+    """Base factors summing to the sub-Laplacian by one of its two routes (see ``assemble_sub_laplacian``):
+    its diagonal, then (real route) each slot's off-diagonal part as a ``SlotOp``."""
     if route == "complex":
-        lap10, lap01 = space.horizontal_laplacians()
-        return lap10 + lap01
+        return [sum(space.horizontal_laplacians())]
     if route == "real":
-        base = np.zeros((space.base_dim, space.base_dim), dtype=complex)
-        for i in range(2 * space.m):
-            d = space.nabla_real(i)
-            base -= d @ d
-        return base
+        return space.products([(-1.0, d, d) for d in map(space.nabla_real, range(2 * space.m))])
     raise ValueError(f"unknown sub-Laplacian route {route!r}")
 
 
@@ -170,13 +164,15 @@ def assemble_sub_laplacian(space: SectionSpace, route: str = "complex") -> Opera
     unitary frame; ``route="real"`` sums minus the squares of the 2m
     real-frame derivatives.  The two agree identically.
     """
-    return OperatorMatrix(space.lift_base(_sub_laplacian_base(space, route)), space, name="Delta_tr", mu_shift=0)
+    base = sum(map(space.base_matrix, _sub_laplacian_base(space, route)))
+    return OperatorMatrix(space.lift_base(base), space, name="Delta_tr", mu_shift=0)
 
 
 def sub_laplacian_defect(space: SectionSpace) -> float:
-    """Largest matrix element separating the two sub-Laplacian routes, compared on
-    their base factors: both act as the identity on the fiber."""
-    return float(np.abs(_sub_laplacian_base(space, "complex") - _sub_laplacian_base(space, "real")).max())
+    """Largest matrix element separating the two sub-Laplacian routes, compared on their base factors
+    (both act as the identity on the fiber); the complex route is diagonal, the real one's off-diagonal counts whole."""
+    (complex_diag,), (real_diag, *real_off) = (_sub_laplacian_base(space, r) for r in ("complex", "real"))
+    return float(max([np.abs(complex_diag - real_diag).max(), *(np.abs(f.mat).max() for f in real_off)]))
 
 
 def nabla_T_terms(space: SectionSpace) -> list:
@@ -186,7 +182,7 @@ def nabla_T_terms(space: SectionSpace) -> list:
     """
     m, model = space.m, space.model
     lap10, lap01 = space.horizontal_laplacians()
-    eye_fiber, eye_base = np.eye(space.fiber_dim), np.eye(space.base_dim)
+    eye_fiber, eye_base = np.eye(space.fiber_dim), np.ones(space.base_dim)
     return [(eye_fiber, 2.0 * lap10 - 2.0 * lap01),
             (1j * two_form_matrix(m, rho_frame_components(model.rho)), eye_base),
             (-(model.ell * model.scal_w / (2.0 * (m + 2))) * eye_fiber, eye_base)]

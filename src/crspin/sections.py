@@ -14,8 +14,8 @@ where the half comes from).
 
 Two concrete realizations cover all sectors:
 
-* t == 0: Fourier modes of the flat base torus.  Every derivative matrix
-  is diagonal, so operator identities close to rounding on the whole
+* t == 0: Fourier modes of the flat base torus.  Every derivative is
+  diagonal, so operator identities close to rounding on the whole
   truncated space.
 * t != 0: a tensor product of m harmonic oscillator ladders cut off at
   ``ladder_levels`` states per slot.  Truncation only corrupts matrix
@@ -23,43 +23,29 @@ Two concrete realizations cover all sectors:
   headroom in every slot are flagged by the ``interior`` mask, and matrix
   elements of quadratic expressions between interior states are exact.
 
-Kernel counts computed on a single ladder copy carry a physical
-degeneracy; the ``multiplicity`` attribute records that integer factor
-(|k|^m on the Heisenberg quotient, |s c|^m on a flux-c torus bundle) so
-dimension tables can be scaled without enlarging any matrix.
+Base operators are held in label space as *base factors*, never as
+base_dim x base_dim matrices: a vector holding a diagonal (Fourier
+derivatives, horizontal Laplacians, the identity) or a ``SlotOp``, one
+slot's L x L ladder matrix (ladder derivatives); ``products`` multiplies
+them slot by slot.  The full section space is spanned by (fiber basis) x
+(base coefficient), fiber index major, so the degree blocks of the fiber
+stay contiguous, and every full-space operator is a list of (fiber
+matrix, base factor) Kronecker terms.
 
-The full section space is spanned by (fiber basis) x (base coefficient),
-fiber index major, so the fixed-degree blocks of the spinor fiber stay
-contiguous after taking Kronecker products.  Every full-space operator is
-a sum of such products, and ``SectionSpace.mixed`` is the one place that
-forms them: ``mixed(A, B)`` is kron(A, B), the lifts of a pure fiber
-or pure base operator are ``mixed`` with an identity factor, and
-``dense(terms)`` sums a list of (fiber, base) terms.  Callers never
-multiply two lifted matrices.
-
-The operators the spectral checks need also conserve one label per slot
-a, so they split into blocks of at most 2^m rows.  On ladder sectors the
-label is J_a = bit_a + n_a for t > 0 and J_a = bit_a - n_a for t < 0
-(bit_a is the a-th fiber occupation, n_a the a-th ladder occupation); on
-Fourier sectors it is the frequency.  ``blocks()`` is the partner table:
-row j lists, for every fiber state, the base index that completes it to
-label j, or -1 where the cutoff removed that state; ``block_complete()``
-flags the blocks the top cutoff removed no state of.  ``stack(terms)``
-forms the blocks of a sum of (fiber, base) Kronecker terms, entry for
-entry the same products ``mixed`` forms, without the dim x dim matrix.
-It checks each term against the partner table it gathers with: every
-full-space state sits in exactly one block, so a term keeps its blocks
-exactly when its in-block entries are as many as the nonzeros of its
-Kronecker product.  It raises on a term with fewer, naming the first
-entry that leaves its block, since the blocks cannot hold it.
-
-``horizontal_laplacians()`` holds the base matrices of nabla_10*
-nabla_10 and nabla_01* nabla_01, formed once per space.
+The checks read the terms' per-slot blocks: each operator conserves one
+label per slot, so it splits into blocks of at most 2^m rows (``blocks``,
+``block_complete``), and ``stack`` gathers a term list into them by
+looking each factor up on the partners' labels.  The dense oracle that
+tests and the acceptance gate read expands the terms instead:
+``base_matrix`` is the one expansion of a factor, ``mixed(A, B)`` is
+kron(A, B), the lifts are ``mixed`` with an identity factor, and
+``dense`` sums a list.  No check calls any of them.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,7 +58,7 @@ from .models import (
     default_truncation,
 )
 
-__all__ = ["SectionSpace"]
+__all__ = ["SectionSpace", "SlotOp"]
 
 
 def _ladder_annihilation(levels: int) -> np.ndarray:
@@ -82,13 +68,11 @@ def _ladder_annihilation(levels: int) -> np.ndarray:
     return mat
 
 
-def _slot_operator(mat: np.ndarray, slot: int, m: int) -> np.ndarray:
-    """Embed a single-ladder operator into slot ``slot`` of an m-fold product."""
-    levels = mat.shape[0]
-    out = np.eye(1, dtype=complex)
-    for j in range(m):
-        out = np.kron(out, mat if j == slot else np.eye(levels, dtype=complex))
-    return out
+class SlotOp(NamedTuple):
+    """Base factor of a ladder sector: the L x L matrix ``mat`` on slot ``slot``, the identity on the others."""
+
+    slot: int
+    mat: np.ndarray
 
 
 class SectionSpace:
@@ -108,9 +92,11 @@ class SectionSpace:
     t : float
         Commutator scalar of the sector; ``nabla_T`` acts as ``1j * t``.
     multiplicity : int
-        Physical degeneracy of the realized copy (1 on Fourier sectors).
-    nabla_e, nabla_ebar : list of ndarray
-        Base-space matrices of the derivatives along E_a and Ebar_a.
+        Physical degeneracy of the realized copy, which scales kernel counts:
+        |k|^m on a Heisenberg quotient, |s c|^m on a flux-c torus bundle, 1 on Fourier sectors.
+    nabla_e, nabla_ebar : list
+        Base factors of the derivatives along E_a and Ebar_a: ``SlotOp``
+        (slot a) on ladder sectors, diagonal vectors on Fourier sectors.
     interior : ndarray of bool
         Base coefficients whose quadratic matrix elements are exact.
     ladder_levels : int
@@ -150,7 +136,7 @@ class SectionSpace:
             self.kind = "ladder"
             self._build_ladder(self.ladder_levels)
 
-        self.base_dim = self.nabla_e[0].shape[0]
+        self.base_dim = len(self.labels)
         self.dim = self.fiber_dim * self.base_dim
         # fiber occupations, one row per fiber state: bit a is set when slot a+1 is in the subset
         self._bits = np.array([[a in s for a in range(1, self.m + 1)] for s in self.module.subsets], dtype=int)
@@ -161,8 +147,8 @@ class SectionSpace:
         m = self.m
         # E_a = (e_a - i Je_a)/2 acts on exp(i w.x) as i * (w_x - i w_y)/2
         zeta = 0.5 * (freqs[:, :m] - 1j * freqs[:, m:])
-        self.nabla_e = [np.diag(1j * zeta[:, a]) for a in range(m)]
-        self.nabla_ebar = [np.diag(1j * np.conj(zeta[:, a])) for a in range(m)]
+        self.nabla_e = [1j * zeta[:, a] for a in range(m)]
+        self.nabla_ebar = [1j * np.conj(zeta[:, a]) for a in range(m)]
         self.interior = np.ones(len(freqs), dtype=bool)
         self.labels = freqs
 
@@ -170,58 +156,69 @@ class SectionSpace:
         m = self.m
         lower = _ladder_annihilation(levels)
         raise_root = np.sqrt(abs(self.t))
-        self.nabla_e = []
-        self.nabla_ebar = []
-        for a in range(m):
-            low = _slot_operator(lower, a, m)
-            high = low.conj().T
-            if self.t > 0:
-                self.nabla_ebar.append(raise_root * low)
-                self.nabla_e.append(-raise_root * high)
-            else:
-                self.nabla_e.append(raise_root * low)
-                self.nabla_ebar.append(-raise_root * high)
+        low = [SlotOp(a, raise_root * lower) for a in range(m)]
+        high = [SlotOp(a, -raise_root * lower.conj().T) for a in range(m)]
+        self.nabla_e, self.nabla_ebar = (high, low) if self.t > 0 else (low, high)
         occ = np.array(list(itertools.product(range(levels), repeat=m)), dtype=int)
         self.labels = occ
         self.interior = np.all(occ <= levels - 2, axis=1)
 
     # -- real-frame derivatives ------------------------------------------
 
-    def nabla_real(self, i: int) -> np.ndarray:
-        """Derivative along the real frame vector s_i (order e_1..e_m, Je_1..Je_m)."""
+    def nabla_real(self, i: int):
+        """Base factor of the derivative along the real frame vector s_i (order e_1..e_m, Je_1..Je_m)."""
         if not 0 <= i < 2 * self.m:
             raise ValueError(f"frame index out of range: {i}")
-        if i < self.m:
-            return self.nabla_e[i] + self.nabla_ebar[i]
-        a = i - self.m
-        return 1j * (self.nabla_e[a] - self.nabla_ebar[a])
+        a = i % self.m
+        e, ebar = (f.mat if self.kind == "ladder" else f for f in (self.nabla_e[a], self.nabla_ebar[a]))
+        d = e + ebar if i < self.m else 1j * (e - ebar)
+        return SlotOp(a, d) if self.kind == "ladder" else d
+
+    def products(self, pairs) -> list:
+        """Base factors of sum(c * left right for c, left, right in pairs), each pair two factors of one slot
+        (an L x L product) or two diagonals: the diagonal as a vector, then each slot's off-diagonal ``SlotOp``."""
+        diag = np.zeros(self.base_dim, dtype=complex)
+        off = {}
+        for coeff, left, right in pairs:
+            if isinstance(left, SlotOp):
+                prod = coeff * (left.mat @ right.mat)
+                diag += np.diagonal(prod)[self.labels[:, left.slot]]
+                off[left.slot] = off.get(left.slot, 0.0) + (prod - np.diag(np.diagonal(prod)))
+            else:
+                diag += coeff * (left * right)
+        return [diag, *(SlotOp(a, mat) for a, mat in off.items())]
 
     def horizontal_laplacians(self) -> tuple[np.ndarray, np.ndarray]:
-        """Base-space matrices of nabla_10* nabla_10 and nabla_01* nabla_01, formed once, read-only.
-
-        nabla_10* nabla_10 = -2 sum_a nabla_{Ebar_a} nabla_{E_a} and
-        nabla_01* nabla_01 = -2 sum_a nabla_{E_a} nabla_{Ebar_a}.
-        """
+        """Diagonals of nabla_10* nabla_10 = -2 sum_a nabla_{Ebar_a} nabla_{E_a} and nabla_01* nabla_01 =
+        -2 sum_a nabla_{E_a} nabla_{Ebar_a} as read-only base vectors, formed once.  Both are diagonal:
+        truncated number operators per slot on ladder sectors, |zeta|^2 on Fourier ones."""
         if self._laplacians is None:
-            lap10 = np.zeros((self.base_dim, self.base_dim), dtype=complex)
-            lap01 = np.zeros_like(lap10)
-            for a in range(self.m):
-                lap10 -= 2.0 * self.nabla_ebar[a] @ self.nabla_e[a]
-                lap01 -= 2.0 * self.nabla_e[a] @ self.nabla_ebar[a]
+            lap10 = self.products([(-2.0, ebar, e) for e, ebar in zip(self.nabla_e, self.nabla_ebar)])[0]
+            lap01 = self.products([(-2.0, e, ebar) for e, ebar in zip(self.nabla_e, self.nabla_ebar)])[0]
             lap10.flags.writeable = lap01.flags.writeable = False
             self._laplacians = lap10, lap01
         return self._laplacians
 
     # -- lifting to the full space ---------------------------------------
 
-    def mixed(self, fiber_mat: np.ndarray, base_mat: np.ndarray) -> np.ndarray:
-        """Full-space matrix of the product operator fiber_mat (x) base_mat, from C-ordered
-        factors: np.kron copies its product once more for a transposed one (half the ladder operators)."""
-        return np.kron(*(np.ascontiguousarray(f, dtype=complex) for f in (fiber_mat, base_mat)))
+    def base_matrix(self, factor) -> np.ndarray:
+        """Dense base_dim^2 matrix of a base factor (vector, ``SlotOp`` or matrix); the oracle's one expansion."""
+        if isinstance(factor, SlotOp):
+            out = np.eye(1, dtype=complex)
+            for j in range(self.m):
+                out = np.kron(out, factor.mat if j == factor.slot else np.eye(self.ladder_levels))
+            return out
+        factor = np.asarray(factor, dtype=complex)
+        return np.diag(factor) if factor.ndim == 1 else factor
+
+    def mixed(self, fiber_mat: np.ndarray, base) -> np.ndarray:
+        """Full-space matrix of the product operator fiber_mat (x) base, from C-ordered factors:
+        np.kron copies its product once more for a transposed one."""
+        return np.kron(*(np.ascontiguousarray(f, dtype=complex) for f in (fiber_mat, self.base_matrix(base))))
 
     def lift_fiber(self, mat: np.ndarray) -> np.ndarray:
         """Fiber operator acting as the identity on base coefficients."""
-        return self.mixed(mat, np.eye(self.base_dim))
+        return self.mixed(mat, np.ones(self.base_dim))
 
     def lift_base(self, mat: np.ndarray) -> np.ndarray:
         """Base operator acting as the identity on the spinor fiber."""
@@ -269,51 +266,64 @@ class SectionSpace:
         return self._complete
 
     def dense(self, terms) -> np.ndarray:
-        """Full-space matrix of sum(mixed(F, B) for F, B in terms), summed in place."""
+        """Full-space matrix of sum(mixed(F, B) for F, B in terms), summed in place; the dense oracle."""
         out = np.zeros((self.dim, self.dim), dtype=complex)
         for fiber_mat, base_mat in terms:
             out += self.mixed(fiber_mat, base_mat)
         return out
 
     def stack(self, terms) -> np.ndarray:
-        """Blocks of ``dense(terms)``, shape (n_blocks, fiber_dim, fiber_dim).
+        """Blocks of ``dense(terms)``, shape (n_blocks, fiber_dim, fiber_dim), for (fiber matrix, base factor) terms.
 
-        Entry [j, s, s'] is the full-space entry between the block-j states
-        of fiber states s and s', formed by the same products and sums as
-        the full-space matrix; entries of states the cutoff removed are 0.
-        Every full-space state sits in exactly one block, so a term keeps
-        its blocks exactly when its gathered in-block entries number
-        nnz(fiber) * nnz(base), the nonzeros of its Kronecker product; a
-        term with fewer raises ``ValueError`` instead of being dropped
-        (``_refuse``).  ``terms`` is iterated once.
+        Entry [j, s, s'] is the full-space entry between the block-j states of fiber states s
+        and s', the same product of the same floats as in ``dense``; entries of removed states
+        are 0.  Only the fiber's nonzeros are gathered: a ``SlotOp`` at the partners' occupations
+        of its slot where the fiber bits of the other slots agree (so do their occupations, in a
+        ladder block), a vector where both partners are one base index.  A term with fewer gathered
+        entries than nnz(fiber) * nnz(base) (nnz(mat) * L^(m-1) for a ``SlotOp``) leaves its
+        blocks and raises ``ValueError`` (``_refuse``).  ``terms`` is iterated once.
         """
         partners = self.blocks()
         present = partners >= 0
         base = np.where(present, partners, 0)
-        rows, cols = base[:, :, None], base[:, None, :]
-        cut = ~(present[:, :, None] & present[:, None, :])
-        out = np.zeros(cut.shape, dtype=complex)
-        for index, (fiber_mat, base_mat) in enumerate(terms):
-            fiber_mat, base_mat = np.asarray(fiber_mat, dtype=complex), np.asarray(base_mat, dtype=complex)
-            entries = fiber_mat[None] * base_mat[rows, cols]
-            entries[cut] = 0.0
-            if np.count_nonzero(entries) != np.count_nonzero(fiber_mat) * np.count_nonzero(base_mat):
-                self._refuse(index, fiber_mat, base_mat)
-            out += entries
+        out = np.zeros((len(base), self.fiber_dim, self.fiber_dim), dtype=complex)
+        for index, (fiber_mat, factor) in enumerate(terms):
+            fiber_mat = np.asarray(fiber_mat, dtype=complex)
+            rows, cols = np.nonzero(fiber_mat)  # the term is 0 off these fiber entries
+            row_base, col_base = base[:, rows], base[:, cols]
+            if isinstance(factor, SlotOp):
+                occ = self.labels[:, factor.slot]
+                agree = np.delete(self._bits[rows] == self._bits[cols], factor.slot, axis=1).all(axis=1)
+                gathered = np.where(agree, factor.mat[occ[row_base], occ[col_base]], 0.0)
+                nnz = np.count_nonzero(factor.mat) * self.ladder_levels ** (self.m - 1)
+            else:
+                factor = np.asarray(factor, dtype=complex)
+                gathered = np.where(row_base == col_base, factor[row_base], 0.0)
+                nnz = np.count_nonzero(factor)
+            entries = fiber_mat[rows, cols] * gathered
+            entries[~(present[:, rows] & present[:, cols])] = 0.0
+            if np.count_nonzero(entries) != len(rows) * nnz:
+                self._refuse(index, fiber_mat, factor)
+            out[:, rows, cols] += entries
         return out
 
-    def _refuse(self, index: int, fiber_mat: np.ndarray, base_mat: np.ndarray):
-        """Raise ``ValueError`` naming the first nonzero entry of fiber_mat (x) base_mat that leaves its block.
+    def _refuse(self, index: int, fiber_mat: np.ndarray, factor):
+        """Raise ``ValueError`` naming the first nonzero entry of fiber_mat (x) factor that leaves its block.
 
-        Entries run fiber entry major, each factor's nonzeros in row-major
-        order; the state-to-block map is built only here.
-        """
+        Entries run fiber entry major, each factor's nonzeros in row-major order; the state-to-block
+        map and the base factor's nonzeros are listed only here."""
         partners = self.blocks()
         block, state = np.nonzero(partners >= 0)
         block_of = np.empty((self.fiber_dim, self.base_dim), dtype=int)
         block_of[state, partners[block, state]] = block
         fiber_rows, fiber_cols = np.nonzero(fiber_mat)
-        base_rows, base_cols = np.nonzero(base_mat)
+        if isinstance(factor, SlotOp):
+            # row r holds mat's row at r's occupation of the slot; a column moves only that digit
+            mat_rows, mat_cols = np.nonzero(factor.mat)
+            base_rows, k = np.nonzero(self.labels[:, factor.slot, None] == mat_rows)
+            base_cols = base_rows + (mat_cols[k] - mat_rows[k]) * self.ladder_levels ** (self.m - 1 - factor.slot)
+        else:
+            base_rows = base_cols = np.flatnonzero(factor)
         leaves = (block_of[fiber_rows[:, None], base_rows[None, :]]
                   != block_of[fiber_cols[:, None], base_cols[None, :]])
         i, j = np.argwhere(leaves)[0]

@@ -156,8 +156,8 @@ def _rhs_terms(space: SectionSpace, twist: int) -> list:
     On each weight block mu = m - 2q the sum is
     ((m - mu)/m) nabla_10* nabla_10 + ((m + mu)/m) nabla_01* nabla_01
     + curvature_term(model, twist, q), so the fiber factors are
-    diag(1 - mu_s/m) and diag(1 + mu_s/m) over the two horizontal
-    Laplacians and the block-diagonal curvature term over the base identity.
+    diag(1 - mu_s/m) and diag(1 + mu_s/m) over the two horizontal Laplacians
+    and the block-diagonal curvature term over the base identity, all vectors.
     """
     m = space.m
     mu = np.array([m - 2 * len(s) for s in space.module.subsets])
@@ -166,7 +166,7 @@ def _rhs_terms(space: SectionSpace, twist: int) -> list:
         fib = space.module.grade_slice(q)
         curvature[fib, fib] = curvature_term(space.model, twist, q).as_matrix
     lap10, lap01 = space.horizontal_laplacians()
-    return [(np.diag(1.0 - mu / m), lap10), (np.diag(1.0 + mu / m), lap01), (curvature, np.eye(space.base_dim))]
+    return [(np.diag(1.0 - mu / m), lap10), (np.diag(1.0 + mu / m), lap01), (curvature, np.ones(space.base_dim))]
 
 
 def _lichnerowicz_residual(space: SectionSpace, square: np.ndarray) -> float:

@@ -9,7 +9,7 @@ from crspin import cli
 from crspin.cohomology import (
     holomorphic_laplacian,
     kohn_laplacian,
-    kohn_laplacian_terms,
+    kohn_laplacian_blocks,
     sector_identity_residual,
     shift_table,
 )
@@ -73,17 +73,19 @@ def test_blocks_cover_every_index_once(space):
 @pytest.mark.parametrize("space", SPACES, ids=IDS)
 @pytest.mark.parametrize("operator", ["D", "box"])
 def test_stack_is_the_dense_assembly_on_blocks(space, operator):
+    # D's blocks gather the dense assembly's own floats; box's blocks are the
+    # same products of D+'s blocks as the dense box's, summed in another order
     if operator == "D":
-        terms, dense = dplus_terms(space) + dminus_terms(space), assemble_kohn_dirac(space).mat
+        stack, atol = space.stack(dplus_terms(space) + dminus_terms(space)), 0.0
+        dense = assemble_kohn_dirac(space).mat
     else:
-        terms, dense = list(kohn_laplacian_terms(space)), kohn_laplacian(space).mat
-    stack = space.stack(terms)
+        stack, dense, atol = kohn_laplacian_blocks(space), kohn_laplacian(space).mat, 1e-13
     index = full_indices(space)
     on_block = np.zeros_like(dense, dtype=bool)
     for j, block in enumerate(stack):
         present = index[j] >= 0
         rows = index[j][present]
-        assert np.array_equal(block[np.ix_(present, present)], dense[np.ix_(rows, rows)])
+        np.testing.assert_allclose(block[np.ix_(present, present)], dense[np.ix_(rows, rows)], rtol=0, atol=atol)
         assert not block[~present].any() and not block[:, ~present].any()
         on_block[np.ix_(rows, rows)] = True
     assert not dense[~on_block].any()
@@ -119,7 +121,7 @@ def test_complete_blocks_are_exact_and_cut_blocks_are_not(kind, m, sector, level
     if operator == "D":
         stacks = [space.stack(dplus_terms(space) + dminus_terms(space)) for space in spaces]
     else:
-        stacks = [space.stack(kohn_laplacian_terms(space)) for space in spaces]
+        stacks = [kohn_laplacian_blocks(space) for space in spaces]
     wider = dict(zip(block_labels(spaces[1]), stacks[1]))
     complete = spaces[0].block_complete()
     assert complete.any() and not complete.all()
@@ -140,7 +142,10 @@ def dense_shift_defects(space):
 
 @pytest.mark.parametrize("space", SPACES[:-2], ids=IDS[:-2])
 def test_sector_identity_residual_is_the_dense_formula(space):
-    assert sector_identity_residual(space) == dense_shift_defects(space)
+    # the block and dense box sum the same products of D+ in different orders
+    blocks, dense = sector_identity_residual(space), dense_shift_defects(space)
+    assert blocks.keys() == dense.keys()
+    assert all(abs(blocks[q] - dense[q]) <= 1e-13 for q in dense)
 
 
 @pytest.mark.parametrize("m, flux", [(1, 1), (1, 2), (2, 1), (2, 2)])
@@ -272,32 +277,35 @@ def test_identities_check_allocates_no_full_space_matrix():
     assert peak < 0.25 * space.dim**2 * np.dtype(complex).itemsize
 
 
-@pytest.mark.parametrize("model", [heisenberg_model(2, k=1), heisenberg_model(2, k=-1), heisenberg_model(2, k=0)],
-                         ids=["t>0", "t<0", "fourier"])
+@pytest.mark.parametrize("model", [heisenberg_model(2, k=1), heisenberg_model(2, k=-1)], ids=["t>0", "t<0"])
 def test_stack_refuses_a_term_that_leaves_its_block(model):
     space = SectionSpace(model)
-    # one entry off the pattern of the D- term of slot 1, term 2 of D's list
-    space.nabla_e[0][0, 1 if space.kind == "fourier" else 0] += 1e-3
-    base = r"\(0, 1\)" if space.kind == "fourier" else r"\(0, 0\)"
-    with pytest.raises(ValueError, match=rf"heisenberg sector {space.sector}: term 2 .*fiber entry \(0, 1\), base entry {base}"):
+    # one entry off the pattern of the D- term of slot 1, term 2 of D's list; a Fourier
+    # derivative is a vector of diagonal entries, so it cannot leave its blocks
+    space.nabla_e[0].mat[0, 0] += 1e-3
+    refusal = r"term 2 .*fiber entry \(0, 1\), base entry \(0, 0\)"
+    with pytest.raises(ValueError, match=rf"heisenberg sector {space.sector}: {refusal}"):
         dirac_kernel(space)
     # the rest of D keeps its blocks
     assert space.stack(dplus_terms(space)).shape == (len(space.blocks()), 4, 4)
 
 
-def test_stack_refuses_a_corrupted_partner_table(monkeypatch):
+@pytest.mark.parametrize("k, refusal, counts", [
+    (1, r"term 1 .*\(fiber entry \(2, 0\), base entry \(0, 1\)\)", {0: (1, 0), 1: (0, 2), 2: (0, 1)}),
+    (0, r"term 0 .*\(fiber entry \(1, 0\), base entry \(0, 0\)\)", {0: (1, 0), 1: (2, 0), 2: (1, 0)}),
+], ids=["ladder", "fourier"])
+def test_stack_refuses_a_corrupted_partner_table(monkeypatch, k, refusal, counts):
     # fiber state 0 trades partners between the first two blocks that hold it; the
     # factors of D still keep every label, so only the gathered entries can show it
-    space = SectionSpace(heisenberg_model(2, k=1))
+    space = SectionSpace(heisenberg_model(2, k=k))
     partners = space.blocks().copy()
-    j, k = np.flatnonzero(partners[:, 0] >= 0)[:2]
-    partners[[j, k], 0] = partners[[k, j], 0]
+    j, i = np.flatnonzero(partners[:, 0] >= 0)[:2]
+    partners[[j, i], 0] = partners[[i, j], 0]
     monkeypatch.setattr(space, "blocks", lambda: partners)
-    with pytest.raises(ValueError, match=r"heisenberg sector 1: term 1 moves states between per-slot blocks "
-                                         r"\(fiber entry \(2, 0\), base entry \(0, 1\)\)"):
+    with pytest.raises(ValueError, match=rf"heisenberg sector {k}: {refusal}"):
         dirac_kernel(space)
-    counts = dirac_kernel(SectionSpace(heisenberg_model(2, k=1)))
-    assert {q: (count.dim, count.spurious) for q, count in counts.items()} == {0: (1, 0), 1: (0, 2), 2: (0, 1)}
+    found = dirac_kernel(SectionSpace(heisenberg_model(2, k=k)))
+    assert {q: (count.dim, count.spurious) for q, count in found.items()} == counts
 
 
 def test_identities_check_forms_the_laplacian_pair_once_per_space(monkeypatch):
@@ -321,3 +329,32 @@ def test_identities_check_forms_the_laplacian_pair_once_per_space(monkeypatch):
         assert len(pairs) >= 4
         assert all(pair[0] is pairs[0][0] and pair[1] is pairs[0][1] for pair in pairs)
         assert not pairs[0][0].flags.writeable and not pairs[0][1].flags.writeable
+
+
+def held_arrays(value):
+    """Every ndarray ``value`` holds directly or through lists, tuples and ``SlotOp``s."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (list, tuple)):
+        return [array for item in value for array in held_arrays(item)]
+    return []
+
+
+def test_checks_hold_and_form_no_base_dim_squared_matrix():
+    # base_dim 729: one base_dim x base_dim complex matrix is 8.1 MiB, and the
+    # derivatives alone used to be six of them
+    model = heisenberg_model(3, k=0, truncation=TruncationSpec(fourier_radius=1, ladder_levels=6))
+    config = {"model": {"sectors": [0]}, "tolerances": dict(cli.TOLERANCE_DEFAULTS)}
+    tracemalloc.start()
+    try:
+        memo = cli._RunMemo(model, config)
+        for check in (cli._check_identities, cli._check_spectrum, cli._check_cohomology):
+            assert check(model, config, memo).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    space = memo.space(0)
+    assert space.base_dim == 729
+    held = held_arrays(list(vars(space).values()))
+    assert held and max(array.size for array in held) < space.base_dim**2
+    assert peak < space.base_dim**2 * np.dtype(complex).itemsize

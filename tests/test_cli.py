@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crspin import cli, cohomology, operators, sections
 from crspin.cli import main
@@ -106,6 +111,70 @@ def test_sectors_must_be_nonempty(tmp_path, capsys):
     )
     assert main(["run", "--config", cfg]) == 2
     assert "model.sectors" in capsys.readouterr().err
+
+
+def test_duplicate_sectors_rejected(tmp_path, capsys):
+    # a repeated sector would run every check on it twice and write each row twice
+    cfg = write_config(tmp_path, {"model": {"kind": "torus_bundle", "m": 1, "sectors": [0, 1, 1]},
+                                  "checks": ["identities"]})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "art")]) == 2
+    assert "at model.sectors[2]: duplicate sector 1" in capsys.readouterr().err
+    assert not (tmp_path / "art").exists()
+
+
+@pytest.mark.parametrize("kind, key, path", [
+    ("heisenberg", "tolerances", "tolerances.dual_assembly"),
+    ("sphere", "model", "model.scal_w"),
+])
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_non_finite_numbers_rejected(tmp_path, capsys, kind, key, path, value):
+    # json reads Infinity and NaN; an infinite tolerance would pass every row
+    config = {"model": {"kind": kind, "m": 1}, "checks": ["identities" if kind == "heisenberg" else "vanishing"]}
+    config[key] = dict(config.get(key, {}), **{path.split(".")[1]: value})
+    cfg = write_config(tmp_path, config)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "art")]) == 2
+    assert f"at {path}: must be a positive finite number, got {value!r}" in capsys.readouterr().err
+
+
+NUMBERS = st.one_of(st.integers(-1, 2), st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """Configs of the schema's shape: any numbers (NaN and infinities too), sector lists that may
+    repeat, sizes around their lower bounds, and now and then a key the kind does not take."""
+    kind = draw(st.sampled_from(["heisenberg", "torus_bundle", "sphere", "klein"]))
+    model = {"kind": kind, "m": draw(st.integers(0, 2)), "ell": draw(st.integers(-2, 2))}
+    if kind == "sphere" or draw(st.integers(0, 9)) == 0:
+        model["scal_w"] = draw(NUMBERS)
+    if kind != "sphere" or draw(st.integers(0, 9)) == 0:
+        model["sectors"] = draw(st.lists(st.integers(-2, 2), max_size=3))
+        model["flux"] = draw(st.integers(-1, 1))
+        model["truncation"] = {"fourier_radius": draw(st.integers(0, 2)), "ladder_levels": draw(st.integers(1, 3))}
+    tolerances = st.dictionaries(st.sampled_from([*cli.TOLERANCE_DEFAULTS, "shell"]), NUMBERS, max_size=2)
+    return {"model": model, "checks": ["identities"], "tolerances": draw(tolerances)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(fuzzed_configs())
+def test_refused_configs_exit_2_with_a_key_path(config):
+    # main runs on refused configs only, so no fuzzed size is ever allocated
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), config)
+        try:
+            loaded = cli.load_config(cfg)
+        except cli.ConfigError:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()) as out:
+                assert main(["run", "--config", cfg, "--out", str(Path(tmp) / "art")]) == 2
+            assert re.match(r"config error: at [\w.\[\]]+: ", err.getvalue()), err.getvalue()
+            assert "Traceback" not in err.getvalue() + out.getvalue()
+            assert not (Path(tmp) / "art").exists()
+            return
+    model = loaded["model"]
+    assert all(0 < value < float("inf") for value in loaded["tolerances"].values())
+    assert 0 < model.get("scal_w", 1.0) < float("inf")
+    assert len(set(model.get("sectors", []))) == len(model.get("sectors", []))
 
 
 def test_sphere_rejects_sector_list(tmp_path, capsys):
@@ -230,8 +299,9 @@ def test_bad_truncation_rejected(tmp_path, capsys):
 
 
 def test_run_builds_each_shared_object_once(tmp_path, monkeypatch):
-    # three section spaces for the checks plus three inside the one shift table
-    counts = {"spaces": 0, "conformal": 0, "shift": 0}
+    # three section spaces, and per sector one box stack and one set of shift
+    # defects, which the identities check and the one shift table share
+    counts = {"spaces": 0, "conformal": 0, "shift": 0, "box": 0, "defects": 0}
     build = sections.SectionSpace.__init__
 
     def counting_build(self, *args, **kwargs):
@@ -247,10 +317,12 @@ def test_run_builds_each_shared_object_once(tmp_path, monkeypatch):
     monkeypatch.setattr(sections.SectionSpace, "__init__", counting_build)
     monkeypatch.setattr(cli, "conformal_check", counting("conformal", cli.conformal_check))
     monkeypatch.setattr(cli, "shift_table", counting("shift", cli.shift_table))
+    monkeypatch.setattr(cohomology, "kohn_laplacian_blocks", counting("box", cohomology.kohn_laplacian_blocks))
+    monkeypatch.setattr(cohomology, "_shift_defects", counting("defects", cohomology._shift_defects))
     config = dict(TORUS_ALL, model=dict(TORUS_ALL["model"], sectors=[-1, 0, 1]))
     out = tmp_path / "art"
     assert main(["run", "--config", write_config(tmp_path, config), "--out", str(out)]) == 0
-    assert counts == {"spaces": 6, "conformal": 1, "shift": 1}
+    assert counts == {"spaces": 3, "conformal": 1, "shift": 1, "box": 3, "defects": 3}
     defects = json.loads((out / "conformal_report.json").read_text())["results"]["sectors"]
     assert sorted(defects) == ["-1", "0", "1"] and len(set(defects.values())) == 1
 
@@ -271,18 +343,18 @@ def count_calls(monkeypatch, counts, name, fn):
 @pytest.mark.parametrize("kind, expected", [
     # per sector: one Dirac kernel from blocks, shared by spectrum, cohomology and
     # vanishing; identities stacks its own D+ and D- blocks for the square; one box
-    # stack in identities and one in the shift table, each counted from blocks
+    # stack, read by identities and by the shift table, which counts its kernel from blocks
     ("torus_bundle", {"assemble_kohn_dirac": 0, "assemble_dplus": 0, "kohn_laplacian": 0,
-                      "kohn_laplacian_terms": 6, "kernel_report": 0, "block_kernel_report": 6}),
+                      "kohn_laplacian_blocks": 3, "kernel_report": 0, "block_kernel_report": 6}),
     # spectrum, cohomology and vanishing all read the one Dirac kernel
     ("heisenberg", {"assemble_kohn_dirac": 0, "assemble_dplus": 0, "kohn_laplacian": 0,
-                    "kohn_laplacian_terms": 3, "kernel_report": 0, "block_kernel_report": 3}),
+                    "kohn_laplacian_blocks": 3, "kernel_report": 0, "block_kernel_report": 3}),
 ])
 def test_run_forms_one_dirac_square_per_check_family(tmp_path, monkeypatch, kind, expected):
     counts = {}
     for name in ("assemble_kohn_dirac", "assemble_dplus", "kernel_report", "block_kernel_report"):
         count_calls(monkeypatch, counts, name, getattr(operators, name))
-    for name in ("kohn_laplacian", "kohn_laplacian_terms"):
+    for name in ("kohn_laplacian", "kohn_laplacian_blocks"):
         count_calls(monkeypatch, counts, name, getattr(cohomology, name))
     sizes = []
 
@@ -356,7 +428,7 @@ def test_no_check_forms_a_full_space_matrix(tmp_path, monkeypatch, kind):
     def refuse(*args, **kwargs):
         raise AssertionError("full-space matrix formed")
 
-    for name in ("mixed", "dense"):
+    for name in ("mixed", "dense", "base_matrix"):
         monkeypatch.setattr(sections.SectionSpace, name, refuse)
     model = {"kind": kind, "m": 2, "ell": 0, "sectors": [-1, 0, 1]}
     config = {"model": dict(model, flux=1) if kind == "torus_bundle" else model, "checks": list(cli.CHECK_NAMES)}
@@ -370,7 +442,7 @@ def test_identities_fail_on_a_term_that_leaves_its_block(tmp_path, monkeypatch, 
 
     def perturbed(self, *args, **kwargs):
         build(self, *args, **kwargs)
-        self.nabla_e[0][0, 0] += 1e-3
+        self.nabla_e[0].mat[0, 0] += 1e-3
 
     monkeypatch.setattr(sections.SectionSpace, "__init__", perturbed)
     cfg = write_config(tmp_path, {"model": {"kind": "heisenberg", "m": 2, "sectors": [1]}, "checks": ["identities"]})

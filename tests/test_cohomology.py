@@ -20,7 +20,7 @@ from crspin.cohomology import (
 from crspin import cohomology
 from crspin.models import TorusLattice, TruncationSpec, cr_alpha_bundle, heisenberg_model
 from crspin.operators import assemble_dplus, assemble_kohn_dirac, block_kernel_report, kernel_report
-from crspin.sections import SectionSpace
+from crspin.sections import SectionSpace, SlotOp
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +126,7 @@ def test_kohn_laplacian_is_a_second_route_to_the_dirac_square(space, scale):
     # is no longer minus the adjoint of nabla_Ebar, D^2 = 2 box must part on
     # the diagonal blocks, where D^2 = D+ D- + D- D+
     broken = copy.copy(space)
-    broken.nabla_e = [scale * d for d in space.nabla_e]
+    broken.nabla_e = [d._replace(mat=scale * d.mat) if isinstance(d, SlotOp) else scale * d for d in space.nabla_e]
     dirac = assemble_kohn_dirac(broken).mat
     diff = dirac @ dirac - 2.0 * kohn_laplacian(broken).mat
     gap = max(np.abs(diff[rows, rows]).max() for rows in map(space.grade_block, range(space.m + 1)))
