@@ -14,11 +14,8 @@ from .operators import (
     assemble_dminus,
     assemble_dplus,
     assemble_kohn_dirac,
-    assemble_sub_laplacian,
     assemble_twistor,
-    kernel_dim,
     kernel_report,
-    spectrum,
 )
 from .cohomology import (
     CohomologyTable,
@@ -57,11 +54,8 @@ __all__ = [
     "assemble_dminus",
     "assemble_dplus",
     "assemble_kohn_dirac",
-    "assemble_sub_laplacian",
     "assemble_twistor",
-    "kernel_dim",
     "kernel_report",
-    "spectrum",
     "CohomologyTable",
     "harmonic_spinor_table",
     "kohn_laplacian",

@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .models import PseudoHermitianModel, TorusBundleModel, TorusLattice
+from .models import TorusBundleModel, TorusLattice
 from .operators import KernelCount, OperatorMatrix, assemble_dplus, block_kernel_report, dirac_kernel, dplus_terms
 from .sections import SectionSpace
 
@@ -53,8 +53,6 @@ __all__ = [
     "kohn_laplacian_blocks",
     "ShiftSector",
     "shift_sector",
-    "holomorphic_laplacian",
-    "fiber_weight_operator",
     "sector_identity_residual",
     "torus_line_bundle_cohomology",
     "shift_table",
@@ -90,26 +88,6 @@ def kohn_laplacian(space: SectionSpace) -> OperatorMatrix:
     return OperatorMatrix(box, space, name="box", mu_shift=0)
 
 
-def holomorphic_laplacian(space: SectionSpace) -> OperatorMatrix:
-    """Gram matrix of the stacked (1,0)-derivatives, -2 sum nabla_Ebar nabla_E.
-
-    The fiber is untouched, so this is the connection Laplacian of the
-    underlying base bundle; on the weight-zero sector it coincides with
-    the pulled-back base Dolbeault Laplacian.
-    """
-    return OperatorMatrix(space.lift_base(space.horizontal_laplacians()[0]), space, name="box_bar", mu_shift=0)
-
-
-def fiber_weight_operator(space: SectionSpace) -> OperatorMatrix:
-    """i nabla along the fiber generator; s Id on the weight-s torus sector.
-
-    The contact form is twice the connection form, so the fiber generator
-    is twice the Reeb field and the operator equals -2t Id.
-    """
-    mat = -2.0 * space.t * np.eye(space.dim, dtype=complex)
-    return OperatorMatrix(mat, space, name="N", mu_shift=0)
-
-
 class ShiftSector(NamedTuple):
     """One weight sector: its space, the per-slot blocks of its Kohn Laplacian and their shift defects per degree."""
 
@@ -125,14 +103,15 @@ def shift_sector(space: SectionSpace) -> ShiftSector:
 
 
 def sector_identity_residual(space: SectionSpace) -> dict[int, float]:
-    """Interior defect of box - box_bar = (m - q) N, per degree q, read off the per-slot blocks."""
+    """Defect of box - box_bar = (m - q) N on complete blocks, per degree q, read off the per-slot blocks."""
     return shift_sector(space).defects
 
 
 def _shift_defects(space: SectionSpace, box: np.ndarray) -> dict[int, float]:
-    """Interior defect per degree of the stacked Kohn Laplacian ``box`` against box_bar + (m - q) N.
+    """Defect per degree of the stacked Kohn Laplacian ``box`` against box_bar + (m - q) N on complete blocks.
 
-    Both sides are zero between blocks, so the blocks carry every
+    box_bar = nabla_10* nabla_10 is the connection Laplacian of the base
+    bundle.  Both sides are zero between blocks, so the blocks carry every
     nonzero entry of the full-space difference.
     """
     box_bar = space.stack([(np.eye(space.fiber_dim), space.horizontal_laplacians()[0])])
@@ -141,7 +120,7 @@ def _shift_defects(space: SectionSpace, box: np.ndarray) -> dict[int, float]:
     for q in range(space.m + 1):
         fib = space.module.grade_slice(q)
         diff = box[:, fib, fib] - box_bar[:, fib, fib] - (space.m - q) * weight * np.eye(fib.stop - fib.start)
-        out[q] = space.block_interior_max(diff, fib)
+        out[q] = space.complete_max(diff, fib)
     return out
 
 
@@ -251,7 +230,7 @@ def shift_table(model: TorusBundleModel, q_range=None, s_range=(0,), tol=1e-8, s
     for s in s_range:
         space, box, defects = sector(s)
         if (worst := max(defects.values())) > 1e-10:
-            raise RuntimeError(f"shift identity fails on sector {s}: interior defect {worst:.2e}")
+            raise RuntimeError(f"shift identity fails on sector {s}: defect {worst:.2e} on complete blocks")
         report = block_kernel_report(space, box, tol=tol, gram=False)
         spectral = {row.q: row for row in _kernel_rows(space, report)}
         for q in qs:

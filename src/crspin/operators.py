@@ -9,8 +9,7 @@ a list into the per-slot blocks every check reads, where
 ``block_square`` and ``block_grading_defect`` read squares and grading,
 and ``SectionSpace.dense`` sums it into the full-space matrix that the
 ``assemble_*`` oracles return.  The Reeb formula is one such list too
-(``nabla_T_terms``): ``assemble_nabla_T`` sums it into the full-space
-matrix, and ``nabla_T_defect`` compares its blocks with i t.
+(``nabla_T_terms``), and ``nabla_T_defect`` compares its blocks with i t.
 In the unitary frame the Kohn-Dirac operator splits as
 
     D = D_plus + D_minus,
@@ -56,12 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clifford import (
-    annihilation_matrix,
-    creation_matrix,
-    theta_matrix,
-    two_form_matrix,
-)
+from .clifford import annihilation_matrix, creation_matrix, two_form_matrix
 from .models import rho_frame_components
 from .sections import SectionSpace
 
@@ -72,20 +66,14 @@ __all__ = [
     "assemble_dplus",
     "assemble_dminus",
     "assemble_kohn_dirac",
-    "assemble_sub_laplacian",
     "nabla_T_terms",
-    "assemble_nabla_T",
     "nabla_T_defect",
     "sub_laplacian_defect",
     "assemble_twistor",
     "twistor_contraction",
-    "gram",
-    "grading_defect",
     "block_square",
     "block_grading_defect",
     "cluster_eigenvalues",
-    "spectrum",
-    "kernel_dim",
     "kernel_report",
     "block_kernel_report",
     "dirac_kernel",
@@ -117,10 +105,6 @@ class OperatorMatrix:
             return np.inf
         return np.abs(self.mat - self.mat.conj().T).max()
 
-    def block(self, q_out: int, q_in: int) -> np.ndarray:
-        """Sub-matrix mapping the degree q_in block to the degree q_out block."""
-        return self.mat[self.space.grade_block(q_out), self.space.grade_block(q_in)]
-
 
 def dplus_terms(space: SectionSpace) -> list:
     """(fiber, base) Kronecker terms of D+ = 2 sum_a c(E_a) nabla_{Ebar_a}."""
@@ -147,38 +131,25 @@ def assemble_kohn_dirac(space: SectionSpace) -> OperatorMatrix:
     return OperatorMatrix(mat, space, name="D", mu_shift=None)
 
 
-def _sub_laplacian_base(space: SectionSpace, route: str) -> list:
-    """Base factors summing to the sub-Laplacian by one of its two routes (see ``assemble_sub_laplacian``):
-    its diagonal, then (real route) each slot's off-diagonal part as a ``SlotOp``."""
-    if route == "complex":
-        return [sum(space.horizontal_laplacians())]
-    if route == "real":
-        return space.products([(-1.0, d, d) for d in map(space.nabla_real, range(2 * space.m))])
-    raise ValueError(f"unknown sub-Laplacian route {route!r}")
-
-
-def assemble_sub_laplacian(space: SectionSpace, route: str = "complex") -> OperatorMatrix:
-    """Spinor sub-Laplacian, by either of two independent assemblies.
-
-    ``route="complex"`` sums the two connection Laplacians of the
-    unitary frame; ``route="real"`` sums minus the squares of the 2m
-    real-frame derivatives.  The two agree identically.
-    """
-    base = sum(map(space.base_matrix, _sub_laplacian_base(space, route)))
-    return OperatorMatrix(space.lift_base(base), space, name="Delta_tr", mu_shift=0)
-
-
 def sub_laplacian_defect(space: SectionSpace) -> float:
-    """Largest matrix element separating the two sub-Laplacian routes, compared on their base factors
-    (both act as the identity on the fiber); the complex route is diagonal, the real one's off-diagonal counts whole."""
-    (complex_diag,), (real_diag, *real_off) = (_sub_laplacian_base(space, r) for r in ("complex", "real"))
+    """Largest matrix element separating the sub-Laplacian's two routes, compared on their base factors
+    (both act as the identity on the fiber).
+
+    The complex route sums the unitary frame's two connection Laplacians,
+    a diagonal; the real route sums minus the squares of the 2m real-frame
+    derivatives, whose off-diagonal part counts whole.
+    """
+    complex_diag = sum(space.horizontal_laplacians())
+    real_diag, *real_off = space.products([(-1.0, d, d) for d in map(space.nabla_real, range(2 * space.m))])
     return float(max([np.abs(complex_diag - real_diag).max(), *(np.abs(f.mat).max() for f in real_off)]))
 
 
 def nabla_T_terms(space: SectionSpace) -> list:
-    """(fiber, base) Kronecker terms of the Reeb formula's bracket (``assemble_nabla_T``),
+    """(fiber, base) Kronecker terms of the bracket in the Reeb formula
 
-        2 nabla_10*nabla_10 - 2 nabla_01*nabla_01 + i c(rho) - ell scal / (2(m+2)).
+        nabla_T = (i/4m) (2 nabla_10*nabla_10 - 2 nabla_01*nabla_01 + i c(rho) - ell scal / (2(m+2))),
+
+    an independent route to the sector weight's i t (``nabla_T_defect``).
     """
     m, model = space.m, space.model
     lap10, lap01 = space.horizontal_laplacians()
@@ -188,37 +159,15 @@ def nabla_T_terms(space: SectionSpace) -> list:
             (-(model.ell * model.scal_w / (2.0 * (m + 2))) * eye_fiber, eye_base)]
 
 
-def assemble_nabla_T(space: SectionSpace, route: str = "direct") -> OperatorMatrix:
-    """Covariant derivative along the Reeb vector field.
-
-    ``route="direct"`` uses the sector weight (multiplication by i t).
-    ``route="formula"`` assembles the same operator from horizontal
-    Laplacians plus curvature terms (``nabla_T_terms``),
-
-        (i/4m) (2 nabla_10*nabla_10 - 2 nabla_01*nabla_01
-                + i c(rho) - ell scal / (2(m+2))),
-
-    which reduces to the commutator content of the truncation; the two
-    routes agree on interior coefficients (see ``nabla_T_defect``).
-    """
-    if route == "direct":
-        mat = 1j * space.t * np.eye(space.dim, dtype=complex)
-    elif route == "formula":
-        mat = (1j / (4.0 * space.m)) * space.dense(nabla_T_terms(space))
-    else:
-        raise ValueError(f"unknown nabla_T route {route!r}")
-    return OperatorMatrix(mat, space, name="nabla_T", mu_shift=0)
-
-
 def nabla_T_defect(space: SectionSpace) -> float:
-    """Largest interior matrix element separating the two nabla_T routes, read off per-slot blocks.
+    """Largest matrix element separating the Reeb formula from i t on complete blocks, read off per-slot blocks.
 
     The formula's terms keep the per-slot blocks (``stack`` refuses any
     that would not) and the direct route is i t times the identity, so
     the blocks carry every nonzero entry of the full-space difference.
     """
     formula = (1j / (4.0 * space.m)) * space.stack(nabla_T_terms(space))
-    return space.block_interior_max(formula - 1j * space.t * np.eye(space.fiber_dim))
+    return space.complete_max(formula - 1j * space.t * np.eye(space.fiber_dim))
 
 
 def twistor_weights(m: int, q: int) -> tuple[float, float]:
@@ -272,27 +221,6 @@ def twistor_contraction(space: SectionSpace, q: int) -> np.ndarray:
     return np.hstack(blocks)
 
 
-def gram(op: OperatorMatrix) -> OperatorMatrix:
-    """A* A of an operator; Hermitian, PSD, and block-diagonal for pure shifts."""
-    return OperatorMatrix(op.mat.conj().T @ op.mat, op.space, name=f"{op.name}*{op.name}", mu_shift=0)
-
-
-def grading_defect(op: OperatorMatrix) -> float:
-    """Largest norm of a block violating the recorded grading shift."""
-    if op.mu_shift is None:
-        return 0.0
-    worst = 0.0
-    m = op.space.m
-    for q_in in range(m + 1):
-        for q_out in range(m + 1):
-            if -2 * q_out + 2 * q_in == op.mu_shift:
-                continue
-            sub = op.block(q_out, q_in)
-            if sub.size:
-                worst = max(worst, np.abs(sub).max())
-    return worst
-
-
 def block_square(stack: np.ndarray) -> np.ndarray:
     """A @ A block by block, for the per-slot blocks ``stack`` of an operator A (``SectionSpace.stack``).
 
@@ -305,8 +233,8 @@ def block_square(stack: np.ndarray) -> np.ndarray:
 
 
 def block_grading_defect(space: SectionSpace, stack: np.ndarray, degree_shift: int) -> float:
-    """``grading_defect`` read off per-slot blocks: the largest |entry| between fiber
-    states whose degrees differ (output minus input) by other than ``degree_shift``."""
+    """Largest |entry| of the per-slot blocks ``stack`` between fiber states whose
+    degrees differ (output minus input) by other than ``degree_shift``."""
     degree = np.array([len(s) for s in space.module.subsets])
     entries = stack[:, degree[:, None] - degree[None, :] != degree_shift]
     return float(np.abs(entries).max()) if entries.size else 0.0
@@ -325,17 +253,6 @@ def cluster_eigenvalues(evals, tol: float = 1e-8) -> list[tuple[float, int]]:
             clusters[-1] = ((mean * n + val) / (n + 1), n + 1)
         else:
             clusters.append((float(val), 1))
-    return clusters
-
-
-def spectrum(op: OperatorMatrix, count: int | None = None, tol: float = 1e-8):
-    """Sorted (eigenvalue, multiplicity) clusters of a Hermitian operator."""
-    scale = 1.0 + np.abs(op.mat).max() if op.mat.size else 1.0
-    if op.hermitian_defect() > 1e-10 * scale:
-        raise ValueError("operator is not Hermitian; assemble it as A*A (see gram) first")
-    clusters = cluster_eigenvalues(np.linalg.eigvalsh(op.mat), tol=tol)
-    if count is not None:
-        clusters = clusters[:count]
     return clusters
 
 
@@ -449,12 +366,3 @@ def dirac_kernel(space: SectionSpace, tol: float = 1e-8) -> dict[int, KernelCoun
         reports[tol] = block_kernel_report(space, stack, tol=tol)
     return dict(reports[tol])
 
-
-def kernel_dim(op: OperatorMatrix, tol: float = 1e-8) -> dict[int, int]:
-    """Kernel dimension per grading block (see kernel_report for diagnostics)."""
-    return {q: rep.dim for q, rep in kernel_report(op, tol).items()}
-
-
-def theta_operator(space: SectionSpace) -> OperatorMatrix:
-    """Grading operator mu = m - 2q lifted to the full section space."""
-    return OperatorMatrix(space.lift_fiber(theta_matrix(space.m)), space, name="Theta", mu_shift=0)

@@ -18,10 +18,13 @@ Two concrete realizations cover all sectors:
   diagonal, so operator identities close to rounding on the whole
   truncated space.
 * t != 0: a tensor product of m harmonic oscillator ladders cut off at
-  ``ladder_levels`` states per slot.  Truncation only corrupts matrix
-  elements that pass through the top rung; states with one level of
-  headroom in every slot are flagged by the ``interior`` mask, and matrix
-  elements of quadratic expressions between interior states are exact.
+  ``ladder_levels`` states per slot.  The cutoff is the one truncation
+  notion: a per-slot block either lost states to it or is *complete*,
+  acted on as the untruncated operators act (``block_complete``), and
+  every residual is read on the present states of complete blocks
+  (``complete_max``).  Slot products are formed one rung higher
+  (``products``), so second-order base factors are exact on every kept
+  level.
 
 Base operators are held in label space as *base factors*, never as
 base_dim x base_dim matrices: a vector holding a diagonal (Fourier
@@ -97,8 +100,6 @@ class SectionSpace:
     nabla_e, nabla_ebar : list
         Base factors of the derivatives along E_a and Ebar_a: ``SlotOp``
         (slot a) on ladder sectors, diagonal vectors on Fourier sectors.
-    interior : ndarray of bool
-        Base coefficients whose quadratic matrix elements are exact.
     ladder_levels : int
         States kept per slot on ladder sectors (the truncation's value).
     labels : ndarray
@@ -149,7 +150,6 @@ class SectionSpace:
         zeta = 0.5 * (freqs[:, :m] - 1j * freqs[:, m:])
         self.nabla_e = [1j * zeta[:, a] for a in range(m)]
         self.nabla_ebar = [1j * np.conj(zeta[:, a]) for a in range(m)]
-        self.interior = np.ones(len(freqs), dtype=bool)
         self.labels = freqs
 
     def _build_ladder(self, levels: int):
@@ -159,9 +159,7 @@ class SectionSpace:
         low = [SlotOp(a, raise_root * lower) for a in range(m)]
         high = [SlotOp(a, -raise_root * lower.conj().T) for a in range(m)]
         self.nabla_e, self.nabla_ebar = (high, low) if self.t > 0 else (low, high)
-        occ = np.array(list(itertools.product(range(levels), repeat=m)), dtype=int)
-        self.labels = occ
-        self.interior = np.all(occ <= levels - 2, axis=1)
+        self.labels = np.array(list(itertools.product(range(levels), repeat=m)), dtype=int)
 
     # -- real-frame derivatives ------------------------------------------
 
@@ -175,13 +173,20 @@ class SectionSpace:
         return SlotOp(a, d) if self.kind == "ladder" else d
 
     def products(self, pairs) -> list:
-        """Base factors of sum(c * left right for c, left, right in pairs), each pair two factors of one slot
-        (an L x L product) or two diagonals: the diagonal as a vector, then each slot's off-diagonal ``SlotOp``."""
+        """Base factors of sum(c * left right for c, left, right in pairs), each pair two derivatives of one slot
+        or two diagonals: the diagonal as a vector, then each slot's off-diagonal ``SlotOp``.
+
+        A slot's product is formed on L + 1 levels and cut to the kept L x L block, so it is exact on every
+        kept level; this is the one place that knows the extra rung.  A ladder derivative is x a + y a^H for
+        its slot's annihilation matrix a, which fixes it on L + 1 levels.
+        """
         diag = np.zeros(self.base_dim, dtype=complex)
         off = {}
+        up = _ladder_annihilation(self.ladder_levels + 1)
         for coeff, left, right in pairs:
             if isinstance(left, SlotOp):
-                prod = coeff * (left.mat @ right.mat)
+                wide = [f.mat[0, 1] * up + f.mat[1, 0] * up.T for f in (left, right)]
+                prod = coeff * (wide[0] @ wide[1])[:-1, :-1]
                 diag += np.diagonal(prod)[self.labels[:, left.slot]]
                 off[left.slot] = off.get(left.slot, 0.0) + (prod - np.diag(np.diagonal(prod)))
             else:
@@ -191,7 +196,7 @@ class SectionSpace:
     def horizontal_laplacians(self) -> tuple[np.ndarray, np.ndarray]:
         """Diagonals of nabla_10* nabla_10 = -2 sum_a nabla_{Ebar_a} nabla_{E_a} and nabla_01* nabla_01 =
         -2 sum_a nabla_{E_a} nabla_{Ebar_a} as read-only base vectors, formed once.  Both are diagonal:
-        truncated number operators per slot on ladder sectors, |zeta|^2 on Fourier ones."""
+        number operators per slot on ladder sectors, exact on every kept level, |zeta|^2 on Fourier ones."""
         if self._laplacians is None:
             lap10 = self.products([(-2.0, ebar, e) for e, ebar in zip(self.nabla_e, self.nabla_ebar)])[0]
             lap01 = self.products([(-2.0, e, ebar) for e, ebar in zip(self.nabla_e, self.nabla_ebar)])[0]
@@ -202,14 +207,13 @@ class SectionSpace:
     # -- lifting to the full space ---------------------------------------
 
     def base_matrix(self, factor) -> np.ndarray:
-        """Dense base_dim^2 matrix of a base factor (vector, ``SlotOp`` or matrix); the oracle's one expansion."""
+        """Dense base_dim^2 matrix of a base factor (vector or ``SlotOp``); the oracle's one expansion."""
         if isinstance(factor, SlotOp):
             out = np.eye(1, dtype=complex)
             for j in range(self.m):
                 out = np.kron(out, factor.mat if j == factor.slot else np.eye(self.ladder_levels))
             return out
-        factor = np.asarray(factor, dtype=complex)
-        return np.diag(factor) if factor.ndim == 1 else factor
+        return np.diag(np.asarray(factor, dtype=complex))
 
     def mixed(self, fiber_mat: np.ndarray, base) -> np.ndarray:
         """Full-space matrix of the product operator fiber_mat (x) base, from C-ordered factors:
@@ -220,9 +224,10 @@ class SectionSpace:
         """Fiber operator acting as the identity on base coefficients."""
         return self.mixed(mat, np.ones(self.base_dim))
 
-    def lift_base(self, mat: np.ndarray) -> np.ndarray:
-        """Base operator acting as the identity on the spinor fiber."""
-        return self.mixed(np.eye(self.fiber_dim), mat)
+    def lift_base(self, factor) -> np.ndarray:
+        """Base factor acting as the identity on the spinor fiber.  No check reads it; it stays because the
+        benchmark's tracer wraps both lifts by name (``SECTION_METHODS`` in ``perfbench/tracing.py``)."""
+        return self.mixed(np.eye(self.fiber_dim), factor)
 
     # -- per-slot blocks --------------------------------------------------
 
@@ -331,22 +336,13 @@ class SectionSpace:
                          f"per-slot blocks (fiber entry ({fiber_rows[i]}, {fiber_cols[i]}), "
                          f"base entry ({base_rows[j]}, {base_cols[j]}))")
 
-    def block_interior(self) -> np.ndarray:
-        """Interior flags of the block states, shaped like ``blocks()``; False where the cutoff removed a state."""
-        partners = self.blocks()
-        return (partners >= 0) & self.interior[np.maximum(partners, 0)]
-
-    def block_interior_max(self, stack: np.ndarray, states: slice = slice(None)) -> float:
-        """Largest |entry| of ``stack`` (per-slot blocks on the fiber states ``states``) between interior states."""
-        inside = self.block_interior()[:, states]
+    def complete_max(self, stack: np.ndarray, states: slice = slice(None)) -> float:
+        """Largest |entry| of ``stack`` (per-slot blocks on the fiber states ``states``) between present
+        states of complete blocks, where the truncated operators act as the untruncated ones; every
+        residual is read here."""
+        inside = (self.blocks() >= 0)[:, states] & self.block_complete()[:, None]
         entries = stack[inside[:, :, None] & inside[:, None, :]]
         return float(np.abs(entries).max()) if entries.size else 0.0
-
-    def interior_max(self, diff: np.ndarray, block: slice = slice(None)) -> float:
-        """Largest |entry| of ``diff`` (a matrix on the index slice ``block``) between interior coefficients."""
-        mask = np.tile(self.interior, self.fiber_dim)[block]
-        diff = diff[np.ix_(mask, mask)]
-        return float(np.abs(diff).max()) if diff.size else 0.0
 
     def grade_block(self, q: int) -> slice:
         """Index slice of the degree-q spinor block in the full space."""

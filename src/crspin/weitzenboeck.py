@@ -11,11 +11,11 @@ remainder, and measures residuals of the formula on section spaces: the
 Lichnerowicz identity is the formula on every block at the model's
 twist, and the fixed-weight identity is its twist-ell case on the block
 mu = -ell.  Both read D^2 as per-slot blocks (``SectionSpace.stack``,
-``block_square``).  The right-hand side at a twist is one list of
-(fiber, base) terms on the whole fiber (``_rhs_terms``), stacked on the
-same blocks from the space's horizontal Laplacians, so no full-space
-matrix is formed: the Lichnerowicz residual subtracts it from D^2, and
-the fixed-weight residual reads its degree-q slice.
+``block_square``) on the present states of complete blocks
+(``SectionSpace.complete_max``).  The weighted horizontal Laplacians do
+not depend on the twist, so they are stacked once on the whole fiber
+(``_laplacian_stack``), and each twist adds its curvature term on the
+degree slices it reads, so no full-space matrix is formed.
 
 It also hosts the conformal covariance checks: under a rescaling of the
 contact form by exp(2 f), suitably weighted powers of exp(-f) intertwine
@@ -150,39 +150,13 @@ def q_split(model: PseudoHermitianModel, ell: int, q: int) -> tuple[np.ndarray, 
     return r_star, k
 
 
-def _rhs_terms(space: SectionSpace, twist: int) -> list:
-    """(fiber, base) Kronecker terms of the square formula's right-hand side at ``twist``, on the whole fiber.
-
-    On each weight block mu = m - 2q the sum is
-    ((m - mu)/m) nabla_10* nabla_10 + ((m + mu)/m) nabla_01* nabla_01
-    + curvature_term(model, twist, q), so the fiber factors are
-    diag(1 - mu_s/m) and diag(1 + mu_s/m) over the two horizontal Laplacians
-    and the block-diagonal curvature term over the base identity, all vectors.
-    """
+def _laplacian_stack(space: SectionSpace) -> np.ndarray:
+    """Per-slot blocks of ((m - mu)/m) nabla_10* nabla_10 + ((m + mu)/m) nabla_01* nabla_01 on each weight
+    block mu = m - 2q: the square formula's right-hand side without its curvature term, whole fiber."""
     m = space.m
     mu = np.array([m - 2 * len(s) for s in space.module.subsets])
-    curvature = np.zeros((space.fiber_dim, space.fiber_dim), dtype=complex)
-    for q in range(m + 1):
-        fib = space.module.grade_slice(q)
-        curvature[fib, fib] = curvature_term(space.model, twist, q).as_matrix
     lap10, lap01 = space.horizontal_laplacians()
-    return [(np.diag(1.0 - mu / m), lap10), (np.diag(1.0 + mu / m), lap01), (curvature, np.ones(space.base_dim))]
-
-
-def _lichnerowicz_residual(space: SectionSpace, square: np.ndarray) -> float:
-    """Interior residual of D^2 against the square formula at the model's twist, over the whole matrix.
-
-    The formula keeps the degree, so between two degrees the residual is
-    D^2's own entry.
-    """
-    return space.block_interior_max(square - space.stack(_rhs_terms(space, space.model.ell)))
-
-
-def _fixed_weight_residual(space: SectionSpace, square: np.ndarray, ell: int) -> float:
-    """Interior residual of D^2 against the square formula at twist ell on its block mu = -ell."""
-    fib = space.module.grade_slice((space.m + ell) // 2)
-    rhs = space.stack(_rhs_terms(space, ell))
-    return space.block_interior_max(square[:, fib, fib] - rhs[:, fib, fib], fib)
+    return space.stack([(np.diag(1.0 - mu / m), lap10), (np.diag(1.0 + mu / m), lap01)])
 
 
 def _dirac_square(space: SectionSpace) -> np.ndarray:
@@ -191,18 +165,19 @@ def _dirac_square(space: SectionSpace) -> np.ndarray:
 
 
 def sl_residual(space: SectionSpace) -> float:
-    """Interior residual of the Schroedinger-Lichnerowicz identity.
+    """Residual of the Schroedinger-Lichnerowicz identity on complete blocks.
 
     Compares D^2 against the weighted sum of horizontal Laplacians plus
-    the curvature term, on the interior coefficients of the section
-    space (ladder truncations distort only the top-rung shell).  Both
-    sides are read off per-slot blocks.
+    the curvature term at the model's twist, on the present states of the
+    per-slot blocks the ladder cutoff left complete, where both sides are
+    the untruncated operators' blocks.  Between degrees the residual is
+    D^2's own entry.
     """
-    return _lichnerowicz_residual(space, _dirac_square(space))
+    return square_residuals(space, _dirac_square(space))[0]
 
 
 def dl_residual(space: SectionSpace, ell: int) -> float:
-    """Interior residual of the distinguished-weight Laplacian identity.
+    """Residual of the distinguished-weight Laplacian identity on complete blocks.
 
     On the mu = -ell weight block the Kohn-Dirac square equals
 
@@ -220,18 +195,30 @@ def dl_residual(space: SectionSpace, ell: int) -> float:
         raise ValueError(
             f"no weight block mu = {-ell} for m = {m}; ell must lie in {{-m, -m+2, ..., m}}"
         )
-    return _fixed_weight_residual(space, _dirac_square(space), ell)
+    return square_residuals(space, _dirac_square(space))[1][ell]
 
 
 def square_residuals(space: SectionSpace, square: np.ndarray) -> tuple[float, dict[int, float]]:
-    """(``sl_residual``, {ell: ``dl_residual``} at every admissible ell), bit for bit, off ``square``.
+    """(``sl_residual``, {ell: ``dl_residual``} at every admissible ell) off ``square``.
 
     ``square`` holds the per-slot blocks of D^2, shape (n_blocks, 2^m, 2^m),
-    as ``block_square`` forms them from the blocks of D.
+    as ``block_square`` forms them from the blocks of D.  The horizontal
+    Laplacians are stacked once; each twist adds its curvature term on
+    the degree slices it reads, and the model's twist on the whole stack,
+    in place.
     """
-    weights = range(-space.m, space.m + 1, 2)
-    return (_lichnerowicz_residual(space, square),
-            {ell: _fixed_weight_residual(space, square, ell) for ell in weights})
+    m, model = space.m, space.model
+    laps = _laplacian_stack(space)
+    curvature = np.zeros((space.fiber_dim, space.fiber_dim), dtype=complex)
+    covariant = {}
+    for q in range(m + 1):
+        fib = space.module.grade_slice(q)
+        curvature[fib, fib] = curvature_term(model, model.ell, q).as_matrix
+        # the fixed-weight identity at twist ell = 2q - m is read on its block mu = -ell
+        rhs = laps[:, fib, fib] + curvature_term(model, 2 * q - m, q).as_matrix
+        covariant[2 * q - m] = space.complete_max(square[:, fib, fib] - rhs, fib)
+    laps += curvature
+    return space.complete_max(np.subtract(square, laps, out=laps)), covariant
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from blockstates import complete_max, full_indices
 
 from crspin import cli
 from crspin.cohomology import (
-    holomorphic_laplacian,
     kohn_laplacian,
     kohn_laplacian_blocks,
     sector_identity_residual,
@@ -18,13 +18,11 @@ from crspin.operators import (
     assemble_dminus,
     assemble_dplus,
     assemble_kohn_dirac,
-    assemble_nabla_T,
-    assemble_sub_laplacian,
     dirac_kernel,
     dminus_terms,
     dplus_terms,
-    grading_defect,
     kernel_report,
+    nabla_T_terms,
 )
 from crspin.sections import SectionSpace
 from crspin.weitzenboeck import curvature_term
@@ -45,12 +43,6 @@ def block_spaces():
 
 SPACES = block_spaces()
 IDS = [sp.describe() for sp in SPACES]
-
-
-def full_indices(space):
-    """Full-space index of every block state, -1 where the cutoff removed it."""
-    partners = space.blocks()
-    return np.where(partners >= 0, np.arange(space.fiber_dim) * space.base_dim + partners, -1)
 
 
 @pytest.mark.parametrize("space", SPACES, ids=IDS)
@@ -130,13 +122,14 @@ def test_complete_blocks_are_exact_and_cut_blocks_are_not(kind, m, sector, level
 
 
 def dense_shift_defects(space):
-    """The shift identity box - box_bar = (m - q) N on full-space matrices, per degree."""
-    box, box_bar = kohn_laplacian(space).mat, holomorphic_laplacian(space).mat
+    """The shift identity box - box_bar = (m - q) N on full-space matrices, per degree, on complete blocks."""
+    box = kohn_laplacian(space).mat
+    box_bar = space.dense([(np.eye(space.fiber_dim), space.horizontal_laplacians()[0])])
     out = {}
     for q in range(space.m + 1):
         rows = space.grade_block(q)
         eye = np.eye(rows.stop - rows.start)
-        out[q] = space.interior_max(box[rows, rows] - box_bar[rows, rows] - (space.m - q) * (-2.0 * space.t) * eye, rows)
+        out[q] = complete_max(space, box[rows, rows] - box_bar[rows, rows] - (space.m - q) * (-2.0 * space.t) * eye, rows)
     return out
 
 
@@ -210,21 +203,32 @@ def dense_rhs(space, laps, twist, q):
     eye = np.eye(space.module.grade_dim(q))
     rhs = space.mixed((1.0 - mu / m) * eye, laps[0])
     rhs += space.mixed((1.0 + mu / m) * eye, laps[1])
-    rhs += space.mixed(curvature_term(space.model, twist, q).as_matrix, np.eye(space.base_dim))
+    rhs += space.mixed(curvature_term(space.model, twist, q).as_matrix, np.ones(space.base_dim))
     return rhs
+
+
+def dense_grading_defect(space, mat, degree_shift):
+    """Largest |entry| of the full-space ``mat`` between degrees that differ (output minus input) by other than
+    ``degree_shift``."""
+    grades = list(enumerate(map(space.grade_block, range(space.m + 1))))
+    return max(float(np.abs(mat[rows, cols]).max()) for q_out, rows in grades for q_in, cols in grades
+               if q_out - q_in != degree_shift)
 
 
 def dense_identity_rows(space):
     """Every row of the identities check, from full-space matrices."""
-    dplus, dminus = assemble_dplus(space), assemble_dminus(space)
+    dplus, dminus = assemble_dplus(space).mat, assemble_dminus(space).mat
+    eye = np.eye(space.fiber_dim)
+    real = space.products([(-1.0, d, d) for d in map(space.nabla_real, range(2 * space.m))])
+    nabla_T = (1j / (4.0 * space.m)) * space.dense(nabla_T_terms(space))
     rows = {
-        "dirac_plus_squared": float(np.abs(dplus.mat @ dplus.mat).max()),
-        "dirac_minus_squared": float(np.abs(dminus.mat @ dminus.mat).max()),
-        "adjoint_defect": float(np.abs(dminus.mat - dplus.mat.conj().T).max()),
-        "grading_defect": float(max(grading_defect(dplus), grading_defect(dminus))),
-        "sub_laplacian_routes": float(np.abs(assemble_sub_laplacian(space, "complex").mat
-                                             - assemble_sub_laplacian(space, "real").mat).max()),
-        "reeb_routes": space.interior_max(assemble_nabla_T(space, "formula").mat - assemble_nabla_T(space, "direct").mat),
+        "dirac_plus_squared": float(np.abs(dplus @ dplus).max()),
+        "dirac_minus_squared": float(np.abs(dminus @ dminus).max()),
+        "adjoint_defect": float(np.abs(dminus - dplus.conj().T).max()),
+        "grading_defect": max(dense_grading_defect(space, dplus, 1), dense_grading_defect(space, dminus, -1)),
+        "sub_laplacian_routes": float(np.abs(space.dense([(eye, sum(space.horizontal_laplacians()))])
+                                             - space.dense([(eye, f) for f in real])).max()),
+        "reeb_routes": complete_max(space, nabla_T - 1j * space.t * np.eye(space.dim)),
         "sector_identity": max(dense_shift_defects(space).values()),
     }
     dirac = assemble_kohn_dirac(space).mat
@@ -234,12 +238,12 @@ def dense_identity_rows(space):
     for q in range(space.m + 1):
         block = space.grade_block(q)
         rhs[block, block] = dense_rhs(space, laps, space.model.ell, q)
-    rows["lichnerowicz_residual"] = space.interior_max(square - rhs)
+    rows["lichnerowicz_residual"] = complete_max(space, square - rhs)
     for ell in range(-space.m, space.m + 1, 2):
         q = (space.m + ell) // 2
         block = space.grade_block(q)
-        rows[f"covariant_dirac_residual_ell={ell}"] = space.interior_max(
-            square[block, block] - dense_rhs(space, laps, ell, q), block)
+        rows[f"covariant_dirac_residual_ell={ell}"] = complete_max(
+            space, square[block, block] - dense_rhs(space, laps, ell, q), block)
     return rows
 
 

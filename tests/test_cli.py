@@ -406,9 +406,21 @@ def test_cohomology_fails_when_cut_blocks_count_as_kernel(tmp_path, monkeypatch,
     cfg = write_config(tmp_path, config)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "art")]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(sections.SectionSpace, "block_complete", lambda self: np.ones(len(self.blocks()), dtype=bool))
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "mutant")]) == 1
+    count = cohomology.block_kernel_report
+
+    def count_every_block(space, stack, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(space, "block_complete", lambda: np.ones(len(space.blocks()), dtype=bool))
+            return count(space, stack, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cohomology, "block_kernel_report", count_every_block)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "mutant")]) == 1
     assert "check cohomology: FAIL ((q, s)=(0, 1): analytic 0 != spectral 1)" in capsys.readouterr().out
+    # the shift identity is read on the same flags, so with every block complete it refuses the cut ones first
+    monkeypatch.setattr(sections.SectionSpace, "block_complete", lambda self: np.ones(len(self.blocks()), dtype=bool))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "mutant2")]) == 1
+    assert "check cohomology: ERROR (shift identity fails on sector 1: defect" in capsys.readouterr().out
 
 
 def test_config_tolerances_reach_torus_cohomology(tmp_path, capsys):

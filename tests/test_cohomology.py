@@ -8,9 +8,7 @@ import pytest
 
 from crspin.cohomology import (
     CohomologyTable,
-    fiber_weight_operator,
     harmonic_spinor_table,
-    holomorphic_laplacian,
     kohn_laplacian,
     sector_identity_residual,
     shift_table,
@@ -209,13 +207,14 @@ def test_sector_identity(m, s):
     space = SectionSpace(cr_alpha_bundle(m, c=1, s=s))
     residuals = sector_identity_residual(space)
     assert max(residuals.values()) <= 1e-10
-    weight = fiber_weight_operator(space).mat
-    assert np.abs(weight - s * np.eye(space.dim)).max() <= 1e-13
+    # the fiber weight operator N = -2t Id is s Id on the weight-s sector
+    assert -2.0 * space.t == s
 
 
 def test_holomorphic_laplacian_matches_kohn_on_weight_zero():
     space = SectionSpace(cr_alpha_bundle(2, c=1, s=0))
-    assert np.abs(kohn_laplacian(space).mat - holomorphic_laplacian(space).mat).max() <= 1e-12
+    box_bar = space.dense([(np.eye(space.fiber_dim), space.horizontal_laplacians()[0])])
+    assert np.abs(kohn_laplacian(space).mat - box_bar).max() <= 1e-12
 
 
 @pytest.mark.parametrize("m,c", [(1, 1), (1, 2), (2, 1)])

@@ -5,28 +5,28 @@ import weakref
 
 import numpy as np
 import pytest
+from blockstates import complete_max
 
 from crspin import operators, weitzenboeck
-from crspin.clifford import annihilation_matrix, creation_matrix
+from crspin.clifford import annihilation_matrix, creation_matrix, theta_matrix
 from crspin.models import TruncationSpec, cr_alpha_bundle, heisenberg_model
 from crspin.operators import (
     OperatorMatrix,
     assemble_dminus,
     assemble_dplus,
     assemble_kohn_dirac,
-    assemble_nabla_T,
-    assemble_sub_laplacian,
     assemble_twistor,
+    block_grading_defect,
     block_kernel_report,
+    block_square,
+    cluster_eigenvalues,
     dirac_kernel,
-    grading_defect,
-    gram,
-    kernel_dim,
+    dminus_terms,
+    dplus_terms,
     kernel_report,
     nabla_T_defect,
-    spectrum,
+    nabla_T_terms,
     sub_laplacian_defect,
-    theta_operator,
     twistor_contraction,
 )
 from crspin.sections import SectionSpace
@@ -44,6 +44,20 @@ def spectral_spaces():
 
 SPACES = spectral_spaces()
 IDS = [sp.describe() for sp in SPACES]
+
+
+def sub_laplacian(space, route):
+    """Full-space sub-Laplacian: the unitary frame's connection Laplacians, or minus the real-frame squares."""
+    if route == "complex":
+        factors = [sum(space.horizontal_laplacians())]
+    else:
+        factors = space.products([(-1.0, d, d) for d in map(space.nabla_real, range(2 * space.m))])
+    return space.dense([(np.eye(space.fiber_dim), f) for f in factors])
+
+
+def reeb_formula(space):
+    """Full-space Reeb derivative by its formula, (i/4m) times the bracket of ``nabla_T_terms``."""
+    return (1j / (4.0 * space.m)) * space.dense(nabla_T_terms(space))
 
 
 @pytest.mark.parametrize("space", SPACES, ids=IDS)
@@ -75,25 +89,25 @@ def test_dminus_is_adjoint_of_dplus(space):
 
 @pytest.mark.parametrize("space", SPACES[:4], ids=IDS[:4])
 def test_grading_commutators(space):
-    theta = theta_operator(space).mat
+    theta = space.dense([(theta_matrix(space.m), np.ones(space.base_dim))])
     for op, sign in ((assemble_dplus(space), -2.0), (assemble_dminus(space), 2.0)):
         comm = theta @ op.mat - op.mat @ theta
         assert np.abs(comm - sign * op.mat).max() <= 1e-12
-        assert grading_defect(op) <= 1e-14
+    assert block_grading_defect(space, space.stack(dplus_terms(space)), 1) == 0.0
+    assert block_grading_defect(space, space.stack(dminus_terms(space)), -1) == 0.0
 
 
 def test_recorded_shift_must_match_sparsity():
     space = SPACES[1]
-    lying = OperatorMatrix(assemble_dplus(space).mat, space, name="D+", mu_shift=2)
-    assert grading_defect(lying) > 0.1
+    assert block_grading_defect(space, space.stack(dplus_terms(space)), -1) > 0.1
 
 
 @pytest.mark.parametrize("space", SPACES[:6], ids=IDS[:6])
 def test_kohn_dirac_hermitian_and_block_diagonal_square(space):
     dirac = assemble_kohn_dirac(space)
     assert dirac.hermitian_defect() <= 1e-12
-    square = OperatorMatrix(dirac.mat @ dirac.mat, space, mu_shift=0)
-    assert grading_defect(square) <= 1e-12
+    square = block_square(space.stack(dplus_terms(space) + dminus_terms(space)))
+    assert block_grading_defect(space, square, 0) <= 1e-12
 
 
 def test_dplus_kills_constant_modes():
@@ -123,32 +137,24 @@ def test_flat_dirac_square_spectrum_against_fourier_oracle():
     assert evals.min() >= -1e-10
 
 
-def test_spectrum_clusters_and_validation():
-    space = SectionSpace(heisenberg_model(1, k=0))
-    zero = OperatorMatrix(np.zeros((6, 6)), space, name="0", mu_shift=0)
-    assert spectrum(zero) == [(0.0, 6)]
-    dplus = assemble_dplus(space)
-    with pytest.raises(ValueError, match="Hermitian"):
-        spectrum(dplus)
-    clusters = spectrum(gram(dplus), count=1)
-    assert clusters[0][0] == pytest.approx(0.0, abs=1e-10)
+def test_cluster_eigenvalues():
+    assert cluster_eigenvalues(np.zeros(6)) == [(0.0, 6)]
+    assert cluster_eigenvalues([0.0, 1e-12, 1.0, 1.0 + 1e-9, 3.0]) == [(5e-13, 2), (1.0 + 5e-10, 2), (3.0, 1)]
+    assert cluster_eigenvalues([0.0, 1e-6], tol=1e-8) == [(0.0, 1), (1e-6, 1)]
 
 
 def test_sub_laplacian_routes_agree_and_psd():
     for space in (SPACES[0], SPACES[2], SPACES[4]):
-        complex_route = assemble_sub_laplacian(space, "complex")
-        real_route = assemble_sub_laplacian(space, "real")
-        assert np.abs(complex_route.mat - real_route.mat).max() <= 1e-12
-        assert complex_route.hermitian_defect() <= 1e-12
-        evals = np.linalg.eigvalsh(complex_route.mat)
+        complex_route, real_route = sub_laplacian(space, "complex"), sub_laplacian(space, "real")
+        assert np.abs(complex_route - real_route).max() <= 1e-12
+        assert np.abs(complex_route - complex_route.conj().T).max() <= 1e-12
+        evals = np.linalg.eigvalsh(complex_route)
         assert evals.min() >= -1e-12
-    with pytest.raises(ValueError):
-        assemble_sub_laplacian(SPACES[0], "sideways")
 
 
 @pytest.mark.parametrize("space", SPACES, ids=IDS)
 def test_sub_laplacian_defect_is_the_full_lift_maximum(space):
-    full = np.abs(assemble_sub_laplacian(space, "complex").mat - assemble_sub_laplacian(space, "real").mat).max()
+    full = np.abs(sub_laplacian(space, "complex") - sub_laplacian(space, "real")).max()
     assert sub_laplacian_defect(space) == full
 
 
@@ -170,7 +176,7 @@ LADDER3 = [SectionSpace(heisenberg_model(3, k=k, truncation=TruncationSpec(fouri
 
 @pytest.mark.parametrize("space", SPACES + LADDER3, ids=IDS + [sp.describe() for sp in LADDER3])
 def test_nabla_T_defect_is_the_full_space_maximum(space):
-    full = space.interior_max(assemble_nabla_T(space, "formula").mat - assemble_nabla_T(space, "direct").mat)
+    full = complete_max(space, reeb_formula(space) - 1j * space.t * np.eye(space.dim))
     assert nabla_T_defect(space) == full
 
 
@@ -187,8 +193,7 @@ def test_nabla_T_defect_allocates_no_full_space_matrix():
 
 def test_sub_laplacian_annihilates_constants():
     space = SectionSpace(heisenberg_model(2, k=0))
-    lap = assemble_sub_laplacian(space)
-    evals = np.linalg.eigvalsh(lap.mat)
+    evals = np.linalg.eigvalsh(sub_laplacian(space, "complex"))
     assert abs(evals.min()) <= 1e-12
 
 
@@ -206,14 +211,12 @@ def test_sub_laplacian_annihilates_constants():
 def test_nabla_T_routes_agree(model):
     space = SectionSpace(model)
     assert nabla_T_defect(space) <= 1e-10
-    direct = assemble_nabla_T(space).mat
-    assert np.abs(direct - 1j * space.t * np.eye(space.dim)).max() == 0.0
 
 
 def test_nabla_T_vanishes_on_weight_zero():
     space = SectionSpace(heisenberg_model(2, k=0))
-    assert np.abs(assemble_nabla_T(space).mat).max() == 0.0
-    assert np.abs(assemble_nabla_T(space, "formula").mat).max() <= 1e-12
+    assert space.t == 0.0
+    assert np.abs(reeb_formula(space)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("space", [SPACES[0], SPACES[3], SPACES[8], SPACES[11]], ids=lambda sp: sp.describe())
@@ -285,13 +288,13 @@ def test_constant_spinor_is_twistor_null():
 
 def test_kernel_dims_flat_sector_are_binomials():
     space = SectionSpace(heisenberg_model(2, k=0))
-    dims = kernel_dim(assemble_kohn_dirac(space))
+    dims = {q: count.dim for q, count in kernel_report(assemble_kohn_dirac(space)).items()}
     assert dims == {0: 1, 1: 2, 2: 1}
 
 
 def test_kernel_positive_bundle_concentrates_at_top():
     space = SectionSpace(cr_alpha_bundle(2, c=1, s=1))
-    dims = kernel_dim(assemble_kohn_dirac(space))
+    dims = {q: count.dim for q, count in kernel_report(assemble_kohn_dirac(space)).items()}
     assert dims[0] == 0 and dims[1] == 0
     assert dims[2] == 1
 
@@ -338,21 +341,23 @@ def test_dirac_kernel_does_not_keep_its_space_alive():
 
 @pytest.mark.parametrize("space", SPACES, ids=IDS)
 def test_dirac_kernel_eigenvalues_are_the_block_spectra(space):
-    square = gram(assemble_kohn_dirac(space))
+    dirac = assemble_kohn_dirac(space).mat
+    square = dirac.conj().T @ dirac
     report = dirac_kernel(space)
     assert sorted(report) == list(range(space.m + 1))
     assert report == kernel_report(assemble_kohn_dirac(space))
     for q, count in report.items():
         assert not count.eigenvalues.flags.writeable
-        np.testing.assert_allclose(count.eigenvalues, np.linalg.eigvalsh(square.block(q, q)), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(count.eigenvalues, np.linalg.eigvalsh(square[space.grade_block(q), space.grade_block(q)]), rtol=0, atol=1e-10)
 
 
 def test_kernel_of_identity_is_empty():
     space = SectionSpace(heisenberg_model(1, k=0))
     eye = OperatorMatrix(np.eye(space.dim), space, name="Id", mu_shift=0)
-    assert kernel_dim(eye) == {0: 0, 1: 0}
-    with pytest.raises(ValueError):
-        kernel_dim(eye, tol=0.0)
+    assert {q: (count.dim, count.spurious) for q, count in kernel_report(eye).items()} == {0: (0, 0), 1: (0, 0)}
+    for tol in (0.0, -1e-8):
+        with pytest.raises(ValueError, match="kernel tolerance must be positive"):
+            kernel_report(eye, tol=tol)
 
 
 def test_truncation_override_controls_dimensions():

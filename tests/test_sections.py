@@ -20,15 +20,6 @@ def dense_nabla(space):
     return [[space.base_matrix(d) for d in factors] for factors in (space.nabla_e, space.nabla_ebar)]
 
 
-def interior_residual(space, mat):
-    """Largest matrix element of ``mat`` between interior coefficients."""
-    mask = space.interior
-    if not mask.any():
-        raise ValueError("no interior coefficients at this truncation")
-    sub = mat[np.ix_(mask, mask)]
-    return np.abs(sub).max()
-
-
 @pytest.mark.parametrize(
     "model,sector,expected_t",
     [
@@ -64,25 +55,40 @@ def test_commutation_relations_fourier():
 
 
 @pytest.mark.parametrize("model", [heisenberg_model(1, k=3), cr_alpha_bundle(2, c=2, s=1)])
-def test_commutation_relations_ladder_interior(model):
+def test_commutation_relations_ladder(model):
+    # ``products`` forms a slot's products one rung above the cutoff, so the
+    # commutator is t on every kept level; different slots commute exactly
     space = SectionSpace(model)
-    eye = np.eye(space.base_dim)
     nabla_e, nabla_ebar = dense_nabla(space)
     for a in range(space.m):
-        for b in range(space.m):
-            comm = nabla_e[a] @ nabla_ebar[b] - nabla_ebar[b] @ nabla_e[a]
-            target = space.t * eye if a == b else 0.0
-            assert interior_residual(space, comm - target) <= 1e-13
+        diag, *off = space.products([(1.0, space.nabla_e[a], space.nabla_ebar[a]),
+                                     (-1.0, space.nabla_ebar[a], space.nabla_e[a])])
+        assert np.abs(diag - space.t).max() <= 1e-13
+        assert all(np.abs(f.mat).max() <= 1e-13 for f in off)
+        for b in set(range(space.m)) - {a}:
+            assert not (nabla_e[a] @ nabla_ebar[b] - nabla_ebar[b] @ nabla_e[a]).any()
 
 
 def test_ladder_commutator_fails_at_top_rung():
-    # the truncation defect is confined to non-interior states
+    # products of the truncated L x L matrices miss only at occupation L - 1
     space = SectionSpace(heisenberg_model(1, k=1))
     (nabla_e,), (nabla_ebar,) = dense_nabla(space)
     comm = nabla_e @ nabla_ebar - nabla_ebar @ nabla_e
     defect = comm - space.t * np.eye(space.base_dim)
-    assert np.abs(defect).max() > 0.5
-    assert interior_residual(space, defect) <= 1e-13
+    top = space.labels[:, 0] == space.ladder_levels - 1
+    assert np.abs(defect[np.ix_(top, top)]).max() > 0.5
+    assert np.abs(defect[np.ix_(~top, ~top)]).max() <= 1e-13 and not defect[np.ix_(top, ~top)].any()
+
+
+@pytest.mark.parametrize("k", [2, -1])
+def test_horizontal_laplacians_are_exact_on_every_level(k):
+    # 2|t| N and 2|t| (N + m) for the total occupation N, the top rung included
+    space = SectionSpace(heisenberg_model(2, k=k, truncation=TruncationSpec(fourier_radius=1, ladder_levels=4)))
+    total = space.labels.sum(axis=1)
+    lowered, raised = 2 * abs(k) * total, 2 * abs(k) * (total + space.m)
+    lap10, lap01 = space.horizontal_laplacians()
+    np.testing.assert_allclose(lap10, raised if k > 0 else lowered, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(lap01, lowered if k > 0 else raised, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize(
@@ -153,12 +159,15 @@ def test_dimensions_and_grade_blocks():
     assert space.grade_block(2).stop == space.dim
 
 
-def test_interior_mask_counts():
+def test_complete_block_counts():
     model = heisenberg_model(2, k=1, truncation=TruncationSpec(fourier_radius=1, ladder_levels=5))
     space = SectionSpace(model)
-    assert int(space.interior.sum()) == 16
-    # the per-slot blocks hold every full-space state once
-    assert int(space.block_interior().sum()) == 16 * space.fiber_dim
+    complete = space.block_complete()
+    # labels J in [0, 5]^2, complete when both J_a <= 4
+    assert len(complete) == 36 and int(complete.sum()) == 25
+    # fiber state with bits b sits at occupation J - b >= 0: 5 labels per unset bit, 4 per set one
+    present = (space.blocks() >= 0) & complete[:, None]
+    assert present.sum(axis=0).tolist() == [25, 20, 20, 16]
 
 
 def test_kron_ordering_is_fiber_major():
@@ -168,8 +177,7 @@ def test_kron_ordering_is_fiber_major():
     lifted = space.lift_fiber(fib)
     # entry coupling (fiber 0, base j) to (fiber 1, base j)
     assert lifted[0, space.base_dim] == 1.0
-    base = np.diag([1.0, 2.0, 3.0])
-    assert np.allclose(np.diag(space.lift_base(base)), np.tile([1.0, 2.0, 3.0], 2))
+    assert np.allclose(np.diag(space.lift_base(np.array([1.0, 2.0, 3.0]))), np.tile([1.0, 2.0, 3.0], 2))
 
 
 def test_sphere_model_is_rejected():
@@ -208,15 +216,17 @@ def test_mixed_allocates_one_full_space_matrix(k):
         assert peak < 1.5 * mat.nbytes
 
 
-def test_interior_max_ignores_shell_entries():
+def test_complete_max_ignores_cut_blocks_and_absent_states():
     space = SectionSpace(heisenberg_model(2, k=1))
-    shell = ~np.tile(space.interior, space.fiber_dim)
-    diff = np.full((space.dim, space.dim), 0.5)
-    diff[shell, :] = -1e6
-    diff[:, shell] = 1e6
-    rows = space.grade_block(1)
-    inner = rows.start + int(np.argmin(shell[rows]))
-    diff[inner, inner] = -3.0
-    assert space.interior_max(diff) == 3.0
-    assert space.interior_max(diff[rows, rows], rows) == 3.0
-    assert space.interior_max(diff[space.grade_block(0), space.grade_block(0)], space.grade_block(0)) == 0.5
+    inside = (space.blocks() >= 0) & space.block_complete()[:, None]
+    stack = np.full((len(inside), space.fiber_dim, space.fiber_dim), 0.5)
+    stack[~inside, :] = -1e6
+    stack.transpose(0, 2, 1)[~inside, :] = 1e6
+    fib = space.module.grade_slice(1)
+    j = int(np.flatnonzero(inside[:, 1])[0])
+    stack[j, 1, 1] = -3.0
+    assert space.complete_max(stack) == 3.0
+    assert space.complete_max(stack[:, fib, fib], fib) == 3.0
+    assert space.complete_max(stack[:, :1, :1], slice(0, 1)) == 0.5
+    # a block the cutoff cut into, and a state it removed from a complete block, are never read
+    assert not inside[~space.block_complete()].any() and not inside[space.block_complete()].all()

@@ -4,20 +4,22 @@ import dataclasses
 
 import numpy as np
 import pytest
+from blockstates import complete_mask
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from crspin import weitzenboeck
+from crspin import cli, weitzenboeck
 from crspin.clifford import theta_matrix, two_form_matrix
 from crspin.fields import TrigPoly
 from crspin.models import (
     PseudoHermitianModel,
+    TruncationSpec,
     cr_alpha_bundle,
     heisenberg_model,
     rho_frame_components,
     sphere_model,
 )
-from crspin.operators import assemble_kohn_dirac, assemble_sub_laplacian, block_square, dminus_terms, dplus_terms
+from crspin.operators import assemble_kohn_dirac, block_square, dminus_terms, dplus_terms
 from crspin.sections import SectionSpace
 from crspin.weitzenboeck import (
     ConformalScale,
@@ -188,12 +190,36 @@ SL_SPACES = [
 
 @pytest.mark.parametrize("model", SL_SPACES, ids=lambda mdl: mdl.describe() + getattr(mdl, "kind", ""))
 def test_sl_residual_small(model):
+    # D^2 is far from zero on the states the residual reads, so a small residual is the identity
     space = SectionSpace(model)
-    mask = np.tile(space.interior, space.fiber_dim)
-    assert mask.sum() > 0
-    dirac = assemble_kohn_dirac(space).mat
-    assert np.abs((dirac @ dirac)[np.ix_(mask, mask)]).max() > 0.5
+    inside = (space.blocks() >= 0) & space.block_complete()[:, None]
+    square = block_square(space.stack(dplus_terms(space) + dminus_terms(space)))
+    assert np.abs(square[inside[:, :, None] & inside[:, None, :]]).max() > 0.5
     assert sl_residual(space) <= 1e-10
+
+
+@pytest.mark.parametrize("kind", ["heisenberg", "torus_bundle"])
+def test_residuals_read_the_top_kept_rung(kind, monkeypatch):
+    # a state at occupation L - 1 of a complete block: the right-hand side is exact
+    # there, so corrupting it must show in the residual and fail the identities check
+    trunc = TruncationSpec(fourier_radius=1, ladder_levels=5)
+    model = (heisenberg_model(2, k=1, truncation=trunc) if kind == "heisenberg"
+             else cr_alpha_bundle(2, c=1, s=-2, truncation=trunc))
+    config = {"model": {"sectors": [1 if kind == "heisenberg" else -2]}, "tolerances": dict(cli.TOLERANCE_DEFAULTS)}
+    memo = cli._RunMemo(model, config)
+    space = memo.space(config["model"]["sectors"][0])
+    assert space.t == 1.0
+    top = np.flatnonzero((space.labels == [space.ladder_levels - 1, 0]).all(axis=1))[0]
+    block = np.flatnonzero(space.blocks()[:, 0] == top)[0]  # fiber state 0 at occupation (L - 1, 0)
+    assert space.block_complete()[block]
+    lap10, lap01 = space.horizontal_laplacians()
+    corrupted = lap01.copy()
+    corrupted[top] += 0.5  # nabla_01* nabla_01 enters degree 0 with weight 2
+    monkeypatch.setattr(space, "horizontal_laplacians", lambda: (lap10, corrupted))
+    assert abs(sl_residual(space) - 1.0) <= 1e-10
+    result = cli._check_identities(model, config, memo)
+    assert not result.passed
+    assert abs(result.report["sectors"][str(space.sector)]["lichnerowicz_residual"] - 1.0) <= 1e-10
 
 
 def test_sl_residual_detects_wrong_scalar_term():
@@ -232,8 +258,8 @@ def test_lichnerowicz_residual_reads_off_degree_entries():
     space = SectionSpace(heisenberg_model(2, k=1))
     square = block_square(space.stack(dplus_terms(space) + dminus_terms(space)))
     lichnerowicz, covariant = square_residuals(space, square)
-    # fiber states 0 and 3 have degrees 0 and 2; take a block where both are interior
-    j = np.flatnonzero(space.block_interior()[:, [0, 3]].all(axis=1))[0]
+    # fiber states 0 and 3 have degrees 0 and 2; take a complete block where both are present
+    j = np.flatnonzero((space.blocks()[:, [0, 3]] >= 0).all(axis=1) & space.block_complete())[0]
     square[j, 3, 0] += 0.5
     shifted, same = square_residuals(space, square)
     assert lichnerowicz <= 1e-10 and abs(shifted - 0.5) <= 1e-10
@@ -265,9 +291,9 @@ def test_dl_zero_weight_is_sub_laplacian():
     for model in [heisenberg_model(2, k=0), heisenberg_model(2, k=1)]:
         space = SectionSpace(model)
         dirac = assemble_kohn_dirac(space).mat
-        delta = assemble_sub_laplacian(space).mat
+        delta = space.dense([(np.eye(space.fiber_dim), sum(space.horizontal_laplacians()))])
         block = space.grade_block(1)
-        mask = np.tile(space.interior, space.fiber_dim)[block]
+        mask = complete_mask(space)[block]
         diff = ((dirac @ dirac) - delta)[block, block][np.ix_(mask, mask)]
         assert np.abs(diff).max() <= 1e-10
         assert dl_residual(space, 0) <= 1e-10
