@@ -135,10 +135,10 @@ def torus_line_bundle_cohomology(lattice: TorusLattice, c: int, s: int, q: int) 
     """
     if not isinstance(lattice, TorusLattice):
         raise ValueError("analytic cohomology needs a flat torus base")
-    if not isinstance(c, int) or c == 0:
+    if isinstance(c, bool) or not isinstance(c, int) or c == 0:
         raise ValueError(f"polarization degree must be a nonzero integer, got {c!r}")
-    if not isinstance(s, int):
-        raise ValueError(f"power must be an integer, got {s!r}")
+    if isinstance(s, bool) or not isinstance(s, int):
+        raise ValueError(f"power s must be an integer, got {s!r}")
     m = lattice.m
     if not 0 <= q <= m:
         raise ValueError(f"form degree out of range: {q}")

@@ -50,10 +50,6 @@ class TrigPoly:
         self.coeffs = {k: v for k, v in self.coeffs.items() if v != 0}
 
     @classmethod
-    def constant(cls, dim: int, value: complex) -> "TrigPoly":
-        return cls(dim, {(0,) * dim: value})
-
-    @classmethod
     def _wave(cls, dim: int, axis: int, frequency: int, plus: complex, minus: complex) -> "TrigPoly":
         """plus * exp(2 pi i frequency x_axis) + minus * exp(-2 pi i frequency x_axis)."""
         if not 0 <= axis < dim:
@@ -84,36 +80,6 @@ class TrigPoly:
         out._prune()
         return out
 
-    def __rmul__(self, scalar):
-        out = TrigPoly(self.dim)
-        scalar = complex(scalar)
-        out.coeffs = {k: scalar * v for k, v in self.coeffs.items() if scalar * v != 0}
-        return out
-
-    def __mul__(self, other):
-        if not isinstance(other, TrigPoly):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        out = TrigPoly(self.dim)
-        for f1, v1 in self.coeffs.items():
-            for f2, v2 in other.coeffs.items():
-                key = tuple(a + b for a, b in zip(f1, f2))
-                out.coeffs[key] = out.coeffs.get(key, 0j) + v1 * v2
-        out._prune()
-        return out
-
-    def derivative(self, axis: int) -> "TrigPoly":
-        """Exact partial derivative along coordinate ``axis``."""
-        if not 0 <= axis < self.dim:
-            raise ValueError(f"axis out of range: {axis}")
-        out = TrigPoly(self.dim)
-        for freq, val in self.coeffs.items():
-            scaled = 2j * np.pi * freq[axis] * val
-            if scaled != 0:
-                out.coeffs[freq] = scaled
-        return out
-
     def frame_derivative(self, direction: str, a: int) -> "TrigPoly":
         """Exact derivative along E_a ('e') or Ebar_a ('ebar'), 1-based a, on 2m base coordinates.
 
@@ -141,9 +107,6 @@ class TrigPoly:
         freqs = np.array(list(self.coeffs), dtype=float).reshape(-1, self.dim)
         values = np.array(list(self.coeffs.values()), dtype=complex)
         return np.exp(2j * np.pi * (x @ freqs.T)) @ values
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __repr__(self):
         return f"TrigPoly(dim={self.dim}, terms={len(self.coeffs)})"

@@ -68,9 +68,9 @@ class TruncationSpec:
     ladder_levels: int
 
     def __post_init__(self):
-        if not isinstance(self.fourier_radius, int) or self.fourier_radius < 1:
+        if isinstance(self.fourier_radius, bool) or not isinstance(self.fourier_radius, int) or self.fourier_radius < 1:
             raise ValueError(f"fourier_radius must be a positive integer, got {self.fourier_radius!r}")
-        if not isinstance(self.ladder_levels, int) or self.ladder_levels < 2:
+        if isinstance(self.ladder_levels, bool) or not isinstance(self.ladder_levels, int) or self.ladder_levels < 2:
             raise ValueError(f"ladder_levels must be an integer >= 2, got {self.ladder_levels!r}")
 
 
@@ -93,7 +93,7 @@ class TorusLattice:
     vectors: np.ndarray | None = None
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 1:
+        if isinstance(self.m, bool) or not isinstance(self.m, int) or self.m < 1:
             raise ValueError(f"complex dimension m must be a positive integer, got {self.m!r}")
         if self.vectors is not None:
             mat = np.asarray(self.vectors, dtype=float)
@@ -134,9 +134,9 @@ class PseudoHermitianModel:
     truncation: TruncationSpec | None = None
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 1:
+        if isinstance(self.m, bool) or not isinstance(self.m, int) or self.m < 1:
             raise ValueError(f"CR dimension m must be a positive integer, got {self.m!r}")
-        if not isinstance(self.ell, int):
+        if isinstance(self.ell, bool) or not isinstance(self.ell, int):
             raise ValueError(f"spin^C weight must be an integer, got {self.ell!r}")
         m = self.m
         if self.tau is None:
@@ -175,7 +175,7 @@ class HeisenbergModel(PseudoHermitianModel):
 
     def __post_init__(self):
         super().__post_init__()
-        if not isinstance(self.k, int):
+        if isinstance(self.k, bool) or not isinstance(self.k, int):
             raise ValueError(f"Heisenberg sector k must be an integer, got {self.k!r}")
 
 
@@ -191,9 +191,9 @@ class TorusBundleModel(PseudoHermitianModel):
             self.lattice = TorusLattice(self.m)
         if self.lattice.m != self.m:
             raise ValueError("lattice dimension does not match the model")
-        if not isinstance(self.flux, int) or self.flux == 0:
+        if isinstance(self.flux, bool) or not isinstance(self.flux, int) or self.flux == 0:
             raise ValueError(f"flux must be a nonzero integer, got {self.flux!r}")
-        if not isinstance(self.s, int):
+        if isinstance(self.s, bool) or not isinstance(self.s, int):
             raise ValueError(f"fiber weight s must be an integer, got {self.s!r}")
 
 
@@ -230,7 +230,7 @@ def cr_alpha_bundle(
     """
     if isinstance(lattice, int):
         lattice = TorusLattice(lattice)
-    if not isinstance(c, int) or c == 0:
+    if isinstance(c, bool) or not isinstance(c, int) or c == 0:
         raise ValueError(f"flux must be a nonzero integer, got {c!r}")
     m = lattice.m
     return TorusBundleModel(
@@ -271,7 +271,7 @@ def sphere_model(m: int, scal_w: float = 1.0, ell: int = 0) -> SphereModel:
     Curvature data only; there is no desk-scale section space attached, so
     spectral checks must be run on the flat models instead.
     """
-    if not isinstance(m, int) or m < 2:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 2:
         raise ValueError(f"the sphere model needs CR dimension m >= 2, got {m!r}")
     if scal_w <= 0:
         raise ValueError(f"the sphere model has positive Webster scalar, got {scal_w!r}")

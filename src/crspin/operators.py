@@ -33,7 +33,10 @@ real-frame derivatives.
 Twistor operators project the full covariant derivative onto the kernel
 of Clifford contraction, with the degree-dependent weights
 a_q = 1/(2(q+1)) and b_q = 1/(2(m-q+1)).  Their output is stacked over
-2m coframe slots (the E_a slots first, then the Ebar_a slots).
+2m coframe slots (the E_a slots first, then the Ebar_a slots).  The
+conformal check forms its twistors pointwise (``weitzenboeck._twistor``);
+``assemble_twistor`` and ``twistor_contraction`` are that route's dense
+test oracle, and no check of a run calls them.
 
 Kernel counts rest on structure: a null vector in a complete per-slot
 block (``SectionSpace.block_complete``, no state lost to the top cutoff)
@@ -192,7 +195,8 @@ def assemble_twistor(space: SectionSpace, q: int) -> OperatorMatrix:
 
     Rows are grouped as m full-space slots for the E_a coframe directions
     followed by m slots for the Ebar_a directions; the image lies in the
-    kernel of Clifford contraction.
+    kernel of Clifford contraction.  Dense test oracle of the pointwise
+    twistor ``weitzenboeck._twistor``; no check of a run calls it.
     """
     if not 0 <= q <= space.m:
         raise ValueError(f"degree q out of range: {q}")
@@ -211,7 +215,8 @@ def twistor_contraction(space: SectionSpace, q: int) -> np.ndarray:
 
     A coframe slot u in the E_a group contributes 2 Ebar_a . u and a slot
     in the Ebar_a group contributes 2 E_a . u; the metric duality of the
-    half-normalized frame supplies the factor 2.
+    half-normalized frame supplies the factor 2.  Test oracle beside
+    ``assemble_twistor``; no check of a run calls it.
     """
     if not 0 <= q <= space.m:
         raise ValueError(f"degree q out of range: {q}")

@@ -75,9 +75,9 @@ def qhat(m: int, ell: int) -> Fraction:
     Integrality (denominator 1) is exactly the condition under which the
     obstruction corollary applies.
     """
-    if not isinstance(m, int) or m < 1:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise ValueError(f"CR dimension m must be a positive integer, got {m!r}")
-    if not isinstance(ell, int):
+    if isinstance(ell, bool) or not isinstance(ell, int):
         raise ValueError(f"weight must be an integer, got {ell!r}")
     return Fraction(m * (m + ell + 2), 2 * (m + 2))
 
@@ -233,7 +233,7 @@ def vanishing_verdicts(model: PseudoHermitianModel, ell: int) -> VanishingReport
     the fixed priority order (the remaining satisfied clauses are listed
     alongside); extremal grades are exempt by construction.
     """
-    if not isinstance(ell, int):
+    if isinstance(ell, bool) or not isinstance(ell, int):
         raise ValueError(f"weight must be an integer, got {ell!r}")
     m = model.m
     profile = _ricci_profile(model)

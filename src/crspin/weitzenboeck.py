@@ -189,7 +189,7 @@ def dl_residual(space: SectionSpace, ell: int) -> float:
     section space realizes every admissible weight.
     """
     m = space.m
-    if not isinstance(ell, int):
+    if isinstance(ell, bool) or not isinstance(ell, int):
         raise ValueError(f"weight must be an integer, got {ell!r}")
     if (m + ell) % 2 != 0 or abs(ell) > m:
         raise ValueError(

@@ -1,30 +1,20 @@
 """Exact checks of the Clifford layer.
 
-Everything here runs in Gaussian-rational arithmetic (no floating point)
-except for the dense-matrix cross checks at the end, which pin the numeric
-layer to the exact one.
+Every Clifford matrix has entries 0, +-1 or +-i, and so does every product
+of two of them, so complex128 evaluates the algebra without rounding: each
+identity below is compared with ``np.array_equal``, not a tolerance.
 """
 
-from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from crspin.clifford import (
-    CliffordGenerator,
-    GaussianFraction,
     SpinorModule,
-    SpinorVector,
     annihilation_matrix,
-    apply_generator,
     creation_matrix,
     dtheta_frame_matrix,
-    generator_matrix,
-    grade_projector,
-    project_mu,
-    theta_apply,
     theta_matrix,
     two_form_matrix,
     vector_matrix,
@@ -33,180 +23,120 @@ from crspin.clifford import (
 EXACT_DIMS = (1, 2, 3, 4, 5, 6)
 
 
-def gen(kind, alpha, m):
-    return CliffordGenerator(kind, alpha, m)
+def anticommutator(x, y):
+    return x @ y + y @ x
 
 
-def compose(vec, *gens):
-    for g in reversed(gens):
-        vec = apply_generator(g, vec)
-    return vec
+def commutator(x, y):
+    return x @ y - y @ x
 
 
-def anticommutator(vec, g1, g2):
-    return compose(vec, g1, g2) + compose(vec, g2, g1)
+def complex_frame(m):
+    """c(E_a) and c(Ebar_a) for a = 1..m."""
+    c_e = [creation_matrix(m, a) for a in range(1, m + 1)]
+    c_ebar = [-annihilation_matrix(m, a) for a in range(1, m + 1)]
+    return c_e, c_ebar
+
+
+def real_frame(m):
+    """c(s_i) for the real frame (real_1..real_m, realJ_1..realJ_m), through ``vector_matrix``."""
+    return [vector_matrix(m, unit) for unit in np.eye(2 * m)]
+
+
+def test_jordan_wigner_signs_on_m2():
+    # basis order: {}, {1}, {2}, {1, 2}; creating 2 on {1} passes one element below it
+    e1 = np.zeros((4, 4))
+    e1[1, 0] = e1[3, 2] = 1
+    e2 = np.zeros((4, 4))
+    e2[2, 0] = 1
+    e2[3, 1] = -1
+    assert np.array_equal(creation_matrix(2, 1), e1)
+    assert np.array_equal(creation_matrix(2, 2), e2)
+    assert np.array_equal(annihilation_matrix(2, 2), e2.T)
 
 
 @pytest.mark.parametrize("m", EXACT_DIMS)
-def test_creation_pairs_anticommute_exactly(m):
-    module = SpinorModule(m)
+def test_canonical_anticommutation_relations(m):
+    eye = np.eye(2 ** m)
+    zero = np.zeros((2 ** m, 2 ** m))
     for a in range(1, m + 1):
         for b in range(1, m + 1):
-            for subset in module.subsets:
-                basis = module.basis_vector(subset)
-                assert anticommutator(basis, gen("create", a, m), gen("create", b, m)).is_zero()
-                assert anticommutator(basis, gen("annihilate", a, m), gen("annihilate", b, m)).is_zero()
+            create_a, create_b = creation_matrix(m, a), creation_matrix(m, b)
+            annihilate_a, annihilate_b = annihilation_matrix(m, a), annihilation_matrix(m, b)
+            assert np.array_equal(anticommutator(create_a, create_b), zero)
+            assert np.array_equal(anticommutator(annihilate_a, annihilate_b), zero)
+            assert np.array_equal(anticommutator(create_a, annihilate_b), eye if a == b else zero)
 
 
 @pytest.mark.parametrize("m", EXACT_DIMS)
-def test_mixed_anticommutator_is_minus_delta(m):
-    module = SpinorModule(m)
-    for a in range(1, m + 1):
-        for b in range(1, m + 1):
-            for subset in module.subsets:
-                basis = module.basis_vector(subset)
-                got = anticommutator(basis, gen("create", a, m), gen("annihilate", b, m))
-                expected = basis.scale(-1) if a == b else SpinorVector(m)
-                assert got == expected
+def test_complex_frame_mixed_relation_and_adjoints(m):
+    """{c(E_a), c(Ebar_b)} = -delta_ab and c(Ebar_a) = -c(E_a)^H."""
+    eye = np.eye(2 ** m)
+    c_e, c_ebar = complex_frame(m)
+    for a in range(m):
+        assert np.array_equal(c_ebar[a], -c_e[a].conj().T)
+        for b in range(m):
+            assert np.array_equal(anticommutator(c_e[a], c_ebar[b]), -eye if a == b else 0 * eye)
 
 
 @pytest.mark.parametrize("m", EXACT_DIMS)
-def test_real_vectors_square_to_minus_one(m):
-    module = SpinorModule(m)
-    for kind in ("real", "realJ"):
-        for a in range(1, m + 1):
-            for subset in module.subsets:
-                basis = module.basis_vector(subset)
-                assert compose(basis, gen(kind, a, m), gen(kind, a, m)) == basis.scale(-1)
-
-
-@pytest.mark.parametrize("m", (1, 2, 3, 4))
 def test_real_frame_clifford_relations(m):
-    """c(s_i) c(s_j) + c(s_j) c(s_i) = -2 delta_ij for the full real frame."""
-    module = SpinorModule(m)
-    frame = [("real", a) for a in range(1, m + 1)] + [("realJ", a) for a in range(1, m + 1)]
-    for ki, ai in frame:
-        for kj, aj in frame:
-            expected_factor = -2 if (ki, ai) == (kj, aj) else 0
-            for subset in module.subsets:
-                basis = module.basis_vector(subset)
-                got = anticommutator(basis, gen(ki, ai, m), gen(kj, aj, m))
-                assert got == basis.scale(expected_factor)
+    """c(s_i) c(s_j) + c(s_j) c(s_i) = -2 delta_ij, and each c(s_i) is skew-adjoint."""
+    eye = np.eye(2 ** m)
+    frame = real_frame(m)
+    for i, c_i in enumerate(frame):
+        assert np.array_equal(c_i.conj().T, -c_i)
+        for j, c_j in enumerate(frame):
+            assert np.array_equal(anticommutator(c_i, c_j), -2 * eye if i == j else 0 * eye)
 
 
 @pytest.mark.parametrize("m", EXACT_DIMS)
-def test_adjoint_pairing_of_complex_frame(m):
-    """<E phi, psi> = <phi, -Ebar psi> exactly on all basis pairs."""
-    module = SpinorModule(m)
-    for a in range(1, m + 1):
-        e = gen("create", a, m)
-        ebar = gen("annihilate", a, m)
-        for s1 in module.subsets:
-            for s2 in module.subsets:
-                phi = module.basis_vector(s1)
-                psi = module.basis_vector(s2)
-                lhs = apply_generator(e, phi).inner(psi)
-                rhs = phi.inner(apply_generator(ebar, psi).scale(-1))
-                assert lhs == rhs
-
-
-@pytest.mark.parametrize("m", (1, 2, 3))
-def test_real_vectors_are_skew_adjoint(m):
-    module = SpinorModule(m)
-    for kind in ("real", "realJ"):
-        for a in range(1, m + 1):
-            g = gen(kind, a, m)
-            for s1 in module.subsets:
-                for s2 in module.subsets:
-                    phi = module.basis_vector(s1)
-                    psi = module.basis_vector(s2)
-                    lhs = apply_generator(g, phi).inner(psi)
-                    rhs = phi.inner(apply_generator(g, psi)) * -1
-                    assert lhs == rhs
-
-
-@pytest.mark.parametrize("m", EXACT_DIMS)
-def test_theta_eigenvalues_and_grading_shift(m):
-    module = SpinorModule(m)
-    for subset in module.subsets:
-        basis = module.basis_vector(subset)
-        q = len(subset)
-        assert theta_apply(basis) == basis.scale(m - 2 * q)
-    # creation raises the grade, so Theta o E - E o Theta = -2 E
-    for a in range(1, m + 1):
-        e = gen("create", a, m)
-        for subset in module.subsets:
-            basis = module.basis_vector(subset)
-            lhs = theta_apply(apply_generator(e, basis)) - apply_generator(e, theta_apply(basis))
-            assert lhs == apply_generator(e, basis).scale(-2)
-        ebar = gen("annihilate", a, m)
-        for subset in module.subsets:
-            basis = module.basis_vector(subset)
-            lhs = theta_apply(apply_generator(ebar, basis)) - apply_generator(ebar, theta_apply(basis))
-            assert lhs == apply_generator(ebar, basis).scale(2)
-
-
-@pytest.mark.parametrize("m", EXACT_DIMS)
-def test_grading_projections_resolve_identity(m):
-    module = SpinorModule(m)
-    from math import comb
-
-    for q in range(m + 1):
-        assert module.grade_dim(q) == comb(m, q)
-    vec = SpinorVector(m, {s: GaussianFraction(1, len(s)) for s in module.subsets})
-    total = SpinorVector(m)
-    for q in range(m + 1):
-        piece = project_mu(vec, q)
-        for subset in piece.coeffs:
-            assert len(subset) == q
-        total = total + piece
-    assert total == vec
-
-
-@pytest.mark.parametrize("m", (1, 2, 3, 4))
-def test_levi_two_form_reproduces_grading_operator(m):
-    """(i/2) c(dtheta) equals the grading operator, checked exactly.
-
-    The contraction sum_{i<j} dtheta(s_i, s_j) c(s_i) c(s_j) only involves the
-    paired real directions, so it can be evaluated structurally.
-    """
-    module = SpinorModule(m)
-    half_i = GaussianFraction(0, Fraction(1, 2))
-    for subset in module.subsets:
-        basis = module.basis_vector(subset)
-        acc = SpinorVector(m)
-        for a in range(1, m + 1):
-            acc = acc + compose(basis, gen("real", a, m), gen("realJ", a, m)).scale(2)
-        assert acc.scale(half_i) == theta_apply(basis)
-
-
-@pytest.mark.parametrize("m", (1, 2, 3))
-def test_wedge_contraction_formula_for_real_vectors(m):
+def test_real_frame_is_wedge_minus_contraction(m):
     """c(real_a) = wedge - contraction and c(realJ_a) = i (wedge + contraction).
 
     This is the unit-coframe form of the wedge/contraction description of
-    Clifford multiplication on (0, q)-forms; it pins the identification used
-    by the cohomology module.
+    Clifford multiplication on (0, q)-forms, in ``vector_matrix``'s
+    component order.
     """
+    frame = real_frame(m)
     for a in range(1, m + 1):
-        wedge = creation_matrix(m, a)
-        contraction = annihilation_matrix(m, a)
-        real = generator_matrix(CliffordGenerator("real", a, m))
-        realj = generator_matrix(CliffordGenerator("realJ", a, m))
-        assert np.array_equal(real, wedge - contraction)
-        assert np.array_equal(realj, 1j * (wedge + contraction))
+        wedge, contraction = creation_matrix(m, a), annihilation_matrix(m, a)
+        assert np.array_equal(frame[a - 1], wedge - contraction)
+        assert np.array_equal(frame[m + a - 1], 1j * (wedge + contraction))
 
 
 @pytest.mark.parametrize("m", EXACT_DIMS)
-def test_jordan_wigner_matrices_equal_exact_generators(m):
+def test_levi_two_form_reproduces_grading_operator(m):
+    """(i/2) c(dtheta) = Theta, and Theta is m - 2q on grade q."""
+    theta = theta_matrix(m)
+    assert np.array_equal(0.5j * two_form_matrix(m, dtheta_frame_matrix(m)), theta)
     module = SpinorModule(m)
-    for a in range(1, m + 1):
-        assert np.array_equal(creation_matrix(m, a), generator_matrix(gen("create", a, m), module))
-        assert np.array_equal(annihilation_matrix(m, a), -generator_matrix(gen("annihilate", a, m), module))
-        for offset, kind in ((0, "real"), (m, "realJ")):
-            unit = np.zeros(2 * m)
-            unit[offset + a - 1] = 1.0
-            assert np.array_equal(vector_matrix(m, unit), generator_matrix(gen(kind, a, m), module))
+    for q in range(m + 1):
+        block = module.grade_slice(q)
+        assert np.array_equal(np.diag(theta)[block], np.full(comb(m, q), m - 2 * q))
+
+
+@pytest.mark.parametrize("m", EXACT_DIMS)
+def test_theta_commutators_shift_the_grade(m):
+    """[Theta, c(E_a)] = -2 c(E_a) and [Theta, c(Ebar_a)] = +2 c(Ebar_a)."""
+    theta = theta_matrix(m)
+    c_e, c_ebar = complex_frame(m)
+    for e, ebar in zip(c_e, c_ebar):
+        assert np.array_equal(commutator(theta, e), -2 * e)
+        assert np.array_equal(commutator(theta, ebar), 2 * ebar)
+
+
+@pytest.mark.parametrize("m", EXACT_DIMS)
+def test_grade_slices_partition_the_basis(m):
+    module = SpinorModule(m)
+    start = 0
+    for q in range(m + 1):
+        block = module.grade_slice(q)
+        assert (block.start, block.stop) == (start, start + comb(m, q)) and module.grade_dim(q) == comb(m, q)
+        assert all(len(s) == q for s in module.subsets[block])
+        start = block.stop
+    assert start == module.dim == len(set(module.subsets))
+    assert all(module.index_of(s) == i for i, s in enumerate(module.subsets))
 
 
 def test_cached_clifford_matrices_are_read_only():
@@ -216,98 +146,24 @@ def test_cached_clifford_matrices_are_read_only():
         with pytest.raises(ValueError):
             mat *= 2.0
     assert creation_matrix(2, 1)[0, 0] == 0.0
-    with pytest.raises(ValueError):
+
+
+def test_validation_errors():
+    with pytest.raises(ValueError, match=r"frame index must lie in 1\.\.2, got 3"):
         creation_matrix(2, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"frame index must lie in 1\.\.2, got 0"):
+        annihilation_matrix(2, 0)
+    with pytest.raises(ValueError, match="CR dimension m must be a positive integer, got 0"):
         annihilation_matrix(0, 1)
-
-
-def test_generator_validation_errors():
-    with pytest.raises(ValueError):
-        CliffordGenerator("creator", 1, 2)
-    with pytest.raises(ValueError):
-        CliffordGenerator("create", 0, 2)
-    with pytest.raises(ValueError):
-        CliffordGenerator("create", 3, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="CR dimension m must be a positive integer, got 0"):
         SpinorModule(0)
-    vec = SpinorModule(2).basis_vector(frozenset({1}))
+    with pytest.raises(ValueError, match=r"not a subset of 1\.\.2"):
+        SpinorModule(2).index_of({7})
+    with pytest.raises(ValueError, match=r"grade q must lie in 0\.\.2, got 5"):
+        SpinorModule(2).grade_slice(5)
     with pytest.raises(ValueError):
-        apply_generator(CliffordGenerator("create", 1, 3), vec)
-    with pytest.raises(ValueError):
-        project_mu(vec, 5)
-    with pytest.raises(ValueError):
-        SpinorModule(2).basis_vector(frozenset({7}))
-
-
-def test_matrix_layer_matches_structural_action():
-    m = 3
-    module = SpinorModule(m)
-    rng = np.random.default_rng(11)
-    for kind in ("create", "annihilate", "real", "realJ"):
-        for a in (1, 3):
-            mat = generator_matrix(CliffordGenerator(kind, a, m), module)
-            vec = rng.standard_normal(module.dim) + 1j * rng.standard_normal(module.dim)
-            structural = np.zeros(module.dim, dtype=complex)
-            for col, subset in enumerate(module.subsets):
-                image = apply_generator(
-                    CliffordGenerator(kind, a, m),
-                    SpinorVector(m, {subset: GaussianFraction.ONE}),
-                )
-                arr = image.to_array(module)
-                structural += vec[col] * arr
-            assert np.allclose(mat @ vec, structural, atol=1e-13)
-
-
-def test_theta_matrix_equals_two_form_contraction():
-    for m in (1, 2, 3):
-        theta = theta_matrix(m)
-        via_form = 0.5j * two_form_matrix(m, dtheta_frame_matrix(m))
-        assert np.allclose(theta, via_form, atol=1e-13)
-        mus = sorted(set(np.real(np.diag(theta))))
-        assert mus == sorted({float(m - 2 * q) for q in range(m + 1)})
-
-
-def test_grade_projectors_and_vector_matrix():
-    m = 2
-    total = sum(grade_projector(m, q) for q in range(m + 1))
-    assert np.allclose(total, np.eye(2 ** m))
-    x = np.array([1.0, 0.0, 0.0, 0.0])
-    c = vector_matrix(m, x)
-    assert np.allclose(c, generator_matrix(CliffordGenerator("real", 1, m)))
-    with pytest.raises(ValueError):
-        vector_matrix(m, np.ones(3))
-    with pytest.raises(ValueError):
-        two_form_matrix(m, np.ones((4, 4)))
-
-
-# -- property tests ----------------------------------------------------------
-
-small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-
-
-def spinor_vectors(m):
-    subsets = [frozenset(c) for q in range(m + 1) for c in __import__("itertools").combinations(range(1, m + 1), q)]
-    entry = st.tuples(small_rationals, small_rationals).map(lambda t: GaussianFraction(t[0], t[1]))
-    return st.fixed_dictionaries({}, optional={s: entry for s in subsets}).map(
-        lambda d: SpinorVector(m, d)
-    )
-
-
-@settings(max_examples=60, deadline=None)
-@given(vec=spinor_vectors(3), a=st.integers(1, 3), b=st.integers(1, 3))
-def test_property_mixed_relation_on_arbitrary_exact_vectors(vec, a, b):
-    m = 3
-    got = anticommutator(vec, gen("create", a, m), gen("annihilate", b, m))
-    expected = vec.scale(-1) if a == b else SpinorVector(m)
-    assert got == expected
-
-
-@settings(max_examples=60, deadline=None)
-@given(vec=spinor_vectors(2), a=st.integers(1, 2))
-def test_property_creation_is_nilpotent_and_graded(vec, a):
-    m = 2
-    image = compose(vec, gen("create", a, m), gen("create", a, m))
-    assert image.is_zero()
-    raised = apply_generator(gen("create", a, m), project_mu(vec, 1))
-    assert raised == project_mu(raised, 2)
+        vector_matrix(2, np.ones(3))
+    with pytest.raises(ValueError, match="antisymmetric"):
+        two_form_matrix(2, np.ones((4, 4)))
+    with pytest.raises(ValueError, match="4 x 4 component matrix"):
+        two_form_matrix(2, np.ones((3, 3)))

@@ -6,44 +6,18 @@ import pytest
 from crspin.fields import TrigPoly
 
 
-def test_cosine_square_is_half_plus_double_frequency():
-    c = TrigPoly.cosine(2, 0)
-    sq = c * c
-    expected = {(0, 0): 0.5, (2, 0): 0.25, (-2, 0): 0.25}
-    assert set(sq.coeffs) == set(expected)
-    for freq, val in expected.items():
-        assert sq.coeffs[freq] == pytest.approx(val, abs=1e-15)
-
-
-def test_derivative_of_cosine_is_minus_two_pi_sine():
-    c = TrigPoly.cosine(2, 0)
-    d = c.derivative(0)
-    s = (-2.0 * np.pi) * TrigPoly.sine(2, 0)
-    assert set(d.coeffs) == set(s.coeffs)
-    for freq in d.coeffs:
-        assert d.coeffs[freq] == pytest.approx(s.coeffs[freq], abs=1e-15)
-
-
 def test_evaluation_matches_numpy_cosine():
     c = TrigPoly.cosine(2, 1, amplitude=0.7, frequency=3)
     for x in [(0.0, 0.0), (0.13, 0.29), (0.5, 0.99)]:
         assert c(x) == pytest.approx(0.7 * np.cos(6 * np.pi * x[1]), abs=1e-14)
 
 
-def test_product_evaluates_pointwise():
-    p = TrigPoly(2, {(1, 0): 0.4 + 0.2j, (0, -1): 1.1, (0, 0): 0.3})
-    q = TrigPoly(2, {(-1, 1): 0.9j, (2, 0): 0.25})
-    pq = p * q
-    for x in [(0.07, 0.61), (0.42, 0.18), (0.77, 0.34)]:
-        assert pq(x) == pytest.approx(p(x) * q(x), abs=1e-13)
-
-
-def test_sum_and_scale_evaluate_pointwise():
+def test_sum_evaluates_pointwise():
     p = TrigPoly.cosine(2, 0)
     q = TrigPoly.sine(2, 1, amplitude=0.5)
-    combo = p + (2.0 - 1.0j) * q
+    combo = p + q
     x = (0.21, 0.83)
-    assert combo(x) == pytest.approx(p(x) + (2.0 - 1.0j) * q(x), abs=1e-14)
+    assert combo(x) == pytest.approx(p(x) + q(x), abs=1e-14)
 
 
 def test_sine_is_real_valued():
@@ -57,8 +31,9 @@ def test_sine_is_real_valued():
 def test_zero_pruning():
     p = TrigPoly(2, {(1, 0): 1.0})
     q = TrigPoly(2, {(1, 0): -1.0})
-    assert (p + q).is_zero()
-    assert not p.is_zero()
+    assert (p + q).coeffs == {}
+    assert p.coeffs == {(1, 0): 1.0 + 0j}
+    assert TrigPoly(2, {(1, 0): 0.0, (0, 1): 0j}).coeffs == {}
 
 
 def test_frame_derivative_eigenvalue():
@@ -79,20 +54,17 @@ def test_dimension_and_axis_errors():
         TrigPoly(2, {(1, 0, 0): 1.0})
     p = TrigPoly.cosine(2, 0)
     with pytest.raises(ValueError):
-        p.derivative(5)
-    with pytest.raises(ValueError):
         p((0.1, 0.2, 0.3))
     q = TrigPoly.cosine(4, 0)
     with pytest.raises(ValueError):
         p + q
-    with pytest.raises(ValueError):
-        p * q
 
 
 def test_derivative_kills_constants():
-    p = TrigPoly.constant(3, 2.5)
-    for axis in range(3):
-        assert p.derivative(axis).is_zero()
+    p = TrigPoly(4, {(0, 0, 0, 0): 2.5})
+    for direction in ("e", "ebar"):
+        for a in (1, 2):
+            assert p.frame_derivative(direction, a).coeffs == {}
 
 
 def test_bad_frequencies_and_axes_are_refused():
@@ -112,7 +84,7 @@ def test_bad_frequencies_and_axes_are_refused():
 def test_zero_frequency_waves_are_constants():
     x = (0.21, 0.83)
     assert TrigPoly.cosine(2, 0, amplitude=0.4, frequency=0)(x) == pytest.approx(0.4, abs=1e-15)
-    assert TrigPoly.sine(2, 1, amplitude=0.4, frequency=0).is_zero()
+    assert TrigPoly.sine(2, 1, amplitude=0.4, frequency=0).coeffs == {}
 
 
 def test_evaluation_at_an_array_of_points_matches_single_points():
@@ -133,4 +105,4 @@ def test_frame_derivative_refuses_a_frame_vector_it_lacks():
         with pytest.raises(ValueError):
             p.frame_derivative(direction, a)
     with pytest.raises(ValueError, match="no frame vector 1 on 3 base coordinates"):
-        TrigPoly.constant(3, 1.0).frame_derivative("e", 1)
+        TrigPoly(3, {(0, 0, 0): 1.0}).frame_derivative("e", 1)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from crspin.clifford import dtheta_frame_matrix
+from crspin.clifford import SpinorModule, creation_matrix, dtheta_frame_matrix
+from crspin.cohomology import torus_line_bundle_cohomology
 from crspin.models import (
     HeisenbergModel,
+    PseudoHermitianModel,
     SphereModel,
     TorusBundleModel,
     TorusLattice,
@@ -20,6 +22,9 @@ from crspin.models import (
     tau_frame_components,
     torsion_residual,
 )
+from crspin.sections import SectionSpace
+from crspin.vanishing import qhat, vanishing_verdicts
+from crspin.weitzenboeck import dl_residual
 
 TOL = 1e-12
 
@@ -170,3 +175,33 @@ def test_lattice_dual_frequencies():
     freqs2 = stretched.dual_frequencies(1)
     norms2 = sorted(float(np.linalg.norm(f)) for f in freqs2)
     assert np.isclose(norms2[1], np.pi)
+
+
+BOOL_AS_INT = {
+    "dl_residual ell": (lambda: dl_residual(SectionSpace(heisenberg_model(1, k=1)), True), "weight"),
+    "qhat m": (lambda: qhat(True, 1), "CR dimension m"),
+    "qhat ell": (lambda: qhat(2, True), "weight"),
+    "vanishing_verdicts ell": (lambda: vanishing_verdicts(heisenberg_model(2), True), "weight"),
+    "PseudoHermitianModel m": (lambda: PseudoHermitianModel(m=True), "CR dimension m"),
+    "PseudoHermitianModel ell": (lambda: PseudoHermitianModel(m=1, ell=True), "spin\\^C weight"),
+    "HeisenbergModel k": (lambda: heisenberg_model(1, k=True), "Heisenberg sector k"),
+    "TorusBundleModel s": (lambda: cr_alpha_bundle(1, 1, s=True), "fiber weight s"),
+    "TorusBundleModel flux": (lambda: TorusBundleModel(m=1, flux=True), "flux"),
+    "cr_alpha_bundle c": (lambda: cr_alpha_bundle(1, True), "flux"),
+    "TorusLattice m": (lambda: TorusLattice(True), "complex dimension m"),
+    "torus_line_bundle_cohomology c": (lambda: torus_line_bundle_cohomology(TorusLattice(1), True, 1, 0),
+                                       "polarization degree"),
+    "torus_line_bundle_cohomology s": (lambda: torus_line_bundle_cohomology(TorusLattice(1), 1, True, 0),
+                                       "power s"),
+    "SpinorModule m": (lambda: SpinorModule(True), "CR dimension m"),
+    "creation_matrix alpha": (lambda: creation_matrix(2, True), "frame index"),
+    "TruncationSpec fourier_radius": (lambda: TruncationSpec(fourier_radius=True, ladder_levels=4), "fourier_radius"),
+}
+
+
+@pytest.mark.parametrize("case", BOOL_AS_INT)
+def test_bool_is_refused_as_an_integer(case):
+    """True is an int to isinstance, so each integer check refuses bool by name."""
+    build, name = BOOL_AS_INT[case]
+    with pytest.raises(ValueError, match=f"{name} must .*got True"):
+        build()
