@@ -67,7 +67,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -403,7 +403,8 @@ def _check_vanishing(model, config, memo: _RunMemo) -> CheckResult:
     tol = config["tolerances"]
     warnings = []
     verdicts = vanishing_verdicts(model, model.ell)
-    payload = json.loads(verdicts.to_json())
+    payload = {"model": verdicts.model_name, "m": verdicts.m, "ell": verdicts.ell,
+               "verdicts": [asdict(v) for v in verdicts.verdicts]}
     clashes = {}
     if model.has_section_space:
         for sector in _space_sectors(config):
@@ -416,13 +417,7 @@ def _check_vanishing(model, config, memo: _RunMemo) -> CheckResult:
     if model.kind == "torus_bundle" and abs(model.ell) < model.m + 2 and degree.denominator == 1:
         table = memo.shift_table
         try:
-            verdict = obstruction_check(model, model.ell, table)
-            payload["obstruction"] = {
-                "status": verdict.status,
-                "message": verdict.message,
-                "q_hat": verdict.q_hat,
-                "entries": verdict.entries,
-            }
+            payload["obstruction"] = asdict(obstruction_check(model, model.ell, table))
         except RuntimeError as exc:
             warnings.append(str(exc))
             payload["obstruction"] = {"status": "undecided", "message": str(exc), "q_hat": str(degree)}

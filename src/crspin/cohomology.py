@@ -33,9 +33,6 @@ kernel of the assembled Laplacian.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass, field
 from math import comb
 from typing import NamedTuple
@@ -161,7 +158,7 @@ class TableRow:
 
 @dataclass
 class CohomologyTable:
-    """Per-(degree, sector) dimension table with emission helpers."""
+    """Per-(degree, sector) dimension table; the CLI writes it as an artifact."""
 
     model_name: str
     rows: list[TableRow] = field(default_factory=list)
@@ -176,25 +173,6 @@ class CohomologyTable:
             if method is None or row.method == method:
                 out[(row.q, row.s)] = row.dim
         return out
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["q", "s", "dim", "method", "status"])
-        for row in self.sorted_rows():
-            writer.writerow([row.q, row.s, row.dim, row.method, row.status])
-        return buf.getvalue()
-
-    def to_json(self) -> str:
-        payload = {
-            "model": self.model_name,
-            "notes": sorted(self.notes),
-            "rows": [
-                {"q": r.q, "s": r.s, "dim": r.dim, "method": r.method, "status": r.status}
-                for r in self.sorted_rows()
-            ],
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _row_status(m: int, q: int) -> str:

@@ -30,7 +30,6 @@ Extremal blocks q in {0, m} are exempt: no clause ever forces them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -118,25 +117,6 @@ class VanishingReport:
 
     def forced(self) -> list:
         return [v.q for v in self.verdicts if v.status == "forced_zero"]
-
-    def to_json(self) -> str:
-        payload = {
-            "model": self.model_name,
-            "m": self.m,
-            "ell": self.ell,
-            "verdicts": [
-                {
-                    "q": v.q,
-                    "mu": v.mu,
-                    "status": v.status,
-                    "clause": v.clause,
-                    "satisfied": list(v.satisfied),
-                    "witnesses": v.witnesses,
-                }
-                for v in self.verdicts
-            ],
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def to_table(self) -> str:
         lines = [f"vanishing report: {self.model_name}, weight ell={self.ell}"]

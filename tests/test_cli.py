@@ -193,11 +193,12 @@ def test_zero_flux_rejected(tmp_path, capsys):
     assert "model.flux" in capsys.readouterr().err
 
 
-def test_full_run_byte_identical(tmp_path):
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_full_run_byte_identical(tmp_path, fmt):
     cfg = write_config(tmp_path, TORUS_ALL)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main(["run", "--config", cfg, "--out", str(out_a)]) == 0
-    assert main(["run", "--config", cfg, "--out", str(out_b)]) == 0
+    assert main(["run", "--config", cfg, "--out", str(out_a), "--format", fmt]) == 0
+    assert main(["run", "--config", cfg, "--out", str(out_b), "--format", fmt]) == 0
     files_a = sorted(p.name for p in out_a.iterdir())
     files_b = sorted(p.name for p in out_b.iterdir())
     assert files_a == files_b
@@ -252,6 +253,31 @@ def test_obstruction_verdict_through_cli(tmp_path):
     assert obstruction["status"] == "obstructed"
     assert obstruction["q_hat"] == "1"
     assert "positive Webster scalar curvature" in obstruction["message"]
+
+
+def test_cohomology_artifacts(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        {"model": {"kind": "torus_bundle", "m": 1, "flux": 1, "sectors": [-1, 0, 1]},
+         "checks": ["cohomology"]},
+    )
+    out = tmp_path / "art"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "cohomology_table.csv").read_text().splitlines()
+    assert lines[0] == "q,s,dim,method,status"
+    assert len(lines) == 1 + 2 * 2 * 3  # (q, method) rows per sector
+    assert "0,0,1,analytic,lower-bound" in lines
+    report = json.loads((out / "cohomology_report.json").read_text())
+    assert report["results"]["notes"] == [cohomology.MODEL_LEVEL_NOTE]
+
+
+def test_vanishing_report_lists_clauses(tmp_path):
+    cfg = write_config(tmp_path, {"model": {"kind": "sphere", "m": 3, "ell": 0}, "checks": ["vanishing"]})
+    out = tmp_path / "art"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    results = json.loads((out / "vanishing_report.json").read_text())["results"]
+    assert results["model"] == "sphere(m=3, ell=0)"
+    assert [v["clause"] for v in results["verdicts"]] == [None, "vani-a2", "vani-a3", None]
 
 
 def test_json_table_format(tmp_path):

@@ -1,5 +1,4 @@
 import copy
-import json
 import tracemalloc
 from math import comb
 
@@ -285,25 +284,6 @@ def test_basis_map_is_subset_identity():
         assert tuple(sorted(subset)) == multiindex
     with pytest.raises(ValueError):
         spinor_form_basis_map(space, 3)
-
-
-# ---------------------------------------------------------------------------
-# table emission
-# ---------------------------------------------------------------------------
-
-
-def test_table_emission_formats():
-    table = shift_table(cr_alpha_bundle(1, c=1), s_range=[-1, 0, 1])
-    csv_text = table.to_csv()
-    lines = csv_text.strip().split("\n")
-    assert lines[0] == "q,s,dim,method,status"
-    assert len(lines) == 1 + 2 * 2 * 3
-    payload = json.loads(table.to_json())
-    assert payload["model"] == "torus_bundle(m=1, ell=0)"
-    assert any("model-level" in note for note in payload["notes"])
-    statuses = {(row["q"], row["status"]) for row in payload["rows"]}
-    assert (0, "lower-bound") in statuses
-    assert table.to_json() == table.to_json()
 
 
 def test_extremal_rows_are_lower_bounds_only():
