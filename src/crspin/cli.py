@@ -82,7 +82,6 @@ from .models import (
 )
 from .operators import (
     block_grading_defect,
-    block_square,
     cluster_eigenvalues,
     dirac_kernel,
     dminus_terms,
@@ -286,15 +285,15 @@ def _check_identities(model, config, memo: _RunMemo) -> CheckResult:
         space = memo.space(sector)
         plus, minus = space.stack(dplus_terms(space)), space.stack(dminus_terms(space))
         residuals = {
-            ("dirac_plus_squared", "algebraic"): float(np.abs(block_square(plus)).max()),
-            ("dirac_minus_squared", "algebraic"): float(np.abs(block_square(minus)).max()),
+            ("dirac_plus_squared", "algebraic"): float(np.abs(plus @ plus).max()),
+            ("dirac_minus_squared", "algebraic"): float(np.abs(minus @ minus).max()),
             ("adjoint_defect", "algebraic"): float(np.abs(minus - plus.conj().transpose(0, 2, 1)).max()),
             ("grading_defect", "algebraic"): max(block_grading_defect(space, plus, 1),
                                                  block_grading_defect(space, minus, -1)),
         }
         dirac = plus + minus  # blocks of D, bitwise space.stack(dplus_terms + dminus_terms)
         del plus, minus  # no half lives beside D and its square
-        lichnerowicz, covariant = square_residuals(space, block_square(dirac))
+        lichnerowicz, covariant = square_residuals(space, dirac @ dirac)
         residuals.update({
             ("sub_laplacian_routes", "dual_assembly"): sub_laplacian_defect(space),
             ("reeb_routes", "dual_assembly"): float(nabla_T_defect(space)),

@@ -84,12 +84,14 @@ class SpinorModule:
             raise ValueError(f"{set(subset)!r} is not a subset of 1..{self.m}") from None
 
     def grade_slice(self, q: int) -> slice:
-        if not 0 <= q <= self.m:
-            raise ValueError(f"grade q must lie in 0..{self.m}, got {q}")
+        """Basis positions of the degree-q spinors; every grade a caller takes is checked here."""
+        if isinstance(q, bool) or not isinstance(q, int) or not 0 <= q <= self.m:
+            raise ValueError(f"grade q must lie in 0..{self.m}, got {q!r}")
         return slice(self._grade_start[q], self._grade_start[q + 1])
 
     def grade_dim(self, q: int) -> int:
-        return comb(self.m, q)
+        block = self.grade_slice(q)
+        return block.stop - block.start
 
 
 @lru_cache(maxsize=None)

@@ -66,8 +66,9 @@ MODEL_LEVEL_NOTE = (
 def kohn_laplacian_blocks(space: SectionSpace) -> np.ndarray:
     """Per-slot blocks of box, (P^H P + P P^H) / 2 for the stacked blocks P of D+, block by block."""
     plus = space.stack(dplus_terms(space))
-    box = np.einsum("bki,bkj->bij", plus.conj(), plus)
-    box += np.einsum("bik,bjk->bij", plus, plus.conj())
+    adj = plus.conj().transpose(0, 2, 1)
+    box = adj @ plus
+    box += plus @ adj
     box *= 0.5
     return box
 
@@ -137,8 +138,8 @@ def torus_line_bundle_cohomology(lattice: TorusLattice, c: int, s: int, q: int) 
     if isinstance(s, bool) or not isinstance(s, int):
         raise ValueError(f"power s must be an integer, got {s!r}")
     m = lattice.m
-    if not 0 <= q <= m:
-        raise ValueError(f"form degree out of range: {q}")
+    if isinstance(q, bool) or not isinstance(q, int) or not 0 <= q <= m:
+        raise ValueError(f"form degree must lie in 0..{m}, got {q!r}")
     degree = s * c
     if degree > 0:
         return degree**m if q == 0 else 0
@@ -240,10 +241,4 @@ def spinor_form_basis_map(space: SectionSpace, q: int):
     identity on coefficients; it is returned explicitly so tests can
     conjugate operators through it.
     """
-    if not 0 <= q <= space.m:
-        raise ValueError(f"degree out of range: {q}")
-    pairs = []
-    for subset in space.module.subsets:
-        if len(subset) == q:
-            pairs.append((subset, tuple(sorted(subset))))
-    return pairs
+    return [(subset, tuple(sorted(subset))) for subset in space.module.subsets[space.module.grade_slice(q)]]

@@ -5,9 +5,9 @@ generator matrices acting on the spinor fiber (``clifford``) and base
 factors acting on base coefficients (``sections``).  Every operator is a
 list of (fiber matrix, base factor) Kronecker terms, D+ and D- written
 once (``dplus_terms``, ``dminus_terms``): ``SectionSpace.stack`` gathers
-a list into the per-slot blocks every check reads, where
-``block_square`` and ``block_grading_defect`` read squares and grading,
-and ``SectionSpace.dense`` sums it into the full-space matrix that the
+a list into the per-slot blocks every check reads, where a batched ``@``
+forms squares and ``block_grading_defect`` reads grading, and
+``SectionSpace.dense`` sums it into the full-space matrix that the
 ``assemble_*`` oracles return.  The Reeb formula is one such list too
 (``nabla_T_terms``), and ``nabla_T_defect`` compares its blocks with i t.
 In the unitary frame the Kohn-Dirac operator splits as
@@ -74,7 +74,6 @@ __all__ = [
     "sub_laplacian_defect",
     "assemble_twistor",
     "twistor_contraction",
-    "block_square",
     "block_grading_defect",
     "cluster_eigenvalues",
     "kernel_report",
@@ -198,11 +197,9 @@ def assemble_twistor(space: SectionSpace, q: int) -> OperatorMatrix:
     kernel of Clifford contraction.  Dense test oracle of the pointwise
     twistor ``weitzenboeck._twistor``; no check of a run calls it.
     """
-    if not 0 <= q <= space.m:
-        raise ValueError(f"degree q out of range: {q}")
     m = space.m
-    a_q, b_q = twistor_weights(m, q)
     inject = np.eye(space.fiber_dim)[:, space.module.grade_slice(q)]
+    a_q, b_q = twistor_weights(m, q)
     c_e = [creation_matrix(m, a) for a in range(1, m + 1)]
     c_ebar = [-annihilation_matrix(m, a) for a in range(1, m + 1)]
     slots = _twistor_slots(space, inject, b_q, c_e, c_ebar, space.nabla_e)
@@ -218,23 +215,11 @@ def twistor_contraction(space: SectionSpace, q: int) -> np.ndarray:
     half-normalized frame supplies the factor 2.  Test oracle beside
     ``assemble_twistor``; no check of a run calls it.
     """
-    if not 0 <= q <= space.m:
-        raise ValueError(f"degree q out of range: {q}")
+    space.module.grade_slice(q)  # refuses a grade no spinor has
     m = space.m
     blocks = [space.lift_fiber(-2.0 * annihilation_matrix(m, a)) for a in range(1, m + 1)]
     blocks += [space.lift_fiber(2.0 * creation_matrix(m, a)) for a in range(1, m + 1)]
     return np.hstack(blocks)
-
-
-def block_square(stack: np.ndarray) -> np.ndarray:
-    """A @ A block by block, for the per-slot blocks ``stack`` of an operator A (``SectionSpace.stack``).
-
-    The blocks carry every nonzero entry of A, so these are the blocks of
-    the full-space square.  ``np.einsum`` sums each entry in an order that
-    rounds like the dense ``zgemm`` on most spaces; a batched ``@`` rounds
-    differently more often.
-    """
-    return np.einsum("bij,bjk->bik", stack, stack)
 
 
 def block_grading_defect(space: SectionSpace, stack: np.ndarray, degree_shift: int) -> float:

@@ -68,16 +68,20 @@ CLAUSE_PRIORITY = (
 _EIG_TOL = 1e-12
 
 
+def _check_dimension_and_weight(m, weight) -> None:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+        raise ValueError(f"CR dimension m must be a positive integer, got {m!r}")
+    if isinstance(weight, bool) or not isinstance(weight, int):
+        raise ValueError(f"weight must be an integer, got {weight!r}")
+
+
 def qhat(m: int, ell: int) -> Fraction:
     """Distinguished form degree m (m + ell + 2) / (2 (m + 2)), exact.
 
     Integrality (denominator 1) is exactly the condition under which the
     obstruction corollary applies.
     """
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise ValueError(f"CR dimension m must be a positive integer, got {m!r}")
-    if isinstance(ell, bool) or not isinstance(ell, int):
-        raise ValueError(f"weight must be an integer, got {ell!r}")
+    _check_dimension_and_weight(m, ell)
     return Fraction(m * (m + ell + 2), 2 * (m + 2))
 
 
@@ -87,6 +91,7 @@ def spin_c_exists(m: int, p: int, square_root_exists: bool = False) -> bool:
     True when the root line bundle itself has a square root, or when m
     and p are both odd, or both even.
     """
+    _check_dimension_and_weight(m, p)
     if square_root_exists:
         return True
     return (m % 2) == (p % 2)

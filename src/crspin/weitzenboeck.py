@@ -11,7 +11,7 @@ remainder, and measures residuals of the formula on section spaces: the
 Lichnerowicz identity is the formula on every block at the model's
 twist, and the fixed-weight identity is its twist-ell case on the block
 mu = -ell.  Both read D^2 as per-slot blocks (``SectionSpace.stack``,
-``block_square``) on the present states of complete blocks
+squared by a batched ``@``) on the present states of complete blocks
 (``SectionSpace.complete_max``).  The weighted horizontal Laplacians do
 not depend on the twist, so they are stacked once on the whole fiber
 (``_laplacian_stack``), and each twist adds its curvature term on the
@@ -45,12 +45,7 @@ from .clifford import (
 )
 from .fields import TrigPoly
 from .models import PseudoHermitianModel, rho_frame_components
-from .operators import (
-    block_square,
-    dminus_terms,
-    dplus_terms,
-    twistor_weights,
-)
+from .operators import dminus_terms, dplus_terms, twistor_weights
 from .sections import SectionSpace
 
 __all__ = [
@@ -161,7 +156,8 @@ def _laplacian_stack(space: SectionSpace) -> np.ndarray:
 
 def _dirac_square(space: SectionSpace) -> np.ndarray:
     """Per-slot blocks of D^2, D = D+ + D-."""
-    return block_square(space.stack(dplus_terms(space) + dminus_terms(space)))
+    dirac = space.stack(dplus_terms(space) + dminus_terms(space))
+    return dirac @ dirac
 
 
 def sl_residual(space: SectionSpace) -> float:
@@ -202,7 +198,7 @@ def square_residuals(space: SectionSpace, square: np.ndarray) -> tuple[float, di
     """(``sl_residual``, {ell: ``dl_residual``} at every admissible ell) off ``square``.
 
     ``square`` holds the per-slot blocks of D^2, shape (n_blocks, 2^m, 2^m),
-    as ``block_square`` forms them from the blocks of D.  The horizontal
+    as ``dirac @ dirac`` forms them from the blocks ``dirac`` of D.  The horizontal
     Laplacians are stacked once; each twist adds its curvature term on
     the degree slices it reads, and the model's twist on the whole stack,
     in place.
@@ -455,6 +451,5 @@ def exponent_scan(
     carries no information.
     """
     ctx, points, fjet = _conformal_inputs(space, ell, f, sample_points)
-    if isinstance(q, bool) or not isinstance(q, int) or not 0 <= q <= space.m:
-        raise ValueError(f"grade q must lie in 0..{space.m}, got {q}")
+    space.module.grade_slice(q)  # refuses a grade no spinor has
     return _covariance_defects(ctx, ell, q, fjet, points, offsets=tuple(offsets))

@@ -19,6 +19,11 @@ from crspin.clifford import (
     two_form_matrix,
     vector_matrix,
 )
+from crspin.cohomology import spinor_form_basis_map
+from crspin.models import heisenberg_model
+from crspin.operators import assemble_twistor, twistor_contraction
+from crspin.sections import SectionSpace
+from crspin.weitzenboeck import curvature_term, q_split
 
 EXACT_DIMS = (1, 2, 3, 4, 5, 6)
 
@@ -137,6 +142,25 @@ def test_grade_slices_partition_the_basis(m):
         start = block.stop
     assert start == module.dim == len(set(module.subsets))
     assert all(module.index_of(s) == i for i, s in enumerate(module.subsets))
+
+
+@pytest.mark.parametrize("q", [True, 1.0])
+@pytest.mark.parametrize("entry", [
+    lambda space, q: space.module.grade_slice(q),
+    lambda space, q: space.module.grade_dim(q),
+    lambda space, q: space.grade_block(q),
+    lambda space, q: assemble_twistor(space, q),
+    lambda space, q: twistor_contraction(space, q),
+    lambda space, q: spinor_form_basis_map(space, q),
+    lambda space, q: curvature_term(space.model, 0, q),
+    lambda space, q: q_split(space.model, 0, q),
+], ids=["grade_slice", "grade_dim", "grade_block", "assemble_twistor", "twistor_contraction",
+        "spinor_form_basis_map", "curvature_term", "q_split"])
+def test_grade_entry_points_refuse_what_is_no_grade(entry, q):
+    # a bool would index the q = 1 slice and a float the list of grade starts; neither is a grade
+    space = SectionSpace(heisenberg_model(2, k=1))
+    with pytest.raises(ValueError, match=rf"grade q must lie in 0\.\.2, got {q}$"):
+        entry(space, q)
 
 
 def test_cached_clifford_matrices_are_read_only():

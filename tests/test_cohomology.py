@@ -196,8 +196,9 @@ def test_line_bundle_count_validation():
         torus_line_bundle_cohomology(lattice, 0, 1, 0)
     with pytest.raises(ValueError):
         torus_line_bundle_cohomology(lattice, 1, 0.5, 0)
-    with pytest.raises(ValueError):
-        torus_line_bundle_cohomology(lattice, 1, 0, 5)
+    for q in (5, True, 1.0):
+        with pytest.raises(ValueError, match=rf"form degree must lie in 0\.\.1, got {q}$"):
+            torus_line_bundle_cohomology(lattice, 1, 0, q)
 
 
 @pytest.mark.parametrize("m", [1, 2])

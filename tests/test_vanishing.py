@@ -56,6 +56,19 @@ def test_spin_c_parity_rule():
     assert spin_c_exists(2, 1, square_root_exists=True)
 
 
+@pytest.mark.parametrize("m, p, message", [
+    (True, 1, "CR dimension m must be a positive integer, got True"),
+    (2.0, 1, "CR dimension m must be a positive integer, got 2.0"),
+    (0, 0, "CR dimension m must be a positive integer, got 0"),
+    (2, True, "weight must be an integer, got True"),
+    (2, 1.0, "weight must be an integer, got 1.0"),
+])
+def test_spin_c_refuses_what_qhat_refuses(m, p, message):
+    for call in (lambda: spin_c_exists(m, p), lambda: spin_c_exists(m, p, square_root_exists=True), lambda: qhat(m, p)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+
 def test_clause_priority_endpoints():
     assert CLAUSE_PRIORITY[0] == "vani-a1"
     assert CLAUSE_PRIORITY[-1] == "vani-Q"

@@ -19,7 +19,7 @@ from crspin.models import (
     rho_frame_components,
     sphere_model,
 )
-from crspin.operators import assemble_kohn_dirac, block_square, dminus_terms, dplus_terms
+from crspin.operators import assemble_kohn_dirac, dminus_terms, dplus_terms
 from crspin.sections import SectionSpace
 from crspin.weitzenboeck import (
     ConformalScale,
@@ -193,7 +193,8 @@ def test_sl_residual_small(model):
     # D^2 is far from zero on the states the residual reads, so a small residual is the identity
     space = SectionSpace(model)
     inside = (space.blocks() >= 0) & space.block_complete()[:, None]
-    square = block_square(space.stack(dplus_terms(space) + dminus_terms(space)))
+    dirac = space.stack(dplus_terms(space) + dminus_terms(space))
+    square = dirac @ dirac
     assert np.abs(square[inside[:, :, None] & inside[:, None, :]]).max() > 0.5
     assert sl_residual(space) <= 1e-10
 
@@ -249,14 +250,15 @@ def test_square_residuals_equal_single_identity_residuals(model):
     weights = range(-model.m, model.m + 1, 2)
     single = (sl_residual(space), {ell: dl_residual(space, ell) for ell in weights})
     dirac = space.stack(dplus_terms(space) + dminus_terms(space))
-    assert square_residuals(space, block_square(dirac)) == single
+    assert square_residuals(space, dirac @ dirac) == single
 
 
 def test_lichnerowicz_residual_reads_off_degree_entries():
     # the formula keeps the degree, so an entry of D^2 between degrees is all residual;
     # the fixed-weight rows read only their own degree block
     space = SectionSpace(heisenberg_model(2, k=1))
-    square = block_square(space.stack(dplus_terms(space) + dminus_terms(space)))
+    dirac = space.stack(dplus_terms(space) + dminus_terms(space))
+    square = dirac @ dirac
     lichnerowicz, covariant = square_residuals(space, square)
     # fiber states 0 and 3 have degrees 0 and 2; take a complete block where both are present
     j = np.flatnonzero((space.blocks()[:, [0, 3]] >= 0).all(axis=1) & space.block_complete())[0]
