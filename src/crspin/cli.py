@@ -48,15 +48,15 @@ which identities and the torus shift table read.  Spectrum, cohomology
 and vanishing read one ``dirac_kernel`` per sector, counted from the
 per-slot blocks of D with batched 2^m x 2^m eigensolves, whose
 eigenvalues fill the spectrum tables.  Identities stacks the per-slot
-blocks of D+ and D- once per sector: its algebraic rows read them, and
-every Lichnerowicz residual is read off the blockwise square of their
-sum D, formed after the halves are dropped.  No check forms a full-space
-matrix or a base_dim x base_dim one, and no matrix outlives its check
-except the Kohn Laplacian blocks a torus shift table reads.  The
-conformal check evaluates exact trigonometric polynomials and their
-frame derivatives at fixed sample points and depends only on the CR
-dimension, not on the sector, so it is evaluated once and that one value
-is reported under every sector key.
+blocks of D once per sector and squares them once: adjointness and the
+squares of D+ and D- are read off degree slabs of D and D^2, grading
+off the fiber matrices of D's terms, and every Lichnerowicz residual off
+D^2.  No check forms a full-space matrix or a base_dim x base_dim one,
+and no matrix outlives its check except the Kohn Laplacian blocks a
+torus shift table reads.  The conformal check evaluates exact
+trigonometric polynomials and their frame derivatives at fixed sample
+points and depends only on the CR dimension, not on the sector, so it is
+evaluated once and that one value is reported under every sector key.
 """
 
 from __future__ import annotations
@@ -81,7 +81,6 @@ from .models import (
     sphere_model,
 )
 from .operators import (
-    block_grading_defect,
     cluster_eigenvalues,
     dirac_kernel,
     dminus_terms,
@@ -276,6 +275,14 @@ class _RunMemo:
                            tol=self.config["tolerances"]["spectral"], sector=self.shift_sector)
 
 
+def _grading_defect(space: SectionSpace, plus_terms, minus_terms) -> float:
+    """Largest |fiber entry| of a D+ term off degree shift +1 or of a D- term off -1 (output minus input)."""
+    degree = np.array([len(s) for s in space.module.subsets])
+    shift = degree[:, None] - degree[None, :]
+    return max(float(np.abs(fiber[shift != step]).max())
+               for terms, step in ((plus_terms, 1), (minus_terms, -1)) for fiber, _ in terms)
+
+
 def _check_identities(model, config, memo: _RunMemo) -> CheckResult:
     tol = config["tolerances"]
     sectors = _space_sectors(config)
@@ -283,17 +290,26 @@ def _check_identities(model, config, memo: _RunMemo) -> CheckResult:
     per_sector = {}
     for sector in sectors:
         space = memo.space(sector)
-        plus, minus = space.stack(dplus_terms(space)), space.stack(dminus_terms(space))
+        plus_terms, minus_terms = dplus_terms(space), dminus_terms(space)
+        dirac = space.stack(plus_terms + minus_terms)
+        square = dirac @ dirac
+        fib = [space.module.grade_slice(q) for q in range(space.m + 1)]
+        # D+ fills the slabs (q+1, q) of D and D- the slabs (q-1, q), so D^2 holds D+^2 in (q+2, q) and D-^2 in
+        # (q, q+2).  These slab reads see every nonzero entry only while the grading row passes, which is why
+        # grading is read off the terms' fiber matrices (``stack`` writes only where one is nonzero).
         residuals = {
-            ("dirac_plus_squared", "algebraic"): float(np.abs(plus @ plus).max()),
-            ("dirac_minus_squared", "algebraic"): float(np.abs(minus @ minus).max()),
-            ("adjoint_defect", "algebraic"): float(np.abs(minus - plus.conj().transpose(0, 2, 1)).max()),
-            ("grading_defect", "algebraic"): max(block_grading_defect(space, plus, 1),
-                                                 block_grading_defect(space, minus, -1)),
+            ("dirac_plus_squared", "algebraic"): max(
+                (float(np.abs(square[:, hi, lo]).max()) for lo, hi in zip(fib, fib[2:])), default=0.0),
+            ("dirac_minus_squared", "algebraic"): max(
+                (float(np.abs(square[:, lo, hi]).max()) for lo, hi in zip(fib, fib[2:])), default=0.0),
+            ("adjoint_defect", "algebraic"): max(
+                float(np.abs(dirac[:, lo, hi] - dirac[:, hi, lo].conj().transpose(0, 2, 1)).max())
+                for lo, hi in zip(fib, fib[1:])),
+            ("grading_defect", "algebraic"): _grading_defect(space, plus_terms, minus_terms),
         }
-        dirac = plus + minus  # blocks of D, bitwise space.stack(dplus_terms + dminus_terms)
-        del plus, minus  # no half lives beside D and its square
-        lichnerowicz, covariant = square_residuals(space, dirac @ dirac)
+        del dirac  # every row of D is read
+        lichnerowicz, covariant = square_residuals(space, square)
+        del square
         residuals.update({
             ("sub_laplacian_routes", "dual_assembly"): sub_laplacian_defect(space),
             ("reeb_routes", "dual_assembly"): float(nabla_T_defect(space)),

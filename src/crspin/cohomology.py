@@ -54,7 +54,6 @@ __all__ = [
     "torus_line_bundle_cohomology",
     "shift_table",
     "harmonic_spinor_table",
-    "spinor_form_basis_map",
 ]
 
 MODEL_LEVEL_NOTE = (
@@ -224,7 +223,8 @@ def harmonic_spinor_table(space: SectionSpace, tol: float = 1e-8) -> CohomologyT
 
     Computed on the spinor side (``dirac_kernel`` per grading block) and
     required by the tests to match the form-side table entry for entry;
-    the two sides share their basis through ``spinor_form_basis_map``.
+    the degree-q spinors and the (0,q) coframe monomials are indexed by
+    the same q-element subsets, so the two sides share their basis.
     """
     report = dirac_kernel(space, tol=tol)
     table = CohomologyTable(model_name=space.model.describe(), rows=_kernel_rows(space, report))
@@ -232,13 +232,3 @@ def harmonic_spinor_table(space: SectionSpace, tol: float = 1e-8) -> CohomologyT
         table.notes.append(MODEL_LEVEL_NOTE)
     return table
 
-
-def spinor_form_basis_map(space: SectionSpace, q: int):
-    """Pairs (spinor subset, antiholomorphic multi-index) realizing the degree-q bijection.
-
-    The spinor fiber basis of degree q and the (0,q) coframe monomials
-    are indexed by the same q-element subsets, so the bijection is the
-    identity on coefficients; it is returned explicitly so tests can
-    conjugate operators through it.
-    """
-    return [(subset, tuple(sorted(subset))) for subset in space.module.subsets[space.module.grade_slice(q)]]

@@ -6,10 +6,10 @@ factors acting on base coefficients (``sections``).  Every operator is a
 list of (fiber matrix, base factor) Kronecker terms, D+ and D- written
 once (``dplus_terms``, ``dminus_terms``): ``SectionSpace.stack`` gathers
 a list into the per-slot blocks every check reads, where a batched ``@``
-forms squares and ``block_grading_defect`` reads grading, and
-``SectionSpace.dense`` sums it into the full-space matrix that the
-``assemble_*`` oracles return.  The Reeb formula is one such list too
-(``nabla_T_terms``), and ``nabla_T_defect`` compares its blocks with i t.
+forms squares, and ``SectionSpace.dense`` sums it into the full-space
+matrix that the ``assemble_*`` oracles return.  The Reeb formula is one
+such list too (``nabla_T_terms``), and ``nabla_T_defect`` compares its
+blocks with i t.
 In the unitary frame the Kohn-Dirac operator splits as
 
     D = D_plus + D_minus,
@@ -74,7 +74,6 @@ __all__ = [
     "sub_laplacian_defect",
     "assemble_twistor",
     "twistor_contraction",
-    "block_grading_defect",
     "cluster_eigenvalues",
     "kernel_report",
     "block_kernel_report",
@@ -220,14 +219,6 @@ def twistor_contraction(space: SectionSpace, q: int) -> np.ndarray:
     blocks = [space.lift_fiber(-2.0 * annihilation_matrix(m, a)) for a in range(1, m + 1)]
     blocks += [space.lift_fiber(2.0 * creation_matrix(m, a)) for a in range(1, m + 1)]
     return np.hstack(blocks)
-
-
-def block_grading_defect(space: SectionSpace, stack: np.ndarray, degree_shift: int) -> float:
-    """Largest |entry| of the per-slot blocks ``stack`` between fiber states whose
-    degrees differ (output minus input) by other than ``degree_shift``."""
-    degree = np.array([len(s) for s in space.module.subsets])
-    entries = stack[:, degree[:, None] - degree[None, :] != degree_shift]
-    return float(np.abs(entries).max()) if entries.size else 0.0
 
 
 def cluster_eigenvalues(evals, tol: float = 1e-8) -> list[tuple[float, int]]:

@@ -31,6 +31,7 @@ Fourier/ladder truncations used elsewhere.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -319,14 +320,11 @@ def _twistor(inners: np.ndarray, half: _Half, q: int, ctx: _FiberContext) -> np.
     return inners + w_q * (half.c_self @ _dirac(inners, half))
 
 
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
 def default_sample_points(dim: int, count: int = 24) -> np.ndarray:
-    """Deterministic low-discrepancy sample points on the unit torus."""
-    if dim > len(_PRIMES):
-        raise ValueError(f"at most {len(_PRIMES)} coordinates supported")
-    alphas = np.sqrt(np.array(_PRIMES[:dim], dtype=float)) % 1.0
+    """Deterministic low-discrepancy sample points on the unit torus: the fractional parts of
+    step * sqrt(p) + 0.05 for the first ``dim`` primes p."""
+    primes = list(itertools.islice((n for n in itertools.count(2) if all(n % d for d in range(2, n))), dim))
+    alphas = np.sqrt(np.array(primes, dtype=float)) % 1.0
     steps = np.arange(1, count + 1, dtype=float)[:, None]
     return (steps * alphas + 0.05) % 1.0
 

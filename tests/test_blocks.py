@@ -266,6 +266,34 @@ def test_identities_rows_are_the_dense_rows(space):
         assert abs(blocks[name] - dense[name]) <= 1e-13, name
 
 
+def one_diagonal_entry(terms, space):
+    """``terms`` and a term with one degree-keeping fiber entry: a diagonal keeps its per-slot blocks, so
+    ``stack`` takes it, and it lies in no slab the adjoint and square rows read."""
+    fiber = np.zeros((space.fiber_dim, space.fiber_dim))
+    fiber[1, 1] = 1e-3
+    return terms + [(fiber, np.ones(space.base_dim))]
+
+
+@pytest.mark.parametrize("half, mutate, failing", [
+    ("dplus_terms", one_diagonal_entry, {"grading_defect"}),
+    # Clifford matrices without their Jordan-Wigner signs keep the grading but no longer anticommute
+    ("dplus_terms", lambda terms, space: [(np.abs(f), b) for f, b in terms], {"dirac_plus_squared", "adjoint_defect"}),
+    ("dminus_terms", lambda terms, space: [(-np.abs(f), b) for f, b in terms], {"dirac_minus_squared", "adjoint_defect"}),
+    # D-'s factor -2 read as -2.6
+    ("dminus_terms", lambda terms, space: [(1.3 * f, b) for f, b in terms], {"adjoint_defect"}),
+], ids=["wrong-degree-entry", "unsigned-creation", "unsigned-annihilation", "scaled-dminus"])
+def test_identities_algebraic_rows_fail_on_their_mutant(monkeypatch, half, mutate, failing):
+    build = getattr(cli, half)
+    monkeypatch.setattr(cli, half, lambda space: mutate(build(space), space))
+    model = heisenberg_model(2, k=1)
+    config = {"model": {"sectors": [1]}, "tolerances": dict(cli.TOLERANCE_DEFAULTS)}
+    result = cli._check_identities(model, config, cli._RunMemo(model, config))
+    rows = result.report["sectors"]["1"]
+    algebraic = ("dirac_plus_squared", "dirac_minus_squared", "adjoint_defect", "grading_defect")
+    assert not result.passed
+    assert {name for name in algebraic if rows[name] > cli.TOLERANCE_DEFAULTS["algebraic"]} == failing
+
+
 def test_identities_check_allocates_no_full_space_matrix():
     model = heisenberg_model(3, k=1, truncation=LADDER3)
     config = {"model": {"sectors": [1]}, "tolerances": dict(cli.TOLERANCE_DEFAULTS)}
@@ -279,6 +307,8 @@ def test_identities_check_allocates_no_full_space_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 0.25 * space.dim**2 * np.dtype(complex).itemsize
+    # no stack outlives the rows read off it: D and D^2 are freed before the rows that stack again
+    assert peak < 4.5 * len(space.blocks()) * space.fiber_dim**2 * np.dtype(complex).itemsize
 
 
 @pytest.mark.parametrize("model", [heisenberg_model(2, k=1), heisenberg_model(2, k=-1)], ids=["t>0", "t<0"])

@@ -368,7 +368,7 @@ def count_calls(monkeypatch, counts, name, fn):
 
 @pytest.mark.parametrize("kind, expected", [
     # per sector: one Dirac kernel from blocks, shared by spectrum, cohomology and
-    # vanishing; identities stacks its own D+ and D- blocks for the square; one box
+    # vanishing; identities stacks its own blocks of D for the square; one box
     # stack, read by identities and by the shift table, which counts its kernel from blocks
     ("torus_bundle", {"assemble_kohn_dirac": 0, "assemble_dplus": 0, "kohn_laplacian": 0,
                       "kohn_laplacian_blocks": 3, "kernel_report": 0, "block_kernel_report": 6}),
@@ -486,5 +486,6 @@ def test_identities_fail_on_a_term_that_leaves_its_block(tmp_path, monkeypatch, 
     cfg = write_config(tmp_path, {"model": {"kind": "heisenberg", "m": 2, "sectors": [1]}, "checks": ["identities"]})
     out = tmp_path / "art"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 1
-    assert "check identities: ERROR (heisenberg sector 1: term 0 moves states between per-slot blocks" in capsys.readouterr().out
+    # term 2 of D's list, D+ of both slots first
+    assert "check identities: ERROR (heisenberg sector 1: term 2 moves states between per-slot blocks" in capsys.readouterr().out
     assert json.loads((out / "identities_report.json").read_text())["passed"] is False

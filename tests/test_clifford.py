@@ -19,7 +19,6 @@ from crspin.clifford import (
     two_form_matrix,
     vector_matrix,
 )
-from crspin.cohomology import spinor_form_basis_map
 from crspin.models import heisenberg_model
 from crspin.operators import assemble_twistor, twistor_contraction
 from crspin.sections import SectionSpace
@@ -151,11 +150,10 @@ def test_grade_slices_partition_the_basis(m):
     lambda space, q: space.grade_block(q),
     lambda space, q: assemble_twistor(space, q),
     lambda space, q: twistor_contraction(space, q),
-    lambda space, q: spinor_form_basis_map(space, q),
     lambda space, q: curvature_term(space.model, 0, q),
     lambda space, q: q_split(space.model, 0, q),
 ], ids=["grade_slice", "grade_dim", "grade_block", "assemble_twistor", "twistor_contraction",
-        "spinor_form_basis_map", "curvature_term", "q_split"])
+        "curvature_term", "q_split"])
 def test_grade_entry_points_refuse_what_is_no_grade(entry, q):
     # a bool would index the q = 1 slice and a float the list of grade starts; neither is a grade
     space = SectionSpace(heisenberg_model(2, k=1))

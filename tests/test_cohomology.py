@@ -11,7 +11,6 @@ from crspin.cohomology import (
     kohn_laplacian,
     sector_identity_residual,
     shift_table,
-    spinor_form_basis_map,
     torus_line_bundle_cohomology,
 )
 from crspin import cohomology
@@ -275,16 +274,6 @@ def test_shift_table_passes_tolerances_to_kernel_counts(monkeypatch):
     shift_table(model, s_range=[-1, 1], tol=1e-6)
     # box is Hermitian and keeps the degree: its blocks are eigensolved directly
     assert seen == [(1e-6, False)] * 2
-
-
-def test_basis_map_is_subset_identity():
-    space = SectionSpace(heisenberg_model(2, k=0))
-    pairs = spinor_form_basis_map(space, 1)
-    assert len(pairs) == 2
-    for subset, multiindex in pairs:
-        assert tuple(sorted(subset)) == multiindex
-    with pytest.raises(ValueError):
-        spinor_form_basis_map(space, 3)
 
 
 def test_extremal_rows_are_lower_bounds_only():

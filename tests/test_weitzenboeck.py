@@ -464,6 +464,11 @@ def test_default_sample_points_shape_and_determinism():
     assert np.all(pts >= 0.0) and np.all(pts < 1.0)
     assert np.abs(pts - default_sample_points(4)).max() == 0.0
     assert len(np.unique(np.round(pts, 12), axis=0)) == 24
+    # step * sqrt(p) + 0.05 mod 1 over the first primes, bit for bit; m = 7 samples 14 coordinates
+    steps = np.arange(1.0, 25.0)[:, None]
+    primes = np.array([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43], dtype=float)
+    for dim in (12, 14):
+        assert np.array_equal(default_sample_points(dim), (steps * (np.sqrt(primes[:dim]) % 1.0) + 0.05) % 1.0)
 
 
 def test_conformal_theta_weighted_terms_matter():
