@@ -85,6 +85,7 @@ from .operators import (
     dirac_kernel,
     dminus_terms,
     dplus_terms,
+    grading_defects,
     nabla_T_defect,
     sub_laplacian_defect,
 )
@@ -275,14 +276,6 @@ class _RunMemo:
                            tol=self.config["tolerances"]["spectral"], sector=self.shift_sector)
 
 
-def _grading_defect(space: SectionSpace, plus_terms, minus_terms) -> float:
-    """Largest |fiber entry| of a D+ term off degree shift +1 or of a D- term off -1 (output minus input)."""
-    degree = np.array([len(s) for s in space.module.subsets])
-    shift = degree[:, None] - degree[None, :]
-    return max(float(np.abs(fiber[shift != step]).max())
-               for terms, step in ((plus_terms, 1), (minus_terms, -1)) for fiber, _ in terms)
-
-
 def _check_identities(model, config, memo: _RunMemo) -> CheckResult:
     tol = config["tolerances"]
     sectors = _space_sectors(config)
@@ -305,7 +298,7 @@ def _check_identities(model, config, memo: _RunMemo) -> CheckResult:
             ("adjoint_defect", "algebraic"): max(
                 float(np.abs(dirac[:, lo, hi] - dirac[:, hi, lo].conj().transpose(0, 2, 1)).max())
                 for lo, hi in zip(fib, fib[1:])),
-            ("grading_defect", "algebraic"): _grading_defect(space, plus_terms, minus_terms),
+            ("grading_defect", "algebraic"): max(grading_defects(space, plus_terms, minus_terms)),
         }
         del dirac  # every row of D is read
         lichnerowicz, covariant = square_residuals(space, square)

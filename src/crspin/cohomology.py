@@ -9,14 +9,17 @@ creation/annihilation matrices:
     dbar* = honest matrix adjoint,
     box   = dbar* dbar + dbar dbar* = (P^H P + P P^H) / 2,   P = D+ = sqrt(2) dbar,
 
-where w_a wedges the a-th antiholomorphic coframe element.  D+ keeps the
-per-slot blocks, so box's blocks are the batched products of D+'s stacked
-blocks (``kohn_laplacian_blocks``); the shift table and the sector
-identity read them, and ``kohn_laplacian`` forms the same products of the
-dense D+ degree block by degree block.  Both read nabla_{Ebar} only,
-while the degree-lowering Dirac half D- reads nabla_E: D^2 = 2 box on the
-degree blocks compares D+ D- + D- D+ with D+^H D+ + D+ D+^H, two routes
-that part when D- is not the adjoint of D+.
+where w_a wedges the a-th antiholomorphic coframe element.  D+ is
+nonzero only on its degree slabs (q+1, q), so one slab routine forms box:
+each slab adds its P^H P to box's slab (q, q) and its P P^H to
+(q+1, q+1).  Indexed with ``...``, the same body runs on D+'s per-slot
+blocks (``kohn_laplacian_blocks``, which the shift table and the sector
+identity read, after ``graded_stack`` has refused a D+ term off its
+degree shift) and on the dense D+ (``kohn_laplacian``, the oracle).
+Both read nabla_{Ebar} only, while the degree-lowering Dirac half D-
+reads nabla_E: D^2 = 2 box on the degree blocks compares D+ D- + D- D+
+with D+^H D+ + D+ D+^H, two routes that part when D- is not the adjoint
+of D+.
 
 On a weight sector with commutator scalar t the Kohn Laplacian differs
 from the holomorphic connection Laplacian by a multiple of the fiber
@@ -40,7 +43,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .models import TorusBundleModel, TorusLattice
-from .operators import KernelCount, OperatorMatrix, assemble_dplus, block_kernel_report, dirac_kernel, dplus_terms
+from .operators import (KernelCount, OperatorMatrix, assemble_dplus, block_kernel_report, dirac_kernel, dplus_terms,
+                        graded_stack)
 from .sections import SectionSpace
 
 __all__ = [
@@ -62,26 +66,28 @@ MODEL_LEVEL_NOTE = (
 )
 
 
-def kohn_laplacian_blocks(space: SectionSpace) -> np.ndarray:
-    """Per-slot blocks of box, (P^H P + P P^H) / 2 for the stacked blocks P of D+, block by block."""
-    plus = space.stack(dplus_terms(space))
-    adj = plus.conj().transpose(0, 2, 1)
-    box = adj @ plus
-    box += plus @ adj
+def _box_on_slabs(plus: np.ndarray, slabs: list[slice]) -> np.ndarray:
+    """(P^H P + P P^H) / 2 for P = ``plus`` (a matrix or a stack) nonzero only on the degree slabs (q+1, q)
+    of the index slices ``slabs``: each P[q+1, q] adds to the slabs (q, q) and (q+1, q+1)."""
+    box = np.zeros_like(plus)
+    for low, high in zip(slabs, slabs[1:]):
+        step = plus[..., high, low]
+        adj = step.conj().swapaxes(-1, -2)
+        box[..., low, low] += adj @ step
+        box[..., high, high] += step @ adj
     box *= 0.5
     return box
 
 
+def kohn_laplacian_blocks(space: SectionSpace) -> np.ndarray:
+    """Per-slot blocks of box from the stacked blocks of D+ (``graded_stack`` refuses a term off shift +1)."""
+    plus = graded_stack(space, dplus_terms(space), [])
+    return _box_on_slabs(plus, [space.module.grade_slice(q) for q in range(space.m + 1)])
+
+
 def kohn_laplacian(space: SectionSpace) -> OperatorMatrix:
-    """dbar* dbar + dbar dbar* as a full-space matrix, (P^H P + P P^H) / 2 of the dense D+ by degree blocks."""
-    plus = assemble_dplus(space).mat
-    box = np.zeros_like(plus)
-    grades = [space.grade_block(q) for q in range(space.m + 1)]
-    for low, high in zip(grades, grades[1:]):
-        step = plus[high, low]
-        box[low, low] += step.conj().T @ step
-        box[high, high] += step @ step.conj().T
-    box *= 0.5
+    """dbar* dbar + dbar dbar* as a full-space matrix, from the degree blocks of the dense D+."""
+    box = _box_on_slabs(assemble_dplus(space).mat, [space.grade_block(q) for q in range(space.m + 1)])
     return OperatorMatrix(box, space, name="box", mu_shift=0)
 
 

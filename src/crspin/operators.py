@@ -38,17 +38,23 @@ conformal check forms its twistors pointwise (``weitzenboeck._twistor``);
 ``assemble_twistor`` and ``twistor_contraction`` are that route's dense
 test oracle, and no check of a run calls them.
 
+Grading is read off the term lists, once: ``grading_defects`` gives
+each D+ or D- term's largest fiber entry off its degree shift.  The
+identities check reports it as a row, and ``graded_stack`` refuses a
+term list it finds nonzero before stacking it, because the readers of
+D's and D+'s stacks take only the degree slabs the shifts fill.
+
 Kernel counts rest on structure: a null vector in a complete per-slot
 block (``SectionSpace.block_complete``, no state lost to the top cutoff)
 is kernel, and one in any other block is a cutoff artifact.  Two routes
 apply this rule.  ``kernel_report`` eigensolves the full-space degree
 blocks of a dense operator and stays the reference.
-``block_kernel_report`` reads the per-slot blocks: per degree it takes
-the Gram matrix (or, for a Hermitian degree-preserving operator, the
-diagonal block) of the fixed fiber slice and makes one batched
-eigensolve per pattern of kept states.  ``dirac_kernel``, which the
-spectral checks read, takes the block route, so they form no full-space
-matrix.
+``block_kernel_report`` reads the per-slot blocks: per degree q it takes
+the Gram matrix of D's degree q-1 and q+1 row slabs on the fixed fiber
+slice (or, for a Hermitian degree-preserving operator, the diagonal
+slab) and makes one batched eigensolve per pattern of kept states.
+``dirac_kernel``, which the spectral checks read, takes the block route,
+so they form no full-space matrix.
 """
 
 from __future__ import annotations
@@ -66,6 +72,8 @@ __all__ = [
     "OperatorMatrix",
     "dplus_terms",
     "dminus_terms",
+    "grading_defects",
+    "graded_stack",
     "assemble_dplus",
     "assemble_dminus",
     "assemble_kohn_dirac",
@@ -115,6 +123,28 @@ def dplus_terms(space: SectionSpace) -> list:
 def dminus_terms(space: SectionSpace) -> list:
     """(fiber, base) Kronecker terms of D- = 2 sum_a c(Ebar_a) nabla_{E_a}, c(Ebar_a) = -annihilation."""
     return [(-2.0 * annihilation_matrix(space.m, a), space.nabla_e[a - 1]) for a in range(1, space.m + 1)]
+
+
+def grading_defects(space: SectionSpace, plus_terms, minus_terms) -> list[float]:
+    """Largest |fiber entry| of each term of ``plus_terms + minus_terms`` off its degree shift (output minus
+    input degree): +1 for a D+ term, -1 for a D- term."""
+    degree = np.array([len(s) for s in space.module.subsets])
+    shift = degree[:, None] - degree[None, :]
+    return [float(np.abs(fiber[shift != step]).max()) for terms, step in ((plus_terms, 1), (minus_terms, -1))
+            for fiber, _ in terms]
+
+
+def graded_stack(space: SectionSpace, plus_terms, minus_terms) -> np.ndarray:
+    """``space.stack(plus_terms + minus_terms)`` after refusing, with ``ValueError``, a term off its shift.
+
+    Readers of the stack take only the degree slabs the shifts fill.  ``stack`` writes an entry only
+    where a term's fiber matrix is nonzero, so those slabs hold every nonzero entry once no term is refused.
+    """
+    for index, defect in enumerate(grading_defects(space, plus_terms, minus_terms)):
+        if defect:
+            raise ValueError(f"{space.model.kind} sector {space.sector}: term {index} has fiber entries off "
+                             f"its degree shift (largest {defect:.2e})")
+    return space.stack(plus_terms + minus_terms)
 
 
 def assemble_dplus(space: SectionSpace) -> OperatorMatrix:
@@ -167,8 +197,10 @@ def nabla_T_defect(space: SectionSpace) -> float:
     that would not) and the direct route is i t times the identity, so
     the blocks carry every nonzero entry of the full-space difference.
     """
-    formula = (1j / (4.0 * space.m)) * space.stack(nabla_T_terms(space))
-    return space.complete_max(formula - 1j * space.t * np.eye(space.fiber_dim))
+    formula = space.stack(nabla_T_terms(space))
+    formula *= 1j / (4.0 * space.m)
+    formula -= 1j * space.t * np.eye(space.fiber_dim)
+    return space.complete_max(formula)
 
 
 def twistor_weights(m: int, q: int) -> tuple[float, float]:
@@ -294,23 +326,26 @@ def block_kernel_report(
 ) -> dict[int, KernelCount]:
     """``kernel_report`` of the operator whose per-slot blocks are ``stack`` (``SectionSpace.stack``).
 
-    Degree q is eigensolved through the Gram matrix of the fixed fiber
-    slice ``grade_slice(q)`` of every block, or, with ``gram=False`` (a
-    Hermitian operator that keeps the degree), through the slice's
-    diagonal blocks.  Blocks that keep the same states of that slice share
-    one batched ``eigvalsh``.  Each block's null count goes to ``dim`` if
-    the block is complete and to ``spurious`` if not.
+    Degree q is eigensolved on the fixed fiber slice ``grade_slice(q)``
+    of every block.  With ``gram=True`` the operator moves the degree by
+    exactly +-1, as D does (``graded_stack``), so its degree-q columns
+    are nonzero only in the degree q-1 and q+1 row slabs, and the Gram
+    matrix is the sum of those two slabs' batched products.  With
+    ``gram=False`` (a Hermitian operator that keeps the degree) it is the
+    slice's diagonal slab.  Blocks that keep the same states of that
+    slice share one batched ``eigvalsh``.  Each block's null count goes
+    to ``dim`` if the block is complete and to ``spurious`` if not.
     """
     if tol <= 0:
         raise ValueError("kernel tolerance must be positive")
     present = space.blocks() >= 0
     complete = space.block_complete()
+    slabs = [space.module.grade_slice(q) for q in range(space.m + 1)]
     out: dict[int, KernelCount] = {}
-    for q in range(space.m + 1):
-        fib = space.module.grade_slice(q)
+    for q, fib in enumerate(slabs):
         if gram:
-            cols = stack[:, :, fib]
-            mats = np.einsum("bki,bkj->bij", cols.conj(), cols)
+            near = [stack[:, slabs[p], fib] for p in (q - 1, q + 1) if 0 <= p <= space.m]
+            mats = sum(rows.conj().transpose(0, 2, 1) @ rows for rows in near)
         else:
             mats = stack[:, fib, fib]
         keep = np.ascontiguousarray(present[:, fib])
@@ -338,12 +373,13 @@ def dirac_kernel(space: SectionSpace, tol: float = 1e-8) -> dict[int, KernelCoun
     """Kernel counts of the Kohn-Dirac operator from its per-slot blocks, at most once per space and tolerance.
 
     The counts equal ``kernel_report(assemble_kohn_dirac(space))``; no
-    full-space matrix is formed.  Only the counts and read-only
+    full-space matrix is formed, and a D term off its degree shift is
+    refused (``graded_stack``).  Only the counts and read-only
     eigenvalues are kept, and only while the space lives.
     """
     reports = _DIRAC_KERNELS.setdefault(space, {})
     if tol not in reports:
-        stack = space.stack(dplus_terms(space) + dminus_terms(space))
+        stack = graded_stack(space, dplus_terms(space), dminus_terms(space))
         reports[tol] = block_kernel_report(space, stack, tol=tol)
     return dict(reports[tol])
 

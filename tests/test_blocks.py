@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from blockstates import complete_max, full_indices
 
-from crspin import cli
+from crspin import cli, cohomology, operators
 from crspin.cohomology import (
     kohn_laplacian,
     kohn_laplacian_blocks,
@@ -308,7 +308,42 @@ def test_identities_check_allocates_no_full_space_matrix():
         tracemalloc.stop()
     assert peak < 0.25 * space.dim**2 * np.dtype(complex).itemsize
     # no stack outlives the rows read off it: D and D^2 are freed before the rows that stack again
-    assert peak < 4.5 * len(space.blocks()) * space.fiber_dim**2 * np.dtype(complex).itemsize
+    assert peak < 3 * len(space.blocks()) * space.fiber_dim**2 * np.dtype(complex).itemsize
+
+
+@pytest.mark.parametrize("model", [heisenberg_model(3, k=1, truncation=LADDER3),
+                                   cr_alpha_bundle(3, c=1, truncation=LADDER3)], ids=["heisenberg-ladder", "torus-fourier"])
+def test_kohn_laplacian_blocks_hold_under_three_stacks(model):
+    # D+'s stack and box's, and the products of one degree slab at a time
+    space = SectionSpace(model)
+    space.blocks()
+    tracemalloc.start()
+    try:
+        kohn_laplacian_blocks(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(space.blocks()) * space.fiber_dim**2 * np.dtype(complex).itemsize
+
+
+def test_cohomology_check_refuses_a_dplus_term_off_its_degree(monkeypatch):
+    # box is read off D+'s (q+1, q) slabs only, where a degree-keeping entry would be lost unseen
+    build = cohomology.dplus_terms
+    monkeypatch.setattr(cohomology, "dplus_terms", lambda space: one_diagonal_entry(build(space), space))
+    model = cr_alpha_bundle(2, c=1)
+    config = {"model": {"sectors": [-1, 0, 1]}, "tolerances": dict(cli.TOLERANCE_DEFAULTS)}
+    result = cli._run_check("cohomology", model, config, False, cli._RunMemo(model, config))
+    assert not result.passed
+    assert result.error.startswith("torus_bundle sector -1: term 2 has fiber entries off its degree shift")
+
+
+@pytest.mark.parametrize("half, term", [("dplus_terms", 2), ("dminus_terms", 4)])
+def test_dirac_kernel_refuses_a_term_off_its_degree(monkeypatch, half, term):
+    # the Gram of degree q reads only D's degree q-1 and q+1 rows
+    build = getattr(operators, half)
+    monkeypatch.setattr(operators, half, lambda space: one_diagonal_entry(build(space), space))
+    with pytest.raises(ValueError, match=rf"heisenberg sector 1: term {term} has fiber entries off its degree shift"):
+        dirac_kernel(SectionSpace(heisenberg_model(2, k=1)))
 
 
 @pytest.mark.parametrize("model", [heisenberg_model(2, k=1), heisenberg_model(2, k=-1)], ids=["t>0", "t<0"])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from blockstates import complete_max
 
-from crspin import cli, operators, weitzenboeck
+from crspin import operators, weitzenboeck
 from crspin.clifford import annihilation_matrix, creation_matrix, theta_matrix
 from crspin.models import TruncationSpec, cr_alpha_bundle, heisenberg_model
 from crspin.operators import (
@@ -21,6 +21,7 @@ from crspin.operators import (
     dirac_kernel,
     dminus_terms,
     dplus_terms,
+    grading_defects,
     kernel_report,
     nabla_T_defect,
     nabla_T_terms,
@@ -91,9 +92,9 @@ def test_grading_commutators(space):
     for op, sign in ((assemble_dplus(space), -2.0), (assemble_dminus(space), 2.0)):
         comm = theta @ op.mat - op.mat @ theta
         assert np.abs(comm - sign * op.mat).max() <= 1e-12
-    # the identities check's grading row, read off each half's fiber matrices
-    assert cli._grading_defect(space, dplus_terms(space), []) == 0.0
-    assert cli._grading_defect(space, [], dminus_terms(space)) == 0.0
+    # the one grading reader, term by term: each half keeps its own shift and not the other's
+    assert grading_defects(space, dplus_terms(space), dminus_terms(space)) == [0.0] * (2 * space.m)
+    assert grading_defects(space, dminus_terms(space), dplus_terms(space)) == [2.0] * (2 * space.m)
 
 
 @pytest.mark.parametrize("space", SPACES[:6], ids=IDS[:6])
@@ -184,6 +185,8 @@ def test_nabla_T_defect_allocates_no_full_space_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 0.25 * space.dim**2 * np.dtype(complex).itemsize
+    # the formula's stack is scaled and shifted in place
+    assert peak < 2 * len(space.blocks()) * space.fiber_dim**2 * np.dtype(complex).itemsize
 
 
 def test_sub_laplacian_annihilates_constants():
