@@ -43,20 +43,22 @@ cut into, counted as ``spurious``) are reported as warnings; under
 ``--strict`` they fail the run.
 
 The checks of one run share a per-run memo: each sector's SectionSpace
-is built once, and so are its Kohn Laplacian blocks and shift defects,
-which identities and the torus shift table read.  Spectrum, cohomology
-and vanishing read one ``dirac_kernel`` per sector, counted from the
-per-slot blocks of D with batched 2^m x 2^m eigensolves, whose
-eigenvalues fill the spectrum tables.  Identities stacks the per-slot
-blocks of D once per sector and squares them once: adjointness and the
-squares of D+ and D- are read off degree slabs of D and D^2, grading
-off the fiber matrices of D's terms, and every Lichnerowicz residual off
-D^2.  No check forms a full-space matrix or a base_dim x base_dim one,
-and no matrix outlives its check except the Kohn Laplacian blocks a
-torus shift table reads.  The conformal check evaluates exact
-trigonometric polynomials and their frame derivatives at fixed sample
-points and depends only on the CR dimension, not on the sector, so it is
-evaluated once and that one value is reported under every sector key.
+is built once, and so are its shift defects, m + 1 floats that
+identities and the torus shift table read (the Kohn Laplacian blocks
+they come from are freed).  Every kernel count of a run is one
+``dirac_kernel`` per sector, counted from the per-slot blocks of D with
+batched 2^m x 2^m eigensolves: spectrum, vanishing and both cohomology
+tables read it (ker D_q = ker box_q), and its eigenvalues fill the
+spectrum tables.  Identities stacks the per-slot blocks of D once per
+sector and squares them once: adjointness and the squares of D+ and D-
+are read off degree slabs of D and D^2, grading off the fiber matrices
+of D's terms, and every Lichnerowicz residual off D^2.  No check forms a
+full-space matrix or a base_dim x base_dim one, and no stack outlives
+its check: the memo keeps reductions only.  The conformal check
+evaluates exact trigonometric polynomials and their frame derivatives at
+fixed sample points and depends only on the CR dimension, not on the
+sector, so it is evaluated once and that one value is reported under
+every sector key.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cohomology import ShiftSector, harmonic_spinor_table, shift_sector, shift_table
+from .cohomology import harmonic_spinor_table, sector_identity_residual, shift_table
 from .models import (
     TruncationSpec,
     cr_alpha_bundle,
@@ -246,34 +248,35 @@ def _space_sectors(config) -> list:
 
 
 class _RunMemo:
-    """Objects several checks of one run share: sector spaces, their shift sectors and the shift table.
+    """Objects several checks of one run share: sector spaces, their shift defects and the shift table.
 
-    Only successful builds are kept, so a build that raises fails every
-    check that asks for it, as an unshared build would.
+    It keeps reductions, never stacks.  Only successful builds are kept,
+    so a build that raises fails every check that asks for it, as an
+    unshared build would.
     """
 
     def __init__(self, model, config):
         self.model = model
         self.config = config
         self._spaces = {}
-        self._shift = {}
+        self._defects = {}
 
     def space(self, sector) -> SectionSpace:
         if sector not in self._spaces:
             self._spaces[sector] = SectionSpace(self.model, sector=sector)
         return self._spaces[sector]
 
-    def shift_sector(self, sector) -> ShiftSector:
-        """The sector's Kohn Laplacian blocks and shift defects, formed once; kept only for a torus shift table."""
-        found = self._shift.get(sector) or shift_sector(self.space(sector))
-        if self.model.kind == "torus_bundle":
-            self._shift[sector] = found
-        return found
+    def shift_defects(self, sector) -> dict[int, float]:
+        """The sector's ``sector_identity_residual``, formed once."""
+        if sector not in self._defects:
+            self._defects[sector] = sector_identity_residual(self.space(sector))
+        return self._defects[sector]
 
     @cached_property
     def shift_table(self):
         return shift_table(self.model, s_range=tuple(self.config["model"]["sectors"]),
-                           tol=self.config["tolerances"]["spectral"], sector=self.shift_sector)
+                           tol=self.config["tolerances"]["spectral"],
+                           sector=lambda s: (self.space(s), self.shift_defects(s)))
 
 
 def _check_identities(model, config, memo: _RunMemo) -> CheckResult:
@@ -306,7 +309,7 @@ def _check_identities(model, config, memo: _RunMemo) -> CheckResult:
         residuals.update({
             ("sub_laplacian_routes", "dual_assembly"): sub_laplacian_defect(space),
             ("reeb_routes", "dual_assembly"): float(nabla_T_defect(space)),
-            ("sector_identity", "dual_assembly"): max(memo.shift_sector(sector).defects.values()),
+            ("sector_identity", "dual_assembly"): max(memo.shift_defects(sector).values()),
             ("lichnerowicz_residual", "dual_assembly"): lichnerowicz,
         })
         residuals.update({(f"covariant_dirac_residual_ell={ell}", "dual_assembly"): v for ell, v in covariant.items()})

@@ -13,13 +13,17 @@ where w_a wedges the a-th antiholomorphic coframe element.  D+ is
 nonzero only on its degree slabs (q+1, q), so one slab routine forms box:
 each slab adds its P^H P to box's slab (q, q) and its P P^H to
 (q+1, q+1).  Indexed with ``...``, the same body runs on D+'s per-slot
-blocks (``kohn_laplacian_blocks``, which the shift table and the sector
-identity read, after ``graded_stack`` has refused a D+ term off its
-degree shift) and on the dense D+ (``kohn_laplacian``, the oracle).
-Both read nabla_{Ebar} only, while the degree-lowering Dirac half D-
-reads nabla_E: D^2 = 2 box on the degree blocks compares D+ D- + D- D+
-with D+^H D+ + D+ D+^H, two routes that part when D- is not the adjoint
-of D+.
+blocks (``kohn_laplacian_blocks``, which only the sector identity reads,
+after ``graded_stack`` has refused a D+ term off its degree shift) and on
+the dense D+ (``kohn_laplacian``, the oracle).  Both read nabla_{Ebar}
+only, while the degree-lowering Dirac half D- reads nabla_E: D^2 = 2 box
+on the degree blocks compares D+ D- + D- D+ with D+^H D+ + D+ D+^H, two
+routes that part when D- is not the adjoint of D+.
+
+Kernels are counted once, on the spinor side.  Degree q's Gram matrix of
+D is P_q^H P_q + M_q^H M_q with M = D-, which is 2 box_q when M = P^H, so
+ker D_q = ker box_q and the spectral rows of both tables come from
+``dirac_kernel``; the identities check's adjointness row guards M = P^H.
 
 On a weight sector with commutator scalar t the Kohn Laplacian differs
 from the holomorphic connection Laplacian by a multiple of the fiber
@@ -38,13 +42,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
-from typing import NamedTuple
 
 import numpy as np
 
 from .models import TorusBundleModel, TorusLattice
-from .operators import (KernelCount, OperatorMatrix, assemble_dplus, block_kernel_report, dirac_kernel, dplus_terms,
-                        graded_stack)
+from .operators import KernelCount, OperatorMatrix, assemble_dplus, dirac_kernel, dplus_terms, graded_stack
 from .sections import SectionSpace
 
 __all__ = [
@@ -52,8 +54,6 @@ __all__ = [
     "TableRow",
     "kohn_laplacian",
     "kohn_laplacian_blocks",
-    "ShiftSector",
-    "shift_sector",
     "sector_identity_residual",
     "torus_line_bundle_cohomology",
     "shift_table",
@@ -91,23 +91,9 @@ def kohn_laplacian(space: SectionSpace) -> OperatorMatrix:
     return OperatorMatrix(box, space, name="box", mu_shift=0)
 
 
-class ShiftSector(NamedTuple):
-    """One weight sector: its space, the per-slot blocks of its Kohn Laplacian and their shift defects per degree."""
-
-    space: SectionSpace
-    box: np.ndarray
-    defects: dict[int, float]
-
-
-def shift_sector(space: SectionSpace) -> ShiftSector:
-    """The box blocks of ``space`` and their defects against the shift identity (``sector_identity_residual``)."""
-    box = kohn_laplacian_blocks(space)
-    return ShiftSector(space, box, _shift_defects(space, box))
-
-
 def sector_identity_residual(space: SectionSpace) -> dict[int, float]:
     """Defect of box - box_bar = (m - q) N on complete blocks, per degree q, read off the per-slot blocks."""
-    return shift_sector(space).defects
+    return _shift_defects(space, kohn_laplacian_blocks(space))
 
 
 def _shift_defects(space: SectionSpace, box: np.ndarray) -> dict[int, float]:
@@ -198,28 +184,32 @@ def shift_table(model: TorusBundleModel, q_range=None, s_range=(0,), tol=1e-8, s
     The analytic route identifies the weight-s sector with forms valued
     in the degree -(s c) power bundle on the base torus (the sign is the
     pinned sector convention: raising the fiber weight lowers the bundle
-    degree).  The spectral route counts the null vectors of the Kohn
-    Laplacian in complete per-slot blocks (``block_kernel_report``), once
-    its blocks pass the circle-bundle shift identity; null vectors of
-    blocks the cutoff cut into are artifacts and are not counted.
-    ``sector(s)`` gives the weight-s ``ShiftSector`` (default: formed here on a new space).
+    degree).  The spectral route counts harmonic spinors: ker D_q = ker
+    box_q (the module docstring says why), so once a sector's blocks pass
+    the circle-bundle shift identity its rows are ``dirac_kernel``'s
+    counts on complete per-slot blocks; null vectors of blocks the cutoff
+    cut into are artifacts and are not counted.  ``sector(s)`` gives the
+    weight-s space and its shift defects per degree (default: a new space
+    and its ``sector_identity_residual``).
     """
     if not isinstance(model, TorusBundleModel):
         raise ValueError("the shift isomorphism table needs a torus circle bundle")
-    sector = sector or (lambda s: shift_sector(SectionSpace(model, sector=int(s))))
+    if sector is None:
+        def sector(s):
+            space = SectionSpace(model, sector=s)
+            return space, sector_identity_residual(space)
     qs = list(q_range) if q_range is not None else list(range(model.m + 1))
     table = CohomologyTable(model_name=model.describe())
     if model.m == 1:
         table.notes.append(MODEL_LEVEL_NOTE)
     for s in s_range:
-        space, box, defects = sector(s)
+        space, defects = sector(s)
         if (worst := max(defects.values())) > 1e-10:
             raise RuntimeError(f"shift identity fails on sector {s}: defect {worst:.2e} on complete blocks")
-        report = block_kernel_report(space, box, tol=tol, gram=False)
-        spectral = {row.q: row for row in _kernel_rows(space, report)}
+        spectral = {row.q: row for row in _kernel_rows(space, dirac_kernel(space, tol=tol))}
         for q in qs:
-            analytic = torus_line_bundle_cohomology(model.lattice, model.flux, -int(s), q)
-            table.rows.append(TableRow(q, int(s), analytic, "analytic", _row_status(model.m, q)))
+            analytic = torus_line_bundle_cohomology(model.lattice, model.flux, -s, q)
+            table.rows.append(TableRow(q, s, analytic, "analytic", _row_status(model.m, q)))
             table.rows.append(spectral[q])
     return table
 

@@ -49,12 +49,12 @@ block (``SectionSpace.block_complete``, no state lost to the top cutoff)
 is kernel, and one in any other block is a cutoff artifact.  Two routes
 apply this rule.  ``kernel_report`` eigensolves the full-space degree
 blocks of a dense operator and stays the reference.
-``block_kernel_report`` reads the per-slot blocks: per degree q it takes
-the Gram matrix of D's degree q-1 and q+1 row slabs on the fixed fiber
-slice (or, for a Hermitian degree-preserving operator, the diagonal
-slab) and makes one batched eigensolve per pattern of kept states.
-``dirac_kernel``, which the spectral checks read, takes the block route,
-so they form no full-space matrix.
+``block_kernel_report`` reads the per-slot blocks of D: per degree q it
+takes the Gram matrix of D's degree q-1 and q+1 row slabs on the fixed
+fiber slice and makes one batched eigensolve per pattern of kept states.
+``dirac_kernel`` takes the block route, so no check forms a full-space
+matrix, and it is the one kernel count of a run: spectrum, vanishing and
+both cohomology tables read it (ker D_q = ker box_q, see ``cohomology``).
 """
 
 from __future__ import annotations
@@ -321,20 +321,16 @@ def kernel_report(op: OperatorMatrix, tol: float = 1e-8) -> dict[int, KernelCoun
     return out
 
 
-def block_kernel_report(
-    space: SectionSpace, stack: np.ndarray, tol: float = 1e-8, gram: bool = True
-) -> dict[int, KernelCount]:
+def block_kernel_report(space: SectionSpace, stack: np.ndarray, tol: float = 1e-8) -> dict[int, KernelCount]:
     """``kernel_report`` of the operator whose per-slot blocks are ``stack`` (``SectionSpace.stack``).
 
-    Degree q is eigensolved on the fixed fiber slice ``grade_slice(q)``
-    of every block.  With ``gram=True`` the operator moves the degree by
-    exactly +-1, as D does (``graded_stack``), so its degree-q columns
-    are nonzero only in the degree q-1 and q+1 row slabs, and the Gram
-    matrix is the sum of those two slabs' batched products.  With
-    ``gram=False`` (a Hermitian operator that keeps the degree) it is the
-    slice's diagonal slab.  Blocks that keep the same states of that
-    slice share one batched ``eigvalsh``.  Each block's null count goes
-    to ``dim`` if the block is complete and to ``spurious`` if not.
+    The operator moves the degree by exactly +-1, as D does
+    (``graded_stack``).  Degree q is eigensolved on the fixed fiber slice
+    ``grade_slice(q)`` of every block: its columns are nonzero only in the
+    degree q-1 and q+1 row slabs, so the Gram matrix is the sum of those
+    two slabs' batched products.  Blocks that keep the same states of that
+    slice share one batched ``eigvalsh``.  Each block's null count goes to
+    ``dim`` if the block is complete and to ``spurious`` if not.
     """
     if tol <= 0:
         raise ValueError("kernel tolerance must be positive")
@@ -343,11 +339,8 @@ def block_kernel_report(
     slabs = [space.module.grade_slice(q) for q in range(space.m + 1)]
     out: dict[int, KernelCount] = {}
     for q, fib in enumerate(slabs):
-        if gram:
-            near = [stack[:, slabs[p], fib] for p in (q - 1, q + 1) if 0 <= p <= space.m]
-            mats = sum(rows.conj().transpose(0, 2, 1) @ rows for rows in near)
-        else:
-            mats = stack[:, fib, fib]
+        near = [stack[:, slabs[p], fib] for p in (q - 1, q + 1) if 0 <= p <= space.m]
+        mats = sum(rows.conj().transpose(0, 2, 1) @ rows for rows in near)
         keep = np.ascontiguousarray(present[:, fib])
         _, first, which = np.unique(keep.view(np.dtype((np.void, keep.shape[1]))).ravel(),
                                     return_index=True, return_inverse=True)

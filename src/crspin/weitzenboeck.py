@@ -82,6 +82,11 @@ class CurvatureTerm:
         return self.as_matrix.shape[0]
 
 
+def _check_weight(ell) -> None:
+    if isinstance(ell, bool) or not isinstance(ell, int):
+        raise ValueError(f"weight must be an integer, got {ell!r}")
+
+
 def curvature_term(model: PseudoHermitianModel, ell: int, q: int) -> CurvatureTerm:
     """Curvature term of the Kohn-Dirac square on the weight-q block.
 
@@ -92,6 +97,7 @@ def curvature_term(model: PseudoHermitianModel, ell: int, q: int) -> CurvatureTe
 
     restricted to the grade-q part of the fiber (mu = m - 2q).
     """
+    _check_weight(ell)
     m = model.m
     block = SpinorModule(m).grade_slice(q)
     mu = m - 2 * q
@@ -136,6 +142,7 @@ def q_split(model: PseudoHermitianModel, ell: int, q: int) -> tuple[np.ndarray, 
     where R_star is the restricted Ricci derivation, K is trace-free,
     and K vanishes identically at ell = m + 2.
     """
+    _check_weight(ell)
     m = model.m
     block = SpinorModule(m).grade_slice(q)
     mu = m - 2 * q
@@ -186,8 +193,7 @@ def dl_residual(space: SectionSpace, ell: int) -> float:
     section space realizes every admissible weight.
     """
     m = space.m
-    if isinstance(ell, bool) or not isinstance(ell, int):
-        raise ValueError(f"weight must be an integer, got {ell!r}")
+    _check_weight(ell)
     if (m + ell) % 2 != 0 or abs(ell) > m:
         raise ValueError(
             f"no weight block mu = {-ell} for m = {m}; ell must lie in {{-m, -m+2, ..., m}}"
@@ -358,8 +364,7 @@ def _pointwise_defect(lhs: np.ndarray, rhs: np.ndarray, weight_exponent: float, 
 
 def _conformal_inputs(space: SectionSpace, ell: int, f: ConformalScale, sample_points) -> tuple[_FiberContext, np.ndarray, _Jet]:
     """Fiber context, sample points and f's jet there, after checking ell, f and the points against the space."""
-    if isinstance(ell, bool) or not isinstance(ell, int):
-        raise ValueError(f"weight must be an integer, got {ell!r}")
+    _check_weight(ell)
     if not isinstance(f, ConformalScale):
         raise TypeError(f"conformal factor must be a ConformalScale, got {type(f).__name__}")
     m = space.m

@@ -326,6 +326,24 @@ def test_kohn_laplacian_blocks_hold_under_three_stacks(model):
     assert peak < 3 * len(space.blocks()) * space.fiber_dim**2 * np.dtype(complex).itemsize
 
 
+def test_run_memo_keeps_no_stack():
+    # the shift table counts ker D, and the memo keeps each sector's shift defects, not its box stack
+    model = cr_alpha_bundle(3, c=1, truncation=LADDER3)
+    config = {"model": {"sectors": [-1, 1]}, "tolerances": dict(cli.TOLERANCE_DEFAULTS)}
+    memo = cli._RunMemo(model, config)
+    for sector in (-1, 1):
+        space = memo.space(sector)
+        space.blocks()  # the partner table is cached on the space, not kept by the memo
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert cli._check_cohomology(model, config, memo).passed
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 0.5 * len(space.blocks()) * space.fiber_dim**2 * np.dtype(complex).itemsize
+
+
 def test_cohomology_check_refuses_a_dplus_term_off_its_degree(monkeypatch):
     # box is read off D+'s (q+1, q) slabs only, where a degree-keeping entry would be lost unseen
     build = cohomology.dplus_terms

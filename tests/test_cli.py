@@ -367,11 +367,11 @@ def count_calls(monkeypatch, counts, name, fn):
 
 
 @pytest.mark.parametrize("kind, expected", [
-    # per sector: one Dirac kernel from blocks, shared by spectrum, cohomology and
-    # vanishing; identities stacks its own blocks of D for the square; one box
-    # stack, read by identities and by the shift table, which counts its kernel from blocks
+    # per sector: one Dirac kernel from blocks, shared by spectrum, vanishing and the
+    # shift table (ker D_q = ker box_q); identities stacks its own blocks of D for the
+    # square; one box stack, read only for the shift defects that identities and the table share
     ("torus_bundle", {"assemble_kohn_dirac": 0, "assemble_dplus": 0, "kohn_laplacian": 0,
-                      "kohn_laplacian_blocks": 3, "kernel_report": 0, "block_kernel_report": 6}),
+                      "kohn_laplacian_blocks": 3, "kernel_report": 0, "block_kernel_report": 3}),
     # spectrum, cohomology and vanishing all read the one Dirac kernel
     ("heisenberg", {"assemble_kohn_dirac": 0, "assemble_dplus": 0, "kohn_laplacian": 0,
                     "kohn_laplacian_blocks": 3, "kernel_report": 0, "block_kernel_report": 3}),
@@ -425,14 +425,14 @@ def test_spectrum_and_vanishing_share_one_dirac_kernel(tmp_path, monkeypatch):
 
 def test_cohomology_fails_when_cut_blocks_count_as_kernel(tmp_path, monkeypatch, capsys):
     # the README example config: sector 1 is a ladder whose cut blocks hold null
-    # vectors of box, so counting every block as complete breaks the analytic match
+    # vectors of D, so counting every block as complete breaks the analytic match
     config = {"model": {"kind": "torus_bundle", "m": 2, "ell": 0, "flux": 1, "sectors": [0, 1],
                         "truncation": {"fourier_radius": 1, "ladder_levels": 6}},
               "checks": ["spectrum", "cohomology"]}
     cfg = write_config(tmp_path, config)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "art")]) == 0
     capsys.readouterr()
-    count = cohomology.block_kernel_report
+    count = operators.block_kernel_report
 
     def count_every_block(space, stack, **kwargs):
         with monkeypatch.context() as patch:
@@ -440,7 +440,7 @@ def test_cohomology_fails_when_cut_blocks_count_as_kernel(tmp_path, monkeypatch,
             return count(space, stack, **kwargs)
 
     with monkeypatch.context() as patch:
-        patch.setattr(cohomology, "block_kernel_report", count_every_block)
+        patch.setattr(operators, "block_kernel_report", count_every_block)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "mutant")]) == 1
     assert "check cohomology: FAIL ((q, s)=(0, 1): analytic 0 != spectral 1)" in capsys.readouterr().out
     # the shift identity is read on the same flags, so with every block complete it refuses the cut ones first

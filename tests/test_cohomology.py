@@ -1,4 +1,5 @@
 import copy
+import re
 import tracemalloc
 from math import comb
 
@@ -15,7 +16,7 @@ from crspin.cohomology import (
 )
 from crspin import cohomology
 from crspin.models import TorusLattice, TruncationSpec, cr_alpha_bundle, heisenberg_model
-from crspin.operators import assemble_dplus, assemble_kohn_dirac, block_kernel_report, kernel_report
+from crspin.operators import assemble_dplus, assemble_kohn_dirac, dirac_kernel, kernel_report
 from crspin.sections import SectionSpace, SlotOp
 
 
@@ -242,6 +243,13 @@ def test_shift_table_rejects_other_models():
         shift_table(heisenberg_model(1, k=0))
 
 
+@pytest.mark.parametrize("s", [1.5, True, "1"])
+def test_shift_table_refuses_a_sector_that_is_no_integer(s):
+    # each of these used to be read as sector 1
+    with pytest.raises(ValueError, match=re.escape(f"sector must be an integer, got {s!r}")):
+        shift_table(cr_alpha_bundle(1, c=1), s_range=[s])
+
+
 # ---------------------------------------------------------------------------
 # spinor-side table and basis bijection
 # ---------------------------------------------------------------------------
@@ -266,14 +274,14 @@ def test_shift_table_passes_tolerances_to_kernel_counts(monkeypatch):
     assert shift_table(model, s_range=[0]).dims(method="spectral") == {(0, 0): 1, (1, 0): 1}
     seen = []
 
-    def recording_report(space, stack, tol=1e-8, gram=True):
-        seen.append((tol, gram))
-        return block_kernel_report(space, stack, tol=tol, gram=gram)
+    def recording_kernel(space, tol=1e-8):
+        seen.append(tol)
+        return dirac_kernel(space, tol=tol)
 
-    monkeypatch.setattr(cohomology, "block_kernel_report", recording_report)
+    monkeypatch.setattr(cohomology, "dirac_kernel", recording_kernel)
     shift_table(model, s_range=[-1, 1], tol=1e-6)
-    # box is Hermitian and keeps the degree: its blocks are eigensolved directly
-    assert seen == [(1e-6, False)] * 2
+    # the spectral rows are the Dirac kernel's counts, ker D_q = ker box_q
+    assert seen == [1e-6] * 2
 
 
 def test_extremal_rows_are_lower_bounds_only():

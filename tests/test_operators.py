@@ -308,16 +308,16 @@ def test_kernel_report_flags_top_rung_artifacts():
 def test_dirac_kernel_runs_once_per_space_and_tolerances(monkeypatch):
     calls = []
 
-    def counting_report(space, stack, tol=1e-8, gram=True):
-        calls.append((stack.shape, tol, gram))
-        return block_kernel_report(space, stack, tol=tol, gram=gram)
+    def counting_report(space, stack, tol=1e-8):
+        calls.append((stack.shape, tol))
+        return block_kernel_report(space, stack, tol=tol)
 
     monkeypatch.setattr(operators, "block_kernel_report", counting_report)
     monkeypatch.setattr(operators, "kernel_report", None)  # no full-space route
     space = SectionSpace(heisenberg_model(2, k=1))
     first = dirac_kernel(space)
     assert dirac_kernel(space, 1e-8) == first
-    assert calls == [((len(space.blocks()), 4, 4), 1e-8, True)]
+    assert calls == [((len(space.blocks()), 4, 4), 1e-8)]
     dirac_kernel(space, tol=1e-6)
     dirac_kernel(SectionSpace(heisenberg_model(2, k=1)))
     assert len(calls) == 3

@@ -152,6 +152,14 @@ def test_q_split_reassembles_curvature_term():
                 assert abs(np.trace(k)) < 1e-12
 
 
+@pytest.mark.parametrize("ell", [True, 1.5])
+@pytest.mark.parametrize("term", [curvature_term, q_split], ids=["curvature_term", "q_split"])
+def test_curvature_terms_refuse_a_weight_that_is_no_integer(term, ell):
+    # True used to read as weight 1, and 1.5 gave a matrix for a twist with no line bundle
+    with pytest.raises(ValueError, match=rf"weight must be an integer, got {ell!r}$"):
+        term(sphere_model(2), ell, 1)
+
+
 def test_q_split_remainder_vanishes_at_critical_weight():
     model = sphere_model(3, scal_w=1.3)
     for q in range(4):
