@@ -1,75 +1,40 @@
-"""Spinor calculus on strictly pseudoconvex CR model geometries."""
+"""Spinor calculus on strictly pseudoconvex CR model geometries.
 
-from .models import (
-    ModelFlags,
-    PseudoHermitianModel,
-    TorusLattice,
-    TruncationSpec,
-    cr_alpha_bundle,
-    heisenberg_model,
-    sphere_model,
-)
-from .sections import SectionSpace
-from .operators import (
-    assemble_dminus,
-    assemble_dplus,
-    assemble_kohn_dirac,
-    assemble_twistor,
-    kernel_report,
-)
-from .cohomology import (
-    CohomologyTable,
-    harmonic_spinor_table,
-    kohn_laplacian,
-    shift_table,
-    torus_line_bundle_cohomology,
-)
-from .weitzenboeck import (
-    ConformalScale,
-    conformal_check,
-    curvature_term,
-    dl_residual,
-    exponent_scan,
-    sl_residual,
-)
-from .vanishing import (
-    VanishingReport,
-    obstruction_check,
-    qhat,
-    spin_c_exists,
-    vanishing_verdicts,
-)
+The exported names load on first access (PEP 562): ``import crspin``
+imports no submodule, and ``crspin.X`` or ``from crspin import X``
+imports only the submodule that defines X.  A ``crspin run`` process
+then compiles just the modules its requested checks use.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ModelFlags",
-    "PseudoHermitianModel",
-    "TorusLattice",
-    "TruncationSpec",
-    "cr_alpha_bundle",
-    "heisenberg_model",
-    "sphere_model",
-    "SectionSpace",
-    "assemble_dminus",
-    "assemble_dplus",
-    "assemble_kohn_dirac",
-    "assemble_twistor",
-    "kernel_report",
-    "CohomologyTable",
-    "harmonic_spinor_table",
-    "kohn_laplacian",
-    "shift_table",
-    "torus_line_bundle_cohomology",
-    "ConformalScale",
-    "conformal_check",
-    "curvature_term",
-    "dl_residual",
-    "exponent_scan",
-    "sl_residual",
-    "VanishingReport",
-    "obstruction_check",
-    "qhat",
-    "spin_c_exists",
-    "vanishing_verdicts",
-]
+_SUBMODULE_NAMES = {
+    "models": ("ModelFlags", "PseudoHermitianModel", "TorusLattice", "TruncationSpec",
+               "cr_alpha_bundle", "heisenberg_model", "sphere_model"),
+    "sections": ("SectionSpace",),
+    "operators": ("assemble_dminus", "assemble_dplus", "assemble_kohn_dirac",
+                  "assemble_twistor", "kernel_report"),
+    "cohomology": ("CohomologyTable", "harmonic_spinor_table", "kohn_laplacian", "shift_table",
+                   "torus_line_bundle_cohomology"),
+    "weitzenboeck": ("ConformalScale", "conformal_check", "curvature_term", "dl_residual",
+                     "exponent_scan", "sl_residual"),
+    "vanishing": ("VanishingReport", "obstruction_check", "qhat", "spin_c_exists",
+                  "vanishing_verdicts"),
+}
+_SUBMODULE = {name: module for module, names in _SUBMODULE_NAMES.items() for name in names}
+
+__all__ = list(_SUBMODULE)
+
+
+def __getattr__(name):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
