@@ -2,8 +2,9 @@
 
 The exported names load on first access (PEP 562): ``import crspin``
 imports no submodule, and ``crspin.X`` or ``from crspin import X``
-imports only the submodule that defines X.  A ``crspin run`` process
-then compiles just the modules its requested checks use.
+imports the submodule that defines X (and what that one imports).  So a
+``crspin run`` process compiles only what ``crspin.cli`` and its
+requested checks import.
 """
 
 import importlib
