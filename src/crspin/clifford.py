@@ -21,13 +21,16 @@ these matrices are therefore exact in complex128: the anticommutation
 relations, the skew-adjointness of the real frame and the two-form
 contraction of the Levi form reproducing the grading operator hold bit for
 bit, which is how the test suite checks them.
+
+This bottom module of the import graph also holds the library's argument
+guards, ``_integer`` and ``_positive``, which every module calls.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, inf
 from typing import FrozenSet, Iterable, Tuple
 
 import numpy as np
@@ -50,22 +53,37 @@ def _sign(subset: Subset, alpha: int) -> int:
     return -1 if sum(1 for s in subset if s < alpha) % 2 else 1
 
 
-def _check_dimension(m) -> None:
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise ValueError(f"CR dimension m must be a positive integer, got {m!r}")
+def _integer(value, name, low=None, high=None) -> int:
+    """``value`` if it is an int, not a bool, in low..high; else a ValueError naming ``name``.
+
+    True is an int to isinstance and int() truncates 2.5, so either would
+    quietly change which dimension, weight, degree or sector gets checked.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        if (low is None or low <= value) and (high is None or value <= high):
+            return value
+    if high is not None:
+        need = f"lie in {low}..{high}"
+    else:
+        need = "be an integer" if low is None else "be a positive integer" if low == 1 else f"be an integer >= {low}"
+    raise ValueError(f"{name} must {need}, got {value!r}")
 
 
-def _check_slot(m, alpha) -> None:
-    _check_dimension(m)
-    if isinstance(alpha, bool) or not isinstance(alpha, int) or not 1 <= alpha <= m:
-        raise ValueError(f"frame index must lie in 1..{m}, got {alpha!r}")
+def _positive(value, name) -> float:
+    """``value`` as a float if it is a positive finite number, not a bool; else a ValueError naming ``name``.
+
+    NaN passes a plain ``value <= 0`` test, and True reads as 1.0.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
 
 
 class SpinorModule:
     """Indexing data for the rank 2^m spinor module."""
 
     def __init__(self, m: int):
-        _check_dimension(m)
+        _integer(m, "CR dimension m", low=1)
         self.m = m
         self.dim = 2 ** m
         self.subsets: Tuple[Subset, ...] = tuple(
@@ -85,8 +103,7 @@ class SpinorModule:
 
     def grade_slice(self, q: int) -> slice:
         """Basis positions of the degree-q spinors; every grade a caller takes is checked here."""
-        if isinstance(q, bool) or not isinstance(q, int) or not 0 <= q <= self.m:
-            raise ValueError(f"grade q must lie in 0..{self.m}, got {q!r}")
+        _integer(q, "grade q", 0, self.m)
         return slice(self._grade_start[q], self._grade_start[q + 1])
 
     def grade_dim(self, q: int) -> int:
@@ -113,13 +130,13 @@ def _jordan_wigner(m: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
 
 def creation_matrix(m: int, alpha: int) -> np.ndarray:
     """Signed wedge (creation) operator: the action of E_alpha.  Read-only."""
-    _check_slot(m, alpha)
+    _integer(alpha, "frame index", 1, _integer(m, "CR dimension m", low=1))
     return _jordan_wigner(m, alpha)[0]
 
 
 def annihilation_matrix(m: int, alpha: int) -> np.ndarray:
     """Signed contraction (annihilation) operator: minus the action of Ebar_alpha.  Read-only."""
-    _check_slot(m, alpha)
+    _integer(alpha, "frame index", 1, _integer(m, "CR dimension m", low=1))
     return _jordan_wigner(m, alpha)[1]
 
 

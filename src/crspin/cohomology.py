@@ -45,6 +45,7 @@ from math import comb
 
 import numpy as np
 
+from .clifford import _integer
 from .models import TorusBundleModel, TorusLattice
 from .operators import KernelCount, OperatorMatrix, assemble_dplus, dirac_kernel, dplus_terms, graded_stack
 from .sections import SectionSpace
@@ -124,13 +125,11 @@ def torus_line_bundle_cohomology(lattice: TorusLattice, c: int, s: int, q: int) 
     """
     if not isinstance(lattice, TorusLattice):
         raise ValueError("analytic cohomology needs a flat torus base")
-    if isinstance(c, bool) or not isinstance(c, int) or c == 0:
-        raise ValueError(f"polarization degree must be a nonzero integer, got {c!r}")
-    if isinstance(s, bool) or not isinstance(s, int):
-        raise ValueError(f"power s must be an integer, got {s!r}")
+    if _integer(c, "polarization degree") == 0:
+        raise ValueError("polarization degree must be a nonzero integer, got 0")
+    _integer(s, "power s")
     m = lattice.m
-    if isinstance(q, bool) or not isinstance(q, int) or not 0 <= q <= m:
-        raise ValueError(f"form degree must lie in 0..{m}, got {q!r}")
+    _integer(q, "form degree", 0, m)
     degree = s * c
     if degree > 0:
         return degree**m if q == 0 else 0
@@ -178,7 +177,7 @@ def _kernel_rows(space: SectionSpace, report: dict[int, KernelCount]) -> list[Ta
             for q, count in sorted(report.items())]
 
 
-def shift_table(model: TorusBundleModel, q_range=None, s_range=(0,), tol=1e-8, sector=None) -> CohomologyTable:
+def shift_table(model: TorusBundleModel, s_range=(0,), tol=1e-8, sector=None) -> CohomologyTable:
     """Analytic and spectral Kohn-Rossi dimensions per fiber-weight sector.
 
     The analytic route identifies the weight-s sector with forms valued
@@ -198,7 +197,6 @@ def shift_table(model: TorusBundleModel, q_range=None, s_range=(0,), tol=1e-8, s
         def sector(s):
             space = SectionSpace(model, sector=s)
             return space, sector_identity_residual(space)
-    qs = list(q_range) if q_range is not None else list(range(model.m + 1))
     table = CohomologyTable(model_name=model.describe())
     if model.m == 1:
         table.notes.append(MODEL_LEVEL_NOTE)
@@ -207,7 +205,7 @@ def shift_table(model: TorusBundleModel, q_range=None, s_range=(0,), tol=1e-8, s
         if (worst := max(defects.values())) > 1e-10:
             raise RuntimeError(f"shift identity fails on sector {s}: defect {worst:.2e} on complete blocks")
         spectral = {row.q: row for row in _kernel_rows(space, dirac_kernel(space, tol=tol))}
-        for q in qs:
+        for q in range(model.m + 1):
             analytic = torus_line_bundle_cohomology(model.lattice, model.flux, -s, q)
             table.rows.append(TableRow(q, s, analytic, "analytic", _row_status(model.m, q)))
             table.rows.append(spectral[q])

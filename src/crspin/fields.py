@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .clifford import _integer
+
 __all__ = ["TrigPoly"]
 
 
@@ -32,7 +34,7 @@ class TrigPoly:
     __slots__ = ("dim", "coeffs")
 
     def __init__(self, dim: int, coeffs: dict | None = None):
-        self.dim = int(dim)
+        self.dim = _integer(dim, "dimension", low=0)
         self.coeffs: dict[tuple[int, ...], complex] = {}
         if coeffs:
             for freq, val in coeffs.items():
@@ -52,7 +54,7 @@ class TrigPoly:
     @classmethod
     def _wave(cls, dim: int, axis: int, frequency: int, plus: complex, minus: complex) -> "TrigPoly":
         """plus * exp(2 pi i frequency x_axis) + minus * exp(-2 pi i frequency x_axis)."""
-        if not 0 <= axis < dim:
+        if not 0 <= _integer(axis, "axis") < dim:
             raise ValueError(f"axis out of range: {axis}")
         freq = [0] * dim
         freq[axis] = frequency
@@ -89,7 +91,7 @@ class TrigPoly:
         if direction not in ("e", "ebar"):
             raise ValueError(f"unknown direction {direction!r}")
         m = self.dim // 2
-        if self.dim % 2 or not 1 <= a <= m:
+        if self.dim % 2 or not 1 <= _integer(a, "frame index") <= m:
             raise ValueError(f"no frame vector {a} on {self.dim} base coordinates")
         conj = -1j if direction == "e" else 1j
         out = TrigPoly(self.dim)

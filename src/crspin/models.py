@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clifford import dtheta_frame_matrix
+from .clifford import _integer, _positive, dtheta_frame_matrix
 
 __all__ = [
     "ModelFlags",
@@ -68,10 +68,8 @@ class TruncationSpec:
     ladder_levels: int
 
     def __post_init__(self):
-        if isinstance(self.fourier_radius, bool) or not isinstance(self.fourier_radius, int) or self.fourier_radius < 1:
-            raise ValueError(f"fourier_radius must be a positive integer, got {self.fourier_radius!r}")
-        if isinstance(self.ladder_levels, bool) or not isinstance(self.ladder_levels, int) or self.ladder_levels < 2:
-            raise ValueError(f"ladder_levels must be an integer >= 2, got {self.ladder_levels!r}")
+        _integer(self.fourier_radius, "fourier_radius", low=1)
+        _integer(self.ladder_levels, "ladder_levels", low=2)
 
 
 def default_truncation(m: int) -> TruncationSpec:
@@ -93,8 +91,7 @@ class TorusLattice:
     vectors: np.ndarray | None = None
 
     def __post_init__(self):
-        if isinstance(self.m, bool) or not isinstance(self.m, int) or self.m < 1:
-            raise ValueError(f"complex dimension m must be a positive integer, got {self.m!r}")
+        _integer(self.m, "complex dimension m", low=1)
         if self.vectors is not None:
             mat = np.asarray(self.vectors, dtype=float)
             if mat.shape != (2 * self.m, 2 * self.m):
@@ -111,7 +108,7 @@ class TorusLattice:
     def dual_frequencies(self, radius: int) -> np.ndarray:
         """All dual-lattice frequency vectors 2 pi B^{-T} n with |n_i| <= radius."""
         gens = 2.0 * np.pi * np.linalg.inv(self.period_matrix()).T
-        rng = range(-radius, radius + 1)
+        rng = range(-_integer(radius, "radius", low=0), radius + 1)
         grids = np.meshgrid(*([list(rng)] * (2 * self.m)), indexing="ij")
         ns = np.stack([g.ravel() for g in grids], axis=1)
         return ns @ gens.T
@@ -134,10 +131,8 @@ class PseudoHermitianModel:
     truncation: TruncationSpec | None = None
 
     def __post_init__(self):
-        if isinstance(self.m, bool) or not isinstance(self.m, int) or self.m < 1:
-            raise ValueError(f"CR dimension m must be a positive integer, got {self.m!r}")
-        if isinstance(self.ell, bool) or not isinstance(self.ell, int):
-            raise ValueError(f"spin^C weight must be an integer, got {self.ell!r}")
+        _integer(self.m, "CR dimension m", low=1)
+        _integer(self.ell, "spin^C weight")
         m = self.m
         if self.tau is None:
             self.tau = np.zeros((m, m), dtype=complex)
@@ -175,8 +170,7 @@ class HeisenbergModel(PseudoHermitianModel):
 
     def __post_init__(self):
         super().__post_init__()
-        if isinstance(self.k, bool) or not isinstance(self.k, int):
-            raise ValueError(f"Heisenberg sector k must be an integer, got {self.k!r}")
+        _integer(self.k, "Heisenberg sector k")
 
 
 @dataclass(kw_only=True)
@@ -191,10 +185,9 @@ class TorusBundleModel(PseudoHermitianModel):
             self.lattice = TorusLattice(self.m)
         if self.lattice.m != self.m:
             raise ValueError("lattice dimension does not match the model")
-        if isinstance(self.flux, bool) or not isinstance(self.flux, int) or self.flux == 0:
-            raise ValueError(f"flux must be a nonzero integer, got {self.flux!r}")
-        if isinstance(self.s, bool) or not isinstance(self.s, int):
-            raise ValueError(f"fiber weight s must be an integer, got {self.s!r}")
+        if _integer(self.flux, "flux") == 0:
+            raise ValueError("flux must be a nonzero integer, got 0")
+        _integer(self.s, "fiber weight s")
 
 
 @dataclass(kw_only=True)
@@ -230,8 +223,6 @@ def cr_alpha_bundle(
     """
     if isinstance(lattice, int):
         lattice = TorusLattice(lattice)
-    if isinstance(c, bool) or not isinstance(c, int) or c == 0:
-        raise ValueError(f"flux must be a nonzero integer, got {c!r}")
     m = lattice.m
     return TorusBundleModel(
         m=m,
@@ -271,20 +262,18 @@ def sphere_model(m: int, scal_w: float = 1.0, ell: int = 0) -> SphereModel:
     Curvature data only; there is no desk-scale section space attached, so
     spectral checks must be run on the flat models instead.
     """
-    if isinstance(m, bool) or not isinstance(m, int) or m < 2:
-        raise ValueError(f"the sphere model needs CR dimension m >= 2, got {m!r}")
-    if scal_w <= 0:
-        raise ValueError(f"the sphere model has positive Webster scalar, got {scal_w!r}")
+    _integer(m, "sphere CR dimension m", low=2)
+    scal_w = _positive(scal_w, "sphere Webster scalar scal_w")
     kappa = scal_w / (4.0 * m * (m + 1))
     return SphereModel(
         m=m,
         ell=ell,
         kind="sphere",
         rho=(scal_w / (4.0 * m)) * np.eye(m),
-        scal_w=float(scal_w),
+        scal_w=scal_w,
         flags=ModelFlags(torsion_free=True, regular=True, transverse_symmetry=True, pseudo_einstein=True),
         curvature=space_form_curvature(m, kappa),
-        scal_h=float(scal_w),
+        scal_h=scal_w,
     )
 
 

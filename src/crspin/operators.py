@@ -64,7 +64,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clifford import annihilation_matrix, creation_matrix, two_form_matrix
+from .clifford import _positive, annihilation_matrix, creation_matrix, two_form_matrix
 from .models import rho_frame_components
 from .sections import SectionSpace
 
@@ -259,6 +259,7 @@ def cluster_eigenvalues(evals, tol: float = 1e-8) -> list[tuple[float, int]]:
     Two neighbours belong to the same cluster when they differ by at most
     tol * (1 + |value|); the reported value is the cluster mean.
     """
+    tol = _positive(tol, "cluster tolerance")
     clusters: list[tuple[float, int]] = []
     for val in evals:
         if clusters and abs(val - clusters[-1][0]) <= tol * (1.0 + abs(val)):
@@ -301,8 +302,7 @@ def kernel_report(op: OperatorMatrix, tol: float = 1e-8) -> dict[int, KernelCoun
     the null count of the principal submatrix on them and ``spurious``
     the rest.
     """
-    if tol <= 0:
-        raise ValueError("kernel tolerance must be positive")
+    tol = _positive(tol, "kernel tolerance")
     space = op.space
     sq = op.mat
     if op.mu_shift != 0 or op.hermitian_defect() > 1e-10 * (1.0 + np.abs(op.mat).max()):
@@ -332,8 +332,7 @@ def block_kernel_report(space: SectionSpace, stack: np.ndarray, tol: float = 1e-
     slice share one batched ``eigvalsh``.  Each block's null count goes to
     ``dim`` if the block is complete and to ``spurious`` if not.
     """
-    if tol <= 0:
-        raise ValueError("kernel tolerance must be positive")
+    tol = _positive(tol, "kernel tolerance")
     present = space.blocks() >= 0
     complete = space.block_complete()
     slabs = [space.module.grade_slice(q) for q in range(space.m + 1)]
@@ -370,6 +369,7 @@ def dirac_kernel(space: SectionSpace, tol: float = 1e-8) -> dict[int, KernelCoun
     refused (``graded_stack``).  Only the counts and read-only
     eigenvalues are kept, and only while the space lives.
     """
+    tol = _positive(tol, "kernel tolerance")  # before the memo, where True would find 1.0
     reports = _DIRAC_KERNELS.setdefault(space, {})
     if tol not in reports:
         stack = graded_stack(space, dplus_terms(space), dminus_terms(space))

@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clifford import SpinorModule
+from .clifford import SpinorModule, _integer
 from .models import (
     HeisenbergModel,
     PseudoHermitianModel,
@@ -110,8 +110,6 @@ class SectionSpace:
     def __init__(self, model: PseudoHermitianModel, sector: int | None = None):
         if not isinstance(model, (HeisenbergModel, TorusBundleModel)):
             raise ValueError(f"{model.kind} model has no section space")
-        if sector is not None and (isinstance(sector, bool) or not isinstance(sector, int)):
-            raise ValueError(f"sector must be an integer, got {sector!r}")
         self.model = model
         self.m = model.m
         self.module = SpinorModule(model.m)
@@ -120,12 +118,12 @@ class SectionSpace:
         self.ladder_levels = trunc.ladder_levels
 
         if isinstance(model, HeisenbergModel):
-            self.sector = model.k if sector is None else sector
+            self.sector = model.k if sector is None else _integer(sector, "sector")
             self.t = float(self.sector)
             self.multiplicity = abs(self.sector) ** self.m if self.sector else 1
             lattice = TorusLattice(self.m)
         else:
-            self.sector = model.s if sector is None else sector
+            self.sector = model.s if sector is None else _integer(sector, "sector")
             self.t = -self.sector / 2.0
             self.multiplicity = abs(self.sector * model.flux) ** self.m if self.sector else 1
             lattice = model.lattice
@@ -165,7 +163,7 @@ class SectionSpace:
 
     def nabla_real(self, i: int):
         """Base factor of the derivative along the real frame vector s_i (order e_1..e_m, Je_1..Je_m)."""
-        if not 0 <= i < 2 * self.m:
+        if not 0 <= _integer(i, "frame index") < 2 * self.m:
             raise ValueError(f"frame index out of range: {i}")
         a = i % self.m
         e, ebar = (f.mat if self.kind == "ladder" else f for f in (self.nabla_e[a], self.nabla_ebar[a]))

@@ -35,6 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .clifford import _integer
 from .models import PseudoHermitianModel
 from .operators import dirac_kernel
 from .weitzenboeck import curvature_term
@@ -68,20 +69,14 @@ CLAUSE_PRIORITY = (
 _EIG_TOL = 1e-12
 
 
-def _check_dimension_and_weight(m, weight) -> None:
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise ValueError(f"CR dimension m must be a positive integer, got {m!r}")
-    if isinstance(weight, bool) or not isinstance(weight, int):
-        raise ValueError(f"weight must be an integer, got {weight!r}")
-
-
 def qhat(m: int, ell: int) -> Fraction:
     """Distinguished form degree m (m + ell + 2) / (2 (m + 2)), exact.
 
     Integrality (denominator 1) is exactly the condition under which the
     obstruction corollary applies.
     """
-    _check_dimension_and_weight(m, ell)
+    _integer(m, "CR dimension m", low=1)
+    _integer(ell, "weight")
     return Fraction(m * (m + ell + 2), 2 * (m + 2))
 
 
@@ -91,7 +86,8 @@ def spin_c_exists(m: int, p: int, square_root_exists: bool = False) -> bool:
     True when the root line bundle itself has a square root, or when m
     and p are both odd, or both even.
     """
-    _check_dimension_and_weight(m, p)
+    _integer(m, "CR dimension m", low=1)
+    _integer(p, "weight")
     if square_root_exists:
         return True
     return (m % 2) == (p % 2)
@@ -218,8 +214,7 @@ def vanishing_verdicts(model: PseudoHermitianModel, ell: int) -> VanishingReport
     the fixed priority order (the remaining satisfied clauses are listed
     alongside); extremal grades are exempt by construction.
     """
-    if isinstance(ell, bool) or not isinstance(ell, int):
-        raise ValueError(f"weight must be an integer, got {ell!r}")
+    _integer(ell, "weight")
     m = model.m
     profile = _ricci_profile(model)
     report = VanishingReport(model_name=model.describe(), m=m, ell=ell)

@@ -39,6 +39,7 @@ import numpy as np
 
 from .clifford import (
     SpinorModule,
+    _integer,
     annihilation_matrix,
     creation_matrix,
     theta_matrix,
@@ -82,11 +83,6 @@ class CurvatureTerm:
         return self.as_matrix.shape[0]
 
 
-def _check_weight(ell) -> None:
-    if isinstance(ell, bool) or not isinstance(ell, int):
-        raise ValueError(f"weight must be an integer, got {ell!r}")
-
-
 def curvature_term(model: PseudoHermitianModel, ell: int, q: int) -> CurvatureTerm:
     """Curvature term of the Kohn-Dirac square on the weight-q block.
 
@@ -97,7 +93,7 @@ def curvature_term(model: PseudoHermitianModel, ell: int, q: int) -> CurvatureTe
 
     restricted to the grade-q part of the fiber (mu = m - 2q).
     """
-    _check_weight(ell)
+    _integer(ell, "weight")
     m = model.m
     block = SpinorModule(m).grade_slice(q)
     mu = m - 2 * q
@@ -142,7 +138,7 @@ def q_split(model: PseudoHermitianModel, ell: int, q: int) -> tuple[np.ndarray, 
     where R_star is the restricted Ricci derivation, K is trace-free,
     and K vanishes identically at ell = m + 2.
     """
-    _check_weight(ell)
+    _integer(ell, "weight")
     m = model.m
     block = SpinorModule(m).grade_slice(q)
     mu = m - 2 * q
@@ -193,7 +189,7 @@ def dl_residual(space: SectionSpace, ell: int) -> float:
     section space realizes every admissible weight.
     """
     m = space.m
-    _check_weight(ell)
+    _integer(ell, "weight")
     if (m + ell) % 2 != 0 or abs(ell) > m:
         raise ValueError(
             f"no weight block mu = {-ell} for m = {m}; ell must lie in {{-m, -m+2, ..., m}}"
@@ -242,7 +238,7 @@ class ConformalScale:
                 "conformal factor must be a TrigPoly with exact derivatives, "
                 f"got {type(poly).__name__}"
             )
-        if poly.dim != 2 * m:
+        if poly.dim != 2 * _integer(m, "CR dimension m", low=1):
             raise ValueError(f"factor must live on {2 * m} base coordinates, got {poly.dim}")
         for freq, val in poly.coeffs.items():
             mirror = tuple(-fi for fi in freq)
@@ -329,9 +325,10 @@ def _twistor(inners: np.ndarray, half: _Half, q: int, ctx: _FiberContext) -> np.
 def default_sample_points(dim: int, count: int = 24) -> np.ndarray:
     """Deterministic low-discrepancy sample points on the unit torus: the fractional parts of
     step * sqrt(p) + 0.05 for the first ``dim`` primes p."""
-    primes = list(itertools.islice((n for n in itertools.count(2) if all(n % d for d in range(2, n))), dim))
+    primes = list(itertools.islice((n for n in itertools.count(2) if all(n % d for d in range(2, n))),
+                                    _integer(dim, "dimension", low=1)))
     alphas = np.sqrt(np.array(primes, dtype=float)) % 1.0
-    steps = np.arange(1, count + 1, dtype=float)[:, None]
+    steps = np.arange(1, _integer(count, "sample count", low=1) + 1, dtype=float)[:, None]
     return (steps * alphas + 0.05) % 1.0
 
 
@@ -364,7 +361,7 @@ def _pointwise_defect(lhs: np.ndarray, rhs: np.ndarray, weight_exponent: float, 
 
 def _conformal_inputs(space: SectionSpace, ell: int, f: ConformalScale, sample_points) -> tuple[_FiberContext, np.ndarray, _Jet]:
     """Fiber context, sample points and f's jet there, after checking ell, f and the points against the space."""
-    _check_weight(ell)
+    _integer(ell, "weight")
     if not isinstance(f, ConformalScale):
         raise TypeError(f"conformal factor must be a ConformalScale, got {type(f).__name__}")
     m = space.m

@@ -1,8 +1,13 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import crspin
 from crspin.clifford import SpinorModule, creation_matrix, dtheta_frame_matrix
 from crspin.cohomology import torus_line_bundle_cohomology
+from crspin.fields import TrigPoly
 from crspin.models import (
     HeisenbergModel,
     PseudoHermitianModel,
@@ -22,9 +27,10 @@ from crspin.models import (
     tau_frame_components,
     torsion_residual,
 )
+from crspin.operators import assemble_kohn_dirac, cluster_eigenvalues, dirac_kernel, kernel_report
 from crspin.sections import SectionSpace
 from crspin.vanishing import qhat, vanishing_verdicts
-from crspin.weitzenboeck import dl_residual
+from crspin.weitzenboeck import ConformalScale, default_sample_points, dl_residual
 
 TOL = 1e-12
 
@@ -196,6 +202,17 @@ BOOL_AS_INT = {
     "SpinorModule m": (lambda: SpinorModule(True), "CR dimension m"),
     "creation_matrix alpha": (lambda: creation_matrix(2, True), "frame index"),
     "TruncationSpec fourier_radius": (lambda: TruncationSpec(fourier_radius=True, ladder_levels=4), "fourier_radius"),
+    "TrigPoly.cosine axis": (lambda: TrigPoly.cosine(2, True), "axis"),
+    "TrigPoly.frame_derivative a": (lambda: TrigPoly.cosine(2, 0).frame_derivative("e", True), "frame index"),
+    "TorusLattice.dual_frequencies radius": (lambda: TorusLattice(1).dual_frequencies(True), "radius"),
+    "default_sample_points dim": (lambda: default_sample_points(True), "dimension"),
+    "default_sample_points count": (lambda: default_sample_points(2, count=True), "sample count"),
+    "ConformalScale m": (lambda: ConformalScale(True, TrigPoly.cosine(2, 0)), "CR dimension m"),
+    "SectionSpace.nabla_real i": (lambda: SectionSpace(heisenberg_model(1, k=1)).nabla_real(True), "frame index"),
+    "sphere_model scal_w": (lambda: sphere_model(2, scal_w=True), "sphere Webster scalar scal_w"),
+    "dirac_kernel tol": (lambda: dirac_kernel(SectionSpace(heisenberg_model(1, k=0)), tol=True), "kernel tolerance"),
+    "kernel_report tol": (lambda: kernel_report(assemble_kohn_dirac(SectionSpace(heisenberg_model(1, k=0))), tol=True),
+                          "kernel tolerance"),
 }
 
 
@@ -205,3 +222,66 @@ def test_bool_is_refused_as_an_integer(case):
     build, name = BOOL_AS_INT[case]
     with pytest.raises(ValueError, match=f"{name} must .*got True"):
         build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: TrigPoly(2.5), "dimension must be an integer >= 0, got 2.5"),
+    (lambda: TrigPoly.cosine(2, 1.0), "axis must be an integer, got 1.0"),
+    (lambda: SectionSpace(heisenberg_model(1, k=1)).nabla_real(1.0), "frame index must be an integer, got 1.0"),
+], ids=["TrigPoly dim", "TrigPoly.cosine axis", "SectionSpace.nabla_real i"])
+def test_float_is_refused_as_an_integer(build, message):
+    # int() used to truncate the dimension; the axis and the frame index indexed a list with a float
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
+NOT_POSITIVE_FINITE = {
+    "sphere_model scal_w": (lambda value: sphere_model(2, scal_w=value), "sphere Webster scalar scal_w"),
+    "dirac_kernel tol": (lambda value: dirac_kernel(SectionSpace(heisenberg_model(1, k=0)), tol=value),
+                         "kernel tolerance"),
+    "kernel_report tol": (lambda value: kernel_report(assemble_kohn_dirac(SectionSpace(heisenberg_model(1, k=0))),
+                                                      tol=value), "kernel tolerance"),
+    "cluster_eigenvalues tol": (lambda value: cluster_eigenvalues([0.0, 1e-12, 1.0], tol=value),
+                                "cluster tolerance"),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("case", NOT_POSITIVE_FINITE)
+def test_nonfinite_is_refused_as_a_positive_number(case, value):
+    """NaN passes a plain ``<= 0`` test: a NaN tolerance counted no kernel or cluster, and a NaN scal_w built a sphere."""
+    build, name = NOT_POSITIVE_FINITE[case]
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {value!r}$"):
+        build(value)
+
+
+def test_dirac_kernel_memo_does_not_read_true_as_one():
+    # True == 1.0 as a dict key, so a memo lookup before the check returned the tol=1.0 counts
+    space = SectionSpace(heisenberg_model(1, k=0))
+    dirac_kernel(space, tol=1.0)
+    with pytest.raises(ValueError, match="kernel tolerance must .*got True"):
+        dirac_kernel(space, tol=True)
+
+
+def _bool_checks(path):
+    """(innermost enclosing function or None, line) of every isinstance(x, bool) call in the file."""
+    tree = ast.parse(path.read_text())
+    funcs = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance" \
+                and len(node.args) == 2:
+            types = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            if any(isinstance(t, ast.Name) and t.id == "bool" for t in types):
+                inner = [f for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+                yield (max(inner, key=lambda f: f.lineno).name if inner else None), node.lineno
+
+
+def test_the_bool_rule_is_written_in_one_place():
+    """The library's argument guards are clifford's two helpers; the CLI's config and cell-format helpers own theirs."""
+    allowed = {("clifford.py", "_integer"), ("clifford.py", "_positive"), ("cli.py", "_expect_int"),
+               ("cli.py", "_expect_positive"), ("cli.py", "_format_cell")}
+    found = {(path.name, func): line for path in sorted(Path(crspin.__file__).parent.glob("*.py"))
+             for func, line in _bool_checks(path)}
+    assert {("clifford.py", "_integer"), ("clifford.py", "_positive")} <= set(found)
+    stray = {key: line for key, line in found.items() if key not in allowed}
+    assert not stray, f"isinstance(..., bool) outside the argument guards: {stray}"
