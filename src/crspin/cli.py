@@ -45,19 +45,19 @@ Truncation diagnostics (null vectors in per-slot blocks the top cutoff
 cut into, counted as ``spurious``) are reported as warnings; under
 ``--strict`` they fail the run.
 
-The checks of one run share a per-run memo: each sector's SectionSpace
-is built once, and so are its shift defects, m + 1 floats that
-identities and the torus shift table read (the Kohn Laplacian blocks
-they come from are freed).  Every kernel count of a run is one
-``dirac_kernel`` per sector, counted from the per-slot blocks of D with
-batched 2^m x 2^m eigensolves: spectrum, vanishing and both cohomology
-tables read it (ker D_q = ker box_q), and its eigenvalues fill the
-spectrum tables.  Identities stacks the per-slot blocks of D once per
-sector and squares them once: adjointness and the squares of D+ and D-
-are read off degree slabs of D and D^2, grading off the fiber matrices
-of D's terms, and every Lichnerowicz residual off D^2.  No check forms a
-full-space matrix or a base_dim x base_dim one, and no stack outlives
-its check: the memo keeps reductions only.  The conformal check
+The checks of one run share a per-run memo, the one per-sector cache:
+each sector's SectionSpace is built once, and on its first use one pass
+gathers D's per-slot blocks (``operators.dirac_blocks``) and keeps only
+the reductions the requested checks read, in this order: the shift
+defects off box, formed on D's (q+1, q) slabs (identities, the torus
+shift table); the kernel counts, batched 2^m x 2^m eigensolves of D's
+degree Grams (spectrum, vanishing and both cohomology tables, ker D_q =
+ker box_q); the identities rows off D's degree slabs and its terms'
+fiber matrices, and off D^2, which with D freed gives every Lichnerowicz
+residual.  So D, box and D^2 are never held together, no stack outlives
+the pass, and no check forms a full-space or base_dim x base_dim matrix.
+A term off its degree shift is the identities check's grading row; the
+kernel and shift table readers refuse it.  The conformal check
 evaluates exact trigonometric polynomials and their frame derivatives at
 fixed sample points and depends only on the CR dimension, not on the
 sector, so it is evaluated once and that one value is reported under
@@ -80,7 +80,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cohomology import harmonic_spinor_table, sector_identity_residual, shift_table
+from .cohomology import harmonic_spinor_table, shift_defects, shift_table
 from .models import (
     TruncationSpec,
     cr_alpha_bundle,
@@ -88,11 +88,10 @@ from .models import (
     sphere_model,
 )
 from .operators import (
+    _refuse_off_shift,
+    block_kernel_report,
     cluster_eigenvalues,
-    dirac_kernel,
-    dminus_terms,
-    dplus_terms,
-    grading_defects,
+    dirac_blocks,
     nabla_T_defect,
     sub_laplacian_defect,
 )
@@ -248,35 +247,67 @@ def _space_sectors(config) -> list:
 
 
 class _RunMemo:
-    """Objects several checks of one run share: sector spaces, their shift defects and the shift table.
+    """Objects the checks of one run share: sector spaces, one pass over each sector's D, and the shift table.
 
-    It keeps reductions, never stacks.  Only successful builds are kept,
-    so a build that raises fails every check that asks for it, as an
-    unshared build would.
+    A pass computes only what ``checks`` read and keeps reductions, never stacks.  Only successful builds
+    are kept, so a build that raises fails every check that asks for it, as an unshared build would.
     """
 
-    def __init__(self, model, config):
+    def __init__(self, model, config, checks):
         self.model = model
         self.config = config
+        self._rows = "identities" in checks
+        self._kernel = not {"spectrum", "cohomology", "vanishing"}.isdisjoint(checks)
+        self._shift = self._rows or model.kind == "torus_bundle" and not {"cohomology", "vanishing"}.isdisjoint(checks)
         self._spaces = {}
-        self._defects = {}
+        self._passes = {}
 
     def space(self, sector) -> SectionSpace:
         if sector not in self._spaces:
             self._spaces[sector] = SectionSpace(self.model, sector=sector)
         return self._spaces[sector]
 
-    def shift_defects(self, sector) -> dict[int, float]:
-        """The sector's ``sector_identity_residual``, formed once."""
-        if sector not in self._defects:
-            self._defects[sector] = sector_identity_residual(self.space(sector))
-        return self._defects[sector]
+    def reductions(self, sector) -> dict:
+        """The sector's one pass over D: ``grading``, then ``shift``, ``kernel``, ``rows``, ``square`` as needed."""
+        if sector not in self._passes:
+            space = self.space(sector)
+            dirac, grading = dirac_blocks(space)
+            out = {"grading": grading}
+            if self._shift:
+                out["shift"] = shift_defects(space, dirac)
+            if self._kernel:
+                out["kernel"] = block_kernel_report(space, dirac, tol=self.config["tolerances"]["spectral"])
+            if self._rows:
+                fib = [space.module.grade_slice(q) for q in range(space.m + 1)]
+                adjoint = max(float(np.abs(dirac[:, lo, hi] - dirac[:, hi, lo].conj().transpose(0, 2, 1)).max())
+                              for lo, hi in zip(fib, fib[1:]))
+                square = dirac @ dirac
+                del dirac  # every row of D is read
+                # D+ fills the slabs (q+1, q) of D and D- the slabs (q-1, q), so D^2 holds D+^2 in (q+2, q) and D-^2
+                # in (q, q+2).  These slab reads see every nonzero entry only while the grading row passes, which is
+                # why grading is read off the terms' fiber matrices (``stack`` writes only where one is nonzero).
+                out["rows"] = {
+                    "dirac_plus_squared": max(
+                        (float(np.abs(square[:, hi, lo]).max()) for lo, hi in zip(fib, fib[2:])), default=0.0),
+                    "dirac_minus_squared": max(
+                        (float(np.abs(square[:, lo, hi]).max()) for lo, hi in zip(fib, fib[2:])), default=0.0),
+                    "adjoint_defect": adjoint,
+                    "grading_defect": max(grading),
+                }
+                out["square"] = square_residuals(space, square)
+            self._passes[sector] = out
+        return self._passes[sector]
+
+    def graded(self, sector, key):
+        """The pass's ``key`` reduction, refused for a D term off its degree shift."""
+        _refuse_off_shift(self.space(sector), self.reductions(sector)["grading"])
+        return self.reductions(sector)[key]
 
     @cached_property
     def shift_table(self):
         return shift_table(self.model, s_range=tuple(self.config["model"]["sectors"]),
                            tol=self.config["tolerances"]["spectral"],
-                           sector=lambda s: (self.space(s), self.shift_defects(s)))
+                           sector=lambda s: (self.space(s), self.graded(s, "shift"), self.graded(s, "kernel")))
 
 
 def _check_identities(model, config, memo: _RunMemo) -> CheckResult:
@@ -286,30 +317,13 @@ def _check_identities(model, config, memo: _RunMemo) -> CheckResult:
     per_sector = {}
     for sector in sectors:
         space = memo.space(sector)
-        plus_terms, minus_terms = dplus_terms(space), dminus_terms(space)
-        dirac = space.stack(plus_terms + minus_terms)
-        square = dirac @ dirac
-        fib = [space.module.grade_slice(q) for q in range(space.m + 1)]
-        # D+ fills the slabs (q+1, q) of D and D- the slabs (q-1, q), so D^2 holds D+^2 in (q+2, q) and D-^2 in
-        # (q, q+2).  These slab reads see every nonzero entry only while the grading row passes, which is why
-        # grading is read off the terms' fiber matrices (``stack`` writes only where one is nonzero).
-        residuals = {
-            ("dirac_plus_squared", "algebraic"): max(
-                (float(np.abs(square[:, hi, lo]).max()) for lo, hi in zip(fib, fib[2:])), default=0.0),
-            ("dirac_minus_squared", "algebraic"): max(
-                (float(np.abs(square[:, lo, hi]).max()) for lo, hi in zip(fib, fib[2:])), default=0.0),
-            ("adjoint_defect", "algebraic"): max(
-                float(np.abs(dirac[:, lo, hi] - dirac[:, hi, lo].conj().transpose(0, 2, 1)).max())
-                for lo, hi in zip(fib, fib[1:])),
-            ("grading_defect", "algebraic"): max(grading_defects(space, plus_terms, minus_terms)),
-        }
-        del dirac  # every row of D is read
-        lichnerowicz, covariant = square_residuals(space, square)
-        del square
+        reductions = memo.reductions(sector)
+        lichnerowicz, covariant = reductions["square"]
+        residuals = {(name, "algebraic"): value for name, value in reductions["rows"].items()}
         residuals.update({
             ("sub_laplacian_routes", "dual_assembly"): sub_laplacian_defect(space),
             ("reeb_routes", "dual_assembly"): float(nabla_T_defect(space)),
-            ("sector_identity", "dual_assembly"): max(memo.shift_defects(sector).values()),
+            ("sector_identity", "dual_assembly"): max(reductions["shift"].values()),
             ("lichnerowicz_residual", "dual_assembly"): lichnerowicz,
         })
         residuals.update({(f"covariant_dirac_residual_ell={ell}", "dual_assembly"): v for ell, v in covariant.items()})
@@ -348,7 +362,7 @@ def _check_spectrum(model, config, memo: _RunMemo) -> CheckResult:
         space = memo.space(sector)
         rows = []
         kernels = {}
-        for q, count in dirac_kernel(space, tol=tol["spectral"]).items():
+        for q, count in memo.graded(sector, "kernel").items():
             evals = count.eigenvalues
             min_eig = min(min_eig, float(evals.min()) if evals.size else np.inf)
             for value, mult in cluster_eigenvalues(evals, tol=tol["spectral"]):
@@ -371,13 +385,12 @@ def _check_spectrum(model, config, memo: _RunMemo) -> CheckResult:
 
 
 def _check_cohomology(model, config, memo: _RunMemo) -> CheckResult:
-    tol = config["tolerances"]
     sectors = _space_sectors(config)
     if model.kind == "torus_bundle":
         table = memo.shift_table
     else:
         # every sector's table carries the same notes, which depend only on m
-        parts = [harmonic_spinor_table(memo.space(sector), tol=tol["spectral"]) for sector in sectors]
+        parts = [harmonic_spinor_table(memo.space(sector), memo.graded(sector, "kernel")) for sector in sectors]
         table = parts[0]
         table.rows.extend(row for part in parts[1:] for row in part.rows)
     analytic = table.dims(method="analytic")
@@ -412,9 +425,8 @@ def _check_cohomology(model, config, memo: _RunMemo) -> CheckResult:
 
 def _check_vanishing(model, config, memo: _RunMemo) -> CheckResult:
     # imported here: a run without this check never loads vanishing or fractions
-    from .vanishing import obstruction_check, qhat, spectral_consistency, vanishing_verdicts
+    from .vanishing import kernel_clashes, obstruction_check, qhat, vanishing_verdicts
 
-    tol = config["tolerances"]
     warnings = []
     verdicts = vanishing_verdicts(model, model.ell)
     payload = {"model": verdicts.model_name, "m": verdicts.m, "ell": verdicts.ell,
@@ -422,8 +434,7 @@ def _check_vanishing(model, config, memo: _RunMemo) -> CheckResult:
     clashes = {}
     if model.has_section_space:
         for sector in _space_sectors(config):
-            space = memo.space(sector)
-            for q, dim in spectral_consistency(verdicts, space, tol["spectral"]).items():
+            for q, dim in kernel_clashes(verdicts, memo.graded(sector, "kernel")).items():
                 clashes[f"sector={sector},q={q}"] = dim
     payload["spectral_clashes"] = clashes
 
@@ -499,8 +510,8 @@ _CHECK_RUNNERS = {
 def _run_check(name, model, config, strict, memo: _RunMemo) -> CheckResult:
     try:
         result = _CHECK_RUNNERS[name](model, config, memo)
-    except (ValueError, RuntimeError) as exc:
-        return CheckResult(name=name, passed=False, error=str(exc))
+    except (ValueError, RuntimeError, MemoryError) as exc:
+        return CheckResult(name=name, passed=False, error=str(exc) or type(exc).__name__)
     if strict and result.warnings and result.passed:
         result.passed = False
         result.detail = f"strict: {result.warnings[0]}"
@@ -576,7 +587,7 @@ def run(config: dict, checks=None, strict=False, out_dir="crspin-artifacts", fmt
         if name not in CHECK_NAMES:
             raise ConfigError(f"unknown check {name!r} (choices: {', '.join(CHECK_NAMES)})")
     model = build_model(config)
-    memo = _RunMemo(model, config)
+    memo = _RunMemo(model, config, names)
     results = [_run_check(name, model, config, strict, memo) for name in dict.fromkeys(names)]
     written = _write_artifacts(results, model, out_dir, fmt)
     for result in results:

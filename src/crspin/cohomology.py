@@ -12,18 +12,19 @@ creation/annihilation matrices:
 where w_a wedges the a-th antiholomorphic coframe element.  D+ is
 nonzero only on its degree slabs (q+1, q), so one slab routine forms box:
 each slab adds its P^H P to box's slab (q, q) and its P P^H to
-(q+1, q+1).  Indexed with ``...``, the same body runs on D+'s per-slot
-blocks (``kohn_laplacian_blocks``, which only the sector identity reads,
-after ``graded_stack`` has refused a D+ term off its degree shift) and on
-the dense D+ (``kohn_laplacian``, the oracle).  Both read nabla_{Ebar}
-only, while the degree-lowering Dirac half D- reads nabla_E: D^2 = 2 box
-on the degree blocks compares D+ D- + D- D+ with D+^H D+ + D+ D+^H, two
-routes that part when D- is not the adjoint of D+.
+(q+1, q+1).  Indexed with ``...``, the same body runs on D's per-slot
+blocks (``kohn_laplacian_blocks``: D's (q+1, q) slabs are D+'s blocks,
+D- fills the (q-1, q) ones) and on the dense D+ (``kohn_laplacian``, the
+oracle), read per sector only for the shift defects (``shift_defects``).
+Both read nabla_{Ebar} only, while D- reads nabla_E: D^2 = 2 box on the
+degree blocks compares D+ D- + D- D+ with D+^H D+ + D+ D+^H, two routes
+that part when D- is not the adjoint of D+.
 
 Kernels are counted once, on the spinor side.  Degree q's Gram matrix of
 D is P_q^H P_q + M_q^H M_q with M = D-, which is 2 box_q when M = P^H, so
-ker D_q = ker box_q and the spectral rows of both tables come from
-``dirac_kernel``; the identities check's adjointness row guards M = P^H.
+ker D_q = ker box_q and the spectral rows of both tables are the Dirac
+kernel counts (``operators.block_kernel_report``), which the tables take
+as given; the identities check's adjointness row guards M = P^H.
 
 On a weight sector with commutator scalar t the Kohn Laplacian differs
 from the holomorphic connection Laplacian by a multiple of the fiber
@@ -47,7 +48,7 @@ import numpy as np
 
 from .clifford import _integer
 from .models import TorusBundleModel, TorusLattice
-from .operators import KernelCount, OperatorMatrix, assemble_dplus, dirac_kernel, dplus_terms, graded_stack
+from .operators import KernelCount, OperatorMatrix, _refuse_off_shift, assemble_dplus, block_kernel_report, dirac_blocks
 from .sections import SectionSpace
 
 __all__ = [
@@ -56,6 +57,7 @@ __all__ = [
     "kohn_laplacian",
     "kohn_laplacian_blocks",
     "sector_identity_residual",
+    "shift_defects",
     "torus_line_bundle_cohomology",
     "shift_table",
     "harmonic_spinor_table",
@@ -68,8 +70,8 @@ MODEL_LEVEL_NOTE = (
 
 
 def _box_on_slabs(plus: np.ndarray, slabs: list[slice]) -> np.ndarray:
-    """(P^H P + P P^H) / 2 for P = ``plus`` (a matrix or a stack) nonzero only on the degree slabs (q+1, q)
-    of the index slices ``slabs``: each P[q+1, q] adds to the slabs (q, q) and (q+1, q+1)."""
+    """(P^H P + P P^H) / 2 for P the degree slabs (q+1, q) of ``plus`` (a matrix or a stack; no other slab is
+    read) over the index slices ``slabs``: each P[q+1, q] adds to the slabs (q, q) and (q+1, q+1)."""
     box = np.zeros_like(plus)
     for low, high in zip(slabs, slabs[1:]):
         step = plus[..., high, low]
@@ -80,10 +82,9 @@ def _box_on_slabs(plus: np.ndarray, slabs: list[slice]) -> np.ndarray:
     return box
 
 
-def kohn_laplacian_blocks(space: SectionSpace) -> np.ndarray:
-    """Per-slot blocks of box from the stacked blocks of D+ (``graded_stack`` refuses a term off shift +1)."""
-    plus = graded_stack(space, dplus_terms(space), [])
-    return _box_on_slabs(plus, [space.module.grade_slice(q) for q in range(space.m + 1)])
+def kohn_laplacian_blocks(space: SectionSpace, dirac: np.ndarray) -> np.ndarray:
+    """Per-slot blocks of box from D's blocks ``dirac`` (``dirac_blocks``), whose (q+1, q) slabs are D+'s."""
+    return _box_on_slabs(dirac, [space.module.grade_slice(q) for q in range(space.m + 1)])
 
 
 def kohn_laplacian(space: SectionSpace) -> OperatorMatrix:
@@ -93,23 +94,28 @@ def kohn_laplacian(space: SectionSpace) -> OperatorMatrix:
 
 
 def sector_identity_residual(space: SectionSpace) -> dict[int, float]:
-    """Defect of box - box_bar = (m - q) N on complete blocks, per degree q, read off the per-slot blocks."""
-    return _shift_defects(space, kohn_laplacian_blocks(space))
+    """``shift_defects`` of the space's own gather of D, after refusing a D term off its degree shift."""
+    dirac, grading = dirac_blocks(space)
+    _refuse_off_shift(space, grading)
+    return shift_defects(space, dirac)
 
 
-def _shift_defects(space: SectionSpace, box: np.ndarray) -> dict[int, float]:
-    """Defect per degree of the stacked Kohn Laplacian ``box`` against box_bar + (m - q) N on complete blocks.
+def shift_defects(space: SectionSpace, dirac: np.ndarray) -> dict[int, float]:
+    """Defect of box - box_bar = (m - q) N on complete blocks, per degree q, with box read off D's blocks ``dirac``.
 
-    box_bar = nabla_10* nabla_10 is the connection Laplacian of the base
-    bundle.  Both sides are zero between blocks, so the blocks carry every
-    nonzero entry of the full-space difference.
+    box_bar = nabla_10* nabla_10 = I (x) diag(lap10), the base bundle's connection Laplacian, has the blocks
+    ``diag(lap10[partners])``, taken off box's diagonals in place.  Both sides are zero between blocks, so
+    the blocks carry every nonzero entry of the full-space difference.
     """
-    box_bar = space.stack([(np.eye(space.fiber_dim), space.horizontal_laplacians()[0])])
+    box = kohn_laplacian_blocks(space, dirac)
+    box_bar = space.horizontal_laplacians()[0][space.blocks()]
     weight = -2.0 * space.t
     out: dict[int, float] = {}
     for q in range(space.m + 1):
         fib = space.module.grade_slice(q)
-        diff = box[:, fib, fib] - box_bar[:, fib, fib] - (space.m - q) * weight * np.eye(fib.stop - fib.start)
+        diff, diag = box[:, fib, fib], np.arange(fib.stop - fib.start)
+        diff[:, diag, diag] -= box_bar[:, fib]
+        diff -= (space.m - q) * weight * np.eye(len(diag))
         out[q] = space.complete_max(diff, fib)
     return out
 
@@ -185,26 +191,28 @@ def shift_table(model: TorusBundleModel, s_range=(0,), tol=1e-8, sector=None) ->
     pinned sector convention: raising the fiber weight lowers the bundle
     degree).  The spectral route counts harmonic spinors: ker D_q = ker
     box_q (the module docstring says why), so once a sector's blocks pass
-    the circle-bundle shift identity its rows are ``dirac_kernel``'s
+    the circle-bundle shift identity its rows are the Dirac kernel
     counts on complete per-slot blocks; null vectors of blocks the cutoff
     cut into are artifacts and are not counted.  ``sector(s)`` gives the
-    weight-s space and its shift defects per degree (default: a new space
-    and its ``sector_identity_residual``).
+    weight-s space, its shift defects per degree and its kernel counts
+    (default: one gather of D on a new space, refused off its shifts).
     """
     if not isinstance(model, TorusBundleModel):
         raise ValueError("the shift isomorphism table needs a torus circle bundle")
     if sector is None:
         def sector(s):
             space = SectionSpace(model, sector=s)
-            return space, sector_identity_residual(space)
+            dirac, grading = dirac_blocks(space)
+            _refuse_off_shift(space, grading)
+            return space, shift_defects(space, dirac), block_kernel_report(space, dirac, tol=tol)
     table = CohomologyTable(model_name=model.describe())
     if model.m == 1:
         table.notes.append(MODEL_LEVEL_NOTE)
     for s in s_range:
-        space, defects = sector(s)
+        space, defects, counts = sector(s)
         if (worst := max(defects.values())) > 1e-10:
             raise RuntimeError(f"shift identity fails on sector {s}: defect {worst:.2e} on complete blocks")
-        spectral = {row.q: row for row in _kernel_rows(space, dirac_kernel(space, tol=tol))}
+        spectral = {row.q: row for row in _kernel_rows(space, counts)}
         for q in range(model.m + 1):
             analytic = torus_line_bundle_cohomology(model.lattice, model.flux, -s, q)
             table.rows.append(TableRow(q, s, analytic, "analytic", _row_status(model.m, q)))
@@ -212,17 +220,15 @@ def shift_table(model: TorusBundleModel, s_range=(0,), tol=1e-8, sector=None) ->
     return table
 
 
-def harmonic_spinor_table(space: SectionSpace, tol: float = 1e-8) -> CohomologyTable:
-    """Kernel dimensions of the Kohn-Dirac operator, reported per degree.
+def harmonic_spinor_table(space: SectionSpace, counts: dict[int, KernelCount]) -> CohomologyTable:
+    """Kernel dimensions of the Kohn-Dirac operator, reported per degree, from its kernel ``counts``.
 
-    Computed on the spinor side (``dirac_kernel`` per grading block) and
-    required by the tests to match the form-side table entry for entry;
-    the degree-q spinors and the (0,q) coframe monomials are indexed by
-    the same q-element subsets, so the two sides share their basis.
+    The counts are ``dirac_kernel``'s per grading block, and the tests
+    require them to match the form-side table entry for entry; the
+    degree-q spinors and the (0,q) coframe monomials are indexed by the
+    same q-element subsets, so the two sides share their basis.
     """
-    report = dirac_kernel(space, tol=tol)
-    table = CohomologyTable(model_name=space.model.describe(), rows=_kernel_rows(space, report))
+    table = CohomologyTable(model_name=space.model.describe(), rows=_kernel_rows(space, counts))
     if space.m == 1:
         table.notes.append(MODEL_LEVEL_NOTE)
     return table
-

@@ -38,11 +38,14 @@ class TrigPoly:
         self.coeffs: dict[tuple[int, ...], complex] = {}
         if coeffs:
             for freq, val in coeffs.items():
-                key = tuple(int(f) for f in freq)
+                key = tuple(int(f) if isinstance(f, (float, np.floating, np.integer)) and f.is_integer() else f
+                            for f in freq)
                 if len(key) != self.dim:
                     raise ValueError(f"frequency {key} has wrong length for dimension {self.dim}")
-                if any(k != f for k, f in zip(key, freq)):
-                    raise ValueError(f"frequency {tuple(freq)} must have integer coordinates")
+                try:  # integral floats such as 2.0 are accepted on purpose; True, 1.5 and "1" are not
+                    key = tuple(_integer(k, "frequency coordinate") for k in key)
+                except ValueError:
+                    raise ValueError(f"frequency {tuple(freq)} must have integer coordinates") from None
                 val = complex(val)
                 if val != 0:
                     self.coeffs[key] = self.coeffs.get(key, 0j) + val

@@ -38,28 +38,27 @@ conformal check forms its twistors pointwise (``weitzenboeck._twistor``);
 ``assemble_twistor`` and ``twistor_contraction`` are that route's dense
 test oracle, and no check of a run calls them.
 
-Grading is read off the term lists, once: ``grading_defects`` gives
-each D+ or D- term's largest fiber entry off its degree shift.  The
-identities check reports it as a row, and ``graded_stack`` refuses a
-term list it finds nonzero before stacking it, because the readers of
-D's and D+'s stacks take only the degree slabs the shifts fill.
+D's term lists are stacked in one place, ``dirac_blocks``, with their
+``grading_defects``: each term's largest fiber entry off its degree
+shift.  The identities check reports them as a row; the readers that
+take only the degree slabs the shifts fill (kernel counts here, box in
+``cohomology``) refuse a nonzero one (``_refuse_off_shift``).
 
 Kernel counts rest on structure: a null vector in a complete per-slot
 block (``SectionSpace.block_complete``, no state lost to the top cutoff)
 is kernel, and one in any other block is a cutoff artifact.  Two routes
 apply this rule.  ``kernel_report`` eigensolves the full-space degree
 blocks of a dense operator and stays the reference.
-``block_kernel_report`` reads the per-slot blocks of D: per degree q it
-takes the Gram matrix of D's degree q-1 and q+1 row slabs on the fixed
-fiber slice and makes one batched eigensolve per pattern of kept states.
-``dirac_kernel`` takes the block route, so no check forms a full-space
-matrix, and it is the one kernel count of a run: spectrum, vanishing and
-both cohomology tables read it (ker D_q = ker box_q, see ``cohomology``).
+``block_kernel_report`` reads D's per-slot blocks: per degree q it takes
+the Gram matrix of D's degree q-1 and q+1 row slabs on the fixed fiber
+slice and makes one batched eigensolve per pattern of kept states, so no
+check forms a full-space matrix.  A run counts on its one gather of D per
+sector (``cli``), ``dirac_kernel`` on a gather of its own; spectrum,
+vanishing and both cohomology tables read the counts (ker D_q = ker box_q).
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,7 +72,7 @@ __all__ = [
     "dplus_terms",
     "dminus_terms",
     "grading_defects",
-    "graded_stack",
+    "dirac_blocks",
     "assemble_dplus",
     "assemble_dminus",
     "assemble_kohn_dirac",
@@ -134,17 +133,19 @@ def grading_defects(space: SectionSpace, plus_terms, minus_terms) -> list[float]
             for fiber, _ in terms]
 
 
-def graded_stack(space: SectionSpace, plus_terms, minus_terms) -> np.ndarray:
-    """``space.stack(plus_terms + minus_terms)`` after refusing, with ``ValueError``, a term off its shift.
-
-    Readers of the stack take only the degree slabs the shifts fill.  ``stack`` writes an entry only
-    where a term's fiber matrix is nonzero, so those slabs hold every nonzero entry once no term is refused.
-    """
-    for index, defect in enumerate(grading_defects(space, plus_terms, minus_terms)):
+def _refuse_off_shift(space: SectionSpace, grading: list[float]) -> None:
+    """Refuse, with ``ValueError``, the first term whose grading defect is nonzero.  ``stack`` writes an entry only
+    where a term's fiber matrix is nonzero, so the degree slabs the shifts fill then hold every nonzero entry."""
+    for index, defect in enumerate(grading):
         if defect:
             raise ValueError(f"{space.model.kind} sector {space.sector}: term {index} has fiber entries off "
                              f"its degree shift (largest {defect:.2e})")
-    return space.stack(plus_terms + minus_terms)
+
+
+def dirac_blocks(space: SectionSpace) -> tuple[np.ndarray, list[float]]:
+    """Per-slot blocks of D = D+ + D- and the ``grading_defects`` of its terms; the one stack of D's terms."""
+    plus_terms, minus_terms = dplus_terms(space), dminus_terms(space)
+    return space.stack(plus_terms + minus_terms), grading_defects(space, plus_terms, minus_terms)
 
 
 def assemble_dplus(space: SectionSpace) -> OperatorMatrix:
@@ -324,8 +325,8 @@ def kernel_report(op: OperatorMatrix, tol: float = 1e-8) -> dict[int, KernelCoun
 def block_kernel_report(space: SectionSpace, stack: np.ndarray, tol: float = 1e-8) -> dict[int, KernelCount]:
     """``kernel_report`` of the operator whose per-slot blocks are ``stack`` (``SectionSpace.stack``).
 
-    The operator moves the degree by exactly +-1, as D does
-    (``graded_stack``).  Degree q is eigensolved on the fixed fiber slice
+    The operator moves the degree by exactly +-1, as D does once
+    ``_refuse_off_shift`` passes.  Degree q is eigensolved on the fixed fiber slice
     ``grade_slice(q)`` of every block: its columns are nonzero only in the
     degree q-1 and q+1 row slabs, so the Gram matrix is the sum of those
     two slabs' batched products.  Blocks that keep the same states of that
@@ -358,21 +359,14 @@ def block_kernel_report(space: SectionSpace, stack: np.ndarray, tol: float = 1e-
     return out
 
 
-_DIRAC_KERNELS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def dirac_kernel(space: SectionSpace, tol: float = 1e-8) -> dict[int, KernelCount]:
-    """Kernel counts of the Kohn-Dirac operator from its per-slot blocks, at most once per space and tolerance.
+    """Kernel counts of the Kohn-Dirac operator from its per-slot blocks (``dirac_blocks``).
 
     The counts equal ``kernel_report(assemble_kohn_dirac(space))``; no
     full-space matrix is formed, and a D term off its degree shift is
-    refused (``graded_stack``).  Only the counts and read-only
-    eigenvalues are kept, and only while the space lives.
+    refused (``_refuse_off_shift``).
     """
-    tol = _positive(tol, "kernel tolerance")  # before the memo, where True would find 1.0
-    reports = _DIRAC_KERNELS.setdefault(space, {})
-    if tol not in reports:
-        stack = graded_stack(space, dplus_terms(space), dminus_terms(space))
-        reports[tol] = block_kernel_report(space, stack, tol=tol)
-    return dict(reports[tol])
-
+    tol = _positive(tol, "kernel tolerance")
+    dirac, grading = dirac_blocks(space)
+    _refuse_off_shift(space, grading)
+    return block_kernel_report(space, dirac, tol=tol)

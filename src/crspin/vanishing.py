@@ -49,6 +49,7 @@ __all__ = [
     "vanishing_verdicts",
     "obstruction_check",
     "spectral_consistency",
+    "kernel_clashes",
     "CLAUSE_PRIORITY",
 ]
 
@@ -312,12 +313,12 @@ def obstruction_check(model: PseudoHermitianModel, ell: int, hq_table) -> Obstru
 
 
 def spectral_consistency(report: VanishingReport, space, tol: float = 1e-8) -> dict:
-    """Kernel dimensions contradicting forced_zero verdicts; empty means consistent."""
+    """``kernel_clashes`` of the space's ``dirac_kernel``; empty means consistent."""
     if space.m != report.m:
         raise ValueError("section space and vanishing report have different CR dimension")
-    counts = dirac_kernel(space, tol=tol)
-    clashes = {}
-    for verdict in report.verdicts:
-        if verdict.status == "forced_zero" and counts[verdict.q].dim > 0:
-            clashes[verdict.q] = counts[verdict.q].dim
-    return clashes
+    return kernel_clashes(report, dirac_kernel(space, tol=tol))
+
+
+def kernel_clashes(report: VanishingReport, counts: dict) -> dict:
+    """{q: kernel dimension} of the per-degree kernel ``counts`` at every forced_zero verdict they contradict."""
+    return {v.q: counts[v.q].dim for v in report.verdicts if v.status == "forced_zero" and counts[v.q].dim > 0}

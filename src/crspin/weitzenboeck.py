@@ -10,7 +10,7 @@ data, splits them into a Ricci derivation part and a trace-free
 remainder, and measures residuals of the formula on section spaces: the
 Lichnerowicz identity is the formula on every block at the model's
 twist, and the fixed-weight identity is its twist-ell case on the block
-mu = -ell.  Both read D^2 as per-slot blocks (``SectionSpace.stack``,
+mu = -ell.  Both read D^2 as per-slot blocks (``operators.dirac_blocks``,
 squared by a batched ``@``) on the present states of complete blocks
 (``SectionSpace.complete_max``).  The weighted horizontal Laplacians do
 not depend on the twist, so they are stacked once on the whole fiber
@@ -47,7 +47,7 @@ from .clifford import (
 )
 from .fields import TrigPoly
 from .models import PseudoHermitianModel, rho_frame_components
-from .operators import dminus_terms, dplus_terms, twistor_weights
+from .operators import dirac_blocks, twistor_weights
 from .sections import SectionSpace
 
 __all__ = [
@@ -158,12 +158,6 @@ def _laplacian_stack(space: SectionSpace) -> np.ndarray:
     return space.stack([(np.diag(1.0 - mu / m), lap10), (np.diag(1.0 + mu / m), lap01)])
 
 
-def _dirac_square(space: SectionSpace) -> np.ndarray:
-    """Per-slot blocks of D^2, D = D+ + D-."""
-    dirac = space.stack(dplus_terms(space) + dminus_terms(space))
-    return dirac @ dirac
-
-
 def sl_residual(space: SectionSpace) -> float:
     """Residual of the Schroedinger-Lichnerowicz identity on complete blocks.
 
@@ -173,7 +167,7 @@ def sl_residual(space: SectionSpace) -> float:
     the untruncated operators' blocks.  Between degrees the residual is
     D^2's own entry.
     """
-    return square_residuals(space, _dirac_square(space))[0]
+    return square_residuals(space, np.linalg.matrix_power(dirac_blocks(space)[0], 2))[0]
 
 
 def dl_residual(space: SectionSpace, ell: int) -> float:
@@ -194,7 +188,7 @@ def dl_residual(space: SectionSpace, ell: int) -> float:
         raise ValueError(
             f"no weight block mu = {-ell} for m = {m}; ell must lie in {{-m, -m+2, ..., m}}"
         )
-    return square_residuals(space, _dirac_square(space))[1][ell]
+    return square_residuals(space, np.linalg.matrix_power(dirac_blocks(space)[0], 2))[1][ell]
 
 
 def square_residuals(space: SectionSpace, square: np.ndarray) -> tuple[float, dict[int, float]]:

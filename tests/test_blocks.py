@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from blockstates import complete_max, full_indices
 
-from crspin import cli, cohomology, operators
+from crspin import cli, operators
 from crspin.cohomology import (
     kohn_laplacian,
     kohn_laplacian_blocks,
     sector_identity_residual,
+    shift_defects,
     shift_table,
 )
 from crspin.models import TruncationSpec, cr_alpha_bundle, heisenberg_model
@@ -18,6 +19,7 @@ from crspin.operators import (
     assemble_dminus,
     assemble_dplus,
     assemble_kohn_dirac,
+    dirac_blocks,
     dirac_kernel,
     dminus_terms,
     dplus_terms,
@@ -65,13 +67,13 @@ def test_blocks_cover_every_index_once(space):
 @pytest.mark.parametrize("space", SPACES, ids=IDS)
 @pytest.mark.parametrize("operator", ["D", "box"])
 def test_stack_is_the_dense_assembly_on_blocks(space, operator):
-    # D's blocks gather the dense assembly's own floats; box's blocks are the
-    # same products of D+'s blocks as the dense box's, summed in another order
+    # D's blocks gather the dense assembly's own floats; box's blocks are the same
+    # products of D's (q+1, q) slabs, D+'s blocks, as the dense box's, summed in another order
     if operator == "D":
         stack, atol = space.stack(dplus_terms(space) + dminus_terms(space)), 0.0
         dense = assemble_kohn_dirac(space).mat
     else:
-        stack, dense, atol = kohn_laplacian_blocks(space), kohn_laplacian(space).mat, 1e-13
+        stack, dense, atol = kohn_laplacian_blocks(space, dirac_blocks(space)[0]), kohn_laplacian(space).mat, 1e-13
     index = full_indices(space)
     on_block = np.zeros_like(dense, dtype=bool)
     for j, block in enumerate(stack):
@@ -113,7 +115,7 @@ def test_complete_blocks_are_exact_and_cut_blocks_are_not(kind, m, sector, level
     if operator == "D":
         stacks = [space.stack(dplus_terms(space) + dminus_terms(space)) for space in spaces]
     else:
-        stacks = [kohn_laplacian_blocks(space) for space in spaces]
+        stacks = [kohn_laplacian_blocks(space, dirac_blocks(space)[0]) for space in spaces]
     wider = dict(zip(block_labels(spaces[1]), stacks[1]))
     complete = spaces[0].block_complete()
     assert complete.any() and not complete.all()
@@ -250,7 +252,7 @@ def dense_identity_rows(space):
 def identity_rows(space):
     """The identities check's report on one sector of ``space.model``."""
     config = {"model": {"sectors": [space.sector]}, "tolerances": dict(cli.TOLERANCE_DEFAULTS)}
-    result = cli._check_identities(space.model, config, cli._RunMemo(space.model, config))
+    result = cli._check_identities(space.model, config, cli._RunMemo(space.model, config, ["identities"]))
     return result.report["sectors"][str(space.sector)]
 
 
@@ -283,11 +285,11 @@ def one_diagonal_entry(terms, space):
     ("dminus_terms", lambda terms, space: [(1.3 * f, b) for f, b in terms], {"adjoint_defect"}),
 ], ids=["wrong-degree-entry", "unsigned-creation", "unsigned-annihilation", "scaled-dminus"])
 def test_identities_algebraic_rows_fail_on_their_mutant(monkeypatch, half, mutate, failing):
-    build = getattr(cli, half)
-    monkeypatch.setattr(cli, half, lambda space: mutate(build(space), space))
+    build = getattr(operators, half)
+    monkeypatch.setattr(operators, half, lambda space: mutate(build(space), space))
     model = heisenberg_model(2, k=1)
     config = {"model": {"sectors": [1]}, "tolerances": dict(cli.TOLERANCE_DEFAULTS)}
-    result = cli._check_identities(model, config, cli._RunMemo(model, config))
+    result = cli._check_identities(model, config, cli._RunMemo(model, config, ["identities"]))
     rows = result.report["sectors"]["1"]
     algebraic = ("dirac_plus_squared", "dirac_minus_squared", "adjoint_defect", "grading_defect")
     assert not result.passed
@@ -297,7 +299,7 @@ def test_identities_algebraic_rows_fail_on_their_mutant(monkeypatch, half, mutat
 def test_identities_check_allocates_no_full_space_matrix():
     model = heisenberg_model(3, k=1, truncation=LADDER3)
     config = {"model": {"sectors": [1]}, "tolerances": dict(cli.TOLERANCE_DEFAULTS)}
-    memo = cli._RunMemo(model, config)
+    memo = cli._RunMemo(model, config, ["identities"])
     space = memo.space(1)
     assert space.dim == 1000
     tracemalloc.start()
@@ -313,24 +315,25 @@ def test_identities_check_allocates_no_full_space_matrix():
 
 @pytest.mark.parametrize("model", [heisenberg_model(3, k=1, truncation=LADDER3),
                                    cr_alpha_bundle(3, c=1, truncation=LADDER3)], ids=["heisenberg-ladder", "torus-fourier"])
-def test_kohn_laplacian_blocks_hold_under_three_stacks(model):
-    # D+'s stack and box's, and the products of one degree slab at a time
+def test_shift_defects_hold_under_two_stacks_given_d(model):
+    # box's stack and the products of one degree slab of D at a time; box_bar is a diagonal, not a stack
     space = SectionSpace(model)
-    space.blocks()
+    dirac = dirac_blocks(space)[0]
+    space.horizontal_laplacians()
     tracemalloc.start()
     try:
-        kohn_laplacian_blocks(space)
+        shift_defects(space, dirac)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * len(space.blocks()) * space.fiber_dim**2 * np.dtype(complex).itemsize
+    assert peak < 2 * len(space.blocks()) * space.fiber_dim**2 * np.dtype(complex).itemsize
 
 
 def test_run_memo_keeps_no_stack():
     # the shift table counts ker D, and the memo keeps each sector's shift defects, not its box stack
     model = cr_alpha_bundle(3, c=1, truncation=LADDER3)
     config = {"model": {"sectors": [-1, 1]}, "tolerances": dict(cli.TOLERANCE_DEFAULTS)}
-    memo = cli._RunMemo(model, config)
+    memo = cli._RunMemo(model, config, ["cohomology"])
     for sector in (-1, 1):
         space = memo.space(sector)
         space.blocks()  # the partner table is cached on the space, not kept by the memo
@@ -345,12 +348,12 @@ def test_run_memo_keeps_no_stack():
 
 
 def test_cohomology_check_refuses_a_dplus_term_off_its_degree(monkeypatch):
-    # box is read off D+'s (q+1, q) slabs only, where a degree-keeping entry would be lost unseen
-    build = cohomology.dplus_terms
-    monkeypatch.setattr(cohomology, "dplus_terms", lambda space: one_diagonal_entry(build(space), space))
+    # box is read off D's (q+1, q) slabs only, where a degree-keeping entry would be lost unseen
+    build = operators.dplus_terms
+    monkeypatch.setattr(operators, "dplus_terms", lambda space: one_diagonal_entry(build(space), space))
     model = cr_alpha_bundle(2, c=1)
     config = {"model": {"sectors": [-1, 0, 1]}, "tolerances": dict(cli.TOLERANCE_DEFAULTS)}
-    result = cli._run_check("cohomology", model, config, False, cli._RunMemo(model, config))
+    result = cli._run_check("cohomology", model, config, False, cli._RunMemo(model, config, ["cohomology"]))
     assert not result.passed
     assert result.error.startswith("torus_bundle sector -1: term 2 has fiber entries off its degree shift")
 
@@ -408,7 +411,7 @@ def test_identities_check_forms_the_laplacian_pair_once_per_space(monkeypatch):
     monkeypatch.setattr(SectionSpace, "horizontal_laplacians", spy)
     model = heisenberg_model(2, k=1)
     config = {"model": {"sectors": [-1, 0, 1]}, "tolerances": dict(cli.TOLERANCE_DEFAULTS)}
-    memo = cli._RunMemo(model, config)
+    memo = cli._RunMemo(model, config, ["identities"])
     assert cli._check_identities(model, config, memo).passed
     for sector in (-1, 0, 1):
         space = memo.space(sector)
@@ -434,7 +437,7 @@ def test_checks_hold_and_form_no_base_dim_squared_matrix():
     config = {"model": {"sectors": [0]}, "tolerances": dict(cli.TOLERANCE_DEFAULTS)}
     tracemalloc.start()
     try:
-        memo = cli._RunMemo(model, config)
+        memo = cli._RunMemo(model, config, ["identities", "spectrum", "cohomology"])
         for check in (cli._check_identities, cli._check_spectrum, cli._check_cohomology):
             assert check(model, config, memo).passed
         peak = tracemalloc.get_traced_memory()[1]

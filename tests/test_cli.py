@@ -324,33 +324,11 @@ def test_bad_truncation_rejected(tmp_path, capsys):
     assert "ladder_levels" in capsys.readouterr().err
 
 
-def test_run_builds_each_shared_object_once(tmp_path, monkeypatch):
-    # three section spaces, and per sector one box stack and one set of shift
-    # defects, which the identities check and the one shift table share
-    counts = {"spaces": 0, "conformal": 0, "shift": 0, "box": 0, "defects": 0}
-    build = sections.SectionSpace.__init__
-
-    def counting_build(self, *args, **kwargs):
-        counts["spaces"] += 1
-        build(self, *args, **kwargs)
-
-    def counting(key, fn):
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(sections.SectionSpace, "__init__", counting_build)
-    monkeypatch.setattr(cli, "conformal_check", counting("conformal", cli.conformal_check))
-    monkeypatch.setattr(cli, "shift_table", counting("shift", cli.shift_table))
-    monkeypatch.setattr(cohomology, "kohn_laplacian_blocks", counting("box", cohomology.kohn_laplacian_blocks))
-    monkeypatch.setattr(cohomology, "_shift_defects", counting("defects", cohomology._shift_defects))
-    config = dict(TORUS_ALL, model=dict(TORUS_ALL["model"], sectors=[-1, 0, 1]))
-    out = tmp_path / "art"
-    assert main(["run", "--config", write_config(tmp_path, config), "--out", str(out)]) == 0
-    assert counts == {"spaces": 3, "conformal": 1, "shift": 1, "box": 3, "defects": 3}
-    defects = json.loads((out / "conformal_report.json").read_text())["results"]["sectors"]
-    assert sorted(defects) == ["-1", "0", "1"] and len(set(defects.values())) == 1
+def rebind(patch, name, fn, replacement):
+    """Bind ``replacement`` as ``name`` in every crspin module that holds ``fn`` under that name."""
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.startswith("crspin") and getattr(module, name, None) is fn:
+            patch.setattr(module, name, replacement)
 
 
 def count_calls(monkeypatch, counts, name, fn):
@@ -361,24 +339,57 @@ def count_calls(monkeypatch, counts, name, fn):
         counts[name] += 1
         return fn(*args, **kwargs)
 
-    for mod_name, module in list(sys.modules.items()):
-        if mod_name.startswith("crspin") and getattr(module, name, None) is fn:
-            monkeypatch.setattr(module, name, wrapper)
+    rebind(monkeypatch, name, fn, wrapper)
 
 
-@pytest.mark.parametrize("kind, expected", [
-    # per sector: one Dirac kernel from blocks, shared by spectrum, vanishing and the
-    # shift table (ker D_q = ker box_q); identities stacks its own blocks of D for the
-    # square; one box stack, read only for the shift defects that identities and the table share
-    ("torus_bundle", {"assemble_kohn_dirac": 0, "assemble_dplus": 0, "kohn_laplacian": 0,
-                      "kohn_laplacian_blocks": 3, "kernel_report": 0, "block_kernel_report": 3}),
-    # spectrum, cohomology and vanishing all read the one Dirac kernel
-    ("heisenberg", {"assemble_kohn_dirac": 0, "assemble_dplus": 0, "kohn_laplacian": 0,
-                    "kohn_laplacian_blocks": 3, "kernel_report": 0, "block_kernel_report": 3}),
-])
-def test_run_forms_one_dirac_square_per_check_family(tmp_path, monkeypatch, kind, expected):
+def m2_config(kind, checks):
+    model = {"kind": kind, "m": 2, "ell": 0, "sectors": [-1, 0, 1]}
+    return {"model": dict(model, flux=1) if kind == "torus_bundle" else model, "checks": list(checks)}
+
+
+@pytest.mark.parametrize("kind", ["torus_bundle", "heisenberg"])
+def test_run_builds_each_shared_object_once(tmp_path, monkeypatch, kind):
+    # per sector one space and one gather of D; D, the Reeb formula and the weighted
+    # Laplacians are the only stacks (the parent stacked D twice more, D+ and box_bar)
+    counts = {"spaces": 0}
+    stacks = {}
+    build, stack = sections.SectionSpace.__init__, sections.SectionSpace.stack
+
+    def counting_build(self, *args, **kwargs):
+        counts["spaces"] += 1
+        build(self, *args, **kwargs)
+
+    def counting_stack(self, terms):
+        stacks[self.sector] = stacks.get(self.sector, 0) + 1
+        return stack(self, terms)
+
+    monkeypatch.setattr(sections.SectionSpace, "__init__", counting_build)
+    monkeypatch.setattr(sections.SectionSpace, "stack", counting_stack)
+    for name in ("conformal_check", "shift_table"):
+        count_calls(monkeypatch, counts, name, getattr(cli, name))
+    count_calls(monkeypatch, counts, "dirac_blocks", operators.dirac_blocks)
+    out = tmp_path / "art"
+    assert main(["run", "--config", write_config(tmp_path, m2_config(kind, cli.CHECK_NAMES)), "--out", str(out)]) == 0
+    assert counts == {"spaces": 3, "conformal_check": 1, "shift_table": int(kind == "torus_bundle"), "dirac_blocks": 3}
+    assert stacks == {-1: 3, 0: 3, 1: 3}
+    defects = json.loads((out / "conformal_report.json").read_text())["results"]["sectors"]
+    assert sorted(defects) == ["-1", "0", "1"] and len(set(defects.values())) == 1
+
+
+ALL_ONE = {"dirac_blocks": 3, "kohn_laplacian_blocks": 3, "block_kernel_report": 3}
+
+
+@pytest.mark.parametrize("kind", ["torus_bundle", "heisenberg"])
+@pytest.mark.parametrize("checks, expected", [
+    # per sector one gather of D, read for box's shift defects (identities, the torus shift
+    # table) and for the one kernel count that spectrum, cohomology and vanishing share
+    (cli.CHECK_NAMES, ALL_ONE),
+    (["identities"], dict(ALL_ONE, block_kernel_report=0)),
+    (["spectrum"], dict(ALL_ONE, kohn_laplacian_blocks=0)),
+], ids=["all", "identities", "spectrum"])
+def test_run_forms_one_dirac_square_per_check_family(tmp_path, monkeypatch, kind, checks, expected):
     counts = {}
-    for name in ("assemble_kohn_dirac", "assemble_dplus", "kernel_report", "block_kernel_report"):
+    for name in ("assemble_kohn_dirac", "assemble_dplus", "kernel_report", "block_kernel_report", "dirac_blocks"):
         count_calls(monkeypatch, counts, name, getattr(operators, name))
     for name in ("kohn_laplacian", "kohn_laplacian_blocks"):
         count_calls(monkeypatch, counts, name, getattr(cohomology, name))
@@ -392,12 +403,49 @@ def test_run_forms_one_dirac_square_per_check_family(tmp_path, monkeypatch, kind
 
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
-    model = {"kind": kind, "m": 2, "ell": 0, "sectors": [-1, 0, 1]}
-    config = dict(TORUS_ALL, model=dict(model, flux=1) if kind == "torus_bundle" else model)
-    main(["run", "--config", write_config(tmp_path, config), "--out", str(tmp_path / "art")])
-    assert counts == expected
-    # every eigensolve is fiber-sized: per-slot blocks and curvature matrices
-    assert sizes and max(sizes) <= 2 ** 2
+    main(["run", "--config", write_config(tmp_path, m2_config(kind, checks)), "--out", str(tmp_path / "art")])
+    assert counts == dict(expected, assemble_kohn_dirac=0, assemble_dplus=0, kohn_laplacian=0, kernel_report=0)
+    # every eigensolve is fiber-sized: per-slot blocks and curvature matrices; identities makes none
+    assert (sizes or checks == ["identities"]) and max(sizes, default=0) <= 2 ** 2
+
+
+def test_a_memory_error_is_that_checks_error(tmp_path, monkeypatch, capsys):
+    # an allocation that fails in the gather of D errs every check that reads it, and the run still reports
+    def refuse(space, terms):
+        raise MemoryError("Unable to allocate 4.00 GiB for an array with shape (16384, 128, 128)")
+
+    monkeypatch.setattr(sections.SectionSpace, "stack", refuse)
+    out = tmp_path / "art"
+    assert main(["run", "--config", write_config(tmp_path, m2_config("heisenberg", cli.CHECK_NAMES)),
+                 "--out", str(out)]) == 1
+    printed = capsys.readouterr().out
+    for name in ("identities", "spectrum", "cohomology", "vanishing"):
+        assert f"check {name}: ERROR (Unable to allocate 4.00 GiB" in printed
+        assert json.loads((out / f"{name}_report.json").read_text())["error"].startswith("Unable to allocate")
+    assert "check conformal: PASS" in printed and (out / "conformal_report.json").is_file()
+
+
+@pytest.mark.parametrize("kind", ["torus_bundle", "heisenberg"])
+def test_a_dplus_term_off_its_degree_fails_identities_and_errs_the_kernel_readers(tmp_path, monkeypatch, capsys, kind):
+    # a degree-keeping entry lies in no slab that box or the kernel Grams read: identities
+    # reports it as its grading row (D^2 sees it too), and every reader of those slabs refuses it
+    build = operators.dplus_terms
+
+    def off_shift(space):
+        fiber = np.zeros((space.fiber_dim, space.fiber_dim))
+        fiber[1, 1] = 1e-3
+        return build(space) + [(fiber, np.ones(space.base_dim))]
+
+    rebind(monkeypatch, "dplus_terms", build, off_shift)
+    out = tmp_path / "art"
+    assert main(["run", "--config", write_config(tmp_path, m2_config(kind, cli.CHECK_NAMES)), "--out", str(out)]) == 1
+    printed = capsys.readouterr().out
+    assert "check identities: FAIL (" in printed
+    rows = json.loads((out / "identities_report.json").read_text())["results"]["sectors"]
+    assert [rows[sector]["grading_defect"] for sector in ("-1", "0", "1")] == [1e-3] * 3
+    for name in ("spectrum", "cohomology", "vanishing"):
+        assert f"check {name}: ERROR ({kind} sector -1: term 2 has fiber entries off its degree shift" in printed
+    assert "check conformal: PASS" in printed
 
 
 @pytest.mark.parametrize("kind", ["torus_bundle", "heisenberg"])
@@ -440,7 +488,7 @@ def test_cohomology_fails_when_cut_blocks_count_as_kernel(tmp_path, monkeypatch,
             return count(space, stack, **kwargs)
 
     with monkeypatch.context() as patch:
-        patch.setattr(operators, "block_kernel_report", count_every_block)
+        rebind(patch, "block_kernel_report", count, count_every_block)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "mutant")]) == 1
     assert "check cohomology: FAIL ((q, s)=(0, 1): analytic 0 != spectral 1)" in capsys.readouterr().out
     # the shift identity is read on the same flags, so with every block complete it refuses the cut ones first

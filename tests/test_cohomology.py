@@ -258,11 +258,12 @@ def test_shift_table_refuses_a_sector_that_is_no_integer(s):
 def test_spinor_table_matches_form_table():
     for model, s in ((heisenberg_model(2, k=0), 0), (cr_alpha_bundle(2, c=1, s=1), 1)):
         space = SectionSpace(model)
-        spinor = harmonic_spinor_table(space)
+        spinor = harmonic_spinor_table(space, dirac_kernel(space))
         box_report = kernel_report(kohn_laplacian(space))
         for row in spinor.rows:
             assert row.dim == box_report[row.q].dim * space.multiplicity
-    table = harmonic_spinor_table(SectionSpace(cr_alpha_bundle(2, c=1, s=1)))
+    space = SectionSpace(cr_alpha_bundle(2, c=1, s=1))
+    table = harmonic_spinor_table(space, dirac_kernel(space))
     assert table.dims()[(1, 1)] == 0
 
 
@@ -273,12 +274,13 @@ def test_shift_table_passes_tolerances_to_kernel_counts(monkeypatch):
     assert everything.dims(method="spectral") == {(0, 0): space.base_dim, (1, 0): space.base_dim}
     assert shift_table(model, s_range=[0]).dims(method="spectral") == {(0, 0): 1, (1, 0): 1}
     seen = []
+    count = cohomology.block_kernel_report
 
-    def recording_kernel(space, tol=1e-8):
+    def recording_kernel(space, stack, tol=1e-8):
         seen.append(tol)
-        return dirac_kernel(space, tol=tol)
+        return count(space, stack, tol=tol)
 
-    monkeypatch.setattr(cohomology, "dirac_kernel", recording_kernel)
+    monkeypatch.setattr(cohomology, "block_kernel_report", recording_kernel)
     shift_table(model, s_range=[-1, 1], tol=1e-6)
     # the spectral rows are the Dirac kernel's counts, ker D_q = ker box_q
     assert seen == [1e-6] * 2

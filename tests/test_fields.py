@@ -1,5 +1,7 @@
 """Tests of the exact trigonometric-polynomial calculus."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,17 @@ def test_bad_frequencies_and_axes_are_refused():
         with pytest.raises(ValueError, match=rf"axis out of range: {axis}$"):
             TrigPoly.sine(2, axis)
     assert TrigPoly(2, {(2.0, -1): 1.0}).coeffs == {(2, -1): 1.0 + 0j}
+
+
+@pytest.mark.parametrize("build, freq", [
+    (lambda: TrigPoly.cosine(2, 0, frequency=True), "(True, 0)"),
+    (lambda: TrigPoly(2, {(True, 0): 1.0}), "(True, 0)"),
+    (lambda: TrigPoly(2, {(0, np.True_): 1.0}), f"(0, {np.True_!r})"),
+], ids=["cosine frequency", "bool key", "numpy bool key"])
+def test_bool_frequency_coordinates_are_refused(build, freq):
+    # True == 1, so each of these used to build the frequency-1 wave
+    with pytest.raises(ValueError, match=f"^frequency {re.escape(freq)} must have integer coordinates$"):
+        build()
 
 
 def test_zero_frequency_waves_are_constants():

@@ -256,7 +256,7 @@ def test_nonfinite_is_refused_as_a_positive_number(case, value):
 
 
 def test_dirac_kernel_memo_does_not_read_true_as_one():
-    # True == 1.0 as a dict key, so a memo lookup before the check returned the tol=1.0 counts
+    # True == 1.0, so any lookup keyed on the tolerance before the check would return the tol=1.0 counts
     space = SectionSpace(heisenberg_model(1, k=0))
     dirac_kernel(space, tol=1.0)
     with pytest.raises(ValueError, match="kernel tolerance must .*got True"):

@@ -1,7 +1,4 @@
-import dataclasses
-import gc
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -16,7 +13,6 @@ from crspin.operators import (
     assemble_dplus,
     assemble_kohn_dirac,
     assemble_twistor,
-    block_kernel_report,
     cluster_eigenvalues,
     dirac_kernel,
     dminus_terms,
@@ -303,38 +299,6 @@ def test_kernel_report_flags_top_rung_artifacts():
     assert report[0].dim == 1
     assert report[1].dim == 0
     assert report[1].spurious >= 1
-
-
-def test_dirac_kernel_runs_once_per_space_and_tolerances(monkeypatch):
-    calls = []
-
-    def counting_report(space, stack, tol=1e-8):
-        calls.append((stack.shape, tol))
-        return block_kernel_report(space, stack, tol=tol)
-
-    monkeypatch.setattr(operators, "block_kernel_report", counting_report)
-    monkeypatch.setattr(operators, "kernel_report", None)  # no full-space route
-    space = SectionSpace(heisenberg_model(2, k=1))
-    first = dirac_kernel(space)
-    assert dirac_kernel(space, 1e-8) == first
-    assert calls == [((len(space.blocks()), 4, 4), 1e-8)]
-    dirac_kernel(space, tol=1e-6)
-    dirac_kernel(SectionSpace(heisenberg_model(2, k=1)))
-    assert len(calls) == 3
-    # callers get their own dict of frozen counts
-    first.clear()
-    assert len(dirac_kernel(space)) == 3 and len(calls) == 3
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        dirac_kernel(space)[0].dim = 7
-
-
-def test_dirac_kernel_does_not_keep_its_space_alive():
-    space = SectionSpace(cr_alpha_bundle(2, c=1, s=1))
-    dirac_kernel(space)
-    ref = weakref.ref(space)
-    del space
-    gc.collect()
-    assert ref() is None
 
 
 @pytest.mark.parametrize("space", SPACES, ids=IDS)

@@ -215,7 +215,7 @@ def test_residuals_read_the_top_kept_rung(kind, monkeypatch):
     model = (heisenberg_model(2, k=1, truncation=trunc) if kind == "heisenberg"
              else cr_alpha_bundle(2, c=1, s=-2, truncation=trunc))
     config = {"model": {"sectors": [1 if kind == "heisenberg" else -2]}, "tolerances": dict(cli.TOLERANCE_DEFAULTS)}
-    memo = cli._RunMemo(model, config)
+    memo = cli._RunMemo(model, config, ["identities"])
     space = memo.space(config["model"]["sectors"][0])
     assert space.t == 1.0
     top = np.flatnonzero((space.labels == [space.ladder_levels - 1, 0]).all(axis=1))[0]
