@@ -15,14 +15,12 @@ _SUBMODULE_NAMES = {
     "models": ("ModelFlags", "PseudoHermitianModel", "TorusLattice", "TruncationSpec",
                "cr_alpha_bundle", "heisenberg_model", "sphere_model"),
     "sections": ("SectionSpace",),
-    "operators": ("assemble_dminus", "assemble_dplus", "assemble_kohn_dirac",
-                  "assemble_twistor", "kernel_report"),
+    "operators": ("assemble_dminus", "assemble_dplus", "assemble_kohn_dirac", "kernel_report"),
     "cohomology": ("CohomologyTable", "harmonic_spinor_table", "kohn_laplacian", "shift_table",
                    "torus_line_bundle_cohomology"),
     "weitzenboeck": ("ConformalScale", "conformal_check", "curvature_term", "dl_residual",
                      "exponent_scan", "sl_residual"),
-    "vanishing": ("VanishingReport", "obstruction_check", "qhat", "spin_c_exists",
-                  "vanishing_verdicts"),
+    "vanishing": ("VanishingReport", "obstruction_check", "qhat", "vanishing_verdicts"),
 }
 _SUBMODULE = {name: module for module, names in _SUBMODULE_NAMES.items() for name in names}
 

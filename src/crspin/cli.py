@@ -56,6 +56,9 @@ ker box_q); the identities rows off D's degree slabs and its terms'
 fiber matrices, and off D^2, which with D freed gives every Lichnerowicz
 residual.  So D, box and D^2 are never held together, no stack outlives
 the pass, and no check forms a full-space or base_dim x base_dim matrix.
+A pass that raises (a ``MemoryError`` in the gather, say) runs once: the
+memo keeps its exception without the traceback and raises it again for
+each later check, so every check that reads the sector reports it.
 A term off its degree shift is the identities check's grading row; the
 kernel and shift table readers refuse it.  The conformal check
 evaluates exact trigonometric polynomials and their frame derivatives at
@@ -249,8 +252,9 @@ def _space_sectors(config) -> list:
 class _RunMemo:
     """Objects the checks of one run share: sector spaces, one pass over each sector's D, and the shift table.
 
-    A pass computes only what ``checks`` read and keeps reductions, never stacks.  Only successful builds
-    are kept, so a build that raises fails every check that asks for it, as an unshared build would.
+    A pass computes only what ``checks`` read and keeps reductions, never stacks.  A pass that raises is kept
+    as its exception, without the traceback whose frames hold the partial stacks, and raised again for each
+    later check.  Only successful space builds are kept, so a failed build fails each check that asks for it.
     """
 
     def __init__(self, model, config, checks):
@@ -270,33 +274,41 @@ class _RunMemo:
     def reductions(self, sector) -> dict:
         """The sector's one pass over D: ``grading``, then ``shift``, ``kernel``, ``rows``, ``square`` as needed."""
         if sector not in self._passes:
-            space = self.space(sector)
-            dirac, grading = dirac_blocks(space)
-            out = {"grading": grading}
-            if self._shift:
-                out["shift"] = shift_defects(space, dirac)
-            if self._kernel:
-                out["kernel"] = block_kernel_report(space, dirac, tol=self.config["tolerances"]["spectral"])
-            if self._rows:
-                fib = [space.module.grade_slice(q) for q in range(space.m + 1)]
-                adjoint = max(float(np.abs(dirac[:, lo, hi] - dirac[:, hi, lo].conj().transpose(0, 2, 1)).max())
-                              for lo, hi in zip(fib, fib[1:]))
-                square = dirac @ dirac
-                del dirac  # every row of D is read
-                # D+ fills the slabs (q+1, q) of D and D- the slabs (q-1, q), so D^2 holds D+^2 in (q+2, q) and D-^2
-                # in (q, q+2).  These slab reads see every nonzero entry only while the grading row passes, which is
-                # why grading is read off the terms' fiber matrices (``stack`` writes only where one is nonzero).
-                out["rows"] = {
-                    "dirac_plus_squared": max(
-                        (float(np.abs(square[:, hi, lo]).max()) for lo, hi in zip(fib, fib[2:])), default=0.0),
-                    "dirac_minus_squared": max(
-                        (float(np.abs(square[:, lo, hi]).max()) for lo, hi in zip(fib, fib[2:])), default=0.0),
-                    "adjoint_defect": adjoint,
-                    "grading_defect": max(grading),
-                }
-                out["square"] = square_residuals(space, square)
-            self._passes[sector] = out
-        return self._passes[sector]
+            try:
+                self._passes[sector] = self._pass(self.space(sector))
+            except Exception as exc:
+                self._passes[sector] = exc.with_traceback(None)
+        out = self._passes[sector]
+        if isinstance(out, Exception):
+            raise out.with_traceback(None)
+        return out
+
+    def _pass(self, space) -> dict:
+        dirac, grading = dirac_blocks(space)
+        out = {"grading": grading}
+        if self._shift:
+            out["shift"] = shift_defects(space, dirac)
+        if self._kernel:
+            out["kernel"] = block_kernel_report(space, dirac, tol=self.config["tolerances"]["spectral"])
+        if self._rows:
+            fib = [space.module.grade_slice(q) for q in range(space.m + 1)]
+            adjoint = max(float(np.abs(dirac[:, lo, hi] - dirac[:, hi, lo].conj().transpose(0, 2, 1)).max())
+                          for lo, hi in zip(fib, fib[1:]))
+            square = dirac @ dirac
+            del dirac  # every row of D is read
+            # D+ fills the slabs (q+1, q) of D and D- the slabs (q-1, q), so D^2 holds D+^2 in (q+2, q) and D-^2
+            # in (q, q+2).  These slab reads see every nonzero entry only while the grading row passes, which is
+            # why grading is read off the terms' fiber matrices (``stack`` writes only where one is nonzero).
+            out["rows"] = {
+                "dirac_plus_squared": max(
+                    (float(np.abs(square[:, hi, lo]).max()) for lo, hi in zip(fib, fib[2:])), default=0.0),
+                "dirac_minus_squared": max(
+                    (float(np.abs(square[:, lo, hi]).max()) for lo, hi in zip(fib, fib[2:])), default=0.0),
+                "adjoint_defect": adjoint,
+                "grading_defect": max(grading),
+            }
+            out["square"] = square_residuals(space, square)
+        return out
 
     def graded(self, sector, key):
         """The pass's ``key`` reduction, refused for a D term off its degree shift."""

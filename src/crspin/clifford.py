@@ -40,7 +40,6 @@ __all__ = [
     "theta_matrix",
     "creation_matrix",
     "annihilation_matrix",
-    "vector_matrix",
     "two_form_matrix",
     "dtheta_frame_matrix",
 ]
@@ -95,7 +94,7 @@ class SpinorModule:
             self._grade_start[q + 1] = self._grade_start[q] + comb(m, q)
 
     def index_of(self, subset: Iterable[int]) -> int:
-        key = frozenset(int(a) for a in subset)
+        key = frozenset(_integer(a, "subset element") for a in subset)
         try:
             return self._position[key]
         except KeyError:
@@ -105,10 +104,6 @@ class SpinorModule:
         """Basis positions of the degree-q spinors; every grade a caller takes is checked here."""
         _integer(q, "grade q", 0, self.m)
         return slice(self._grade_start[q], self._grade_start[q + 1])
-
-    def grade_dim(self, q: int) -> int:
-        block = self.grade_slice(q)
-        return block.stop - block.start
 
 
 @lru_cache(maxsize=None)
@@ -149,21 +144,6 @@ def _real_frame_matrices(m: int) -> tuple[np.ndarray, ...]:
     """c(real_a) = create - annihilate, then c(realJ_a) = i (create + annihilate)."""
     pairs = [_jordan_wigner(m, a) for a in range(1, m + 1)]
     return tuple([c - a for c, a in pairs] + [1j * (c + a) for c, a in pairs])
-
-
-def vector_matrix(m: int, coefficients: np.ndarray) -> np.ndarray:
-    """Clifford action of a real frame vector with the given 2m components.
-
-    Component order is (real_1, ..., real_m, realJ_1, ..., realJ_m).
-    """
-    coefficients = np.asarray(coefficients)
-    if coefficients.shape != (2 * m,):
-        raise ValueError(f"expected {2 * m} frame components, got shape {coefficients.shape}")
-    out = np.zeros((SpinorModule(m).dim,) * 2, dtype=complex)
-    for coeff, mat in zip(coefficients, _real_frame_matrices(m)):
-        if coeff:
-            out += coeff * mat
-    return out
 
 
 def two_form_matrix(m: int, components: np.ndarray) -> np.ndarray:

@@ -51,7 +51,6 @@ __all__ = [
 class ModelFlags:
     torsion_free: bool = False
     regular: bool = False
-    transverse_symmetry: bool = False
     pseudo_einstein: bool = False
 
 
@@ -124,7 +123,6 @@ class PseudoHermitianModel:
     tau: np.ndarray = None
     rho: np.ndarray = None
     scal_w: float = 0.0
-    structure_constants: np.ndarray = None
     flags: ModelFlags = field(default_factory=ModelFlags)
     curvature: np.ndarray = None
     scal_h: float | None = None
@@ -146,10 +144,6 @@ class PseudoHermitianModel:
             raise ValueError(f"Ricci matrix must be {m} x {m}")
         if np.linalg.norm(self.rho - self.rho.conj().T) > 1e-12:
             raise ValueError("Ricci matrix must be Hermitian")
-        if self.structure_constants is None:
-            # [s_i, s_j] has Reeb component -dtheta(s_i, s_j)
-            self.structure_constants = -dtheta_frame_matrix(m)
-        self.structure_constants = np.asarray(self.structure_constants, dtype=float)
         if self.curvature is None:
             self.curvature = np.zeros((2 * m,) * 4)
         self.curvature = np.asarray(self.curvature, dtype=float)
@@ -202,7 +196,7 @@ def heisenberg_model(m: int, k: int = 0, truncation: TruncationSpec | None = Non
         ell=ell,
         kind="heisenberg",
         k=k,
-        flags=ModelFlags(torsion_free=True, regular=True, transverse_symmetry=True, pseudo_einstein=True),
+        flags=ModelFlags(torsion_free=True, regular=True, pseudo_einstein=True),
         scal_h=0.0,
         truncation=truncation or default_truncation(m),
     )
@@ -231,7 +225,7 @@ def cr_alpha_bundle(
         lattice=lattice,
         flux=c,
         s=s,
-        flags=ModelFlags(torsion_free=True, regular=True, transverse_symmetry=True, pseudo_einstein=True),
+        flags=ModelFlags(torsion_free=True, regular=True, pseudo_einstein=True),
         scal_h=0.0,
         truncation=truncation or default_truncation(m),
     )
@@ -271,7 +265,7 @@ def sphere_model(m: int, scal_w: float = 1.0, ell: int = 0) -> SphereModel:
         kind="sphere",
         rho=(scal_w / (4.0 * m)) * np.eye(m),
         scal_w=scal_w,
-        flags=ModelFlags(torsion_free=True, regular=True, transverse_symmetry=True, pseudo_einstein=True),
+        flags=ModelFlags(torsion_free=True, regular=True, pseudo_einstein=True),
         curvature=space_form_curvature(m, kappa),
         scal_h=scal_w,
     )

@@ -32,11 +32,9 @@ real-frame derivatives.
 
 Twistor operators project the full covariant derivative onto the kernel
 of Clifford contraction, with the degree-dependent weights
-a_q = 1/(2(q+1)) and b_q = 1/(2(m-q+1)).  Their output is stacked over
-2m coframe slots (the E_a slots first, then the Ebar_a slots).  The
+a_q = 1/(2(q+1)) and b_q = 1/(2(m-q+1)) (``twistor_weights``).  The
 conformal check forms its twistors pointwise (``weitzenboeck._twistor``);
-``assemble_twistor`` and ``twistor_contraction`` are that route's dense
-test oracle, and no check of a run calls them.
+their dense oracle is a test helper, since no check of a run reads it.
 
 D's term lists are stacked in one place, ``dirac_blocks``, with their
 ``grading_defects``: each term's largest fiber entry off its degree
@@ -79,8 +77,6 @@ __all__ = [
     "nabla_T_terms",
     "nabla_T_defect",
     "sub_laplacian_defect",
-    "assemble_twistor",
-    "twistor_contraction",
     "cluster_eigenvalues",
     "kernel_report",
     "block_kernel_report",
@@ -103,10 +99,6 @@ class OperatorMatrix:
     space: SectionSpace
     name: str = ""
     mu_shift: int | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[1]
 
     def hermitian_defect(self) -> float:
         if self.mat.shape[0] != self.mat.shape[1]:
@@ -207,51 +199,6 @@ def nabla_T_defect(space: SectionSpace) -> float:
 def twistor_weights(m: int, q: int) -> tuple[float, float]:
     """(a_q, b_q) projection weights for the degree-q twistor operator."""
     return 1.0 / (2.0 * (q + 1)), 1.0 / (2.0 * (m - q + 1))
-
-
-def _twistor_slots(space: SectionSpace, inject, weight, c_self, c_other, nabla) -> list:
-    """Slots nabla_a + weight c_self[a] (2 sum_b c_other[b] nabla_b) on the ``inject`` block.
-
-    The bracket is D+ or D- written out as its Kronecker terms.
-    """
-    return [
-        space.mixed(inject, nabla[a])
-        + sum(space.mixed(2.0 * weight * c_self[a] @ c_other[b] @ inject, nabla[b]) for b in range(space.m))
-        for a in range(space.m)
-    ]
-
-
-def assemble_twistor(space: SectionSpace, q: int) -> OperatorMatrix:
-    """Twistor operator on the degree-q block, stacked over 2m coframe slots.
-
-    Rows are grouped as m full-space slots for the E_a coframe directions
-    followed by m slots for the Ebar_a directions; the image lies in the
-    kernel of Clifford contraction.  Dense test oracle of the pointwise
-    twistor ``weitzenboeck._twistor``; no check of a run calls it.
-    """
-    m = space.m
-    inject = np.eye(space.fiber_dim)[:, space.module.grade_slice(q)]
-    a_q, b_q = twistor_weights(m, q)
-    c_e = [creation_matrix(m, a) for a in range(1, m + 1)]
-    c_ebar = [-annihilation_matrix(m, a) for a in range(1, m + 1)]
-    slots = _twistor_slots(space, inject, b_q, c_e, c_ebar, space.nabla_e)
-    slots += _twistor_slots(space, inject, a_q, c_ebar, c_e, space.nabla_ebar)
-    return OperatorMatrix(np.vstack(slots), space, name=f"P({q})", mu_shift=None)
-
-
-def twistor_contraction(space: SectionSpace, q: int) -> np.ndarray:
-    """Clifford contraction matrix on the 2m-slot stack produced by the twistor assembly.
-
-    A coframe slot u in the E_a group contributes 2 Ebar_a . u and a slot
-    in the Ebar_a group contributes 2 E_a . u; the metric duality of the
-    half-normalized frame supplies the factor 2.  Test oracle beside
-    ``assemble_twistor``; no check of a run calls it.
-    """
-    space.module.grade_slice(q)  # refuses a grade no spinor has
-    m = space.m
-    blocks = [space.lift_fiber(-2.0 * annihilation_matrix(m, a)) for a in range(1, m + 1)]
-    blocks += [space.lift_fiber(2.0 * creation_matrix(m, a)) for a in range(1, m + 1)]
-    return np.hstack(blocks)
 
 
 def cluster_eigenvalues(evals, tol: float = 1e-8) -> list[tuple[float, int]]:

@@ -45,7 +45,6 @@ __all__ = [
     "VanishingReport",
     "ObstructionVerdict",
     "qhat",
-    "spin_c_exists",
     "vanishing_verdicts",
     "obstruction_check",
     "spectral_consistency",
@@ -79,19 +78,6 @@ def qhat(m: int, ell: int) -> Fraction:
     _integer(m, "CR dimension m", low=1)
     _integer(ell, "weight")
     return Fraction(m * (m + ell + 2), 2 * (m + 2))
-
-
-def spin_c_exists(m: int, p: int, square_root_exists: bool = False) -> bool:
-    """Whether a weight-p structure exists for the canonical-root setup.
-
-    True when the root line bundle itself has a square root, or when m
-    and p are both odd, or both even.
-    """
-    _integer(m, "CR dimension m", low=1)
-    _integer(p, "weight")
-    if square_root_exists:
-        return True
-    return (m % 2) == (p % 2)
 
 
 @dataclass

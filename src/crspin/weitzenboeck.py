@@ -78,10 +78,6 @@ class CurvatureTerm:
     ell: int
     as_matrix: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.as_matrix.shape[0]
-
 
 def curvature_term(model: PseudoHermitianModel, ell: int, q: int) -> CurvatureTerm:
     """Curvature term of the Kohn-Dirac square on the weight-q block.
@@ -316,13 +312,13 @@ def _twistor(inners: np.ndarray, half: _Half, q: int, ctx: _FiberContext) -> np.
     return inners + w_q * (half.c_self @ _dirac(inners, half))
 
 
-def default_sample_points(dim: int, count: int = 24) -> np.ndarray:
+def default_sample_points(dim: int) -> np.ndarray:
     """Deterministic low-discrepancy sample points on the unit torus: the fractional parts of
-    step * sqrt(p) + 0.05 for the first ``dim`` primes p."""
+    step * sqrt(p) + 0.05, step = 1..24, for the first ``dim`` primes p."""
     primes = list(itertools.islice((n for n in itertools.count(2) if all(n % d for d in range(2, n))),
                                     _integer(dim, "dimension", low=1)))
     alphas = np.sqrt(np.array(primes, dtype=float)) % 1.0
-    steps = np.arange(1, _integer(count, "sample count", low=1) + 1, dtype=float)[:, None]
+    steps = np.arange(1, 25, dtype=float)[:, None]
     return (steps * alphas + 0.05) % 1.0
 
 
@@ -353,19 +349,15 @@ def _pointwise_defect(lhs: np.ndarray, rhs: np.ndarray, weight_exponent: float, 
     return float(np.max(np.exp(-weight_exponent * f.value.real) * np.abs(lhs - rhs)))
 
 
-def _conformal_inputs(space: SectionSpace, ell: int, f: ConformalScale, sample_points) -> tuple[_FiberContext, np.ndarray, _Jet]:
-    """Fiber context, sample points and f's jet there, after checking ell, f and the points against the space."""
+def _conformal_inputs(space: SectionSpace, ell: int, f: ConformalScale) -> tuple[_FiberContext, np.ndarray, _Jet]:
+    """Fiber context, the default sample points and f's jet there, after checking ell and f against the space."""
     _integer(ell, "weight")
     if not isinstance(f, ConformalScale):
         raise TypeError(f"conformal factor must be a ConformalScale, got {type(f).__name__}")
     m = space.m
     if f.m != m:
         raise ValueError(f"conformal factor has m = {f.m}, section space has m = {m}")
-    if sample_points is None:
-        sample_points = default_sample_points(2 * m)
-    points = np.atleast_2d(np.asarray(sample_points, dtype=float))
-    if points.shape[1] != 2 * m:
-        raise ValueError(f"sample points need {2 * m} coordinates, got {points.shape[1]}")
+    points = default_sample_points(2 * m)
     return _FiberContext(m), points, _jet([f.poly], points, m)
 
 
@@ -398,19 +390,19 @@ def _covariance_defects(ctx, ell, q, f: _Jet, points, offsets=(0,)):
     return out
 
 
-def conformal_check(space: SectionSpace, ell: int, f: ConformalScale, sample_points=None) -> float:
+def conformal_check(space: SectionSpace, ell: int, f: ConformalScale) -> float:
     """Worst pointwise defect of the conformal covariance laws.
 
     For every weight block the degree-raising and degree-lowering Dirac
     halves and both twistor components are conjugated by their canonical
     exp(-v f) powers and compared against the flat operators at the
-    sample points; on the block mu = -ell (when it exists) the full
-    Kohn-Dirac operator is additionally checked at weight m + 1 against
-    weight m + 2 on the output.  Everything is evaluated with exact
+    ``default_sample_points``; on the block mu = -ell (when it exists)
+    the full Kohn-Dirac operator is additionally checked at weight m + 1
+    against weight m + 2 on the output.  Everything is evaluated with exact
     derivatives of the trigonometric factor, so the result is
     truncation-independent.
     """
-    ctx, points, fjet = _conformal_inputs(space, ell, f, sample_points)
+    ctx, points, fjet = _conformal_inputs(space, ell, f)
     m = space.m
     worst = 0.0
     for q in range(m + 1):
@@ -433,9 +425,8 @@ def exponent_scan(
     q: int,
     f: ConformalScale,
     offsets=(-2, -1, 0, 1, 2),
-    sample_points=None,
 ) -> dict:
-    """Covariance defects with integer-perturbed conformal weights.
+    """Covariance defects with integer-perturbed conformal weights, at the ``default_sample_points``.
 
     Returns {operator: {offset: defect}}; the canonical weights are the
     offset-0 entries and are the only ones expected to vanish.  Note
@@ -444,6 +435,6 @@ def exponent_scan(
     also one twistor projection on each), where the scan is flat and
     carries no information.
     """
-    ctx, points, fjet = _conformal_inputs(space, ell, f, sample_points)
+    ctx, points, fjet = _conformal_inputs(space, ell, f)
     space.module.grade_slice(q)  # refuses a grade no spinor has
     return _covariance_defects(ctx, ell, q, fjet, points, offsets=tuple(offsets))

@@ -1,6 +1,7 @@
 """The per-slot block layer: partner tables, stacked operators and the spectral checks read off them."""
 
 import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
@@ -202,7 +203,7 @@ def test_block_kernels_reject_nonpositive_tolerances():
 def dense_rhs(space, laps, twist, q):
     """Full-space degree-q block of the square formula's right-hand side, summed term by term."""
     m, mu = space.m, space.m - 2 * q
-    eye = np.eye(space.module.grade_dim(q))
+    eye = np.eye(comb(m, q))
     rhs = space.mixed((1.0 - mu / m) * eye, laps[0])
     rhs += space.mixed((1.0 + mu / m) * eye, laps[1])
     rhs += space.mixed(curvature_term(space.model, twist, q).as_matrix, np.ones(space.base_dim))

