@@ -49,13 +49,14 @@ The checks of one run share a per-run memo, the one per-sector cache:
 each sector's SectionSpace is built once, and on its first use one pass
 gathers D's per-slot blocks (``operators.dirac_blocks``) and keeps only
 the reductions the requested checks read, in this order: the shift
-defects off box, formed on D's (q+1, q) slabs (identities, the torus
-shift table); the kernel counts, batched 2^m x 2^m eigensolves of D's
-degree Grams (spectrum, vanishing and both cohomology tables, ker D_q =
-ker box_q); the identities rows off D's degree slabs and its terms'
-fiber matrices, and off D^2, which with D freed gives every Lichnerowicz
-residual.  So D, box and D^2 are never held together, no stack outlives
-the pass, and no check forms a full-space or base_dim x base_dim matrix.
+defects off box's degree slabs, formed from D's (q+1, q) slabs
+(identities, the torus shift table); the kernel counts, batched 2^m x 2^m
+eigensolves of D's degree Grams (spectrum, vanishing and both cohomology
+tables, ker D_q = ker box_q); the identities rows off D's degree slabs
+and its terms' fiber matrices, and off D^2, which with D freed gives
+every Lichnerowicz residual.  So D, box and D^2 are never held together,
+no stack outlives the pass, and no check forms a full-space or base_dim
+x base_dim matrix.
 A pass that raises (a ``MemoryError`` in the gather, say) runs once: the
 memo keeps its exception without the traceback and raises it again for
 each later check, so every check that reads the sector reports it.

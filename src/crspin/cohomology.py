@@ -10,12 +10,13 @@ creation/annihilation matrices:
     box   = dbar* dbar + dbar dbar* = (P^H P + P P^H) / 2,   P = D+ = sqrt(2) dbar,
 
 where w_a wedges the a-th antiholomorphic coframe element.  D+ is
-nonzero only on its degree slabs (q+1, q), so one slab routine forms box:
-each slab adds its P^H P to box's slab (q, q) and its P P^H to
-(q+1, q+1).  Indexed with ``...``, the same body runs on D's per-slot
-blocks (``kohn_laplacian_blocks``: D's (q+1, q) slabs are D+'s blocks,
-D- fills the (q-1, q) ones) and on the dense D+ (``kohn_laplacian``, the
-oracle), read per sector only for the shift defects (``shift_defects``).
+nonzero only on its degree slabs (q+1, q), so box only on its slabs
+(q, q), and one slab routine forms that list: each slab of P adds its
+P^H P to box's slab q and its P P^H to slab q+1.  The same body runs on
+D's per-slot blocks (``kohn_laplacian_blocks``: D's (q+1, q) slabs are
+D+'s blocks, D- fills the (q-1, q) ones), read per sector only for the
+shift defects (``shift_defects``), and on the dense D+ (``kohn_laplacian``,
+the oracle, which places the slabs in a full-space matrix).
 Both read nabla_{Ebar} only, while D- reads nabla_E: D^2 = 2 box on the
 degree blocks compares D+ D- + D- D+ with D+^H D+ + D+ D+^H, two routes
 that part when D- is not the adjoint of D+.
@@ -69,28 +70,33 @@ MODEL_LEVEL_NOTE = (
 )
 
 
-def _box_on_slabs(plus: np.ndarray, slabs: list[slice]) -> np.ndarray:
-    """(P^H P + P P^H) / 2 for P the degree slabs (q+1, q) of ``plus`` (a matrix or a stack; no other slab is
-    read) over the index slices ``slabs``: each P[q+1, q] adds to the slabs (q, q) and (q+1, q+1)."""
-    box = np.zeros_like(plus)
-    for low, high in zip(slabs, slabs[1:]):
+def _box_on_slabs(plus: np.ndarray, slabs: list[slice]) -> list[np.ndarray]:
+    """box's degree slabs (q, q), the only ones it fills, of (P^H P + P P^H) / 2 for P the slabs (q+1, q) of ``plus`` (a
+    matrix or a stack; no other slab is read) over the index slices ``slabs``: each P[q+1, q] adds to slabs q, q+1."""
+    box = [np.zeros_like(plus[..., fib, fib]) for fib in slabs]
+    for q, (low, high) in enumerate(zip(slabs, slabs[1:])):
         step = plus[..., high, low]
         adj = step.conj().swapaxes(-1, -2)
-        box[..., low, low] += adj @ step
-        box[..., high, high] += step @ adj
-    box *= 0.5
+        box[q] += adj @ step
+        box[q + 1] += step @ adj
+    for slab in box:
+        slab *= 0.5
     return box
 
 
-def kohn_laplacian_blocks(space: SectionSpace, dirac: np.ndarray) -> np.ndarray:
-    """Per-slot blocks of box from D's blocks ``dirac`` (``dirac_blocks``), whose (q+1, q) slabs are D+'s."""
+def kohn_laplacian_blocks(space: SectionSpace, dirac: np.ndarray) -> list[np.ndarray]:
+    """box's degree slabs (q, q) on the per-slot blocks, from D's blocks ``dirac`` (``dirac_blocks``; D+'s (q+1, q))."""
     return _box_on_slabs(dirac, [space.module.grade_slice(q) for q in range(space.m + 1)])
 
 
 def kohn_laplacian(space: SectionSpace) -> OperatorMatrix:
-    """dbar* dbar + dbar dbar* as a full-space matrix, from the degree blocks of the dense D+."""
-    box = _box_on_slabs(assemble_dplus(space).mat, [space.grade_block(q) for q in range(space.m + 1)])
-    return OperatorMatrix(box, space, name="box", mu_shift=0)
+    """dbar* dbar + dbar dbar* as a full-space matrix: the degree slabs of the dense D+'s box, placed."""
+    dplus = assemble_dplus(space).mat
+    slabs = [space.grade_block(q) for q in range(space.m + 1)]
+    box = np.zeros_like(dplus)
+    for fib, slab in zip(slabs, _box_on_slabs(dplus, slabs)):
+        box[fib, fib] = slab
+    return OperatorMatrix(box, space, mu_shift=0)
 
 
 def sector_identity_residual(space: SectionSpace) -> dict[int, float]:
@@ -104,16 +110,16 @@ def shift_defects(space: SectionSpace, dirac: np.ndarray) -> dict[int, float]:
     """Defect of box - box_bar = (m - q) N on complete blocks, per degree q, with box read off D's blocks ``dirac``.
 
     box_bar = nabla_10* nabla_10 = I (x) diag(lap10), the base bundle's connection Laplacian, has the blocks
-    ``diag(lap10[partners])``, taken off box's diagonals in place.  Both sides are zero between blocks, so
-    the blocks carry every nonzero entry of the full-space difference.
+    ``diag(lap10[partners])``, taken off the diagonals of box's degree slabs in place.  Both sides are zero
+    between blocks and between degrees, so the slabs carry every nonzero entry of the full-space difference.
     """
     box = kohn_laplacian_blocks(space, dirac)
     box_bar = space.horizontal_laplacians()[0][space.blocks()]
     weight = -2.0 * space.t
     out: dict[int, float] = {}
-    for q in range(space.m + 1):
+    for q, diff in enumerate(box):
         fib = space.module.grade_slice(q)
-        diff, diag = box[:, fib, fib], np.arange(fib.stop - fib.start)
+        diag = np.arange(fib.stop - fib.start)
         diff[:, diag, diag] -= box_bar[:, fib]
         diff -= (space.m - q) * weight * np.eye(len(diag))
         out[q] = space.complete_max(diff, fib)

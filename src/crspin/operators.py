@@ -97,7 +97,6 @@ class OperatorMatrix:
 
     mat: np.ndarray
     space: SectionSpace
-    name: str = ""
     mu_shift: int | None = None
 
     def hermitian_defect(self) -> float:
@@ -142,17 +141,17 @@ def dirac_blocks(space: SectionSpace) -> tuple[np.ndarray, list[float]]:
 
 def assemble_dplus(space: SectionSpace) -> OperatorMatrix:
     """Degree-raising half of the Kohn-Dirac operator."""
-    return OperatorMatrix(space.dense(dplus_terms(space)), space, name="D+", mu_shift=-2)
+    return OperatorMatrix(space.dense(dplus_terms(space)), space, mu_shift=-2)
 
 
 def assemble_dminus(space: SectionSpace) -> OperatorMatrix:
     """Degree-lowering half of the Kohn-Dirac operator; adjoint of D+."""
-    return OperatorMatrix(space.dense(dminus_terms(space)), space, name="D-", mu_shift=2)
+    return OperatorMatrix(space.dense(dminus_terms(space)), space, mu_shift=2)
 
 
 def assemble_kohn_dirac(space: SectionSpace) -> OperatorMatrix:
     mat = assemble_dplus(space).mat + assemble_dminus(space).mat
-    return OperatorMatrix(mat, space, name="D", mu_shift=None)
+    return OperatorMatrix(mat, space, mu_shift=None)
 
 
 def sub_laplacian_defect(space: SectionSpace) -> float:

@@ -186,7 +186,7 @@ def _evaluate_clauses(model, ell, q, profile):
             satisfied.append("RegVan-a")
             witnesses["scal_h"] = float(model.scal_h)
 
-    term_min = float(np.linalg.eigvalsh(curvature_term(model, ell, q).as_matrix).min())
+    term_min = float(np.linalg.eigvalsh(curvature_term(model, ell, q)).min())
     witnesses["curvature_term_min"] = term_min
     if term_min > _EIG_TOL:
         satisfied.append("vani-Q")

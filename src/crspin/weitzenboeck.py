@@ -13,9 +13,10 @@ twist, and the fixed-weight identity is its twist-ell case on the block
 mu = -ell.  Both read D^2 as per-slot blocks (``operators.dirac_blocks``,
 squared by a batched ``@``) on the present states of complete blocks
 (``SectionSpace.complete_max``).  The weighted horizontal Laplacians do
-not depend on the twist, so they are stacked once on the whole fiber
-(``_laplacian_stack``), and each twist adds its curvature term on the
-degree slices it reads, so no full-space matrix is formed.
+not depend on the twist and are diagonal on every block, so they are held
+as one (n_blocks, 2^m) diagonal (``_weighted_laplacians``) and come off
+D^2's diagonal once; each twist takes its curvature term off the degree
+blocks it reads, so no full-space matrix is formed.
 
 It also hosts the conformal covariance checks: under a rescaling of the
 contact form by exp(2 f), suitably weighted powers of exp(-f) intertwine
@@ -51,7 +52,6 @@ from .operators import dirac_blocks, twistor_weights
 from .sections import SectionSpace
 
 __all__ = [
-    "CurvatureTerm",
     "curvature_term",
     "ricci_spinor_action",
     "q_split",
@@ -65,22 +65,8 @@ __all__ = [
 ]
 
 
-@dataclass
-class CurvatureTerm:
-    """Zeroth-order curvature block of the Kohn-Dirac square.
-
-    ``as_matrix`` acts on the weight block mu = m - 2q of the spinor
-    fiber and is Hermitian whenever the model's Ricci matrix is.
-    """
-
-    q: int
-    mu: int
-    ell: int
-    as_matrix: np.ndarray
-
-
-def curvature_term(model: PseudoHermitianModel, ell: int, q: int) -> CurvatureTerm:
-    """Curvature term of the Kohn-Dirac square on the weight-q block.
+def curvature_term(model: PseudoHermitianModel, ell: int, q: int) -> np.ndarray:
+    """Curvature term of the Kohn-Dirac square on the weight-q block, Hermitian whenever the model's Ricci matrix is.
 
     The block operator is
 
@@ -97,7 +83,7 @@ def curvature_term(model: PseudoHermitianModel, ell: int, q: int) -> CurvatureTe
     coeff = ell / (m + 2) + mu / m
     scalar = (1.0 + ell * mu / (m * (m + 2))) * model.scal_w / 4.0
     full = -0.5j * coeff * crho + scalar * np.eye(crho.shape[0])
-    return CurvatureTerm(q=q, mu=mu, ell=ell, as_matrix=full[block, block])
+    return full[block, block]
 
 
 def ricci_spinor_action(rho: np.ndarray) -> np.ndarray:
@@ -145,13 +131,17 @@ def q_split(model: PseudoHermitianModel, ell: int, q: int) -> tuple[np.ndarray, 
     return r_star, k
 
 
-def _laplacian_stack(space: SectionSpace) -> np.ndarray:
-    """Per-slot blocks of ((m - mu)/m) nabla_10* nabla_10 + ((m + mu)/m) nabla_01* nabla_01 on each weight
-    block mu = m - 2q: the square formula's right-hand side without its curvature term, whole fiber."""
+def _weighted_laplacians(space: SectionSpace) -> np.ndarray:
+    """((m - mu)/m) lap10 + ((m + mu)/m) lap01 on each block's states, mu = m - 2q on degree q, shape
+    (n_blocks, 2^m): the diagonals of the square formula's right-hand side without its curvature term."""
     m = space.m
     mu = np.array([m - 2 * len(s) for s in space.module.subsets])
     lap10, lap01 = space.horizontal_laplacians()
-    return space.stack([(np.diag(1.0 - mu / m), lap10), (np.diag(1.0 + mu / m), lap01)])
+    lap, high = lap10[space.blocks()], lap01[space.blocks()]
+    lap *= 1.0 - mu / m
+    high *= 1.0 + mu / m
+    lap += high
+    return lap
 
 
 def sl_residual(space: SectionSpace) -> float:
@@ -191,23 +181,24 @@ def square_residuals(space: SectionSpace, square: np.ndarray) -> tuple[float, di
     """(``sl_residual``, {ell: ``dl_residual``} at every admissible ell) off ``square``.
 
     ``square`` holds the per-slot blocks of D^2, shape (n_blocks, 2^m, 2^m),
-    as ``dirac @ dirac`` forms them from the blocks ``dirac`` of D.  The horizontal
-    Laplacians are stacked once; each twist adds its curvature term on
-    the degree slices it reads, and the model's twist on the whole stack,
-    in place.
+    as ``dirac @ dirac`` forms them from the blocks ``dirac`` of D, and is
+    read only.  In one copy, the weighted Laplacians come off the diagonal;
+    each degree block then gives its twist's fixed-weight residual and takes
+    off the model's curvature term in place.  The formula keeps the degree,
+    so D^2's entries between degrees are residual as they stand.
     """
     m, model = space.m, space.model
-    laps = _laplacian_stack(space)
-    curvature = np.zeros((space.fiber_dim, space.fiber_dim), dtype=complex)
+    residual = square.copy()
+    diag = np.arange(space.fiber_dim)
+    residual[:, diag, diag] -= _weighted_laplacians(space)
     covariant = {}
     for q in range(m + 1):
         fib = space.module.grade_slice(q)
-        curvature[fib, fib] = curvature_term(model, model.ell, q).as_matrix
+        block = residual[:, fib, fib]
         # the fixed-weight identity at twist ell = 2q - m is read on its block mu = -ell
-        rhs = laps[:, fib, fib] + curvature_term(model, 2 * q - m, q).as_matrix
-        covariant[2 * q - m] = space.complete_max(square[:, fib, fib] - rhs, fib)
-    laps += curvature
-    return space.complete_max(np.subtract(square, laps, out=laps)), covariant
+        covariant[2 * q - m] = space.complete_max(block - curvature_term(model, 2 * q - m, q), fib)
+        block -= curvature_term(model, model.ell, q)
+    return space.complete_max(residual), covariant
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +419,9 @@ def exponent_scan(
 ) -> dict:
     """Covariance defects with integer-perturbed conformal weights, at the ``default_sample_points``.
 
-    Returns {operator: {offset: defect}}; the canonical weights are the
-    offset-0 entries and are the only ones expected to vanish.  Note
+    Returns {operator: {offset: defect}} over the int ``offsets`` (a bool
+    or float is refused); the canonical weights are the offset-0 entries
+    and are the only ones expected to vanish.  Note
     that some operators are identically zero on extreme grades (the
     lowering half on q = 0, the raising half on q = m, and for m = 1
     also one twistor projection on each), where the scan is flat and
@@ -437,4 +429,4 @@ def exponent_scan(
     """
     ctx, points, fjet = _conformal_inputs(space, ell, f)
     space.module.grade_slice(q)  # refuses a grade no spinor has
-    return _covariance_defects(ctx, ell, q, fjet, points, offsets=tuple(offsets))
+    return _covariance_defects(ctx, ell, q, fjet, points, offsets=tuple(_integer(off, "offset") for off in offsets))

@@ -314,7 +314,7 @@ def test_dirac_kernel_eigenvalues_are_the_block_spectra(space):
 
 def test_kernel_of_identity_is_empty():
     space = SectionSpace(heisenberg_model(1, k=0))
-    eye = OperatorMatrix(np.eye(space.dim), space, name="Id", mu_shift=0)
+    eye = OperatorMatrix(np.eye(space.dim), space, mu_shift=0)
     assert {q: (count.dim, count.spurious) for q, count in kernel_report(eye).items()} == {0: (0, 0), 1: (0, 0)}
     for tol in (0.0, -1e-8):
         with pytest.raises(ValueError, match="kernel tolerance must be positive"):

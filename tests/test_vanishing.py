@@ -285,7 +285,7 @@ def test_curvature_term_bound_on_shipped_models():
                 if m * ell + (m + 2) * mu < 0:
                     continue
                 bound = (m - mu) * (m + 2 - ell) / (m * (m + 2)) * model.scal_w / 4.0
-                term_min = np.linalg.eigvalsh(curvature_term(model, ell, q).as_matrix).min()
+                term_min = np.linalg.eigvalsh(curvature_term(model, ell, q)).min()
                 assert term_min >= bound - 1e-10
 
 

@@ -1,6 +1,7 @@
 """Tests of the curvature terms and conformal covariance checks."""
 
-import dataclasses
+import re
+from math import comb
 
 import numpy as np
 import pytest
@@ -74,28 +75,28 @@ def test_curvature_term_zero_ricci_is_scalar():
             mu = 2 - 2 * q
             term = curvature_term(model, ell, q)
             expected = (1.0 + ell * mu / 8.0) * 0.75
-            assert term.mu == mu
-            assert np.abs(term.as_matrix - expected * np.eye(len(term.as_matrix))).max() < 1e-13
+            assert term.shape == (comb(2, q), comb(2, q))
+            assert np.abs(term - expected * np.eye(len(term))).max() < 1e-13
 
 
 def test_curvature_term_flat_vanishes():
     model = heisenberg_model(2)
     for ell in (-2, 0, 1, 4):
         for q in range(3):
-            assert np.abs(curvature_term(model, ell, q).as_matrix).max() == 0.0
+            assert np.abs(curvature_term(model, ell, q)).max() == 0.0
 
 
 def test_curvature_term_hermitian():
     model = PseudoHermitianModel(m=3, rho=random_hermitian(3, 11), scal_w=2.0)
     for q in range(4):
-        mat = curvature_term(model, -2, q).as_matrix
+        mat = curvature_term(model, -2, q)
         assert np.abs(mat - mat.conj().T).max() < 1e-12
 
 
 def test_sphere_untwisted_interior_term_positive_definite():
     model = sphere_model(2, scal_w=1.0)
     term = curvature_term(model, 0, 1)
-    evals = np.linalg.eigvalsh(term.as_matrix)
+    evals = np.linalg.eigvalsh(term)
     assert evals.min() > 0.0
 
 
@@ -123,7 +124,7 @@ def test_curvature_term_eigenvalue_bound(data):
     rho = a @ a.conj().T
     scal = float(4.0 * np.real(np.trace(rho)))
     model = PseudoHermitianModel(m=m, rho=rho, scal_w=scal)
-    mat = curvature_term(model, ell, q).as_matrix
+    mat = curvature_term(model, ell, q)
     assert np.abs(mat - mat.conj().T).max() < 1e-10
     bound = (m - mu) * (m + 2 - ell) / (m * (m + 2)) * scal / 4.0
     assert np.linalg.eigvalsh(mat).min() >= bound - 1e-10
@@ -147,7 +148,7 @@ def test_q_split_reassembles_curvature_term():
             for q in range(m + 1):
                 r_star, k = q_split(model, ell, q)
                 total = (2.0 * (m - q) / m) * r_star + k
-                term = curvature_term(model, ell, q).as_matrix
+                term = curvature_term(model, ell, q)
                 assert np.abs(total - term).max() < 1e-12
                 assert abs(np.trace(k)) < 1e-12
 
@@ -286,7 +287,7 @@ def test_square_identities_read_curvature_term(model, monkeypatch):
 
     def shifted(model, ell, q):
         out = term(model, ell, q)
-        return dataclasses.replace(out, as_matrix=out.as_matrix + shift * np.eye(len(out.as_matrix)))
+        return out + shift * np.eye(len(out))
 
     monkeypatch.setattr(weitzenboeck, "curvature_term", shifted)
     space = SectionSpace(model)
@@ -439,15 +440,22 @@ def test_exponent_scan_refuses_a_grade_no_spinor_has(q):
         exponent_scan(flat_space(2), 0, q, ConformalScale.cosine(2, amplitude=0.1))
 
 
-@pytest.mark.parametrize("check", [lambda space, f: conformal_check(space, -1, f),
-                                   lambda space, f: exponent_scan(space, -1, 0, f)],
-                         ids=["conformal_check", "exponent_scan"])
-def test_conformal_entry_points_check_their_inputs(check):
+@pytest.mark.parametrize("check, offset", [
+    (lambda space, f: conformal_check(space, -1, f), None),
+    (lambda space, f: exponent_scan(space, -1, 0, f), None),
+    *((lambda space, f, offset=offset: exponent_scan(space, -1, 0, f, offsets=(0, offset)), offset)
+      for offset in (True, 0.5, 1.0)),
+], ids=["conformal_check", "exponent_scan", "offset-True", "offset-0.5", "offset-1.0"])
+def test_conformal_entry_points_check_their_inputs(check, offset):
     space = flat_space(1)
     with pytest.raises(TypeError, match="must be a ConformalScale"):
         check(space, 0.3)
     with pytest.raises(ValueError, match="conformal factor has m = 2, section space has m = 1"):
         check(space, ConformalScale.cosine(2, amplitude=0.1))
+    if offset is not None:
+        # a scan perturbs the weight by integers; a bool or float offset would be a key of its own
+        with pytest.raises(ValueError, match=rf"offset must be an integer, got {re.escape(repr(offset))}$"):
+            check(space, ConformalScale.cosine(1, amplitude=0.1))
 
 
 @pytest.mark.parametrize("mutate", [lambda direction, c_self, c_other, sign: (direction, c_other, c_self, sign),

@@ -38,7 +38,7 @@ def assemble_twistor(space, q: int) -> OperatorMatrix:
     c_ebar = [-annihilation_matrix(m, a) for a in range(1, m + 1)]
     slots = _twistor_slots(space, inject, b_q, c_e, c_ebar, space.nabla_e)
     slots += _twistor_slots(space, inject, a_q, c_ebar, c_e, space.nabla_ebar)
-    return OperatorMatrix(np.vstack(slots), space, name=f"P({q})", mu_shift=None)
+    return OperatorMatrix(np.vstack(slots), space, mu_shift=None)
 
 
 def twistor_contraction(space, q: int) -> np.ndarray:
