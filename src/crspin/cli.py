@@ -53,10 +53,11 @@ defects off box's degree slabs, formed from D's (q+1, q) slabs
 (identities, the torus shift table); the kernel counts, batched 2^m x 2^m
 eigensolves of D's degree Grams (spectrum, vanishing and both cohomology
 tables, ker D_q = ker box_q); the identities rows off D's degree slabs
-and its terms' fiber matrices, and off D^2, which with D freed gives
-every Lichnerowicz residual.  So D, box and D^2 are never held together,
-no stack outlives the pass, and no check forms a full-space or base_dim
-x base_dim matrix.
+and its terms' fiber matrices, and off D^2, which
+``weitzenboeck.square_residuals`` forms from D one degree row block at a
+time for the D+^2 and D-^2 rows and every Lichnerowicz residual.  So box
+and D^2 are never held together, no full D^2 is held, no stack outlives
+the pass, and no check forms a full-space or base_dim x base_dim matrix.
 A pass that raises (a ``MemoryError`` in the gather, say) runs once: the
 memo keeps its exception without the traceback and raises it again for
 each later check, so every check that reads the sector reports it.
@@ -88,6 +89,7 @@ from .cohomology import harmonic_spinor_table, shift_defects, shift_table
 from .models import (
     TruncationSpec,
     cr_alpha_bundle,
+    default_truncation,
     heisenberg_model,
     sphere_model,
 )
@@ -197,9 +199,9 @@ def load_config(path: str) -> dict:
             trunc_raw = model_raw["truncation"]
             _expect_mapping(trunc_raw, "model.truncation")
             _reject_unknown(trunc_raw, {"fourier_radius", "ladder_levels"}, "model.truncation")
-            radius = _expect_int(trunc_raw.get("fourier_radius", 1), "model.truncation.fourier_radius", low=1)
-            levels = _expect_int(trunc_raw.get("ladder_levels", 6), "model.truncation.ladder_levels", low=2)
-            model["truncation"] = {"fourier_radius": radius, "ladder_levels": levels}
+            trunc = asdict(default_truncation(m)) | trunc_raw  # an omitted field takes the model's default
+            model["truncation"] = {key: _expect_int(trunc[key], f"model.truncation.{key}", low=low)
+                                   for key, low in (("fourier_radius", 1), ("ladder_levels", 2))}
 
     checks = raw.get("checks", [])
     if not isinstance(checks, list):
@@ -295,20 +297,11 @@ class _RunMemo:
             fib = [space.module.grade_slice(q) for q in range(space.m + 1)]
             adjoint = max(float(np.abs(dirac[:, lo, hi] - dirac[:, hi, lo].conj().transpose(0, 2, 1)).max())
                           for lo, hi in zip(fib, fib[1:]))
-            square = dirac @ dirac
-            del dirac  # every row of D is read
-            # D+ fills the slabs (q+1, q) of D and D- the slabs (q-1, q), so D^2 holds D+^2 in (q+2, q) and D-^2
-            # in (q, q+2).  These slab reads see every nonzero entry only while the grading row passes, which is
-            # why grading is read off the terms' fiber matrices (``stack`` writes only where one is nonzero).
-            out["rows"] = {
-                "dirac_plus_squared": max(
-                    (float(np.abs(square[:, hi, lo]).max()) for lo, hi in zip(fib, fib[2:])), default=0.0),
-                "dirac_minus_squared": max(
-                    (float(np.abs(square[:, lo, hi]).max()) for lo, hi in zip(fib, fib[2:])), default=0.0),
-                "adjoint_defect": adjoint,
-                "grading_defect": max(grading),
-            }
-            out["square"] = square_residuals(space, square)
+            # grading is read off the terms' fiber matrices: D+^2 and D-^2 see every entry only while it passes
+            lichnerowicz, covariant, plus, minus = square_residuals(space, dirac)
+            out["rows"] = {"dirac_plus_squared": plus, "dirac_minus_squared": minus,
+                           "adjoint_defect": adjoint, "grading_defect": max(grading)}
+            out["square"] = lichnerowicz, covariant
         return out
 
     def graded(self, sector, key):

@@ -334,13 +334,13 @@ class SectionSpace:
                          f"per-slot blocks (fiber entry ({fiber_rows[i]}, {fiber_cols[i]}), "
                          f"base entry ({base_rows[j]}, {base_cols[j]}))")
 
-    def complete_max(self, stack: np.ndarray, states: slice = slice(None)) -> float:
-        """Largest |entry| of ``stack`` (per-slot blocks on the fiber states ``states``) between present
-        states of complete blocks, where the truncated operators act as the untruncated ones; every
-        residual is read here."""
-        inside = (self.blocks() >= 0)[:, states] & self.block_complete()[:, None]
-        entries = stack[inside[:, :, None] & inside[:, None, :]]
-        return float(np.abs(entries).max()) if entries.size else 0.0
+    def complete_max(self, stack: np.ndarray, rows: slice = slice(None), cols: slice | None = None) -> float:
+        """Largest |entry| of ``stack`` (per-slot blocks from fiber states ``cols``, default ``rows``, to ``rows``)
+        between present states of complete blocks, where the truncated operators act as the untruncated ones;
+        every residual is read here, its moduli written into one real buffer under that mask, copying no entry."""
+        inside = (self.blocks() >= 0) & self.block_complete()[:, None]
+        mask = inside[:, rows, None] & inside[:, None, rows if cols is None else cols]
+        return float(np.abs(stack, out=np.zeros(stack.shape), where=mask).max(initial=0.0))
 
     def grade_block(self, q: int) -> slice:
         """Index slice of the degree-q spinor block in the full space."""

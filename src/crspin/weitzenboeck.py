@@ -10,13 +10,14 @@ data, splits them into a Ricci derivation part and a trace-free
 remainder, and measures residuals of the formula on section spaces: the
 Lichnerowicz identity is the formula on every block at the model's
 twist, and the fixed-weight identity is its twist-ell case on the block
-mu = -ell.  Both read D^2 as per-slot blocks (``operators.dirac_blocks``,
-squared by a batched ``@``) on the present states of complete blocks
-(``SectionSpace.complete_max``).  The weighted horizontal Laplacians do
-not depend on the twist and are diagonal on every block, so they are held
-as one (n_blocks, 2^m) diagonal (``_weighted_laplacians``) and come off
-D^2's diagonal once; each twist takes its curvature term off the degree
-blocks it reads, so no full-space matrix is formed.
+mu = -ell.  Both are read off D^2, which ``square_residuals`` alone forms
+from D's per-slot blocks (``operators.dirac_blocks``), one degree row block
+at a time, on the present states of complete blocks (``complete_max``).
+The weighted horizontal Laplacians do not depend on the twist and are
+diagonal on every block, so they are held as one (n_blocks, 2^m) diagonal
+(``_weighted_laplacians``) and come off each row's diagonal once; each
+twist takes its curvature term off the degree block it reads, so neither
+a full D^2 nor a full-space matrix is formed.
 
 It also hosts the conformal covariance checks: under a rescaling of the
 contact form by exp(2 f), suitably weighted powers of exp(-f) intertwine
@@ -147,13 +148,13 @@ def _weighted_laplacians(space: SectionSpace) -> np.ndarray:
 def sl_residual(space: SectionSpace) -> float:
     """Residual of the Schroedinger-Lichnerowicz identity on complete blocks.
 
-    Compares D^2 against the weighted sum of horizontal Laplacians plus
-    the curvature term at the model's twist, on the present states of the
-    per-slot blocks the ladder cutoff left complete, where both sides are
-    the untruncated operators' blocks.  Between degrees the residual is
-    D^2's own entry.
+    Compares D^2, squared from the space's own gather of D, against the
+    weighted sum of horizontal Laplacians plus the curvature term at the
+    model's twist, on the present states of the per-slot blocks the ladder
+    cutoff left complete, where both sides are the untruncated operators'
+    blocks.  Between degrees the residual is D^2's own entry.
     """
-    return square_residuals(space, np.linalg.matrix_power(dirac_blocks(space)[0], 2))[0]
+    return square_residuals(space, dirac_blocks(space)[0])[0]
 
 
 def dl_residual(space: SectionSpace, ell: int) -> float:
@@ -174,31 +175,36 @@ def dl_residual(space: SectionSpace, ell: int) -> float:
         raise ValueError(
             f"no weight block mu = {-ell} for m = {m}; ell must lie in {{-m, -m+2, ..., m}}"
         )
-    return square_residuals(space, np.linalg.matrix_power(dirac_blocks(space)[0], 2))[1][ell]
+    return square_residuals(space, dirac_blocks(space)[0])[1][ell]
 
 
-def square_residuals(space: SectionSpace, square: np.ndarray) -> tuple[float, dict[int, float]]:
-    """(``sl_residual``, {ell: ``dl_residual``} at every admissible ell) off ``square``.
+def square_residuals(space: SectionSpace, dirac: np.ndarray) -> tuple[float, dict[int, float], float, float]:
+    """(``sl_residual``, {ell: ``dl_residual``} at every admissible ell, max |D+^2|, max |D-^2|) off D's blocks.
 
-    ``square`` holds the per-slot blocks of D^2, shape (n_blocks, 2^m, 2^m),
-    as ``dirac @ dirac`` forms them from the blocks ``dirac`` of D, and is
-    read only.  In one copy, the weighted Laplacians come off the diagonal;
-    each degree block then gives its twist's fixed-weight residual and takes
-    off the model's curvature term in place.  The formula keeps the degree,
-    so D^2's entries between degrees are residual as they stand.
+    ``dirac`` holds D's per-slot blocks (``operators.dirac_blocks``) and is read only.  D^2 is formed here
+    alone, one degree row block at a time, so no full D^2 is held.  On the degree-q row the weighted Laplacians
+    come off the diagonal of the (q, q) slab, which gives the twist 2q - m fixed-weight residual and then takes
+    off the model's curvature term in place; the formula keeps the degree, so the row's other entries are
+    residual as they stand.  D+ fills D's slabs (q+1, q) and D- its slabs (q-1, q), so the row's slabs
+    (q, q-2) and (q, q+2) are D+^2 and D-^2, read on every block.
     """
     m, model = space.m, space.model
-    residual = square.copy()
-    diag = np.arange(space.fiber_dim)
-    residual[:, diag, diag] -= _weighted_laplacians(space)
-    covariant = {}
-    for q in range(m + 1):
-        fib = space.module.grade_slice(q)
-        block = residual[:, fib, fib]
+    laplacians = _weighted_laplacians(space)
+    fibs = [space.module.grade_slice(q) for q in range(m + 1)]
+    lichnerowicz, covariant, plus, minus = [], {}, [], []
+    for q, fib in enumerate(fibs):
+        row = dirac[:, fib] @ dirac
+        block = row[:, :, fib]
+        diag = np.arange(fib.stop - fib.start)
+        block[:, diag, diag] -= laplacians[:, fib]
         # the fixed-weight identity at twist ell = 2q - m is read on its block mu = -ell
         covariant[2 * q - m] = space.complete_max(block - curvature_term(model, 2 * q - m, q), fib)
         block -= curvature_term(model, model.ell, q)
-    return space.complete_max(residual), covariant
+        lichnerowicz.append(space.complete_max(row, fib, slice(None)))
+        plus.append(np.abs(row[:, :, fibs[q - 2]]).max() if q >= 2 else 0.0)
+        minus.append(np.abs(row[:, :, fibs[q + 2]]).max() if q + 2 <= m else 0.0)
+    # np.max, not max: a NaN row must reach the report
+    return float(np.max(lichnerowicz)), covariant, float(np.max(plus)), float(np.max(minus))
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,18 @@ def test_zero_flux_rejected(tmp_path, capsys):
     assert "model.flux" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("m, given, expected", [
+    (1, {"ladder_levels": 4}, {"fourier_radius": 3, "ladder_levels": 4}),
+    (1, {"fourier_radius": 2}, {"fourier_radius": 2, "ladder_levels": 10}),
+    (2, {"ladder_levels": 4}, {"fourier_radius": 1, "ladder_levels": 4}),
+    (3, {}, {"fourier_radius": 1, "ladder_levels": 6}),
+])
+def test_omitted_truncation_fields_take_the_model_default(tmp_path, m, given, expected):
+    # a field the config leaves out takes the value a model without any truncation uses (m = 1: radius 3, 10 levels)
+    cfg = write_config(tmp_path, {"model": {"kind": "heisenberg", "m": m, "truncation": given}})
+    assert cli.load_config(cfg)["model"]["truncation"] == expected
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_full_run_byte_identical(tmp_path, fmt):
     cfg = write_config(tmp_path, TORUS_ALL)

@@ -240,5 +240,10 @@ def test_complete_max_ignores_cut_blocks_and_absent_states():
     assert space.complete_max(stack) == 3.0
     assert space.complete_max(stack[:, fib, fib], fib) == 3.0
     assert space.complete_max(stack[:, :1, :1], slice(0, 1)) == 0.5
+    # rectangular: rows of degree 1 from the degree-0 state 0, present in every block
+    stack[j, 1, 0] = -4.0
+    assert space.complete_max(stack[:, fib, :1], fib, slice(0, 1)) == 4.0
+    assert space.complete_max(stack[:, :1, fib], slice(0, 1), fib) == 0.5
+    assert space.complete_max(stack[:, fib, fib], fib) == 3.0
     # a block the cutoff cut into, and a state it removed from a complete block, are never read
     assert not inside[~space.block_complete()].any() and not inside[space.block_complete()].all()

@@ -17,6 +17,10 @@ Under each file that differs in bytes it prints the first differing line:
 its number, the parent text and the change text.  When the two files
 differ only in their numbers (the text between numeric tokens is the
 same), it also prints the largest |parent - change| over those tokens.
+After the summary line it prints one line per ``*_report.json`` key path
+whose numbers moved, with the keys under ``sectors`` folded to ``*``: the
+number of files where it moved, the largest |change - parent|, and how
+many of its numbers moved up and how many down.
 Exits 0 when both trees wrote the same files with the same bytes and
 exit codes, 1 otherwise.  ``perfbench/`` is read, never written.
 """
@@ -87,8 +91,30 @@ def numeric_delta(parent: Path, change: Path) -> float | None:
     return max((abs(float(a) - float(b)) for a, b in zip(_NUMBER.findall(old), _NUMBER.findall(new))), default=0.0)
 
 
+def numeric_leaves(node, path: tuple = ()):
+    """(key path, number) of every number in a parsed report, the keys under ``sectors`` folded to ``*``."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from numeric_leaves(value, path + ("*" if path[-1:] == ("sectors",) else key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from numeric_leaves(value, path + (f"[{i}]",))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield ".".join(path), node
+
+
+def moved_numbers(parent: Path, change: Path) -> list[tuple[str, float]]:
+    """(folded key path, change - parent) of every number that differs between two reports, or [] when
+    their key paths differ."""
+    old, new = (list(numeric_leaves(json.loads(path.read_text()))) for path in (parent, change))
+    if [key for key, _ in old] != [key for key, _ in new]:
+        return []
+    return [(key, b - a) for (key, a), (_, b) in zip(old, new) if a != b]
+
+
 def compare(trees: dict[str, Path], work: Path) -> int:
     files = differing = code_clashes = 0
+    moved = {}  # (report file name, folded key path) -> (names of the configs where it moved, deltas)
     for name, config, fmt in cases():
         config_path = work / f"{name}.json"
         config_path.write_text(json.dumps(config))
@@ -113,8 +139,16 @@ def compare(trees: dict[str, Path], work: Path) -> int:
                 delta = numeric_delta(parent / file, change / file)
                 if delta is not None:
                     print(f"  max |delta| over numeric tokens: {delta:.3e}")
+                if file.endswith("_report.json"):
+                    for key, step in moved_numbers(parent / file, change / file):
+                        names, steps = moved.setdefault((file, key), (set(), []))
+                        names.add(name)
+                        steps.append(step)
     print(f"{len(cases())} configs, {files} files, {differing} differing, "
           f"{code_clashes} exit-code mismatches")
+    for (file, key), (names, steps) in sorted(moved.items()):
+        print(f"{file} {key}: {len(names)} files, max |delta| {max(map(abs, steps)):.3e}, "
+              f"{sum(step > 0 for step in steps)} up, {sum(step < 0 for step in steps)} down")
     return 0 if differing == 0 and code_clashes == 0 else 1
 
 
