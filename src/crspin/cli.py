@@ -47,20 +47,16 @@ cut into, counted as ``spurious``) are reported as warnings; under
 
 The checks of one run share a per-run memo, the one per-sector cache:
 each sector's SectionSpace is built once, and on its first use one pass
-gathers D's per-slot blocks (``operators.dirac_blocks``) and keeps only
-the reductions the requested checks read, in this order: the shift
-defects off box's degree slabs, formed from D's (q+1, q) slabs
-(identities, the torus shift table); the kernel counts, batched 2^m x 2^m
-eigensolves of D's degree Grams (spectrum, vanishing and both cohomology
-tables, ker D_q = ker box_q); the identities rows off D's degree slabs
-and its terms' fiber matrices, and off D^2, which
-``weitzenboeck.square_residuals`` forms from D one degree row block at a
-time for the D+^2 and D-^2 rows and every Lichnerowicz residual.  So box
-and D^2 are never held together, no full D^2 is held, no stack outlives
-the pass, and no check forms a full-space or base_dim x base_dim matrix.
-A pass that raises (a ``MemoryError`` in the gather, say) runs once: the
-memo keeps its exception without the traceback and raises it again for
-each later check, so every check that reads the sector reports it.
+gathers D's keys (``operators.dirac_blocks``) and keeps only the
+reductions the requested checks read, in this order: the shift defects
+(identities, the torus shift table); the kernel counts (spectrum,
+vanishing and both cohomology tables, ker D_q = ker box_q); the
+identities rows off D's keys, its terms' fiber matrices and D^2.  Box, the
+Grams and D^2 are row joins of D's keys (``SectionSpace.product_rows``),
+so no whole product is held, no key outlives the pass, and no check forms
+a full-space or base_dim x base_dim matrix.  Every check that reads a
+sector whose pass raised reports that error, and a ``MemoryError`` names
+the reader it came from.
 A term off its degree shift is the identities check's grading row; the
 kernel and shift table readers refuse it.  The conformal check
 evaluates exact trigonometric polynomials and their frame derivatives at
@@ -255,8 +251,8 @@ def _space_sectors(config) -> list:
 class _RunMemo:
     """Objects the checks of one run share: sector spaces, one pass over each sector's D, and the shift table.
 
-    A pass computes only what ``checks`` read and keeps reductions, never stacks.  A pass that raises is kept
-    as its exception, without the traceback whose frames hold the partial stacks, and raised again for each
+    A pass computes only what ``checks`` read and keeps reductions, never keys.  A pass that raises is kept
+    as its exception, without the traceback whose frames hold D's keys, and raised again for each
     later check.  Only successful space builds are kept, so a failed build fails each check that asks for it.
     """
 
@@ -287,21 +283,31 @@ class _RunMemo:
         return out
 
     def _pass(self, space) -> dict:
-        dirac, grading = dirac_blocks(space)
-        out = {"grading": grading}
-        if self._shift:
-            out["shift"] = shift_defects(space, dirac)
-        if self._kernel:
-            out["kernel"] = block_kernel_report(space, dirac, tol=self.config["tolerances"]["spectral"])
-        if self._rows:
-            fib = [space.module.grade_slice(q) for q in range(space.m + 1)]
-            adjoint = max(float(np.abs(dirac[:, lo, hi] - dirac[:, hi, lo].conj().transpose(0, 2, 1)).max())
-                          for lo, hi in zip(fib, fib[1:]))
-            # grading is read off the terms' fiber matrices: D+^2 and D-^2 see every entry only while it passes
-            lichnerowicz, covariant, plus, minus = square_residuals(space, dirac)
-            out["rows"] = {"dirac_plus_squared": plus, "dirac_minus_squared": minus,
-                           "adjoint_defect": adjoint, "grading_defect": max(grading)}
-            out["square"] = lichnerowicz, covariant
+        reader = "the gather"
+        try:
+            dirac, grading = dirac_blocks(space)
+            out = {"grading": grading}
+            if self._shift:
+                reader = "shift defects"
+                out["shift"] = shift_defects(space, dirac)
+            if self._kernel:
+                reader = "kernel counts"
+                out["kernel"] = block_kernel_report(space, dirac, tol=self.config["tolerances"]["spectral"])
+            if self._rows:
+                reader = "D^2"
+                degree = space.module.degrees
+                # D-'s key (s, c) one degree down against D+'s (c, s), a missing key read as 0
+                pairs = {(s, c) if degree[s] < degree[c] else (c, s)
+                         for s, c in dirac if abs(degree[s] - degree[c]) == 1}
+                adjoint = np.max([np.abs(dirac.get((s, c), 0.0) - np.conj(dirac.get((c, s), 0.0))).max()
+                                  for s, c in pairs], initial=0.0)
+                # grading is read off the terms' fiber matrices: D+^2 and D-^2 see every entry only while it passes
+                lichnerowicz, covariant, plus, minus = square_residuals(space, dirac)
+                out["rows"] = {"dirac_plus_squared": plus, "dirac_minus_squared": minus,
+                               "adjoint_defect": float(adjoint), "grading_defect": max(grading)}
+                out["square"] = lichnerowicz, covariant
+        except MemoryError as exc:
+            raise MemoryError(f"{exc} (in {reader})") from None
         return out
 
     def graded(self, sector, key):

@@ -88,6 +88,7 @@ class SpinorModule:
         self.subsets: Tuple[Subset, ...] = tuple(
             frozenset(c) for q in range(m + 1) for c in combinations(range(1, m + 1), q)
         )
+        self.degrees = tuple(len(s) for s in self.subsets)
         self._position = {s: i for i, s in enumerate(self.subsets)}
         self._grade_start = [0] * (m + 2)
         for q in range(m + 1):

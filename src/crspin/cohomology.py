@@ -9,14 +9,10 @@ creation/annihilation matrices:
     dbar* = honest matrix adjoint,
     box   = dbar* dbar + dbar dbar* = (P^H P + P P^H) / 2,   P = D+ = sqrt(2) dbar,
 
-where w_a wedges the a-th antiholomorphic coframe element.  D+ is
-nonzero only on its degree slabs (q+1, q), so box only on its slabs
-(q, q), and one slab routine forms that list: each slab of P adds its
-P^H P to box's slab q and its P P^H to slab q+1.  The same body runs on
-D's per-slot blocks (``kohn_laplacian_blocks``: D's (q+1, q) slabs are
-D+'s blocks, D- fills the (q-1, q) ones), read per sector only for the
-shift defects (``shift_defects``), and on the dense D+ (``kohn_laplacian``,
-the oracle, which places the slabs in a full-space matrix).
+where w_a wedges the a-th antiholomorphic coframe element.  On the
+per-slot blocks box is joined one fiber row at a time from D's keys one
+degree up, D+'s (``kohn_laplacian_blocks``), read per sector only for the
+shift defects (``shift_defects``); the dense oracle is ``kohn_laplacian``.
 Both read nabla_{Ebar} only, while D- reads nabla_E: D^2 = 2 box on the
 degree blocks compares D+ D- + D- D+ with D+^H D+ + D+ D+^H, two routes
 that part when D- is not the adjoint of D+.
@@ -70,32 +66,27 @@ MODEL_LEVEL_NOTE = (
 )
 
 
-def _box_on_slabs(plus: np.ndarray, slabs: list[slice]) -> list[np.ndarray]:
-    """box's degree slabs (q, q), the only ones it fills, of (P^H P + P P^H) / 2 for P the slabs (q+1, q) of ``plus`` (a
-    matrix or a stack; no other slab is read) over the index slices ``slabs``: each P[q+1, q] adds to slabs q, q+1."""
-    box = [np.zeros_like(plus[..., fib, fib]) for fib in slabs]
-    for q, (low, high) in enumerate(zip(slabs, slabs[1:])):
-        step = plus[..., high, low]
-        adj = step.conj().swapaxes(-1, -2)
-        box[q] += adj @ step
-        box[q + 1] += step @ adj
-    for slab in box:
-        slab *= 0.5
-    return box
-
-
-def kohn_laplacian_blocks(space: SectionSpace, dirac: np.ndarray) -> list[np.ndarray]:
-    """box's degree slabs (q, q) on the per-slot blocks, from D's blocks ``dirac`` (``dirac_blocks``; D+'s (q+1, q))."""
-    return _box_on_slabs(dirac, [space.module.grade_slice(q) for q in range(space.m + 1)])
+def kohn_laplacian_blocks(space: SectionSpace, dirac: dict):
+    """box's fiber rows on the per-slot blocks as keys, one at a time: the degree-keeping part of S S / 2 for
+    S = P + P^H, P D's keys one degree up (``dirac_blocks``), which are D+'s."""
+    degree = space.module.degrees
+    plus = {(s, c): vec for (s, c), vec in dirac.items() if degree[s] == degree[c] + 1}
+    both = {**plus, **{(c, s): vec.conj() for (s, c), vec in plus.items()}}
+    for s, row in enumerate(space.product_rows(both, both)):
+        yield {(s, c): 0.5 * vec for (_, c), vec in row.items() if degree[c] == degree[s]}
 
 
 def kohn_laplacian(space: SectionSpace) -> OperatorMatrix:
-    """dbar* dbar + dbar dbar* as a full-space matrix: the degree slabs of the dense D+'s box, placed."""
+    """dbar* dbar + dbar dbar* as a full-space matrix, from the dense D+ one slab (q+1, q) at a time."""
     dplus = assemble_dplus(space).mat
     slabs = [space.grade_block(q) for q in range(space.m + 1)]
     box = np.zeros_like(dplus)
-    for fib, slab in zip(slabs, _box_on_slabs(dplus, slabs)):
-        box[fib, fib] = slab
+    for low, high in zip(slabs, slabs[1:]):
+        step = dplus[high, low]
+        adj = step.conj().T
+        box[low, low] += adj @ step
+        box[high, high] += step @ adj
+    box *= 0.5
     return OperatorMatrix(box, space, mu_shift=0)
 
 
@@ -106,24 +97,21 @@ def sector_identity_residual(space: SectionSpace) -> dict[int, float]:
     return shift_defects(space, dirac)
 
 
-def shift_defects(space: SectionSpace, dirac: np.ndarray) -> dict[int, float]:
-    """Defect of box - box_bar = (m - q) N on complete blocks, per degree q, with box read off D's blocks ``dirac``.
+def shift_defects(space: SectionSpace, dirac: dict) -> dict[int, float]:
+    """Defect of box - box_bar = (m - q) N on complete blocks, per degree q, with box's rows joined from D's keys.
 
-    box_bar = nabla_10* nabla_10 = I (x) diag(lap10), the base bundle's connection Laplacian, has the blocks
-    ``diag(lap10[partners])``, taken off the diagonals of box's degree slabs in place.  Both sides are zero
-    between blocks and between degrees, so the slabs carry every nonzero entry of the full-space difference.
+    box_bar = nabla_10* nabla_10 = I (x) diag(lap10), the base bundle's connection Laplacian, comes off the
+    diagonal of each row of box with (m - q) N.  Both sides are zero between blocks and between degrees, so
+    the rows carry every nonzero entry of the full-space difference.
     """
-    box = kohn_laplacian_blocks(space, dirac)
-    box_bar = space.horizontal_laplacians()[0][space.blocks()]
-    weight = -2.0 * space.t
-    out: dict[int, float] = {}
-    for q, diff in enumerate(box):
-        fib = space.module.grade_slice(q)
-        diag = np.arange(fib.stop - fib.start)
-        diff[:, diag, diag] -= box_bar[:, fib]
-        diff -= (space.m - q) * weight * np.eye(len(diag))
-        out[q] = space.complete_max(diff, fib)
-    return out
+    lap10, partners = space.horizontal_laplacians()[0], space.blocks()
+    weight, zeros = -2.0 * space.t, np.zeros(len(partners))
+    out: dict[int, list] = {q: [] for q in range(space.m + 1)}
+    for s, row in enumerate(kohn_laplacian_blocks(space, dirac)):
+        q = space.module.degrees[s]
+        row[s, s] = row.get((s, s), zeros) - lap10[partners[:, s]] - (space.m - q) * weight
+        out[q].append(space.complete_max(row))
+    return {q: float(np.max(defects)) for q, defects in out.items()}
 
 
 def torus_line_bundle_cohomology(lattice: TorusLattice, c: int, s: int, q: int) -> int:

@@ -5,11 +5,10 @@ generator matrices acting on the spinor fiber (``clifford``) and base
 factors acting on base coefficients (``sections``).  Every operator is a
 list of (fiber matrix, base factor) Kronecker terms, D+ and D- written
 once (``dplus_terms``, ``dminus_terms``): ``SectionSpace.stack`` gathers
-a list into the per-slot blocks every check reads, where a batched ``@``
-forms squares, and ``SectionSpace.dense`` sums it into the full-space
-matrix that the ``assemble_*`` oracles return.  The Reeb formula is one
-such list too (``nabla_T_terms``), and ``nabla_T_defect`` compares its
-blocks with i t.
+a list into the keyed per-slot blocks every check reads, and
+``SectionSpace.dense`` sums it into the full-space matrix that the
+``assemble_*`` oracles return.  The Reeb formula is one such list too
+(``nabla_T_terms``), and ``nabla_T_defect`` compares its keys with i t.
 In the unitary frame the Kohn-Dirac operator splits as
 
     D = D_plus + D_minus,
@@ -39,20 +38,19 @@ their dense oracle is a test helper, since no check of a run reads it.
 D's term lists are stacked in one place, ``dirac_blocks``, with their
 ``grading_defects``: each term's largest fiber entry off its degree
 shift.  The identities check reports them as a row; the readers that
-take only the degree slabs the shifts fill (kernel counts here, box in
-``cohomology``) refuse a nonzero one (``_refuse_off_shift``).
+rest on the shifts (kernel counts per degree here, box in ``cohomology``,
+which reads D+'s keys only) refuse a nonzero one (``_refuse_off_shift``).
 
 Kernel counts rest on structure: a null vector in a complete per-slot
 block (``SectionSpace.block_complete``, no state lost to the top cutoff)
 is kernel, and one in any other block is a cutoff artifact.  Two routes
 apply this rule.  ``kernel_report`` eigensolves the full-space degree
 blocks of a dense operator and stays the reference.
-``block_kernel_report`` reads D's per-slot blocks: per degree q it takes
-the Gram matrix of D's degree q-1 and q+1 row slabs on the fixed fiber
-slice and makes one batched eigensolve per pattern of kept states, so no
-check forms a full-space matrix.  A run counts on its one gather of D per
-sector (``cli``), ``dirac_kernel`` on a gather of its own; spectrum,
-vanishing and both cohomology tables read the counts (ker D_q = ker box_q).
+``block_kernel_report`` joins the Gram matrix of D's degree-q columns
+from its keys and makes one batched eigensolve per pattern of kept
+states.  A run counts on its one gather of D per sector (``cli``),
+``dirac_kernel`` on a gather of its own; spectrum, vanishing and both
+cohomology tables read the counts (ker D_q = ker box_q).
 """
 
 from __future__ import annotations
@@ -118,23 +116,23 @@ def dminus_terms(space: SectionSpace) -> list:
 def grading_defects(space: SectionSpace, plus_terms, minus_terms) -> list[float]:
     """Largest |fiber entry| of each term of ``plus_terms + minus_terms`` off its degree shift (output minus
     input degree): +1 for a D+ term, -1 for a D- term."""
-    degree = np.array([len(s) for s in space.module.subsets])
+    degree = np.array(space.module.degrees)
     shift = degree[:, None] - degree[None, :]
     return [float(np.abs(fiber[shift != step]).max()) for terms, step in ((plus_terms, 1), (minus_terms, -1))
             for fiber, _ in terms]
 
 
 def _refuse_off_shift(space: SectionSpace, grading: list[float]) -> None:
-    """Refuse, with ``ValueError``, the first term whose grading defect is nonzero.  ``stack`` writes an entry only
-    where a term's fiber matrix is nonzero, so the degree slabs the shifts fill then hold every nonzero entry."""
+    """Refuse, with ``ValueError``, the first term whose grading defect is nonzero: ``stack`` keys only the fiber
+    positions a term fills, so D's keys then lie one degree apart."""
     for index, defect in enumerate(grading):
         if defect:
             raise ValueError(f"{space.model.kind} sector {space.sector}: term {index} has fiber entries off "
                              f"its degree shift (largest {defect:.2e})")
 
 
-def dirac_blocks(space: SectionSpace) -> tuple[np.ndarray, list[float]]:
-    """Per-slot blocks of D = D+ + D- and the ``grading_defects`` of its terms; the one stack of D's terms."""
+def dirac_blocks(space: SectionSpace) -> tuple[dict, list[float]]:
+    """Keys of D = D+ + D- on the per-slot blocks and the ``grading_defects`` of its terms; the one stack of D."""
     plus_terms, minus_terms = dplus_terms(space), dminus_terms(space)
     return space.stack(plus_terms + minus_terms), grading_defects(space, plus_terms, minus_terms)
 
@@ -183,15 +181,12 @@ def nabla_T_terms(space: SectionSpace) -> list:
 
 
 def nabla_T_defect(space: SectionSpace) -> float:
-    """Largest matrix element separating the Reeb formula from i t on complete blocks, read off per-slot blocks.
-
-    The formula's terms keep the per-slot blocks (``stack`` refuses any
-    that would not) and the direct route is i t times the identity, so
-    the blocks carry every nonzero entry of the full-space difference.
-    """
-    formula = space.stack(nabla_T_terms(space))
-    formula *= 1j / (4.0 * space.m)
-    formula -= 1j * space.t * np.eye(space.fiber_dim)
+    """Largest matrix element separating the Reeb formula from i t on complete blocks.  The formula's terms keep
+    the per-slot blocks (``stack`` refuses any that would not) and i t is diagonal, so the formula's keys and the
+    diagonal carry every nonzero entry of the full-space difference."""
+    formula = {key: vec * (1j / (4.0 * space.m)) for key, vec in space.stack(nabla_T_terms(space)).items()}
+    zeros = np.zeros(len(space.blocks()))
+    formula.update({(s, s): formula.get((s, s), zeros) - 1j * space.t for s in range(space.fiber_dim)})
     return space.complete_max(formula)
 
 
@@ -268,25 +263,25 @@ def kernel_report(op: OperatorMatrix, tol: float = 1e-8) -> dict[int, KernelCoun
     return out
 
 
-def block_kernel_report(space: SectionSpace, stack: np.ndarray, tol: float = 1e-8) -> dict[int, KernelCount]:
-    """``kernel_report`` of the operator whose per-slot blocks are ``stack`` (``SectionSpace.stack``).
+def block_kernel_report(space: SectionSpace, keys: dict, tol: float = 1e-8) -> dict[int, KernelCount]:
+    """``kernel_report`` of the operator D whose per-slot blocks are ``keys`` (``SectionSpace.stack``).
 
-    The operator moves the degree by exactly +-1, as D does once
-    ``_refuse_off_shift`` passes.  Degree q is eigensolved on the fixed fiber slice
-    ``grade_slice(q)`` of every block: its columns are nonzero only in the
-    degree q-1 and q+1 row slabs, so the Gram matrix is the sum of those
-    two slabs' batched products.  Blocks that keep the same states of that
-    slice share one batched ``eigvalsh``.  Each block's null count goes to
-    ``dim`` if the block is complete and to ``spurious`` if not.
+    Degree q is eigensolved on the fixed fiber slice ``grade_slice(q)`` of every block: its Gram matrix sums
+    conj(D[s, c]) D[s, c'] over every row key s of the degree-q columns c, c' (their adjoint joined with them),
+    so no degree shift is assumed.  Blocks that keep the same states of that slice share one batched
+    ``eigvalsh``.  Each block's null count goes to ``dim`` if the block is complete and to ``spurious`` if not.
     """
     tol = _positive(tol, "kernel tolerance")
     present = space.blocks() >= 0
     complete = space.block_complete()
-    slabs = [space.module.grade_slice(q) for q in range(space.m + 1)]
     out: dict[int, KernelCount] = {}
-    for q, fib in enumerate(slabs):
-        near = [stack[:, slabs[p], fib] for p in (q - 1, q + 1) if 0 <= p <= space.m]
-        mats = sum(rows.conj().transpose(0, 2, 1) @ rows for rows in near)
+    for q in range(space.m + 1):
+        fib = space.module.grade_slice(q)
+        cols = {(s, c): vec for (s, c), vec in keys.items() if fib.start <= c < fib.stop}
+        mats = np.zeros((len(present), fib.stop - fib.start, fib.stop - fib.start), dtype=complex)
+        for row in space.product_rows({(c, s): vec.conj() for (s, c), vec in cols.items()}, cols):
+            for (c, c2), vec in row.items():
+                mats[:, c - fib.start, c2 - fib.start] = vec
         keep = np.ascontiguousarray(present[:, fib])
         _, first, which = np.unique(keep.view(np.dtype((np.void, keep.shape[1]))).ravel(),
                                     return_index=True, return_inverse=True)
@@ -296,7 +291,8 @@ def block_kernel_report(space: SectionSpace, stack: np.ndarray, tol: float = 1e-
             states = np.flatnonzero(keep[j])
             if states.size:
                 pick = which == i
-                evals = np.linalg.eigvalsh(mats[np.ix_(pick, states, states)])
+                every = pick.all() and states.size == keep.shape[1]  # one group that keeps every state: no copy
+                evals = np.linalg.eigvalsh(mats if every else mats[np.ix_(pick, states, states)])
                 null, whole = (np.abs(evals) <= tol).sum(axis=1), complete[pick]
                 dim += int(null[whole].sum())
                 spurious += int(null[~whole].sum())
@@ -306,11 +302,8 @@ def block_kernel_report(space: SectionSpace, stack: np.ndarray, tol: float = 1e-
 
 
 def dirac_kernel(space: SectionSpace, tol: float = 1e-8) -> dict[int, KernelCount]:
-    """Kernel counts of the Kohn-Dirac operator from its per-slot blocks (``dirac_blocks``).
-
-    The counts equal ``kernel_report(assemble_kohn_dirac(space))``; no
-    full-space matrix is formed, and a D term off its degree shift is
-    refused (``_refuse_off_shift``).
+    """Kernel counts of the Kohn-Dirac operator from its keys (``dirac_blocks``), equal to
+    ``kernel_report(assemble_kohn_dirac(space))``; a D term off its degree shift is refused (``_refuse_off_shift``).
     """
     tol = _positive(tol, "kernel tolerance")
     dirac, grading = dirac_blocks(space)

@@ -35,13 +35,14 @@ them slot by slot.  The full section space is spanned by (fiber basis) x
 stay contiguous, and every full-space operator is a list of (fiber
 matrix, base factor) Kronecker terms.
 
-The checks read the terms' per-slot blocks: each operator conserves one
-label per slot, so it splits into blocks of at most 2^m rows (``blocks``,
-``block_complete``), and ``stack`` gathers a term list into them by
-looking each factor up on the partners' labels.  The dense oracle that
-tests and the acceptance gate read expands the terms instead:
-``base_matrix`` is the one expansion of a factor, ``mixed(A, B)`` is
-kron(A, B), the lifts are ``mixed`` with an identity factor, and
+The checks read the terms' per-slot blocks of at most 2^m states: each
+operator conserves one label per slot (``blocks``, ``block_complete``).
+``stack`` gathers a term list into them, held as the fiber positions the
+terms fill (m 2^m of 4^m for D), and ``product_rows`` joins two such
+operators one fiber row at a time, so no whole product is held.  The
+dense oracle that tests and the acceptance gate read expands the terms
+instead: ``base_matrix`` is the one expansion of a factor, ``mixed(A, B)``
+is kron(A, B), the lifts are ``mixed`` with an identity factor, and
 ``dense`` sums a list.  No check calls any of them.
 """
 
@@ -139,7 +140,7 @@ class SectionSpace:
         self.dim = self.fiber_dim * self.base_dim
         # fiber occupations, one row per fiber state: bit a is set when slot a+1 is in the subset
         self._bits = np.array([[a in s for a in range(1, self.m + 1)] for s in self.module.subsets], dtype=int)
-        self._partners = self._laplacians = None
+        self._partners = self._inside = self._laplacians = None
 
     def _build_fourier(self, lattice: TorusLattice, radius: int):
         freqs = lattice.dual_frequencies(radius)
@@ -275,21 +276,20 @@ class SectionSpace:
             out += self.mixed(fiber_mat, base_mat)
         return out
 
-    def stack(self, terms) -> np.ndarray:
-        """Blocks of ``dense(terms)``, shape (n_blocks, fiber_dim, fiber_dim), for (fiber matrix, base factor) terms.
+    def stack(self, terms) -> dict:
+        """Blocks of ``dense(terms)`` for (fiber matrix, base factor) terms as keys {(s, s'): (n_blocks,) vector}.
 
-        Entry [j, s, s'] is the full-space entry between the block-j states of fiber states s
-        and s', the same product of the same floats as in ``dense``; entries of removed states
-        are 0.  Only the fiber's nonzeros are gathered: a ``SlotOp`` at the partners' occupations
-        of its slot where the fiber bits of the other slots agree (so do their occupations, in a
-        ladder block), a vector where both partners are one base index.  A term with fewer gathered
-        entries than nnz(fiber) * nnz(base) (nnz(mat) * L^(m-1) for a ``SlotOp``) leaves its
-        blocks and raises ``ValueError`` (``_refuse``).  ``terms`` is iterated once.
+        Entry j of key (s, s') is the full-space entry between the block-j states of fiber states s and s', the
+        same products of the same floats as in ``dense``, summed in term order; entries of removed states are 0,
+        and a fiber position no term fills has no key.  A ``SlotOp`` is gathered at the partners' occupations of
+        its slot where the fiber bits of the other slots agree, a vector where both partners are one base index.
+        A term with fewer gathered entries than nnz(fiber) * nnz(base) (nnz(mat) * L^(m-1) for a ``SlotOp``)
+        leaves its blocks and raises ``ValueError`` (``_refuse``).  ``terms`` is iterated once.
         """
         partners = self.blocks()
         present = partners >= 0
         base = np.where(present, partners, 0)
-        out = np.zeros((len(base), self.fiber_dim, self.fiber_dim), dtype=complex)
+        out = {}
         for index, (fiber_mat, factor) in enumerate(terms):
             fiber_mat = np.asarray(fiber_mat, dtype=complex)
             rows, cols = np.nonzero(fiber_mat)  # the term is 0 off these fiber entries
@@ -307,8 +307,27 @@ class SectionSpace:
             entries[~(present[:, rows] & present[:, cols])] = 0.0
             if np.count_nonzero(entries) != len(rows) * nnz:
                 self._refuse(index, fiber_mat, factor)
-            out[:, rows, cols] += entries
+            for key, vec in zip(zip(rows.tolist(), cols.tolist()), entries.T.copy()):
+                out[key] = out[key] + vec if key in out else vec
         return out
+
+    def product_rows(self, left: dict, right: dict):
+        """Fiber rows s = 0, 1, ... of left·right for keyed blocks (``stack``), one at a time, each as its keys
+        {(s, s'): (n_blocks,) vector}, empty where no term reaches the row: a row join (Gustavson), so no whole
+        product is held.  Entry (s, s') sums left[s, k] right[k, s'] over k in the order of left's keys."""
+        left_rows, right_rows = {}, {}
+        for rows, keys in ((left_rows, left), (right_rows, right)):
+            for (s, col), vec in keys.items():
+                rows.setdefault(s, []).append((col, vec))
+        for s in range(self.fiber_dim):
+            out = {}
+            for k, a in left_rows.get(s, ()):
+                for col, b in right_rows.get(k, ()):
+                    # a * b rounded as ``@`` rounds a one-term product, so one-term Gram entries and the spectra
+                    # read off them keep their floats; numpy's complex multiply rounds otherwise
+                    term = np.einsum("i,i->i", a, b)
+                    out[s, col] = out[s, col] + term if (s, col) in out else term
+            yield out
 
     def _refuse(self, index: int, fiber_mat: np.ndarray, factor):
         """Raise ``ValueError`` naming the first nonzero entry of fiber_mat (x) factor that leaves its block.
@@ -334,13 +353,15 @@ class SectionSpace:
                          f"per-slot blocks (fiber entry ({fiber_rows[i]}, {fiber_cols[i]}), "
                          f"base entry ({base_rows[j]}, {base_cols[j]}))")
 
-    def complete_max(self, stack: np.ndarray, rows: slice = slice(None), cols: slice | None = None) -> float:
-        """Largest |entry| of ``stack`` (per-slot blocks from fiber states ``cols``, default ``rows``, to ``rows``)
-        between present states of complete blocks, where the truncated operators act as the untruncated ones;
-        every residual is read here, its moduli written into one real buffer under that mask, copying no entry."""
-        inside = (self.blocks() >= 0) & self.block_complete()[:, None]
-        mask = inside[:, rows, None] & inside[:, None, rows if cols is None else cols]
-        return float(np.abs(stack, out=np.zeros(stack.shape), where=mask).max(initial=0.0))
+    def complete_max(self, keys: dict) -> float:
+        """Largest |entry| of keyed blocks (``stack``, ``product_rows``) between present states of complete blocks,
+        where the truncated operators act as the untruncated ones; every residual is read here, reduced by
+        ``np.max`` so that a NaN reaches the report."""
+        if self._inside is None:  # the present states of complete blocks, formed once per space
+            self._inside = (self.blocks() >= 0) & self.block_complete()[:, None]
+            self._inside.flags.writeable = False
+        return float(np.max([np.abs(vec[self._inside[:, s] & self._inside[:, col]]).max(initial=0.0)
+                             for (s, col), vec in keys.items()], initial=0.0))
 
     def grade_block(self, q: int) -> slice:
         """Index slice of the degree-q spinor block in the full space."""

@@ -10,14 +10,10 @@ data, splits them into a Ricci derivation part and a trace-free
 remainder, and measures residuals of the formula on section spaces: the
 Lichnerowicz identity is the formula on every block at the model's
 twist, and the fixed-weight identity is its twist-ell case on the block
-mu = -ell.  Both are read off D^2, which ``square_residuals`` alone forms
-from D's per-slot blocks (``operators.dirac_blocks``), one degree row block
-at a time, on the present states of complete blocks (``complete_max``).
-The weighted horizontal Laplacians do not depend on the twist and are
-diagonal on every block, so they are held as one (n_blocks, 2^m) diagonal
-(``_weighted_laplacians``) and come off each row's diagonal once; each
-twist takes its curvature term off the degree block it reads, so neither
-a full D^2 nor a full-space matrix is formed.
+mu = -ell.  Both are read off D^2, which ``square_residuals`` alone joins
+from D's keys (``operators.dirac_blocks``) one fiber row at a time, on the
+present states of complete blocks (``complete_max``): no whole D^2 and no
+full-space matrix is formed.
 
 It also hosts the conformal covariance checks: under a rescaling of the
 contact form by exp(2 f), suitably weighted powers of exp(-f) intertwine
@@ -132,28 +128,10 @@ def q_split(model: PseudoHermitianModel, ell: int, q: int) -> tuple[np.ndarray, 
     return r_star, k
 
 
-def _weighted_laplacians(space: SectionSpace) -> np.ndarray:
-    """((m - mu)/m) lap10 + ((m + mu)/m) lap01 on each block's states, mu = m - 2q on degree q, shape
-    (n_blocks, 2^m): the diagonals of the square formula's right-hand side without its curvature term."""
-    m = space.m
-    mu = np.array([m - 2 * len(s) for s in space.module.subsets])
-    lap10, lap01 = space.horizontal_laplacians()
-    lap, high = lap10[space.blocks()], lap01[space.blocks()]
-    lap *= 1.0 - mu / m
-    high *= 1.0 + mu / m
-    lap += high
-    return lap
-
-
 def sl_residual(space: SectionSpace) -> float:
-    """Residual of the Schroedinger-Lichnerowicz identity on complete blocks.
-
-    Compares D^2, squared from the space's own gather of D, against the
-    weighted sum of horizontal Laplacians plus the curvature term at the
-    model's twist, on the present states of the per-slot blocks the ladder
-    cutoff left complete, where both sides are the untruncated operators'
-    blocks.  Between degrees the residual is D^2's own entry.
-    """
+    """Residual of the Schroedinger-Lichnerowicz identity on complete blocks: D^2, joined from the space's own
+    gather of D, against the weighted sum of horizontal Laplacians plus the curvature term at the model's twist,
+    where both sides are the untruncated operators' blocks.  Between degrees the residual is D^2's own entry."""
     return square_residuals(space, dirac_blocks(space)[0])[0]
 
 
@@ -178,33 +156,43 @@ def dl_residual(space: SectionSpace, ell: int) -> float:
     return square_residuals(space, dirac_blocks(space)[0])[1][ell]
 
 
-def square_residuals(space: SectionSpace, dirac: np.ndarray) -> tuple[float, dict[int, float], float, float]:
-    """(``sl_residual``, {ell: ``dl_residual``} at every admissible ell, max |D+^2|, max |D-^2|) off D's blocks.
+def _less_curvature(row: dict, s: int, start: int, curvature: np.ndarray) -> dict:
+    """Keys of fiber row s of D^2 (``row``) on the degree columns from ``start`` minus row s - start of the curvature
+    term there; a column where the row has no key and the term is 0 stays 0 and is left out."""
+    zeros = np.zeros_like(row[s, s])
+    return {(s, start + j): row.get((s, start + j), zeros) - value for j, value in enumerate(curvature[s - start])
+            if (s, start + j) in row or value != 0}
 
-    ``dirac`` holds D's per-slot blocks (``operators.dirac_blocks``) and is read only.  D^2 is formed here
-    alone, one degree row block at a time, so no full D^2 is held.  On the degree-q row the weighted Laplacians
-    come off the diagonal of the (q, q) slab, which gives the twist 2q - m fixed-weight residual and then takes
-    off the model's curvature term in place; the formula keeps the degree, so the row's other entries are
-    residual as they stand.  D+ fills D's slabs (q+1, q) and D- its slabs (q-1, q), so the row's slabs
-    (q, q-2) and (q, q+2) are D+^2 and D-^2, read on every block.
+
+def square_residuals(space: SectionSpace, dirac: dict) -> tuple[float, dict[int, float], float, float]:
+    """(``sl_residual``, {ell: ``dl_residual``} at every admissible ell, max |D+^2|, max |D-^2|) off D's keys.
+
+    ``dirac`` holds D's keys (``operators.dirac_blocks``) and is read only; D^2 is joined from them here alone,
+    one fiber row at a time.  On the row of a degree-q state the weighted Laplacians come off the diagonal, the
+    curvature term at twist 2q - m off the degree-q columns gives the fixed-weight residual, and the model's the
+    Lichnerowicz residual, whose formula keeps the degree, so the row's other entries count as they stand.
+    D+ fills D's keys one degree up and D- those one degree down, so the row's keys two degrees down and up
+    are D+^2 and D-^2, read on every block.
     """
     m, model = space.m, space.model
-    laplacians = _weighted_laplacians(space)
-    fibs = [space.module.grade_slice(q) for q in range(m + 1)]
-    lichnerowicz, covariant, plus, minus = [], {}, [], []
-    for q, fib in enumerate(fibs):
-        row = dirac[:, fib] @ dirac
-        block = row[:, :, fib]
-        diag = np.arange(fib.stop - fib.start)
-        block[:, diag, diag] -= laplacians[:, fib]
+    lap10, lap01 = space.horizontal_laplacians()
+    partners, degree = space.blocks(), space.module.degrees
+    twists = [(curvature_term(model, 2 * q - m, q), curvature_term(model, model.ell, q)) for q in range(m + 1)]
+    lichnerowicz, covariant, plus, minus = [], {2 * q - m: [] for q in range(m + 1)}, [0.0], [0.0]
+    for s, row in enumerate(space.product_rows(dirac, dirac)):
+        q, start = degree[s], space.module.grade_slice(degree[s]).start
+        mu = m - 2 * q
+        weighted = (1.0 - mu / m) * lap10[partners[:, s]] + (1.0 + mu / m) * lap01[partners[:, s]]
+        row[s, s] = row[s, s] - weighted if (s, s) in row else -weighted
         # the fixed-weight identity at twist ell = 2q - m is read on its block mu = -ell
-        covariant[2 * q - m] = space.complete_max(block - curvature_term(model, 2 * q - m, q), fib)
-        block -= curvature_term(model, model.ell, q)
-        lichnerowicz.append(space.complete_max(row, fib, slice(None)))
-        plus.append(np.abs(row[:, :, fibs[q - 2]]).max() if q >= 2 else 0.0)
-        minus.append(np.abs(row[:, :, fibs[q + 2]]).max() if q + 2 <= m else 0.0)
+        covariant[2 * q - m].append(space.complete_max(_less_curvature(row, s, start, twists[q][0])))
+        row.update(_less_curvature(row, s, start, twists[q][1]))
+        lichnerowicz.append(space.complete_max(row))
+        plus += [np.abs(vec).max() for (_, c), vec in row.items() if degree[c] == q - 2]
+        minus += [np.abs(vec).max() for (_, c), vec in row.items() if degree[c] == q + 2]
     # np.max, not max: a NaN row must reach the report
-    return float(np.max(lichnerowicz)), covariant, float(np.max(plus)), float(np.max(minus))
+    return (float(np.max(lichnerowicz)), {ell: float(np.max(v)) for ell, v in covariant.items()},
+            float(np.max(plus)), float(np.max(minus)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from crspin.cohomology import kohn_laplacian_blocks
+
 
 def full_indices(space):
     """Full-space index of every block state, -1 where the cutoff removed it."""
@@ -21,3 +23,16 @@ def complete_max(space, diff, rows=slice(None)):
     """Largest |entry| of the full-space matrix ``diff`` (on the index slice ``rows``) between those states."""
     mask = complete_mask(space)[rows]
     return float(np.abs(diff[np.ix_(mask, mask)]).max())
+
+
+def to_stack(space, keys):
+    """Dense (n_blocks, fiber_dim, fiber_dim) stack of keyed blocks (``SectionSpace.stack``), 0 where no key is."""
+    out = np.zeros((len(space.blocks()), space.fiber_dim, space.fiber_dim), dtype=complex)
+    for (s, c), vec in keys.items():
+        out[:, s, c] = vec
+    return out
+
+
+def box_keys(space, dirac):
+    """Every row of box (``kohn_laplacian_blocks``) in one dict of keys."""
+    return {key: vec for row in kohn_laplacian_blocks(space, dirac) for key, vec in row.items()}

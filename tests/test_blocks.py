@@ -5,12 +5,11 @@ from math import comb
 
 import numpy as np
 import pytest
-from blockstates import complete_max, full_indices
+from blockstates import box_keys, complete_max, full_indices, to_stack
 
 from crspin import cli, operators
 from crspin.cohomology import (
     kohn_laplacian,
-    kohn_laplacian_blocks,
     sector_identity_residual,
     shift_defects,
     shift_table,
@@ -68,23 +67,24 @@ def test_blocks_cover_every_index_once(space):
 @pytest.mark.parametrize("space", SPACES, ids=IDS)
 @pytest.mark.parametrize("operator", ["D", "box"])
 def test_stack_is_the_dense_assembly_on_blocks(space, operator):
-    # D's blocks gather the dense assembly's own floats; box's degree slabs are the same
-    # products of D's (q+1, q) slabs, D+'s blocks, as the dense box's degree blocks, summed in another order
+    # D's keys gather the dense assembly's own floats, one (n_blocks,) vector per filled fiber position; box's
+    # rows are the same products of D+'s keys as the dense box's degree blocks, summed in another order
     if operator == "D":
-        pieces, atol = [(space.stack(dplus_terms(space) + dminus_terms(space)), slice(None))], 0.0
+        keys, atol = space.stack(dplus_terms(space) + dminus_terms(space)), 0.0
         dense = assemble_kohn_dirac(space).mat
+        filled = np.nonzero(sum(np.abs(fiber) for fiber, _ in dplus_terms(space) + dminus_terms(space)))
+        assert sorted(keys) == sorted(zip(*(axis.tolist() for axis in filled)))
     else:
-        slabs, dense, atol = kohn_laplacian_blocks(space, dirac_blocks(space)[0]), kohn_laplacian(space).mat, 1e-13
-        pieces = [(slab, space.module.grade_slice(q)) for q, slab in enumerate(slabs)]
+        keys, dense, atol = box_keys(space, dirac_blocks(space)[0]), kohn_laplacian(space).mat, 1e-13
+    assert all(vec.shape == (len(space.blocks()),) for vec in keys.values())
     index = full_indices(space)
     on_block = np.zeros_like(dense, dtype=bool)
-    for stack, fib in pieces:
-        for j, block in enumerate(stack):
-            present = index[j, fib] >= 0
-            rows = index[j, fib][present]
-            np.testing.assert_allclose(block[np.ix_(present, present)], dense[np.ix_(rows, rows)], rtol=0, atol=atol)
-            assert not block[~present].any() and not block[:, ~present].any()
-            on_block[np.ix_(rows, rows)] = True
+    for j, block in enumerate(to_stack(space, keys)):
+        present = index[j] >= 0
+        rows = index[j][present]
+        np.testing.assert_allclose(block[np.ix_(present, present)], dense[np.ix_(rows, rows)], rtol=0, atol=atol)
+        assert not block[~present].any() and not block[:, ~present].any()
+        on_block[np.ix_(rows, rows)] = True
     assert not dense[~on_block].any()
 
 
@@ -116,10 +116,9 @@ def test_complete_blocks_are_exact_and_cut_blocks_are_not(kind, m, sector, level
     # levels leave it bitwise unchanged; a block the cutoff cut into changes
     spaces = [SectionSpace(ladder_model(kind, m, sector, L)) for L in (levels, levels + 2)]
     if operator == "D":
-        stacks = [space.stack(dplus_terms(space) + dminus_terms(space)) for space in spaces]
-    else:  # each block's degree slabs of box, one row per block
-        boxes = [kohn_laplacian_blocks(space, dirac_blocks(space)[0]) for space in spaces]
-        stacks = [np.hstack([slab.reshape(len(slab), -1) for slab in box]) for box in boxes]
+        stacks = [to_stack(space, space.stack(dplus_terms(space) + dminus_terms(space))) for space in spaces]
+    else:
+        stacks = [to_stack(space, box_keys(space, dirac_blocks(space)[0])) for space in spaces]
     wider = dict(zip(block_labels(spaces[1]), stacks[1]))
     complete = spaces[0].block_complete()
     assert complete.any() and not complete.all()
@@ -287,7 +286,9 @@ def one_diagonal_entry(terms, space):
     ("dminus_terms", lambda terms, space: [(-np.abs(f), b) for f, b in terms], {"dirac_minus_squared", "adjoint_defect"}),
     # D-'s factor -2 read as -2.6
     ("dminus_terms", lambda terms, space: [(1.3 * f, b) for f, b in terms], {"adjoint_defect"}),
-], ids=["wrong-degree-entry", "unsigned-creation", "unsigned-annihilation", "scaled-dminus"])
+    # D+ without its slot-2 term: D-'s keys of slot 2 have no partner key to compare with
+    ("dplus_terms", lambda terms, space: terms[:-1], {"adjoint_defect"}),
+], ids=["wrong-degree-entry", "unsigned-creation", "unsigned-annihilation", "scaled-dminus", "dropped-dplus-term"])
 def test_identities_algebraic_rows_fail_on_their_mutant(monkeypatch, half, mutate, failing):
     build = getattr(operators, half)
     monkeypatch.setattr(operators, half, lambda space: mutate(build(space), space))
@@ -298,6 +299,18 @@ def test_identities_algebraic_rows_fail_on_their_mutant(monkeypatch, half, mutat
     algebraic = ("dirac_plus_squared", "dirac_minus_squared", "adjoint_defect", "grading_defect")
     assert not result.passed
     assert {name for name in algebraic if rows[name] > cli.TOLERANCE_DEFAULTS["algebraic"]} == failing
+
+
+@pytest.mark.parametrize("k", [3000, 10**4])
+def test_identities_pass_at_large_heisenberg_sectors(k):
+    # the join sums D+^2's two paths as two rounded products, which cancel exactly; a dense product summed
+    # them with rounding error of order k and read 3.2e-12 (k = 3000) and 7.3e-12 (k = 10^4) against 1e-12
+    model = heisenberg_model(3, k=k, truncation=LADDER3)
+    config = {"model": {"sectors": [k]}, "tolerances": dict(cli.TOLERANCE_DEFAULTS)}
+    result = cli._check_identities(model, config, cli._RunMemo(model, config, ["identities"]))
+    assert result.passed, result.detail
+    rows = result.report["sectors"][str(k)]
+    assert rows["dirac_plus_squared"] == rows["dirac_minus_squared"] == 0.0
 
 
 @pytest.mark.parametrize("model, sector, dim", [(heisenberg_model(3, k=1, truncation=LADDER3), 1, 1000),
@@ -315,9 +328,9 @@ def test_identities_check_allocates_no_full_space_matrix(model, sector, dim):
     finally:
         tracemalloc.stop()
     assert peak < 0.25 * space.dim**2 * np.dtype(complex).itemsize
-    # D^2 is formed one degree row block at a time beside D, read without copies, and D is freed before the
-    # rows that stack again
-    assert peak < 2.5 * len(space.blocks()) * space.fiber_dim**2 * np.dtype(complex).itemsize
+    # D is held as its m 2^m filled fiber positions, D^2 and box are joined one fiber row at a time beside it, and
+    # D is freed before the Reeb formula is stacked: a dense (n_blocks, 2^m, 2^m) stack alone would be 2^m / m units
+    assert peak < 3.5 * len(space.blocks()) * space.m * space.fiber_dim * np.dtype(complex).itemsize
 
 
 @pytest.mark.parametrize("model", [heisenberg_model(3, k=1, truncation=LADDER3),
@@ -384,8 +397,10 @@ def test_stack_refuses_a_term_that_leaves_its_block(model):
     refusal = r"term 2 .*fiber entry \(0, 1\), base entry \(0, 0\)"
     with pytest.raises(ValueError, match=rf"heisenberg sector {space.sector}: {refusal}"):
         dirac_kernel(space)
-    # the rest of D keeps its blocks
-    assert space.stack(dplus_terms(space)).shape == (len(space.blocks()), 4, 4)
+    # the rest of D keeps its blocks: D+ of slot 1 fills (1, 0) and (3, 2), of slot 2 (2, 0) and (3, 1)
+    plus = space.stack(dplus_terms(space))
+    assert list(plus) == [(1, 0), (3, 2), (2, 0), (3, 1)]
+    assert all(vec.shape == (len(space.blocks()),) and vec.any() for vec in plus.values())
 
 
 @pytest.mark.parametrize("k, refusal, counts", [

@@ -443,6 +443,24 @@ def test_a_memory_error_is_that_checks_error(tmp_path, monkeypatch, capsys):
     assert attempts == {-1: 1}
 
 
+def test_a_memory_error_names_the_reader_it_came_from(tmp_path, monkeypatch, capsys):
+    # the gather passed, so the message names the kernel counts; identities, which reads no kernel count,
+    # still errs on the sector's one failed pass
+    def refuse(space, keys, tol=1e-8):
+        raise MemoryError("Unable to allocate 3.06 GiB for an array with shape (65536, 56, 56)")
+
+    rebind(monkeypatch, "block_kernel_report", operators.block_kernel_report, refuse)
+    out = tmp_path / "art"
+    assert main(["run", "--config", write_config(tmp_path, m2_config("heisenberg", cli.CHECK_NAMES)),
+                 "--out", str(out)]) == 1
+    printed = capsys.readouterr().out
+    for name in ("identities", "spectrum", "cohomology", "vanishing"):
+        assert f"check {name}: ERROR (Unable to allocate 3.06 GiB" in printed
+        error = json.loads((out / f"{name}_report.json").read_text())["error"]
+        assert error.startswith("Unable to allocate") and error.endswith("shape (65536, 56, 56) (in kernel counts)")
+    assert "check conformal: PASS" in printed
+
+
 @pytest.mark.parametrize("kind", ["torus_bundle", "heisenberg"])
 def test_a_dplus_term_off_its_degree_fails_identities_and_errs_the_kernel_readers(tmp_path, monkeypatch, capsys, kind):
     # a degree-keeping entry lies in no slab that box or the kernel Grams read: identities

@@ -1,8 +1,9 @@
 import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
-from blockstates import complete_max
+from blockstates import complete_max, full_indices, to_stack
 from twistor_oracle import assemble_twistor, twistor_contraction
 
 from crspin import operators, weitzenboeck
@@ -92,13 +93,25 @@ def test_grading_commutators(space):
     assert grading_defects(space, dminus_terms(space), dplus_terms(space)) == [2.0] * (2 * space.m)
 
 
-@pytest.mark.parametrize("space", SPACES[:6], ids=IDS[:6])
+@pytest.mark.parametrize("space", SPACES, ids=IDS)
 def test_kohn_dirac_hermitian_and_block_diagonal_square(space):
-    assert assemble_kohn_dirac(space).hermitian_defect() <= 1e-12
-    blocks = space.stack(dplus_terms(space) + dminus_terms(space))
-    square = blocks @ blocks
-    fib = [space.module.grade_slice(q) for q in range(space.m + 1)]
-    assert max(np.abs(square[:, rows, cols]).max() for rows in fib for cols in fib if rows != cols) <= 1e-12
+    dirac = assemble_kohn_dirac(space)
+    assert dirac.hermitian_defect() <= 1e-12
+    keys = space.stack(dplus_terms(space) + dminus_terms(space))
+    degree = space.module.degrees
+    rows = list(space.product_rows(keys, keys))
+    assert len(rows) == space.fiber_dim and all(key[0] == s for s, row in enumerate(rows) for key in row)
+    # the join is the dense square on every block, summed in another order
+    square, dense = to_stack(space, {key: vec for row in rows for key, vec in row.items()}), dirac.mat @ dirac.mat
+    index = full_indices(space)
+    for j, block in enumerate(square):
+        present = index[j] >= 0
+        states = index[j][present]
+        np.testing.assert_allclose(block[np.ix_(present, present)], dense[np.ix_(states, states)], rtol=0, atol=1e-11)
+    # D+^2 and D-^2, the only keys of D^2 between degrees, cancel
+    between = [np.abs(vec).max() for row in rows for (s, c), vec in row.items() if degree[s] != degree[c]]
+    assert len(between) == space.fiber_dim * comb(space.m, 2) // 2
+    assert max(between, default=0.0) <= 1e-12
 
 
 def test_dplus_kills_constant_modes():

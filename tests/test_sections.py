@@ -231,19 +231,23 @@ def test_mixed_allocates_one_full_space_matrix(k):
 def test_complete_max_ignores_cut_blocks_and_absent_states():
     space = SectionSpace(heisenberg_model(2, k=1))
     inside = (space.blocks() >= 0) & space.block_complete()[:, None]
-    stack = np.full((len(inside), space.fiber_dim, space.fiber_dim), 0.5)
-    stack[~inside, :] = -1e6
-    stack.transpose(0, 2, 1)[~inside, :] = 1e6
-    fib = space.module.grade_slice(1)
+    keys = {}
+    for s in range(space.fiber_dim):
+        for c in range(space.fiber_dim):
+            keys[s, c] = np.full(len(inside), 0.5 + 0j)
+            keys[s, c][~inside[:, s]] = -1e6
+            keys[s, c][~inside[:, c]] = 1e6
     j = int(np.flatnonzero(inside[:, 1])[0])
-    stack[j, 1, 1] = -3.0
-    assert space.complete_max(stack) == 3.0
-    assert space.complete_max(stack[:, fib, fib], fib) == 3.0
-    assert space.complete_max(stack[:, :1, :1], slice(0, 1)) == 0.5
-    # rectangular: rows of degree 1 from the degree-0 state 0, present in every block
-    stack[j, 1, 0] = -4.0
-    assert space.complete_max(stack[:, fib, :1], fib, slice(0, 1)) == 4.0
-    assert space.complete_max(stack[:, :1, fib], slice(0, 1), fib) == 0.5
-    assert space.complete_max(stack[:, fib, fib], fib) == 3.0
+    keys[1, 1][j] = -3.0
+    assert space.complete_max(keys) == 3.0
+    assert space.complete_max({(1, 1): keys[1, 1]}) == 3.0
+    assert space.complete_max({(0, 0): keys[0, 0]}) == 0.5
+    assert space.complete_max({}) == 0.0
+    # an off-diagonal key reads the present states of both its fiber states
+    keys[1, 0][j] = -4.0
+    assert space.complete_max({(1, 0): keys[1, 0], (0, 1): keys[0, 1]}) == 4.0
+    # a NaN on a complete block reaches the result, behind keys that read larger
+    keys[3, 3][int(np.flatnonzero(inside[:, 3])[0])] = np.nan
+    assert np.isnan(space.complete_max(keys))
     # a block the cutoff cut into, and a state it removed from a complete block, are never read
     assert not inside[~space.block_complete()].any() and not inside[space.block_complete()].all()
