@@ -48,15 +48,14 @@ cut into, counted as ``spurious``) are reported as warnings; under
 The checks of one run share a per-run memo, the one per-sector cache:
 each sector's SectionSpace is built once, and on its first use one pass
 gathers D's keys (``operators.dirac_blocks``) and keeps only the
-reductions the requested checks read, in this order: the shift defects
-(identities, the torus shift table); the kernel counts (spectrum,
-vanishing and both cohomology tables, ker D_q = ker box_q); the
-identities rows off D's keys, its terms' fiber matrices and D^2.  Box, the
-Grams and D^2 are row joins of D's keys (``SectionSpace.product_rows``),
-so no whole product is held, no key outlives the pass, and no check forms
-a full-space or base_dim x base_dim matrix.  Every check that reads a
-sector whose pass raised reports that error, and a ``MemoryError`` names
-the reader it came from.
+reductions the requested checks read.  Per degree it forms D's Gram once
+(2 box_q, ``operators.degree_gram``) and reads it for the shift defects
+(identities, the torus shift table) and the kernel counts (spectrum,
+vanishing, both cohomology tables), then the identities rows off D's
+keys, its terms' fiber matrices and D^2.  The Grams and D^2 are row joins
+of D's keys, and no check forms a full-space matrix.  A check that reads
+a sector whose pass raised reports that error; a ``MemoryError`` names
+its reader ("the q=3 Gram", "kernel counts", ...).
 A term off its degree shift is the identities check's grading row; the
 kernel and shift table readers refuse it.  The conformal check
 evaluates exact trigonometric polynomials and their frame derivatives at
@@ -81,7 +80,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cohomology import harmonic_spinor_table, shift_defects, shift_table
+from .cohomology import gram_shift_defect, harmonic_spinor_table, shift_table
 from .models import (
     TruncationSpec,
     cr_alpha_bundle,
@@ -91,9 +90,10 @@ from .models import (
 )
 from .operators import (
     _refuse_off_shift,
-    block_kernel_report,
     cluster_eigenvalues,
+    degree_gram,
     dirac_blocks,
+    gram_kernel_count,
     nabla_T_defect,
     sub_laplacian_defect,
 )
@@ -286,13 +286,17 @@ class _RunMemo:
         reader = "the gather"
         try:
             dirac, grading = dirac_blocks(space)
-            out = {"grading": grading}
-            if self._shift:
-                reader = "shift defects"
-                out["shift"] = shift_defects(space, dirac)
-            if self._kernel:
-                reader = "kernel counts"
-                out["kernel"] = block_kernel_report(space, dirac, tol=self.config["tolerances"]["spectral"])
+            out = {"grading": grading, "shift": {}, "kernel": {}}
+            for q in range(space.m + 1):  # one degree's Gram at a time, read by both and released before the next
+                reader = f"the q={q} Gram"
+                gram = degree_gram(space, dirac, q)
+                if self._shift:
+                    reader = "shift defects"
+                    out["shift"][q] = gram_shift_defect(space, q, gram)
+                if self._kernel:
+                    reader = "kernel counts"
+                    out["kernel"][q] = gram_kernel_count(space, q, gram, self.config["tolerances"]["spectral"])
+                del gram
             if self._rows:
                 reader = "D^2"
                 degree = space.module.degrees
@@ -317,8 +321,9 @@ class _RunMemo:
 
     @cached_property
     def shift_table(self):
+        tolerances = self.config["tolerances"]
         return shift_table(self.model, s_range=tuple(self.config["model"]["sectors"]),
-                           tol=self.config["tolerances"]["spectral"],
+                           tol=tolerances["spectral"], shift_tol=tolerances["dual_assembly"],
                            sector=lambda s: (self.space(s), self.graded(s, "shift"), self.graded(s, "kernel")))
 
 

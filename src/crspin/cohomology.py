@@ -9,19 +9,15 @@ creation/annihilation matrices:
     dbar* = honest matrix adjoint,
     box   = dbar* dbar + dbar dbar* = (P^H P + P P^H) / 2,   P = D+ = sqrt(2) dbar,
 
-where w_a wedges the a-th antiholomorphic coframe element.  On the
-per-slot blocks box is joined one fiber row at a time from D's keys one
-degree up, D+'s (``kohn_laplacian_blocks``), read per sector only for the
-shift defects (``shift_defects``); the dense oracle is ``kohn_laplacian``.
-Both read nabla_{Ebar} only, while D- reads nabla_E: D^2 = 2 box on the
-degree blocks compares D+ D- + D- D+ with D+^H D+ + D+ D+^H, two routes
-that part when D- is not the adjoint of D+.
-
-Kernels are counted once, on the spinor side.  Degree q's Gram matrix of
-D is P_q^H P_q + M_q^H M_q with M = D-, which is 2 box_q when M = P^H, so
-ker D_q = ker box_q and the spectral rows of both tables are the Dirac
-kernel counts (``operators.block_kernel_report``), which the tables take
-as given; the identities check's adjointness row guards M = P^H.
+where w_a wedges the a-th antiholomorphic coframe element.  Degree q's
+Gram matrix of D is P_q^H P_q + M_q^H M_q with M = D-, which is 2 box_q
+when M = P^H.  So on the per-slot blocks box is half of D's degree Grams
+(``operators.degree_gram``): a sector pass forms each once and reads it
+for the shift defects (``gram_shift_defect``) and for the kernel counts,
+ker D_q = ker box_q, which are the spectral rows of both tables.  The
+dense oracle ``kohn_laplacian`` builds box from D+ alone, so D^2 = 2 box
+on the degree blocks (acceptance criterion 4) compares two routes that
+part when D- is not the adjoint of D+.
 
 On a weight sector with commutator scalar t the Kohn Laplacian differs
 from the holomorphic connection Laplacian by a multiple of the fiber
@@ -45,15 +41,16 @@ import numpy as np
 
 from .clifford import _integer
 from .models import TorusBundleModel, TorusLattice
-from .operators import KernelCount, OperatorMatrix, _refuse_off_shift, assemble_dplus, block_kernel_report, dirac_blocks
+from .operators import (KernelCount, OperatorMatrix, _refuse_off_shift, assemble_dplus, degree_gram, dirac_blocks,
+                        gram_kernel_count)
 from .sections import SectionSpace
 
 __all__ = [
     "CohomologyTable",
     "TableRow",
     "kohn_laplacian",
-    "kohn_laplacian_blocks",
     "sector_identity_residual",
+    "gram_shift_defect",
     "shift_defects",
     "torus_line_bundle_cohomology",
     "shift_table",
@@ -64,16 +61,6 @@ MODEL_LEVEL_NOTE = (
     "m=1 rows are model-level spectral counts; no harmonic-theory "
     "identification is claimed in one CR dimension"
 )
-
-
-def kohn_laplacian_blocks(space: SectionSpace, dirac: dict):
-    """box's fiber rows on the per-slot blocks as keys, one at a time: the degree-keeping part of S S / 2 for
-    S = P + P^H, P D's keys one degree up (``dirac_blocks``), which are D+'s."""
-    degree = space.module.degrees
-    plus = {(s, c): vec for (s, c), vec in dirac.items() if degree[s] == degree[c] + 1}
-    both = {**plus, **{(c, s): vec.conj() for (s, c), vec in plus.items()}}
-    for s, row in enumerate(space.product_rows(both, both)):
-        yield {(s, c): 0.5 * vec for (_, c), vec in row.items() if degree[c] == degree[s]}
 
 
 def kohn_laplacian(space: SectionSpace) -> OperatorMatrix:
@@ -90,28 +77,42 @@ def kohn_laplacian(space: SectionSpace) -> OperatorMatrix:
     return OperatorMatrix(box, space, mu_shift=0)
 
 
-def sector_identity_residual(space: SectionSpace) -> dict[int, float]:
-    """``shift_defects`` of the space's own gather of D, after refusing a D term off its degree shift."""
-    dirac, grading = dirac_blocks(space)
-    _refuse_off_shift(space, grading)
-    return shift_defects(space, dirac)
+def gram_shift_defect(space: SectionSpace, q: int, gram: np.ndarray) -> float:
+    """Defect of box - box_bar = (m - q) N on degree q's complete blocks, read off box_q = gram / 2 one fiber row
+    at a time; box_bar = I (x) diag(lap10), the base bundle's connection Laplacian, is a diagonal.  Both sides
+    are zero between blocks and between degrees, so the rows hold every nonzero entry of the difference."""
+    lap10, partners, fib = space.horizontal_laplacians()[0], space.blocks(), space.module.grade_slice(q)
+    states, defects = range(fib.start, fib.stop), []
+    for i, s in enumerate(states):
+        row = {(s, c): 0.5 * gram[:, i, j] for j, c in enumerate(states)}
+        row[s, s] = row[s, s] - lap10[partners[:, s]] - (space.m - q) * (-2.0 * space.t)
+        defects.append(space.complete_max(row))
+    return float(np.max(defects))
 
 
 def shift_defects(space: SectionSpace, dirac: dict) -> dict[int, float]:
-    """Defect of box - box_bar = (m - q) N on complete blocks, per degree q, with box's rows joined from D's keys.
+    """``gram_shift_defect`` per degree q off D's keys, one degree's Gram at a time."""
+    return {q: gram_shift_defect(space, q, degree_gram(space, dirac, q)) for q in range(space.m + 1)}
 
-    box_bar = nabla_10* nabla_10 = I (x) diag(lap10), the base bundle's connection Laplacian, comes off the
-    diagonal of each row of box with (m - q) N.  Both sides are zero between blocks and between degrees, so
-    the rows carry every nonzero entry of the full-space difference.
-    """
-    lap10, partners = space.horizontal_laplacians()[0], space.blocks()
-    weight, zeros = -2.0 * space.t, np.zeros(len(partners))
-    out: dict[int, list] = {q: [] for q in range(space.m + 1)}
-    for s, row in enumerate(kohn_laplacian_blocks(space, dirac)):
-        q = space.module.degrees[s]
-        row[s, s] = row.get((s, s), zeros) - lap10[partners[:, s]] - (space.m - q) * weight
-        out[q].append(space.complete_max(row))
-    return {q: float(np.max(defects)) for q, defects in out.items()}
+
+def _sector_reads(space: SectionSpace, tol: float | None = None) -> tuple[dict, dict]:
+    """(shift defects, kernel counts) per degree off one gather of D, refused off its degree shifts: each
+    degree's Gram is formed once, read by both (the counts only given ``tol``) and released before the next."""
+    dirac, grading = dirac_blocks(space)
+    _refuse_off_shift(space, grading)
+    defects, counts = {}, {}
+    for q in range(space.m + 1):
+        gram = degree_gram(space, dirac, q)
+        defects[q] = gram_shift_defect(space, q, gram)
+        if tol is not None:
+            counts[q] = gram_kernel_count(space, q, gram, tol)
+        del gram
+    return defects, counts
+
+
+def sector_identity_residual(space: SectionSpace) -> dict[int, float]:
+    """``shift_defects`` of the space's own gather of D, after refusing a D term off its degree shift."""
+    return _sector_reads(space)[0]
 
 
 def torus_line_bundle_cohomology(lattice: TorusLattice, c: int, s: int, q: int) -> int:
@@ -177,34 +178,31 @@ def _kernel_rows(space: SectionSpace, report: dict[int, KernelCount]) -> list[Ta
             for q, count in sorted(report.items())]
 
 
-def shift_table(model: TorusBundleModel, s_range=(0,), tol=1e-8, sector=None) -> CohomologyTable:
+def shift_table(model: TorusBundleModel, s_range=(0,), tol=1e-8, sector=None, shift_tol=1e-10) -> CohomologyTable:
     """Analytic and spectral Kohn-Rossi dimensions per fiber-weight sector.
 
     The analytic route identifies the weight-s sector with forms valued
     in the degree -(s c) power bundle on the base torus (the sign is the
     pinned sector convention: raising the fiber weight lowers the bundle
-    degree).  The spectral route counts harmonic spinors: ker D_q = ker
-    box_q (the module docstring says why), so once a sector's blocks pass
-    the circle-bundle shift identity its rows are the Dirac kernel
-    counts on complete per-slot blocks; null vectors of blocks the cutoff
-    cut into are artifacts and are not counted.  ``sector(s)`` gives the
-    weight-s space, its shift defects per degree and its kernel counts
-    (default: one gather of D on a new space, refused off its shifts).
+    degree).  The spectral route counts harmonic spinors, ker D_q = ker
+    box_q, on complete per-slot blocks (null vectors of cut blocks are
+    cutoff artifacts), once a sector's largest shift defect is at most
+    ``shift_tol``.  ``sector(s)`` gives the weight-s space, its shift
+    defects per degree and its kernel counts (default: one gather of D on
+    a new space, refused off its shifts, and one Gram per degree).
     """
     if not isinstance(model, TorusBundleModel):
         raise ValueError("the shift isomorphism table needs a torus circle bundle")
     if sector is None:
         def sector(s):
             space = SectionSpace(model, sector=s)
-            dirac, grading = dirac_blocks(space)
-            _refuse_off_shift(space, grading)
-            return space, shift_defects(space, dirac), block_kernel_report(space, dirac, tol=tol)
+            return space, *_sector_reads(space, tol)
     table = CohomologyTable(model_name=model.describe())
     if model.m == 1:
         table.notes.append(MODEL_LEVEL_NOTE)
     for s in s_range:
         space, defects, counts = sector(s)
-        if (worst := max(defects.values())) > 1e-10:
+        if (worst := max(defects.values())) > shift_tol:
             raise RuntimeError(f"shift identity fails on sector {s}: defect {worst:.2e} on complete blocks")
         spectral = {row.q: row for row in _kernel_rows(space, counts)}
         for q in range(model.m + 1):

@@ -95,8 +95,8 @@ class TorusLattice:
             mat = np.asarray(self.vectors, dtype=float)
             if mat.shape != (2 * self.m, 2 * self.m):
                 raise ValueError(f"lattice basis must be {2 * self.m} x {2 * self.m}, got {mat.shape}")
-            if abs(np.linalg.det(mat)) < 1e-12:
-                raise ValueError("lattice basis is singular")
+            if not np.isfinite(mat).all() or abs(np.linalg.det(mat)) < 1e-12:
+                raise ValueError("lattice basis must be finite and nonsingular")
             object.__setattr__(self, "vectors", mat)
 
     def period_matrix(self) -> np.ndarray:
@@ -132,23 +132,17 @@ class PseudoHermitianModel:
         _integer(self.m, "CR dimension m", low=1)
         _integer(self.ell, "spin^C weight")
         m = self.m
-        if self.tau is None:
-            self.tau = np.zeros((m, m), dtype=complex)
-        self.tau = np.asarray(self.tau, dtype=complex)
-        if self.tau.shape != (m, m):
-            raise ValueError(f"torsion matrix must be {m} x {m}")
-        if self.rho is None:
-            self.rho = np.zeros((m, m), dtype=complex)
-        self.rho = np.asarray(self.rho, dtype=complex)
-        if self.rho.shape != (m, m):
-            raise ValueError(f"Ricci matrix must be {m} x {m}")
+        for name, label, shape, dtype in (("tau", "torsion matrix", (m, m), complex),
+                                          ("rho", "Ricci matrix", (m, m), complex),
+                                          ("curvature", "curvature components", (2 * m,) * 4, float)):
+            value = np.zeros(shape, dtype) if getattr(self, name) is None else np.asarray(getattr(self, name), dtype)
+            if value.shape != shape:
+                raise ValueError(f"{label} must have shape {shape}, got {value.shape}")
+            if not np.isfinite(value).all():
+                raise ValueError(f"{label} must be finite")
+            setattr(self, name, value)
         if np.linalg.norm(self.rho - self.rho.conj().T) > 1e-12:
             raise ValueError("Ricci matrix must be Hermitian")
-        if self.curvature is None:
-            self.curvature = np.zeros((2 * m,) * 4)
-        self.curvature = np.asarray(self.curvature, dtype=float)
-        if self.curvature.shape != (2 * m,) * 4:
-            raise ValueError(f"curvature components must have shape {(2 * m,) * 4}")
 
     @property
     def has_section_space(self) -> bool:

@@ -37,20 +37,18 @@ their dense oracle is a test helper, since no check of a run reads it.
 
 D's term lists are stacked in one place, ``dirac_blocks``, with their
 ``grading_defects``: each term's largest fiber entry off its degree
-shift.  The identities check reports them as a row; the readers that
-rest on the shifts (kernel counts per degree here, box in ``cohomology``,
-which reads D+'s keys only) refuse a nonzero one (``_refuse_off_shift``).
+shift.  The identities check reports them as a row; the readers of the
+degree Grams, which rest on the shifts, refuse a nonzero one
+(``_refuse_off_shift``).
 
 Kernel counts rest on structure: a null vector in a complete per-slot
 block (``SectionSpace.block_complete``, no state lost to the top cutoff)
-is kernel, and one in any other block is a cutoff artifact.  Two routes
-apply this rule.  ``kernel_report`` eigensolves the full-space degree
-blocks of a dense operator and stays the reference.
-``block_kernel_report`` joins the Gram matrix of D's degree-q columns
-from its keys and makes one batched eigensolve per pattern of kept
-states.  A run counts on its one gather of D per sector (``cli``),
-``dirac_kernel`` on a gather of its own; spectrum, vanishing and both
-cohomology tables read the counts (ker D_q = ker box_q).
+is kernel, and one in any other block is a cutoff artifact.
+``kernel_report`` eigensolves the full-space degree blocks of a dense
+operator and stays the reference.  On the blocks, ``degree_gram`` joins
+the Gram matrix of D's degree-q columns from its keys (2 box_q, so the
+shift defects in ``cohomology`` read it too) and ``gram_kernel_count``
+makes one batched eigensolve per pattern of kept states.
 """
 
 from __future__ import annotations
@@ -77,6 +75,8 @@ __all__ = [
     "sub_laplacian_defect",
     "cluster_eigenvalues",
     "kernel_report",
+    "degree_gram",
+    "gram_kernel_count",
     "block_kernel_report",
     "dirac_kernel",
     "KernelCount",
@@ -263,42 +263,45 @@ def kernel_report(op: OperatorMatrix, tol: float = 1e-8) -> dict[int, KernelCoun
     return out
 
 
-def block_kernel_report(space: SectionSpace, keys: dict, tol: float = 1e-8) -> dict[int, KernelCount]:
-    """``kernel_report`` of the operator D whose per-slot blocks are ``keys`` (``SectionSpace.stack``).
+def degree_gram(space: SectionSpace, keys: dict, q: int) -> np.ndarray:
+    """Degree q's Gram of the operator D whose per-slot blocks are ``keys``, one (n_blocks, d_q, d_q) array on
+    ``grade_slice(q)``: entry (c, c') sums conj(D[s, c]) D[s, c'] over every row key s of the degree-q columns
+    (their adjoint joined with them), so no degree shift is assumed; for D's keys it is 2 box_q when D- = D+^H."""
+    fib = space.module.grade_slice(q)
+    cols = {(s, c): vec for (s, c), vec in keys.items() if fib.start <= c < fib.stop}
+    gram = np.zeros((len(space.blocks()), fib.stop - fib.start, fib.stop - fib.start), dtype=complex)
+    for row in space.product_rows({(c, s): vec.conj() for (s, c), vec in cols.items()}, cols):
+        for (c, c2), vec in row.items():
+            gram[:, c - fib.start, c2 - fib.start] = vec
+    return gram
 
-    Degree q is eigensolved on the fixed fiber slice ``grade_slice(q)`` of every block: its Gram matrix sums
-    conj(D[s, c]) D[s, c'] over every row key s of the degree-q columns c, c' (their adjoint joined with them),
-    so no degree shift is assumed.  Blocks that keep the same states of that slice share one batched
-    ``eigvalsh``.  Each block's null count goes to ``dim`` if the block is complete and to ``spurious`` if not.
-    """
+
+def gram_kernel_count(space: SectionSpace, q: int, gram: np.ndarray, tol: float = 1e-8) -> KernelCount:
+    """Degree q's kernel count off its Gram (``degree_gram``).  Blocks that keep the same states of
+    ``grade_slice(q)`` share one batched ``eigvalsh``; each block's null count goes to ``dim`` if the block is
+    complete and to ``spurious`` if not."""
     tol = _positive(tol, "kernel tolerance")
-    present = space.blocks() >= 0
+    keep = np.ascontiguousarray(space.blocks()[:, space.module.grade_slice(q)] >= 0)
     complete = space.block_complete()
-    out: dict[int, KernelCount] = {}
-    for q in range(space.m + 1):
-        fib = space.module.grade_slice(q)
-        cols = {(s, c): vec for (s, c), vec in keys.items() if fib.start <= c < fib.stop}
-        mats = np.zeros((len(present), fib.stop - fib.start, fib.stop - fib.start), dtype=complex)
-        for row in space.product_rows({(c, s): vec.conj() for (s, c), vec in cols.items()}, cols):
-            for (c, c2), vec in row.items():
-                mats[:, c - fib.start, c2 - fib.start] = vec
-        keep = np.ascontiguousarray(present[:, fib])
-        _, first, which = np.unique(keep.view(np.dtype((np.void, keep.shape[1]))).ravel(),
-                                    return_index=True, return_inverse=True)
-        dim = spurious = 0
-        spectra = []
-        for i, j in enumerate(first):
-            states = np.flatnonzero(keep[j])
-            if states.size:
-                pick = which == i
-                every = pick.all() and states.size == keep.shape[1]  # one group that keeps every state: no copy
-                evals = np.linalg.eigvalsh(mats if every else mats[np.ix_(pick, states, states)])
-                null, whole = (np.abs(evals) <= tol).sum(axis=1), complete[pick]
-                dim += int(null[whole].sum())
-                spurious += int(null[~whole].sum())
-                spectra.append(evals.ravel())
-        out[q] = _kernel_count(dim, spurious, spectra)
-    return out
+    _, first, which = np.unique(keep.view(np.dtype((np.void, keep.shape[1]))).ravel(),
+                                return_index=True, return_inverse=True)
+    dim, spurious, spectra = 0, 0, []
+    for i, j in enumerate(first):
+        states = np.flatnonzero(keep[j])
+        if states.size:
+            pick = which == i
+            every = pick.all() and states.size == keep.shape[1]  # one group that keeps every state: no copy
+            evals = np.linalg.eigvalsh(gram if every else gram[np.ix_(pick, states, states)])
+            null, whole = (np.abs(evals) <= tol).sum(axis=1), complete[pick]
+            dim += int(null[whole].sum())
+            spurious += int(null[~whole].sum())
+            spectra.append(evals.ravel())
+    return _kernel_count(dim, spurious, spectra)
+
+
+def block_kernel_report(space: SectionSpace, keys: dict, tol: float = 1e-8) -> dict[int, KernelCount]:
+    """``kernel_report`` of the operator D whose per-slot blocks are ``keys``, one degree's Gram at a time."""
+    return {q: gram_kernel_count(space, q, degree_gram(space, keys, q), tol) for q in range(space.m + 1)}
 
 
 def dirac_kernel(space: SectionSpace, tol: float = 1e-8) -> dict[int, KernelCount]:

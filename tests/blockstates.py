@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from crspin.cohomology import kohn_laplacian_blocks
+from crspin.operators import degree_gram
 
 
 def full_indices(space):
@@ -34,5 +34,10 @@ def to_stack(space, keys):
 
 
 def box_keys(space, dirac):
-    """Every row of box (``kohn_laplacian_blocks``) in one dict of keys."""
-    return {key: vec for row in kohn_laplacian_blocks(space, dirac) for key, vec in row.items()}
+    """box on the blocks as keys {(s, c): (n_blocks,) vector}: half of each degree's Gram of D (``degree_gram``)."""
+    out = {}
+    for q in range(space.m + 1):
+        fib = space.module.grade_slice(q)
+        gram, states = degree_gram(space, dirac, q), range(fib.start, fib.stop)
+        out.update({(s, c): 0.5 * gram[:, i, j] for i, s in enumerate(states) for j, c in enumerate(states)})
+    return out

@@ -67,8 +67,9 @@ def test_blocks_cover_every_index_once(space):
 @pytest.mark.parametrize("space", SPACES, ids=IDS)
 @pytest.mark.parametrize("operator", ["D", "box"])
 def test_stack_is_the_dense_assembly_on_blocks(space, operator):
-    # D's keys gather the dense assembly's own floats, one (n_blocks,) vector per filled fiber position; box's
-    # rows are the same products of D+'s keys as the dense box's degree blocks, summed in another order
+    # D's keys gather the dense assembly's own floats, one (n_blocks,) vector per filled fiber position; box is
+    # half of each degree's Gram of D, which reads D+ and D- where the dense box reads D+ alone: with D- = D+^H
+    # they are the same products, summed in another order
     if operator == "D":
         keys, atol = space.stack(dplus_terms(space) + dminus_terms(space)), 0.0
         dense = assemble_kohn_dirac(space).mat
@@ -140,7 +141,7 @@ def dense_shift_defects(space):
 
 @pytest.mark.parametrize("space", SPACES[:-2], ids=IDS[:-2])
 def test_sector_identity_residual_is_the_dense_formula(space):
-    # the block and dense box sum the same products of D+ in different orders
+    # half the Gram of D and the dense box from D+ alone sum the same products in different orders
     blocks, dense = sector_identity_residual(space), dense_shift_defects(space)
     assert blocks.keys() == dense.keys()
     assert all(abs(blocks[q] - dense[q]) <= 1e-13 for q in dense)
@@ -328,7 +329,7 @@ def test_identities_check_allocates_no_full_space_matrix(model, sector, dim):
     finally:
         tracemalloc.stop()
     assert peak < 0.25 * space.dim**2 * np.dtype(complex).itemsize
-    # D is held as its m 2^m filled fiber positions, D^2 and box are joined one fiber row at a time beside it, and
+    # D is held as its m 2^m filled fiber positions, D^2 and one degree's Gram are joined beside it, and
     # D is freed before the Reeb formula is stacked: a dense (n_blocks, 2^m, 2^m) stack alone would be 2^m / m units
     assert peak < 3.5 * len(space.blocks()) * space.m * space.fiber_dim * np.dtype(complex).itemsize
 
@@ -336,8 +337,8 @@ def test_identities_check_allocates_no_full_space_matrix(model, sector, dim):
 @pytest.mark.parametrize("model", [heisenberg_model(3, k=1, truncation=LADDER3),
                                    cr_alpha_bundle(3, c=1, truncation=LADDER3)], ids=["heisenberg-ladder", "torus-fourier"])
 def test_shift_defects_hold_under_one_stack_given_d(model):
-    # box's degree slabs, 20/64 of a stack at m = 3, and the products of one degree slab of D at a
-    # time; box_bar is a diagonal, not a stack
+    # one degree's Gram at a time, at most 9/64 of a stack at m = 3, and the products of one degree slab of D;
+    # box_bar is a diagonal, not a stack
     space = SectionSpace(model)
     dirac = dirac_blocks(space)[0]
     space.horizontal_laplacians()
@@ -351,7 +352,7 @@ def test_shift_defects_hold_under_one_stack_given_d(model):
 
 
 def test_run_memo_keeps_no_stack():
-    # the shift table counts ker D, and the memo keeps each sector's shift defects, not its box stack
+    # the shift table counts ker D, and the memo keeps each sector's shift defects, not its Grams
     model = cr_alpha_bundle(3, c=1, truncation=LADDER3)
     config = {"model": {"sectors": [-1, 1]}, "tolerances": dict(cli.TOLERANCE_DEFAULTS)}
     memo = cli._RunMemo(model, config, ["cohomology"])
@@ -369,7 +370,7 @@ def test_run_memo_keeps_no_stack():
 
 
 def test_cohomology_check_refuses_a_dplus_term_off_its_degree(monkeypatch):
-    # box is read off D's (q+1, q) slabs only, where a degree-keeping entry would be lost unseen
+    # the Grams read D's keys one degree apart only, where a degree-keeping entry would be lost unseen
     build = operators.dplus_terms
     monkeypatch.setattr(operators, "dplus_terms", lambda space: one_diagonal_entry(build(space), space))
     model = cr_alpha_bundle(2, c=1)

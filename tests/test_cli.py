@@ -4,6 +4,7 @@ import json
 import re
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -362,8 +363,8 @@ def m2_config(kind, checks):
 @pytest.mark.parametrize("kind", ["torus_bundle", "heisenberg"])
 def test_run_builds_each_shared_object_once(tmp_path, monkeypatch, kind):
     # per sector one space and one gather of D; D and the Reeb formula, whose c(rho) term is a general
-    # fiber matrix, are the only stacks: box is held as its degree slabs and the weighted Laplacians as
-    # one diagonal per block
+    # fiber matrix, are the only stacks: box is read off one degree's Gram at a time and the weighted
+    # Laplacians are one diagonal per block
     counts = {"spaces": 0}
     stacks = {}
     build, stack = sections.SectionSpace.__init__, sections.SectionSpace.stack
@@ -389,23 +390,45 @@ def test_run_builds_each_shared_object_once(tmp_path, monkeypatch, kind):
     assert sorted(defects) == ["-1", "0", "1"] and len(set(defects.values())) == 1
 
 
-ALL_ONE = {"dirac_blocks": 3, "kohn_laplacian_blocks": 3, "block_kernel_report": 3}
+# per sector of m = 2: one gather of D, one Gram per degree and one D^2
+ALL_ONE = {"dirac_blocks": 3, "degree_gram": 9, "gram_shift_defect": 9, "gram_kernel_count": 9, "product_rows": 12}
 
 
 @pytest.mark.parametrize("kind", ["torus_bundle", "heisenberg"])
 @pytest.mark.parametrize("checks, expected", [
-    # per sector one gather of D, read for box's shift defects (identities, the torus shift
-    # table) and for the one kernel count that spectrum, cohomology and vanishing share
+    # per sector one gather of D and per degree one Gram, read for the shift defects (identities, the torus
+    # shift table) and for the one kernel count that spectrum, cohomology and vanishing share
     (cli.CHECK_NAMES, ALL_ONE),
-    (["identities"], dict(ALL_ONE, block_kernel_report=0)),
-    (["spectrum"], dict(ALL_ONE, kohn_laplacian_blocks=0)),
+    (["identities"], dict(ALL_ONE, gram_kernel_count=0)),
+    (["spectrum"], dict(ALL_ONE, gram_shift_defect=0, product_rows=9)),
 ], ids=["all", "identities", "spectrum"])
 def test_run_forms_one_dirac_square_per_check_family(tmp_path, monkeypatch, kind, checks, expected):
     counts = {}
-    for name in ("assemble_kohn_dirac", "assemble_dplus", "kernel_report", "block_kernel_report", "dirac_blocks"):
+    for name in ("assemble_kohn_dirac", "assemble_dplus", "kernel_report", "block_kernel_report", "dirac_blocks",
+                 "gram_kernel_count"):
         count_calls(monkeypatch, counts, name, getattr(operators, name))
-    for name in ("kohn_laplacian", "kohn_laplacian_blocks"):
+    for name in ("kohn_laplacian", "shift_defects", "gram_shift_defect"):
         count_calls(monkeypatch, counts, name, getattr(cohomology, name))
+    counts["product_rows"] = 0
+    join = sections.SectionSpace.product_rows
+
+    def counting_join(self, left, right):
+        counts["product_rows"] += 1
+        return join(self, left, right)
+
+    monkeypatch.setattr(sections.SectionSpace, "product_rows", counting_join)
+    # each degree's Gram is released before the next is formed
+    counts["degree_gram"], grams = 0, []
+    gram = operators.degree_gram
+
+    def one_gram_alive(space, keys, q):
+        counts["degree_gram"] += 1
+        assert all(ref() is None for ref in grams), f"a Gram is alive when the q={q} Gram is formed"
+        out = gram(space, keys, q)
+        grams.append(weakref.ref(out))
+        return out
+
+    rebind(monkeypatch, "degree_gram", gram, one_gram_alive)
     sizes = []
 
     def recording(solver):
@@ -417,7 +440,8 @@ def test_run_forms_one_dirac_square_per_check_family(tmp_path, monkeypatch, kind
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
     main(["run", "--config", write_config(tmp_path, m2_config(kind, checks)), "--out", str(tmp_path / "art")])
-    assert counts == dict(expected, assemble_kohn_dirac=0, assemble_dplus=0, kohn_laplacian=0, kernel_report=0)
+    assert counts == dict(expected, assemble_kohn_dirac=0, assemble_dplus=0, kohn_laplacian=0, kernel_report=0,
+                          block_kernel_report=0, shift_defects=0)
     # every eigensolve is fiber-sized: per-slot blocks and curvature matrices; identities makes none
     assert (sizes or checks == ["identities"]) and max(sizes, default=0) <= 2 ** 2
 
@@ -443,27 +467,33 @@ def test_a_memory_error_is_that_checks_error(tmp_path, monkeypatch, capsys):
     assert attempts == {-1: 1}
 
 
-def test_a_memory_error_names_the_reader_it_came_from(tmp_path, monkeypatch, capsys):
-    # the gather passed, so the message names the kernel counts; identities, which reads no kernel count,
-    # still errs on the sector's one failed pass
-    def refuse(space, keys, tol=1e-8):
-        raise MemoryError("Unable to allocate 3.06 GiB for an array with shape (65536, 56, 56)")
+@pytest.mark.parametrize("name, reader", [("degree_gram", "the q=1 Gram"), ("gram_kernel_count", "kernel counts")])
+def test_a_memory_error_names_the_reader_it_came_from(tmp_path, monkeypatch, capsys, name, reader):
+    # the gather passed, so the message names the Gram being formed or the eigensolve; identities, which reads no
+    # kernel count, still errs on the sector's one failed pass
+    build = getattr(operators, name)
 
-    rebind(monkeypatch, "block_kernel_report", operators.block_kernel_report, refuse)
+    def refuse(space, *args):
+        # degree_gram(space, keys, q) and gram_kernel_count(space, q, gram, tol): fail on degree 1
+        if (args[1] if name == "degree_gram" else args[0]) == 1:
+            raise MemoryError("Unable to allocate 3.06 GiB for an array with shape (65536, 56, 56)")
+        return build(space, *args)
+
+    rebind(monkeypatch, name, build, refuse)
     out = tmp_path / "art"
     assert main(["run", "--config", write_config(tmp_path, m2_config("heisenberg", cli.CHECK_NAMES)),
                  "--out", str(out)]) == 1
     printed = capsys.readouterr().out
-    for name in ("identities", "spectrum", "cohomology", "vanishing"):
-        assert f"check {name}: ERROR (Unable to allocate 3.06 GiB" in printed
-        error = json.loads((out / f"{name}_report.json").read_text())["error"]
-        assert error.startswith("Unable to allocate") and error.endswith("shape (65536, 56, 56) (in kernel counts)")
+    for check in ("identities", "spectrum", "cohomology", "vanishing"):
+        assert f"check {check}: ERROR (Unable to allocate 3.06 GiB" in printed
+        error = json.loads((out / f"{check}_report.json").read_text())["error"]
+        assert error.startswith("Unable to allocate") and error.endswith(f"shape (65536, 56, 56) (in {reader})")
     assert "check conformal: PASS" in printed
 
 
 @pytest.mark.parametrize("kind", ["torus_bundle", "heisenberg"])
 def test_a_dplus_term_off_its_degree_fails_identities_and_errs_the_kernel_readers(tmp_path, monkeypatch, capsys, kind):
-    # a degree-keeping entry lies in no slab that box or the kernel Grams read: identities
+    # a degree-keeping entry lies in no slab that the degree Grams read: identities
     # reports it as its grading row (D^2 sees it too), and every reader of those slabs refuses it
     build = operators.dplus_terms
 
@@ -499,12 +529,13 @@ def test_spectral_checks_form_no_full_space_kronecker_term(tmp_path, monkeypatch
 def test_spectrum_and_vanishing_share_one_dirac_kernel(tmp_path, monkeypatch):
     # spectrum and vanishing ask for the Dirac kernel at the same spectral tolerance
     counts = {}
-    for name in ("kernel_report", "block_kernel_report"):
+    for name in ("kernel_report", "block_kernel_report", "degree_gram", "gram_kernel_count"):
         count_calls(monkeypatch, counts, name, getattr(operators, name))
     config = {"model": {"kind": "heisenberg", "m": 2, "sectors": [1]},
               "checks": ["spectrum", "vanishing"], "tolerances": {"spectral": 1e-6}}
     main(["run", "--config", write_config(tmp_path, config), "--out", str(tmp_path / "art")])
-    assert counts == {"kernel_report": 0, "block_kernel_report": 1}
+    # one Gram and one kernel count per degree of m = 2
+    assert counts == {"kernel_report": 0, "block_kernel_report": 0, "degree_gram": 3, "gram_kernel_count": 3}
 
 
 def test_cohomology_fails_when_cut_blocks_count_as_kernel(tmp_path, monkeypatch, capsys):
@@ -516,15 +547,15 @@ def test_cohomology_fails_when_cut_blocks_count_as_kernel(tmp_path, monkeypatch,
     cfg = write_config(tmp_path, config)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "art")]) == 0
     capsys.readouterr()
-    count = operators.block_kernel_report
+    count = operators.gram_kernel_count
 
-    def count_every_block(space, stack, **kwargs):
+    def count_every_block(space, q, gram, tol):
         with monkeypatch.context() as patch:
             patch.setattr(space, "block_complete", lambda: np.ones(len(space.blocks()), dtype=bool))
-            return count(space, stack, **kwargs)
+            return count(space, q, gram, tol)
 
     with monkeypatch.context() as patch:
-        rebind(patch, "block_kernel_report", count, count_every_block)
+        rebind(patch, "gram_kernel_count", count, count_every_block)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "mutant")]) == 1
     assert "check cohomology: FAIL ((q, s)=(0, 1): analytic 0 != spectral 1)" in capsys.readouterr().out
     # the shift identity is read on the same flags, so with every block complete it refuses the cut ones first
@@ -543,6 +574,30 @@ def test_config_tolerances_reach_torus_cohomology(tmp_path, capsys):
     )
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "art")]) == 1
     assert "check cohomology: FAIL (" in capsys.readouterr().out
+
+
+def test_the_shift_guard_reads_the_run_tolerance(tmp_path, capsys):
+    # at fiber weight 2e6 the shift defect is rounding at a scale of 1e6; identities passes it under the configured
+    # tolerance, so the torus table's guard must compare the same number with the same tolerance
+    cfg = write_config(tmp_path, {
+        "model": {"kind": "torus_bundle", "m": 2, "sectors": [2000000], "truncation": {"ladder_levels": 5}},
+        "checks": ["identities", "cohomology"], "tolerances": {"dual_assembly": 1e-7, "algebraic": 1e-7}})
+    out = tmp_path / "art"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert "check cohomology: PASS" in capsys.readouterr().out
+    defect = json.loads((out / "identities_report.json").read_text())["results"]["sectors"]["2000000"]
+    assert 1e-10 < defect["sector_identity"] <= 1e-7
+
+
+def test_a_dminus_off_the_adjoint_errs_torus_cohomology(tmp_path, monkeypatch, capsys):
+    # D- scaled by 1.3 keeps ker D, so the kernel counts match the analytic ones; box_q read as Gram_q / 2 then
+    # misses the shift identity, and the guard refuses the table
+    build = operators.dminus_terms
+    rebind(monkeypatch, "dminus_terms", build, lambda space: [(1.3 * fiber, base) for fiber, base in build(space)])
+    cfg = write_config(tmp_path, {"model": {"kind": "torus_bundle", "m": 2, "flux": 1, "sectors": [0, 1]},
+                                  "checks": ["cohomology"]})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "art")]) == 1
+    assert "check cohomology: ERROR (shift identity fails on sector 0: defect 5.45e+01" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("kind", ["torus_bundle", "heisenberg"])

@@ -274,16 +274,16 @@ def test_shift_table_passes_tolerances_to_kernel_counts(monkeypatch):
     assert everything.dims(method="spectral") == {(0, 0): space.base_dim, (1, 0): space.base_dim}
     assert shift_table(model, s_range=[0]).dims(method="spectral") == {(0, 0): 1, (1, 0): 1}
     seen = []
-    count = cohomology.block_kernel_report
+    count = cohomology.gram_kernel_count
 
-    def recording_kernel(space, stack, tol=1e-8):
+    def recording_kernel(space, q, gram, tol=1e-8):
         seen.append(tol)
-        return count(space, stack, tol=tol)
+        return count(space, q, gram, tol)
 
-    monkeypatch.setattr(cohomology, "block_kernel_report", recording_kernel)
+    monkeypatch.setattr(cohomology, "gram_kernel_count", recording_kernel)
     shift_table(model, s_range=[-1, 1], tol=1e-6)
-    # the spectral rows are the Dirac kernel's counts, ker D_q = ker box_q
-    assert seen == [1e-6] * 2
+    # the spectral rows are the Dirac kernel's counts, ker D_q = ker box_q: one per degree and sector
+    assert seen == [1e-6] * 4
 
 
 def test_extremal_rows_are_lower_bounds_only():

@@ -258,6 +258,25 @@ def test_nonfinite_is_refused_as_a_positive_number(case, value):
         build(value)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: TorusLattice(1, vectors=[[NAN, 0.0], [0.0, 1.0]]), "lattice basis must be finite and nonsingular"),
+    (lambda: TorusLattice(1, vectors=[[INF, 0.0], [0.0, 1.0]]), "lattice basis must be finite and nonsingular"),
+    (lambda: TorusLattice(1, vectors=[[1.0, 2.0], [0.5, 1.0]]), "lattice basis must be finite and nonsingular"),
+    (lambda: PseudoHermitianModel(m=1, rho=[[NAN]]), "Ricci matrix must be finite"),
+    (lambda: PseudoHermitianModel(m=1, rho=[[INF]]), "Ricci matrix must be finite"),
+    (lambda: PseudoHermitianModel(m=1, tau=[[INF]]), "torsion matrix must be finite"),
+    (lambda: PseudoHermitianModel(m=1, tau=[[NAN]]), "torsion matrix must be finite"),
+    (lambda: PseudoHermitianModel(m=1, curvature=np.full((2, 2, 2, 2), NAN)), "curvature components must be finite"),
+], ids=["lattice nan", "lattice inf", "lattice singular", "rho nan", "rho inf", "tau inf", "tau nan", "curvature nan"])
+def test_nonfinite_model_data_is_refused(build, message):
+    # abs(det) < 1e-12 and the Hermitian test are both false for NaN, so a NaN lattice built a space with NaN labels
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 def test_dirac_kernel_memo_does_not_read_true_as_one():
     # True == 1.0, so any lookup keyed on the tolerance before the check would return the tol=1.0 counts
     space = SectionSpace(heisenberg_model(1, k=0))
