@@ -12,8 +12,8 @@ Config schema (JSON object; unknown keys are rejected with their path):
       "model": {
         "kind": "heisenberg" | "torus_bundle" | "sphere",   required
         "m": <int >= 1>,                                    required
-        "ell": <int>,                                       default 0
-        "sectors": [<distinct int>, ...],                   default [0]
+        "ell": <int, |ell| <= 2**53>,                        default 0
+        "sectors": [<distinct int, |s| <= 2**53>, ...],      default [0]
             weight sectors to realize: k for the Heisenberg quotient,
             s for the torus bundle (not accepted for the sphere)
         "flux": <nonzero int>,                              torus_bundle only, default 1
@@ -46,18 +46,18 @@ cut into, counted as ``spurious``) are reported as warnings; under
 ``--strict`` they fail the run.
 
 The checks of one run share a per-run memo, the one per-sector cache:
-each sector's SectionSpace is built once, and on its first use one pass
-gathers D's keys (``operators.dirac_blocks``) and keeps only the
-reductions the requested checks read.  Per degree it forms D's Gram once
-(2 box_q, ``operators.degree_gram``) and reads it for the shift defects
-(identities, the torus shift table) and the kernel counts (spectrum,
-vanishing, both cohomology tables), then the identities rows off D's
-keys, its terms' fiber matrices and D^2.  The Grams and D^2 are row joins
-of D's keys, and no check forms a full-space matrix.  A check that reads
-a sector whose pass raised reports that error; a ``MemoryError`` names
-its reader ("the q=3 Gram", "kernel counts", ...).
-A term off its degree shift is the identities check's grading row; the
-kernel and shift table readers refuse it.  The conformal check
+each sector's SectionSpace is built once, and on its first use the one
+sector pass (``cohomology.sector_pass``, which the library's readers
+call too) gathers D's keys and keeps only the reductions the requested
+checks read: per degree one Gram of D (2 box_q), read for the shift
+defects (identities, the torus shift table) and the kernel counts
+(spectrum, vanishing, both cohomology tables), then the identities rows
+off D's keys, its terms' fiber matrices and D^2.  No check forms a
+full-space matrix.  A check that reads a sector whose pass raised
+reports that error; a ``MemoryError`` names its reader ("the q=3 Gram",
+"kernel counts", ...).  A term off its degree shift is the identities
+check's grading row; the kernel and shift table readers refuse it
+(``SectorPass.graded``).  The conformal check
 evaluates exact trigonometric polynomials and their frame derivatives at
 fixed sample points and depends only on the CR dimension, not on the
 sector, so it is evaluated once and that one value is reported under
@@ -80,7 +80,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cohomology import gram_shift_defect, harmonic_spinor_table, shift_table
+from .cohomology import SectorPass, harmonic_spinor_table, sector_pass, shift_table
 from .models import (
     TruncationSpec,
     cr_alpha_bundle,
@@ -88,17 +88,9 @@ from .models import (
     heisenberg_model,
     sphere_model,
 )
-from .operators import (
-    _refuse_off_shift,
-    cluster_eigenvalues,
-    degree_gram,
-    dirac_blocks,
-    gram_kernel_count,
-    nabla_T_defect,
-    sub_laplacian_defect,
-)
+from .operators import cluster_eigenvalues, nabla_T_defect, sub_laplacian_defect
 from .sections import SectionSpace
-from .weitzenboeck import ConformalScale, conformal_check, square_residuals
+from .weitzenboeck import ConformalScale, conformal_check
 
 __all__ = ["main", "run", "load_config", "ConfigError", "CHECK_NAMES"]
 
@@ -135,6 +127,13 @@ def _expect_int(obj, path, low=None):
     return obj
 
 
+def _expect_exact(obj, path):
+    # above 2**53 an integer is no longer an exact float, and a sector's t = -s/2 reads it as one
+    if abs(_expect_int(obj, path)) > 2**53:
+        raise ConfigError(f"at {path}: must be at most 2**53 in magnitude")
+    return obj
+
+
 def _expect_positive(obj, path):
     # json reads NaN and Infinity, which pass a plain comparison with 0
     if isinstance(obj, bool) or not isinstance(obj, (int, float)) or not 0 < obj < math.inf:
@@ -157,6 +156,8 @@ def load_config(path: str) -> dict:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"parse error at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise ConfigError(f"parse error: {exc}") from exc
     _expect_mapping(raw, "top level")
     _reject_unknown(raw, {"model", "checks", "tolerances"}, "config")
 
@@ -173,7 +174,7 @@ def load_config(path: str) -> dict:
     if "m" not in model_raw:
         raise ConfigError("at model.m: required key missing")
     m = _expect_int(model_raw["m"], "model.m", low=1)
-    ell = _expect_int(model_raw.get("ell", 0), "model.ell")
+    ell = _expect_exact(model_raw.get("ell", 0), "model.ell")
 
     model = {"kind": kind, "m": m, "ell": ell}
     if kind == "sphere":
@@ -182,7 +183,7 @@ def load_config(path: str) -> dict:
         sectors = model_raw.get("sectors", [0])
         if not isinstance(sectors, list) or not sectors:
             raise ConfigError(f"at model.sectors: expected a nonempty list, got {sectors!r}")
-        model["sectors"] = [_expect_int(s, f"model.sectors[{i}]") for i, s in enumerate(sectors)]
+        model["sectors"] = [_expect_exact(s, f"model.sectors[{i}]") for i, s in enumerate(sectors)]
         for i, s in enumerate(model["sectors"]):
             if s in model["sectors"][:i]:
                 raise ConfigError(f"at model.sectors[{i}]: duplicate sector {s}")
@@ -249,19 +250,20 @@ def _space_sectors(config) -> list:
 
 
 class _RunMemo:
-    """Objects the checks of one run share: sector spaces, one pass over each sector's D, and the shift table.
+    """Objects the checks of one run share: sector spaces, one ``sector_pass`` per sector, and the shift table.
 
-    A pass computes only what ``checks`` read and keeps reductions, never keys.  A pass that raises is kept
-    as its exception, without the traceback whose frames hold D's keys, and raised again for each
-    later check.  Only successful space builds are kept, so a failed build fails each check that asks for it.
+    A pass reads only what ``checks`` read.  A pass that raises is kept as its exception, without the traceback
+    and the context whose frames hold D's keys, and raised again for each later check.  Only successful space
+    builds are kept, so a failed build fails each check that asks for it.
     """
 
     def __init__(self, model, config, checks):
         self.model = model
         self.config = config
-        self._rows = "identities" in checks
-        self._kernel = not {"spectrum", "cohomology", "vanishing"}.isdisjoint(checks)
-        self._shift = self._rows or model.kind == "torus_bundle" and not {"cohomology", "vanishing"}.isdisjoint(checks)
+        rows = "identities" in checks
+        kernel = not {"spectrum", "cohomology", "vanishing"}.isdisjoint(checks)
+        table = model.kind == "torus_bundle" and not {"cohomology", "vanishing"}.isdisjoint(checks)
+        self._reads = {"shift": rows or table, "tol": config["tolerances"]["spectral"] if kernel else None, "rows": rows}
         self._spaces = {}
         self._passes = {}
 
@@ -270,61 +272,23 @@ class _RunMemo:
             self._spaces[sector] = SectionSpace(self.model, sector=sector)
         return self._spaces[sector]
 
-    def reductions(self, sector) -> dict:
-        """The sector's one pass over D: ``grading``, then ``shift``, ``kernel``, ``rows``, ``square`` as needed."""
+    def reductions(self, sector) -> SectorPass:
+        """The sector's one ``sector_pass``, or the exception it raised."""
         if sector not in self._passes:
             try:
-                self._passes[sector] = self._pass(self.space(sector))
+                self._passes[sector] = sector_pass(self.space(sector), **self._reads)
             except Exception as exc:
+                exc.__context__ = None
                 self._passes[sector] = exc.with_traceback(None)
         out = self._passes[sector]
         if isinstance(out, Exception):
             raise out.with_traceback(None)
         return out
 
-    def _pass(self, space) -> dict:
-        reader = "the gather"
-        try:
-            dirac, grading = dirac_blocks(space)
-            out = {"grading": grading, "shift": {}, "kernel": {}}
-            for q in range(space.m + 1):  # one degree's Gram at a time, read by both and released before the next
-                reader = f"the q={q} Gram"
-                gram = degree_gram(space, dirac, q)
-                if self._shift:
-                    reader = "shift defects"
-                    out["shift"][q] = gram_shift_defect(space, q, gram)
-                if self._kernel:
-                    reader = "kernel counts"
-                    out["kernel"][q] = gram_kernel_count(space, q, gram, self.config["tolerances"]["spectral"])
-                del gram
-            if self._rows:
-                reader = "D^2"
-                degree = space.module.degrees
-                # D-'s key (s, c) one degree down against D+'s (c, s), a missing key read as 0
-                pairs = {(s, c) if degree[s] < degree[c] else (c, s)
-                         for s, c in dirac if abs(degree[s] - degree[c]) == 1}
-                adjoint = np.max([np.abs(dirac.get((s, c), 0.0) - np.conj(dirac.get((c, s), 0.0))).max()
-                                  for s, c in pairs], initial=0.0)
-                # grading is read off the terms' fiber matrices: D+^2 and D-^2 see every entry only while it passes
-                lichnerowicz, covariant, plus, minus = square_residuals(space, dirac)
-                out["rows"] = {"dirac_plus_squared": plus, "dirac_minus_squared": minus,
-                               "adjoint_defect": float(adjoint), "grading_defect": max(grading)}
-                out["square"] = lichnerowicz, covariant
-        except MemoryError as exc:
-            raise MemoryError(f"{exc} (in {reader})") from None
-        return out
-
-    def graded(self, sector, key):
-        """The pass's ``key`` reduction, refused for a D term off its degree shift."""
-        _refuse_off_shift(self.space(sector), self.reductions(sector)["grading"])
-        return self.reductions(sector)[key]
-
     @cached_property
     def shift_table(self):
-        tolerances = self.config["tolerances"]
-        return shift_table(self.model, s_range=tuple(self.config["model"]["sectors"]),
-                           tol=tolerances["spectral"], shift_tol=tolerances["dual_assembly"],
-                           sector=lambda s: (self.space(s), self.graded(s, "shift"), self.graded(s, "kernel")))
+        return shift_table(self.model, s_range=tuple(self.config["model"]["sectors"]), sector=self.reductions,
+                           shift_tol=self.config["tolerances"]["dual_assembly"])
 
 
 def _check_identities(model, config, memo: _RunMemo) -> CheckResult:
@@ -334,13 +298,14 @@ def _check_identities(model, config, memo: _RunMemo) -> CheckResult:
     per_sector = {}
     for sector in sectors:
         space = memo.space(sector)
-        reductions = memo.reductions(sector)
-        lichnerowicz, covariant = reductions["square"]
-        residuals = {(name, "algebraic"): value for name, value in reductions["rows"].items()}
+        reads = memo.reductions(sector)
+        lichnerowicz, covariant = reads.square
+        residuals = {(name, "algebraic"): value for name, value in reads.rows.items()}
         residuals.update({
             ("sub_laplacian_routes", "dual_assembly"): sub_laplacian_defect(space),
             ("reeb_routes", "dual_assembly"): float(nabla_T_defect(space)),
-            ("sector_identity", "dual_assembly"): max(reductions["shift"].values()),
+            # np.max, not max: a NaN degree must reach the row
+            ("sector_identity", "dual_assembly"): np.max(list(reads.shift.values())),
             ("lichnerowicz_residual", "dual_assembly"): lichnerowicz,
         })
         residuals.update({(f"covariant_dirac_residual_ell={ell}", "dual_assembly"): v for ell, v in covariant.items()})
@@ -379,7 +344,7 @@ def _check_spectrum(model, config, memo: _RunMemo) -> CheckResult:
         space = memo.space(sector)
         rows = []
         kernels = {}
-        for q, count in memo.graded(sector, "kernel").items():
+        for q, count in memo.reductions(sector).graded("kernel").items():
             evals = count.eigenvalues
             min_eig = min(min_eig, float(evals.min()) if evals.size else np.inf)
             for value, mult in cluster_eigenvalues(evals, tol=tol["spectral"]):
@@ -407,7 +372,7 @@ def _check_cohomology(model, config, memo: _RunMemo) -> CheckResult:
         table = memo.shift_table
     else:
         # every sector's table carries the same notes, which depend only on m
-        parts = [harmonic_spinor_table(memo.space(sector), memo.graded(sector, "kernel")) for sector in sectors]
+        parts = [harmonic_spinor_table(memo.space(s), memo.reductions(s).graded("kernel")) for s in sectors]
         table = parts[0]
         table.rows.extend(row for part in parts[1:] for row in part.rows)
     analytic = table.dims(method="analytic")
@@ -451,7 +416,7 @@ def _check_vanishing(model, config, memo: _RunMemo) -> CheckResult:
     clashes = {}
     if model.has_section_space:
         for sector in _space_sectors(config):
-            for q, dim in kernel_clashes(verdicts, memo.graded(sector, "kernel")).items():
+            for q, dim in kernel_clashes(verdicts, memo.reductions(sector).graded("kernel")).items():
                 clashes[f"sector={sector},q={q}"] = dim
     payload["spectral_clashes"] = clashes
 

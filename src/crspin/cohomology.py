@@ -12,12 +12,19 @@ creation/annihilation matrices:
 where w_a wedges the a-th antiholomorphic coframe element.  Degree q's
 Gram matrix of D is P_q^H P_q + M_q^H M_q with M = D-, which is 2 box_q
 when M = P^H.  So on the per-slot blocks box is half of D's degree Grams
-(``operators.degree_gram``): a sector pass forms each once and reads it
-for the shift defects (``gram_shift_defect``) and for the kernel counts,
-ker D_q = ker box_q, which are the spectral rows of both tables.  The
-dense oracle ``kohn_laplacian`` builds box from D+ alone, so D^2 = 2 box
-on the degree blocks (acceptance criterion 4) compares two routes that
-part when D- is not the adjoint of D+.
+(``operators.degree_gram``).  Every reader of a sector's D goes through
+one pass, ``sector_pass``: it gathers D once (``operators.dirac_blocks``),
+forms each degree's Gram once, reads it for the shift defects
+(``gram_shift_defect``) and the kernel counts, ker D_q = ker box_q (the
+spectral rows of both tables), and releases it before the next; asked
+for the identities rows, it also reads D's adjoint defect and D^2
+(``weitzenboeck.square_residuals``).  It keeps only these reductions,
+names its reader in a ``MemoryError``, and its record alone refuses a D
+term off its degree shift (``SectorPass.graded``).  The run's memo,
+``shift_table``, ``sector_identity_residual`` and ``dirac_kernel`` all
+call it.  The dense oracle ``kohn_laplacian`` builds box from D+ alone,
+so D^2 = 2 box on the degree blocks (acceptance criterion 4) compares two
+routes that part when D- is not the adjoint of D+.
 
 On a weight sector with commutator scalar t the Kohn Laplacian differs
 from the holomorphic connection Laplacian by a multiple of the fiber
@@ -39,19 +46,21 @@ from math import comb
 
 import numpy as np
 
-from .clifford import _integer
+from .clifford import _integer, _positive
 from .models import TorusBundleModel, TorusLattice
-from .operators import (KernelCount, OperatorMatrix, _refuse_off_shift, assemble_dplus, degree_gram, dirac_blocks,
-                        gram_kernel_count)
+from .operators import KernelCount, OperatorMatrix, assemble_dplus, degree_gram, dirac_blocks, gram_kernel_count
 from .sections import SectionSpace
+from .weitzenboeck import square_residuals
 
 __all__ = [
     "CohomologyTable",
     "TableRow",
     "kohn_laplacian",
+    "SectorPass",
+    "sector_pass",
     "sector_identity_residual",
+    "dirac_kernel",
     "gram_shift_defect",
-    "shift_defects",
     "torus_line_bundle_cohomology",
     "shift_table",
     "harmonic_spinor_table",
@@ -90,29 +99,76 @@ def gram_shift_defect(space: SectionSpace, q: int, gram: np.ndarray) -> float:
     return float(np.max(defects))
 
 
-def shift_defects(space: SectionSpace, dirac: dict) -> dict[int, float]:
-    """``gram_shift_defect`` per degree q off D's keys, one degree's Gram at a time."""
-    return {q: gram_shift_defect(space, q, degree_gram(space, dirac, q)) for q in range(space.m + 1)}
+@dataclass(frozen=True)
+class SectorPass:
+    """One sector's reductions of D (``sector_pass``), never its keys: the ``grading`` defects of D's terms and, as
+    asked, the per-degree ``shift`` defects and ``kernel`` counts, the identities ``rows`` and D^2's ``square``
+    residuals (Lichnerowicz, {ell: fixed-weight})."""
+
+    space: SectionSpace
+    grading: list[float]
+    shift: dict[int, float]
+    kernel: dict[int, KernelCount]
+    rows: dict
+    square: tuple
+
+    def graded(self, key: str):
+        """The ``shift`` or ``kernel`` reduction, refused with ``ValueError`` at the first D term whose grading defect
+        is nonzero: ``stack`` keys only the fiber positions a term fills, so the Grams read D's keys one degree
+        apart and would miss it."""
+        for index, defect in enumerate(self.grading):
+            if defect:
+                raise ValueError(f"{self.space.model.kind} sector {self.space.sector}: term {index} has fiber "
+                                 f"entries off its degree shift (largest {defect:.2e})")
+        return getattr(self, key)
 
 
-def _sector_reads(space: SectionSpace, tol: float | None = None) -> tuple[dict, dict]:
-    """(shift defects, kernel counts) per degree off one gather of D, refused off its degree shifts: each
-    degree's Gram is formed once, read by both (the counts only given ``tol``) and released before the next."""
-    dirac, grading = dirac_blocks(space)
-    _refuse_off_shift(space, grading)
-    defects, counts = {}, {}
-    for q in range(space.m + 1):
-        gram = degree_gram(space, dirac, q)
-        defects[q] = gram_shift_defect(space, q, gram)
-        if tol is not None:
-            counts[q] = gram_kernel_count(space, q, gram, tol)
-        del gram
-    return defects, counts
+def sector_pass(space: SectionSpace, shift: bool = False, tol: float | None = None, rows: bool = False) -> SectorPass:
+    """One gather of D (``operators.dirac_blocks``), read for what is asked and released.
+
+    Each degree's Gram (``degree_gram``) is formed once, read for the ``shift`` defects and, given ``tol``, the
+    kernel counts, and released before the next.  ``rows`` adds the identities rows off D's keys and its terms'
+    grading defects, and D^2's residuals (``square_residuals``).  A ``MemoryError`` names its reader.
+    """
+    reader, defects, counts, identity_rows, square = "the gather", {}, {}, {}, ()
+    try:
+        dirac, grading = dirac_blocks(space)
+        for q in range(space.m + 1):
+            reader = f"the q={q} Gram"
+            gram = degree_gram(space, dirac, q)
+            if shift:
+                reader = "shift defects"
+                defects[q] = gram_shift_defect(space, q, gram)
+            if tol is not None:
+                reader = "kernel counts"
+                counts[q] = gram_kernel_count(space, q, gram, tol)
+            del gram
+        if rows:
+            reader = "D^2"
+            degree = space.module.degrees
+            # D-'s key (s, c) one degree down against D+'s (c, s), a missing key read as 0
+            pairs = {(s, c) if degree[s] < degree[c] else (c, s) for s, c in dirac if abs(degree[s] - degree[c]) == 1}
+            adjoint = np.max([np.abs(dirac.get((s, c), 0.0) - np.conj(dirac.get((c, s), 0.0))).max()
+                              for s, c in pairs], initial=0.0)
+            # grading is read off the terms' fiber matrices: D+^2 and D-^2 see every entry only while it passes
+            lichnerowicz, covariant, plus, minus = square_residuals(space, dirac)
+            identity_rows = {"dirac_plus_squared": plus, "dirac_minus_squared": minus,
+                             "adjoint_defect": float(adjoint), "grading_defect": max(grading)}
+            square = lichnerowicz, covariant
+    except MemoryError as exc:
+        raise MemoryError(f"{exc} (in {reader})") from None
+    return SectorPass(space, grading, defects, counts, identity_rows, square)
 
 
 def sector_identity_residual(space: SectionSpace) -> dict[int, float]:
-    """``shift_defects`` of the space's own gather of D, after refusing a D term off its degree shift."""
-    return _sector_reads(space)[0]
+    """Per-degree ``gram_shift_defect`` off the space's own ``sector_pass``, refused for a D term off its shift."""
+    return sector_pass(space, shift=True).graded("shift")
+
+
+def dirac_kernel(space: SectionSpace, tol: float = 1e-8) -> dict[int, KernelCount]:
+    """Kernel counts of the Kohn-Dirac operator off the space's own ``sector_pass``, equal to
+    ``kernel_report(assemble_kohn_dirac(space))``; refused for a D term off its degree shift."""
+    return sector_pass(space, tol=_positive(tol, "kernel tolerance")).graded("kernel")
 
 
 def torus_line_bundle_cohomology(lattice: TorusLattice, c: int, s: int, q: int) -> int:
@@ -187,24 +243,24 @@ def shift_table(model: TorusBundleModel, s_range=(0,), tol=1e-8, sector=None, sh
     degree).  The spectral route counts harmonic spinors, ker D_q = ker
     box_q, on complete per-slot blocks (null vectors of cut blocks are
     cutoff artifacts), once a sector's largest shift defect is at most
-    ``shift_tol``.  ``sector(s)`` gives the weight-s space, its shift
-    defects per degree and its kernel counts (default: one gather of D on
-    a new space, refused off its shifts, and one Gram per degree).
+    ``shift_tol`` (a NaN defect is not).  ``sector(s)`` gives the
+    weight-s ``SectorPass`` with its shift defects and kernel counts
+    (default: ``sector_pass`` on a new space, the counts at ``tol``).
     """
     if not isinstance(model, TorusBundleModel):
         raise ValueError("the shift isomorphism table needs a torus circle bundle")
     if sector is None:
         def sector(s):
-            space = SectionSpace(model, sector=s)
-            return space, *_sector_reads(space, tol)
+            return sector_pass(SectionSpace(model, sector=s), shift=True, tol=tol)
     table = CohomologyTable(model_name=model.describe())
     if model.m == 1:
         table.notes.append(MODEL_LEVEL_NOTE)
     for s in s_range:
-        space, defects, counts = sector(s)
-        if (worst := max(defects.values())) > shift_tol:
+        reads = sector(s)
+        # np.max, not max: a NaN defect must reach the guard, which refuses all but a defect <= shift_tol
+        if not (worst := np.max(list(reads.graded("shift").values()))) <= shift_tol:
             raise RuntimeError(f"shift identity fails on sector {s}: defect {worst:.2e} on complete blocks")
-        spectral = {row.q: row for row in _kernel_rows(space, counts)}
+        spectral = {row.q: row for row in _kernel_rows(reads.space, reads.graded("kernel"))}
         for q in range(model.m + 1):
             analytic = torus_line_bundle_cohomology(model.lattice, model.flux, -s, q)
             table.rows.append(TableRow(q, s, analytic, "analytic", _row_status(model.m, q)))

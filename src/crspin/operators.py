@@ -39,16 +39,18 @@ D's term lists are stacked in one place, ``dirac_blocks``, with their
 ``grading_defects``: each term's largest fiber entry off its degree
 shift.  The identities check reports them as a row; the readers of the
 degree Grams, which rest on the shifts, refuse a nonzero one
-(``_refuse_off_shift``).
+(``cohomology.SectorPass.graded``).
 
 Kernel counts rest on structure: a null vector in a complete per-slot
 block (``SectionSpace.block_complete``, no state lost to the top cutoff)
 is kernel, and one in any other block is a cutoff artifact.
 ``kernel_report`` eigensolves the full-space degree blocks of a dense
 operator and stays the reference.  On the blocks, ``degree_gram`` joins
-the Gram matrix of D's degree-q columns from its keys (2 box_q, so the
-shift defects in ``cohomology`` read it too) and ``gram_kernel_count``
-makes one batched eigensolve per pattern of kept states.
+the Gram matrix of D's degree-q columns from its keys (2 box_q) and
+``gram_kernel_count`` makes one batched eigensolve per pattern of kept
+states.  Both are read by one sector pass (``cohomology.sector_pass``),
+which gathers D, forms each degree's Gram once for the shift defects and
+the kernel counts, and keeps only their reductions.
 """
 
 from __future__ import annotations
@@ -77,8 +79,6 @@ __all__ = [
     "kernel_report",
     "degree_gram",
     "gram_kernel_count",
-    "block_kernel_report",
-    "dirac_kernel",
     "KernelCount",
 ]
 
@@ -120,15 +120,6 @@ def grading_defects(space: SectionSpace, plus_terms, minus_terms) -> list[float]
     shift = degree[:, None] - degree[None, :]
     return [float(np.abs(fiber[shift != step]).max()) for terms, step in ((plus_terms, 1), (minus_terms, -1))
             for fiber, _ in terms]
-
-
-def _refuse_off_shift(space: SectionSpace, grading: list[float]) -> None:
-    """Refuse, with ``ValueError``, the first term whose grading defect is nonzero: ``stack`` keys only the fiber
-    positions a term fills, so D's keys then lie one degree apart."""
-    for index, defect in enumerate(grading):
-        if defect:
-            raise ValueError(f"{space.model.kind} sector {space.sector}: term {index} has fiber entries off "
-                             f"its degree shift (largest {defect:.2e})")
 
 
 def dirac_blocks(space: SectionSpace) -> tuple[dict, list[float]]:
@@ -297,18 +288,3 @@ def gram_kernel_count(space: SectionSpace, q: int, gram: np.ndarray, tol: float 
             spurious += int(null[~whole].sum())
             spectra.append(evals.ravel())
     return _kernel_count(dim, spurious, spectra)
-
-
-def block_kernel_report(space: SectionSpace, keys: dict, tol: float = 1e-8) -> dict[int, KernelCount]:
-    """``kernel_report`` of the operator D whose per-slot blocks are ``keys``, one degree's Gram at a time."""
-    return {q: gram_kernel_count(space, q, degree_gram(space, keys, q), tol) for q in range(space.m + 1)}
-
-
-def dirac_kernel(space: SectionSpace, tol: float = 1e-8) -> dict[int, KernelCount]:
-    """Kernel counts of the Kohn-Dirac operator from its keys (``dirac_blocks``), equal to
-    ``kernel_report(assemble_kohn_dirac(space))``; a D term off its degree shift is refused (``_refuse_off_shift``).
-    """
-    tol = _positive(tol, "kernel tolerance")
-    dirac, grading = dirac_blocks(space)
-    _refuse_off_shift(space, grading)
-    return block_kernel_report(space, dirac, tol=tol)

@@ -36,8 +36,8 @@ from fractions import Fraction
 import numpy as np
 
 from .clifford import _integer
+from .cohomology import dirac_kernel
 from .models import PseudoHermitianModel
-from .operators import dirac_kernel
 from .weitzenboeck import curvature_term
 
 __all__ = [

@@ -9,9 +9,10 @@ from blockstates import box_keys, complete_max, full_indices, to_stack
 
 from crspin import cli, operators
 from crspin.cohomology import (
+    dirac_kernel,
     kohn_laplacian,
     sector_identity_residual,
-    shift_defects,
+    sector_pass,
     shift_table,
 )
 from crspin.models import TruncationSpec, cr_alpha_bundle, heisenberg_model
@@ -20,7 +21,6 @@ from crspin.operators import (
     assemble_dplus,
     assemble_kohn_dirac,
     dirac_blocks,
-    dirac_kernel,
     dminus_terms,
     dplus_terms,
     kernel_report,
@@ -336,15 +336,14 @@ def test_identities_check_allocates_no_full_space_matrix(model, sector, dim):
 
 @pytest.mark.parametrize("model", [heisenberg_model(3, k=1, truncation=LADDER3),
                                    cr_alpha_bundle(3, c=1, truncation=LADDER3)], ids=["heisenberg-ladder", "torus-fourier"])
-def test_shift_defects_hold_under_one_stack_given_d(model):
-    # one degree's Gram at a time, at most 9/64 of a stack at m = 3, and the products of one degree slab of D;
-    # box_bar is a diagonal, not a stack
+def test_the_shift_pass_holds_under_one_stack(model):
+    # D's m 2^m keys, one degree's Gram at a time beside them (at most 9/64 of a stack at m = 3) and the products
+    # of one degree slab of D; box_bar is a diagonal, not a stack
     space = SectionSpace(model)
-    dirac = dirac_blocks(space)[0]
-    space.horizontal_laplacians()
+    space.blocks(), space.block_complete(), space.horizontal_laplacians()  # cached on the space, not the pass's
     tracemalloc.start()
     try:
-        shift_defects(space, dirac)
+        sector_pass(space, shift=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

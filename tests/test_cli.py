@@ -1,4 +1,6 @@
 import contextlib
+import csv
+import gc
 import io
 import json
 import re
@@ -9,11 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crspin import cli, cohomology, operators, sections
 from crspin.cli import main
+from crspin.models import heisenberg_model
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -86,6 +89,15 @@ def test_parse_error_includes_line(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_an_integer_past_the_digit_limit_is_a_parse_error(tmp_path, capsys):
+    # json reads an integer literal through int(), which refuses more than 4300 digits with a plain ValueError
+    path = tmp_path / "long.json"
+    path.write_text('{"model": {"kind": "heisenberg", "m": 1, "ell": 1' + "0" * 5000 + "}}")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "art")]) == 2
+    assert "config error: parse error: Exceeds the limit" in capsys.readouterr().err
+    assert not (tmp_path / "art").exists()
+
+
 def test_unknown_check_rejected(tmp_path, capsys):
     cfg = write_config(
         tmp_path, {"model": {"kind": "heisenberg", "m": 1}, "checks": ["identitties"]}
@@ -138,6 +150,8 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, kind, key, path, value):
 
 
 NUMBERS = st.one_of(st.integers(-1, 2), st.floats(allow_nan=True, allow_infinity=True))
+# integers at and past 2**53, where a sector's t = -s/2 stops being an exact float
+HUGE = st.sampled_from([2**53, -2**53, 2**53 + 1, -2**53 - 1, 10**240, 10**309, -10**400])
 
 
 @st.composite
@@ -145,11 +159,11 @@ def fuzzed_configs(draw):
     """Configs of the schema's shape: any numbers (NaN and infinities too), sector lists that may
     repeat, sizes around their lower bounds, and now and then a key the kind does not take."""
     kind = draw(st.sampled_from(["heisenberg", "torus_bundle", "sphere", "klein"]))
-    model = {"kind": kind, "m": draw(st.integers(0, 2)), "ell": draw(st.integers(-2, 2))}
+    model = {"kind": kind, "m": draw(st.integers(0, 2)), "ell": draw(st.one_of(st.integers(-2, 2), HUGE))}
     if kind == "sphere" or draw(st.integers(0, 9)) == 0:
         model["scal_w"] = draw(NUMBERS)
     if kind != "sphere" or draw(st.integers(0, 9)) == 0:
-        model["sectors"] = draw(st.lists(st.integers(-2, 2), max_size=3))
+        model["sectors"] = draw(st.lists(st.one_of(st.integers(-2, 2), HUGE), max_size=3))
         model["flux"] = draw(st.integers(-1, 1))
         model["truncation"] = {"fourier_radius": draw(st.integers(0, 2)), "ladder_levels": draw(st.integers(1, 3))}
     tolerances = st.dictionaries(st.sampled_from([*cli.TOLERANCE_DEFAULTS, "shell"]), NUMBERS, max_size=2)
@@ -158,6 +172,12 @@ def fuzzed_configs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(fuzzed_configs())
+# each of these ran: an OverflowError in curvature_term and in SectionSpace, and a spectrum file name too long
+@example({"model": {"kind": "heisenberg", "m": 1, "ell": 10**400}, "checks": ["identities"]})
+@example({"model": {"kind": "torus_bundle", "m": 2, "sectors": [10**309], "truncation": {"ladder_levels": 3}},
+          "checks": ["identities"]})
+@example({"model": {"kind": "torus_bundle", "m": 2, "sectors": [10**240], "truncation": {"ladder_levels": 3}},
+          "checks": ["spectrum"]})
 def test_refused_configs_exit_2_with_a_key_path(config):
     # main runs on refused configs only, so no fuzzed size is ever allocated
     with tempfile.TemporaryDirectory() as tmp:
@@ -176,6 +196,17 @@ def test_refused_configs_exit_2_with_a_key_path(config):
     assert all(0 < value < float("inf") for value in loaded["tolerances"].values())
     assert 0 < model.get("scal_w", 1.0) < float("inf")
     assert len(set(model.get("sectors", []))) == len(model.get("sectors", []))
+    assert all(abs(value) <= 2**53 for value in [model["ell"], *model.get("sectors", [])])
+
+
+@pytest.mark.parametrize("model, path", [
+    ({"kind": "sphere", "m": 2, "ell": -10**400}, "model.ell"),
+    ({"kind": "heisenberg", "m": 1, "sectors": [0, 2**53 + 1]}, "model.sectors[1]"),
+])
+def test_an_integer_past_2_53_names_its_key(tmp_path, capsys, model, path):
+    cfg = write_config(tmp_path, {"model": model, "checks": ["vanishing"]})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "art")]) == 2
+    assert f"config error: at {path}: must be at most 2**53 in magnitude" in capsys.readouterr().err
 
 
 def test_sphere_rejects_sector_list(tmp_path, capsys):
@@ -391,7 +422,8 @@ def test_run_builds_each_shared_object_once(tmp_path, monkeypatch, kind):
 
 
 # per sector of m = 2: one gather of D, one Gram per degree and one D^2
-ALL_ONE = {"dirac_blocks": 3, "degree_gram": 9, "gram_shift_defect": 9, "gram_kernel_count": 9, "product_rows": 12}
+ALL_ONE = {"sector_pass": 3, "dirac_blocks": 3, "degree_gram": 9, "gram_shift_defect": 9, "gram_kernel_count": 9,
+           "product_rows": 12}
 
 
 @pytest.mark.parametrize("kind", ["torus_bundle", "heisenberg"])
@@ -404,10 +436,9 @@ ALL_ONE = {"dirac_blocks": 3, "degree_gram": 9, "gram_shift_defect": 9, "gram_ke
 ], ids=["all", "identities", "spectrum"])
 def test_run_forms_one_dirac_square_per_check_family(tmp_path, monkeypatch, kind, checks, expected):
     counts = {}
-    for name in ("assemble_kohn_dirac", "assemble_dplus", "kernel_report", "block_kernel_report", "dirac_blocks",
-                 "gram_kernel_count"):
+    for name in ("assemble_kohn_dirac", "assemble_dplus", "kernel_report", "dirac_blocks", "gram_kernel_count"):
         count_calls(monkeypatch, counts, name, getattr(operators, name))
-    for name in ("kohn_laplacian", "shift_defects", "gram_shift_defect"):
+    for name in ("kohn_laplacian", "sector_pass", "gram_shift_defect"):
         count_calls(monkeypatch, counts, name, getattr(cohomology, name))
     counts["product_rows"] = 0
     join = sections.SectionSpace.product_rows
@@ -440,8 +471,7 @@ def test_run_forms_one_dirac_square_per_check_family(tmp_path, monkeypatch, kind
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
     main(["run", "--config", write_config(tmp_path, m2_config(kind, checks)), "--out", str(tmp_path / "art")])
-    assert counts == dict(expected, assemble_kohn_dirac=0, assemble_dplus=0, kohn_laplacian=0, kernel_report=0,
-                          block_kernel_report=0, shift_defects=0)
+    assert counts == dict(expected, assemble_kohn_dirac=0, assemble_dplus=0, kohn_laplacian=0, kernel_report=0)
     # every eigensolve is fiber-sized: per-slot blocks and curvature matrices; identities makes none
     assert (sizes or checks == ["identities"]) and max(sizes, default=0) <= 2 ** 2
 
@@ -465,6 +495,30 @@ def test_a_memory_error_is_that_checks_error(tmp_path, monkeypatch, capsys):
     assert "check conformal: PASS" in printed and (out / "conformal_report.json").is_file()
     # each check errs at the first sector it reads, and that sector's failed pass is not gathered again
     assert attempts == {-1: 1}
+
+
+def test_a_failed_pass_keeps_no_key_of_d(monkeypatch):
+    # the named MemoryError is raised while the allocator's is handled, so its context's frames hold D's keys
+    keys = []
+    gather = operators.dirac_blocks
+
+    def recording(space):
+        out = gather(space)
+        keys.extend(weakref.ref(vec) for vec in out[0].values())
+        return out
+
+    def refuse(space, dirac, q):
+        raise MemoryError("Unable to allocate 3.06 GiB for an array with shape (65536, 56, 56)")
+
+    rebind(monkeypatch, "dirac_blocks", gather, recording)
+    rebind(monkeypatch, "degree_gram", operators.degree_gram, refuse)
+    model = heisenberg_model(2, k=1)
+    config = {"model": {"sectors": [1]}, "tolerances": dict(cli.TOLERANCE_DEFAULTS)}
+    memo = cli._RunMemo(model, config, ["spectrum"])
+    with pytest.raises(MemoryError, match=r"\(in the q=0 Gram\)$"):
+        memo.reductions(1)
+    gc.collect()
+    assert keys and all(ref() is None for ref in keys)
 
 
 @pytest.mark.parametrize("name, reader", [("degree_gram", "the q=1 Gram"), ("gram_kernel_count", "kernel counts")])
@@ -529,13 +583,14 @@ def test_spectral_checks_form_no_full_space_kronecker_term(tmp_path, monkeypatch
 def test_spectrum_and_vanishing_share_one_dirac_kernel(tmp_path, monkeypatch):
     # spectrum and vanishing ask for the Dirac kernel at the same spectral tolerance
     counts = {}
-    for name in ("kernel_report", "block_kernel_report", "degree_gram", "gram_kernel_count"):
+    for name in ("kernel_report", "degree_gram", "gram_kernel_count"):
         count_calls(monkeypatch, counts, name, getattr(operators, name))
+    count_calls(monkeypatch, counts, "sector_pass", cohomology.sector_pass)
     config = {"model": {"kind": "heisenberg", "m": 2, "sectors": [1]},
               "checks": ["spectrum", "vanishing"], "tolerances": {"spectral": 1e-6}}
     main(["run", "--config", write_config(tmp_path, config), "--out", str(tmp_path / "art")])
-    # one Gram and one kernel count per degree of m = 2
-    assert counts == {"kernel_report": 0, "block_kernel_report": 0, "degree_gram": 3, "gram_kernel_count": 3}
+    # one pass, and one Gram and one kernel count per degree of m = 2
+    assert counts == {"kernel_report": 0, "degree_gram": 3, "gram_kernel_count": 3, "sector_pass": 1}
 
 
 def test_cohomology_fails_when_cut_blocks_count_as_kernel(tmp_path, monkeypatch, capsys):
@@ -628,3 +683,15 @@ def test_identities_fail_on_a_term_that_leaves_its_block(tmp_path, monkeypatch, 
     # term 2 of D's list, D+ of both slots first
     assert "check identities: ERROR (heisenberg sector 1: term 2 moves states between per-slot blocks" in capsys.readouterr().out
     assert json.loads((out / "identities_report.json").read_text())["passed"] is False
+
+
+def test_a_nan_shift_defect_in_any_degree_fails_identities(tmp_path, monkeypatch, capsys):
+    # max() keeps a finite first value over a later NaN, so the row must take np.max over the degrees
+    read = cohomology.gram_shift_defect
+    rebind(monkeypatch, "gram_shift_defect", read, lambda space, q, gram: np.nan if q == 1 else read(space, q, gram))
+    cfg = write_config(tmp_path, {"model": {"kind": "heisenberg", "m": 2, "sectors": [1]}, "checks": ["identities"]})
+    out = tmp_path / "art"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    assert "check identities: FAIL (" in capsys.readouterr().out
+    rows = list(csv.reader((out / "identities_residuals.csv").open()))
+    assert [(row[2], row[4]) for row in rows if row[1] == "sector_identity"] == [("nan", "false")]

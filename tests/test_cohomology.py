@@ -1,6 +1,7 @@
 import copy
 import re
 import tracemalloc
+import weakref
 from math import comb
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from crspin.cohomology import (
     CohomologyTable,
+    dirac_kernel,
     harmonic_spinor_table,
     kohn_laplacian,
     sector_identity_residual,
@@ -16,7 +18,7 @@ from crspin.cohomology import (
 )
 from crspin import cohomology
 from crspin.models import TorusLattice, TruncationSpec, cr_alpha_bundle, heisenberg_model
-from crspin.operators import assemble_dplus, assemble_kohn_dirac, dirac_kernel, kernel_report
+from crspin.operators import assemble_dplus, assemble_kohn_dirac, kernel_report
 from crspin.sections import SectionSpace, SlotOp
 
 
@@ -241,6 +243,60 @@ def test_shift_table_multiplicity():
 def test_shift_table_rejects_other_models():
     with pytest.raises(ValueError):
         shift_table(heisenberg_model(1, k=0))
+
+
+def test_the_shift_guard_refuses_a_nan_defect():
+    # a finite lattice of determinant 1 whose base Laplacian overflows: both degrees' shift defects read NaN,
+    # and NaN > shift_tol is false, so the guard must refuse all but a defect <= shift_tol
+    model = cr_alpha_bundle(TorusLattice(1, np.diag([1e-160, 1e160])), c=1, truncation=TruncationSpec(1, 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(list(sector_identity_residual(SectionSpace(model)).values())).all()
+        with pytest.raises(RuntimeError, match="shift identity fails on sector 0: defect nan on complete blocks"):
+            shift_table(model, s_range=[0])
+
+
+LIBRARY_READERS = {
+    "dirac_kernel": lambda model: [dirac_kernel(SectionSpace(model, sector=s)) for s in (-1, 0, 1)],
+    "sector_identity_residual":
+        lambda model: [sector_identity_residual(SectionSpace(model, sector=s)) for s in (-1, 0, 1)],
+    "shift_table": lambda model: shift_table(model, s_range=(-1, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("reader", LIBRARY_READERS)
+def test_library_readers_gather_d_once_per_sector_and_hold_one_gram(monkeypatch, reader):
+    # the run's guarantee (test_cli.py::test_run_forms_one_dirac_square_per_check_family) through one sector_pass
+    gathers, grams = [], []
+    gather, gram = cohomology.dirac_blocks, cohomology.degree_gram
+
+    def counting_gather(space):
+        gathers.append(space.sector)
+        return gather(space)
+
+    def one_gram_alive(space, keys, q):
+        assert all(ref() is None for ref in grams), f"a Gram is alive when the q={q} Gram is formed"
+        out = gram(space, keys, q)
+        grams.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(cohomology, "dirac_blocks", counting_gather)
+    monkeypatch.setattr(cohomology, "degree_gram", one_gram_alive)
+    LIBRARY_READERS[reader](cr_alpha_bundle(2, c=1))
+    assert gathers == [-1, 0, 1] and len(grams) == 9
+
+
+@pytest.mark.parametrize("reader", LIBRARY_READERS)
+def test_a_memory_error_in_a_library_reader_names_its_gram(monkeypatch, reader):
+    gram = cohomology.degree_gram
+
+    def refuse(space, keys, q):
+        if q == 1:
+            raise MemoryError("Unable to allocate 3.06 GiB for an array with shape (65536, 56, 56)")
+        return gram(space, keys, q)
+
+    monkeypatch.setattr(cohomology, "degree_gram", refuse)
+    with pytest.raises(MemoryError, match=r"shape \(65536, 56, 56\) \(in the q=1 Gram\)$"):
+        LIBRARY_READERS[reader](cr_alpha_bundle(2, c=1))
 
 
 @pytest.mark.parametrize("s", [1.5, True, "1"])

@@ -6,7 +6,7 @@ import pytest
 
 import crspin
 from crspin.clifford import SpinorModule, creation_matrix, dtheta_frame_matrix
-from crspin.cohomology import torus_line_bundle_cohomology
+from crspin.cohomology import dirac_kernel, torus_line_bundle_cohomology
 from crspin.fields import TrigPoly
 from crspin.models import (
     HeisenbergModel,
@@ -27,7 +27,7 @@ from crspin.models import (
     tau_frame_components,
     torsion_residual,
 )
-from crspin.operators import assemble_kohn_dirac, cluster_eigenvalues, dirac_kernel, kernel_report
+from crspin.operators import assemble_kohn_dirac, cluster_eigenvalues, kernel_report
 from crspin.sections import SectionSpace
 from crspin.vanishing import qhat, vanishing_verdicts
 from crspin.weitzenboeck import ConformalScale, default_sample_points, dl_residual

@@ -8,6 +8,7 @@ from twistor_oracle import assemble_twistor, twistor_contraction
 
 from crspin import operators, weitzenboeck
 from crspin.clifford import annihilation_matrix, creation_matrix, theta_matrix
+from crspin.cohomology import dirac_kernel
 from crspin.models import TruncationSpec, cr_alpha_bundle, heisenberg_model
 from crspin.operators import (
     OperatorMatrix,
@@ -15,7 +16,6 @@ from crspin.operators import (
     assemble_dplus,
     assemble_kohn_dirac,
     cluster_eigenvalues,
-    dirac_kernel,
     dminus_terms,
     dplus_terms,
     grading_defects,
