@@ -36,8 +36,9 @@ chosen format into the output directory.  Outputs are deterministic:
 fixed basis ordering, seedless dense eigensolvers, sorted JSON keys, and
 CSV floats in full-precision scientific notation, so reruns of the same
 config are byte-identical.  Exit status: 0 when every requested check
-passes, 1 when any check fails or errors, 2 on config problems.  At exit
-a run process freezes the GC (``gc.freeze`` from ``atexit``), so
+passes, 1 when any check fails or errors, 2 on config problems and on an
+``--out`` directory that cannot be made, before any check runs.  At exit a
+run process freezes the GC (``gc.freeze`` from ``atexit``), so
 CPython's final cyclic sweep skips the ~22 000 objects numpy and the
 stdlib leave tracked: the OS frees them anyway, and the sweep took ~17 ms.
 
@@ -48,20 +49,19 @@ cut into, counted as ``spurious``) are reported as warnings; under
 The checks of one run share a per-run memo, the one per-sector cache:
 each sector's SectionSpace is built once, and on its first use the one
 sector pass (``cohomology.sector_pass``, which the library's readers
-call too) gathers D's keys and keeps only the reductions the requested
-checks read: per degree one Gram of D (2 box_q), read for the shift
-defects (identities, the torus shift table) and the kernel counts
-(spectrum, vanishing, both cohomology tables), then the identities rows
-off D's keys, its terms' fiber matrices and D^2.  No check forms a
-full-space matrix.  A check that reads a sector whose pass raised
-reports that error; a ``MemoryError`` names its reader ("the q=3 Gram",
-"kernel counts", ...).  A term off its degree shift is the identities
-check's grading row; the kernel and shift table readers refuse it
-(``SectorPass.graded``).  The conformal check
-evaluates exact trigonometric polynomials and their frame derivatives at
-fixed sample points and depends only on the CR dimension, not on the
-sector, so it is evaluated once and that one value is reported under
-every sector key.
+call too) gathers D's keys, joins D^2 once, and keeps only what the
+requested checks read off its rows: the shift defects of box = D^2 / 2
+(identities, the torus shift table), the identities rows, and the kernel
+counts of each degree's Gram, D^2's degree block (spectrum, vanishing,
+both cohomology tables).  No check forms a full-space matrix.  A check
+that reads a sector whose pass raised reports that error; a
+``MemoryError`` names its reader ("D^2", "the q=3 Gram", ...).  A term
+off its degree shift, or D- off the adjoint of D+, is an identities row
+that the kernel and shift table readers refuse (``SectorPass.graded``).
+The conformal check evaluates exact trigonometric polynomials and their
+frame derivatives at fixed sample points and depends only on the CR
+dimension, not on the sector, so it is evaluated once and that one value
+is reported under every sector key.
 """
 
 from __future__ import annotations
@@ -532,9 +532,7 @@ def _table_json(table) -> str:
     return json.dumps(records, sort_keys=True, indent=2) + "\n"
 
 
-def _write_artifacts(results, model, out_dir, fmt) -> list[Path]:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def _write_artifacts(results, model, out, fmt) -> list[Path]:
     written = []
     for result in results:
         payload = {
@@ -569,9 +567,14 @@ def run(config: dict, checks=None, strict=False, out_dir="crspin-artifacts", fmt
         if name not in CHECK_NAMES:
             raise ConfigError(f"unknown check {name!r} (choices: {', '.join(CHECK_NAMES)})")
     model = build_model(config)
+    out = Path(out_dir)
+    try:  # before any check runs, which a directory that cannot be made would waste
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"at --out: cannot create the directory ({exc})") from exc
     memo = _RunMemo(model, config, names)
     results = [_run_check(name, model, config, strict, memo) for name in dict.fromkeys(names)]
-    written = _write_artifacts(results, model, out_dir, fmt)
+    written = _write_artifacts(results, model, out, fmt)
     for result in results:
         if result.error is not None:
             print(f"check {result.name}: ERROR ({result.error})")

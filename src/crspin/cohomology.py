@@ -10,21 +10,20 @@ creation/annihilation matrices:
     box   = dbar* dbar + dbar dbar* = (P^H P + P P^H) / 2,   P = D+ = sqrt(2) dbar,
 
 where w_a wedges the a-th antiholomorphic coframe element.  Degree q's
-Gram matrix of D is P_q^H P_q + M_q^H M_q with M = D-, which is 2 box_q
-when M = P^H.  So on the per-slot blocks box is half of D's degree Grams
-(``operators.degree_gram``).  Every reader of a sector's D goes through
+block of D^2 is M P + P M with M = D-, which is D's degree Gram
+P^H P + M^H M and 2 box_q when M = P^H.  Every reader of a sector's D goes through
 one pass, ``sector_pass``: it gathers D once (``operators.dirac_blocks``),
-forms each degree's Gram once, reads it for the shift defects
-(``gram_shift_defect``) and the kernel counts, ker D_q = ker box_q (the
-spectral rows of both tables), and releases it before the next; asked
-for the identities rows, it also reads D's adjoint defect and D^2
-(``weitzenboeck.square_residuals``).  It keeps only these reductions,
-names its reader in a ``MemoryError``, and its record alone refuses a D
-term off its degree shift (``SectorPass.graded``).  The run's memo,
-``shift_table``, ``sector_identity_residual`` and ``dirac_kernel`` all
-call it.  The dense oracle ``kohn_laplacian`` builds box from D+ alone,
-so D^2 = 2 box on the degree blocks (acceptance criterion 4) compares two
-routes that part when D- is not the adjoint of D+.
+joins D^2 once, one fiber row at a time, and reads each row for the shift
+defects (``gram_shift_defect``), each degree's Gram for the kernel counts,
+ker D_q = ker box_q (the spectral rows of both tables), and, asked for the
+identities rows, D^2's residuals (``weitzenboeck.square_residuals``).  It
+keeps only these reductions, names its reader in a ``MemoryError``, and
+its record alone refuses a D term off its degree shift or a D- off the
+adjoint of D+ (``SectorPass.graded``).  The run's memo, ``shift_table``,
+``sector_identity_residual`` and ``dirac_kernel`` all call it.  The dense
+oracle ``kohn_laplacian`` builds box from D+ alone, so D^2 = 2 box on the
+degree blocks (acceptance criterion 4) compares two routes that part when
+D- is not the adjoint of D+.
 
 On a weight sector with commutator scalar t the Kohn Laplacian differs
 from the holomorphic connection Laplacian by a multiple of the fiber
@@ -41,6 +40,7 @@ kernel of the assembled Laplacian.
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass, field
 from math import comb
 
@@ -48,7 +48,7 @@ import numpy as np
 
 from .clifford import _integer, _positive
 from .models import TorusBundleModel, TorusLattice
-from .operators import KernelCount, OperatorMatrix, assemble_dplus, degree_gram, dirac_blocks, gram_kernel_count
+from .operators import KernelCount, OperatorMatrix, assemble_dplus, dirac_blocks, gram_kernel_count
 from .sections import SectionSpace
 from .weitzenboeck import square_residuals
 
@@ -86,88 +86,101 @@ def kohn_laplacian(space: SectionSpace) -> OperatorMatrix:
     return OperatorMatrix(box, space, mu_shift=0)
 
 
-def gram_shift_defect(space: SectionSpace, q: int, gram: np.ndarray) -> float:
-    """Defect of box - box_bar = (m - q) N on degree q's complete blocks, read off box_q = gram / 2 one fiber row
-    at a time; box_bar = I (x) diag(lap10), the base bundle's connection Laplacian, is a diagonal.  Both sides
+def gram_shift_defect(space: SectionSpace, s: int, row: dict) -> float:
+    """Defect of box - box_bar = (m - q) N on fiber row s of degree q's complete blocks, box = D^2 / 2 read off
+    ``row``, D^2's keys of that row on the degree-q columns; box_bar = I (x) diag(lap10) is a diagonal.  Both sides
     are zero between blocks and between degrees, so the rows hold every nonzero entry of the difference."""
-    lap10, partners, fib = space.horizontal_laplacians()[0], space.blocks(), space.module.grade_slice(q)
-    states, defects = range(fib.start, fib.stop), []
-    for i, s in enumerate(states):
-        row = {(s, c): 0.5 * gram[:, i, j] for j, c in enumerate(states)}
-        row[s, s] = row[s, s] - lap10[partners[:, s]] - (space.m - q) * (-2.0 * space.t)
-        defects.append(space.complete_max(row))
-    return float(np.max(defects))
+    q, lap10 = space.module.degrees[s], space.horizontal_laplacians()[0]
+    box = {key: 0.5 * vec for key, vec in row.items()}
+    box[s, s] = box.get((s, s), 0.0) - lap10[space.blocks()[:, s]] - (space.m - q) * (-2.0 * space.t)
+    return space.complete_max(box)
 
 
 @dataclass(frozen=True)
 class SectorPass:
-    """One sector's reductions of D (``sector_pass``), never its keys: the ``grading`` defects of D's terms and, as
-    asked, the per-degree ``shift`` defects and ``kernel`` counts, the identities ``rows`` and D^2's ``square``
-    residuals (Lichnerowicz, {ell: fixed-weight})."""
+    """One sector's reductions of D (``sector_pass``), never its keys: why the Gram readers are ``refused`` (None if
+    they are not) and, as asked, the per-degree ``shift`` defects and ``kernel`` counts, the identities ``rows`` and
+    D^2's ``square`` residuals (Lichnerowicz, {ell: fixed-weight})."""
 
     space: SectionSpace
-    grading: list[float]
+    refused: str | None
     shift: dict[int, float]
     kernel: dict[int, KernelCount]
     rows: dict
     square: tuple
 
     def graded(self, key: str):
-        """The ``shift`` or ``kernel`` reduction, refused with ``ValueError`` at the first D term whose grading defect
-        is nonzero: ``stack`` keys only the fiber positions a term fills, so the Grams read D's keys one degree
-        apart and would miss it."""
-        for index, defect in enumerate(self.grading):
-            if defect:
-                raise ValueError(f"{self.space.model.kind} sector {self.space.sector}: term {index} has fiber "
-                                 f"entries off its degree shift (largest {defect:.2e})")
+        """The ``shift`` or ``kernel`` reduction, or ``ValueError`` naming the sector and why it is ``refused``: D^2's
+        degree blocks miss a D term off its degree shift, and are D's Grams and 2 box only while D- = D+^H."""
+        if self.refused:
+            raise ValueError(f"{self.space.model.kind} sector {self.space.sector}: {self.refused}")
         return getattr(self, key)
 
 
 def sector_pass(space: SectionSpace, shift: bool = False, tol: float | None = None, rows: bool = False) -> SectorPass:
-    """One gather of D (``operators.dirac_blocks``), read for what is asked and released.
-
-    Each degree's Gram (``degree_gram``) is formed once, read for the ``shift`` defects and, given ``tol``, the
-    kernel counts, and released before the next.  ``rows`` adds the identities rows off D's keys and its terms'
-    grading defects, and D^2's residuals (``square_residuals``).  A ``MemoryError`` names its reader.
+    """One gather of D (``operators.dirac_blocks``) and one join of D^2 (``SectionSpace.square_rows``), read one
+    fiber row at a time: its degree-q keys for the ``shift`` defects (``gram_shift_defect``) and, given ``tol``,
+    into degree q's Gram, read for the kernel counts (``gram_kernel_count``) and released after its last row;
+    ``rows`` adds the identities rows and D^2's residuals (``square_residuals``).  A ``MemoryError`` names its reader.
     """
-    reader, defects, counts, identity_rows, square = "the gather", {}, {}, {}, ()
-    try:
-        dirac, grading = dirac_blocks(space)
-        for q in range(space.m + 1):
-            reader = f"the q={q} Gram"
-            gram = degree_gram(space, dirac, q)
+    reader, defects, counts, identity_rows, square, degree = "the gather", {}, {}, {}, (), space.module.degrees
+
+    def read(joined):
+        """The rows of ``joined``, each read for the shift defects and the Gram before it is passed on."""
+        nonlocal reader
+        for s, row in enumerate(joined):
+            q, fib = degree[s], space.module.grade_slice(degree[s])
+            block = {key: vec for key, vec in row.items() if degree[key[1]] == q}
             if shift:
                 reader = "shift defects"
-                defects[q] = gram_shift_defect(space, q, gram)
+                defects.setdefault(q, []).append(gram_shift_defect(space, s, block))
             if tol is not None:
-                reader = "kernel counts"
-                counts[q] = gram_kernel_count(space, q, gram, tol)
-            del gram
-        if rows:
+                if s == fib.start:
+                    reader = f"the q={q} Gram"
+                    gram = np.zeros((len(space.blocks()), fib.stop - fib.start, fib.stop - fib.start), dtype=complex)
+                for (_, c), vec in block.items():
+                    gram[:, s - fib.start, c - fib.start] = vec
+                if s == fib.stop - 1:
+                    reader = "kernel counts"
+                    counts[q] = gram_kernel_count(space, q, gram, tol)
+                    del gram
             reader = "D^2"
-            degree = space.module.degrees
-            # D-'s key (s, c) one degree down against D+'s (c, s), a missing key read as 0
-            pairs = {(s, c) if degree[s] < degree[c] else (c, s) for s, c in dirac if abs(degree[s] - degree[c]) == 1}
-            adjoint = np.max([np.abs(dirac.get((s, c), 0.0) - np.conj(dirac.get((c, s), 0.0))).max()
-                              for s, c in pairs], initial=0.0)
+            yield row
+
+    try:
+        dirac, grading = dirac_blocks(space)
+        # D-'s key (s, c) one degree down against D+'s (c, s), a missing key read as 0
+        pairs = sorted({(s, c) if degree[s] < degree[c] else (c, s)
+                        for s, c in dirac if abs(degree[s] - degree[c]) == 1})
+        adjoint = [np.abs(dirac.get((s, c), 0.0) - np.conj(dirac.get((c, s), 0.0))).max() for s, c in pairs]
+        at = int(np.argmax(adjoint))  # the first NaN if there is one
+        refused = next((f"term {index} has fiber entries off its degree shift (largest {defect:.2e})"
+                        for index, defect in enumerate(grading) if defect), None)
+        if refused is None and adjoint[at]:
+            refused = f"D- is not the adjoint of D+ (largest defect {adjoint[at]:.2e}, fiber pair {pairs[at]})"
+        reader = "D^2"
+        if rows:
             # grading is read off the terms' fiber matrices: D+^2 and D-^2 see every entry only while it passes
-            lichnerowicz, covariant, plus, minus = square_residuals(space, dirac)
+            lichnerowicz, covariant, plus, minus = square_residuals(space, read(space.square_rows(dirac)))
             identity_rows = {"dirac_plus_squared": plus, "dirac_minus_squared": minus,
-                             "adjoint_defect": float(adjoint), "grading_defect": max(grading)}
+                             "adjoint_defect": float(adjoint[at]), "grading_defect": max(grading)}
             square = lichnerowicz, covariant
+        else:
+            collections.deque(read(space.square_rows(dirac)), maxlen=0)
     except MemoryError as exc:
         raise MemoryError(f"{exc} (in {reader})") from None
-    return SectorPass(space, grading, defects, counts, identity_rows, square)
+    # np.max, not max: a NaN row must reach the report
+    return SectorPass(space, refused, {q: float(np.max(v)) for q, v in defects.items()}, counts, identity_rows, square)
 
 
 def sector_identity_residual(space: SectionSpace) -> dict[int, float]:
-    """Per-degree ``gram_shift_defect`` off the space's own ``sector_pass``, refused for a D term off its shift."""
+    """Per-degree ``gram_shift_defect`` off the space's own ``sector_pass``, refused as ``SectorPass.graded`` refuses."""
     return sector_pass(space, shift=True).graded("shift")
 
 
 def dirac_kernel(space: SectionSpace, tol: float = 1e-8) -> dict[int, KernelCount]:
     """Kernel counts of the Kohn-Dirac operator off the space's own ``sector_pass``, equal to
-    ``kernel_report(assemble_kohn_dirac(space))``; refused for a D term off its degree shift."""
+    ``kernel_report(assemble_kohn_dirac(space))``; refused as ``SectorPass.graded`` refuses."""
     return sector_pass(space, tol=_positive(tol, "kernel tolerance")).graded("kernel")
 
 

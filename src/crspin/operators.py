@@ -37,20 +37,16 @@ their dense oracle is a test helper, since no check of a run reads it.
 
 D's term lists are stacked in one place, ``dirac_blocks``, with their
 ``grading_defects``: each term's largest fiber entry off its degree
-shift.  The identities check reports them as a row; the readers of the
-degree Grams, which rest on the shifts, refuse a nonzero one
-(``cohomology.SectorPass.graded``).
+shift, which the identities check reports as a row.
 
 Kernel counts rest on structure: a null vector in a complete per-slot
 block (``SectionSpace.block_complete``, no state lost to the top cutoff)
 is kernel, and one in any other block is a cutoff artifact.
 ``kernel_report`` eigensolves the full-space degree blocks of a dense
-operator and stays the reference.  On the blocks, ``degree_gram`` joins
-the Gram matrix of D's degree-q columns from its keys (2 box_q) and
-``gram_kernel_count`` makes one batched eigensolve per pattern of kept
-states.  Both are read by one sector pass (``cohomology.sector_pass``),
-which gathers D, forms each degree's Gram once for the shift defects and
-the kernel counts, and keeps only their reductions.
+operator and stays the reference.  On the blocks, ``gram_kernel_count``
+makes one batched eigensolve per pattern of kept states of a degree's
+Gram, D^2's degree block, filled off its rows by the sector pass, which
+refuses a D- that is not D+^H (``cohomology.SectorPass.graded``).
 """
 
 from __future__ import annotations
@@ -77,7 +73,6 @@ __all__ = [
     "sub_laplacian_defect",
     "cluster_eigenvalues",
     "kernel_report",
-    "degree_gram",
     "gram_kernel_count",
     "KernelCount",
 ]
@@ -254,23 +249,10 @@ def kernel_report(op: OperatorMatrix, tol: float = 1e-8) -> dict[int, KernelCoun
     return out
 
 
-def degree_gram(space: SectionSpace, keys: dict, q: int) -> np.ndarray:
-    """Degree q's Gram of the operator D whose per-slot blocks are ``keys``, one (n_blocks, d_q, d_q) array on
-    ``grade_slice(q)``: entry (c, c') sums conj(D[s, c]) D[s, c'] over every row key s of the degree-q columns
-    (their adjoint joined with them), so no degree shift is assumed; for D's keys it is 2 box_q when D- = D+^H."""
-    fib = space.module.grade_slice(q)
-    cols = {(s, c): vec for (s, c), vec in keys.items() if fib.start <= c < fib.stop}
-    gram = np.zeros((len(space.blocks()), fib.stop - fib.start, fib.stop - fib.start), dtype=complex)
-    for row in space.product_rows({(c, s): vec.conj() for (s, c), vec in cols.items()}, cols):
-        for (c, c2), vec in row.items():
-            gram[:, c - fib.start, c2 - fib.start] = vec
-    return gram
-
-
 def gram_kernel_count(space: SectionSpace, q: int, gram: np.ndarray, tol: float = 1e-8) -> KernelCount:
-    """Degree q's kernel count off its Gram (``degree_gram``).  Blocks that keep the same states of
-    ``grade_slice(q)`` share one batched ``eigvalsh``; each block's null count goes to ``dim`` if the block is
-    complete and to ``spurious`` if not."""
+    """Degree q's kernel count off its Gram, an (n_blocks, d_q, d_q) array on ``grade_slice(q)``.  Blocks that keep
+    the same states share one batched ``eigvalsh``; each block's null count goes to ``dim`` if the block is complete
+    and to ``spurious`` if not."""
     tol = _positive(tol, "kernel tolerance")
     keep = np.ascontiguousarray(space.blocks()[:, space.module.grade_slice(q)] >= 0)
     complete = space.block_complete()

@@ -38,8 +38,8 @@ matrix, base factor) Kronecker terms.
 The checks read the terms' per-slot blocks of at most 2^m states: each
 operator conserves one label per slot (``blocks``, ``block_complete``).
 ``stack`` gathers a term list into them, held as the fiber positions the
-terms fill (m 2^m of 4^m for D), and ``product_rows`` joins two such
-operators one fiber row at a time, so no whole product is held.  The
+terms fill (m 2^m of 4^m for D), and ``square_rows`` squares such an
+operator one fiber row at a time, so no whole square is held.  The
 dense oracle that tests and the acceptance gate read expands the terms
 instead: ``base_matrix`` is the one expansion of a factor, ``mixed(A, B)``
 is kron(A, B), the lifts are ``mixed`` with an identity factor, and
@@ -311,18 +311,20 @@ class SectionSpace:
                 out[key] = out[key] + vec if key in out else vec
         return out
 
-    def product_rows(self, left: dict, right: dict):
-        """Fiber rows s = 0, 1, ... of left·right for keyed blocks (``stack``), one at a time, each as its keys
+    def square_rows(self, keys: dict):
+        """Fiber rows s = 0, 1, ... of the square of keyed blocks (``stack``), one at a time, each as its keys
         {(s, s'): (n_blocks,) vector}, empty where no term reaches the row: a row join (Gustavson), so no whole
-        product is held.  Entry (s, s') sums left[s, k] right[k, s'] over k in the order of left's keys."""
-        left_rows, right_rows = {}, {}
-        for rows, keys in ((left_rows, left), (right_rows, right)):
-            for (s, col), vec in keys.items():
-                rows.setdefault(s, []).append((col, vec))
+        square is held.  Entry (s, s') sums keys[s, k] keys[k, s'] over k."""
+        degree = self.module.degrees
+        rows = {}
+        # each row's keys of higher fiber degree first, in key order within a degree: the order in which D^H D sums
+        # a column's keys, D+'s before D-'s, so D^2's degree blocks are D's Grams bit for bit while D is Hermitian
+        for (s, col), vec in sorted(keys.items(), key=lambda item: -degree[item[0][1]]):
+            rows.setdefault(s, []).append((col, vec))
         for s in range(self.fiber_dim):
             out = {}
-            for k, a in left_rows.get(s, ()):
-                for col, b in right_rows.get(k, ()):
+            for k, a in rows.get(s, ()):
+                for col, b in rows.get(k, ()):
                     # a * b rounded as ``@`` rounds a one-term product, so one-term Gram entries and the spectra
                     # read off them keep their floats; numpy's complex multiply rounds otherwise
                     term = np.einsum("i,i->i", a, b)
@@ -354,7 +356,7 @@ class SectionSpace:
                          f"base entry ({base_rows[j]}, {base_cols[j]}))")
 
     def complete_max(self, keys: dict) -> float:
-        """Largest |entry| of keyed blocks (``stack``, ``product_rows``) between present states of complete blocks,
+        """Largest |entry| of keyed blocks (``stack``, ``square_rows``) between present states of complete blocks,
         where the truncated operators act as the untruncated ones; every residual is read here, reduced by
         ``np.max`` so that a NaN reaches the report."""
         if self._inside is None:  # the present states of complete blocks, formed once per space

@@ -10,10 +10,10 @@ data, splits them into a Ricci derivation part and a trace-free
 remainder, and measures residuals of the formula on section spaces: the
 Lichnerowicz identity is the formula on every block at the model's
 twist, and the fixed-weight identity is its twist-ell case on the block
-mu = -ell.  Both are read off D^2, which ``square_residuals`` alone joins
-from D's keys (``operators.dirac_blocks``) one fiber row at a time, on the
-present states of complete blocks (``complete_max``): no whole D^2 and no
-full-space matrix is formed.
+mu = -ell.  ``square_residuals`` reads both off the rows of D^2 that the
+sector pass joins (``cohomology.sector_pass``, ``SectionSpace.square_rows``),
+on the present states of complete blocks (``complete_max``): no whole D^2
+and no full-space matrix is formed.
 
 It also hosts the conformal covariance checks: under a rescaling of the
 contact form by exp(2 f), suitably weighted powers of exp(-f) intertwine
@@ -132,7 +132,7 @@ def sl_residual(space: SectionSpace) -> float:
     """Residual of the Schroedinger-Lichnerowicz identity on complete blocks: D^2, joined from the space's own
     gather of D, against the weighted sum of horizontal Laplacians plus the curvature term at the model's twist,
     where both sides are the untruncated operators' blocks.  Between degrees the residual is D^2's own entry."""
-    return square_residuals(space, dirac_blocks(space)[0])[0]
+    return square_residuals(space, space.square_rows(dirac_blocks(space)[0]))[0]
 
 
 def dl_residual(space: SectionSpace, ell: int) -> float:
@@ -153,7 +153,7 @@ def dl_residual(space: SectionSpace, ell: int) -> float:
         raise ValueError(
             f"no weight block mu = {-ell} for m = {m}; ell must lie in {{-m, -m+2, ..., m}}"
         )
-    return square_residuals(space, dirac_blocks(space)[0])[1][ell]
+    return square_residuals(space, space.square_rows(dirac_blocks(space)[0]))[1][ell]
 
 
 def _less_curvature(row: dict, s: int, start: int, curvature: np.ndarray) -> dict:
@@ -164,22 +164,22 @@ def _less_curvature(row: dict, s: int, start: int, curvature: np.ndarray) -> dic
             if (s, start + j) in row or value != 0}
 
 
-def square_residuals(space: SectionSpace, dirac: dict) -> tuple[float, dict[int, float], float, float]:
-    """(``sl_residual``, {ell: ``dl_residual``} at every admissible ell, max |D+^2|, max |D-^2|) off D's keys.
+def square_residuals(space: SectionSpace, rows) -> tuple[float, dict[int, float], float, float]:
+    """(``sl_residual``, {ell: ``dl_residual``} at every admissible ell, max |D+^2|, max |D-^2|) off D^2's rows.
 
-    ``dirac`` holds D's keys (``operators.dirac_blocks``) and is read only; D^2 is joined from them here alone,
-    one fiber row at a time.  On the row of a degree-q state the weighted Laplacians come off the diagonal, the
-    curvature term at twist 2q - m off the degree-q columns gives the fixed-weight residual, and the model's the
-    Lichnerowicz residual, whose formula keeps the degree, so the row's other entries count as they stand.
-    D+ fills D's keys one degree up and D- those one degree down, so the row's keys two degrees down and up
-    are D+^2 and D-^2, read on every block.
+    ``rows`` yields D^2's fiber rows s = 0, 1, ... (``SectionSpace.square_rows`` of D's keys), each changed in
+    place.  On the row of a degree-q state the weighted Laplacians come off the diagonal, the curvature term at
+    twist 2q - m off the degree-q columns gives the fixed-weight residual, and the model's the Lichnerowicz
+    residual, whose formula keeps the degree, so the row's other entries count as they stand.  D+ fills D's keys
+    one degree up and D- those one degree down, so the row's keys two degrees down and up are D+^2 and D-^2, read
+    on every block.
     """
     m, model = space.m, space.model
     lap10, lap01 = space.horizontal_laplacians()
     partners, degree = space.blocks(), space.module.degrees
     twists = [(curvature_term(model, 2 * q - m, q), curvature_term(model, model.ell, q)) for q in range(m + 1)]
     lichnerowicz, covariant, plus, minus = [], {2 * q - m: [] for q in range(m + 1)}, [0.0], [0.0]
-    for s, row in enumerate(space.product_rows(dirac, dirac)):
+    for s, row in enumerate(rows):
         q, start = degree[s], space.module.grade_slice(degree[s]).start
         mu = m - 2 * q
         weighted = (1.0 - mu / m) * lap10[partners[:, s]] + (1.0 + mu / m) * lap01[partners[:, s]]

@@ -1,8 +1,9 @@
-"""Full-space views of the per-slot blocks, for tests that compare the block route with the dense oracle."""
+"""Full-space views of the per-slot blocks, for tests that compare the block route with the dense oracle, and a
+recorder of the degree Grams a sector pass forms."""
+
+import weakref
 
 import numpy as np
-
-from crspin.operators import degree_gram
 
 
 def full_indices(space):
@@ -34,10 +35,27 @@ def to_stack(space, keys):
 
 
 def box_keys(space, dirac):
-    """box on the blocks as keys {(s, c): (n_blocks,) vector}: half of each degree's Gram of D (``degree_gram``)."""
-    out = {}
-    for q in range(space.m + 1):
-        fib = space.module.grade_slice(q)
-        gram, states = degree_gram(space, dirac, q), range(fib.start, fib.stop)
-        out.update({(s, c): 0.5 * gram[:, i, j] for i, s in enumerate(states) for j, c in enumerate(states)})
-    return out
+    """box on the blocks as keys {(s, c): (n_blocks,) vector}: half of D^2's degree blocks (``square_rows``)."""
+    degree = space.module.degrees
+    return {(s, c): 0.5 * vec for row in space.square_rows(dirac) for (s, c), vec in row.items()
+            if degree[s] == degree[c]}
+
+
+def record_grams(patch, fail=None):
+    """Weak references to every (n_blocks, d, d) array that ``np.zeros`` allocates, in order: the degree Grams, the
+    only such arrays a run forms.  Each allocation asserts that no earlier one is alive, so at most one Gram is held
+    at a time; one of width ``fail`` raises the allocator's ``MemoryError`` instead."""
+    grams, zeros = [], np.zeros
+
+    def recording(shape, *args, **kwargs):
+        if np.ndim(shape) == 1 and len(shape) == 3 and shape[1] == shape[2]:
+            assert all(ref() is None for ref in grams), f"a Gram is alive when a {shape} one is formed"
+            if shape[1] == fail:
+                raise MemoryError(f"Unable to allocate 3.06 GiB for an array with shape {tuple(shape)}")
+            out = zeros(shape, *args, **kwargs)
+            grams.append(weakref.ref(out))
+            return out
+        return zeros(shape, *args, **kwargs)
+
+    patch.setattr(np, "zeros", recording)
+    return grams

@@ -68,7 +68,7 @@ def test_blocks_cover_every_index_once(space):
 @pytest.mark.parametrize("operator", ["D", "box"])
 def test_stack_is_the_dense_assembly_on_blocks(space, operator):
     # D's keys gather the dense assembly's own floats, one (n_blocks,) vector per filled fiber position; box is
-    # half of each degree's Gram of D, which reads D+ and D- where the dense box reads D+ alone: with D- = D+^H
+    # half of D^2's degree blocks, which read D+ and D- where the dense box reads D+ alone: with D- = D+^H
     # they are the same products, summed in another order
     if operator == "D":
         keys, atol = space.stack(dplus_terms(space) + dminus_terms(space)), 0.0
@@ -87,6 +87,26 @@ def test_stack_is_the_dense_assembly_on_blocks(space, operator):
         assert not block[~present].any() and not block[:, ~present].any()
         on_block[np.ix_(rows, rows)] = True
     assert not dense[~on_block].any()
+
+
+# m = 3 sectors where summing a row's lower-degree keys first moves the last bits of D^2's degree blocks
+ORDER_SPACES = [SectionSpace(heisenberg_model(3, k=-2, truncation=TruncationSpec(1, 3))),
+                SectionSpace(cr_alpha_bundle(3, c=1, s=1, truncation=TruncationSpec(1, 3)))]
+
+
+@pytest.mark.parametrize("space", SPACES + ORDER_SPACES, ids=IDS + [sp.describe() for sp in ORDER_SPACES])
+def test_the_degree_blocks_of_d_squared_are_d_grams_bit_for_bit(space):
+    # the kernel counts read D^2's degree blocks as D's Grams: entry (c, c') of D^H D summed over column c's keys
+    # in D's key order, D+'s (one degree up) before D-'s, which D^2 reproduces only in its own summation order
+    dirac, degree = dirac_blocks(space)[0], space.module.degrees
+    gram = {}
+    for (s, c), a in dirac.items():
+        for (s2, c2), b in dirac.items():
+            if s2 == s and degree[c2] == degree[c]:
+                term = np.einsum("i,i->i", a.conj(), b)
+                gram[c, c2] = gram[c, c2] + term if (c, c2) in gram else term
+    square = {(s, c): vec for row in space.square_rows(dirac) for (s, c), vec in row.items() if degree[s] == degree[c]}
+    assert square.keys() == gram.keys() and all(np.array_equal(square[key], gram[key]) for key in gram)
 
 
 def block_labels(space):
@@ -141,7 +161,7 @@ def dense_shift_defects(space):
 
 @pytest.mark.parametrize("space", SPACES[:-2], ids=IDS[:-2])
 def test_sector_identity_residual_is_the_dense_formula(space):
-    # half the Gram of D and the dense box from D+ alone sum the same products in different orders
+    # half of D^2's degree blocks and the dense box from D+ alone sum the same products in different orders
     blocks, dense = sector_identity_residual(space), dense_shift_defects(space)
     assert blocks.keys() == dense.keys()
     assert all(abs(blocks[q] - dense[q]) <= 1e-13 for q in dense)
@@ -329,7 +349,7 @@ def test_identities_check_allocates_no_full_space_matrix(model, sector, dim):
     finally:
         tracemalloc.stop()
     assert peak < 0.25 * space.dim**2 * np.dtype(complex).itemsize
-    # D is held as its m 2^m filled fiber positions, D^2 and one degree's Gram are joined beside it, and
+    # D is held as its m 2^m filled fiber positions, D^2 is joined beside it one row at a time, and
     # D is freed before the Reeb formula is stacked: a dense (n_blocks, 2^m, 2^m) stack alone would be 2^m / m units
     assert peak < 3.5 * len(space.blocks()) * space.m * space.fiber_dim * np.dtype(complex).itemsize
 
@@ -337,8 +357,8 @@ def test_identities_check_allocates_no_full_space_matrix(model, sector, dim):
 @pytest.mark.parametrize("model", [heisenberg_model(3, k=1, truncation=LADDER3),
                                    cr_alpha_bundle(3, c=1, truncation=LADDER3)], ids=["heisenberg-ladder", "torus-fourier"])
 def test_the_shift_pass_holds_under_one_stack(model):
-    # D's m 2^m keys, one degree's Gram at a time beside them (at most 9/64 of a stack at m = 3) and the products
-    # of one degree slab of D; box_bar is a diagonal, not a stack
+    # D's m 2^m keys and one row of D^2 at a time beside them, the products of one fiber row of D; box_bar is a
+    # diagonal, not a stack
     space = SectionSpace(model)
     space.blocks(), space.block_complete(), space.horizontal_laplacians()  # cached on the space, not the pass's
     tracemalloc.start()
@@ -369,7 +389,7 @@ def test_run_memo_keeps_no_stack():
 
 
 def test_cohomology_check_refuses_a_dplus_term_off_its_degree(monkeypatch):
-    # the Grams read D's keys one degree apart only, where a degree-keeping entry would be lost unseen
+    # D^2's degree blocks read a degree-keeping entry of D only through its square, so it would be lost unseen
     build = operators.dplus_terms
     monkeypatch.setattr(operators, "dplus_terms", lambda space: one_diagonal_entry(build(space), space))
     model = cr_alpha_bundle(2, c=1)
@@ -381,7 +401,7 @@ def test_cohomology_check_refuses_a_dplus_term_off_its_degree(monkeypatch):
 
 @pytest.mark.parametrize("half, term", [("dplus_terms", 2), ("dminus_terms", 4)])
 def test_dirac_kernel_refuses_a_term_off_its_degree(monkeypatch, half, term):
-    # the Gram of degree q reads only D's degree q-1 and q+1 rows
+    # degree q's block of D^2 reads D's keys one degree away, and a degree-keeping entry only through its square
     build = getattr(operators, half)
     monkeypatch.setattr(operators, half, lambda space: one_diagonal_entry(build(space), space))
     with pytest.raises(ValueError, match=rf"heisenberg sector 1: term {term} has fiber entries off its degree shift"):

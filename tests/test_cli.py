@@ -11,12 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from blockstates import record_grams
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crspin import cli, cohomology, operators, sections
 from crspin.cli import main
-from crspin.models import heisenberg_model
+from crspin.models import cr_alpha_bundle, heisenberg_model
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -133,6 +134,19 @@ def test_duplicate_sectors_rejected(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "art")]) == 2
     assert "at model.sectors[2]: duplicate sector 1" in capsys.readouterr().err
     assert not (tmp_path / "art").exists()
+
+
+@pytest.mark.parametrize("out", ["file/sub", "file"])
+def test_an_out_that_cannot_be_created_exits_2_before_any_check(tmp_path, monkeypatch, capsys, out):
+    # a path under a file, or a file itself: the directory is made before the checks, so none of them runs
+    counts = {}
+    count_calls(monkeypatch, counts, "sector_pass", cohomology.sector_pass)
+    (tmp_path / "file").write_text("")
+    cfg = write_config(tmp_path, m2_config("heisenberg", cli.CHECK_NAMES))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / out)]) == 2
+    printed = capsys.readouterr()
+    assert printed.err.startswith("config error: at --out: cannot create the directory (") and printed.out == ""
+    assert counts == {"sector_pass": 0}
 
 
 @pytest.mark.parametrize("kind, key, path", [
@@ -394,7 +408,7 @@ def m2_config(kind, checks):
 @pytest.mark.parametrize("kind", ["torus_bundle", "heisenberg"])
 def test_run_builds_each_shared_object_once(tmp_path, monkeypatch, kind):
     # per sector one space and one gather of D; D and the Reeb formula, whose c(rho) term is a general
-    # fiber matrix, are the only stacks: box is read off one degree's Gram at a time and the weighted
+    # fiber matrix, are the only stacks: box is read off D^2's rows one at a time and the weighted
     # Laplacians are one diagonal per block
     counts = {"spaces": 0}
     stacks = {}
@@ -421,18 +435,18 @@ def test_run_builds_each_shared_object_once(tmp_path, monkeypatch, kind):
     assert sorted(defects) == ["-1", "0", "1"] and len(set(defects.values())) == 1
 
 
-# per sector of m = 2: one gather of D, one Gram per degree and one D^2
-ALL_ONE = {"sector_pass": 3, "dirac_blocks": 3, "degree_gram": 9, "gram_shift_defect": 9, "gram_kernel_count": 9,
-           "product_rows": 12}
+# per sector of m = 2: one gather of D, one join of D^2, read row by row (4 fiber rows), and one Gram per degree
+ALL_ONE = {"sector_pass": 3, "dirac_blocks": 3, "square_rows": 3, "grams": 9, "gram_shift_defect": 12,
+           "gram_kernel_count": 9}
 
 
 @pytest.mark.parametrize("kind", ["torus_bundle", "heisenberg"])
 @pytest.mark.parametrize("checks, expected", [
-    # per sector one gather of D and per degree one Gram, read for the shift defects (identities, the torus
-    # shift table) and for the one kernel count that spectrum, cohomology and vanishing share
+    # per sector one gather of D and one join of D^2, whose rows give the shift defects (identities, the torus
+    # shift table) and fill each degree's Gram for the one kernel count that spectrum, cohomology and vanishing share
     (cli.CHECK_NAMES, ALL_ONE),
-    (["identities"], dict(ALL_ONE, gram_kernel_count=0)),
-    (["spectrum"], dict(ALL_ONE, gram_shift_defect=0, product_rows=9)),
+    (["identities"], dict(ALL_ONE, grams=0, gram_kernel_count=0)),
+    (["spectrum"], dict(ALL_ONE, gram_shift_defect=0)),
 ], ids=["all", "identities", "spectrum"])
 def test_run_forms_one_dirac_square_per_check_family(tmp_path, monkeypatch, kind, checks, expected):
     counts = {}
@@ -440,26 +454,16 @@ def test_run_forms_one_dirac_square_per_check_family(tmp_path, monkeypatch, kind
         count_calls(monkeypatch, counts, name, getattr(operators, name))
     for name in ("kohn_laplacian", "sector_pass", "gram_shift_defect"):
         count_calls(monkeypatch, counts, name, getattr(cohomology, name))
-    counts["product_rows"] = 0
-    join = sections.SectionSpace.product_rows
+    counts["square_rows"] = 0
+    join = sections.SectionSpace.square_rows
 
-    def counting_join(self, left, right):
-        counts["product_rows"] += 1
-        return join(self, left, right)
+    def counting_join(self, keys):
+        counts["square_rows"] += 1
+        return join(self, keys)
 
-    monkeypatch.setattr(sections.SectionSpace, "product_rows", counting_join)
+    monkeypatch.setattr(sections.SectionSpace, "square_rows", counting_join)
     # each degree's Gram is released before the next is formed
-    counts["degree_gram"], grams = 0, []
-    gram = operators.degree_gram
-
-    def one_gram_alive(space, keys, q):
-        counts["degree_gram"] += 1
-        assert all(ref() is None for ref in grams), f"a Gram is alive when the q={q} Gram is formed"
-        out = gram(space, keys, q)
-        grams.append(weakref.ref(out))
-        return out
-
-    rebind(monkeypatch, "degree_gram", gram, one_gram_alive)
+    grams = record_grams(monkeypatch)
     sizes = []
 
     def recording(solver):
@@ -471,9 +475,24 @@ def test_run_forms_one_dirac_square_per_check_family(tmp_path, monkeypatch, kind
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
     main(["run", "--config", write_config(tmp_path, m2_config(kind, checks)), "--out", str(tmp_path / "art")])
+    counts["grams"] = len(grams)
     assert counts == dict(expected, assemble_kohn_dirac=0, assemble_dplus=0, kohn_laplacian=0, kernel_report=0)
     # every eigensolve is fiber-sized: per-slot blocks and curvature matrices; identities makes none
     assert (sizes or checks == ["identities"]) and max(sizes, default=0) <= 2 ** 2
+
+
+@pytest.mark.parametrize("kind", ["torus_bundle", "heisenberg"])
+def test_an_identities_only_pass_forms_no_gram(tmp_path, monkeypatch, kind):
+    # the shift defects read D^2's rows as they come; only the kernel counts need a degree's whole Gram
+    counts = {}
+    count_calls(monkeypatch, counts, "gram_kernel_count", operators.gram_kernel_count)
+    grams = record_grams(monkeypatch)
+    model = heisenberg_model(3, k=1) if kind == "heisenberg" else cr_alpha_bundle(3, c=1, s=1)
+    defects = cohomology.sector_pass(sections.SectionSpace(model), shift=True).graded("shift")
+    assert np.max(list(defects.values())) <= 1e-10
+    assert main(["run", "--config", write_config(tmp_path, m2_config(kind, ["identities"])),
+                 "--out", str(tmp_path / "art")]) == 0
+    assert grams == [] and counts == {"gram_kernel_count": 0}
 
 
 def test_a_memory_error_is_that_checks_error(tmp_path, monkeypatch, capsys):
@@ -507,11 +526,8 @@ def test_a_failed_pass_keeps_no_key_of_d(monkeypatch):
         keys.extend(weakref.ref(vec) for vec in out[0].values())
         return out
 
-    def refuse(space, dirac, q):
-        raise MemoryError("Unable to allocate 3.06 GiB for an array with shape (65536, 56, 56)")
-
     rebind(monkeypatch, "dirac_blocks", gather, recording)
-    rebind(monkeypatch, "degree_gram", operators.degree_gram, refuse)
+    record_grams(monkeypatch, fail=1)
     model = heisenberg_model(2, k=1)
     config = {"model": {"sectors": [1]}, "tolerances": dict(cli.TOLERANCE_DEFAULTS)}
     memo = cli._RunMemo(model, config, ["spectrum"])
@@ -521,19 +537,43 @@ def test_a_failed_pass_keeps_no_key_of_d(monkeypatch):
     assert keys and all(ref() is None for ref in keys)
 
 
-@pytest.mark.parametrize("name, reader", [("degree_gram", "the q=1 Gram"), ("gram_kernel_count", "kernel counts")])
-def test_a_memory_error_names_the_reader_it_came_from(tmp_path, monkeypatch, capsys, name, reader):
-    # the gather passed, so the message names the Gram being formed or the eigensolve; identities, which reads no
-    # kernel count, still errs on the sector's one failed pass
-    build = getattr(operators, name)
+def failing_join(patch):
+    """Make every join of D^2 raise the allocator's ``MemoryError`` after its first row."""
+    join = sections.SectionSpace.square_rows
 
-    def refuse(space, *args):
-        # degree_gram(space, keys, q) and gram_kernel_count(space, q, gram, tol): fail on degree 1
-        if (args[1] if name == "degree_gram" else args[0]) == 1:
-            raise MemoryError("Unable to allocate 3.06 GiB for an array with shape (65536, 56, 56)")
-        return build(space, *args)
+    def fail(self, keys):
+        rows = join(self, keys)
+        yield next(rows)
+        raise MemoryError("Unable to allocate 3.06 GiB for an array with shape (65536, 56, 56)")
 
-    rebind(monkeypatch, name, build, refuse)
+    patch.setattr(sections.SectionSpace, "square_rows", fail)
+
+
+def failing_reader(name):
+    """Make ``name``, a reader of one degree of D^2's rows, raise the allocator's ``MemoryError`` on degree 1."""
+    def patch_reader(patch):
+        read = getattr(cohomology, name)
+
+        def refuse(space, *args):
+            # gram_shift_defect(space, s, row) and gram_kernel_count(space, q, gram, tol)
+            if (space.module.degrees[args[0]] if name == "gram_shift_defect" else args[0]) == 1:
+                raise MemoryError("Unable to allocate 3.06 GiB for an array with shape (65536, 56, 56)")
+            return read(space, *args)
+
+        rebind(patch, name, read, refuse)
+    return patch_reader
+
+
+FAILING_STEPS = {"the q=1 Gram": lambda patch: record_grams(patch, fail=2), "D^2": failing_join,
+                 "kernel counts": failing_reader("gram_kernel_count"),
+                 "shift defects": failing_reader("gram_shift_defect")}
+
+
+@pytest.mark.parametrize("reader", FAILING_STEPS)
+def test_a_memory_error_names_the_reader_it_came_from(tmp_path, monkeypatch, capsys, reader):
+    # the gather passed, so the message names the join, the Gram being formed or its reader; identities, which
+    # reads no kernel count, still errs on the sector's one failed pass
+    FAILING_STEPS[reader](monkeypatch)
     out = tmp_path / "art"
     assert main(["run", "--config", write_config(tmp_path, m2_config("heisenberg", cli.CHECK_NAMES)),
                  "--out", str(out)]) == 1
@@ -541,7 +581,7 @@ def test_a_memory_error_names_the_reader_it_came_from(tmp_path, monkeypatch, cap
     for check in ("identities", "spectrum", "cohomology", "vanishing"):
         assert f"check {check}: ERROR (Unable to allocate 3.06 GiB" in printed
         error = json.loads((out / f"{check}_report.json").read_text())["error"]
-        assert error.startswith("Unable to allocate") and error.endswith(f"shape (65536, 56, 56) (in {reader})")
+        assert error.startswith("Unable to allocate") and error.endswith(f" (in {reader})")
     assert "check conformal: PASS" in printed
 
 
@@ -583,14 +623,15 @@ def test_spectral_checks_form_no_full_space_kronecker_term(tmp_path, monkeypatch
 def test_spectrum_and_vanishing_share_one_dirac_kernel(tmp_path, monkeypatch):
     # spectrum and vanishing ask for the Dirac kernel at the same spectral tolerance
     counts = {}
-    for name in ("kernel_report", "degree_gram", "gram_kernel_count"):
+    for name in ("kernel_report", "gram_kernel_count"):
         count_calls(monkeypatch, counts, name, getattr(operators, name))
     count_calls(monkeypatch, counts, "sector_pass", cohomology.sector_pass)
+    grams = record_grams(monkeypatch)
     config = {"model": {"kind": "heisenberg", "m": 2, "sectors": [1]},
               "checks": ["spectrum", "vanishing"], "tolerances": {"spectral": 1e-6}}
     main(["run", "--config", write_config(tmp_path, config), "--out", str(tmp_path / "art")])
     # one pass, and one Gram and one kernel count per degree of m = 2
-    assert counts == {"kernel_report": 0, "degree_gram": 3, "gram_kernel_count": 3, "sector_pass": 1}
+    assert dict(counts, grams=len(grams)) == {"kernel_report": 0, "grams": 3, "gram_kernel_count": 3, "sector_pass": 1}
 
 
 def test_cohomology_fails_when_cut_blocks_count_as_kernel(tmp_path, monkeypatch, capsys):
@@ -644,15 +685,21 @@ def test_the_shift_guard_reads_the_run_tolerance(tmp_path, capsys):
     assert 1e-10 < defect["sector_identity"] <= 1e-7
 
 
-def test_a_dminus_off_the_adjoint_errs_torus_cohomology(tmp_path, monkeypatch, capsys):
-    # D- scaled by 1.3 keeps ker D, so the kernel counts match the analytic ones; box_q read as Gram_q / 2 then
-    # misses the shift identity, and the guard refuses the table
+@pytest.mark.parametrize("kind", ["torus_bundle", "heisenberg"])
+def test_a_dminus_off_the_adjoint_errs_torus_cohomology(tmp_path, monkeypatch, capsys, kind):
+    # D- scaled by 1.3 keeps ker D, so the kernel counts match the analytic ones; but D^2's degree blocks are then
+    # not D's Grams and not 2 box, so every reader of them refuses the pass, naming the sector and the fiber pair
     build = operators.dminus_terms
     rebind(monkeypatch, "dminus_terms", build, lambda space: [(1.3 * fiber, base) for fiber, base in build(space)])
-    cfg = write_config(tmp_path, {"model": {"kind": "torus_bundle", "m": 2, "flux": 1, "sectors": [0, 1]},
-                                  "checks": ["cohomology"]})
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "art")]) == 1
-    assert "check cohomology: ERROR (shift identity fails on sector 0: defect 5.45e+01" in capsys.readouterr().out
+    assert main(["run", "--config", write_config(tmp_path, m2_config(kind, cli.CHECK_NAMES)),
+                 "--out", str(tmp_path / "art")]) == 1
+    printed = capsys.readouterr().out
+    assert "check identities: FAIL (" in printed and "check conformal: PASS" in printed
+    # 0.3 |D+| at the ladder's top kept rung: 2 sqrt(|t| (L - 1)) with t = 1/2 on the torus, 1 on heisenberg
+    defect = {"torus_bundle": "9.49e-01", "heisenberg": "1.34e+00"}[kind]
+    for name in ("spectrum", "cohomology", "vanishing"):
+        assert (f"check {name}: ERROR ({kind} sector -1: D- is not the adjoint of D+ "
+                f"(largest defect {defect}, fiber pair (0, 1)))") in printed
 
 
 @pytest.mark.parametrize("kind", ["torus_bundle", "heisenberg"])
@@ -688,7 +735,8 @@ def test_identities_fail_on_a_term_that_leaves_its_block(tmp_path, monkeypatch, 
 def test_a_nan_shift_defect_in_any_degree_fails_identities(tmp_path, monkeypatch, capsys):
     # max() keeps a finite first value over a later NaN, so the row must take np.max over the degrees
     read = cohomology.gram_shift_defect
-    rebind(monkeypatch, "gram_shift_defect", read, lambda space, q, gram: np.nan if q == 1 else read(space, q, gram))
+    rebind(monkeypatch, "gram_shift_defect", read,
+           lambda space, s, row: np.nan if space.module.degrees[s] == 1 else read(space, s, row))
     cfg = write_config(tmp_path, {"model": {"kind": "heisenberg", "m": 2, "sectors": [1]}, "checks": ["identities"]})
     out = tmp_path / "art"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 1

@@ -1,11 +1,11 @@
 import copy
 import re
 import tracemalloc
-import weakref
 from math import comb
 
 import numpy as np
 import pytest
+from blockstates import record_grams
 
 from crspin.cohomology import (
     CohomologyTable,
@@ -263,39 +263,46 @@ LIBRARY_READERS = {
 }
 
 
+# the Grams each reader forms, one per degree and sector of m = 2: only the kernel counts read them
+LIBRARY_GRAMS = {"dirac_kernel": 9, "sector_identity_residual": 0, "shift_table": 9}
+
+
 @pytest.mark.parametrize("reader", LIBRARY_READERS)
 def test_library_readers_gather_d_once_per_sector_and_hold_one_gram(monkeypatch, reader):
     # the run's guarantee (test_cli.py::test_run_forms_one_dirac_square_per_check_family) through one sector_pass
-    gathers, grams = [], []
-    gather, gram = cohomology.dirac_blocks, cohomology.degree_gram
+    gathers, joins = [], []
+    gather, join = cohomology.dirac_blocks, SectionSpace.square_rows
 
     def counting_gather(space):
         gathers.append(space.sector)
         return gather(space)
 
-    def one_gram_alive(space, keys, q):
-        assert all(ref() is None for ref in grams), f"a Gram is alive when the q={q} Gram is formed"
-        out = gram(space, keys, q)
-        grams.append(weakref.ref(out))
-        return out
+    def counting_join(space, keys):
+        joins.append(space.sector)
+        return join(space, keys)
 
     monkeypatch.setattr(cohomology, "dirac_blocks", counting_gather)
-    monkeypatch.setattr(cohomology, "degree_gram", one_gram_alive)
+    monkeypatch.setattr(SectionSpace, "square_rows", counting_join)
+    grams = record_grams(monkeypatch)
     LIBRARY_READERS[reader](cr_alpha_bundle(2, c=1))
-    assert gathers == [-1, 0, 1] and len(grams) == 9
+    assert gathers == joins == [-1, 0, 1] and len(grams) == LIBRARY_GRAMS[reader]
 
 
 @pytest.mark.parametrize("reader", LIBRARY_READERS)
 def test_a_memory_error_in_a_library_reader_names_its_gram(monkeypatch, reader):
-    gram = cohomology.degree_gram
+    # the q=1 Gram fails to allocate; the shift defects read the rows first, so the reader that forms no Gram
+    # fails where they fail on degree 1
+    record_grams(monkeypatch, fail=2)
+    read = cohomology.gram_shift_defect
 
-    def refuse(space, keys, q):
-        if q == 1:
+    def refuse(space, s, row):
+        if space.module.degrees[s] == 1:
             raise MemoryError("Unable to allocate 3.06 GiB for an array with shape (65536, 56, 56)")
-        return gram(space, keys, q)
+        return read(space, s, row)
 
-    monkeypatch.setattr(cohomology, "degree_gram", refuse)
-    with pytest.raises(MemoryError, match=r"shape \(65536, 56, 56\) \(in the q=1 Gram\)$"):
+    monkeypatch.setattr(cohomology, "gram_shift_defect", refuse)
+    named = "the q=1 Gram" if reader == "dirac_kernel" else "shift defects"
+    with pytest.raises(MemoryError, match=rf"^Unable to allocate 3\.06 GiB .* \(in {named}\)$"):
         LIBRARY_READERS[reader](cr_alpha_bundle(2, c=1))
 
 

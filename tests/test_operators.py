@@ -99,7 +99,7 @@ def test_kohn_dirac_hermitian_and_block_diagonal_square(space):
     assert dirac.hermitian_defect() <= 1e-12
     keys = space.stack(dplus_terms(space) + dminus_terms(space))
     degree = space.module.degrees
-    rows = list(space.product_rows(keys, keys))
+    rows = list(space.square_rows(keys))
     assert len(rows) == space.fiber_dim and all(key[0] == s for s, row in enumerate(rows) for key in row)
     # the join is the dense square on every block, summed in another order
     square, dense = to_stack(space, {key: vec for row in rows for key, vec in row.items()}), dirac.mat @ dirac.mat

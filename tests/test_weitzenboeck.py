@@ -204,7 +204,7 @@ def test_sl_residual_small(model):
     inside = (space.blocks() >= 0) & space.block_complete()[:, None]
     dirac = space.stack(dplus_terms(space) + dminus_terms(space))
     square = [np.abs(vec[inside[:, s] & inside[:, c]]).max(initial=0.0)
-              for row in space.product_rows(dirac, dirac) for (s, c), vec in row.items()]
+              for row in space.square_rows(dirac) for (s, c), vec in row.items()]
     assert max(square) > 0.5
     assert sl_residual(space) <= 1e-10
 
@@ -260,7 +260,7 @@ def test_square_residuals_equal_single_identity_residuals(model):
     weights = range(-model.m, model.m + 1, 2)
     single = (sl_residual(space), {ell: dl_residual(space, ell) for ell in weights})
     dirac = space.stack(dplus_terms(space) + dminus_terms(space))
-    assert square_residuals(space, dirac)[:2] == single
+    assert square_residuals(space, space.square_rows(dirac))[:2] == single
 
 
 def test_lichnerowicz_residual_reads_off_degree_entries():
@@ -268,13 +268,13 @@ def test_lichnerowicz_residual_reads_off_degree_entries():
     # the fixed-weight rows and D+^2, D-^2 read only their own degree slabs
     space = SectionSpace(heisenberg_model(2, k=1))
     dirac = space.stack(dplus_terms(space) + dminus_terms(space))
-    before = square_residuals(space, dirac)
+    before = square_residuals(space, space.square_rows(dirac))
     # fiber states 0 and 3 have degrees 0 and 2; take a complete block where both are present
     j = np.flatnonzero((space.blocks()[:, [0, 3]] >= 0).all(axis=1) & space.block_complete())[0]
     assert (3, 0) not in dirac
     dirac[3, 0] = np.where(np.arange(len(space.blocks())) == j, 0.5 + 0j, 0.0)
     # E = 0.5 e_30 squares to 0, so D^2 moves by DE + ED: entries (1 or 2, 0) and (3, 1 or 2), between degrees
-    after = square_residuals(space, dirac)
+    after = square_residuals(space, space.square_rows(dirac))
     assert before[0] <= 1e-10 and abs(after[0] - 1.0) <= 1e-10
     assert after[1:] == before[1:]
 
