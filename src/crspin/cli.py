@@ -16,7 +16,7 @@ Config schema (JSON object; unknown keys are rejected with their path):
         "sectors": [<distinct int, |s| <= 2**53>, ...],      default [0]
             weight sectors to realize: k for the Heisenberg quotient,
             s for the torus bundle (not accepted for the sphere)
-        "flux": <nonzero int>,                              torus_bundle only, default 1
+        "flux": <nonzero int, |flux| <= 2**53>,              torus_bundle only, default 1
         "scal_w": <positive finite number>,                 sphere only, default 1.0
         "truncation": {"fourier_radius": <int >= 1>,
                        "ladder_levels": <int >= 2>}         optional
@@ -52,12 +52,13 @@ sector pass (``cohomology.sector_pass``, which the library's readers
 call too) gathers D's keys, joins D^2 once, and keeps only what the
 requested checks read off its rows: the shift defects of box = D^2 / 2
 (identities, the torus shift table), the identities rows, and the kernel
-counts of each degree's Gram, D^2's degree block (spectrum, vanishing,
-both cohomology tables).  No check forms a full-space matrix.  A check
-that reads a sector whose pass raised reports that error; a
-``MemoryError`` names its reader ("D^2", "the q=3 Gram", ...).  A term
-off its degree shift, or D- off the adjoint of D+, is an identities row
-that the kernel and shift table readers refuse (``SectorPass.graded``).
+counts off D^2's certified diagonal (spectrum, vanishing, both cohomology
+tables).  No check forms a full-space matrix.  A check that reads a
+sector whose pass raised reports that error; a ``MemoryError`` names its
+reader ("D^2", "kernel counts", ...).  A term off its degree shift, or
+D- off the adjoint of D+, is an identities row that the kernel and shift
+table readers refuse (``SectorPass.graded``), as they refuse a D^2 off
+its diagonal.
 The conformal check evaluates exact trigonometric polynomials and their
 frame derivatives at fixed sample points and depends only on the CR
 dimension, not on the sector, so it is evaluated once and that one value
@@ -188,7 +189,7 @@ def load_config(path: str) -> dict:
             if s in model["sectors"][:i]:
                 raise ConfigError(f"at model.sectors[{i}]: duplicate sector {s}")
         if kind == "torus_bundle":
-            flux = _expect_int(model_raw.get("flux", 1), "model.flux")
+            flux = _expect_exact(model_raw.get("flux", 1), "model.flux")
             if flux == 0:
                 raise ConfigError("at model.flux: must be nonzero")
             model["flux"] = flux

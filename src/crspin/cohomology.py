@@ -9,21 +9,23 @@ creation/annihilation matrices:
     dbar* = honest matrix adjoint,
     box   = dbar* dbar + dbar dbar* = (P^H P + P P^H) / 2,   P = D+ = sqrt(2) dbar,
 
-where w_a wedges the a-th antiholomorphic coframe element.  Degree q's
-block of D^2 is M P + P M with M = D-, which is D's degree Gram
-P^H P + M^H M and 2 box_q when M = P^H.  Every reader of a sector's D goes through
-one pass, ``sector_pass``: it gathers D once (``operators.dirac_blocks``),
-joins D^2 once, one fiber row at a time, and reads each row for the shift
-defects (``gram_shift_defect``), each degree's Gram for the kernel counts,
-ker D_q = ker box_q (the spectral rows of both tables), and, asked for the
-identities rows, D^2's residuals (``weitzenboeck.square_residuals``).  It
-keeps only these reductions, names its reader in a ``MemoryError``, and
-its record alone refuses a D term off its degree shift or a D- off the
-adjoint of D+ (``SectorPass.graded``).  The run's memo, ``shift_table``,
-``sector_identity_residual`` and ``dirac_kernel`` all call it.  The dense
-oracle ``kohn_laplacian`` builds box from D+ alone, so D^2 = 2 box on the
-degree blocks (acceptance criterion 4) compares two routes that part when
-D- is not the adjoint of D+.
+where w_a wedges the a-th antiholomorphic coframe element.  Degree q's block
+of D^2 is M P + P M with M = D-, which is D's degree Gram P^H P + M^H M and 2
+box_q when M = P^H.  Every reader of a sector's D goes through one pass,
+``sector_pass``: it gathers D once (``operators.dirac_blocks``), joins D^2
+once, one fiber row at a time, and reads each row for the shift defects
+(``gram_shift_defect``), D^2's diagonal for the kernel counts, ker D_q = ker
+box_q (the spectral rows of both tables), and, asked for the identities rows,
+D^2's residuals (``weitzenboeck.square_residuals``).  The Clifford generators
+anticommute, so D^2 is diagonal on each per-slot block; the pass certifies
+that, and the diagonal is then the spectrum, with no eigensolve.  It keeps
+only these reductions, names its reader in a ``MemoryError``, and its record
+alone refuses a D term off its degree shift, a D- off the adjoint of D+ or a
+D^2 off its diagonal (``SectorPass.graded``).  The run's memo,
+``shift_table``, ``sector_identity_residual`` and ``dirac_kernel`` all call
+it.  The dense oracle ``kohn_laplacian`` builds box from D+ alone, so D^2 =
+2 box on the degree blocks (acceptance criterion 4) compares two routes that
+part when D- is not the adjoint of D+.
 
 On a weight sector with commutator scalar t the Kohn Laplacian differs
 from the holomorphic connection Laplacian by a multiple of the fiber
@@ -48,7 +50,7 @@ import numpy as np
 
 from .clifford import _integer, _positive
 from .models import TorusBundleModel, TorusLattice
-from .operators import KernelCount, OperatorMatrix, assemble_dplus, dirac_blocks, gram_kernel_count
+from .operators import KernelCount, OperatorMatrix, assemble_dplus, diagonal_kernel_count, dirac_blocks
 from .sections import SectionSpace
 from .weitzenboeck import square_residuals
 
@@ -98,9 +100,9 @@ def gram_shift_defect(space: SectionSpace, s: int, row: dict) -> float:
 
 @dataclass(frozen=True)
 class SectorPass:
-    """One sector's reductions of D (``sector_pass``), never its keys: why the Gram readers are ``refused`` (None if
-    they are not) and, as asked, the per-degree ``shift`` defects and ``kernel`` counts, the identities ``rows`` and
-    D^2's ``square`` residuals (Lichnerowicz, {ell: fixed-weight})."""
+    """One sector's reductions of D (``sector_pass``), never its keys: why the degree-block readers are ``refused``
+    (None if they are not) and, as asked, the per-degree ``shift`` defects and ``kernel`` counts, the identities
+    ``rows`` and D^2's ``square`` residuals (Lichnerowicz, {ell: fixed-weight})."""
 
     space: SectionSpace
     refused: str | None
@@ -111,7 +113,8 @@ class SectorPass:
 
     def graded(self, key: str):
         """The ``shift`` or ``kernel`` reduction, or ``ValueError`` naming the sector and why it is ``refused``: D^2's
-        degree blocks miss a D term off its degree shift, and are D's Grams and 2 box only while D- = D+^H."""
+        degree blocks miss a D term off its degree shift, are D's Grams and 2 box only while D- = D+^H, and have
+        their diagonal as spectrum only while every off-diagonal entry between present states is 0."""
         if self.refused:
             raise ValueError(f"{self.space.model.kind} sector {self.space.sector}: {self.refused}")
         return getattr(self, key)
@@ -119,14 +122,16 @@ class SectorPass:
 
 def sector_pass(space: SectionSpace, shift: bool = False, tol: float | None = None, rows: bool = False) -> SectorPass:
     """One gather of D (``operators.dirac_blocks``) and one join of D^2 (``SectionSpace.square_rows``), read one
-    fiber row at a time: its degree-q keys for the ``shift`` defects (``gram_shift_defect``) and, given ``tol``,
-    into degree q's Gram, read for the kernel counts (``gram_kernel_count``) and released after its last row;
-    ``rows`` adds the identities rows and D^2's residuals (``square_residuals``).  A ``MemoryError`` names its reader.
-    """
+    fiber row at a time: its degree-q keys for the ``shift`` defects (``gram_shift_defect``) and, given ``tol``, its
+    diagonal key into degree q's (n_blocks, d_q) diagonal for the kernel counts (``diagonal_kernel_count``) and its
+    other degree-q keys for the certificate that they are 0 between present states of every block, complete and
+    cut; ``rows`` adds the identities rows and D^2's residuals (``square_residuals``).  A ``MemoryError`` names its
+    reader."""
     reader, defects, counts, identity_rows, square, degree = "the gather", {}, {}, {}, (), space.module.degrees
+    off_diagonal = {}
 
     def read(joined):
-        """The rows of ``joined``, each read for the shift defects and the Gram before it is passed on."""
+        """The rows of ``joined``, each read for the shift defects and the diagonal before it is passed on."""
         nonlocal reader
         for s, row in enumerate(joined):
             q, fib = degree[s], space.module.grade_slice(degree[s])
@@ -135,20 +140,20 @@ def sector_pass(space: SectionSpace, shift: bool = False, tol: float | None = No
                 reader = "shift defects"
                 defects.setdefault(q, []).append(gram_shift_defect(space, s, block))
             if tol is not None:
+                reader = "kernel counts"
                 if s == fib.start:
-                    reader = f"the q={q} Gram"
-                    gram = np.zeros((len(space.blocks()), fib.stop - fib.start, fib.stop - fib.start), dtype=complex)
-                for (_, c), vec in block.items():
-                    gram[:, s - fib.start, c - fib.start] = vec
+                    diagonal = np.zeros((len(present), fib.stop - fib.start))
+                diagonal[:, s - fib.start] = block.get((s, s), 0.0).real
+                off_diagonal.update({(s, c): np.abs(vec[present[:, s] & present[:, c]]).max(initial=0.0)
+                                     for (_, c), vec in block.items() if c != s})
                 if s == fib.stop - 1:
-                    reader = "kernel counts"
-                    counts[q] = gram_kernel_count(space, q, gram, tol)
-                    del gram
+                    counts[q] = diagonal_kernel_count(space, q, diagonal, tol)
             reader = "D^2"
             yield row
 
     try:
         dirac, grading = dirac_blocks(space)
+        present = space.blocks() >= 0  # after the gather, whose peak it would raise
         # D-'s key (s, c) one degree down against D+'s (c, s), a missing key read as 0
         pairs = sorted({(s, c) if degree[s] < degree[c] else (c, s)
                         for s, c in dirac if abs(degree[s] - degree[c]) == 1})
@@ -169,6 +174,11 @@ def sector_pass(space: SectionSpace, shift: bool = False, tol: float | None = No
             collections.deque(read(space.square_rows(dirac)), maxlen=0)
     except MemoryError as exc:
         raise MemoryError(f"{exc} (in {reader})") from None
+    if off_diagonal and refused is None:
+        pair = list(off_diagonal)[int(np.argmax(list(off_diagonal.values())))]  # the first NaN if there is one
+        if off_diagonal[pair]:
+            refused = (f"D^2 is not diagonal on degree {degree[pair[0]]} "
+                       f"(largest off-diagonal {off_diagonal[pair]:.2e}, fiber pair {pair})")
     # np.max, not max: a NaN row must reach the report
     return SectorPass(space, refused, {q: float(np.max(v)) for q, v in defects.items()}, counts, identity_rows, square)
 

@@ -43,10 +43,11 @@ Kernel counts rest on structure: a null vector in a complete per-slot
 block (``SectionSpace.block_complete``, no state lost to the top cutoff)
 is kernel, and one in any other block is a cutoff artifact.
 ``kernel_report`` eigensolves the full-space degree blocks of a dense
-operator and stays the reference.  On the blocks, ``gram_kernel_count``
-makes one batched eigensolve per pattern of kept states of a degree's
-Gram, D^2's degree block, filled off its rows by the sector pass, which
-refuses a D- that is not D+^H (``cohomology.SectorPass.graded``).
+operator and stays the reference.  The blocks need no eigensolve: the
+Clifford generators anticommute, so D^2 is diagonal on each per-slot
+block, and ``diagonal_kernel_count`` counts the null entries of a
+degree's diagonal, which the sector pass certifies
+(``cohomology.SectorPass.graded``).
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ __all__ = [
     "sub_laplacian_defect",
     "cluster_eigenvalues",
     "kernel_report",
-    "gram_kernel_count",
+    "diagonal_kernel_count",
     "KernelCount",
 ]
 
@@ -207,7 +208,7 @@ class KernelCount:
     as the untruncated one, so they are kernel; ``spurious`` counts null
     vectors in blocks the top cutoff cut into, which are cutoff artifacts.
     ``eigenvalues`` is the degree's full ascending spectrum (on the block
-    route the sorted union of the per-slot block spectra), read-only.
+    route D^2's certified diagonal on the present states), read-only.
     """
 
     dim: int
@@ -215,9 +216,9 @@ class KernelCount:
     eigenvalues: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
-def _kernel_count(dim: int, spurious: int, spectra: list) -> KernelCount:
-    """KernelCount whose eigenvalues are the sorted, read-only union of ``spectra``."""
-    eigenvalues = np.sort(np.concatenate(spectra))
+def _kernel_count(dim: int, spurious: int, spectrum: np.ndarray) -> KernelCount:
+    """KernelCount whose eigenvalues are ``spectrum`` sorted, read-only."""
+    eigenvalues = np.sort(spectrum)
     eigenvalues.flags.writeable = False
     return KernelCount(dim, spurious, eigenvalues)
 
@@ -245,28 +246,15 @@ def kernel_report(op: OperatorMatrix, tol: float = 1e-8) -> dict[int, KernelCoun
         sub, keep = sq[rows, rows], complete[rows]
         evals = np.linalg.eigvalsh(sub)
         dim = int((np.abs(np.linalg.eigvalsh(sub[np.ix_(keep, keep)])) <= tol).sum())
-        out[q] = _kernel_count(dim, int((np.abs(evals) <= tol).sum()) - dim, [evals])
+        out[q] = _kernel_count(dim, int((np.abs(evals) <= tol).sum()) - dim, evals)
     return out
 
 
-def gram_kernel_count(space: SectionSpace, q: int, gram: np.ndarray, tol: float = 1e-8) -> KernelCount:
-    """Degree q's kernel count off its Gram, an (n_blocks, d_q, d_q) array on ``grade_slice(q)``.  Blocks that keep
-    the same states share one batched ``eigvalsh``; each block's null count goes to ``dim`` if the block is complete
-    and to ``spurious`` if not."""
+def diagonal_kernel_count(space: SectionSpace, q: int, diagonal: np.ndarray, tol: float = 1e-8) -> KernelCount:
+    """Degree q's kernel count off D^2's certified diagonal, an (n_blocks, d_q) real array on ``grade_slice(q)``:
+    each null entry of a present state counts to ``dim`` if its block is complete and to ``spurious`` if not."""
     tol = _positive(tol, "kernel tolerance")
-    keep = np.ascontiguousarray(space.blocks()[:, space.module.grade_slice(q)] >= 0)
-    complete = space.block_complete()
-    _, first, which = np.unique(keep.view(np.dtype((np.void, keep.shape[1]))).ravel(),
-                                return_index=True, return_inverse=True)
-    dim, spurious, spectra = 0, 0, []
-    for i, j in enumerate(first):
-        states = np.flatnonzero(keep[j])
-        if states.size:
-            pick = which == i
-            every = pick.all() and states.size == keep.shape[1]  # one group that keeps every state: no copy
-            evals = np.linalg.eigvalsh(gram if every else gram[np.ix_(pick, states, states)])
-            null, whole = (np.abs(evals) <= tol).sum(axis=1), complete[pick]
-            dim += int(null[whole].sum())
-            spurious += int(null[~whole].sum())
-            spectra.append(evals.ravel())
-    return _kernel_count(dim, spurious, spectra)
+    present = space.blocks()[:, space.module.grade_slice(q)] >= 0
+    null = (np.abs(diagonal) <= tol) & present
+    dim = int(null[space.block_complete()].sum())
+    return _kernel_count(dim, int(null.sum()) - dim, diagonal[present])

@@ -96,8 +96,9 @@ ORDER_SPACES = [SectionSpace(heisenberg_model(3, k=-2, truncation=TruncationSpec
 
 @pytest.mark.parametrize("space", SPACES + ORDER_SPACES, ids=IDS + [sp.describe() for sp in ORDER_SPACES])
 def test_the_degree_blocks_of_d_squared_are_d_grams_bit_for_bit(space):
-    # the kernel counts read D^2's degree blocks as D's Grams: entry (c, c') of D^H D summed over column c's keys
-    # in D's key order, D+'s (one degree up) before D-'s, which D^2 reproduces only in its own summation order
+    # the kernel counts read D^2's diagonal as the spectrum of D's Grams: entry (c, c') of D^H D summed over
+    # column c's keys in D's key order, D+'s (one degree up) before D-'s, which D^2 reproduces only in its own
+    # summation order
     dirac, degree = dirac_blocks(space)[0], space.module.degrees
     gram = {}
     for (s, c), a in dirac.items():
@@ -406,6 +407,39 @@ def test_dirac_kernel_refuses_a_term_off_its_degree(monkeypatch, half, term):
     monkeypatch.setattr(operators, half, lambda space: one_diagonal_entry(build(space), space))
     with pytest.raises(ValueError, match=rf"heisenberg sector 1: term {term} has fiber entries off its degree shift"):
         dirac_kernel(SectionSpace(heisenberg_model(2, k=1)))
+
+
+@pytest.mark.parametrize("model", [heisenberg_model(2, k=1), heisenberg_model(2, k=0), cr_alpha_bundle(2, c=1, s=1)],
+                         ids=["heisenberg-ladder", "heisenberg-fourier", "torus-ladder"])
+def test_dirac_kernel_refuses_clifford_generators_that_commute(monkeypatch, model):
+    # slot 2's matrices without their Jordan-Wigner signs: D- = D+^H still holds bit for bit, so the adjoint refusal
+    # does not fire, but c(E_1) and c(E_2) commute and D^2 is off its diagonal on degree 1, whose diagonal would
+    # otherwise be read as its spectrum (q=1 counts (5, 2), (34, 0) and (5, 2))
+    def unsigned(signed):
+        return lambda m, a: np.abs(signed(m, a)) if a == 2 else signed(m, a)
+
+    for name in ("creation_matrix", "annihilation_matrix"):
+        monkeypatch.setattr(operators, name, unsigned(getattr(operators, name)))
+    space = SectionSpace(model)
+    refusal = r"D\^2 is not diagonal on degree 1 \(largest off-diagonal \d\.\d\de\+\d\d, fiber pair \(1, 2\)\)"
+    with pytest.raises(ValueError, match=rf"^{model.kind} sector {space.sector}: {refusal}$"):
+        dirac_kernel(space)
+
+
+def test_a_nan_off_the_diagonal_of_d_squared_is_refused(monkeypatch):
+    # a NaN passes every comparison with 0, so the certificate must read it as an entry off the diagonal
+    join = SectionSpace.square_rows
+
+    def nan_entry(self, keys):
+        for s, row in enumerate(join(self, keys)):
+            if s == 2:
+                row[2, 1] = np.full(len(self.blocks()), np.nan)
+            yield row
+
+    monkeypatch.setattr(SectionSpace, "square_rows", nan_entry)
+    with pytest.raises(ValueError, match=r"^heisenberg sector 1: D\^2 is not diagonal on degree 1 "
+                                         r"\(largest off-diagonal nan, fiber pair \(2, 1\)\)$"):
+        sector_pass(SectionSpace(heisenberg_model(2, k=1)), tol=1e-8).graded("kernel")
 
 
 @pytest.mark.parametrize("model", [heisenberg_model(2, k=1), heisenberg_model(2, k=-1)], ids=["t>0", "t<0"])

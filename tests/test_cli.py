@@ -178,7 +178,7 @@ def fuzzed_configs(draw):
         model["scal_w"] = draw(NUMBERS)
     if kind != "sphere" or draw(st.integers(0, 9)) == 0:
         model["sectors"] = draw(st.lists(st.one_of(st.integers(-2, 2), HUGE), max_size=3))
-        model["flux"] = draw(st.integers(-1, 1))
+        model["flux"] = draw(st.one_of(st.integers(-1, 1), HUGE))
         model["truncation"] = {"fourier_radius": draw(st.integers(0, 2)), "ladder_levels": draw(st.integers(1, 3))}
     tolerances = st.dictionaries(st.sampled_from([*cli.TOLERANCE_DEFAULTS, "shell"]), NUMBERS, max_size=2)
     return {"model": model, "checks": ["identities"], "tolerances": draw(tolerances)}
@@ -210,12 +210,14 @@ def test_refused_configs_exit_2_with_a_key_path(config):
     assert all(0 < value < float("inf") for value in loaded["tolerances"].values())
     assert 0 < model.get("scal_w", 1.0) < float("inf")
     assert len(set(model.get("sectors", []))) == len(model.get("sectors", []))
-    assert all(abs(value) <= 2**53 for value in [model["ell"], *model.get("sectors", [])])
+    assert all(abs(value) <= 2**53 for value in [model["ell"], *model.get("sectors", []), model.get("flux", 0)])
 
 
 @pytest.mark.parametrize("model, path", [
     ({"kind": "sphere", "m": 2, "ell": -10**400}, "model.ell"),
     ({"kind": "heisenberg", "m": 1, "sectors": [0, 2**53 + 1]}, "model.sectors[1]"),
+    # it ran every check and died writing the artifacts, on the flux's decimal string past 4300 digits
+    ({"kind": "torus_bundle", "m": 2, "flux": 10**2500}, "model.flux"),
 ])
 def test_an_integer_past_2_53_names_its_key(tmp_path, capsys, model, path):
     cfg = write_config(tmp_path, {"model": model, "checks": ["vanishing"]})
@@ -435,22 +437,21 @@ def test_run_builds_each_shared_object_once(tmp_path, monkeypatch, kind):
     assert sorted(defects) == ["-1", "0", "1"] and len(set(defects.values())) == 1
 
 
-# per sector of m = 2: one gather of D, one join of D^2, read row by row (4 fiber rows), and one Gram per degree
-ALL_ONE = {"sector_pass": 3, "dirac_blocks": 3, "square_rows": 3, "grams": 9, "gram_shift_defect": 12,
-           "gram_kernel_count": 9}
+# per sector of m = 2: one gather of D, one join of D^2, read row by row (4 fiber rows), and one diagonal per degree
+ALL_ONE = {"sector_pass": 3, "dirac_blocks": 3, "square_rows": 3, "gram_shift_defect": 12, "diagonal_kernel_count": 9}
 
 
 @pytest.mark.parametrize("kind", ["torus_bundle", "heisenberg"])
 @pytest.mark.parametrize("checks, expected", [
     # per sector one gather of D and one join of D^2, whose rows give the shift defects (identities, the torus
-    # shift table) and fill each degree's Gram for the one kernel count that spectrum, cohomology and vanishing share
+    # shift table) and each degree's diagonal for the one kernel count that spectrum, cohomology and vanishing share
     (cli.CHECK_NAMES, ALL_ONE),
-    (["identities"], dict(ALL_ONE, grams=0, gram_kernel_count=0)),
+    (["identities"], dict(ALL_ONE, diagonal_kernel_count=0)),
     (["spectrum"], dict(ALL_ONE, gram_shift_defect=0)),
 ], ids=["all", "identities", "spectrum"])
 def test_run_forms_one_dirac_square_per_check_family(tmp_path, monkeypatch, kind, checks, expected):
     counts = {}
-    for name in ("assemble_kohn_dirac", "assemble_dplus", "kernel_report", "dirac_blocks", "gram_kernel_count"):
+    for name in ("assemble_kohn_dirac", "assemble_dplus", "kernel_report", "dirac_blocks", "diagonal_kernel_count"):
         count_calls(monkeypatch, counts, name, getattr(operators, name))
     for name in ("kohn_laplacian", "sector_pass", "gram_shift_defect"):
         count_calls(monkeypatch, counts, name, getattr(cohomology, name))
@@ -462,7 +463,6 @@ def test_run_forms_one_dirac_square_per_check_family(tmp_path, monkeypatch, kind
         return join(self, keys)
 
     monkeypatch.setattr(sections.SectionSpace, "square_rows", counting_join)
-    # each degree's Gram is released before the next is formed
     grams = record_grams(monkeypatch)
     sizes = []
 
@@ -475,24 +475,25 @@ def test_run_forms_one_dirac_square_per_check_family(tmp_path, monkeypatch, kind
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
     main(["run", "--config", write_config(tmp_path, m2_config(kind, checks)), "--out", str(tmp_path / "art")])
-    counts["grams"] = len(grams)
     assert counts == dict(expected, assemble_kohn_dirac=0, assemble_dplus=0, kohn_laplacian=0, kernel_report=0)
-    # every eigensolve is fiber-sized: per-slot blocks and curvature matrices; identities makes none
-    assert (sizes or checks == ["identities"]) and max(sizes, default=0) <= 2 ** 2
+    # no Gram is formed and no Dirac block is eigensolved: the only eigensolves left are vanishing's fiber-sized
+    # curvature matrices
+    assert grams == [] and bool(sizes) == ("vanishing" in checks) and max(sizes, default=0) <= 2 ** 2
 
 
 @pytest.mark.parametrize("kind", ["torus_bundle", "heisenberg"])
 def test_an_identities_only_pass_forms_no_gram(tmp_path, monkeypatch, kind):
-    # the shift defects read D^2's rows as they come; only the kernel counts need a degree's whole Gram
+    # the shift defects read D^2's rows as they come; only the kernel counts read a degree's diagonal, and no
+    # reader forms a degree's whole Gram
     counts = {}
-    count_calls(monkeypatch, counts, "gram_kernel_count", operators.gram_kernel_count)
+    count_calls(monkeypatch, counts, "diagonal_kernel_count", operators.diagonal_kernel_count)
     grams = record_grams(monkeypatch)
     model = heisenberg_model(3, k=1) if kind == "heisenberg" else cr_alpha_bundle(3, c=1, s=1)
     defects = cohomology.sector_pass(sections.SectionSpace(model), shift=True).graded("shift")
     assert np.max(list(defects.values())) <= 1e-10
     assert main(["run", "--config", write_config(tmp_path, m2_config(kind, ["identities"])),
                  "--out", str(tmp_path / "art")]) == 0
-    assert grams == [] and counts == {"gram_kernel_count": 0}
+    assert grams == [] and counts == {"diagonal_kernel_count": 0}
 
 
 def test_a_memory_error_is_that_checks_error(tmp_path, monkeypatch, capsys):
@@ -527,11 +528,11 @@ def test_a_failed_pass_keeps_no_key_of_d(monkeypatch):
         return out
 
     rebind(monkeypatch, "dirac_blocks", gather, recording)
-    record_grams(monkeypatch, fail=1)
+    failing_reader("diagonal_kernel_count")(monkeypatch)
     model = heisenberg_model(2, k=1)
     config = {"model": {"sectors": [1]}, "tolerances": dict(cli.TOLERANCE_DEFAULTS)}
     memo = cli._RunMemo(model, config, ["spectrum"])
-    with pytest.raises(MemoryError, match=r"\(in the q=0 Gram\)$"):
+    with pytest.raises(MemoryError, match=r"\(in kernel counts\)$"):
         memo.reductions(1)
     gc.collect()
     assert keys and all(ref() is None for ref in keys)
@@ -555,7 +556,7 @@ def failing_reader(name):
         read = getattr(cohomology, name)
 
         def refuse(space, *args):
-            # gram_shift_defect(space, s, row) and gram_kernel_count(space, q, gram, tol)
+            # gram_shift_defect(space, s, row) and diagonal_kernel_count(space, q, diagonal, tol)
             if (space.module.degrees[args[0]] if name == "gram_shift_defect" else args[0]) == 1:
                 raise MemoryError("Unable to allocate 3.06 GiB for an array with shape (65536, 56, 56)")
             return read(space, *args)
@@ -564,14 +565,13 @@ def failing_reader(name):
     return patch_reader
 
 
-FAILING_STEPS = {"the q=1 Gram": lambda patch: record_grams(patch, fail=2), "D^2": failing_join,
-                 "kernel counts": failing_reader("gram_kernel_count"),
+FAILING_STEPS = {"D^2": failing_join, "kernel counts": failing_reader("diagonal_kernel_count"),
                  "shift defects": failing_reader("gram_shift_defect")}
 
 
 @pytest.mark.parametrize("reader", FAILING_STEPS)
 def test_a_memory_error_names_the_reader_it_came_from(tmp_path, monkeypatch, capsys, reader):
-    # the gather passed, so the message names the join, the Gram being formed or its reader; identities, which
+    # the gather passed, so the message names the join or the reader of its rows; identities, which
     # reads no kernel count, still errs on the sector's one failed pass
     FAILING_STEPS[reader](monkeypatch)
     out = tmp_path / "art"
@@ -587,7 +587,7 @@ def test_a_memory_error_names_the_reader_it_came_from(tmp_path, monkeypatch, cap
 
 @pytest.mark.parametrize("kind", ["torus_bundle", "heisenberg"])
 def test_a_dplus_term_off_its_degree_fails_identities_and_errs_the_kernel_readers(tmp_path, monkeypatch, capsys, kind):
-    # a degree-keeping entry lies in no slab that the degree Grams read: identities
+    # a degree-keeping entry lies in no slab of D^2's degree blocks that the kernel counts read: identities
     # reports it as its grading row (D^2 sees it too), and every reader of those slabs refuses it
     build = operators.dplus_terms
 
@@ -623,15 +623,15 @@ def test_spectral_checks_form_no_full_space_kronecker_term(tmp_path, monkeypatch
 def test_spectrum_and_vanishing_share_one_dirac_kernel(tmp_path, monkeypatch):
     # spectrum and vanishing ask for the Dirac kernel at the same spectral tolerance
     counts = {}
-    for name in ("kernel_report", "gram_kernel_count"):
+    for name in ("kernel_report", "diagonal_kernel_count"):
         count_calls(monkeypatch, counts, name, getattr(operators, name))
     count_calls(monkeypatch, counts, "sector_pass", cohomology.sector_pass)
     grams = record_grams(monkeypatch)
     config = {"model": {"kind": "heisenberg", "m": 2, "sectors": [1]},
               "checks": ["spectrum", "vanishing"], "tolerances": {"spectral": 1e-6}}
     main(["run", "--config", write_config(tmp_path, config), "--out", str(tmp_path / "art")])
-    # one pass, and one Gram and one kernel count per degree of m = 2
-    assert dict(counts, grams=len(grams)) == {"kernel_report": 0, "grams": 3, "gram_kernel_count": 3, "sector_pass": 1}
+    # one pass and one kernel count per degree of m = 2, read off D^2's diagonal: no Gram
+    assert grams == [] and counts == {"kernel_report": 0, "diagonal_kernel_count": 3, "sector_pass": 1}
 
 
 def test_cohomology_fails_when_cut_blocks_count_as_kernel(tmp_path, monkeypatch, capsys):
@@ -643,15 +643,15 @@ def test_cohomology_fails_when_cut_blocks_count_as_kernel(tmp_path, monkeypatch,
     cfg = write_config(tmp_path, config)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "art")]) == 0
     capsys.readouterr()
-    count = operators.gram_kernel_count
+    count = operators.diagonal_kernel_count
 
-    def count_every_block(space, q, gram, tol):
+    def count_every_block(space, q, diagonal, tol):
         with monkeypatch.context() as patch:
             patch.setattr(space, "block_complete", lambda: np.ones(len(space.blocks()), dtype=bool))
-            return count(space, q, gram, tol)
+            return count(space, q, diagonal, tol)
 
     with monkeypatch.context() as patch:
-        rebind(patch, "gram_kernel_count", count, count_every_block)
+        rebind(patch, "diagonal_kernel_count", count, count_every_block)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "mutant")]) == 1
     assert "check cohomology: FAIL ((q, s)=(0, 1): analytic 0 != spectral 1)" in capsys.readouterr().out
     # the shift identity is read on the same flags, so with every block complete it refuses the cut ones first

@@ -263,12 +263,12 @@ LIBRARY_READERS = {
 }
 
 
-# the Grams each reader forms, one per degree and sector of m = 2: only the kernel counts read them
-LIBRARY_GRAMS = {"dirac_kernel": 9, "sector_identity_residual": 0, "shift_table": 9}
+# the kernel counts each reader makes, one per degree and sector of m = 2, each off D^2's diagonal
+LIBRARY_COUNTS = {"dirac_kernel": 9, "sector_identity_residual": 0, "shift_table": 9}
 
 
 @pytest.mark.parametrize("reader", LIBRARY_READERS)
-def test_library_readers_gather_d_once_per_sector_and_hold_one_gram(monkeypatch, reader):
+def test_library_readers_gather_d_once_per_sector_and_form_no_gram(monkeypatch, reader):
     # the run's guarantee (test_cli.py::test_run_forms_one_dirac_square_per_check_family) through one sector_pass
     gathers, joins = [], []
     gather, join = cohomology.dirac_blocks, SectionSpace.square_rows
@@ -284,24 +284,29 @@ def test_library_readers_gather_d_once_per_sector_and_hold_one_gram(monkeypatch,
     monkeypatch.setattr(cohomology, "dirac_blocks", counting_gather)
     monkeypatch.setattr(SectionSpace, "square_rows", counting_join)
     grams = record_grams(monkeypatch)
+    counts = []
+    count = cohomology.diagonal_kernel_count
+    monkeypatch.setattr(cohomology, "diagonal_kernel_count", lambda *args: counts.append(args[1]) or count(*args))
     LIBRARY_READERS[reader](cr_alpha_bundle(2, c=1))
-    assert gathers == joins == [-1, 0, 1] and len(grams) == LIBRARY_GRAMS[reader]
+    assert gathers == joins == [-1, 0, 1] and grams == [] and len(counts) == LIBRARY_COUNTS[reader]
 
 
 @pytest.mark.parametrize("reader", LIBRARY_READERS)
-def test_a_memory_error_in_a_library_reader_names_its_gram(monkeypatch, reader):
-    # the q=1 Gram fails to allocate; the shift defects read the rows first, so the reader that forms no Gram
-    # fails where they fail on degree 1
-    record_grams(monkeypatch, fail=2)
-    read = cohomology.gram_shift_defect
+def test_a_memory_error_in_a_library_reader_names_its_reader(monkeypatch, reader):
+    # both readers of degree 1 fail; the shift defects read the rows first, so a reader that asks for no shift
+    # defects fails in the kernel counts
+    shift, count = cohomology.gram_shift_defect, cohomology.diagonal_kernel_count
 
-    def refuse(space, s, row):
-        if space.module.degrees[s] == 1:
-            raise MemoryError("Unable to allocate 3.06 GiB for an array with shape (65536, 56, 56)")
-        return read(space, s, row)
+    def refuse(read, degree):
+        def fail(space, *args):
+            if degree(space, *args) == 1:
+                raise MemoryError("Unable to allocate 3.06 GiB for an array with shape (65536, 56, 56)")
+            return read(space, *args)
+        return fail
 
-    monkeypatch.setattr(cohomology, "gram_shift_defect", refuse)
-    named = "the q=1 Gram" if reader == "dirac_kernel" else "shift defects"
+    monkeypatch.setattr(cohomology, "gram_shift_defect", refuse(shift, lambda space, s, row: space.module.degrees[s]))
+    monkeypatch.setattr(cohomology, "diagonal_kernel_count", refuse(count, lambda space, q, *rest: q))
+    named = "kernel counts" if reader == "dirac_kernel" else "shift defects"
     with pytest.raises(MemoryError, match=rf"^Unable to allocate 3\.06 GiB .* \(in {named}\)$"):
         LIBRARY_READERS[reader](cr_alpha_bundle(2, c=1))
 
@@ -337,13 +342,13 @@ def test_shift_table_passes_tolerances_to_kernel_counts(monkeypatch):
     assert everything.dims(method="spectral") == {(0, 0): space.base_dim, (1, 0): space.base_dim}
     assert shift_table(model, s_range=[0]).dims(method="spectral") == {(0, 0): 1, (1, 0): 1}
     seen = []
-    count = cohomology.gram_kernel_count
+    count = cohomology.diagonal_kernel_count
 
-    def recording_kernel(space, q, gram, tol=1e-8):
+    def recording_kernel(space, q, diagonal, tol=1e-8):
         seen.append(tol)
-        return count(space, q, gram, tol)
+        return count(space, q, diagonal, tol)
 
-    monkeypatch.setattr(cohomology, "gram_kernel_count", recording_kernel)
+    monkeypatch.setattr(cohomology, "diagonal_kernel_count", recording_kernel)
     shift_table(model, s_range=[-1, 1], tol=1e-6)
     # the spectral rows are the Dirac kernel's counts, ker D_q = ker box_q: one per degree and sector
     assert seen == [1e-6] * 4

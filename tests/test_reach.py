@@ -64,3 +64,18 @@ def test_more_than_two_trees_are_refused(tool, capsys):
         tool.main(["a", "b", "c"])
     assert exit_info.value.code == 2
     assert "give one or two src directories" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("codes, status", [({}, 0), ({"m3 k0 r1": 1}, 1), ({"m2 k0 r2": -9}, 1)],
+                         ids=["all-pass", "one-fails", "one-killed"])
+def test_the_ladder_exits_nonzero_when_any_run_does(tool, monkeypatch, capsys, codes, status):
+    # run_one is stubbed, so no crspin runs; a child killed by a signal reads as a negative code
+    def fake_run(src, config_path, out, cap_bytes):
+        name = next(name for name, m, k, truncation in tool.LADDER
+                    if json.loads(config_path.read_text()) == tool.config(m, k, truncation))
+        return 0.5, 1024, codes.get(name, 0), "check spectrum: ERROR (x)" if codes.get(name) else ""
+
+    monkeypatch.setattr(tool, "run_one", fake_run)
+    assert tool.main(["a", "b", "--only", "m2 k0 r2", "m3 k0 r1"]) == status
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:3] for line in lines] == [["m2", "k0", "r2"]] * 2 + [["m3", "k0", "r1"]] * 2

@@ -13,6 +13,7 @@ the machine.  With two trees each config runs under both, one after the
 other.  One line per run: the config, the tree, the wall time, the
 child's peak RSS (``ru_maxrss``), the exit code and the first ERROR line
 the run printed.  Artifacts go to a temporary directory and are removed.
+Exits 1 when any run exited nonzero, 0 otherwise, so the ladder can gate.
 """
 
 from __future__ import annotations
@@ -101,14 +102,17 @@ def main(argv=None) -> int:
         parser.error("give one or two src directories")
     trees = {f"tree{i}": src.resolve() for i, src in enumerate(args.srcs, 1)}
     rows = [row for row in LADDER if args.only is None or row[0] in args.only]
+    failed = False
     with tempfile.TemporaryDirectory(prefix="crspin-reach-") as work:
         for name, m, k, truncation in rows:
             config_path = Path(work) / "config.json"
             config_path.write_text(json.dumps(config(m, k, truncation)))
             for tree, src in trees.items():
                 out = Path(work) / tree / name.replace(" ", "-")
-                print(format_row(name, tree, *run_one(src, config_path, out, int(args.cap_gib * 2**30))), flush=True)
-    return 0
+                wall_s, peak_kb, code, error = run_one(src, config_path, out, int(args.cap_gib * 2**30))
+                failed = failed or code != 0
+                print(format_row(name, tree, wall_s, peak_kb, code, error), flush=True)
+    return int(failed)
 
 
 if __name__ == "__main__":
