@@ -49,8 +49,8 @@ cut into, counted as ``spurious``) are reported as warnings; under
 The checks of one run share a per-run memo, the one per-sector cache:
 each sector's SectionSpace is built once, and on its first use the one
 sector pass (``cohomology.sector_pass``, which the library's readers
-call too) gathers D's keys, joins D^2 once, and keeps only what the
-requested checks read off its rows: the shift defects of box = D^2 / 2
+call too) gathers D's keys, joins D^2 once, and reads every reduction
+off its rows, whichever checks run: the shift defects of box = D^2 / 2
 (identities, the torus shift table), the identities rows, and the kernel
 counts off D^2's certified diagonal (spectrum, vanishing, both cohomology
 tables).  No check forms a full-space matrix.  A check that reads a
@@ -253,18 +253,14 @@ def _space_sectors(config) -> list:
 class _RunMemo:
     """Objects the checks of one run share: sector spaces, one ``sector_pass`` per sector, and the shift table.
 
-    A pass reads only what ``checks`` read.  A pass that raises is kept as its exception, without the traceback
-    and the context whose frames hold D's keys, and raised again for each later check.  Only successful space
-    builds are kept, so a failed build fails each check that asks for it.
+    A pass counts kernels at the run's spectral tolerance.  A pass that raises is kept as its exception, without
+    the traceback and the context whose frames hold D's keys, and raised again for each later check.  Only
+    successful space builds are kept, so a failed build fails each check that asks for it.
     """
 
-    def __init__(self, model, config, checks):
+    def __init__(self, model, config):
         self.model = model
         self.config = config
-        rows = "identities" in checks
-        kernel = not {"spectrum", "cohomology", "vanishing"}.isdisjoint(checks)
-        table = model.kind == "torus_bundle" and not {"cohomology", "vanishing"}.isdisjoint(checks)
-        self._reads = {"shift": rows or table, "tol": config["tolerances"]["spectral"] if kernel else None, "rows": rows}
         self._spaces = {}
         self._passes = {}
 
@@ -277,7 +273,7 @@ class _RunMemo:
         """The sector's one ``sector_pass``, or the exception it raised."""
         if sector not in self._passes:
             try:
-                self._passes[sector] = sector_pass(self.space(sector), **self._reads)
+                self._passes[sector] = sector_pass(self.space(sector), self.config["tolerances"]["spectral"])
             except Exception as exc:
                 exc.__context__ = None
                 self._passes[sector] = exc.with_traceback(None)
@@ -573,7 +569,7 @@ def run(config: dict, checks=None, strict=False, out_dir="crspin-artifacts", fmt
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"at --out: cannot create the directory ({exc})") from exc
-    memo = _RunMemo(model, config, names)
+    memo = _RunMemo(model, config)
     results = [_run_check(name, model, config, strict, memo) for name in dict.fromkeys(names)]
     written = _write_artifacts(results, model, out, fmt)
     for result in results:

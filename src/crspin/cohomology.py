@@ -13,19 +13,20 @@ where w_a wedges the a-th antiholomorphic coframe element.  Degree q's block
 of D^2 is M P + P M with M = D-, which is D's degree Gram P^H P + M^H M and 2
 box_q when M = P^H.  Every reader of a sector's D goes through one pass,
 ``sector_pass``: it gathers D once (``operators.dirac_blocks``), joins D^2
-once, one fiber row at a time, and reads each row for the shift defects
-(``gram_shift_defect``), D^2's diagonal for the kernel counts, ker D_q = ker
-box_q (the spectral rows of both tables), and, asked for the identities rows,
-D^2's residuals (``weitzenboeck.square_residuals``).  The Clifford generators
-anticommute, so D^2 is diagonal on each per-slot block; the pass certifies
-that, and the diagonal is then the spectrum, with no eigensolve.  It keeps
-only these reductions, names its reader in a ``MemoryError``, and its record
-alone refuses a D term off its degree shift, a D- off the adjoint of D+ or a
-D^2 off its diagonal (``SectorPass.graded``).  The run's memo,
-``shift_table``, ``sector_identity_residual`` and ``dirac_kernel`` all call
-it.  The dense oracle ``kohn_laplacian`` builds box from D+ alone, so D^2 =
-2 box on the degree blocks (acceptance criterion 4) compares two routes that
-part when D- is not the adjoint of D+.
+once, one fiber row at a time, and reads every row, on every call, for the
+shift defects (``gram_shift_defect``), D^2's diagonal for the kernel counts,
+ker D_q = ker box_q (the spectral rows of both tables), and the identities
+rows with D^2's residuals (``weitzenboeck.square_residuals``).  The Clifford
+generators anticommute, so D^2 is diagonal on each per-slot block; the pass
+certifies that, and the diagonal is then the spectrum, with no eigensolve.
+It keeps only these reductions, names its reader in a ``MemoryError``, and
+its record alone refuses a D term off its degree shift, a D- off the adjoint
+of D+ or a D^2 off its diagonal (``SectorPass.graded``).  The run's memo,
+``shift_table``, ``sector_identity_residual``, ``dirac_kernel`` and
+``weitzenboeck``'s ``sl_residual`` and ``dl_residual`` all call it.  The
+dense oracle ``kohn_laplacian`` builds box from D+ alone, so D^2 = 2 box on
+the degree blocks (acceptance criterion 4) compares two routes that part when
+D- is not the adjoint of D+.
 
 On a weight sector with commutator scalar t the Kohn Laplacian differs
 from the holomorphic connection Laplacian by a multiple of the fiber
@@ -42,7 +43,6 @@ kernel of the assembled Laplacian.
 
 from __future__ import annotations
 
-import collections
 from dataclasses import dataclass, field
 from math import comb
 
@@ -101,8 +101,8 @@ def gram_shift_defect(space: SectionSpace, s: int, row: dict) -> float:
 @dataclass(frozen=True)
 class SectorPass:
     """One sector's reductions of D (``sector_pass``), never its keys: why the degree-block readers are ``refused``
-    (None if they are not) and, as asked, the per-degree ``shift`` defects and ``kernel`` counts, the identities
-    ``rows`` and D^2's ``square`` residuals (Lichnerowicz, {ell: fixed-weight})."""
+    (None if they are not), the per-degree ``shift`` defects and ``kernel`` counts, the identities ``rows`` and
+    D^2's ``square`` residuals (Lichnerowicz, {ell: fixed-weight})."""
 
     space: SectionSpace
     refused: str | None
@@ -120,15 +120,15 @@ class SectorPass:
         return getattr(self, key)
 
 
-def sector_pass(space: SectionSpace, shift: bool = False, tol: float | None = None, rows: bool = False) -> SectorPass:
+def sector_pass(space: SectionSpace, tol: float = 1e-8) -> SectorPass:
     """One gather of D (``operators.dirac_blocks``) and one join of D^2 (``SectionSpace.square_rows``), read one
-    fiber row at a time: its degree-q keys for the ``shift`` defects (``gram_shift_defect``) and, given ``tol``, its
-    diagonal key into degree q's (n_blocks, d_q) diagonal for the kernel counts (``diagonal_kernel_count``) and its
-    other degree-q keys for the certificate that they are 0 between present states of every block, complete and
-    cut; ``rows`` adds the identities rows and D^2's residuals (``square_residuals``).  A ``MemoryError`` names its
-    reader."""
-    reader, defects, counts, identity_rows, square, degree = "the gather", {}, {}, {}, (), space.module.degrees
-    off_diagonal = {}
+    fiber row at a time: its degree-q keys for the ``shift`` defects (``gram_shift_defect``), its diagonal key into
+    degree q's (n_blocks, d_q) diagonal for the kernel counts at ``tol`` (``diagonal_kernel_count``) and its other
+    degree-q keys for the certificate that they are 0 between present states of every block, complete and cut,
+    then the whole row for the identities rows and D^2's residuals (``square_residuals``).  A ``MemoryError``
+    names its reader."""
+    tol = _positive(tol, "kernel tolerance")
+    reader, defects, counts, off_diagonal, degree = "the gather", {}, {}, {}, space.module.degrees
 
     def read(joined):
         """The rows of ``joined``, each read for the shift defects and the diagonal before it is passed on."""
@@ -136,18 +136,16 @@ def sector_pass(space: SectionSpace, shift: bool = False, tol: float | None = No
         for s, row in enumerate(joined):
             q, fib = degree[s], space.module.grade_slice(degree[s])
             block = {key: vec for key, vec in row.items() if degree[key[1]] == q}
-            if shift:
-                reader = "shift defects"
-                defects.setdefault(q, []).append(gram_shift_defect(space, s, block))
-            if tol is not None:
-                reader = "kernel counts"
-                if s == fib.start:
-                    diagonal = np.zeros((len(present), fib.stop - fib.start))
-                diagonal[:, s - fib.start] = block.get((s, s), 0.0).real
-                off_diagonal.update({(s, c): np.abs(vec[present[:, s] & present[:, c]]).max(initial=0.0)
-                                     for (_, c), vec in block.items() if c != s})
-                if s == fib.stop - 1:
-                    counts[q] = diagonal_kernel_count(space, q, diagonal, tol)
+            reader = "shift defects"
+            defects.setdefault(q, []).append(gram_shift_defect(space, s, block))
+            reader = "kernel counts"
+            if s == fib.start:
+                diagonal = np.zeros((len(present), fib.stop - fib.start))
+            diagonal[:, s - fib.start] = block.get((s, s), 0.0).real
+            off_diagonal.update({(s, c): np.abs(vec[present[:, s] & present[:, c]]).max(initial=0.0)
+                                 for (_, c), vec in block.items() if c != s})
+            if s == fib.stop - 1:
+                counts[q] = diagonal_kernel_count(space, q, diagonal, tol)
             reader = "D^2"
             yield row
 
@@ -164,14 +162,7 @@ def sector_pass(space: SectionSpace, shift: bool = False, tol: float | None = No
         if refused is None and adjoint[at]:
             refused = f"D- is not the adjoint of D+ (largest defect {adjoint[at]:.2e}, fiber pair {pairs[at]})"
         reader = "D^2"
-        if rows:
-            # grading is read off the terms' fiber matrices: D+^2 and D-^2 see every entry only while it passes
-            lichnerowicz, covariant, plus, minus = square_residuals(space, read(space.square_rows(dirac)))
-            identity_rows = {"dirac_plus_squared": plus, "dirac_minus_squared": minus,
-                             "adjoint_defect": float(adjoint[at]), "grading_defect": max(grading)}
-            square = lichnerowicz, covariant
-        else:
-            collections.deque(read(space.square_rows(dirac)), maxlen=0)
+        lichnerowicz, covariant, plus, minus = square_residuals(space, read(space.square_rows(dirac)))
     except MemoryError as exc:
         raise MemoryError(f"{exc} (in {reader})") from None
     if off_diagonal and refused is None:
@@ -179,19 +170,23 @@ def sector_pass(space: SectionSpace, shift: bool = False, tol: float | None = No
         if off_diagonal[pair]:
             refused = (f"D^2 is not diagonal on degree {degree[pair[0]]} "
                        f"(largest off-diagonal {off_diagonal[pair]:.2e}, fiber pair {pair})")
+    # grading is read off the terms' fiber matrices: D+^2 and D-^2 see every entry only while it passes
+    rows = {"dirac_plus_squared": plus, "dirac_minus_squared": minus,
+            "adjoint_defect": float(adjoint[at]), "grading_defect": max(grading)}
     # np.max, not max: a NaN row must reach the report
-    return SectorPass(space, refused, {q: float(np.max(v)) for q, v in defects.items()}, counts, identity_rows, square)
+    return SectorPass(space, refused, {q: float(np.max(v)) for q, v in defects.items()}, counts, rows,
+                      (lichnerowicz, covariant))
 
 
 def sector_identity_residual(space: SectionSpace) -> dict[int, float]:
     """Per-degree ``gram_shift_defect`` off the space's own ``sector_pass``, refused as ``SectorPass.graded`` refuses."""
-    return sector_pass(space, shift=True).graded("shift")
+    return sector_pass(space).graded("shift")
 
 
 def dirac_kernel(space: SectionSpace, tol: float = 1e-8) -> dict[int, KernelCount]:
     """Kernel counts of the Kohn-Dirac operator off the space's own ``sector_pass``, equal to
     ``kernel_report(assemble_kohn_dirac(space))``; refused as ``SectorPass.graded`` refuses."""
-    return sector_pass(space, tol=_positive(tol, "kernel tolerance")).graded("kernel")
+    return sector_pass(space, tol).graded("kernel")
 
 
 def torus_line_bundle_cohomology(lattice: TorusLattice, c: int, s: int, q: int) -> int:
@@ -274,7 +269,7 @@ def shift_table(model: TorusBundleModel, s_range=(0,), tol=1e-8, sector=None, sh
         raise ValueError("the shift isomorphism table needs a torus circle bundle")
     if sector is None:
         def sector(s):
-            return sector_pass(SectionSpace(model, sector=s), shift=True, tol=tol)
+            return sector_pass(SectionSpace(model, sector=s), tol)
     table = CohomologyTable(model_name=model.describe())
     if model.m == 1:
         table.notes.append(MODEL_LEVEL_NOTE)

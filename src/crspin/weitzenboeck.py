@@ -13,7 +13,8 @@ twist, and the fixed-weight identity is its twist-ell case on the block
 mu = -ell.  ``square_residuals`` reads both off the rows of D^2 that the
 sector pass joins (``cohomology.sector_pass``, ``SectionSpace.square_rows``),
 on the present states of complete blocks (``complete_max``): no whole D^2
-and no full-space matrix is formed.
+and no full-space matrix is formed.  ``sl_residual`` and ``dl_residual`` read
+them off that pass.
 
 It also hosts the conformal covariance checks: under a rescaling of the
 contact form by exp(2 f), suitably weighted powers of exp(-f) intertwine
@@ -45,7 +46,7 @@ from .clifford import (
 )
 from .fields import TrigPoly
 from .models import PseudoHermitianModel, rho_frame_components
-from .operators import dirac_blocks, twistor_weights
+from .operators import twistor_weights
 from .sections import SectionSpace
 
 __all__ = [
@@ -129,10 +130,11 @@ def q_split(model: PseudoHermitianModel, ell: int, q: int) -> tuple[np.ndarray, 
 
 
 def sl_residual(space: SectionSpace) -> float:
-    """Residual of the Schroedinger-Lichnerowicz identity on complete blocks: D^2, joined from the space's own
-    gather of D, against the weighted sum of horizontal Laplacians plus the curvature term at the model's twist,
-    where both sides are the untruncated operators' blocks.  Between degrees the residual is D^2's own entry."""
-    return square_residuals(space, space.square_rows(dirac_blocks(space)[0]))[0]
+    """Residual of the Schroedinger-Lichnerowicz identity on complete blocks, off the space's own sector pass: D^2
+    against the weighted sum of horizontal Laplacians plus the curvature term at the model's twist, where both
+    sides are the untruncated operators' blocks.  Between degrees the residual is D^2's own entry."""
+    from .cohomology import sector_pass  # here, not at the top: cohomology imports this module
+    return sector_pass(space).square[0]
 
 
 def dl_residual(space: SectionSpace, ell: int) -> float:
@@ -145,15 +147,17 @@ def dl_residual(space: SectionSpace, ell: int) -> float:
 
     The weight must satisfy ell in {-m, -m+2, ..., m}; on the flat
     models the twist enters only through these coefficients, so a single
-    section space realizes every admissible weight.
+    section space realizes every admissible weight, read off its own
+    sector pass.
     """
+    from .cohomology import sector_pass  # here, not at the top: cohomology imports this module
     m = space.m
     _integer(ell, "weight")
     if (m + ell) % 2 != 0 or abs(ell) > m:
         raise ValueError(
             f"no weight block mu = {-ell} for m = {m}; ell must lie in {{-m, -m+2, ..., m}}"
         )
-    return square_residuals(space, space.square_rows(dirac_blocks(space)[0]))[1][ell]
+    return sector_pass(space).square[1][ell]
 
 
 def _less_curvature(row: dict, s: int, start: int, curvature: np.ndarray) -> dict:
@@ -389,10 +393,7 @@ def conformal_check(space: SectionSpace, ell: int, f: ConformalScale) -> float:
     """
     ctx, points, fjet = _conformal_inputs(space, ell, f)
     m = space.m
-    worst = 0.0
-    for q in range(m + 1):
-        defects = _covariance_defects(ctx, ell, q, fjet, points)
-        worst = max(worst, *(d[0] for d in defects.values()))
+    defects = [d[0] for q in range(m + 1) for d in _covariance_defects(ctx, ell, q, fjet, points).values()]
 
     if (m + ell) % 2 == 0 and abs(ell) <= m:
         phi = _jet(_test_spinor(ctx, (m + ell) // 2), points, m)
@@ -400,8 +401,9 @@ def conformal_check(space: SectionSpace, ell: int, f: ConformalScale) -> float:
         halves = (ctx.half01, ctx.half10)
         lhs = sum(_dirac(_nabla_tilde(phi, fjet, half, ell, weight, ctx), half) for half in halves)
         rhs = sum(_dirac(phi.d[half.direction], half) for half in halves)
-        worst = max(worst, _pointwise_defect(lhs, rhs, weight + 1.0, fjet))
-    return worst
+        defects.append(_pointwise_defect(lhs, rhs, weight + 1.0, fjet))
+    # np.max, not max: a NaN defect must reach the report
+    return float(np.max(defects))
 
 
 def exponent_scan(

@@ -277,7 +277,7 @@ def dense_identity_rows(space):
 def identity_rows(space):
     """The identities check's report on one sector of ``space.model``."""
     config = {"model": {"sectors": [space.sector]}, "tolerances": dict(cli.TOLERANCE_DEFAULTS)}
-    result = cli._check_identities(space.model, config, cli._RunMemo(space.model, config, ["identities"]))
+    result = cli._check_identities(space.model, config, cli._RunMemo(space.model, config))
     return result.report["sectors"][str(space.sector)]
 
 
@@ -316,7 +316,7 @@ def test_identities_algebraic_rows_fail_on_their_mutant(monkeypatch, half, mutat
     monkeypatch.setattr(operators, half, lambda space: mutate(build(space), space))
     model = heisenberg_model(2, k=1)
     config = {"model": {"sectors": [1]}, "tolerances": dict(cli.TOLERANCE_DEFAULTS)}
-    result = cli._check_identities(model, config, cli._RunMemo(model, config, ["identities"]))
+    result = cli._check_identities(model, config, cli._RunMemo(model, config))
     rows = result.report["sectors"]["1"]
     algebraic = ("dirac_plus_squared", "dirac_minus_squared", "adjoint_defect", "grading_defect")
     assert not result.passed
@@ -329,7 +329,7 @@ def test_identities_pass_at_large_heisenberg_sectors(k):
     # them with rounding error of order k and read 3.2e-12 (k = 3000) and 7.3e-12 (k = 10^4) against 1e-12
     model = heisenberg_model(3, k=k, truncation=LADDER3)
     config = {"model": {"sectors": [k]}, "tolerances": dict(cli.TOLERANCE_DEFAULTS)}
-    result = cli._check_identities(model, config, cli._RunMemo(model, config, ["identities"]))
+    result = cli._check_identities(model, config, cli._RunMemo(model, config))
     assert result.passed, result.detail
     rows = result.report["sectors"][str(k)]
     assert rows["dirac_plus_squared"] == rows["dirac_minus_squared"] == 0.0
@@ -340,7 +340,7 @@ def test_identities_pass_at_large_heisenberg_sectors(k):
                          ids=["heisenberg-ladder", "torus-fourier"])
 def test_identities_check_allocates_no_full_space_matrix(model, sector, dim):
     config = {"model": {"sectors": [sector]}, "tolerances": dict(cli.TOLERANCE_DEFAULTS)}
-    memo = cli._RunMemo(model, config, ["identities"])
+    memo = cli._RunMemo(model, config)
     space = memo.space(sector)
     assert space.dim == dim
     tracemalloc.start()
@@ -357,14 +357,14 @@ def test_identities_check_allocates_no_full_space_matrix(model, sector, dim):
 
 @pytest.mark.parametrize("model", [heisenberg_model(3, k=1, truncation=LADDER3),
                                    cr_alpha_bundle(3, c=1, truncation=LADDER3)], ids=["heisenberg-ladder", "torus-fourier"])
-def test_the_shift_pass_holds_under_one_stack(model):
-    # D's m 2^m keys and one row of D^2 at a time beside them, the products of one fiber row of D; box_bar is a
-    # diagonal, not a stack
+def test_the_sector_pass_holds_under_one_stack(model):
+    # D's m 2^m keys and one row of D^2 at a time beside them, the products of one fiber row of D, and one degree's
+    # (n_blocks, d_q) diagonal; box_bar is a diagonal, not a stack
     space = SectionSpace(model)
     space.blocks(), space.block_complete(), space.horizontal_laplacians()  # cached on the space, not the pass's
     tracemalloc.start()
     try:
-        sector_pass(space, shift=True)
+        sector_pass(space)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -375,7 +375,7 @@ def test_run_memo_keeps_no_stack():
     # the shift table counts ker D, and the memo keeps each sector's shift defects, not its Grams
     model = cr_alpha_bundle(3, c=1, truncation=LADDER3)
     config = {"model": {"sectors": [-1, 1]}, "tolerances": dict(cli.TOLERANCE_DEFAULTS)}
-    memo = cli._RunMemo(model, config, ["cohomology"])
+    memo = cli._RunMemo(model, config)
     for sector in (-1, 1):
         space = memo.space(sector)
         space.blocks()  # the partner table is cached on the space, not kept by the memo
@@ -395,7 +395,7 @@ def test_cohomology_check_refuses_a_dplus_term_off_its_degree(monkeypatch):
     monkeypatch.setattr(operators, "dplus_terms", lambda space: one_diagonal_entry(build(space), space))
     model = cr_alpha_bundle(2, c=1)
     config = {"model": {"sectors": [-1, 0, 1]}, "tolerances": dict(cli.TOLERANCE_DEFAULTS)}
-    result = cli._run_check("cohomology", model, config, False, cli._RunMemo(model, config, ["cohomology"]))
+    result = cli._run_check("cohomology", model, config, False, cli._RunMemo(model, config))
     assert not result.passed
     assert result.error.startswith("torus_bundle sector -1: term 2 has fiber entries off its degree shift")
 
@@ -439,7 +439,7 @@ def test_a_nan_off_the_diagonal_of_d_squared_is_refused(monkeypatch):
     monkeypatch.setattr(SectionSpace, "square_rows", nan_entry)
     with pytest.raises(ValueError, match=r"^heisenberg sector 1: D\^2 is not diagonal on degree 1 "
                                          r"\(largest off-diagonal nan, fiber pair \(2, 1\)\)$"):
-        sector_pass(SectionSpace(heisenberg_model(2, k=1)), tol=1e-8).graded("kernel")
+        sector_pass(SectionSpace(heisenberg_model(2, k=1))).graded("kernel")
 
 
 @pytest.mark.parametrize("model", [heisenberg_model(2, k=1), heisenberg_model(2, k=-1)], ids=["t>0", "t<0"])
@@ -488,7 +488,7 @@ def test_identities_check_forms_the_laplacian_pair_once_per_space(monkeypatch):
     monkeypatch.setattr(SectionSpace, "horizontal_laplacians", spy)
     model = heisenberg_model(2, k=1)
     config = {"model": {"sectors": [-1, 0, 1]}, "tolerances": dict(cli.TOLERANCE_DEFAULTS)}
-    memo = cli._RunMemo(model, config, ["identities"])
+    memo = cli._RunMemo(model, config)
     assert cli._check_identities(model, config, memo).passed
     for sector in (-1, 0, 1):
         space = memo.space(sector)
@@ -514,7 +514,7 @@ def test_checks_hold_and_form_no_base_dim_squared_matrix():
     config = {"model": {"sectors": [0]}, "tolerances": dict(cli.TOLERANCE_DEFAULTS)}
     tracemalloc.start()
     try:
-        memo = cli._RunMemo(model, config, ["identities", "spectrum", "cohomology"])
+        memo = cli._RunMemo(model, config)
         for check in (cli._check_identities, cli._check_spectrum, cli._check_cohomology):
             assert check(model, config, memo).passed
         peak = tracemalloc.get_traced_memory()[1]

@@ -3,6 +3,7 @@ import csv
 import gc
 import io
 import json
+import math
 import re
 import sys
 import tempfile
@@ -442,14 +443,12 @@ ALL_ONE = {"sector_pass": 3, "dirac_blocks": 3, "square_rows": 3, "gram_shift_de
 
 
 @pytest.mark.parametrize("kind", ["torus_bundle", "heisenberg"])
-@pytest.mark.parametrize("checks, expected", [
+@pytest.mark.parametrize("checks", [cli.CHECK_NAMES, ["identities"], ["spectrum"]],
+                         ids=["all", "identities", "spectrum"])
+def test_run_forms_one_dirac_square_per_check_family(tmp_path, monkeypatch, kind, checks):
     # per sector one gather of D and one join of D^2, whose rows give the shift defects (identities, the torus
-    # shift table) and each degree's diagonal for the one kernel count that spectrum, cohomology and vanishing share
-    (cli.CHECK_NAMES, ALL_ONE),
-    (["identities"], dict(ALL_ONE, diagonal_kernel_count=0)),
-    (["spectrum"], dict(ALL_ONE, gram_shift_defect=0)),
-], ids=["all", "identities", "spectrum"])
-def test_run_forms_one_dirac_square_per_check_family(tmp_path, monkeypatch, kind, checks, expected):
+    # shift table) and each degree's diagonal for the one kernel count that spectrum, cohomology and vanishing
+    # share: the pass has one shape, so every family reads all of them
     counts = {}
     for name in ("assemble_kohn_dirac", "assemble_dplus", "kernel_report", "dirac_blocks", "diagonal_kernel_count"):
         count_calls(monkeypatch, counts, name, getattr(operators, name))
@@ -475,7 +474,7 @@ def test_run_forms_one_dirac_square_per_check_family(tmp_path, monkeypatch, kind
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
     main(["run", "--config", write_config(tmp_path, m2_config(kind, checks)), "--out", str(tmp_path / "art")])
-    assert counts == dict(expected, assemble_kohn_dirac=0, assemble_dplus=0, kohn_laplacian=0, kernel_report=0)
+    assert counts == dict(ALL_ONE, assemble_kohn_dirac=0, assemble_dplus=0, kohn_laplacian=0, kernel_report=0)
     # no Gram is formed and no Dirac block is eigensolved: the only eigensolves left are vanishing's fiber-sized
     # curvature matrices
     assert grams == [] and bool(sizes) == ("vanishing" in checks) and max(sizes, default=0) <= 2 ** 2
@@ -483,17 +482,27 @@ def test_run_forms_one_dirac_square_per_check_family(tmp_path, monkeypatch, kind
 
 @pytest.mark.parametrize("kind", ["torus_bundle", "heisenberg"])
 def test_an_identities_only_pass_forms_no_gram(tmp_path, monkeypatch, kind):
-    # the shift defects read D^2's rows as they come; only the kernel counts read a degree's diagonal, and no
-    # reader forms a degree's whole Gram
+    # the shift defects read D^2's rows as they come and the kernel counts a degree's diagonal, one per degree:
+    # 4 for the m = 3 pass and 9 for the run's three sectors of m = 2, while no reader forms a degree's whole Gram
     counts = {}
     count_calls(monkeypatch, counts, "diagonal_kernel_count", operators.diagonal_kernel_count)
     grams = record_grams(monkeypatch)
     model = heisenberg_model(3, k=1) if kind == "heisenberg" else cr_alpha_bundle(3, c=1, s=1)
-    defects = cohomology.sector_pass(sections.SectionSpace(model), shift=True).graded("shift")
+    defects = cohomology.sector_pass(sections.SectionSpace(model)).graded("shift")
     assert np.max(list(defects.values())) <= 1e-10
     assert main(["run", "--config", write_config(tmp_path, m2_config(kind, ["identities"])),
                  "--out", str(tmp_path / "art")]) == 0
-    assert grams == [] and counts == {"diagonal_kernel_count": 0}
+    assert grams == [] and counts == {"diagonal_kernel_count": 4 + 9}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp", "ignore:invalid value encountered")
+def test_a_nan_conformal_defect_fails_the_run(tmp_path, capsys):
+    # every covariance defect at ell = 5000 is NaN (the exp(-weight f) weights overflow), and NaN is above any tolerance
+    config = {"model": {"kind": "heisenberg", "m": 2, "ell": 5000, "sectors": [1]}, "checks": ["conformal"]}
+    out = tmp_path / "art"
+    assert main(["run", "--config", write_config(tmp_path, config), "--out", str(out)]) == 1
+    assert "check conformal: FAIL (sector 1 defect nan above 1.0e-09)" in capsys.readouterr().out
+    assert math.isnan(json.loads((out / "conformal_report.json").read_text())["results"]["sectors"]["1"])
 
 
 def test_a_memory_error_is_that_checks_error(tmp_path, monkeypatch, capsys):
@@ -531,7 +540,7 @@ def test_a_failed_pass_keeps_no_key_of_d(monkeypatch):
     failing_reader("diagonal_kernel_count")(monkeypatch)
     model = heisenberg_model(2, k=1)
     config = {"model": {"sectors": [1]}, "tolerances": dict(cli.TOLERANCE_DEFAULTS)}
-    memo = cli._RunMemo(model, config, ["spectrum"])
+    memo = cli._RunMemo(model, config)
     with pytest.raises(MemoryError, match=r"\(in kernel counts\)$"):
         memo.reductions(1)
     gc.collect()
@@ -572,7 +581,7 @@ FAILING_STEPS = {"D^2": failing_join, "kernel counts": failing_reader("diagonal_
 @pytest.mark.parametrize("reader", FAILING_STEPS)
 def test_a_memory_error_names_the_reader_it_came_from(tmp_path, monkeypatch, capsys, reader):
     # the gather passed, so the message names the join or the reader of its rows; identities, which
-    # reads no kernel count, still errs on the sector's one failed pass
+    # reports no kernel count, still errs on the sector's one failed pass
     FAILING_STEPS[reader](monkeypatch)
     out = tmp_path / "art"
     assert main(["run", "--config", write_config(tmp_path, m2_config("heisenberg", cli.CHECK_NAMES)),

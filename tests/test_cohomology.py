@@ -13,6 +13,7 @@ from crspin.cohomology import (
     harmonic_spinor_table,
     kohn_laplacian,
     sector_identity_residual,
+    sector_pass,
     shift_table,
     torus_line_bundle_cohomology,
 )
@@ -20,6 +21,7 @@ from crspin import cohomology
 from crspin.models import TorusLattice, TruncationSpec, cr_alpha_bundle, heisenberg_model
 from crspin.operators import assemble_dplus, assemble_kohn_dirac, kernel_report
 from crspin.sections import SectionSpace, SlotOp
+from crspin.weitzenboeck import dl_residual, sl_residual
 
 
 # ---------------------------------------------------------------------------
@@ -255,21 +257,36 @@ def test_the_shift_guard_refuses_a_nan_defect():
             shift_table(model, s_range=[0])
 
 
+@pytest.mark.parametrize("model", [heisenberg_model(2, k=1), heisenberg_model(2, k=0), cr_alpha_bundle(2, c=1, s=1)],
+                         ids=["heisenberg-ladder", "heisenberg-fourier", "torus"])
+def test_a_sector_pass_fills_every_reduction(model):
+    # one shape of pass: no keyword chooses what it reads, and each reduction is its library reader's value
+    space = SectionSpace(model)
+    reads = sector_pass(space)
+    assert reads.refused is None
+    assert reads.shift == sector_identity_residual(space) and list(reads.shift) == list(range(space.m + 1))
+    assert {q: (c.dim, c.spurious) for q, c in reads.kernel.items()} == {
+        q: (c.dim, c.spurious) for q, c in dirac_kernel(space).items()}
+    assert list(reads.rows) == ["dirac_plus_squared", "dirac_minus_squared", "adjoint_defect", "grading_defect"]
+    lichnerowicz, covariant = reads.square
+    assert lichnerowicz == sl_residual(space) and list(covariant) == list(range(-space.m, space.m + 1, 2))
+    assert all(covariant[ell] == dl_residual(space, ell) for ell in covariant)
+
+
 LIBRARY_READERS = {
     "dirac_kernel": lambda model: [dirac_kernel(SectionSpace(model, sector=s)) for s in (-1, 0, 1)],
     "sector_identity_residual":
         lambda model: [sector_identity_residual(SectionSpace(model, sector=s)) for s in (-1, 0, 1)],
     "shift_table": lambda model: shift_table(model, s_range=(-1, 0, 1)),
+    "sl_residual": lambda model: [sl_residual(SectionSpace(model, sector=s)) for s in (-1, 0, 1)],
+    "dl_residual": lambda model: [dl_residual(SectionSpace(model, sector=s), 0) for s in (-1, 0, 1)],
 }
-
-
-# the kernel counts each reader makes, one per degree and sector of m = 2, each off D^2's diagonal
-LIBRARY_COUNTS = {"dirac_kernel": 9, "sector_identity_residual": 0, "shift_table": 9}
 
 
 @pytest.mark.parametrize("reader", LIBRARY_READERS)
 def test_library_readers_gather_d_once_per_sector_and_form_no_gram(monkeypatch, reader):
-    # the run's guarantee (test_cli.py::test_run_forms_one_dirac_square_per_check_family) through one sector_pass
+    # the run's guarantee (test_cli.py::test_run_forms_one_dirac_square_per_check_family) through one sector_pass,
+    # which counts kernels off D^2's diagonal once per degree and sector of m = 2 for every reader
     gathers, joins = [], []
     gather, join = cohomology.dirac_blocks, SectionSpace.square_rows
 
@@ -288,13 +305,12 @@ def test_library_readers_gather_d_once_per_sector_and_form_no_gram(monkeypatch, 
     count = cohomology.diagonal_kernel_count
     monkeypatch.setattr(cohomology, "diagonal_kernel_count", lambda *args: counts.append(args[1]) or count(*args))
     LIBRARY_READERS[reader](cr_alpha_bundle(2, c=1))
-    assert gathers == joins == [-1, 0, 1] and grams == [] and len(counts) == LIBRARY_COUNTS[reader]
+    assert gathers == joins == [-1, 0, 1] and grams == [] and len(counts) == 9
 
 
 @pytest.mark.parametrize("reader", LIBRARY_READERS)
 def test_a_memory_error_in_a_library_reader_names_its_reader(monkeypatch, reader):
-    # both readers of degree 1 fail; the shift defects read the rows first, so a reader that asks for no shift
-    # defects fails in the kernel counts
+    # both readers of degree 1 fail; every pass reads the shift defects of a row first, so every reader fails there
     shift, count = cohomology.gram_shift_defect, cohomology.diagonal_kernel_count
 
     def refuse(read, degree):
@@ -306,8 +322,7 @@ def test_a_memory_error_in_a_library_reader_names_its_reader(monkeypatch, reader
 
     monkeypatch.setattr(cohomology, "gram_shift_defect", refuse(shift, lambda space, s, row: space.module.degrees[s]))
     monkeypatch.setattr(cohomology, "diagonal_kernel_count", refuse(count, lambda space, q, *rest: q))
-    named = "kernel counts" if reader == "dirac_kernel" else "shift defects"
-    with pytest.raises(MemoryError, match=rf"^Unable to allocate 3\.06 GiB .* \(in {named}\)$"):
+    with pytest.raises(MemoryError, match=r"^Unable to allocate 3\.06 GiB .* \(in shift defects\)$"):
         LIBRARY_READERS[reader](cr_alpha_bundle(2, c=1))
 
 

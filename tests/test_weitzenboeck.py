@@ -217,7 +217,7 @@ def test_residuals_read_the_top_kept_rung(kind, monkeypatch):
     model = (heisenberg_model(2, k=1, truncation=trunc) if kind == "heisenberg"
              else cr_alpha_bundle(2, c=1, s=-2, truncation=trunc))
     config = {"model": {"sectors": [1 if kind == "heisenberg" else -2]}, "tolerances": dict(cli.TOLERANCE_DEFAULTS)}
-    memo = cli._RunMemo(model, config, ["identities"])
+    memo = cli._RunMemo(model, config)
     space = memo.space(config["model"]["sectors"][0])
     assert space.t == 1.0
     top = np.flatnonzero((space.labels == [space.ladder_levels - 1, 0]).all(axis=1))[0]
@@ -380,6 +380,15 @@ def test_conformal_check_covers_odd_parity():
     space = flat_space(2)
     f = ConformalScale.cosine(2, amplitude=0.1)
     assert conformal_check(space, 1, f) <= 1e-9
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp", "ignore:invalid value encountered")
+@pytest.mark.parametrize("m", [1, 2])
+def test_conformal_check_reports_nan_defects(m):
+    # at ell = 5000 the exp(-weight f) weights overflow and every covariance defect is NaN; a reduction with
+    # Python's max keeps the number it started from and would read 0.0, a pass
+    f = ConformalScale.cosine(m, axis=0, amplitude=0.3)
+    assert np.isnan(conformal_check(flat_space(m), 5000, f))
 
 
 def test_exponent_scan_m1():
