@@ -316,7 +316,7 @@ def _check_identities(model, config, memo: _RunMemo) -> CheckResult:
     failed = [r for r in rows if not r[4]]
     detail = ""
     if failed:
-        worst = max(failed, key=lambda r: r[2])
+        worst = failed[int(np.argmax([r[2] for r in failed]))]  # the first NaN if there is one
         detail = f"sector {worst[0]} {worst[1]} = {worst[2]:.3e} above {worst[3]:.1e}"
     return CheckResult(
         name="identities",

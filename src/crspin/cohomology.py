@@ -172,7 +172,7 @@ def sector_pass(space: SectionSpace, tol: float = 1e-8) -> SectorPass:
                        f"(largest off-diagonal {off_diagonal[pair]:.2e}, fiber pair {pair})")
     # grading is read off the terms' fiber matrices: D+^2 and D-^2 see every entry only while it passes
     rows = {"dirac_plus_squared": plus, "dirac_minus_squared": minus,
-            "adjoint_defect": float(adjoint[at]), "grading_defect": max(grading)}
+            "adjoint_defect": float(adjoint[at]), "grading_defect": float(np.max(grading))}
     # np.max, not max: a NaN row must reach the report
     return SectorPass(space, refused, {q: float(np.max(v)) for q, v in defects.items()}, counts, rows,
                       (lichnerowicz, covariant))

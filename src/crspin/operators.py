@@ -149,7 +149,7 @@ def sub_laplacian_defect(space: SectionSpace) -> float:
     """
     complex_diag = sum(space.horizontal_laplacians())
     real_diag, *real_off = space.products([(-1.0, d, d) for d in map(space.nabla_real, range(2 * space.m))])
-    return float(max([np.abs(complex_diag - real_diag).max(), *(np.abs(f.mat).max() for f in real_off)]))
+    return float(np.max([np.abs(complex_diag - real_diag).max(), *(np.abs(f.mat).max() for f in real_off)]))
 
 
 def nabla_T_terms(space: SectionSpace) -> list:

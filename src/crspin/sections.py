@@ -37,13 +37,13 @@ matrix, base factor) Kronecker terms.
 
 The checks read the terms' per-slot blocks of at most 2^m states: each
 operator conserves one label per slot (``blocks``, ``block_complete``).
-``stack`` gathers a term list into them, held as the fiber positions the
-terms fill (m 2^m of 4^m for D), and ``square_rows`` squares such an
-operator one fiber row at a time, so no whole square is held.  The
-dense oracle that tests and the acceptance gate read expands the terms
-instead: ``base_matrix`` is the one expansion of a factor, ``mixed(A, B)``
-is kron(A, B), the lifts are ``mixed`` with an identity factor, and
-``dense`` sums a list.  No check calls any of them.
+``stack`` gathers a term list into them one filled fiber position at a
+time (m 2^m of 4^m for D), each straight into its key, and
+``square_rows`` squares such keys one fiber row at a time, so no whole
+square is held.  The dense oracle that tests and the acceptance gate
+read expands the terms instead: ``base_matrix`` is the one expansion of
+a factor, ``mixed(A, B)`` is kron(A, B), the lifts are ``mixed`` with an
+identity factor, and ``dense`` sums a list.  No check calls any of them.
 """
 
 from __future__ import annotations
@@ -279,36 +279,35 @@ class SectionSpace:
     def stack(self, terms) -> dict:
         """Blocks of ``dense(terms)`` for (fiber matrix, base factor) terms as keys {(s, s'): (n_blocks,) vector}.
 
-        Entry j of key (s, s') is the full-space entry between the block-j states of fiber states s and s', the
-        same products of the same floats as in ``dense``, summed in term order; entries of removed states are 0,
-        and a fiber position no term fills has no key.  A ``SlotOp`` is gathered at the partners' occupations of
-        its slot where the fiber bits of the other slots agree, a vector where both partners are one base index.
-        A term with fewer gathered entries than nnz(fiber) * nnz(base) (nnz(mat) * L^(m-1) for a ``SlotOp``)
-        leaves its blocks and raises ``ValueError`` (``_refuse``).  ``terms`` is iterated once.
+        Entry j of key (s, s') is the full-space entry between the block-j states of fiber states s and s', the same
+        products of the same floats as in ``dense``, summed in term order; entries of removed states are 0, and a fiber
+        position no term fills has no key.  Each key is gathered from the partner columns of s and s': a ``SlotOp`` at
+        their occupations of its slot where the other slots' fiber bits agree, a vector where both are one base index.
+        A term with fewer gathered entries than nnz(fiber) * nnz(base) (nnz(mat) * L^(m-1) for a ``SlotOp``) leaves its
+        blocks and raises ``ValueError`` (``_refuse``).  ``terms`` is iterated once.
         """
         partners = self.blocks()
-        present = partners >= 0
-        base = np.where(present, partners, 0)
         out = {}
         for index, (fiber_mat, factor) in enumerate(terms):
             fiber_mat = np.asarray(fiber_mat, dtype=complex)
             rows, cols = np.nonzero(fiber_mat)  # the term is 0 off these fiber entries
-            row_base, col_base = base[:, rows], base[:, cols]
             if isinstance(factor, SlotOp):
                 occ = self.labels[:, factor.slot]
                 agree = np.delete(self._bits[rows] == self._bits[cols], factor.slot, axis=1).all(axis=1)
-                gathered = np.where(agree, factor.mat[occ[row_base], occ[col_base]], 0.0)
-                nnz = np.count_nonzero(factor.mat) * self.ladder_levels ** (self.m - 1)
+                missing = len(rows) * np.count_nonzero(factor.mat) * self.ladder_levels ** (self.m - 1)
             else:
                 factor = np.asarray(factor, dtype=complex)
-                gathered = np.where(row_base == col_base, factor[row_base], 0.0)
-                nnz = np.count_nonzero(factor)
-            entries = fiber_mat[rows, cols] * gathered
-            entries[~(present[:, rows] & present[:, cols])] = 0.0
-            if np.count_nonzero(entries) != len(rows) * nnz:
-                self._refuse(index, fiber_mat, factor)
-            for key, vec in zip(zip(rows.tolist(), cols.tolist()), entries.T.copy()):
+                missing = len(rows) * np.count_nonzero(factor)
+            for i, key in enumerate(zip(rows.tolist(), cols.tolist())):
+                row, col = (np.ascontiguousarray(partners[:, c]) for c in key)  # unstrided copies, each read repeatedly
+                gathered = (np.where(agree[i], factor.mat[occ[row], occ[col]], 0.0) if isinstance(factor, SlotOp)
+                            else np.where(row == col, factor[row], 0.0))
+                vec = fiber_mat[key] * gathered
+                vec[(row < 0) | (col < 0)] = 0.0  # removed states, where a -1 partner gathered a last entry
+                missing -= np.count_nonzero(vec)
                 out[key] = out[key] + vec if key in out else vec
+            if missing:
+                self._refuse(index, fiber_mat, factor)
         return out
 
     def square_rows(self, keys: dict):

@@ -335,7 +335,8 @@ def _test_spinor(ctx: _FiberContext, q: int) -> list[TrigPoly]:
 
 def _pointwise_defect(lhs: np.ndarray, rhs: np.ndarray, weight_exponent: float, f: _Jet) -> float:
     """max over sample points of exp(-weight_exponent f) |lhs - rhs|; the last axis runs over the points."""
-    return float(np.max(np.exp(-weight_exponent * f.value.real) * np.abs(lhs - rhs)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a weight that overflows gives a NaN defect, which fails
+        return float(np.max(np.exp(-weight_exponent * f.value.real) * np.abs(lhs - rhs)))
 
 
 def _conformal_inputs(space: SectionSpace, ell: int, f: ConformalScale) -> tuple[_FiberContext, np.ndarray, _Jet]:

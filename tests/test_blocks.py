@@ -202,6 +202,22 @@ def test_dirac_kernel_allocates_no_full_space_matrix():
     assert peak < 0.25 * space.dim**2 * np.dtype(complex).itemsize
 
 
+@pytest.mark.parametrize("model", [heisenberg_model(4, k=0, truncation=TruncationSpec(1, 6)),
+                                   heisenberg_model(5, k=1, truncation=TruncationSpec(1, 4))], ids=["m4-fourier", "m5-ladder"])
+def test_the_gather_holds_little_beside_the_keys_it_returns(model):
+    # each key is formed straight from two partner columns, so no (n_blocks, nnz) or (n_blocks, fiber_dim) array
+    # is held beside D's keys; gathering a whole term at once holds 42 and 89 key vectors here
+    space = SectionSpace(model)
+    space.blocks()  # the partner table is cached on the space, not the gather's
+    tracemalloc.start()
+    try:
+        keys = dirac_blocks(space)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - sum(vec.nbytes for vec in keys.values()) <= 16 * len(space.blocks()) * np.dtype(complex).itemsize
+
+
 def test_dirac_kernel_reaches_the_fourier_sector_of_m3_without_full_space_terms(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("full-space Kronecker term formed")

@@ -7,6 +7,7 @@ import math
 import re
 import sys
 import tempfile
+import warnings
 import weakref
 from pathlib import Path
 
@@ -495,12 +496,14 @@ def test_an_identities_only_pass_forms_no_gram(tmp_path, monkeypatch, kind):
     assert grams == [] and counts == {"diagonal_kernel_count": 4 + 9}
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in exp", "ignore:invalid value encountered")
 def test_a_nan_conformal_defect_fails_the_run(tmp_path, capsys):
-    # every covariance defect at ell = 5000 is NaN (the exp(-weight f) weights overflow), and NaN is above any tolerance
+    # every covariance defect at ell = 5000 is NaN (the exp(-weight f) weights overflow), and NaN is above any
+    # tolerance; the overflow itself is expected there, so it prints no numpy warning
     config = {"model": {"kind": "heisenberg", "m": 2, "ell": 5000, "sectors": [1]}, "checks": ["conformal"]}
     out = tmp_path / "art"
-    assert main(["run", "--config", write_config(tmp_path, config), "--out", str(out)]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", "--config", write_config(tmp_path, config), "--out", str(out)]) == 1
     assert "check conformal: FAIL (sector 1 defect nan above 1.0e-09)" in capsys.readouterr().out
     assert math.isnan(json.loads((out / "conformal_report.json").read_text())["results"]["sectors"]["1"])
 
@@ -739,6 +742,15 @@ def test_identities_fail_on_a_term_that_leaves_its_block(tmp_path, monkeypatch, 
     # term 2 of D's list, D+ of both slots first
     assert "check identities: ERROR (heisenberg sector 1: term 2 moves states between per-slot blocks" in capsys.readouterr().out
     assert json.loads((out / "identities_report.json").read_text())["passed"] is False
+
+
+def test_the_identities_detail_names_a_nan_row_over_an_earlier_finite_one(tmp_path, monkeypatch, capsys):
+    # both rows fail, and max() would name the finite sub-Laplacian row over the later NaN Reeb row
+    monkeypatch.setattr(cli, "sub_laplacian_defect", lambda space: 1.0)
+    monkeypatch.setattr(cli, "nabla_T_defect", lambda space: np.nan)
+    cfg = write_config(tmp_path, {"model": {"kind": "heisenberg", "m": 2, "sectors": [1]}, "checks": ["identities"]})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "art")]) == 1
+    assert "check identities: FAIL (sector 1 reeb_routes = nan above " in capsys.readouterr().out
 
 
 def test_a_nan_shift_defect_in_any_degree_fails_identities(tmp_path, monkeypatch, capsys):

@@ -17,7 +17,7 @@ from crspin.cohomology import (
     shift_table,
     torus_line_bundle_cohomology,
 )
-from crspin import cohomology
+from crspin import cohomology, operators
 from crspin.models import TorusLattice, TruncationSpec, cr_alpha_bundle, heisenberg_model
 from crspin.operators import assemble_dplus, assemble_kohn_dirac, kernel_report
 from crspin.sections import SectionSpace, SlotOp
@@ -255,6 +255,14 @@ def test_the_shift_guard_refuses_a_nan_defect():
         assert np.isnan(list(sector_identity_residual(SectionSpace(model)).values())).all()
         with pytest.raises(RuntimeError, match="shift identity fails on sector 0: defect nan on complete blocks"):
             shift_table(model, s_range=[0])
+
+
+def test_a_nan_grading_defect_after_a_finite_one_reaches_the_row(monkeypatch):
+    # Python's max keeps the finite first defect over the later NaN, so the row must take np.max over the terms
+    grading = operators.grading_defects
+    monkeypatch.setattr(operators, "grading_defects", lambda *args: [*grading(*args)[:-1], np.nan])
+    reads = sector_pass(SectionSpace(heisenberg_model(2, k=1)))
+    assert np.isnan(reads.rows["grading_defect"]) and reads.refused.endswith("(largest nan)")
 
 
 @pytest.mark.parametrize("model", [heisenberg_model(2, k=1), heisenberg_model(2, k=0), cr_alpha_bundle(2, c=1, s=1)],

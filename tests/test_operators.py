@@ -162,6 +162,18 @@ def test_sub_laplacian_defect_is_the_full_lift_maximum(space):
     assert sub_laplacian_defect(space) == full
 
 
+def test_a_nan_in_a_later_base_factor_reaches_the_sub_laplacian_defect(monkeypatch):
+    # Python's max keeps a finite first value over a later NaN, so the defect must take np.max over the factors
+    products = SectionSpace.products
+
+    def nan_last(self, pairs):
+        diag, *off = products(self, pairs)
+        return [diag, *off[:-1], off[-1]._replace(mat=np.full_like(off[-1].mat, np.nan))]
+
+    monkeypatch.setattr(SectionSpace, "products", nan_last)
+    assert np.isnan(sub_laplacian_defect(SectionSpace(heisenberg_model(2, k=1))))
+
+
 def test_sub_laplacian_defect_allocates_no_full_space_matrix():
     space = SectionSpace(heisenberg_model(3, k=1, truncation=TruncationSpec(fourier_radius=1, ladder_levels=5)))
     assert space.dim == 1000
