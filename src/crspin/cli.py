@@ -48,7 +48,7 @@ cut into, counted as ``spurious``) are reported as warnings; under
 
 The checks of one run share a per-run memo, the one per-sector cache:
 each sector's SectionSpace is built once, and on its first use the one
-sector pass (``cohomology.sector_pass``, which the library's readers
+sector pass (``weitzenboeck.sector_pass``, which the library's readers
 call too) gathers D's keys, joins D^2 once, and reads every reduction
 off its rows, whichever checks run: the shift defects of box = D^2 / 2
 (identities, the torus shift table), the identities rows, and the kernel
@@ -81,7 +81,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cohomology import SectorPass, harmonic_spinor_table, sector_pass, shift_table
+from .cohomology import harmonic_spinor_table, shift_table
 from .models import (
     TruncationSpec,
     cr_alpha_bundle,
@@ -91,7 +91,7 @@ from .models import (
 )
 from .operators import cluster_eigenvalues, nabla_T_defect, sub_laplacian_defect
 from .sections import SectionSpace
-from .weitzenboeck import ConformalScale, conformal_check
+from .weitzenboeck import ConformalScale, SectorPass, conformal_check, sector_pass
 
 __all__ = ["main", "run", "load_config", "ConfigError", "CHECK_NAMES"]
 
@@ -343,7 +343,8 @@ def _check_spectrum(model, config, memo: _RunMemo) -> CheckResult:
         kernels = {}
         for q, count in memo.reductions(sector).graded("kernel").items():
             evals = count.eigenvalues
-            min_eig = min(min_eig, float(evals.min()) if evals.size else np.inf)
+            # np.minimum, not min: a NaN eigenvalue must fail the check
+            min_eig = float(np.minimum(min_eig, np.min(evals, initial=np.inf)))
             for value, mult in cluster_eigenvalues(evals, tol=tol["spectral"]):
                 rows.append([q, value, mult])
             kernels[str(q)] = {"dim": count.dim, "spurious": count.spurious}

@@ -11,19 +11,12 @@ creation/annihilation matrices:
 
 where w_a wedges the a-th antiholomorphic coframe element.  Degree q's block
 of D^2 is M P + P M with M = D-, which is D's degree Gram P^H P + M^H M and 2
-box_q when M = P^H.  Every reader of a sector's D goes through one pass,
-``sector_pass``: it gathers D once (``operators.dirac_blocks``), joins D^2
-once, one fiber row at a time, and reads every row, on every call, for the
-shift defects (``gram_shift_defect``), D^2's diagonal for the kernel counts,
-ker D_q = ker box_q (the spectral rows of both tables), and the identities
-rows with D^2's residuals (``weitzenboeck.square_residuals``).  The Clifford
-generators anticommute, so D^2 is diagonal on each per-slot block; the pass
-certifies that, and the diagonal is then the spectrum, with no eigensolve.
-It keeps only these reductions, names its reader in a ``MemoryError``, and
-its record alone refuses a D term off its degree shift, a D- off the adjoint
-of D+ or a D^2 off its diagonal (``SectorPass.graded``).  The run's memo,
-``shift_table``, ``sector_identity_residual``, ``dirac_kernel`` and
-``weitzenboeck``'s ``sl_residual`` and ``dl_residual`` all call it.  The
+box_q when M = P^H.  The readers here, ``shift_table``,
+``sector_identity_residual`` and ``dirac_kernel``, take the shift defects
+and the kernel counts, ker D_q = ker box_q, off a sector's one pass,
+``weitzenboeck.sector_pass``, which reads both off D^2's rows and refuses
+them (``SectorPass.graded``) unless D^2's degree blocks are 2 box with
+their diagonal as spectrum.  The
 dense oracle ``kohn_laplacian`` builds box from D+ alone, so D^2 = 2 box on
 the degree blocks (acceptance criterion 4) compares two routes that part when
 D- is not the adjoint of D+.
@@ -48,21 +41,18 @@ from math import comb
 
 import numpy as np
 
-from .clifford import _integer, _positive
+from .clifford import _integer
 from .models import TorusBundleModel, TorusLattice
-from .operators import KernelCount, OperatorMatrix, assemble_dplus, diagonal_kernel_count, dirac_blocks
+from .operators import KernelCount, OperatorMatrix, assemble_dplus
 from .sections import SectionSpace
-from .weitzenboeck import square_residuals
+from .weitzenboeck import sector_pass
 
 __all__ = [
     "CohomologyTable",
     "TableRow",
     "kohn_laplacian",
-    "SectorPass",
-    "sector_pass",
     "sector_identity_residual",
     "dirac_kernel",
-    "gram_shift_defect",
     "torus_line_bundle_cohomology",
     "shift_table",
     "harmonic_spinor_table",
@@ -86,96 +76,6 @@ def kohn_laplacian(space: SectionSpace) -> OperatorMatrix:
         box[high, high] += step @ adj
     box *= 0.5
     return OperatorMatrix(box, space, mu_shift=0)
-
-
-def gram_shift_defect(space: SectionSpace, s: int, row: dict) -> float:
-    """Defect of box - box_bar = (m - q) N on fiber row s of degree q's complete blocks, box = D^2 / 2 read off
-    ``row``, D^2's keys of that row on the degree-q columns; box_bar = I (x) diag(lap10) is a diagonal.  Both sides
-    are zero between blocks and between degrees, so the rows hold every nonzero entry of the difference."""
-    q, lap10 = space.module.degrees[s], space.horizontal_laplacians()[0]
-    box = {key: 0.5 * vec for key, vec in row.items()}
-    box[s, s] = box.get((s, s), 0.0) - lap10[space.blocks()[:, s]] - (space.m - q) * (-2.0 * space.t)
-    return space.complete_max(box)
-
-
-@dataclass(frozen=True)
-class SectorPass:
-    """One sector's reductions of D (``sector_pass``), never its keys: why the degree-block readers are ``refused``
-    (None if they are not), the per-degree ``shift`` defects and ``kernel`` counts, the identities ``rows`` and
-    D^2's ``square`` residuals (Lichnerowicz, {ell: fixed-weight})."""
-
-    space: SectionSpace
-    refused: str | None
-    shift: dict[int, float]
-    kernel: dict[int, KernelCount]
-    rows: dict
-    square: tuple
-
-    def graded(self, key: str):
-        """The ``shift`` or ``kernel`` reduction, or ``ValueError`` naming the sector and why it is ``refused``: D^2's
-        degree blocks miss a D term off its degree shift, are D's Grams and 2 box only while D- = D+^H, and have
-        their diagonal as spectrum only while every off-diagonal entry between present states is 0."""
-        if self.refused:
-            raise ValueError(f"{self.space.model.kind} sector {self.space.sector}: {self.refused}")
-        return getattr(self, key)
-
-
-def sector_pass(space: SectionSpace, tol: float = 1e-8) -> SectorPass:
-    """One gather of D (``operators.dirac_blocks``) and one join of D^2 (``SectionSpace.square_rows``), read one
-    fiber row at a time: its degree-q keys for the ``shift`` defects (``gram_shift_defect``), its diagonal key into
-    degree q's (n_blocks, d_q) diagonal for the kernel counts at ``tol`` (``diagonal_kernel_count``) and its other
-    degree-q keys for the certificate that they are 0 between present states of every block, complete and cut,
-    then the whole row for the identities rows and D^2's residuals (``square_residuals``).  A ``MemoryError``
-    names its reader."""
-    tol = _positive(tol, "kernel tolerance")
-    reader, defects, counts, off_diagonal, degree = "the gather", {}, {}, {}, space.module.degrees
-
-    def read(joined):
-        """The rows of ``joined``, each read for the shift defects and the diagonal before it is passed on."""
-        nonlocal reader
-        for s, row in enumerate(joined):
-            q, fib = degree[s], space.module.grade_slice(degree[s])
-            block = {key: vec for key, vec in row.items() if degree[key[1]] == q}
-            reader = "shift defects"
-            defects.setdefault(q, []).append(gram_shift_defect(space, s, block))
-            reader = "kernel counts"
-            if s == fib.start:
-                diagonal = np.zeros((len(present), fib.stop - fib.start))
-            diagonal[:, s - fib.start] = block.get((s, s), 0.0).real
-            off_diagonal.update({(s, c): np.abs(vec[present[:, s] & present[:, c]]).max(initial=0.0)
-                                 for (_, c), vec in block.items() if c != s})
-            if s == fib.stop - 1:
-                counts[q] = diagonal_kernel_count(space, q, diagonal, tol)
-            reader = "D^2"
-            yield row
-
-    try:
-        dirac, grading = dirac_blocks(space)
-        present = space.blocks() >= 0  # after the gather, whose peak it would raise
-        # D-'s key (s, c) one degree down against D+'s (c, s), a missing key read as 0
-        pairs = sorted({(s, c) if degree[s] < degree[c] else (c, s)
-                        for s, c in dirac if abs(degree[s] - degree[c]) == 1})
-        adjoint = [np.abs(dirac.get((s, c), 0.0) - np.conj(dirac.get((c, s), 0.0))).max() for s, c in pairs]
-        at = int(np.argmax(adjoint))  # the first NaN if there is one
-        refused = next((f"term {index} has fiber entries off its degree shift (largest {defect:.2e})"
-                        for index, defect in enumerate(grading) if defect), None)
-        if refused is None and adjoint[at]:
-            refused = f"D- is not the adjoint of D+ (largest defect {adjoint[at]:.2e}, fiber pair {pairs[at]})"
-        reader = "D^2"
-        lichnerowicz, covariant, plus, minus = square_residuals(space, read(space.square_rows(dirac)))
-    except MemoryError as exc:
-        raise MemoryError(f"{exc} (in {reader})") from None
-    if off_diagonal and refused is None:
-        pair = list(off_diagonal)[int(np.argmax(list(off_diagonal.values())))]  # the first NaN if there is one
-        if off_diagonal[pair]:
-            refused = (f"D^2 is not diagonal on degree {degree[pair[0]]} "
-                       f"(largest off-diagonal {off_diagonal[pair]:.2e}, fiber pair {pair})")
-    # grading is read off the terms' fiber matrices: D+^2 and D-^2 see every entry only while it passes
-    rows = {"dirac_plus_squared": plus, "dirac_minus_squared": minus,
-            "adjoint_defect": float(adjoint[at]), "grading_defect": float(np.max(grading))}
-    # np.max, not max: a NaN row must reach the report
-    return SectorPass(space, refused, {q: float(np.max(v)) for q, v in defects.items()}, counts, rows,
-                      (lichnerowicz, covariant))
 
 
 def sector_identity_residual(space: SectionSpace) -> dict[int, float]:

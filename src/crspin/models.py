@@ -143,6 +143,9 @@ class PseudoHermitianModel:
             setattr(self, name, value)
         if np.linalg.norm(self.rho - self.rho.conj().T) > 1e-12:
             raise ValueError("Ricci matrix must be Hermitian")
+        for label, value in (("Webster scalar scal_w", self.scal_w), ("base scalar curvature scal_h", self.scal_h)):
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{label} must be finite")
 
     @property
     def has_section_space(self) -> bool:

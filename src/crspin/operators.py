@@ -47,7 +47,7 @@ operator and stays the reference.  The blocks need no eigensolve: the
 Clifford generators anticommute, so D^2 is diagonal on each per-slot
 block, and ``diagonal_kernel_count`` counts the null entries of a
 degree's diagonal, which the sector pass certifies
-(``cohomology.SectorPass.graded``).
+(``weitzenboeck.SectorPass.graded``).
 """
 
 from __future__ import annotations

@@ -10,11 +10,21 @@ data, splits them into a Ricci derivation part and a trace-free
 remainder, and measures residuals of the formula on section spaces: the
 Lichnerowicz identity is the formula on every block at the model's
 twist, and the fixed-weight identity is its twist-ell case on the block
-mu = -ell.  ``square_residuals`` reads both off the rows of D^2 that the
-sector pass joins (``cohomology.sector_pass``, ``SectionSpace.square_rows``),
-on the present states of complete blocks (``complete_max``): no whole D^2
-and no full-space matrix is formed.  ``sl_residual`` and ``dl_residual`` read
-them off that pass.
+mu = -ell.  Both are identities of D^2, as is the Kohn Laplacian shift
+box - box_bar = (m - q) N, and every reader of a sector's D goes through
+one pass, ``sector_pass``: it gathers D once (``operators.dirac_blocks``),
+joins D^2 once (``SectionSpace.square_rows``) and reads each fiber row in
+one loop, on every call, for the shift defects (``gram_shift_defect``),
+D^2's degree diagonal for the kernel counts, ker D_q = ker box_q, and the
+Lichnerowicz and fixed-weight residuals and D+-^2 maxima, on the present
+states of complete blocks (``complete_max``): no whole D^2 and no
+full-space matrix is formed.  The Clifford generators anticommute, so
+D^2 is diagonal on each per-slot block; the pass certifies that, and the
+diagonal is then the spectrum, with no eigensolve.  It keeps only these
+reductions, names its reader in a ``MemoryError``, and its record alone
+refuses a D term off its degree shift, a D- off the adjoint of D+ or a
+D^2 off its diagonal (``SectorPass.graded``).  ``sl_residual``,
+``dl_residual``, the run's memo and ``cohomology``'s readers call it.
 
 It also hosts the conformal covariance checks: under a rescaling of the
 contact form by exp(2 f), suitably weighted powers of exp(-f) intertwine
@@ -39,6 +49,7 @@ import numpy as np
 from .clifford import (
     SpinorModule,
     _integer,
+    _positive,
     annihilation_matrix,
     creation_matrix,
     theta_matrix,
@@ -46,7 +57,7 @@ from .clifford import (
 )
 from .fields import TrigPoly
 from .models import PseudoHermitianModel, rho_frame_components
-from .operators import twistor_weights
+from .operators import KernelCount, diagonal_kernel_count, dirac_blocks, twistor_weights
 from .sections import SectionSpace
 
 __all__ = [
@@ -55,7 +66,9 @@ __all__ = [
     "q_split",
     "sl_residual",
     "dl_residual",
-    "square_residuals",
+    "SectorPass",
+    "sector_pass",
+    "gram_shift_defect",
     "ConformalScale",
     "conformal_check",
     "exponent_scan",
@@ -133,7 +146,6 @@ def sl_residual(space: SectionSpace) -> float:
     """Residual of the Schroedinger-Lichnerowicz identity on complete blocks, off the space's own sector pass: D^2
     against the weighted sum of horizontal Laplacians plus the curvature term at the model's twist, where both
     sides are the untruncated operators' blocks.  Between degrees the residual is D^2's own entry."""
-    from .cohomology import sector_pass  # here, not at the top: cohomology imports this module
     return sector_pass(space).square[0]
 
 
@@ -150,7 +162,6 @@ def dl_residual(space: SectionSpace, ell: int) -> float:
     section space realizes every admissible weight, read off its own
     sector pass.
     """
-    from .cohomology import sector_pass  # here, not at the top: cohomology imports this module
     m = space.m
     _integer(ell, "weight")
     if (m + ell) % 2 != 0 or abs(ell) > m:
@@ -168,35 +179,106 @@ def _less_curvature(row: dict, s: int, start: int, curvature: np.ndarray) -> dic
             if (s, start + j) in row or value != 0}
 
 
-def square_residuals(space: SectionSpace, rows) -> tuple[float, dict[int, float], float, float]:
-    """(``sl_residual``, {ell: ``dl_residual``} at every admissible ell, max |D+^2|, max |D-^2|) off D^2's rows.
+def gram_shift_defect(space: SectionSpace, s: int, row: dict) -> float:
+    """Defect of box - box_bar = (m - q) N on fiber row s of degree q's complete blocks, box = D^2 / 2 read off
+    ``row``, D^2's keys of that row on the degree-q columns; box_bar = I (x) diag(lap10) is a diagonal.  Both sides
+    are zero between blocks and between degrees, so the rows hold every nonzero entry of the difference."""
+    q, lap10 = space.module.degrees[s], space.horizontal_laplacians()[0]
+    box = {key: 0.5 * vec for key, vec in row.items()}
+    box[s, s] = box.get((s, s), 0.0) - lap10[space.blocks()[:, s]] - (space.m - q) * (-2.0 * space.t)
+    return space.complete_max(box)
 
-    ``rows`` yields D^2's fiber rows s = 0, 1, ... (``SectionSpace.square_rows`` of D's keys), each changed in
-    place.  On the row of a degree-q state the weighted Laplacians come off the diagonal, the curvature term at
-    twist 2q - m off the degree-q columns gives the fixed-weight residual, and the model's the Lichnerowicz
-    residual, whose formula keeps the degree, so the row's other entries count as they stand.  D+ fills D's keys
-    one degree up and D- those one degree down, so the row's keys two degrees down and up are D+^2 and D-^2, read
-    on every block.
-    """
-    m, model = space.m, space.model
-    lap10, lap01 = space.horizontal_laplacians()
-    partners, degree = space.blocks(), space.module.degrees
-    twists = [(curvature_term(model, 2 * q - m, q), curvature_term(model, model.ell, q)) for q in range(m + 1)]
+
+@dataclass(frozen=True)
+class SectorPass:
+    """One sector's reductions of D (``sector_pass``), never its keys: why the degree-block readers are ``refused``
+    (None if they are not), the per-degree ``shift`` defects and ``kernel`` counts, the identities ``rows`` and
+    D^2's ``square`` residuals (Lichnerowicz, {ell: fixed-weight})."""
+
+    space: SectionSpace
+    refused: str | None
+    shift: dict[int, float]
+    kernel: dict[int, KernelCount]
+    rows: dict
+    square: tuple
+
+    def graded(self, key: str):
+        """The ``shift`` or ``kernel`` reduction, or ``ValueError`` naming the sector and why it is ``refused``: D^2's
+        degree blocks miss a D term off its degree shift, are D's Grams and 2 box only while D- = D+^H, and have
+        their diagonal as spectrum only while every entry off it is 0."""
+        if self.refused:
+            raise ValueError(f"{self.space.model.kind} sector {self.space.sector}: {self.refused}")
+        return getattr(self, key)
+
+
+def sector_pass(space: SectionSpace, tol: float = 1e-8) -> SectorPass:
+    """One gather of D (``operators.dirac_blocks``) and one join of D^2 (``SectionSpace.square_rows``), read in one
+    loop over D^2's fiber rows.  On the row of a degree-q state s it reads, in this order:
+
+    * its degree-q keys for the ``shift`` defects (``gram_shift_defect``);
+    * its diagonal key into degree q's (n_blocks, d_q) diagonal for the kernel counts at ``tol``
+      (``diagonal_kernel_count``), and its other degree-q keys, whole, for the certificate that they are 0 on every
+      block, complete and cut (``stack`` zeroes D at removed states, so D^2 is exactly 0 there);
+    * with the weighted horizontal Laplacians taken off its diagonal key, the curvature term at twist 2q - m off its
+      degree-q keys for the fixed-weight residual and the model's for the Lichnerowicz residual, whose formula keeps
+      the degree, so the row's other keys count as they stand;
+    * its keys two degrees down and up, D+^2 and D-^2 (D+ fills D's keys one degree up and D- those one degree
+      down), for their maxima on every block.
+
+    A ``MemoryError`` names its reader."""
+    tol = _positive(tol, "kernel tolerance")
+    m, model, degree = space.m, space.model, space.module.degrees
+    reader, defects, counts, off_diagonal = "the gather", {}, {}, {}
     lichnerowicz, covariant, plus, minus = [], {2 * q - m: [] for q in range(m + 1)}, [0.0], [0.0]
-    for s, row in enumerate(rows):
-        q, start = degree[s], space.module.grade_slice(degree[s]).start
-        mu = m - 2 * q
-        weighted = (1.0 - mu / m) * lap10[partners[:, s]] + (1.0 + mu / m) * lap01[partners[:, s]]
-        row[s, s] = row[s, s] - weighted if (s, s) in row else -weighted
-        # the fixed-weight identity at twist ell = 2q - m is read on its block mu = -ell
-        covariant[2 * q - m].append(space.complete_max(_less_curvature(row, s, start, twists[q][0])))
-        row.update(_less_curvature(row, s, start, twists[q][1]))
-        lichnerowicz.append(space.complete_max(row))
-        plus += [np.abs(vec).max() for (_, c), vec in row.items() if degree[c] == q - 2]
-        minus += [np.abs(vec).max() for (_, c), vec in row.items() if degree[c] == q + 2]
-    # np.max, not max: a NaN row must reach the report
-    return (float(np.max(lichnerowicz)), {ell: float(np.max(v)) for ell, v in covariant.items()},
-            float(np.max(plus)), float(np.max(minus)))
+    try:
+        dirac, grading = dirac_blocks(space)
+        # D-'s key (s, c) one degree down against D+'s (c, s), a missing key read as 0
+        pairs = sorted({(s, c) if degree[s] < degree[c] else (c, s)
+                        for s, c in dirac if abs(degree[s] - degree[c]) == 1})
+        adjoint = [np.abs(dirac.get((s, c), 0.0) - np.conj(dirac.get((c, s), 0.0))).max() for s, c in pairs]
+        at = int(np.argmax(adjoint))  # the first NaN if there is one
+        refused = next((f"term {index} has fiber entries off its degree shift (largest {defect:.2e})"
+                        for index, defect in enumerate(grading) if defect), None)
+        if refused is None and adjoint[at]:
+            refused = f"D- is not the adjoint of D+ (largest defect {adjoint[at]:.2e}, fiber pair {pairs[at]})"
+        reader = "D^2"
+        (lap10, lap01), partners = space.horizontal_laplacians(), space.blocks()
+        twists = [(curvature_term(model, 2 * q - m, q), curvature_term(model, model.ell, q)) for q in range(m + 1)]
+        for s, row in enumerate(space.square_rows(dirac)):
+            q, fib = degree[s], space.module.grade_slice(degree[s])
+            block = {key: vec for key, vec in row.items() if degree[key[1]] == q}
+            reader = "shift defects"
+            defects.setdefault(q, []).append(gram_shift_defect(space, s, block))
+            reader = "kernel counts"
+            if s == fib.start:
+                diagonal = np.zeros((len(partners), fib.stop - fib.start))
+            diagonal[:, s - fib.start] = block.get((s, s), 0.0).real
+            off_diagonal.update({(s, c): np.abs(vec).max() for (_, c), vec in block.items() if c != s})
+            if s == fib.stop - 1:
+                counts[q] = diagonal_kernel_count(space, q, diagonal, tol)
+            reader = "D^2"
+            mu = m - 2 * q
+            weighted = (1.0 - mu / m) * lap10[partners[:, s]] + (1.0 + mu / m) * lap01[partners[:, s]]
+            row[s, s] = row[s, s] - weighted if (s, s) in row else -weighted
+            # the fixed-weight identity at twist ell = 2q - m is read on its block mu = -ell
+            covariant[2 * q - m].append(space.complete_max(_less_curvature(row, s, fib.start, twists[q][0])))
+            row.update(_less_curvature(row, s, fib.start, twists[q][1]))
+            lichnerowicz.append(space.complete_max(row))
+            plus += [np.abs(vec).max() for (_, c), vec in row.items() if degree[c] == q - 2]
+            minus += [np.abs(vec).max() for (_, c), vec in row.items() if degree[c] == q + 2]
+    except MemoryError as exc:
+        raise MemoryError(f"{exc} (in {reader})") from None
+    if off_diagonal and refused is None:
+        pair = list(off_diagonal)[int(np.argmax(list(off_diagonal.values())))]  # the first NaN if there is one
+        if off_diagonal[pair]:
+            refused = (f"D^2 is not diagonal on degree {degree[pair[0]]} "
+                       f"(largest off-diagonal {off_diagonal[pair]:.2e}, fiber pair {pair})")
+    # np.max, not max: a NaN row must reach the report; grading is read off the terms' fiber matrices, so D+^2 and
+    # D-^2 see every entry only while it passes
+    rows = {"dirac_plus_squared": float(np.max(plus)), "dirac_minus_squared": float(np.max(minus)),
+            "adjoint_defect": float(adjoint[at]), "grading_defect": float(np.max(grading))}
+    return SectorPass(space, refused, {q: float(np.max(v)) for q, v in defects.items()}, counts, rows,
+                      (float(np.max(lichnerowicz)), {ell: float(np.max(v)) for ell, v in covariant.items()}))
 
 
 # ---------------------------------------------------------------------------
@@ -386,23 +468,15 @@ def conformal_check(space: SectionSpace, ell: int, f: ConformalScale) -> float:
     For every weight block the degree-raising and degree-lowering Dirac
     halves and both twistor components are conjugated by their canonical
     exp(-v f) powers and compared against the flat operators at the
-    ``default_sample_points``; on the block mu = -ell (when it exists)
-    the full Kohn-Dirac operator is additionally checked at weight m + 1
-    against weight m + 2 on the output.  Everything is evaluated with exact
-    derivatives of the trigonometric factor, so the result is
+    ``default_sample_points``.  On the block mu = -ell (when it exists) the
+    full Kohn-Dirac operator's law, at weight m + 1 against weight m + 2 on
+    the output, is the sum of its halves' laws, which are read there: the
+    halves' outputs lie in disjoint fiber degrees.  Everything is evaluated
+    with exact derivatives of the trigonometric factor, so the result is
     truncation-independent.
     """
     ctx, points, fjet = _conformal_inputs(space, ell, f)
-    m = space.m
-    defects = [d[0] for q in range(m + 1) for d in _covariance_defects(ctx, ell, q, fjet, points).values()]
-
-    if (m + ell) % 2 == 0 and abs(ell) <= m:
-        phi = _jet(_test_spinor(ctx, (m + ell) // 2), points, m)
-        weight = float(m + 1)
-        halves = (ctx.half01, ctx.half10)
-        lhs = sum(_dirac(_nabla_tilde(phi, fjet, half, ell, weight, ctx), half) for half in halves)
-        rhs = sum(_dirac(phi.d[half.direction], half) for half in halves)
-        defects.append(_pointwise_defect(lhs, rhs, weight + 1.0, fjet))
+    defects = [d[0] for q in range(space.m + 1) for d in _covariance_defects(ctx, ell, q, fjet, points).values()]
     # np.max, not max: a NaN defect must reach the report
     return float(np.max(defects))
 

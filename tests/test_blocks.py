@@ -12,7 +12,6 @@ from crspin.cohomology import (
     dirac_kernel,
     kohn_laplacian,
     sector_identity_residual,
-    sector_pass,
     shift_table,
 )
 from crspin.models import TruncationSpec, cr_alpha_bundle, heisenberg_model
@@ -27,7 +26,7 @@ from crspin.operators import (
     nabla_T_terms,
 )
 from crspin.sections import SectionSpace
-from crspin.weitzenboeck import curvature_term
+from crspin.weitzenboeck import curvature_term, sector_pass
 
 LADDER3 = TruncationSpec(fourier_radius=1, ladder_levels=5)
 
@@ -455,6 +454,35 @@ def test_a_nan_off_the_diagonal_of_d_squared_is_refused(monkeypatch):
     monkeypatch.setattr(SectionSpace, "square_rows", nan_entry)
     with pytest.raises(ValueError, match=r"^heisenberg sector 1: D\^2 is not diagonal on degree 1 "
                                          r"\(largest off-diagonal nan, fiber pair \(2, 1\)\)$"):
+        sector_pass(SectionSpace(heisenberg_model(2, k=1))).graded("kernel")
+
+
+@pytest.mark.parametrize("model", [*(heisenberg_model(m, k=k, truncation=TruncationSpec(1, levels))
+                                     for m, k, levels in ((3, 1, 4), (3, -2, 3), (4, 1, 3))),
+                                   cr_alpha_bundle(2, c=1, s=1)], ids=["m3 k1 L4", "m3 k-2 L3", "m4 k1 L3", "torus"])
+def test_d_squared_is_zero_at_removed_states(model):
+    # the sector pass certifies D^2's diagonal on whole keys: stack zeroes D at removed states, so each entry of
+    # D^2 at a state whose partner is -1 sums products with a zero factor
+    space = SectionSpace(model)
+    removed = space.blocks() < 0
+    assert removed.any()
+    for row in space.square_rows(dirac_blocks(space)[0]):
+        assert all(not vec[removed[:, s] | removed[:, c]].any() for (s, c), vec in row.items())
+
+
+def test_the_diagonal_certificate_reads_removed_states(monkeypatch):
+    # an entry there can only come from a stack that broke its zeros, so the certificate reads the whole key
+    join = SectionSpace.square_rows
+
+    def removed_entry(self, keys):
+        for s, row in enumerate(join(self, keys)):
+            if s == 2:
+                row[2, 1] = np.where(self.blocks()[:, 1] < 0, 1e-3, 0.0)
+            yield row
+
+    monkeypatch.setattr(SectionSpace, "square_rows", removed_entry)
+    with pytest.raises(ValueError, match=r"^heisenberg sector 1: D\^2 is not diagonal on degree 1 "
+                                         r"\(largest off-diagonal 1\.00e-03, fiber pair \(2, 1\)\)$"):
         sector_pass(SectionSpace(heisenberg_model(2, k=1))).graded("kernel")
 
 

@@ -17,7 +17,7 @@ from blockstates import record_grams
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crspin import cli, cohomology, operators, sections
+from crspin import cli, cohomology, operators, sections, weitzenboeck
 from crspin.cli import main
 from crspin.models import cr_alpha_bundle, heisenberg_model
 
@@ -142,7 +142,7 @@ def test_duplicate_sectors_rejected(tmp_path, capsys):
 def test_an_out_that_cannot_be_created_exits_2_before_any_check(tmp_path, monkeypatch, capsys, out):
     # a path under a file, or a file itself: the directory is made before the checks, so none of them runs
     counts = {}
-    count_calls(monkeypatch, counts, "sector_pass", cohomology.sector_pass)
+    count_calls(monkeypatch, counts, "sector_pass", weitzenboeck.sector_pass)
     (tmp_path / "file").write_text("")
     cfg = write_config(tmp_path, m2_config("heisenberg", cli.CHECK_NAMES))
     assert main(["run", "--config", cfg, "--out", str(tmp_path / out)]) == 2
@@ -453,8 +453,9 @@ def test_run_forms_one_dirac_square_per_check_family(tmp_path, monkeypatch, kind
     counts = {}
     for name in ("assemble_kohn_dirac", "assemble_dplus", "kernel_report", "dirac_blocks", "diagonal_kernel_count"):
         count_calls(monkeypatch, counts, name, getattr(operators, name))
-    for name in ("kohn_laplacian", "sector_pass", "gram_shift_defect"):
-        count_calls(monkeypatch, counts, name, getattr(cohomology, name))
+    count_calls(monkeypatch, counts, "kohn_laplacian", cohomology.kohn_laplacian)
+    for name in ("sector_pass", "gram_shift_defect"):
+        count_calls(monkeypatch, counts, name, getattr(weitzenboeck, name))
     counts["square_rows"] = 0
     join = sections.SectionSpace.square_rows
 
@@ -489,7 +490,7 @@ def test_an_identities_only_pass_forms_no_gram(tmp_path, monkeypatch, kind):
     count_calls(monkeypatch, counts, "diagonal_kernel_count", operators.diagonal_kernel_count)
     grams = record_grams(monkeypatch)
     model = heisenberg_model(3, k=1) if kind == "heisenberg" else cr_alpha_bundle(3, c=1, s=1)
-    defects = cohomology.sector_pass(sections.SectionSpace(model)).graded("shift")
+    defects = weitzenboeck.sector_pass(sections.SectionSpace(model)).graded("shift")
     assert np.max(list(defects.values())) <= 1e-10
     assert main(["run", "--config", write_config(tmp_path, m2_config(kind, ["identities"])),
                  "--out", str(tmp_path / "art")]) == 0
@@ -506,6 +507,26 @@ def test_a_nan_conformal_defect_fails_the_run(tmp_path, capsys):
         assert main(["run", "--config", write_config(tmp_path, config), "--out", str(out)]) == 1
     assert "check conformal: FAIL (sector 1 defect nan above 1.0e-09)" in capsys.readouterr().out
     assert math.isnan(json.loads((out / "conformal_report.json").read_text())["results"]["sectors"]["1"])
+
+
+def test_a_nan_eigenvalue_fails_the_spectrum_check(tmp_path, monkeypatch, capsys):
+    # min() keeps a finite minimum over a later NaN, which read as PASS with min_eigenvalue 0
+    count = operators.diagonal_kernel_count
+
+    def nan_last(space, q, diagonal, tol):
+        out = count(space, q, diagonal, tol)
+        if q != 1:
+            return out
+        eigenvalues = out.eigenvalues.copy()
+        eigenvalues[-1] = np.nan
+        return operators.KernelCount(out.dim, out.spurious, eigenvalues)
+
+    rebind(monkeypatch, "diagonal_kernel_count", count, nan_last)
+    cfg = write_config(tmp_path, {"model": {"kind": "heisenberg", "m": 2, "sectors": [1]}})
+    out = tmp_path / "art"
+    assert main(["run", "--config", cfg, "--check", "spectrum", "--out", str(out)]) == 1
+    assert "check spectrum: FAIL (Dirac square has eigenvalue nan below -1.0e-08)" in capsys.readouterr().out
+    assert math.isnan(json.loads((out / "spectrum_report.json").read_text())["results"]["min_eigenvalue"])
 
 
 def test_a_memory_error_is_that_checks_error(tmp_path, monkeypatch, capsys):
@@ -565,7 +586,7 @@ def failing_join(patch):
 def failing_reader(name):
     """Make ``name``, a reader of one degree of D^2's rows, raise the allocator's ``MemoryError`` on degree 1."""
     def patch_reader(patch):
-        read = getattr(cohomology, name)
+        read = getattr(weitzenboeck, name)
 
         def refuse(space, *args):
             # gram_shift_defect(space, s, row) and diagonal_kernel_count(space, q, diagonal, tol)
@@ -637,7 +658,7 @@ def test_spectrum_and_vanishing_share_one_dirac_kernel(tmp_path, monkeypatch):
     counts = {}
     for name in ("kernel_report", "diagonal_kernel_count"):
         count_calls(monkeypatch, counts, name, getattr(operators, name))
-    count_calls(monkeypatch, counts, "sector_pass", cohomology.sector_pass)
+    count_calls(monkeypatch, counts, "sector_pass", weitzenboeck.sector_pass)
     grams = record_grams(monkeypatch)
     config = {"model": {"kind": "heisenberg", "m": 2, "sectors": [1]},
               "checks": ["spectrum", "vanishing"], "tolerances": {"spectral": 1e-6}}
@@ -755,7 +776,7 @@ def test_the_identities_detail_names_a_nan_row_over_an_earlier_finite_one(tmp_pa
 
 def test_a_nan_shift_defect_in_any_degree_fails_identities(tmp_path, monkeypatch, capsys):
     # max() keeps a finite first value over a later NaN, so the row must take np.max over the degrees
-    read = cohomology.gram_shift_defect
+    read = weitzenboeck.gram_shift_defect
     rebind(monkeypatch, "gram_shift_defect", read,
            lambda space, s, row: np.nan if space.module.degrees[s] == 1 else read(space, s, row))
     cfg = write_config(tmp_path, {"model": {"kind": "heisenberg", "m": 2, "sectors": [1]}, "checks": ["identities"]})

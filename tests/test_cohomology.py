@@ -13,15 +13,14 @@ from crspin.cohomology import (
     harmonic_spinor_table,
     kohn_laplacian,
     sector_identity_residual,
-    sector_pass,
     shift_table,
     torus_line_bundle_cohomology,
 )
-from crspin import cohomology, operators
+from crspin import operators, weitzenboeck
 from crspin.models import TorusLattice, TruncationSpec, cr_alpha_bundle, heisenberg_model
 from crspin.operators import assemble_dplus, assemble_kohn_dirac, kernel_report
 from crspin.sections import SectionSpace, SlotOp
-from crspin.weitzenboeck import dl_residual, sl_residual
+from crspin.weitzenboeck import dl_residual, sector_pass, sl_residual
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +295,7 @@ def test_library_readers_gather_d_once_per_sector_and_form_no_gram(monkeypatch, 
     # the run's guarantee (test_cli.py::test_run_forms_one_dirac_square_per_check_family) through one sector_pass,
     # which counts kernels off D^2's diagonal once per degree and sector of m = 2 for every reader
     gathers, joins = [], []
-    gather, join = cohomology.dirac_blocks, SectionSpace.square_rows
+    gather, join = weitzenboeck.dirac_blocks, SectionSpace.square_rows
 
     def counting_gather(space):
         gathers.append(space.sector)
@@ -306,12 +305,12 @@ def test_library_readers_gather_d_once_per_sector_and_form_no_gram(monkeypatch, 
         joins.append(space.sector)
         return join(space, keys)
 
-    monkeypatch.setattr(cohomology, "dirac_blocks", counting_gather)
+    monkeypatch.setattr(weitzenboeck, "dirac_blocks", counting_gather)
     monkeypatch.setattr(SectionSpace, "square_rows", counting_join)
     grams = record_grams(monkeypatch)
     counts = []
-    count = cohomology.diagonal_kernel_count
-    monkeypatch.setattr(cohomology, "diagonal_kernel_count", lambda *args: counts.append(args[1]) or count(*args))
+    count = weitzenboeck.diagonal_kernel_count
+    monkeypatch.setattr(weitzenboeck, "diagonal_kernel_count", lambda *args: counts.append(args[1]) or count(*args))
     LIBRARY_READERS[reader](cr_alpha_bundle(2, c=1))
     assert gathers == joins == [-1, 0, 1] and grams == [] and len(counts) == 9
 
@@ -319,7 +318,7 @@ def test_library_readers_gather_d_once_per_sector_and_form_no_gram(monkeypatch, 
 @pytest.mark.parametrize("reader", LIBRARY_READERS)
 def test_a_memory_error_in_a_library_reader_names_its_reader(monkeypatch, reader):
     # both readers of degree 1 fail; every pass reads the shift defects of a row first, so every reader fails there
-    shift, count = cohomology.gram_shift_defect, cohomology.diagonal_kernel_count
+    shift, count = weitzenboeck.gram_shift_defect, weitzenboeck.diagonal_kernel_count
 
     def refuse(read, degree):
         def fail(space, *args):
@@ -328,8 +327,8 @@ def test_a_memory_error_in_a_library_reader_names_its_reader(monkeypatch, reader
             return read(space, *args)
         return fail
 
-    monkeypatch.setattr(cohomology, "gram_shift_defect", refuse(shift, lambda space, s, row: space.module.degrees[s]))
-    monkeypatch.setattr(cohomology, "diagonal_kernel_count", refuse(count, lambda space, q, *rest: q))
+    monkeypatch.setattr(weitzenboeck, "gram_shift_defect", refuse(shift, lambda space, s, row: space.module.degrees[s]))
+    monkeypatch.setattr(weitzenboeck, "diagonal_kernel_count", refuse(count, lambda space, q, *rest: q))
     with pytest.raises(MemoryError, match=r"^Unable to allocate 3\.06 GiB .* \(in shift defects\)$"):
         LIBRARY_READERS[reader](cr_alpha_bundle(2, c=1))
 
@@ -365,13 +364,13 @@ def test_shift_table_passes_tolerances_to_kernel_counts(monkeypatch):
     assert everything.dims(method="spectral") == {(0, 0): space.base_dim, (1, 0): space.base_dim}
     assert shift_table(model, s_range=[0]).dims(method="spectral") == {(0, 0): 1, (1, 0): 1}
     seen = []
-    count = cohomology.diagonal_kernel_count
+    count = weitzenboeck.diagonal_kernel_count
 
     def recording_kernel(space, q, diagonal, tol=1e-8):
         seen.append(tol)
         return count(space, q, diagonal, tol)
 
-    monkeypatch.setattr(cohomology, "diagonal_kernel_count", recording_kernel)
+    monkeypatch.setattr(weitzenboeck, "diagonal_kernel_count", recording_kernel)
     shift_table(model, s_range=[-1, 1], tol=1e-6)
     # the spectral rows are the Dirac kernel's counts, ker D_q = ker box_q: one per degree and sector
     assert seen == [1e-6] * 4

@@ -270,9 +270,15 @@ NAN, INF = float("nan"), float("inf")
     (lambda: PseudoHermitianModel(m=1, tau=[[INF]]), "torsion matrix must be finite"),
     (lambda: PseudoHermitianModel(m=1, tau=[[NAN]]), "torsion matrix must be finite"),
     (lambda: PseudoHermitianModel(m=1, curvature=np.full((2, 2, 2, 2), NAN)), "curvature components must be finite"),
-], ids=["lattice nan", "lattice inf", "lattice singular", "rho nan", "rho inf", "tau inf", "tau nan", "curvature nan"])
+    (lambda: PseudoHermitianModel(m=2, scal_w=NAN), "Webster scalar scal_w must be finite"),
+    (lambda: PseudoHermitianModel(m=2, scal_w=INF), "Webster scalar scal_w must be finite"),
+    (lambda: PseudoHermitianModel(m=2, scal_h=NAN), "base scalar curvature scal_h must be finite"),
+    (lambda: PseudoHermitianModel(m=2, scal_h=-INF), "base scalar curvature scal_h must be finite"),
+], ids=["lattice nan", "lattice inf", "lattice singular", "rho nan", "rho inf", "tau inf", "tau nan", "curvature nan",
+        "scal_w nan", "scal_w inf", "scal_h nan", "scal_h -inf"])
 def test_nonfinite_model_data_is_refused(build, message):
-    # abs(det) < 1e-12 and the Hermitian test are both false for NaN, so a NaN lattice built a space with NaN labels
+    # abs(det) < 1e-12 and the Hermitian test are both false for NaN, so a NaN lattice built a space with NaN labels;
+    # a NaN scal_w read as a NaN Ricci consistency and a q=1 vanishing verdict of not_forced
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
 

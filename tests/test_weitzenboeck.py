@@ -31,8 +31,8 @@ from crspin.weitzenboeck import (
     exponent_scan,
     q_split,
     ricci_spinor_action,
+    sector_pass,
     sl_residual,
-    square_residuals,
 )
 
 
@@ -255,28 +255,35 @@ def test_dl_residual_all_admissible_weights(model):
 @pytest.mark.parametrize("model", [heisenberg_model(1, k=1), heisenberg_model(2, k=0),
                                    cr_alpha_bundle(2, c=1, s=-1), cr_alpha_bundle(2, c=2, s=1, ell=2)],
                          ids=lambda mdl: mdl.describe() + str(getattr(mdl, "k", getattr(mdl, "s", ""))))
-def test_square_residuals_equal_single_identity_residuals(model):
+def test_sector_pass_square_equals_single_identity_residuals(model):
     space = SectionSpace(model)
     weights = range(-model.m, model.m + 1, 2)
     single = (sl_residual(space), {ell: dl_residual(space, ell) for ell in weights})
-    dirac = space.stack(dplus_terms(space) + dminus_terms(space))
-    assert square_residuals(space, space.square_rows(dirac))[:2] == single
+    assert sector_pass(space).square == single
 
 
-def test_lichnerowicz_residual_reads_off_degree_entries():
+def test_lichnerowicz_residual_reads_off_degree_entries(monkeypatch):
     # the formula keeps the degree, so an entry of D^2 between degrees is all residual;
     # the fixed-weight rows and D+^2, D-^2 read only their own degree slabs
     space = SectionSpace(heisenberg_model(2, k=1))
-    dirac = space.stack(dplus_terms(space) + dminus_terms(space))
-    before = square_residuals(space, space.square_rows(dirac))
+    before = sector_pass(space)
     # fiber states 0 and 3 have degrees 0 and 2; take a complete block where both are present
     j = np.flatnonzero((space.blocks()[:, [0, 3]] >= 0).all(axis=1) & space.block_complete())[0]
-    assert (3, 0) not in dirac
-    dirac[3, 0] = np.where(np.arange(len(space.blocks())) == j, 0.5 + 0j, 0.0)
+    gather = weitzenboeck.dirac_blocks
+
+    def injecting(space):
+        dirac, grading = gather(space)
+        assert (3, 0) not in dirac
+        dirac[3, 0] = np.where(np.arange(len(space.blocks())) == j, 0.5 + 0j, 0.0)
+        return dirac, grading
+
+    monkeypatch.setattr(weitzenboeck, "dirac_blocks", injecting)
     # E = 0.5 e_30 squares to 0, so D^2 moves by DE + ED: entries (1 or 2, 0) and (3, 1 or 2), between degrees
-    after = square_residuals(space, space.square_rows(dirac))
-    assert before[0] <= 1e-10 and abs(after[0] - 1.0) <= 1e-10
-    assert after[1:] == before[1:]
+    after = sector_pass(space)
+    assert before.square[0] <= 1e-10 and abs(after.square[0] - 1.0) <= 1e-10
+    squares = ("dirac_plus_squared", "dirac_minus_squared")
+    assert (after.square[1], *(after.rows[name] for name in squares)) == (before.square[1],
+                                                                         *(before.rows[name] for name in squares))
 
 
 @pytest.mark.parametrize("model", [heisenberg_model(2, k=1), heisenberg_model(2, k=0)], ids=["ladder", "fourier"])
