@@ -3,8 +3,6 @@
 Usage::
 
     crspin run --config cfg.json [--check NAME ...] [--strict] [--out DIR] [--format csv|json]
-    crspin identities --config cfg.json [...]      # single-check shortcuts
-    crspin spectrum | cohomology | vanishing | conformal ...
 
 Config schema (JSON object; unknown keys are rejected with their path):
 
@@ -16,7 +14,7 @@ Config schema (JSON object; unknown keys are rejected with their path):
         "sectors": [<distinct int, |s| <= 2**53>, ...],      default [0]
             weight sectors to realize: k for the Heisenberg quotient,
             s for the torus bundle (not accepted for the sphere)
-        "flux": <nonzero int, |flux| <= 2**53>,              torus_bundle only, default 1
+        "flux": <int, 1 <= flux <= 2**53>,                  torus_bundle only, default 1
         "scal_w": <positive finite number>,                 sphere only, default 1.0
         "truncation": {"fourier_radius": <int >= 1>,
                        "ladder_levels": <int >= 2>}         optional
@@ -37,8 +35,10 @@ fixed basis ordering, seedless dense eigensolvers, sorted JSON keys, and
 CSV floats in full-precision scientific notation, so reruns of the same
 config are byte-identical.  Exit status: 0 when every requested check
 passes, 1 when any check fails or errors, 2 on config problems and on an
-``--out`` directory that cannot be made, before any check runs.  At exit a
-run process freezes the GC (``gc.freeze`` from ``atexit``), so
+``--out`` directory that cannot be made or cleared, before any check runs.
+Clearing removes every file a run can write (``_ARTIFACT_NAME``) and
+nothing else, so a reused directory holds only the latest run's files.
+At exit a run process freezes the GC (``gc.freeze`` from ``atexit``), so
 CPython's final cyclic sweep skips the ~22 000 objects numpy and the
 stdlib leave tracked: the OS frees them anyway, and the sweep took ~17 ms.
 
@@ -74,6 +74,7 @@ import gc
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, dataclass, field
 from functools import cache, cached_property
@@ -81,8 +82,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .clifford import TOLERANCE_DEFAULTS
 from .cohomology import harmonic_spinor_table, shift_table
 from .models import (
+    TorusBundleModel,
     TruncationSpec,
     cr_alpha_bundle,
     default_truncation,
@@ -97,12 +100,9 @@ __all__ = ["main", "run", "load_config", "ConfigError", "CHECK_NAMES"]
 
 CHECK_NAMES = ("identities", "spectrum", "cohomology", "vanishing", "conformal")
 
-TOLERANCE_DEFAULTS = {
-    "algebraic": 1e-12,
-    "dual_assembly": 1e-10,
-    "spectral": 1e-8,
-    "conformal": 1e-9,
-}
+# every file a run can write: the check reports, and the tables in either format
+_ARTIFACT_NAME = re.compile(rf"(?:{'|'.join(CHECK_NAMES)})_report\.json|(?:identities_residuals|cohomology_table"
+                            r"|spectrum_sector(?:0|-?[1-9][0-9]*)|vanishing_table|conformal_defects)\.(?:csv|json)")
 
 _MODEL_KEYS = {
     "heisenberg": {"kind", "m", "ell", "sectors", "truncation"},
@@ -190,8 +190,8 @@ def load_config(path: str) -> dict:
                 raise ConfigError(f"at model.sectors[{i}]: duplicate sector {s}")
         if kind == "torus_bundle":
             flux = _expect_exact(model_raw.get("flux", 1), "model.flux")
-            if flux == 0:
-                raise ConfigError("at model.flux: must be nonzero")
+            if flux <= 0:  # see models.cr_alpha_bundle
+                raise ConfigError(f"at model.flux: must be positive, got {flux}")
             model["flux"] = flux
         if "truncation" in model_raw:
             trunc_raw = model_raw["truncation"]
@@ -366,7 +366,7 @@ def _check_spectrum(model, config, memo: _RunMemo) -> CheckResult:
 
 def _check_cohomology(model, config, memo: _RunMemo) -> CheckResult:
     sectors = _space_sectors(config)
-    if model.kind == "torus_bundle":
+    if isinstance(model, TorusBundleModel):
         table = memo.shift_table
     else:
         # every sector's table carries the same notes, which depend only on m
@@ -419,7 +419,7 @@ def _check_vanishing(model, config, memo: _RunMemo) -> CheckResult:
     payload["spectral_clashes"] = clashes
 
     degree = qhat(model.m, model.ell)
-    if model.kind == "torus_bundle" and abs(model.ell) < model.m + 2 and degree.denominator == 1:
+    if isinstance(model, TorusBundleModel) and abs(model.ell) < model.m + 2 and degree.denominator == 1:
         table = memo.shift_table
         try:
             payload["obstruction"] = asdict(obstruction_check(model, model.ell, table))
@@ -429,7 +429,7 @@ def _check_vanishing(model, config, memo: _RunMemo) -> CheckResult:
     else:
         reason = (
             "no cohomology table for this model kind"
-            if model.kind != "torus_bundle"
+            if not isinstance(model, TorusBundleModel)
             else "distinguished degree test does not apply"
         )
         payload["obstruction"] = {"status": "not_evaluated", "message": reason, "q_hat": str(degree)}
@@ -570,6 +570,12 @@ def run(config: dict, checks=None, strict=False, out_dir="crspin-artifacts", fmt
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"at --out: cannot create the directory ({exc})") from exc
+    try:  # a previous run's files that this run does not rewrite would read as its own
+        for path in out.iterdir():
+            if _ARTIFACT_NAME.fullmatch(path.name):
+                path.unlink()
+    except OSError as exc:
+        raise ConfigError(f"at --out: cannot remove a previous run's artifact ({exc})") from exc
     memo = _RunMemo(model, config)
     results = [_run_check(name, model, config, strict, memo) for name in dict.fromkeys(names)]
     written = _write_artifacts(results, model, out, fmt)
@@ -592,19 +598,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verify spinor-calculus identities, spectra, cohomology tables, "
         "and vanishing verdicts on CR model geometries.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, help="path to a JSON config file")
-    common.add_argument("--strict", action="store_true",
-                        help="promote truncation warnings to failures")
-    common.add_argument("--out", default="crspin-artifacts", help="artifact output directory")
-    common.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="table artifact format (reports are always JSON)")
-    sub = parser.add_subparsers(dest="command", required=True)
-    runp = sub.add_parser("run", parents=[common], help="run the checks listed in the config")
+    runp = parser.add_subparsers(dest="command", required=True).add_parser(
+        "run", help="run the checks listed in the config")
+    runp.add_argument("--config", required=True, help="path to a JSON config file")
     runp.add_argument("--check", action="append", choices=CHECK_NAMES, default=None,
                       help="run this check instead of the config list (repeatable)")
-    for name in CHECK_NAMES:
-        sub.add_parser(name, parents=[common], help=f"run only the {name} check")
+    runp.add_argument("--strict", action="store_true",
+                      help="promote truncation warnings to failures")
+    runp.add_argument("--out", default="crspin-artifacts", help="artifact output directory")
+    runp.add_argument("--format", choices=("csv", "json"), default="csv",
+                      help="table artifact format (reports are always JSON)")
     return parser
 
 
@@ -617,10 +620,9 @@ def _freeze_gc_at_exit():
 def main(argv=None) -> int:
     _freeze_gc_at_exit()
     args = build_parser().parse_args(argv)
-    checks = args.check if args.command == "run" else [args.command]
     try:
         config = load_config(args.config)
-        return run(config, checks=checks, strict=args.strict, out_dir=args.out, fmt=args.format)
+        return run(config, checks=args.check, strict=args.strict, out_dir=args.out, fmt=args.format)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

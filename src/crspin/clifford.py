@@ -23,7 +23,8 @@ contraction of the Levi form reproducing the grading operator hold bit for
 bit, which is how the test suite checks them.
 
 This bottom module of the import graph also holds the library's argument
-guards, ``_integer`` and ``_positive``, which every module calls.
+guards, ``_integer`` and ``_positive``, which every module calls, and the
+table of default tolerances that a run's config and every default ``tol`` read.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ __all__ = [
 ]
 
 Subset = FrozenSet[int]
+
+TOLERANCE_DEFAULTS = {"algebraic": 1e-12, "dual_assembly": 1e-10, "spectral": 1e-8, "conformal": 1e-9}
 
 
 def _sign(subset: Subset, alpha: int) -> int:

@@ -41,7 +41,7 @@ from math import comb
 
 import numpy as np
 
-from .clifford import _integer
+from .clifford import TOLERANCE_DEFAULTS, _integer
 from .models import TorusBundleModel, TorusLattice
 from .operators import KernelCount, OperatorMatrix, assemble_dplus
 from .sections import SectionSpace
@@ -83,7 +83,7 @@ def sector_identity_residual(space: SectionSpace) -> dict[int, float]:
     return sector_pass(space).graded("shift")
 
 
-def dirac_kernel(space: SectionSpace, tol: float = 1e-8) -> dict[int, KernelCount]:
+def dirac_kernel(space: SectionSpace, tol: float = TOLERANCE_DEFAULTS["spectral"]) -> dict[int, KernelCount]:
     """Kernel counts of the Kohn-Dirac operator off the space's own ``sector_pass``, equal to
     ``kernel_report(assemble_kohn_dirac(space))``; refused as ``SectorPass.graded`` refuses."""
     return sector_pass(space, tol).graded("kernel")
@@ -152,7 +152,8 @@ def _kernel_rows(space: SectionSpace, report: dict[int, KernelCount]) -> list[Ta
             for q, count in sorted(report.items())]
 
 
-def shift_table(model: TorusBundleModel, s_range=(0,), tol=1e-8, sector=None, shift_tol=1e-10) -> CohomologyTable:
+def shift_table(model: TorusBundleModel, s_range=(0,), tol=TOLERANCE_DEFAULTS["spectral"], sector=None,
+                shift_tol=TOLERANCE_DEFAULTS["dual_assembly"]) -> CohomologyTable:
     """Analytic and spectral Kohn-Rossi dimensions per fiber-weight sector.
 
     The analytic route identifies the weight-s sector with forms valued

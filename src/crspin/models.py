@@ -21,6 +21,7 @@ scal = 4 tr R.  Real-frame component order everywhere is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -115,11 +116,11 @@ class TorusLattice:
 
 @dataclass(kw_only=True)
 class PseudoHermitianModel:
-    """Frame-level data of a compact pseudo-Hermitian model geometry."""
+    """Frame-level data of a compact pseudo-Hermitian model geometry; ``kind`` names the class."""
 
+    kind: ClassVar[str] = "generic"
     m: int
     ell: int = 0
-    kind: str = "generic"
     tau: np.ndarray = None
     rho: np.ndarray = None
     scal_w: float = 0.0
@@ -157,6 +158,7 @@ class PseudoHermitianModel:
 
 @dataclass(kw_only=True)
 class HeisenbergModel(PseudoHermitianModel):
+    kind: ClassVar[str] = "heisenberg"
     k: int = 0
 
     def __post_init__(self):
@@ -166,6 +168,7 @@ class HeisenbergModel(PseudoHermitianModel):
 
 @dataclass(kw_only=True)
 class TorusBundleModel(PseudoHermitianModel):
+    kind: ClassVar[str] = "torus_bundle"
     lattice: TorusLattice = None
     flux: int = 1
     s: int = 0
@@ -176,14 +179,13 @@ class TorusBundleModel(PseudoHermitianModel):
             self.lattice = TorusLattice(self.m)
         if self.lattice.m != self.m:
             raise ValueError("lattice dimension does not match the model")
-        if _integer(self.flux, "flux") == 0:
-            raise ValueError("flux must be a nonzero integer, got 0")
+        _integer(self.flux, "flux", low=1)  # see cr_alpha_bundle
         _integer(self.s, "fiber weight s")
 
 
 @dataclass(kw_only=True)
 class SphereModel(PseudoHermitianModel):
-    pass
+    kind: ClassVar[str] = "sphere"
 
 
 def heisenberg_model(m: int, k: int = 0, truncation: TruncationSpec | None = None, ell: int = 0) -> HeisenbergModel:
@@ -191,7 +193,6 @@ def heisenberg_model(m: int, k: int = 0, truncation: TruncationSpec | None = Non
     return HeisenbergModel(
         m=m,
         ell=ell,
-        kind="heisenberg",
         k=k,
         flags=ModelFlags(torsion_free=True, regular=True, pseudo_einstein=True),
         scal_h=0.0,
@@ -206,11 +207,13 @@ def cr_alpha_bundle(
     truncation: TruncationSpec | None = None,
     ell: int = 0,
 ) -> TorusBundleModel:
-    """Circle bundle over a flat complex torus with integral flux c != 0.
+    """Circle bundle over a flat complex torus with positive integral flux c.
 
     The contact form is twice the connection form, so the Webster geometry
-    is flat, torsion-free, and invariant under the fiber action; s labels
-    the integer weight of the fiber representation.
+    is flat, torsion-free, and invariant under the fiber action, and dtheta
+    has the sign of c: the Levi form dtheta(E_a, conj(E_b)) = i * delta_ab
+    that every model fixes needs c > 0.  s labels the integer weight of the
+    fiber representation.
     """
     if isinstance(lattice, int):
         lattice = TorusLattice(lattice)
@@ -218,7 +221,6 @@ def cr_alpha_bundle(
     return TorusBundleModel(
         m=m,
         ell=ell,
-        kind="torus_bundle",
         lattice=lattice,
         flux=c,
         s=s,
@@ -259,7 +261,6 @@ def sphere_model(m: int, scal_w: float = 1.0, ell: int = 0) -> SphereModel:
     return SphereModel(
         m=m,
         ell=ell,
-        kind="sphere",
         rho=(scal_w / (4.0 * m)) * np.eye(m),
         scal_w=scal_w,
         flags=ModelFlags(torsion_free=True, regular=True, pseudo_einstein=True),

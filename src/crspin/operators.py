@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clifford import _positive, annihilation_matrix, creation_matrix, two_form_matrix
+from .clifford import TOLERANCE_DEFAULTS, _positive, annihilation_matrix, creation_matrix, two_form_matrix
 from .models import rho_frame_components
 from .sections import SectionSpace
 
@@ -182,7 +182,7 @@ def twistor_weights(m: int, q: int) -> tuple[float, float]:
     return 1.0 / (2.0 * (q + 1)), 1.0 / (2.0 * (m - q + 1))
 
 
-def cluster_eigenvalues(evals, tol: float = 1e-8) -> list[tuple[float, int]]:
+def cluster_eigenvalues(evals, tol: float = TOLERANCE_DEFAULTS["spectral"]) -> list[tuple[float, int]]:
     """Group sorted eigenvalues into (value, multiplicity) clusters.
 
     Two neighbours belong to the same cluster when they differ by at most
@@ -223,7 +223,7 @@ def _kernel_count(dim: int, spurious: int, spectrum: np.ndarray) -> KernelCount:
     return KernelCount(dim, spurious, eigenvalues)
 
 
-def kernel_report(op: OperatorMatrix, tol: float = 1e-8) -> dict[int, KernelCount]:
+def kernel_report(op: OperatorMatrix, tol: float = TOLERANCE_DEFAULTS["spectral"]) -> dict[int, KernelCount]:
     """Per-degree kernel counts of a dense operator, via its square when needed; the test reference.
 
     The null count of each degree block comes from one eigensolve.  The
@@ -250,7 +250,8 @@ def kernel_report(op: OperatorMatrix, tol: float = 1e-8) -> dict[int, KernelCoun
     return out
 
 
-def diagonal_kernel_count(space: SectionSpace, q: int, diagonal: np.ndarray, tol: float = 1e-8) -> KernelCount:
+def diagonal_kernel_count(space: SectionSpace, q: int, diagonal: np.ndarray,
+                          tol: float = TOLERANCE_DEFAULTS["spectral"]) -> KernelCount:
     """Degree q's kernel count off D^2's certified diagonal, an (n_blocks, d_q) real array on ``grade_slice(q)``:
     each null entry of a present state counts to ``dim`` if its block is complete and to ``spurious`` if not."""
     tol = _positive(tol, "kernel tolerance")

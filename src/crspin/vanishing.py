@@ -35,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .clifford import _integer
+from .clifford import TOLERANCE_DEFAULTS, _integer
 from .cohomology import dirac_kernel
 from .models import PseudoHermitianModel
 from .weitzenboeck import curvature_term
@@ -298,7 +298,7 @@ def obstruction_check(model: PseudoHermitianModel, ell: int, hq_table) -> Obstru
     )
 
 
-def spectral_consistency(report: VanishingReport, space, tol: float = 1e-8) -> dict:
+def spectral_consistency(report: VanishingReport, space, tol: float = TOLERANCE_DEFAULTS["spectral"]) -> dict:
     """``kernel_clashes`` of the space's ``dirac_kernel``; empty means consistent."""
     if space.m != report.m:
         raise ValueError("section space and vanishing report have different CR dimension")

@@ -47,6 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .clifford import (
+    TOLERANCE_DEFAULTS,
     SpinorModule,
     _integer,
     _positive,
@@ -211,7 +212,7 @@ class SectorPass:
         return getattr(self, key)
 
 
-def sector_pass(space: SectionSpace, tol: float = 1e-8) -> SectorPass:
+def sector_pass(space: SectionSpace, tol: float = TOLERANCE_DEFAULTS["spectral"]) -> SectorPass:
     """One gather of D (``operators.dirac_blocks``) and one join of D^2 (``SectionSpace.square_rows``), read in one
     loop over D^2's fiber rows.  On the row of a degree-q state s it reads, in this order:
 

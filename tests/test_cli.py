@@ -56,7 +56,7 @@ def test_negative_tolerance_is_config_error(tmp_path, capsys):
         tmp_path,
         {"model": {"kind": "heisenberg", "m": 1}, "tolerances": {"spectral": -1}},
     )
-    assert main(["identities", "--config", cfg, "--out", str(tmp_path / "a")]) == 2
+    assert main(["run", "--config", cfg, "--check", "identities", "--out", str(tmp_path / "a")]) == 2
     assert "tolerances.spectral" in capsys.readouterr().err
 
 
@@ -213,6 +213,7 @@ def test_refused_configs_exit_2_with_a_key_path(config):
     assert 0 < model.get("scal_w", 1.0) < float("inf")
     assert len(set(model.get("sectors", []))) == len(model.get("sectors", []))
     assert all(abs(value) <= 2**53 for value in [model["ell"], *model.get("sectors", []), model.get("flux", 0)])
+    assert model.get("flux", 1) > 0
 
 
 @pytest.mark.parametrize("model, path", [
@@ -235,12 +236,15 @@ def test_sphere_rejects_sector_list(tmp_path, capsys):
     assert "model.sectors: unknown key" in capsys.readouterr().err
 
 
-def test_zero_flux_rejected(tmp_path, capsys):
+@pytest.mark.parametrize("flux", [0, -1])
+def test_zero_flux_rejected(tmp_path, capsys, flux):
+    # a negative flux flips dtheta's sign against the models' Levi form, and cohomology FAILed on correct code
     cfg = write_config(
-        tmp_path, {"model": {"kind": "torus_bundle", "m": 2, "flux": 0}, "checks": ["identities"]}
+        tmp_path, {"model": {"kind": "torus_bundle", "m": 2, "flux": flux}, "checks": ["identities"]}
     )
-    assert main(["run", "--config", cfg]) == 2
-    assert "model.flux" in capsys.readouterr().err
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "art")]) == 2
+    assert f"config error: at model.flux: must be positive, got {flux}" in capsys.readouterr().err
+    assert not (tmp_path / "art").exists()
 
 
 @pytest.mark.parametrize("m, given, expected", [
@@ -269,15 +273,25 @@ def test_full_run_byte_identical(tmp_path, fmt):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
-def test_single_check_subcommand(tmp_path):
+def test_single_check_flag(tmp_path):
     cfg = write_config(
         tmp_path, {"model": {"kind": "sphere", "m": 2, "ell": 4}, "checks": []}
     )
     out = tmp_path / "art"
-    assert main(["vanishing", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["run", "--config", cfg, "--check", "vanishing", "--out", str(out)]) == 0
     table = (out / "vanishing_table.csv").read_text()
     assert "VanKR-3" in table
     assert not (out / "identities_report.json").exists()
+
+
+@pytest.mark.parametrize("name", cli.CHECK_NAMES)
+def test_run_is_the_only_subcommand(tmp_path, capsys, name):
+    # `run --check NAME` runs one check; a per-check subcommand was a second path to the same run
+    cfg = write_config(tmp_path, HEIS_IDENTITIES)
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--config", cfg, "--out", str(tmp_path / "art")])
+    assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
+    assert not (tmp_path / "art").exists()
 
 
 def test_check_flag_overrides_config_list(tmp_path):
@@ -785,3 +799,33 @@ def test_a_nan_shift_defect_in_any_degree_fails_identities(tmp_path, monkeypatch
     assert "check identities: FAIL (" in capsys.readouterr().out
     rows = list(csv.reader((out / "identities_residuals.csv").open()))
     assert [(row[2], row[4]) for row in rows if row[1] == "sector_identity"] == [("nan", "false")]
+
+
+def test_a_reused_out_holds_only_the_latest_runs_files(tmp_path, capsys):
+    # the second run used to leave the first one's spectrum, cohomology, vanishing and conformal files beside its own
+    out = tmp_path / "art"
+    config = {"model": {"kind": "heisenberg", "m": 2, "sectors": [-1, 0, 1],
+                        "truncation": {"fourier_radius": 1, "ladder_levels": 3}}}
+    assert main(["run", "--config", write_config(tmp_path, config), "--out", str(out), "--format", "json",
+                 *[arg for name in cli.CHECK_NAMES for arg in ("--check", name)]]) == 0
+    first = sorted(path.name for path in out.iterdir())
+    assert len(first) == 12 and "spectrum_sector-1.json" in first
+    kept = ["notes.txt", "spectrum_sector01.csv", "spectrum_sector.csv", "identities_report.csv", "cohomology_table.txt"]
+    for name in kept:
+        (out / name).write_text("not a crspin artifact\n")
+    config["model"]["sectors"] = [1]
+    assert main(["run", "--config", write_config(tmp_path, config), "--out", str(out), "--check", "identities"]) == 0
+    assert sorted(path.name for path in out.iterdir()) == sorted(["identities_report.json",
+                                                                  "identities_residuals.csv", *kept])
+    assert json.loads((out / "identities_report.json").read_text())["results"]["sectors"].keys() == {"1"}
+
+
+def test_a_previous_artifact_that_cannot_be_removed_exits_2_before_any_check(tmp_path, monkeypatch, capsys):
+    counts = {}
+    count_calls(monkeypatch, counts, "sector_pass", weitzenboeck.sector_pass)
+    (tmp_path / "art" / "identities_report.json").mkdir(parents=True)
+    cfg = write_config(tmp_path, m2_config("heisenberg", cli.CHECK_NAMES))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "art")]) == 2
+    printed = capsys.readouterr()
+    assert printed.err.startswith("config error: at --out: cannot remove a previous run's artifact (")
+    assert printed.out == "" and counts == {"sector_pass": 0}

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +97,16 @@ def test_model_kinds_and_flags():
     assert np.allclose(sph.rho, (4.0 / 8.0) * np.eye(2))
 
 
+def test_a_model_kind_is_its_class():
+    # a constructor field let TorusBundleModel(kind="heisenberg") describe itself as a Heisenberg quotient
+    assert "kind" not in {f.name for f in dataclasses.fields(PseudoHermitianModel)}
+    with pytest.raises(TypeError):
+        TorusBundleModel(m=2, kind="heisenberg")
+    assert cr_alpha_bundle(2, c=1).describe() == "torus_bundle(m=2, ell=0)"
+    classes = (PseudoHermitianModel, HeisenbergModel, TorusBundleModel, SphereModel)
+    assert [cls.kind for cls in classes] == ["generic", "heisenberg", "torus_bundle", "sphere"]
+
+
 def test_sphere_ricci_form_is_positive_multiple_of_levi_form():
     model = sphere_model(3, scal_w=6.0)
     frame = rho_frame_components(model.rho)
@@ -136,7 +147,6 @@ def test_negative_control_inconsistent_curvature_is_flagged():
     bad_riem = np.einsum("jk,il->ijkl", delta, delta) - 0.5 * np.einsum("ik,jl->ijkl", delta, delta)
     bad = SphereModel(
         m=m,
-        kind="sphere",
         rho=good.rho.copy(),
         scal_w=good.scal_w,
         flags=good.flags,
@@ -148,7 +158,6 @@ def test_negative_control_inconsistent_curvature_is_flagged():
     # break the scalar/trace tie
     skew = SphereModel(
         m=m,
-        kind="sphere",
         rho=good.rho.copy(),
         scal_w=good.scal_w + 1.0,
         flags=good.flags,
@@ -221,6 +230,15 @@ def test_bool_is_refused_as_an_integer(case):
     build, name = BOOL_AS_INT[case]
     with pytest.raises(ValueError, match=f"{name} must .*got True"):
         build()
+
+
+@pytest.mark.parametrize("flux", [0, -1, -2])
+@pytest.mark.parametrize("build", [lambda c: TorusBundleModel(m=1, flux=c), lambda c: cr_alpha_bundle(2, c)],
+                         ids=["TorusBundleModel", "cr_alpha_bundle"])
+def test_a_flux_below_1_is_refused(build, flux):
+    # dtheta has the sign of the flux, and the models fix the Levi form dtheta(E_a, conj(E_b)) = i delta_ab
+    with pytest.raises(ValueError, match=f"^flux must be a positive integer, got {flux}$"):
+        build(flux)
 
 
 @pytest.mark.parametrize("build, message", [

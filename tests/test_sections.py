@@ -146,7 +146,7 @@ def test_multiplicity_factors():
     assert SectionSpace(heisenberg_model(2, k=0)).multiplicity == 1
     assert SectionSpace(heisenberg_model(2, k=3)).multiplicity == 9
     assert SectionSpace(cr_alpha_bundle(1, c=2, s=3)).multiplicity == 6
-    assert SectionSpace(cr_alpha_bundle(2, c=-2, s=1)).multiplicity == 4
+    assert SectionSpace(cr_alpha_bundle(2, c=2, s=-1)).multiplicity == 4
 
 
 def test_dimensions_and_grade_blocks():
