@@ -51,9 +51,9 @@ each sector's SectionSpace is built once, and on its first use the one
 sector pass (``weitzenboeck.sector_pass``, which the library's readers
 call too) gathers D's keys, joins D^2 once, and reads every reduction
 off its rows, whichever checks run: the shift defects of box = D^2 / 2
-(identities, the torus shift table), the identities rows, and the kernel
-counts off D^2's certified diagonal (spectrum, vanishing, both cohomology
-tables).  No check forms a full-space matrix.  A check that reads a
+(identities, the shift table's guard), the identities rows, and the kernel
+counts off D^2's certified diagonal (spectrum, vanishing, the cohomology
+table).  No check forms a full-space matrix.  A check that reads a
 sector whose pass raised reports that error; a ``MemoryError`` names its
 reader ("D^2", "kernel counts", ...).  A term off its degree shift, or
 D- off the adjoint of D+, is an identities row that the kernel and shift
@@ -83,15 +83,8 @@ from pathlib import Path
 import numpy as np
 
 from .clifford import TOLERANCE_DEFAULTS
-from .cohomology import harmonic_spinor_table, shift_table
-from .models import (
-    TorusBundleModel,
-    TruncationSpec,
-    cr_alpha_bundle,
-    default_truncation,
-    heisenberg_model,
-    sphere_model,
-)
+from .cohomology import shift_table
+from .models import MODEL_KINDS, default_truncation
 from .operators import cluster_eigenvalues, nabla_T_defect, sub_laplacian_defect
 from .sections import SectionSpace
 from .weitzenboeck import ConformalScale, SectorPass, conformal_check, sector_pass
@@ -103,12 +96,6 @@ CHECK_NAMES = ("identities", "spectrum", "cohomology", "vanishing", "conformal")
 # every file a run can write: the check reports, and the tables in either format
 _ARTIFACT_NAME = re.compile(rf"(?:{'|'.join(CHECK_NAMES)})_report\.json|(?:identities_residuals|cohomology_table"
                             r"|spectrum_sector(?:0|-?[1-9][0-9]*)|vanishing_table|conformal_defects)\.(?:csv|json)")
-
-_MODEL_KEYS = {
-    "heisenberg": {"kind", "m", "ell", "sectors", "truncation"},
-    "torus_bundle": {"kind", "m", "ell", "sectors", "flux", "truncation"},
-    "sphere": {"kind", "m", "ell", "scal_w"},
-}
 
 
 class ConfigError(Exception):
@@ -147,6 +134,39 @@ def _reject_unknown(obj, allowed, path):
         raise ConfigError(f"at {path}.{key}: unknown key")
 
 
+def _expect_sectors(sectors, m):
+    if not isinstance(sectors, list) or not sectors:
+        raise ConfigError(f"at model.sectors: expected a nonempty list, got {sectors!r}")
+    sectors = [_expect_exact(s, f"model.sectors[{i}]") for i, s in enumerate(sectors)]
+    for i, s in enumerate(sectors):
+        if s in sectors[:i]:
+            raise ConfigError(f"at model.sectors[{i}]: duplicate sector {s}")
+    return sectors
+
+
+def _expect_flux(flux, m):
+    if _expect_exact(flux, "model.flux") <= 0:  # see models.cr_alpha_bundle
+        raise ConfigError(f"at model.flux: must be positive, got {flux}")
+    return flux
+
+
+def _expect_truncation(trunc_raw, m):
+    _expect_mapping(trunc_raw, "model.truncation")
+    _reject_unknown(trunc_raw, {"fourier_radius", "ladder_levels"}, "model.truncation")
+    trunc = asdict(default_truncation(m)) | trunc_raw  # an omitted field takes the model's default
+    return {key: _expect_int(trunc[key], f"model.truncation.{key}", low=low)
+            for key, low in (("fourier_radius", 1), ("ladder_levels", 2))}
+
+
+# each model key's default and validator, run on the keys a kind's class declares (an omitted truncation stays out)
+_MODEL_VALUES = {
+    "scal_w": (1.0, lambda value, m: _expect_positive(value, "model.scal_w")),
+    "sectors": ([0], _expect_sectors),
+    "flux": (1, _expect_flux),
+    "truncation": (None, _expect_truncation),
+}
+
+
 def load_config(path: str) -> dict:
     """Parse and validate a config file into a normalized dict."""
     try:
@@ -167,39 +187,19 @@ def load_config(path: str) -> dict:
     model_raw = raw["model"]
     _expect_mapping(model_raw, "model")
     kind = model_raw.get("kind")
-    if kind not in _MODEL_KEYS:
-        raise ConfigError(
-            f"at model.kind: expected one of {sorted(_MODEL_KEYS)}, got {kind!r}"
-        )
-    _reject_unknown(model_raw, _MODEL_KEYS[kind], "model")
+    if not isinstance(kind, str) or kind not in MODEL_KINDS:  # json gives lists and objects too, which no dict holds
+        raise ConfigError(f"at model.kind: expected one of {sorted(MODEL_KINDS)}, got {kind!r}")
+    _reject_unknown(model_raw, {"kind", "m", "ell", *MODEL_KINDS[kind].config_keys}, "model")
     if "m" not in model_raw:
         raise ConfigError("at model.m: required key missing")
     m = _expect_int(model_raw["m"], "model.m", low=1)
     ell = _expect_exact(model_raw.get("ell", 0), "model.ell")
 
     model = {"kind": kind, "m": m, "ell": ell}
-    if kind == "sphere":
-        model["scal_w"] = _expect_positive(model_raw.get("scal_w", 1.0), "model.scal_w")
-    else:
-        sectors = model_raw.get("sectors", [0])
-        if not isinstance(sectors, list) or not sectors:
-            raise ConfigError(f"at model.sectors: expected a nonempty list, got {sectors!r}")
-        model["sectors"] = [_expect_exact(s, f"model.sectors[{i}]") for i, s in enumerate(sectors)]
-        for i, s in enumerate(model["sectors"]):
-            if s in model["sectors"][:i]:
-                raise ConfigError(f"at model.sectors[{i}]: duplicate sector {s}")
-        if kind == "torus_bundle":
-            flux = _expect_exact(model_raw.get("flux", 1), "model.flux")
-            if flux <= 0:  # see models.cr_alpha_bundle
-                raise ConfigError(f"at model.flux: must be positive, got {flux}")
-            model["flux"] = flux
-        if "truncation" in model_raw:
-            trunc_raw = model_raw["truncation"]
-            _expect_mapping(trunc_raw, "model.truncation")
-            _reject_unknown(trunc_raw, {"fourier_radius", "ladder_levels"}, "model.truncation")
-            trunc = asdict(default_truncation(m)) | trunc_raw  # an omitted field takes the model's default
-            model["truncation"] = {key: _expect_int(trunc[key], f"model.truncation.{key}", low=low)
-                                   for key, low in (("fourier_radius", 1), ("ladder_levels", 2))}
+    for key in MODEL_KINDS[kind].config_keys:
+        default, validate = _MODEL_VALUES[key]
+        if key in model_raw or default is not None:
+            model[key] = validate(model_raw.get(key, default), m)
 
     checks = raw.get("checks", [])
     if not isinstance(checks, list):
@@ -219,16 +219,8 @@ def load_config(path: str) -> dict:
 
 
 def build_model(config: dict):
-    spec = config["model"]
-    trunc = None
-    if "truncation" in spec:
-        trunc = TruncationSpec(**spec["truncation"])
     try:
-        if spec["kind"] == "heisenberg":
-            return heisenberg_model(spec["m"], k=spec["sectors"][0], truncation=trunc, ell=spec["ell"])
-        if spec["kind"] == "torus_bundle":
-            return cr_alpha_bundle(spec["m"], c=spec["flux"], s=spec["sectors"][0], truncation=trunc, ell=spec["ell"])
-        return sphere_model(spec["m"], scal_w=spec["scal_w"], ell=spec["ell"])
+        return MODEL_KINDS[config["model"]["kind"]].from_config(config["model"])
     except ValueError as exc:
         raise ConfigError(f"at model: {exc}") from exc
 
@@ -244,12 +236,6 @@ class CheckResult:
     detail: str = ""
 
 
-def _space_sectors(config) -> list:
-    # models without sector lists (the sphere) fall through to the
-    # SectionSpace constructor, which reports the missing section space
-    return config["model"].get("sectors", [None])
-
-
 class _RunMemo:
     """Objects the checks of one run share: sector spaces, one ``sector_pass`` per sector, and the shift table.
 
@@ -261,6 +247,8 @@ class _RunMemo:
     def __init__(self, model, config):
         self.model = model
         self.config = config
+        # a model without a sector list (the sphere) reaches SectionSpace, where its class refuses a section space
+        self.sectors = config["model"].get("sectors", [None])
         self._spaces = {}
         self._passes = {}
 
@@ -284,16 +272,15 @@ class _RunMemo:
 
     @cached_property
     def shift_table(self):
-        return shift_table(self.model, s_range=tuple(self.config["model"]["sectors"]), sector=self.reductions,
+        return shift_table(self.model, s_range=tuple(self.sectors), sector=self.reductions,
                            shift_tol=self.config["tolerances"]["dual_assembly"])
 
 
 def _check_identities(model, config, memo: _RunMemo) -> CheckResult:
     tol = config["tolerances"]
-    sectors = _space_sectors(config)
     rows = []
     per_sector = {}
-    for sector in sectors:
+    for sector in memo.sectors:
         space = memo.space(sector)
         reads = memo.reductions(sector)
         lichnerowicz, covariant = reads.square
@@ -332,12 +319,11 @@ def _check_identities(model, config, memo: _RunMemo) -> CheckResult:
 
 def _check_spectrum(model, config, memo: _RunMemo) -> CheckResult:
     tol = config["tolerances"]
-    sectors = _space_sectors(config)
     warnings = []
     per_sector = {}
     tables = {}
     min_eig = np.inf
-    for sector in sectors:
+    for sector in memo.sectors:
         space = memo.space(sector)
         rows = []
         kernels = {}
@@ -365,14 +351,7 @@ def _check_spectrum(model, config, memo: _RunMemo) -> CheckResult:
 
 
 def _check_cohomology(model, config, memo: _RunMemo) -> CheckResult:
-    sectors = _space_sectors(config)
-    if isinstance(model, TorusBundleModel):
-        table = memo.shift_table
-    else:
-        # every sector's table carries the same notes, which depend only on m
-        parts = [harmonic_spinor_table(memo.space(s), memo.reductions(s).graded("kernel")) for s in sectors]
-        table = parts[0]
-        table.rows.extend(row for part in parts[1:] for row in part.rows)
+    table = memo.shift_table
     analytic = table.dims(method="analytic")
     spectral = table.dims(method="spectral")
     mismatches = {
@@ -413,25 +392,21 @@ def _check_vanishing(model, config, memo: _RunMemo) -> CheckResult:
                "verdicts": [asdict(v) for v in verdicts.verdicts]}
     clashes = {}
     if model.has_section_space:
-        for sector in _space_sectors(config):
+        for sector in memo.sectors:
             for q, dim in kernel_clashes(verdicts, memo.reductions(sector).graded("kernel")).items():
                 clashes[f"sector={sector},q={q}"] = dim
     payload["spectral_clashes"] = clashes
 
     degree = qhat(model.m, model.ell)
-    if isinstance(model, TorusBundleModel) and abs(model.ell) < model.m + 2 and degree.denominator == 1:
-        table = memo.shift_table
+    if model.analytic_dim is not None and abs(model.ell) < model.m + 2 and degree.denominator == 1:
         try:
-            payload["obstruction"] = asdict(obstruction_check(model, model.ell, table))
+            payload["obstruction"] = asdict(obstruction_check(model, model.ell, memo.shift_table))
         except RuntimeError as exc:
             warnings.append(str(exc))
             payload["obstruction"] = {"status": "undecided", "message": str(exc), "q_hat": str(degree)}
     else:
-        reason = (
-            "no cohomology table for this model kind"
-            if not isinstance(model, TorusBundleModel)
-            else "distinguished degree test does not apply"
-        )
+        reason = ("no cohomology table for this model kind" if model.analytic_dim is None
+                  else "distinguished degree test does not apply")
         payload["obstruction"] = {"status": "not_evaluated", "message": reason, "q_hat": str(degree)}
 
     rows = [
@@ -454,7 +429,7 @@ def _check_vanishing(model, config, memo: _RunMemo) -> CheckResult:
 
 def _check_conformal(model, config, memo: _RunMemo) -> CheckResult:
     tol = config["tolerances"]
-    sectors = _space_sectors(config)
+    sectors = memo.sectors
     # sector independent (see the module docstring): one evaluation
     space = memo.space(sectors[0])
     defect = float(conformal_check(space, model.ell, ConformalScale.cosine(space.m, axis=0, amplitude=0.3)))

@@ -37,12 +37,11 @@ kernel of the assembled Laplacian.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
 
 import numpy as np
 
-from .clifford import TOLERANCE_DEFAULTS, _integer
-from .models import TorusBundleModel, TorusLattice
+from .clifford import TOLERANCE_DEFAULTS
+from .models import PseudoHermitianModel, torus_line_bundle_cohomology
 from .operators import KernelCount, OperatorMatrix, assemble_dplus
 from .sections import SectionSpace
 from .weitzenboeck import sector_pass
@@ -89,30 +88,6 @@ def dirac_kernel(space: SectionSpace, tol: float = TOLERANCE_DEFAULTS["spectral"
     return sector_pass(space, tol).graded("kernel")
 
 
-def torus_line_bundle_cohomology(lattice: TorusLattice, c: int, s: int, q: int) -> int:
-    """h^q of the s-th power of a degree-c polarizing line bundle on the torus.
-
-    Positive total degree concentrates in degree zero with dimension
-    (s c)^m, negative total degree in the top degree with |s c|^m, and the
-    trivial power contributes the constant forms C(m, q).  These counts
-    are validated against truncated spectral kernels in the test suite
-    before being used anywhere.
-    """
-    if not isinstance(lattice, TorusLattice):
-        raise ValueError("analytic cohomology needs a flat torus base")
-    if _integer(c, "polarization degree") == 0:
-        raise ValueError("polarization degree must be a nonzero integer, got 0")
-    _integer(s, "power s")
-    m = lattice.m
-    _integer(q, "form degree", 0, m)
-    degree = s * c
-    if degree > 0:
-        return degree**m if q == 0 else 0
-    if degree < 0:
-        return (-degree) ** m if q == m else 0
-    return comb(m, q)
-
-
 @dataclass
 class TableRow:
     q: int
@@ -152,22 +127,19 @@ def _kernel_rows(space: SectionSpace, report: dict[int, KernelCount]) -> list[Ta
             for q, count in sorted(report.items())]
 
 
-def shift_table(model: TorusBundleModel, s_range=(0,), tol=TOLERANCE_DEFAULTS["spectral"], sector=None,
+def shift_table(model: PseudoHermitianModel, s_range=(0,), tol=TOLERANCE_DEFAULTS["spectral"], sector=None,
                 shift_tol=TOLERANCE_DEFAULTS["dual_assembly"]) -> CohomologyTable:
-    """Analytic and spectral Kohn-Rossi dimensions per fiber-weight sector.
+    """Spectral Kohn-Rossi dimensions per weight sector, and analytic ones where the model's class has an analytic
+    route (``analytic_dim``: the torus bundle's line-bundle counts).
 
-    The analytic route identifies the weight-s sector with forms valued
-    in the degree -(s c) power bundle on the base torus (the sign is the
-    pinned sector convention: raising the fiber weight lowers the bundle
-    degree).  The spectral route counts harmonic spinors, ker D_q = ker
-    box_q, on complete per-slot blocks (null vectors of cut blocks are
-    cutoff artifacts), once a sector's largest shift defect is at most
+    The spectral route counts harmonic spinors, ker D_q = ker box_q, on
+    complete per-slot blocks (null vectors of cut blocks are cutoff
+    artifacts), once a sector's largest shift defect is at most
     ``shift_tol`` (a NaN defect is not).  ``sector(s)`` gives the
     weight-s ``SectorPass`` with its shift defects and kernel counts
-    (default: ``sector_pass`` on a new space, the counts at ``tol``).
+    (default: ``sector_pass`` on a new space, the counts at ``tol``,
+    which refuses a model without a section space).
     """
-    if not isinstance(model, TorusBundleModel):
-        raise ValueError("the shift isomorphism table needs a torus circle bundle")
     if sector is None:
         def sector(s):
             return sector_pass(SectionSpace(model, sector=s), tol)
@@ -181,8 +153,8 @@ def shift_table(model: TorusBundleModel, s_range=(0,), tol=TOLERANCE_DEFAULTS["s
             raise RuntimeError(f"shift identity fails on sector {s}: defect {worst:.2e} on complete blocks")
         spectral = {row.q: row for row in _kernel_rows(reads.space, reads.graded("kernel"))}
         for q in range(model.m + 1):
-            analytic = torus_line_bundle_cohomology(model.lattice, model.flux, -s, q)
-            table.rows.append(TableRow(q, s, analytic, "analytic", _row_status(model.m, q)))
+            if model.analytic_dim is not None:
+                table.rows.append(TableRow(q, s, model.analytic_dim(s, q), "analytic", _row_status(model.m, q)))
             table.rows.append(spectral[q])
     return table
 

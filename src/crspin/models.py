@@ -21,6 +21,7 @@ scal = 4 tr R.  Real-frame component order everywhere is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 from typing import ClassVar
 
 import numpy as np
@@ -38,6 +39,8 @@ __all__ = [
     "heisenberg_model",
     "cr_alpha_bundle",
     "sphere_model",
+    "MODEL_KINDS",
+    "torus_line_bundle_cohomology",
     "ricci_consistency",
     "bianchi_residual",
     "torsion_residual",
@@ -116,9 +119,13 @@ class TorusLattice:
 
 @dataclass(kw_only=True)
 class PseudoHermitianModel:
-    """Frame-level data of a compact pseudo-Hermitian model geometry; ``kind`` names the class."""
+    """Frame-level data of a compact pseudo-Hermitian model geometry.  Its class declares its config ``kind``, the
+    model keys the config takes (``config_keys``, read by ``from_config``), how a sector is realized (``realize``)
+    and its analytic route to a sector's Kohn-Rossi dimensions (``analytic_dim``); here neither is there."""
 
     kind: ClassVar[str] = "generic"
+    config_keys: ClassVar[tuple[str, ...]] = ()
+    analytic_dim = None
     m: int
     ell: int = 0
     tau: np.ndarray = None
@@ -150,7 +157,11 @@ class PseudoHermitianModel:
 
     @property
     def has_section_space(self) -> bool:
-        return self.truncation is not None
+        return type(self).realize is not PseudoHermitianModel.realize
+
+    def realize(self, sector: int | None = None) -> tuple[int, float, int, TorusLattice]:
+        """(sector, t, multiplicity, base lattice) of a weight sector (``SectionSpace``), the model's own by default."""
+        raise ValueError(f"{self.kind} model has no section space")
 
     def describe(self) -> str:
         return f"{self.kind}(m={self.m}, ell={self.ell})"
@@ -159,16 +170,26 @@ class PseudoHermitianModel:
 @dataclass(kw_only=True)
 class HeisenbergModel(PseudoHermitianModel):
     kind: ClassVar[str] = "heisenberg"
+    config_keys: ClassVar[tuple[str, ...]] = ("sectors", "truncation")
     k: int = 0
 
     def __post_init__(self):
         super().__post_init__()
         _integer(self.k, "Heisenberg sector k")
 
+    @classmethod
+    def from_config(cls, spec: dict) -> HeisenbergModel:
+        return heisenberg_model(spec["m"], k=spec["sectors"][0], truncation=_config_truncation(spec), ell=spec["ell"])
+
+    def realize(self, sector=None):
+        k = self.k if sector is None else _integer(sector, "sector")
+        return k, float(k), abs(k) ** self.m if k else 1, TorusLattice(self.m)
+
 
 @dataclass(kw_only=True)
 class TorusBundleModel(PseudoHermitianModel):
     kind: ClassVar[str] = "torus_bundle"
+    config_keys: ClassVar[tuple[str, ...]] = ("sectors", "flux", "truncation")
     lattice: TorusLattice = None
     flux: int = 1
     s: int = 0
@@ -182,10 +203,32 @@ class TorusBundleModel(PseudoHermitianModel):
         _integer(self.flux, "flux", low=1)  # see cr_alpha_bundle
         _integer(self.s, "fiber weight s")
 
+    @classmethod
+    def from_config(cls, spec: dict) -> TorusBundleModel:
+        return cr_alpha_bundle(spec["m"], c=spec["flux"], s=spec["sectors"][0], truncation=_config_truncation(spec),
+                               ell=spec["ell"])
+
+    def realize(self, sector=None):
+        s = self.s if sector is None else _integer(sector, "sector")
+        return s, -s / 2.0, abs(s * self.flux) ** self.m if s else 1, self.lattice
+
+    def analytic_dim(self, sector: int, q: int) -> int:
+        # h^q of the degree -(s c) power bundle on the base torus: raising the fiber weight lowers the bundle degree
+        return torus_line_bundle_cohomology(self.lattice, self.flux, -sector, q)
+
 
 @dataclass(kw_only=True)
 class SphereModel(PseudoHermitianModel):
     kind: ClassVar[str] = "sphere"
+    config_keys: ClassVar[tuple[str, ...]] = ("scal_w",)
+
+    @classmethod
+    def from_config(cls, spec: dict) -> SphereModel:
+        return sphere_model(spec["m"], scal_w=spec["scal_w"], ell=spec["ell"])
+
+
+def _config_truncation(spec: dict) -> TruncationSpec | None:
+    return TruncationSpec(**spec["truncation"]) if "truncation" in spec else None
 
 
 def heisenberg_model(m: int, k: int = 0, truncation: TruncationSpec | None = None, ell: int = 0) -> HeisenbergModel:
@@ -267,6 +310,33 @@ def sphere_model(m: int, scal_w: float = 1.0, ell: int = 0) -> SphereModel:
         curvature=space_form_curvature(m, kappa),
         scal_h=scal_w,
     )
+
+
+MODEL_KINDS = {cls.kind: cls for cls in (HeisenbergModel, TorusBundleModel, SphereModel)}
+
+
+def torus_line_bundle_cohomology(lattice: TorusLattice, c: int, s: int, q: int) -> int:
+    """h^q of the s-th power of a degree-c polarizing line bundle on the torus.
+
+    Positive total degree concentrates in degree zero with dimension
+    (s c)^m, negative total degree in the top degree with |s c|^m, and the
+    trivial power contributes the constant forms C(m, q).  These counts
+    are validated against truncated spectral kernels in the test suite
+    before being used anywhere.
+    """
+    if not isinstance(lattice, TorusLattice):
+        raise ValueError("analytic cohomology needs a flat torus base")
+    if _integer(c, "polarization degree") == 0:
+        raise ValueError("polarization degree must be a nonzero integer, got 0")
+    _integer(s, "power s")
+    m = lattice.m
+    _integer(q, "form degree", 0, m)
+    degree = s * c
+    if degree > 0:
+        return degree**m if q == 0 else 0
+    if degree < 0:
+        return (-degree) ** m if q == m else 0
+    return comb(m, q)
 
 
 def complex_structure_matrix(m: int) -> np.ndarray:

@@ -7,10 +7,11 @@ unitary frame satisfy canonical commutation relations
 
     [nabla_{E_a}, nabla_{Ebar_b}] = t delta_ab,        nabla_T = i t,
 
-with one real parameter t per sector: t = k on the weight-k sector of a
-Heisenberg quotient and t = -s/2 on the fiber-weight-s sector of a torus
-circle bundle (the contact form is twice the connection form, which is
-where the half comes from).
+with one real parameter t per sector, which the model's class gives
+(``realize``): t = k on the weight-k sector of a Heisenberg quotient and
+t = -s/2 on the fiber-weight-s sector of a torus circle bundle (the
+contact form is twice the connection form, which is where the half comes
+from).
 
 Two concrete realizations cover all sectors:
 
@@ -54,13 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .clifford import SpinorModule, _integer
-from .models import (
-    HeisenbergModel,
-    PseudoHermitianModel,
-    TorusBundleModel,
-    TorusLattice,
-    default_truncation,
-)
+from .models import PseudoHermitianModel, TorusLattice, default_truncation
 
 __all__ = ["SectionSpace", "SlotOp"]
 
@@ -84,9 +79,9 @@ class SectionSpace:
 
     Parameters
     ----------
-    model : HeisenbergModel or TorusBundleModel
-        The geometry.  Sphere models carry curvature data only and are
-        rejected here.
+    model : PseudoHermitianModel
+        The geometry, whose class realizes the sector (``realize``); the
+        sphere carries curvature data only, and its class refuses.
     sector : int, optional
         Overrides the sector weight stored on the model (``k`` for the
         Heisenberg quotient, ``s`` for the torus bundle).
@@ -109,25 +104,13 @@ class SectionSpace:
     """
 
     def __init__(self, model: PseudoHermitianModel, sector: int | None = None):
-        if not isinstance(model, (HeisenbergModel, TorusBundleModel)):
-            raise ValueError(f"{model.kind} model has no section space")
+        self.sector, self.t, self.multiplicity, lattice = model.realize(sector)
         self.model = model
         self.m = model.m
         self.module = SpinorModule(model.m)
         self.fiber_dim = self.module.dim
         trunc = model.truncation or default_truncation(model.m)
         self.ladder_levels = trunc.ladder_levels
-
-        if isinstance(model, HeisenbergModel):
-            self.sector = model.k if sector is None else _integer(sector, "sector")
-            self.t = float(self.sector)
-            self.multiplicity = abs(self.sector) ** self.m if self.sector else 1
-            lattice = TorusLattice(self.m)
-        else:
-            self.sector = model.s if sector is None else _integer(sector, "sector")
-            self.t = -self.sector / 2.0
-            self.multiplicity = abs(self.sector * model.flux) ** self.m if self.sector else 1
-            lattice = model.lattice
 
         if self.t == 0.0:
             self.kind = "fourier"

@@ -447,7 +447,7 @@ def test_run_builds_each_shared_object_once(tmp_path, monkeypatch, kind):
     count_calls(monkeypatch, counts, "dirac_blocks", operators.dirac_blocks)
     out = tmp_path / "art"
     assert main(["run", "--config", write_config(tmp_path, m2_config(kind, cli.CHECK_NAMES)), "--out", str(out)]) == 0
-    assert counts == {"spaces": 3, "conformal_check": 1, "shift_table": int(kind == "torus_bundle"), "dirac_blocks": 3}
+    assert counts == {"spaces": 3, "conformal_check": 1, "shift_table": 1, "dirac_blocks": 3}
     assert stacks == {-1: 2, 0: 2, 1: 2}
     defects = json.loads((out / "conformal_report.json").read_text())["results"]["sectors"]
     assert sorted(defects) == ["-1", "0", "1"] and len(set(defects.values())) == 1

@@ -17,7 +17,7 @@ from crspin.cohomology import (
     torus_line_bundle_cohomology,
 )
 from crspin import operators, weitzenboeck
-from crspin.models import TorusLattice, TruncationSpec, cr_alpha_bundle, heisenberg_model
+from crspin.models import TorusLattice, TruncationSpec, cr_alpha_bundle, heisenberg_model, sphere_model
 from crspin.operators import assemble_dplus, assemble_kohn_dirac, kernel_report
 from crspin.sections import SectionSpace, SlotOp
 from crspin.weitzenboeck import dl_residual, sector_pass, sl_residual
@@ -241,9 +241,18 @@ def test_shift_table_multiplicity():
     assert table.dims("analytic")[(1, 1)] == 2
 
 
-def test_shift_table_rejects_other_models():
-    with pytest.raises(ValueError):
-        shift_table(heisenberg_model(1, k=0))
+def test_shift_table_refuses_a_model_without_a_section_space():
+    with pytest.raises(ValueError, match="sphere model has no section space"):
+        shift_table(sphere_model(2))
+
+
+def test_shift_table_without_an_analytic_route_is_the_harmonic_spinor_table():
+    # the Heisenberg quotient's class has no analytic route: its table is the spectral rows and notes, sector by sector
+    model = heisenberg_model(1, k=0)
+    table = shift_table(model, s_range=(-1, 0, 1))
+    parts = [harmonic_spinor_table(space, dirac_kernel(space)) for space in (SectionSpace(model, s) for s in (-1, 0, 1))]
+    assert table.dims("analytic") == {} and table.notes == parts[0].notes != []
+    assert table.sorted_rows() == [row for part in parts for row in part.sorted_rows()]
 
 
 def test_the_shift_guard_refuses_a_nan_defect():
