@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from crspin import cli, cohomology, operators, sections, weitzenboeck
 from crspin.cli import main
-from crspin.models import cr_alpha_bundle, heisenberg_model
+from crspin.models import MODEL_KINDS, cr_alpha_bundle, heisenberg_model
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -226,6 +226,22 @@ def test_an_integer_past_2_53_names_its_key(tmp_path, capsys, model, path):
     cfg = write_config(tmp_path, {"model": model, "checks": ["vanishing"]})
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "art")]) == 2
     assert f"config error: at {path}: must be at most 2**53 in magnitude" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
+def test_a_config_kind_builds_exactly_its_class(tmp_path, kind):
+    model = cli.build_model(cli.load_config(write_config(tmp_path, {"model": {"kind": kind, "m": 2}})))
+    assert type(model) is MODEL_KINDS[kind] and model.kind == kind
+
+
+@pytest.mark.parametrize("kind", ["klein", ["heisenberg"], {"kind": "sphere"}, None])
+def test_an_unknown_kind_lists_the_registry(tmp_path, capsys, kind):
+    # json gives lists and objects too; a dict lookup of one raised TypeError with a traceback
+    cfg = write_config(tmp_path, {"model": {"kind": kind, "m": 2}, "checks": ["identities"]})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "art")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: at model.kind: expected one of {sorted(MODEL_KINDS)}, got {kind!r}\n"
+    assert sorted(MODEL_KINDS) == ["heisenberg", "sphere", "torus_bundle"]
 
 
 def test_sphere_rejects_sector_list(tmp_path, capsys):

@@ -8,6 +8,8 @@ import pytest
 
 from crspin.clifford import creation_matrix
 from crspin.models import (
+    HeisenbergModel,
+    PseudoHermitianModel,
     TorusLattice,
     TruncationSpec,
     cr_alpha_bundle,
@@ -195,6 +197,20 @@ def test_space_has_every_method_the_tracer_wraps_by_name():
 def test_sphere_model_is_rejected():
     with pytest.raises(ValueError, match="sphere model has no section space"):
         SectionSpace(sphere_model(2))
+
+
+@pytest.mark.parametrize("model, dim", [
+    (HeisenbergModel(m=2), 324),  # no truncation given: the space takes the default
+    (PseudoHermitianModel(m=2, truncation=TruncationSpec(1, 3)), None),  # a truncation, but no realization
+], ids=["heisenberg-untruncated", "generic-truncated"])
+def test_has_section_space_is_what_section_space_does(model, dim):
+    # the vanishing check skips its spectral clashes where the property is False, so it must answer as the space does
+    assert model.has_section_space is (dim is not None)
+    if dim is None:
+        with pytest.raises(ValueError, match="generic model has no section space"):
+            SectionSpace(model)
+    else:
+        assert SectionSpace(model).dim == dim
 
 
 def test_nabla_real_combinations():

@@ -47,6 +47,25 @@ def test_cli_import_leaves_out_vanishing():
     assert out.strip() == "[]"
 
 
+def test_cli_import_loads_the_run_modules_and_at_most_14_dataclasses():
+    # each module compiles at every run's start, and each @dataclass generates and execs its methods' source there
+    out = run_script("""
+        import dataclasses
+        import inspect
+        import json
+        import sys
+        import crspin.cli
+        names = sorted(name for name in sys.modules if name.startswith("crspin."))
+        classes = [cls for name in names for _, cls in inspect.getmembers(sys.modules[name], inspect.isclass)
+                   if cls.__module__ == name and dataclasses.is_dataclass(cls)]
+        print(json.dumps({"modules": names, "dataclasses": len(classes)}))
+    """)
+    loaded = json.loads(out)
+    assert loaded["modules"] == [f"crspin.{name}" for name in ("cli", "clifford", "cohomology", "fields", "models",
+                                                                "operators", "sections", "weitzenboeck")]
+    assert loaded["dataclasses"] <= 14
+
+
 def test_every_exported_name_resolves_on_first_access():
     out = run_script("""
         import json
