@@ -52,6 +52,7 @@ degree's diagonal, which the sector pass certifies
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,17 +187,16 @@ def cluster_eigenvalues(evals, tol: float = TOLERANCE_DEFAULTS["spectral"]) -> l
     """Group sorted eigenvalues into (value, multiplicity) clusters.
 
     Two neighbours belong to the same cluster when they differ by at most
-    tol * (1 + |value|); the reported value is the cluster mean.
+    tol * (1 + |value|) of the later one; the reported value is the cluster
+    mean, from the correctly rounded sum of its members (``math.fsum``), so
+    it does not drift with the multiplicity as a running mean does.
     """
     tol = _positive(tol, "cluster tolerance")
-    clusters: list[tuple[float, int]] = []
-    for val in evals:
-        if clusters and abs(val - clusters[-1][0]) <= tol * (1.0 + abs(val)):
-            mean, n = clusters[-1]
-            clusters[-1] = ((mean * n + val) / (n + 1), n + 1)
-        else:
-            clusters.append((float(val), 1))
-    return clusters
+    values = np.asarray(evals, dtype=float)
+    joins = np.abs(np.diff(values)) <= tol * (1.0 + np.abs(values[1:]))  # a NaN neighbour joins nothing
+    cuts = [0, *(np.flatnonzero(~joins) + 1).tolist(), values.size]
+    # fsum reads each cluster's slice in place: a list of a cluster's floats costs more than the slice
+    return [(math.fsum(values[a:b]) / (b - a), b - a) for a, b in zip(cuts, cuts[1:]) if b > a]
 
 
 @dataclass(frozen=True)

@@ -275,6 +275,19 @@ def test_omitted_truncation_fields_take_the_model_default(tmp_path, m, given, ex
     assert cli.load_config(cfg)["model"]["truncation"] == expected
 
 
+def test_spectrum_values_do_not_drift_with_their_multiplicity(tmp_path):
+    # D^2 on a Fourier sector is 4 pi^2 |n|^2 to rounding, with multiplicities in the thousands at m = 4; a running
+    # cluster mean read up to 567 ulp off it
+    cfg = write_config(tmp_path, {"model": {"kind": "heisenberg", "m": 4, "sectors": [0]}, "checks": ["spectrum"]})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "art")]) == 0
+    with open(tmp_path / "art" / "spectrum_sector0.csv") as fh:
+        rows = [(float(row["eigenvalue"]), int(row["multiplicity"])) for row in csv.DictReader(fh)]
+    assert max(mult for _, mult in rows) > 1000
+    for value, _ in rows:
+        exact = 4 * math.pi**2 * round(value / (4 * math.pi**2))
+        assert abs(value - exact) <= 4 * math.ulp(exact), value
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_full_run_byte_identical(tmp_path, fmt):
     cfg = write_config(tmp_path, TORUS_ALL)
