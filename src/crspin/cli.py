@@ -4,7 +4,8 @@ Usage::
 
     crspin run --config cfg.json [--check NAME ...] [--strict] [--out DIR] [--format csv|json]
 
-Config schema (JSON object; unknown keys are rejected with their path):
+Config schema (JSON object; unknown keys are rejected with their path, and a
+kind takes the model keys its class declares, ``models.MODEL_KINDS[kind].config_keys``):
 
     {
       "model": {
