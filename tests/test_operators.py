@@ -145,6 +145,32 @@ def test_cluster_eigenvalues():
     assert cluster_eigenvalues(np.zeros(6)) == [(0.0, 6)]
     assert cluster_eigenvalues([0.0, 1e-12, 1.0, 1.0 + 1e-9, 3.0]) == [(5e-13, 2), (1.0 + 5e-10, 2), (3.0, 1)]
     assert cluster_eigenvalues([0.0, 1e-6], tol=1e-8) == [(0.0, 1), (1e-6, 1)]
+    assert cluster_eigenvalues([]) == []
+    # a NaN joins no neighbour, so it stays in the table and fails the spectrum check
+    values = cluster_eigenvalues([0.0, np.nan, 1.0])
+    assert [mult for _, mult in values] == [1, 1, 1] and np.isnan(values[1][0])
+
+
+def running_mean_clusters(evals, tol):
+    """The per-eigenvalue loop cluster_eigenvalues replaced: each value against its cluster's running mean."""
+    clusters = []
+    for val in map(float, evals):
+        if clusters and abs(val - clusters[-1][0]) <= tol * (1.0 + abs(val)):
+            mean, n = clusters[-1]
+            clusters[-1] = ((mean * n + val) / (n + 1), n + 1)
+        else:
+            clusters.append((val, 1))
+    return clusters
+
+
+@pytest.mark.parametrize("space", SPACES, ids=IDS)
+def test_clusters_match_the_running_mean_loop(space):
+    # the same clusters as the loop; the values differ by the loop's drift, a few ulp at these multiplicities
+    for count in dirac_kernel(space).values():
+        reference = running_mean_clusters(count.eigenvalues, 1e-8)
+        clusters = cluster_eigenvalues(count.eigenvalues)
+        assert [mult for _, mult in clusters] == [mult for _, mult in reference]
+        assert np.allclose([v for v, _ in clusters], [v for v, _ in reference], rtol=1e-13, atol=1e-13)
 
 
 def test_sub_laplacian_routes_agree_and_psd():
