@@ -188,7 +188,7 @@ def load_config(path: str) -> dict:
     model_raw = raw["model"]
     _expect_mapping(model_raw, "model")
     kind = model_raw.get("kind")
-    if not isinstance(kind, str) or kind not in MODEL_KINDS:  # json gives lists and objects too, which no dict holds
+    if not isinstance(kind, str) or kind not in MODEL_KINDS:  # a json list or object is unhashable: no dict lookup
         raise ConfigError(f"at model.kind: expected one of {sorted(MODEL_KINDS)}, got {kind!r}")
     _reject_unknown(model_raw, {"kind", "m", "ell", *MODEL_KINDS[kind].config_keys}, "model")
     if "m" not in model_raw:

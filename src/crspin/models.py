@@ -121,7 +121,7 @@ class TorusLattice:
 class PseudoHermitianModel:
     """Frame-level data of a compact pseudo-Hermitian model geometry.  Its class declares its config ``kind``, the
     model keys the config takes (``config_keys``, read by ``from_config``), how a sector is realized (``realize``)
-    and its analytic route to a sector's Kohn-Rossi dimensions (``analytic_dim``); here neither is there."""
+    and its analytic route to a sector's Kohn-Rossi dimensions (``analytic_dim``); this class has neither."""
 
     kind: ClassVar[str] = "generic"
     config_keys: ClassVar[tuple[str, ...]] = ()

@@ -250,7 +250,8 @@ def test_shift_table_without_an_analytic_route_is_the_harmonic_spinor_table():
     # the Heisenberg quotient's class has no analytic route: its table is the spectral rows and notes, sector by sector
     model = heisenberg_model(1, k=0)
     table = shift_table(model, s_range=(-1, 0, 1))
-    parts = [harmonic_spinor_table(space, dirac_kernel(space)) for space in (SectionSpace(model, s) for s in (-1, 0, 1))]
+    spaces = [SectionSpace(model, sector=s) for s in (-1, 0, 1)]
+    parts = [harmonic_spinor_table(space, dirac_kernel(space)) for space in spaces]
     assert table.dims("analytic") == {} and table.notes == parts[0].notes != []
     assert table.sorted_rows() == [row for part in parts for row in part.sorted_rows()]
 
