@@ -15,10 +15,10 @@ kind takes the model keys its class declares, ``models.MODEL_KINDS[kind].config_
         "sectors": [<distinct int, |s| <= 2**53>, ...],      default [0]
             weight sectors to realize: k for the Heisenberg quotient,
             s for the torus bundle (not accepted for the sphere)
-        "flux": <int, 1 <= flux <= 2**53>,                  torus_bundle only, default 1
-        "scal_w": <positive finite number>,                 sphere only, default 1.0
+        "flux": <int, 1 <= flux <= 2**53>,                  torus_bundle only, default 1 (its class's)
+        "scal_w": <positive finite number>,                 sphere only, default 1.0 (its class's)
         "truncation": {"fourier_radius": <int >= 1>,
-                       "ladder_levels": <int >= 2>}         optional
+                       "ladder_levels": <int >= 2>}         optional, per field: models.default_truncation(m)
       },
       "checks": ["identities", "spectrum", "cohomology",
                  "vanishing", "conformal"],                 optional; --check overrides
@@ -159,11 +159,11 @@ def _expect_truncation(trunc_raw, m):
             for key, low in (("fourier_radius", 1), ("ladder_levels", 2))}
 
 
-# each model key's default and validator, run on the keys a kind's class declares (an omitted truncation stays out)
+# each model key's default and validator, run on the keys a kind's class declares (None: the model class's default)
 _MODEL_VALUES = {
-    "scal_w": (1.0, lambda value, m: _expect_positive(value, "model.scal_w")),
+    "scal_w": (None, lambda value, m: _expect_positive(value, "model.scal_w")),
     "sectors": ([0], _expect_sectors),
-    "flux": (1, _expect_flux),
+    "flux": (None, _expect_flux),
     "truncation": (None, _expect_truncation),
 }
 

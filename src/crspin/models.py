@@ -81,7 +81,7 @@ def default_truncation(m: int) -> TruncationSpec:
     return TruncationSpec(fourier_radius=1, ladder_levels=6)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TorusLattice:
     """Period lattice of a flat complex torus of complex dimension m.
 
@@ -99,7 +99,8 @@ class TorusLattice:
             mat = np.asarray(self.vectors, dtype=float)
             if mat.shape != (2 * self.m, 2 * self.m):
                 raise ValueError(f"lattice basis must be {2 * self.m} x {2 * self.m}, got {mat.shape}")
-            if not np.isfinite(mat).all() or abs(np.linalg.det(mat)) < 1e-12:
+            # scale-free: past a condition number of 1e12 the dual frequencies 2 pi B^{-T} n lose 12 of 16 digits
+            if not np.isfinite(mat).all() or np.linalg.cond(mat) > 1e12:
                 raise ValueError("lattice basis must be finite and nonsingular")
             object.__setattr__(self, "vectors", mat)
 
@@ -117,14 +118,20 @@ class TorusLattice:
         return ns @ gens.T
 
 
-@dataclass(kw_only=True)
+_SHIPPED_FLAGS = ModelFlags(torsion_free=True, regular=True, pseudo_einstein=True)  # every shipped family's
+
+
+@dataclass(kw_only=True, eq=False)
 class PseudoHermitianModel:
-    """Frame-level data of a compact pseudo-Hermitian model geometry.  Its class declares its config ``kind``, the
-    model keys the config takes (``config_keys``, read by ``from_config``), how a sector is realized (``realize``)
-    and its analytic route to a sector's Kohn-Rossi dimensions (``analytic_dim``); this class has neither."""
+    """Frame-level data of a compact pseudo-Hermitian model geometry.  Its class is the one definition of its family:
+    the config ``kind``, the model keys the config takes (``config_keys``, read by ``from_config``), the field defaults
+    and the data derived from them, how a sector is realized (``realize``; a model with one and no truncation takes
+    ``default_truncation(m)``) and its analytic route to a sector's Kohn-Rossi dimensions (``analytic_dim``); this
+    class has neither.  Models compare by identity, since they hold arrays."""
 
     kind: ClassVar[str] = "generic"
     config_keys: ClassVar[tuple[str, ...]] = ()
+    sector_field: ClassVar[str | None] = None
     analytic_dim = None
     m: int
     ell: int = 0
@@ -154,6 +161,19 @@ class PseudoHermitianModel:
         for label, value in (("Webster scalar scal_w", self.scal_w), ("base scalar curvature scal_h", self.scal_h)):
             if value is not None and not np.isfinite(value):
                 raise ValueError(f"{label} must be finite")
+        if self.truncation is None and self.has_section_space:
+            self.truncation = default_truncation(m)
+
+    @classmethod
+    def from_config(cls, spec: dict) -> PseudoHermitianModel:
+        """The model of a validated config's ``model`` section: each declared key the config holds sets its field
+        (the first of ``sectors`` sets ``sector_field``), and a key it omits leaves the class default."""
+        given = {key: spec[key] for key in cls.config_keys if key in spec}
+        if "sectors" in given:
+            given[cls.sector_field] = given.pop("sectors")[0]
+        if "truncation" in given:
+            given["truncation"] = TruncationSpec(**given["truncation"])
+        return cls(m=spec["m"], ell=spec["ell"], **given)
 
     @property
     def has_section_space(self) -> bool:
@@ -167,29 +187,31 @@ class PseudoHermitianModel:
         return f"{self.kind}(m={self.m}, ell={self.ell})"
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, eq=False)
 class HeisenbergModel(PseudoHermitianModel):
     kind: ClassVar[str] = "heisenberg"
     config_keys: ClassVar[tuple[str, ...]] = ("sectors", "truncation")
+    sector_field: ClassVar[str] = "k"
+    flags: ModelFlags = _SHIPPED_FLAGS
+    scal_h: float | None = 0.0
     k: int = 0
 
     def __post_init__(self):
         super().__post_init__()
         _integer(self.k, "Heisenberg sector k")
 
-    @classmethod
-    def from_config(cls, spec: dict) -> HeisenbergModel:
-        return heisenberg_model(spec["m"], k=spec["sectors"][0], truncation=_config_truncation(spec), ell=spec["ell"])
-
     def realize(self, sector=None):
         k = self.k if sector is None else _integer(sector, "sector")
         return k, float(k), abs(k) ** self.m if k else 1, TorusLattice(self.m)
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, eq=False)
 class TorusBundleModel(PseudoHermitianModel):
     kind: ClassVar[str] = "torus_bundle"
     config_keys: ClassVar[tuple[str, ...]] = ("sectors", "flux", "truncation")
+    sector_field: ClassVar[str] = "s"
+    flags: ModelFlags = _SHIPPED_FLAGS
+    scal_h: float | None = 0.0
     lattice: TorusLattice = None
     flux: int = 1
     s: int = 0
@@ -203,11 +225,6 @@ class TorusBundleModel(PseudoHermitianModel):
         _integer(self.flux, "flux", low=1)  # see cr_alpha_bundle
         _integer(self.s, "fiber weight s")
 
-    @classmethod
-    def from_config(cls, spec: dict) -> TorusBundleModel:
-        return cr_alpha_bundle(spec["m"], c=spec["flux"], s=spec["sectors"][0], truncation=_config_truncation(spec),
-                               ell=spec["ell"])
-
     def realize(self, sector=None):
         s = self.s if sector is None else _integer(sector, "sector")
         return s, -s / 2.0, abs(s * self.flux) ** self.m if s else 1, self.lattice
@@ -217,30 +234,31 @@ class TorusBundleModel(PseudoHermitianModel):
         return torus_line_bundle_cohomology(self.lattice, self.flux, -sector, q)
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, eq=False)
 class SphereModel(PseudoHermitianModel):
+    """The sphere (``sphere_model``).  The Ricci matrix, curvature and ``scal_h`` a caller leaves out are derived
+    from ``scal_w``; given ones are kept, so a test can build an inconsistent sphere."""
+
     kind: ClassVar[str] = "sphere"
     config_keys: ClassVar[tuple[str, ...]] = ("scal_w",)
+    scal_w: float = 1.0
+    flags: ModelFlags = _SHIPPED_FLAGS
 
-    @classmethod
-    def from_config(cls, spec: dict) -> SphereModel:
-        return sphere_model(spec["m"], scal_w=spec["scal_w"], ell=spec["ell"])
-
-
-def _config_truncation(spec: dict) -> TruncationSpec | None:
-    return TruncationSpec(**spec["truncation"]) if "truncation" in spec else None
+    def __post_init__(self):
+        m = _integer(self.m, "sphere CR dimension m", low=2)
+        self.scal_w = scal_w = _positive(self.scal_w, "sphere Webster scalar scal_w")
+        if self.rho is None:
+            self.rho = (scal_w / (4.0 * m)) * np.eye(m)
+        if self.curvature is None:
+            self.curvature = space_form_curvature(m, scal_w / (4.0 * m * (m + 1)))
+        if self.scal_h is None:
+            self.scal_h = scal_w
+        super().__post_init__()
 
 
 def heisenberg_model(m: int, k: int = 0, truncation: TruncationSpec | None = None, ell: int = 0) -> HeisenbergModel:
     """Compact Heisenberg quotient with flat Webster geometry, sector weight k."""
-    return HeisenbergModel(
-        m=m,
-        ell=ell,
-        k=k,
-        flags=ModelFlags(torsion_free=True, regular=True, pseudo_einstein=True),
-        scal_h=0.0,
-        truncation=truncation or default_truncation(m),
-    )
+    return HeisenbergModel(m=m, ell=ell, k=k, truncation=truncation)
 
 
 def cr_alpha_bundle(
@@ -260,17 +278,7 @@ def cr_alpha_bundle(
     """
     if isinstance(lattice, int):
         lattice = TorusLattice(lattice)
-    m = lattice.m
-    return TorusBundleModel(
-        m=m,
-        ell=ell,
-        lattice=lattice,
-        flux=c,
-        s=s,
-        flags=ModelFlags(torsion_free=True, regular=True, pseudo_einstein=True),
-        scal_h=0.0,
-        truncation=truncation or default_truncation(m),
-    )
+    return TorusBundleModel(m=lattice.m, ell=ell, lattice=lattice, flux=c, s=s, truncation=truncation)
 
 
 def space_form_curvature(m: int, kappa: float) -> np.ndarray:
@@ -292,24 +300,13 @@ def space_form_curvature(m: int, kappa: float) -> np.ndarray:
     return kappa * riem
 
 
-def sphere_model(m: int, scal_w: float = 1.0, ell: int = 0) -> SphereModel:
+def sphere_model(m: int, scal_w: float = SphereModel.scal_w, ell: int = 0) -> SphereModel:
     """Standard CR sphere data: pseudo-Einstein with constant positive scalar.
 
     Curvature data only; there is no desk-scale section space attached, so
     spectral checks must be run on the flat models instead.
     """
-    _integer(m, "sphere CR dimension m", low=2)
-    scal_w = _positive(scal_w, "sphere Webster scalar scal_w")
-    kappa = scal_w / (4.0 * m * (m + 1))
-    return SphereModel(
-        m=m,
-        ell=ell,
-        rho=(scal_w / (4.0 * m)) * np.eye(m),
-        scal_w=scal_w,
-        flags=ModelFlags(torsion_free=True, regular=True, pseudo_einstein=True),
-        curvature=space_form_curvature(m, kappa),
-        scal_h=scal_w,
-    )
+    return SphereModel(m=m, scal_w=scal_w, ell=ell)
 
 
 MODEL_KINDS = {cls.kind: cls for cls in (HeisenbergModel, TorusBundleModel, SphereModel)}

@@ -80,7 +80,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class OperatorMatrix:
     """Dense operator together with its section space and grading metadata.
 

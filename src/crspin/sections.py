@@ -55,7 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .clifford import SpinorModule, _integer
-from .models import PseudoHermitianModel, TorusLattice, default_truncation
+from .models import PseudoHermitianModel, TorusLattice
 
 __all__ = ["SectionSpace", "SlotOp"]
 
@@ -109,12 +109,11 @@ class SectionSpace:
         self.m = model.m
         self.module = SpinorModule(model.m)
         self.fiber_dim = self.module.dim
-        trunc = model.truncation or default_truncation(model.m)
-        self.ladder_levels = trunc.ladder_levels
+        self.ladder_levels = model.truncation.ladder_levels
 
         if self.t == 0.0:
             self.kind = "fourier"
-            self._build_fourier(lattice, trunc.fourier_radius)
+            self._build_fourier(lattice, model.truncation.fourier_radius)
         else:
             self.kind = "ladder"
             self._build_ladder(self.ladder_levels)

@@ -190,7 +190,7 @@ def gram_shift_defect(space: SectionSpace, s: int, row: dict) -> float:
     return space.complete_max(box)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SectorPass:
     """One sector's reductions of D (``sector_pass``), never its keys: why the degree-block readers are ``refused``
     (None if they are not), the per-degree ``shift`` defects and ``kernel`` counts, the identities ``rows`` and
@@ -332,7 +332,7 @@ def _jet(polys, points: np.ndarray, m: int) -> _Jet:
                  for direction in ("e", "ebar")})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Half:
     """The (1,0) half (frame E_a, twist sign +1) or the (0,1) half (frame Ebar_a, sign -1).
 

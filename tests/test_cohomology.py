@@ -257,9 +257,9 @@ def test_shift_table_without_an_analytic_route_is_the_harmonic_spinor_table():
 
 
 def test_the_shift_guard_refuses_a_nan_defect():
-    # a finite lattice of determinant 1 whose base Laplacian overflows: both degrees' shift defects read NaN,
+    # a finite, perfectly conditioned lattice whose base Laplacian overflows: both degrees' shift defects read NaN,
     # and NaN > shift_tol is false, so the guard must refuse all but a defect <= shift_tol
-    model = cr_alpha_bundle(TorusLattice(1, np.diag([1e-160, 1e160])), c=1, truncation=TruncationSpec(1, 3))
+    model = cr_alpha_bundle(TorusLattice(1, 1e-160 * np.eye(2)), c=1, truncation=TruncationSpec(1, 3))
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.isnan(list(sector_identity_residual(SectionSpace(model)).values())).all()
         with pytest.raises(RuntimeError, match="shift identity fails on sector 0: defect nan on complete blocks"):

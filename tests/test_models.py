@@ -1,15 +1,18 @@
 import ast
 import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import crspin
+from crspin import cli
 from crspin.clifford import SpinorModule, creation_matrix, dtheta_frame_matrix
 from crspin.cohomology import dirac_kernel, torus_line_bundle_cohomology
 from crspin.fields import TrigPoly
 from crspin.models import (
+    MODEL_KINDS,
     HeisenbergModel,
     PseudoHermitianModel,
     SphereModel,
@@ -28,10 +31,10 @@ from crspin.models import (
     tau_frame_components,
     torsion_residual,
 )
-from crspin.operators import assemble_kohn_dirac, cluster_eigenvalues, kernel_report
+from crspin.operators import OperatorMatrix, assemble_kohn_dirac, cluster_eigenvalues, kernel_report
 from crspin.sections import SectionSpace
 from crspin.vanishing import qhat, vanishing_verdicts
-from crspin.weitzenboeck import ConformalScale, default_sample_points, dl_residual
+from crspin.weitzenboeck import ConformalScale, _FiberContext, default_sample_points, dl_residual, sector_pass
 
 TOL = 1e-12
 
@@ -105,6 +108,86 @@ def test_a_model_kind_is_its_class():
     assert cr_alpha_bundle(2, c=1).describe() == "torus_bundle(m=2, ell=0)"
     classes = (PseudoHermitianModel, HeisenbergModel, TorusBundleModel, SphereModel)
     assert [cls.kind for cls in classes] == ["generic", "heisenberg", "torus_bundle", "sphere"]
+
+
+def same_value(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, TorusLattice):  # a lattice compares by identity
+        return isinstance(b, TorusLattice) and a.m == b.m and np.array_equal(a.period_matrix(), b.period_matrix())
+    return type(a) is type(b) and a == b
+
+
+def assert_same_model(one, other):
+    assert type(one) is type(other)
+    for f in dataclasses.fields(one):
+        assert same_value(getattr(one, f.name), getattr(other, f.name)), f.name
+    assert one.describe() == other.describe() and one.has_section_space == other.has_section_space
+
+
+FACTORIES = {
+    "heisenberg": lambda m, sector: heisenberg_model(m, k=sector),
+    "torus_bundle": lambda m, sector: cr_alpha_bundle(m, c=1, s=sector),
+    "sphere": lambda m, sector: sphere_model(m),
+}
+
+
+@pytest.mark.parametrize("kind, m, sector", [("heisenberg", 1, 0), ("heisenberg", 2, 1), ("torus_bundle", 1, 0),
+                                             ("torus_bundle", 2, -1), ("sphere", 2, None), ("sphere", 3, None)])
+def test_a_model_class_is_its_factory(kind, m, sector):
+    # the classes defaulted to a flat, flagless model that the factories filled in: SphereModel(m=2) had scal_w 0.0
+    # and rho 0, and read q=1 at ell=0 as not_forced where sphere_model(2) reads forced_zero by vani-a1
+    cls = MODEL_KINDS[kind]
+    direct = cls(m=m) if cls.sector_field is None else cls(m=m, **{cls.sector_field: sector})
+    factory = FACTORIES[kind](m, sector)
+    assert_same_model(direct, factory)
+    for ell in range(-(m + 2), m + 3):
+        assert vanishing_verdicts(direct, ell) == vanishing_verdicts(factory, ell)
+
+
+@pytest.mark.parametrize("omitted, key, default", [
+    ({"kind": "sphere", "m": 2}, "scal_w", 1.0),
+    ({"kind": "torus_bundle", "m": 2, "sectors": [1]}, "flux", 1),
+    ({"kind": "heisenberg", "m": 1}, "truncation", {"fourier_radius": 3, "ladder_levels": 10}),
+    ({"kind": "torus_bundle", "m": 2}, "truncation", {"fourier_radius": 1, "ladder_levels": 6}),
+])
+def test_an_omitted_config_key_takes_the_class_default(tmp_path, omitted, key, default):
+    built = []
+    for name, model in (("omitted", omitted), ("spelled", {**omitted, key: default})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"model": model}))
+        built.append(cli.build_model(cli.load_config(str(path))))
+    assert_same_model(*built)
+
+
+@pytest.mark.parametrize("build", [lambda: sphere_model(1), lambda: SphereModel(m=1)], ids=["sphere_model", "class"])
+def test_a_sphere_below_m_2_is_refused(build):
+    with pytest.raises(ValueError, match="^sphere CR dimension m must be an integer >= 2, got 1$"):
+        build()
+
+
+def _one_space():
+    return SectionSpace(heisenberg_model(1, k=1))
+
+
+RECORDS = {
+    "heisenberg_model": lambda: heisenberg_model(2),
+    "cr_alpha_bundle": lambda: cr_alpha_bundle(2, c=1),
+    "sphere_model": lambda: sphere_model(2),
+    "TorusLattice": lambda: TorusLattice(2, vectors=np.eye(4)),
+    "OperatorMatrix": lambda: OperatorMatrix(np.eye(4), _one_space()),
+    "SectorPass": lambda: sector_pass(_one_space()),
+    "_Half": lambda: _FiberContext(2).half10,
+}
+
+
+@pytest.mark.parametrize("build", RECORDS.values(), ids=RECORDS)
+def test_records_holding_arrays_compare_and_hash_by_identity(build):
+    # field-wise equality compared arrays elementwise and raised ValueError, and hashing a frozen record hashed its
+    # arrays and dicts and raised TypeError
+    record, twin = build(), build()
+    assert record in [twin, record] and record != twin
+    assert len({record, twin, record}) == 2
 
 
 def test_sphere_ricci_form_is_positive_multiple_of_levi_form():
@@ -258,6 +341,7 @@ def test_float_is_refused_as_an_integer(build, message):
 
 NOT_POSITIVE_FINITE = {
     "sphere_model scal_w": (lambda value: sphere_model(2, scal_w=value), "sphere Webster scalar scal_w"),
+    "SphereModel scal_w": (lambda value: SphereModel(m=2, scal_w=value), "sphere Webster scalar scal_w"),
     "dirac_kernel tol": (lambda value: dirac_kernel(SectionSpace(heisenberg_model(1, k=0)), tol=value),
                          "kernel tolerance"),
     "kernel_report tol": (lambda value: kernel_report(assemble_kohn_dirac(SectionSpace(heisenberg_model(1, k=0))),
@@ -299,6 +383,21 @@ def test_nonfinite_model_data_is_refused(build, message):
     # a NaN scal_w read as a NaN Ricci consistency and a q=1 vanishing verdict of not_forced
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
+
+
+@pytest.mark.parametrize("m, basis, accepted", [
+    (2, 1e-4 * np.eye(4), True),  # condition number 1, determinant 1e-16
+    (3, 0.003 * np.eye(6), True),  # condition number 1, determinant 7.3e-16
+    (2, np.diag([1e8, 1e8, 1e8, 1e-20]), False),  # condition number 1e28, determinant 1e4
+], ids=["1e-4 I", "0.003 I", "cond 1e28"])
+def test_lattice_nonsingularity_is_scale_free(m, basis, accepted):
+    # |det| < 1e-12 refused a small square lattice and accepted one whose dual frequencies reached 6.3e20
+    if not accepted:
+        with pytest.raises(ValueError, match="^lattice basis must be finite and nonsingular$"):
+            TorusLattice(m, vectors=basis)
+        return
+    freqs = TorusLattice(m, vectors=basis).dual_frequencies(1)
+    np.testing.assert_allclose(freqs, TorusLattice(m).dual_frequencies(1) / basis[0, 0], rtol=1e-15)
 
 
 def test_dirac_kernel_memo_does_not_read_true_as_one():

@@ -6,8 +6,9 @@ Usage (from the root of a checkout)::
 
 PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts
 (each goes on PYTHONPATH in turn).  Every config of
-``perfbench.workloads.config_space()`` runs under both trees with CSV
-tables, and the example config of README.md runs with CSV and with JSON
+``perfbench.workloads.config_space()`` and of ``DEFAULT_CONFIGS`` (model keys
+left to, or set away from, their class defaults) runs under both trees with
+CSV tables, and the example config of README.md runs with CSV and with JSON
 tables.  One process per config and tree, one BLAS thread each, so dense
 rounding does not depend on thread scheduling.
 
@@ -42,6 +43,16 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 
 
+DEFAULT_CONFIGS = {
+    "sphere-default-scal_w": {"kind": "sphere", "m": 2},
+    "sphere-scal_w-2.5": {"kind": "sphere", "m": 2, "scal_w": 2.5},
+    "torus-default-flux": {"kind": "torus_bundle", "m": 2, "sectors": [-1, 0, 1]},
+    "torus-flux-3": {"kind": "torus_bundle", "m": 2, "flux": 3, "sectors": [-1, 0, 1]},
+    "heisenberg-ladder-levels-only": {"kind": "heisenberg", "m": 2, "sectors": [0, 1],
+                                      "truncation": {"ladder_levels": 4}},
+}
+
+
 def readme_config() -> dict:
     """The JSON config shown under "Config schema" in README.md."""
     text = (ROOT / "README.md").read_text()
@@ -54,6 +65,8 @@ def readme_config() -> dict:
 def cases() -> list[tuple[str, dict, str]]:
     """(name, config, table format) of every comparison run."""
     out = [(f"config{i:02d}", config, "csv") for i, config in enumerate(workloads.config_space())]
+    checks = list(workloads.ALL_CHECKS)
+    out += [(name, {"model": model, "checks": checks}, "csv") for name, model in DEFAULT_CONFIGS.items()]
     readme = readme_config()
     out += [("readme-csv", readme, "csv"), ("readme-json", readme, "json")]
     return out
