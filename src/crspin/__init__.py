@@ -16,8 +16,7 @@ _SUBMODULE_NAMES = {
                "cr_alpha_bundle", "heisenberg_model", "sphere_model"),
     "sections": ("SectionSpace",),
     "operators": ("assemble_dminus", "assemble_dplus", "assemble_kohn_dirac", "kernel_report"),
-    "cohomology": ("CohomologyTable", "harmonic_spinor_table", "kohn_laplacian", "shift_table",
-                   "torus_line_bundle_cohomology"),
+    "cohomology": ("CohomologyTable", "kohn_laplacian", "shift_table", "torus_line_bundle_cohomology"),
     "weitzenboeck": ("ConformalScale", "conformal_check", "curvature_term", "dl_residual",
                      "exponent_scan", "sl_residual"),
     "vanishing": ("VanishingReport", "obstruction_check", "qhat", "vanishing_verdicts"),

@@ -51,15 +51,16 @@ The checks of one run share a per-run memo, the one per-sector cache:
 each sector's SectionSpace is built once, and on its first use the one
 sector pass (``weitzenboeck.sector_pass``, which the library's readers
 call too) gathers D's keys, joins D^2 once, and reads every reduction
-off its rows, whichever checks run: the shift defects of box = D^2 / 2
-(identities, the shift table's guard), the identities rows, and the kernel
-counts off D^2's certified diagonal (spectrum, vanishing, the cohomology
-table).  No check forms a full-space matrix.  A check that reads a
-sector whose pass raised reports that error; a ``MemoryError`` names its
-reader ("D^2", "kernel counts", ...).  A term off its degree shift, or
-D- off the adjoint of D+, is an identities row that the kernel and shift
-table readers refuse (``SectorPass.graded``), as they refuse a D^2 off
-its diagonal.
+off its rows, whichever checks run: every identities row, in report
+order (written by the identities check, at the algebraic tolerance for
+``weitzenboeck.ALGEBRAIC_ROWS``; the shift table's guard reads
+``sector_identity``), and the kernel counts off D^2's certified diagonal
+(spectrum, vanishing, the cohomology table).  No check forms a
+full-space matrix.  A check that reads a sector whose pass raised
+reports that error; a ``MemoryError`` names its reader ("D^2", "kernel
+counts", ...).  A term off its degree shift, or D- off the adjoint of
+D+, is an identities row that the kernel and shift table readers refuse
+(``SectorPass.graded``), as they refuse a D^2 off its diagonal.
 The conformal check evaluates exact trigonometric polynomials and their
 frame derivatives at fixed sample points and depends only on the CR
 dimension, not on the sector, so it is evaluated once and that one value
@@ -86,9 +87,9 @@ import numpy as np
 from .clifford import TOLERANCE_DEFAULTS
 from .cohomology import shift_table
 from .models import MODEL_KINDS, default_truncation
-from .operators import cluster_eigenvalues, nabla_T_defect, sub_laplacian_defect
+from .operators import cluster_eigenvalues
 from .sections import SectionSpace
-from .weitzenboeck import ConformalScale, SectorPass, conformal_check, sector_pass
+from .weitzenboeck import ALGEBRAIC_ROWS, ConformalScale, SectorPass, conformal_check, sector_pass
 
 __all__ = ["main", "run", "load_config", "ConfigError", "CHECK_NAMES"]
 
@@ -282,25 +283,11 @@ def _check_identities(model, config, memo: _RunMemo) -> CheckResult:
     rows = []
     per_sector = {}
     for sector in memo.sectors:
-        space = memo.space(sector)
         reads = memo.reductions(sector)
-        lichnerowicz, covariant = reads.square
-        residuals = {(name, "algebraic"): value for name, value in reads.rows.items()}
-        residuals.update({
-            ("sub_laplacian_routes", "dual_assembly"): sub_laplacian_defect(space),
-            ("reeb_routes", "dual_assembly"): float(nabla_T_defect(space)),
-            # np.max, not max: a NaN degree must reach the row
-            ("sector_identity", "dual_assembly"): np.max(list(reads.shift.values())),
-            ("lichnerowicz_residual", "dual_assembly"): lichnerowicz,
-        })
-        residuals.update({(f"covariant_dirac_residual_ell={ell}", "dual_assembly"): v for ell, v in covariant.items()})
-        sector_report = {}
-        for (name, tol_key), value in residuals.items():
-            value = float(value)
-            ok = value <= tol[tol_key]
-            rows.append([sector, name, value, tol[tol_key], ok])
-            sector_report[name] = value
-        per_sector[str(sector)] = sector_report
+        for name, value in reads.rows.items():
+            bound = tol["algebraic" if name in ALGEBRAIC_ROWS else "dual_assembly"]
+            rows.append([sector, name, value, bound, value <= bound])
+        per_sector[str(sector)] = reads.rows
     failed = [r for r in rows if not r[4]]
     detail = ""
     if failed:

@@ -11,15 +11,16 @@ creation/annihilation matrices:
 
 where w_a wedges the a-th antiholomorphic coframe element.  Degree q's block
 of D^2 is M P + P M with M = D-, which is D's degree Gram P^H P + M^H M and 2
-box_q when M = P^H.  The readers here, ``shift_table``,
-``sector_identity_residual`` and ``dirac_kernel``, take the shift defects
-and the kernel counts, ker D_q = ker box_q, off a sector's one pass,
+box_q when M = P^H.  The readers here take the shift defects and the
+kernel counts, ker D_q = ker box_q, off a sector's one pass,
 ``weitzenboeck.sector_pass``, which reads both off D^2's rows and refuses
 them (``SectorPass.graded``) unless D^2's degree blocks are 2 box with
-their diagonal as spectrum.  The
-dense oracle ``kohn_laplacian`` builds box from D+ alone, so D^2 = 2 box on
-the degree blocks (acceptance criterion 4) compares two routes that part when
-D- is not the adjoint of D+.
+their diagonal as spectrum: ``sector_identity_residual`` returns the
+defects, ``dirac_kernel`` the counts, and ``shift_table`` writes the counts
+once the pass's ``sector_identity`` row, their largest defect, passes its
+guard.  The dense oracle ``kohn_laplacian`` builds box from D+ alone, so
+D^2 = 2 box on the degree blocks (acceptance criterion 4) compares two
+routes that part when D- is not the adjoint of D+.
 
 On a weight sector with commutator scalar t the Kohn Laplacian differs
 from the holomorphic connection Laplacian by a multiple of the fiber
@@ -54,7 +55,6 @@ __all__ = [
     "dirac_kernel",
     "torus_line_bundle_cohomology",
     "shift_table",
-    "harmonic_spinor_table",
 ]
 
 MODEL_LEVEL_NOTE = (
@@ -122,11 +122,6 @@ def _row_status(m: int, q: int) -> str:
     return "lower-bound" if q in (0, m) else "certified"
 
 
-def _kernel_rows(space: SectionSpace, report: dict[int, KernelCount]) -> list[TableRow]:
-    return [TableRow(q, space.sector, count.dim * space.multiplicity, "spectral", _row_status(space.m, q))
-            for q, count in sorted(report.items())]
-
-
 def shift_table(model: PseudoHermitianModel, s_range=(0,), tol=TOLERANCE_DEFAULTS["spectral"], sector=None,
                 shift_tol=TOLERANCE_DEFAULTS["dual_assembly"]) -> CohomologyTable:
     """Spectral Kohn-Rossi dimensions per weight sector, and analytic ones where the model's class has an analytic
@@ -136,7 +131,7 @@ def shift_table(model: PseudoHermitianModel, s_range=(0,), tol=TOLERANCE_DEFAULT
     complete per-slot blocks (null vectors of cut blocks are cutoff
     artifacts), once a sector's largest shift defect is at most
     ``shift_tol`` (a NaN defect is not).  ``sector(s)`` gives the
-    weight-s ``SectorPass`` with its shift defects and kernel counts
+    weight-s ``SectorPass`` with its ``sector_identity`` row and kernel counts
     (default: ``sector_pass`` on a new space, the counts at ``tol``,
     which refuses a model without a section space).
     """
@@ -148,26 +143,13 @@ def shift_table(model: PseudoHermitianModel, s_range=(0,), tol=TOLERANCE_DEFAULT
         table.notes.append(MODEL_LEVEL_NOTE)
     for s in s_range:
         reads = sector(s)
-        # np.max, not max: a NaN defect must reach the guard, which refuses all but a defect <= shift_tol
-        if not (worst := np.max(list(reads.graded("shift").values()))) <= shift_tol:
+        # the sector_identity row is the largest shift defect, NaN if any is; the guard refuses all but one <= shift_tol
+        if not (worst := reads.graded("rows")["sector_identity"]) <= shift_tol:
             raise RuntimeError(f"shift identity fails on sector {s}: defect {worst:.2e} on complete blocks")
-        spectral = {row.q: row for row in _kernel_rows(reads.space, reads.graded("kernel"))}
+        space, counts = reads.space, reads.graded("kernel")
         for q in range(model.m + 1):
             if model.analytic_dim is not None:
                 table.rows.append(TableRow(q, s, model.analytic_dim(s, q), "analytic", _row_status(model.m, q)))
-            table.rows.append(spectral[q])
-    return table
-
-
-def harmonic_spinor_table(space: SectionSpace, counts: dict[int, KernelCount]) -> CohomologyTable:
-    """Kernel dimensions of the Kohn-Dirac operator, reported per degree, from its kernel ``counts``.
-
-    The counts are ``dirac_kernel``'s per grading block, and the tests
-    require them to match the form-side table entry for entry; the
-    degree-q spinors and the (0,q) coframe monomials are indexed by the
-    same q-element subsets, so the two sides share their basis.
-    """
-    table = CohomologyTable(model_name=space.model.describe(), rows=_kernel_rows(space, counts))
-    if space.m == 1:
-        table.notes.append(MODEL_LEVEL_NOTE)
+            table.rows.append(TableRow(q, space.sector, counts[q].dim * space.multiplicity, "spectral",
+                                       _row_status(space.m, q)))
     return table

@@ -127,6 +127,11 @@ class SectionSpace:
     def _build_fourier(self, lattice: TorusLattice, radius: int):
         freqs = lattice.dual_frequencies(radius)
         m = self.m
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, without numpy's warning
+            finite = np.isfinite((0.25 * freqs**2).sum(axis=1)).all()  # the base Laplacian, |zeta|^2 summed over slots
+        if not finite:
+            raise ValueError(f"{self.model.kind} sector {self.sector}: the Fourier sector's base Laplacian is not "
+                             f"finite (largest dual frequency {np.abs(freqs).max():.2e})")
         # E_a = (e_a - i Je_a)/2 acts on exp(i w.x) as i * (w_x - i w_y)/2
         zeta = 0.5 * (freqs[:, :m] - 1j * freqs[:, m:])
         self.nabla_e = [1j * zeta[:, a] for a in range(m)]

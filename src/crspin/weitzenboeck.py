@@ -20,11 +20,14 @@ Lichnerowicz and fixed-weight residuals and D+-^2 maxima, on the present
 states of complete blocks (``complete_max``): no whole D^2 and no
 full-space matrix is formed.  The Clifford generators anticommute, so
 D^2 is diagonal on each per-slot block; the pass certifies that, and the
-diagonal is then the spectrum, with no eigensolve.  It keeps only these
-reductions, names its reader in a ``MemoryError``, and its record alone
-refuses a D term off its degree shift, a D- off the adjoint of D+ or a
-D^2 off its diagonal (``SectorPass.graded``).  ``sl_residual``,
-``dl_residual``, the run's memo and ``cohomology``'s readers call it.
+diagonal is then the spectrum, with no eigensolve.  With D's keys
+released it reads the space-level sub-Laplacian and Reeb rows.  It keeps
+only these reductions, every identities row among them (in report order;
+``ALGEBRAIC_ROWS`` names the algebraic ones), names its reader in a
+``MemoryError``, and its record alone refuses a D term off its degree
+shift, a D- off the adjoint of D+ or a D^2 off its diagonal
+(``SectorPass.graded``).  The run's memo and ``cohomology``'s readers call
+it; ``sl_residual`` and ``dl_residual`` read their rows by name.
 
 It also hosts the conformal covariance checks: under a rescaling of the
 contact form by exp(2 f), suitably weighted powers of exp(-f) intertwine
@@ -58,7 +61,8 @@ from .clifford import (
 )
 from .fields import TrigPoly
 from .models import PseudoHermitianModel, rho_frame_components
-from .operators import KernelCount, diagonal_kernel_count, dirac_blocks, twistor_weights
+from .operators import (KernelCount, diagonal_kernel_count, dirac_blocks, nabla_T_defect, sub_laplacian_defect,
+                        twistor_weights)
 from .sections import SectionSpace
 
 __all__ = [
@@ -67,6 +71,7 @@ __all__ = [
     "q_split",
     "sl_residual",
     "dl_residual",
+    "ALGEBRAIC_ROWS",
     "SectorPass",
     "sector_pass",
     "gram_shift_defect",
@@ -147,7 +152,7 @@ def sl_residual(space: SectionSpace) -> float:
     """Residual of the Schroedinger-Lichnerowicz identity on complete blocks, off the space's own sector pass: D^2
     against the weighted sum of horizontal Laplacians plus the curvature term at the model's twist, where both
     sides are the untruncated operators' blocks.  Between degrees the residual is D^2's own entry."""
-    return sector_pass(space).square[0]
+    return sector_pass(space).rows["lichnerowicz_residual"]
 
 
 def dl_residual(space: SectionSpace, ell: int) -> float:
@@ -169,7 +174,7 @@ def dl_residual(space: SectionSpace, ell: int) -> float:
         raise ValueError(
             f"no weight block mu = {-ell} for m = {m}; ell must lie in {{-m, -m+2, ..., m}}"
         )
-    return sector_pass(space).square[1][ell]
+    return sector_pass(space).rows[f"covariant_dirac_residual_ell={ell}"]
 
 
 def _less_curvature(row: dict, s: int, start: int, curvature: np.ndarray) -> dict:
@@ -190,23 +195,27 @@ def gram_shift_defect(space: SectionSpace, s: int, row: dict) -> float:
     return space.complete_max(box)
 
 
+# the identities rows that are exact operator identities, checked at the "algebraic" tolerance; every other row
+# compares two routes to one operator or a formula with D^2, at the "dual_assembly" tolerance
+ALGEBRAIC_ROWS = ("dirac_plus_squared", "dirac_minus_squared", "adjoint_defect", "grading_defect")
+
+
 @dataclass(frozen=True, eq=False)
 class SectorPass:
     """One sector's reductions of D (``sector_pass``), never its keys: why the degree-block readers are ``refused``
-    (None if they are not), the per-degree ``shift`` defects and ``kernel`` counts, the identities ``rows`` and
-    D^2's ``square`` residuals (Lichnerowicz, {ell: fixed-weight})."""
+    (None if they are not), the per-degree ``shift`` defects and ``kernel`` counts, and every row of the sector's
+    identities report, {name: value} in report order (``rows``)."""
 
     space: SectionSpace
     refused: str | None
     shift: dict[int, float]
     kernel: dict[int, KernelCount]
-    rows: dict
-    square: tuple
+    rows: dict[str, float]
 
     def graded(self, key: str):
-        """The ``shift`` or ``kernel`` reduction, or ``ValueError`` naming the sector and why it is ``refused``: D^2's
-        degree blocks miss a D term off its degree shift, are D's Grams and 2 box only while D- = D+^H, and have
-        their diagonal as spectrum only while every entry off it is 0."""
+        """The ``shift``, ``kernel`` or ``rows`` reduction, or ``ValueError`` naming the sector and why it is
+        ``refused``: D^2's degree blocks miss a D term off its degree shift, are D's Grams and 2 box only while
+        D- = D+^H, and have their diagonal as spectrum only while every entry off it is 0."""
         if self.refused:
             raise ValueError(f"{self.space.model.kind} sector {self.space.sector}: {self.refused}")
         return getattr(self, key)
@@ -226,7 +235,11 @@ def sector_pass(space: SectionSpace, tol: float = TOLERANCE_DEFAULTS["spectral"]
     * its keys two degrees down and up, D+^2 and D-^2 (D+ fills D's keys one degree up and D- those one degree
       down), for their maxima on every block.
 
-    A ``MemoryError`` names its reader."""
+    With D's keys released it reads the space-level rows, ``sub_laplacian_defect`` and ``nabla_T_defect``.  ``rows``
+    is the identities report, in order: the ``ALGEBRAIC_ROWS`` (D+^2, D-^2, D- against D+^H, the terms'
+    ``grading_defects``), ``sub_laplacian_routes``, ``reeb_routes``, ``sector_identity`` (the largest ``shift``
+    defect), ``lichnerowicz_residual`` and ``covariant_dirac_residual_ell=<ell>`` for ell = -m, -m+2, ..., m.  A
+    ``MemoryError`` names its reader."""
     tol = _positive(tol, "kernel tolerance")
     m, model, degree = space.m, space.model, space.module.degrees
     reader, defects, counts, off_diagonal = "the gather", {}, {}, {}
@@ -267,6 +280,11 @@ def sector_pass(space: SectionSpace, tol: float = TOLERANCE_DEFAULTS["spectral"]
             lichnerowicz.append(space.complete_max(row))
             plus += [np.abs(vec).max() for (_, c), vec in row.items() if degree[c] == q - 2]
             minus += [np.abs(vec).max() for (_, c), vec in row.items() if degree[c] == q + 2]
+        del dirac, row, block  # freed first: the Reeb formula's keys beside D's would raise a large sector's peak
+        reader = "sub-Laplacian routes"
+        sub_laplacian = sub_laplacian_defect(space)
+        reader = "Reeb routes"
+        reeb = nabla_T_defect(space)
     except MemoryError as exc:
         raise MemoryError(f"{exc} (in {reader})") from None
     if off_diagonal and refused is None:
@@ -276,10 +294,14 @@ def sector_pass(space: SectionSpace, tol: float = TOLERANCE_DEFAULTS["spectral"]
                        f"(largest off-diagonal {off_diagonal[pair]:.2e}, fiber pair {pair})")
     # np.max, not max: a NaN row must reach the report; grading is read off the terms' fiber matrices, so D+^2 and
     # D-^2 see every entry only while it passes
+    shift = {q: float(np.max(v)) for q, v in defects.items()}
     rows = {"dirac_plus_squared": float(np.max(plus)), "dirac_minus_squared": float(np.max(minus)),
-            "adjoint_defect": float(adjoint[at]), "grading_defect": float(np.max(grading))}
-    return SectorPass(space, refused, {q: float(np.max(v)) for q, v in defects.items()}, counts, rows,
-                      (float(np.max(lichnerowicz)), {ell: float(np.max(v)) for ell, v in covariant.items()}))
+            "adjoint_defect": float(adjoint[at]), "grading_defect": float(np.max(grading)),
+            "sub_laplacian_routes": float(sub_laplacian), "reeb_routes": float(reeb),
+            "sector_identity": float(np.max(list(shift.values()))),
+            "lichnerowicz_residual": float(np.max(lichnerowicz)),
+            **{f"covariant_dirac_residual_ell={ell}": float(np.max(v)) for ell, v in covariant.items()}}
+    return SectorPass(space, refused, shift, counts, rows)
 
 
 # ---------------------------------------------------------------------------

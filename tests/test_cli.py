@@ -810,11 +810,34 @@ def test_identities_fail_on_a_term_that_leaves_its_block(tmp_path, monkeypatch, 
 
 def test_the_identities_detail_names_a_nan_row_over_an_earlier_finite_one(tmp_path, monkeypatch, capsys):
     # both rows fail, and max() would name the finite sub-Laplacian row over the later NaN Reeb row
-    monkeypatch.setattr(cli, "sub_laplacian_defect", lambda space: 1.0)
-    monkeypatch.setattr(cli, "nabla_T_defect", lambda space: np.nan)
+    monkeypatch.setattr(weitzenboeck, "sub_laplacian_defect", lambda space: 1.0)
+    monkeypatch.setattr(weitzenboeck, "nabla_T_defect", lambda space: np.nan)
     cfg = write_config(tmp_path, {"model": {"kind": "heisenberg", "m": 2, "sectors": [1]}, "checks": ["identities"]})
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "art")]) == 1
     assert "check identities: FAIL (sector 1 reeb_routes = nan above " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("model", [{"kind": "heisenberg", "m": 2, "sectors": [1, 0]},
+                                   {"kind": "torus_bundle", "m": 2, "sectors": [-1]}],
+                         ids=["heisenberg-ladder-and-fourier", "torus"])
+def test_the_identities_report_writes_the_sector_pass_rows(tmp_path, model):
+    # the pass owns the rows: the report writes each sector's rows in the pass's order, and checks a row at the
+    # algebraic tolerance exactly when weitzenboeck names it algebraic
+    cfg = write_config(tmp_path, {"model": model, "checks": ["identities"],
+                                  "tolerances": {"algebraic": 2e-12, "dual_assembly": 3e-10}})
+    out = tmp_path / "art"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    built = cli.build_model(cli.load_config(cfg))
+    written = list(csv.reader((out / "identities_residuals.csv").open()))[1:]
+    report = json.loads((out / "identities_report.json").read_text())["results"]["sectors"]
+    for sector in model["sectors"]:
+        rows = weitzenboeck.sector_pass(sections.SectionSpace(built, sector=sector)).rows
+        mine = [row for row in written if row[0] == str(sector)]
+        assert [(name, float(value)) for _, name, value, _, _ in mine] == list(rows.items())
+        assert report[str(sector)] == rows
+        assert [float(bound) for _, _, _, bound, _ in mine] == [
+            2e-12 if name in weitzenboeck.ALGEBRAIC_ROWS else 3e-10 for name in rows]
+    assert set(weitzenboeck.ALGEBRAIC_ROWS) < set(rows)
 
 
 def test_a_nan_shift_defect_in_any_degree_fails_identities(tmp_path, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 import copy
 import re
 import tracemalloc
+import weakref
 from math import comb
 
 import numpy as np
@@ -8,9 +9,10 @@ import pytest
 from blockstates import record_grams
 
 from crspin.cohomology import (
+    MODEL_LEVEL_NOTE,
     CohomologyTable,
+    TableRow,
     dirac_kernel,
-    harmonic_spinor_table,
     kohn_laplacian,
     sector_identity_residual,
     shift_table,
@@ -246,24 +248,39 @@ def test_shift_table_refuses_a_model_without_a_section_space():
         shift_table(sphere_model(2))
 
 
-def test_shift_table_without_an_analytic_route_is_the_harmonic_spinor_table():
-    # the Heisenberg quotient's class has no analytic route: its table is the spectral rows and notes, sector by sector
+def test_shift_table_without_an_analytic_route_writes_the_dirac_kernel():
+    # the Heisenberg quotient's class has no analytic route: its table is the spectral rows, dirac_kernel's dims times
+    # the sector's multiplicity on every (q, s), and the m=1 note
     model = heisenberg_model(1, k=0)
     table = shift_table(model, s_range=(-1, 0, 1))
-    spaces = [SectionSpace(model, sector=s) for s in (-1, 0, 1)]
-    parts = [harmonic_spinor_table(space, dirac_kernel(space)) for space in spaces]
-    assert table.dims("analytic") == {} and table.notes == parts[0].notes != []
-    assert table.sorted_rows() == [row for part in parts for row in part.sorted_rows()]
+    rows = []
+    for s in (-1, 0, 1):
+        space = SectionSpace(model, sector=s)
+        rows += [TableRow(q, s, count.dim * space.multiplicity, "spectral", "lower-bound")
+                 for q, count in sorted(dirac_kernel(space).items())]
+    assert table.dims("analytic") == {} and table.notes == [MODEL_LEVEL_NOTE]
+    assert table.sorted_rows() == rows
 
 
-def test_the_shift_guard_refuses_a_nan_defect():
-    # a finite, perfectly conditioned lattice whose base Laplacian overflows: both degrees' shift defects read NaN,
-    # and NaN > shift_tol is false, so the guard must refuse all but a defect <= shift_tol
+def test_the_shift_guard_refuses_a_nan_defect(monkeypatch):
+    # degree 1's shift defect reads NaN after degree 0's finite one, and NaN > shift_tol is false, so the guard must
+    # refuse all but a defect <= shift_tol
+    read = weitzenboeck.gram_shift_defect
+    monkeypatch.setattr(weitzenboeck, "gram_shift_defect",
+                        lambda space, s, row: np.nan if space.module.degrees[s] == 1 else read(space, s, row))
+    model = cr_alpha_bundle(1, c=1, truncation=TruncationSpec(1, 3))
+    assert [np.isnan(v) for v in sector_identity_residual(SectionSpace(model)).values()] == [False, True]
+    with pytest.raises(RuntimeError, match="shift identity fails on sector 0: defect nan on complete blocks"):
+        shift_table(model, s_range=[0])
+
+
+def test_a_lattice_whose_base_laplacian_overflows_is_refused_at_the_build():
+    # a finite, perfectly conditioned lattice: its dual frequencies reach 6.3e160, so |zeta|^2 is inf and every
+    # reader of the sector would read NaN
     model = cr_alpha_bundle(TorusLattice(1, 1e-160 * np.eye(2)), c=1, truncation=TruncationSpec(1, 3))
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert np.isnan(list(sector_identity_residual(SectionSpace(model)).values())).all()
-        with pytest.raises(RuntimeError, match="shift identity fails on sector 0: defect nan on complete blocks"):
-            shift_table(model, s_range=[0])
+    with pytest.raises(ValueError, match=r"^torus_bundle sector 0: the Fourier sector's base Laplacian is not finite "
+                                         r"\(largest dual frequency 6\.28e\+160\)$"):
+        SectionSpace(model, sector=0)
 
 
 def test_a_nan_grading_defect_after_a_finite_one_reaches_the_row(monkeypatch):
@@ -284,10 +301,43 @@ def test_a_sector_pass_fills_every_reduction(model):
     assert reads.shift == sector_identity_residual(space) and list(reads.shift) == list(range(space.m + 1))
     assert {q: (c.dim, c.spurious) for q, c in reads.kernel.items()} == {
         q: (c.dim, c.spurious) for q, c in dirac_kernel(space).items()}
-    assert list(reads.rows) == ["dirac_plus_squared", "dirac_minus_squared", "adjoint_defect", "grading_defect"]
-    lichnerowicz, covariant = reads.square
-    assert lichnerowicz == sl_residual(space) and list(covariant) == list(range(-space.m, space.m + 1, 2))
-    assert all(covariant[ell] == dl_residual(space, ell) for ell in covariant)
+    assert list(reads.rows) == ["dirac_plus_squared", "dirac_minus_squared", "adjoint_defect", "grading_defect",
+                                "sub_laplacian_routes", "reeb_routes", "sector_identity", "lichnerowicz_residual",
+                                "covariant_dirac_residual_ell=-2", "covariant_dirac_residual_ell=0",
+                                "covariant_dirac_residual_ell=2"]
+    assert reads.rows["sub_laplacian_routes"] == operators.sub_laplacian_defect(space)
+    assert reads.rows["reeb_routes"] == operators.nabla_T_defect(space)
+    assert reads.rows["sector_identity"] == max(reads.shift.values())
+    assert reads.rows["lichnerowicz_residual"] == sl_residual(space)
+    assert all(reads.rows[f"covariant_dirac_residual_ell={ell}"] == dl_residual(space, ell) for ell in (-2, 0, 2))
+
+
+@pytest.mark.parametrize("model", [heisenberg_model(2, k=1), heisenberg_model(2, k=0), cr_alpha_bundle(2, c=1, s=1)],
+                         ids=["heisenberg-ladder", "heisenberg-fourier", "torus"])
+def test_the_space_level_rows_are_read_after_d_keys_are_released(monkeypatch, model):
+    # read beside D's keys, the Reeb formula's keys would raise a large sector's peak
+    keys, calls = [], []
+    gather = weitzenboeck.dirac_blocks
+
+    def recording_gather(space):
+        dirac, grading = gather(space)
+        keys.extend(weakref.ref(vec) for vec in dirac.values())
+        return dirac, grading
+
+    def checking(name):
+        read = getattr(weitzenboeck, name)
+
+        def check(space):
+            calls.append(name)
+            assert keys and all(key() is None for key in keys), f"{name} runs beside D's keys"
+            return read(space)
+        return check
+
+    monkeypatch.setattr(weitzenboeck, "dirac_blocks", recording_gather)
+    for name in ("sub_laplacian_defect", "nabla_T_defect"):
+        monkeypatch.setattr(weitzenboeck, name, checking(name))
+    sector_pass(SectionSpace(model))
+    assert calls == ["sub_laplacian_defect", "nabla_T_defect"]
 
 
 LIBRARY_READERS = {
@@ -343,6 +393,18 @@ def test_a_memory_error_in_a_library_reader_names_its_reader(monkeypatch, reader
         LIBRARY_READERS[reader](cr_alpha_bundle(2, c=1))
 
 
+@pytest.mark.parametrize("name,label", [("sub_laplacian_defect", "sub-Laplacian routes"),
+                                        ("nabla_T_defect", "Reeb routes")])
+@pytest.mark.parametrize("reader", LIBRARY_READERS)
+def test_a_memory_error_in_a_space_level_row_names_its_reader(monkeypatch, reader, name, label):
+    def fail(space):
+        raise MemoryError("Unable to allocate 544 MiB for an array with shape (531441,)")
+
+    monkeypatch.setattr(weitzenboeck, name, fail)
+    with pytest.raises(MemoryError, match=rf"^Unable to allocate 544 MiB .* \(in {label}\)$"):
+        LIBRARY_READERS[reader](cr_alpha_bundle(2, c=1))
+
+
 @pytest.mark.parametrize("s", [1.5, True, "1"])
 def test_shift_table_refuses_a_sector_that_is_no_integer(s):
     # each of these used to be read as sector 1
@@ -351,20 +413,19 @@ def test_shift_table_refuses_a_sector_that_is_no_integer(s):
 
 
 # ---------------------------------------------------------------------------
-# spinor-side table and basis bijection
+# spectral rows against the form side
 # ---------------------------------------------------------------------------
 
 
-def test_spinor_table_matches_form_table():
-    for model, s in ((heisenberg_model(2, k=0), 0), (cr_alpha_bundle(2, c=1, s=1), 1)):
+def test_spectral_rows_match_the_form_side_kernel():
+    # ker D = ker box: the table's spectral rows, off D^2's diagonal, against the dense box's kernel counts
+    for model in (heisenberg_model(2, k=0), cr_alpha_bundle(2, c=1, s=1)):
         space = SectionSpace(model)
-        spinor = harmonic_spinor_table(space, dirac_kernel(space))
         box_report = kernel_report(kohn_laplacian(space))
-        for row in spinor.rows:
-            assert row.dim == box_report[row.q].dim * space.multiplicity
-    space = SectionSpace(cr_alpha_bundle(2, c=1, s=1))
-    table = harmonic_spinor_table(space, dirac_kernel(space))
-    assert table.dims()[(1, 1)] == 0
+        table = shift_table(model, s_range=[space.sector])
+        assert table.dims("spectral") == {(q, space.sector): box_report[q].dim * space.multiplicity
+                                          for q in range(space.m + 1)}
+    assert table.dims("spectral")[(1, 1)] == 0
 
 
 def test_shift_table_passes_tolerances_to_kernel_counts(monkeypatch):

@@ -3,6 +3,7 @@
 import ast
 import graphlib
 import importlib
+import importlib.util
 import inspect
 import pkgutil
 from pathlib import Path
@@ -70,3 +71,16 @@ def test_one_table_holds_every_default_tolerance():
                     if isinstance(default, ast.Constant) and default.value in (1e-8, 1e-10):
                         literals.append(f"{path.name}:{default.lineno}")
     assert not literals, f"default tolerance literals outside clifford.TOLERANCE_DEFAULTS: {literals}"
+
+
+def test_the_bench_verifier_checks_each_identities_row_at_its_run_tolerance():
+    # perfbench/verify.py keeps its own copies of the row classes and the default tolerances; a row that moved class
+    # would leave the bench checking it at the other tolerance
+    from crspin import clifford, weitzenboeck
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "verify.py"
+    spec = importlib.util.spec_from_file_location("verify", path)
+    verify = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(verify)
+    assert set(weitzenboeck.ALGEBRAIC_ROWS) == verify.ALGEBRAIC_RESIDUALS
+    assert verify.TOLERANCES == clifford.TOLERANCE_DEFAULTS

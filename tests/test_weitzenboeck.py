@@ -258,8 +258,10 @@ def test_dl_residual_all_admissible_weights(model):
 def test_sector_pass_square_equals_single_identity_residuals(model):
     space = SectionSpace(model)
     weights = range(-model.m, model.m + 1, 2)
-    single = (sl_residual(space), {ell: dl_residual(space, ell) for ell in weights})
-    assert sector_pass(space).square == single
+    rows = sector_pass(space).rows
+    assert rows["lichnerowicz_residual"] == sl_residual(space)
+    assert [rows[f"covariant_dirac_residual_ell={ell}"] for ell in weights] == [
+        dl_residual(space, ell) for ell in weights]
 
 
 def test_lichnerowicz_residual_reads_off_degree_entries(monkeypatch):
@@ -280,10 +282,12 @@ def test_lichnerowicz_residual_reads_off_degree_entries(monkeypatch):
     monkeypatch.setattr(weitzenboeck, "dirac_blocks", injecting)
     # E = 0.5 e_30 squares to 0, so D^2 moves by DE + ED: entries (1 or 2, 0) and (3, 1 or 2), between degrees
     after = sector_pass(space)
-    assert before.square[0] <= 1e-10 and abs(after.square[0] - 1.0) <= 1e-10
-    squares = ("dirac_plus_squared", "dirac_minus_squared")
-    assert (after.square[1], *(after.rows[name] for name in squares)) == (before.square[1],
-                                                                         *(before.rows[name] for name in squares))
+    lichnerowicz = "lichnerowicz_residual"
+    assert before.rows[lichnerowicz] <= 1e-10 and abs(after.rows[lichnerowicz] - 1.0) <= 1e-10
+    unmoved = [name for name in before.rows if name.startswith("covariant_dirac_residual_ell=")]
+    assert len(unmoved) == 3
+    unmoved += ["dirac_plus_squared", "dirac_minus_squared"]
+    assert [after.rows[name] for name in unmoved] == [before.rows[name] for name in unmoved]
 
 
 @pytest.mark.parametrize("model", [heisenberg_model(2, k=1), heisenberg_model(2, k=0)], ids=["ladder", "fourier"])
